@@ -215,11 +215,15 @@ def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
     ok = set(vcut) == set(enumerate_jaeger_trees(rev, ECUT))
     report.add("reversal-duality", PASS if ok else FAIL)
 
-    # unique realization and the induced bijection between hypertree sets
-    fe = [tuple(sorted(g.degree_vector(t, EMERALD).items())) for t in vcut]
-    fv = [tuple(sorted(g.degree_vector(t, VIOLET).items())) for t in vcut]
-    ok = (len(set(fe)) == len(b_e) == len(vcut)
-          and len(set(fv)) == len(b_v) == len(vcut))
+    # unique realization and the induced bijection between hypertree
+    # sets; Jaeger enumeration does not use the hypertree module, so this
+    # also cross-checks the hypertree enumeration on both sides
+    ok = True
+    for side, family in ((EMERALD, b_e), (VIOLET, b_v)):
+        nodes = g.side_nodes(side)
+        realized = {tuple(g.degree_vector(t, side)[x] for x in nodes) for t in vcut}
+        ok = ok and len(realized) == len(vcut) and realized == {
+            tuple(f[x] for x in nodes) for f in family}
     report.add("unique-realization-bijection", PASS if ok else FAIL)
 
     # base-cut order and five-way characterization on every V-cut tree

@@ -81,6 +81,7 @@ def parse_graph(text: str) -> RibbonBipartiteGraph:
         raise GraphFormatError("edges: section is empty")
 
     rotations: dict[str, tuple[str, ...]] = {x: tuple(v) for x, v in appearance.items()}
+    rotated: set[str] = set()
     for line in sections["rotations:"]:
         if ":" not in line:
             raise GraphFormatError(f"rotation line needs 'node: id id ...': {line!r}")
@@ -88,6 +89,9 @@ def parse_graph(text: str) -> RibbonBipartiteGraph:
         node = node.strip()
         if node not in appearance:
             raise GraphFormatError(f"rotation for undeclared node {node!r}")
+        if node in rotated:
+            raise GraphFormatError(f"duplicate rotation for node {node!r}")
+        rotated.add(node)
         rotations[node] = tuple(rest.split())
 
     base = " ".join(sections["base:"]).split()

@@ -7,6 +7,14 @@ Feasibility is decided by exact backtracking over per-node edge choices
 with union-find pruning; the subset inequality sum f(E') <= |N(E')| - 1
 is only used as a necessary rejection filter (singletons and the full
 class), never assumed sufficient.
+
+The hypertrees of one class are the lattice points of a polymatroid base
+polytope (Kalman 2013, "A version of Tutte's polynomial for
+hypergraphs"), so any two of them are joined by a path of unit valence
+transfers f - 1_x + 1_y (the exchange axiom of M-convex sets).  The
+family is therefore enumerated by closing one spanning tree's degree
+vector under transfers that the feasibility oracle admits, and
+activities are read off the family by membership.
 """
 
 from __future__ import annotations
@@ -176,28 +184,59 @@ def degree_vector(g: RibbonBipartiteGraph, tree: frozenset[str], side: str) -> d
     return g.degree_vector(tree, side)
 
 
-def enumerate_hypertrees(g: RibbonBipartiteGraph, side: str) -> list[dict[str, int]]:
-    """All hypertrees on ``side``, via a sweep over spanning trees.
+def _family(g: RibbonBipartiteGraph, side: str) -> frozenset[tuple[int, ...]]:
+    """The hypertree value tuples on ``side``: the transfer closure of one
+    spanning tree's degree vector, memoized on the (immutable) graph."""
+    memo = ("_family", side)
+    if memo in g._feas_cache:
+        return g._feas_cache[memo]
+    uf = UnionFind(g.nodes)
+    tree = frozenset(e for e in g.edge_ids if uf.union(*g.edges[e]))
+    vals = g.degree_vector(tree, side)
+    start = tuple(vals[x] for x in g.side_nodes(side))
 
-    Deterministic: sorted by value tuples.
+    oracle = _oracle(g, side)
+    live, pinned = frozenset(g.edge_ids), frozenset()
+    # a node's value stays below its degree; cheaper than asking the oracle
+    cap = [g.degree(x) - 1 for x in g.side_nodes(side)]
+    idx = range(len(start))
+    family, rejected = {start}, set()
+    frontier = [start]
+    while frontier:
+        f = frontier.pop()
+        for i in idx:
+            if f[i] == 0:
+                continue
+            for j in idx:
+                if i == j or f[j] == cap[j]:
+                    continue
+                shifted = list(f)
+                shifted[i] -= 1
+                shifted[j] += 1
+                cand = tuple(shifted)
+                if cand in family or cand in rejected:
+                    continue
+                if oracle.feasible(cand, live, pinned):
+                    family.add(cand)
+                    frontier.append(cand)
+                else:
+                    rejected.add(cand)
+    g._feas_cache[memo] = frozenset(family)
+    return g._feas_cache[memo]
+
+
+def enumerate_hypertrees(g: RibbonBipartiteGraph, side: str) -> list[dict[str, int]]:
+    """All hypertrees on ``side``, as a fresh list sorted by value tuples.
+
+    Starts from the degree vector of one spanning tree and closes it
+    under unit valence transfers admitted by the feasibility oracle.
+    The closure is complete because hypertrees form an M-convex set:
+    for hypertrees f != h and any x with f(x) > h(x) there is a y with
+    f(y) < h(y) such that f - 1_x + 1_y is a hypertree, one step closer
+    to h.
     """
     nodes = g.side_nodes(side)
-    seen = set()
-    for t in g.spanning_trees():
-        vals = g.degree_vector(t, side)
-        seen.add(tuple(vals[x] for x in nodes))
-    return [dict(zip(nodes, key)) for key in sorted(seen)]
-
-
-def find_realization(g: RibbonBipartiteGraph, side: str, f: dict[str, int]) -> frozenset[str] | None:
-    """Some spanning tree realizing f, or None (brute-force helper)."""
-    key = _side_key(g, side, f)
-    nodes = g.side_nodes(side)
-    for t in g.spanning_trees():
-        vals = g.degree_vector(t, side)
-        if tuple(vals[x] for x in nodes) == key:
-            return t
-    return None
+    return [dict(zip(nodes, key)) for key in sorted(_family(g, side))]
 
 
 def can_transfer(g: RibbonBipartiteGraph, side: str, f: dict[str, int],
@@ -216,6 +255,33 @@ def can_transfer(g: RibbonBipartiteGraph, side: str, f: dict[str, int],
     return is_hypertree(g, side, shifted)
 
 
+def _inactivity(g: RibbonBipartiteGraph, side: str, f: dict[str, int],
+                order, outgoing: bool) -> tuple[int, frozenset[str]]:
+    """Nodes x of ``order`` such that, for some y before x, the transfer
+    x -> y (``outgoing``) or y -> x stays in the hypertree family."""
+    key = list(_side_key(g, side, f))
+    pos = {x: i for i, x in enumerate(g.side_nodes(side))}
+    order = list(order)
+    if not set(order) <= set(pos):
+        raise ValueError("transfer endpoints must lie in the hypertree's class")
+    if len(set(order)) != len(order):
+        raise ValueError("transfer endpoints must differ")
+    family = _family(g, side)
+    inactive = set()
+    for k, x in enumerate(order):
+        for y in order[:k]:
+            src, dst = (pos[x], pos[y]) if outgoing else (pos[y], pos[x])
+            key[src] -= 1
+            key[dst] += 1
+            hit = tuple(key) in family
+            key[src] += 1
+            key[dst] -= 1
+            if hit:
+                inactive.add(x)
+                break
+    return len(inactive), frozenset(inactive)
+
+
 def internal_inactivity(g: RibbonBipartiteGraph, side: str, f: dict[str, int],
                         order) -> tuple[int, frozenset[str]]:
     """Count nodes that can transfer valence to some smaller node.
@@ -223,23 +289,13 @@ def internal_inactivity(g: RibbonBipartiteGraph, side: str, f: dict[str, int],
     Returns (count, the inactive set).  ``order`` lists the class from
     smallest to largest.
     """
-    order = list(order)
-    inactive = set()
-    for i, x in enumerate(order):
-        if any(can_transfer(g, side, f, x, y) for y in order[:i]):
-            inactive.add(x)
-    return len(inactive), frozenset(inactive)
+    return _inactivity(g, side, f, order, outgoing=True)
 
 
 def external_inactivity(g: RibbonBipartiteGraph, side: str, f: dict[str, int],
                         order) -> tuple[int, frozenset[str]]:
     """Count nodes that may receive a transfer from some smaller node."""
-    order = list(order)
-    inactive = set()
-    for i, x in enumerate(order):
-        if any(can_transfer(g, side, f, y, x) for y in order[:i]):
-            inactive.add(x)
-    return len(inactive), frozenset(inactive)
+    return _inactivity(g, side, f, order, outgoing=False)
 
 
 def interior_polynomial(g: RibbonBipartiteGraph, side: str, order=None,

@@ -85,6 +85,7 @@ def test_serialize_round_trip(running_fixture):
     ("disconnected", "not connected"),
     ("rotation", "permutation"),
     ("base", "incident"),
+    ("duplicate-rotation", "duplicate rotation"),
 ])
 def test_document_errors(mutation, message):
     doc = C4_DOC
@@ -98,6 +99,9 @@ def test_document_errors(mutation, message):
         doc = doc.replace("base:", "rotations:\n  v1: c1 c3\nbase:")
     elif mutation == "base":
         doc = doc.replace("base: v1 c1", "base: v1 c3")
+    elif mutation == "duplicate-rotation":
+        # a second line for the same node must not override the first
+        doc = doc.replace("base:", "rotations:\n  v1: c1 c2\n  v1: c2 c1\nbase:")
     with pytest.raises(GraphFormatError, match=message):
         parse_graph(doc)
 

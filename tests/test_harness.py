@@ -1,11 +1,14 @@
 """Generators, campaigns, special-case correspondences, and the CLI."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import hyperbernardi
 from hyperbernardi.campaign import (arborescence_duality, campaign_verify_all,
                                     check_conjectures, fuzz_conjectures,
                                     verify_noncrossing)
@@ -109,6 +112,14 @@ def test_conjectures_pass_for_graphs():
         assert interior_check["status"] == "pass", seed
 
 
+def test_conjectures_large_subdivision():
+    # 28 edges, 21,474,180 candidate edge subsets: out of reach of a sweep
+    g = bip(random_ordinary(5, max_vertices=4, max_edges=14))
+    assert len(g.edge_ids) == 28
+    rep = check_conjectures(g)
+    assert not rep.failed and not rep.flagged, rep.summary()
+
+
 def test_fuzz_smoke_and_replay():
     rep1 = fuzz_conjectures(range(20), 4, 4, 9)
     rep2 = fuzz_conjectures(range(20), 4, 4, 9)
@@ -133,8 +144,14 @@ def test_fixture_registry_enforces_provenance(running_fixture):
 
 
 def run_cli(*argv, expect=0):
+    # the CLI imports the same package as this process, also when the
+    # package is found through pytest's pythonpath setting
+    package_root = str(Path(hyperbernardi.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "hyperbernardi.cli", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == expect, (proc.returncode, proc.stdout, proc.stderr)
     return proc
 
@@ -253,6 +270,10 @@ def test_cli_input_errors(tmp_path):
     big = tmp_path / "big.graph"
     big.write_text(serialize_graph(noncrossing_setup(3, 3)))
     run_cli("verify", "--graph", str(big), expect=2)
+    twice = tmp_path / "twice.graph"
+    text = serialize_graph(running_graph().graph)
+    twice.write_text(text.replace("rotations:\n", "rotations:\n  v0: e0v0 e2v0 e3v0\n"))
+    run_cli("info", "--graph", str(twice), expect=2)
 
 
 def test_corrupted_rotation_rejected(graph_file):

@@ -6,9 +6,10 @@ from itertools import product
 
 import pytest
 
-from hyperbernardi.docio import format_polynomial
+from hyperbernardi.docio import format_polynomial, serialize_graph
 from hyperbernardi.exactla import in_convex_hull
-from hyperbernardi.fixtures import c4
+from hyperbernardi.fixtures import (c4, k5_setup, process_example, running_graph,
+                                    running_graph_knot_setup, single_edge)
 from hyperbernardi.generators import random_bipartite, random_ordinary
 from hyperbernardi.graph import EMERALD, VIOLET, RibbonBipartiteGraph, RibbonGraph, bip
 from hyperbernardi.hypertree import (Poly, break_divisors, can_transfer,
@@ -87,6 +88,63 @@ def test_enumerate_hypertrees(running_fixture, c4_fixture):
 def test_enumerate_hypertrees_tree_graph():
     g = star_graph(3)
     assert enumerate_hypertrees(g, EMERALD) == [{"hub": 2}]
+
+
+def sweep_hypertrees(g, side):
+    """Reference family: degree vectors of every spanning tree."""
+    nodes = g.side_nodes(side)
+    keys = {tuple(g.degree_vector(t, side)[x] for x in nodes)
+            for t in g.spanning_trees()}
+    return [dict(zip(nodes, key)) for key in sorted(keys)]
+
+
+def cross_check_graphs():
+    graphs = [fx().graph for fx in (c4, running_graph, running_graph_knot_setup,
+                                    process_example, single_edge)]
+    graphs += [star_graph(4), bip(doubled_edge()), bip(k5_setup().graph)]
+    graphs += [random_bipartite(seed, 4, 4, 10) for seed in range(40)]
+    # subdivided multigraphs have parallel edges
+    graphs += [bip(random_ordinary(seed, 5, 8)) for seed in range(25)]
+    return graphs
+
+
+def test_enumerate_hypertrees_equals_sweep():
+    for g in cross_check_graphs():
+        for side in (EMERALD, VIOLET):
+            want = sweep_hypertrees(g, side)
+            got = enumerate_hypertrees(g, side)
+            assert got == want, (serialize_graph(g), side)
+            got[0]["fresh"] = 1  # callers own the returned list and dicts
+            assert enumerate_hypertrees(g, side) == want
+
+
+def test_activities_equal_can_transfer_count():
+    rng = random.Random(3)
+    for g in cross_check_graphs():
+        for side in (EMERALD, VIOLET):
+            nodes = list(g.side_nodes(side))
+            shuffled = nodes[:]
+            rng.shuffle(shuffled)
+            for f in sweep_hypertrees(g, side):
+                for order in (nodes, shuffled):
+                    want_i = frozenset(
+                        x for k, x in enumerate(order)
+                        if any(can_transfer(g, side, f, x, y) for y in order[:k]))
+                    want_e = frozenset(
+                        x for k, x in enumerate(order)
+                        if any(can_transfer(g, side, f, y, x) for y in order[:k]))
+                    assert internal_inactivity(g, side, f, order) == (len(want_i), want_i)
+                    assert external_inactivity(g, side, f, order) == (len(want_e), want_e)
+
+
+def test_activities_reject_bad_orders(c4_fixture):
+    g = c4_fixture.graph
+    f = {"e1": 0, "e2": 1}
+    for order in (["e1", "e1"], ["e1", "v1"]):
+        with pytest.raises(ValueError):
+            internal_inactivity(g, EMERALD, f, order)
+        with pytest.raises(ValueError):
+            external_inactivity(g, EMERALD, f, order)
 
 
 def test_can_transfer(process_fixture, c4_fixture):
