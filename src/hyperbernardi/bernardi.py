@@ -68,9 +68,6 @@ class BernardiRun:
     first_incident_current: dict[str, int]
     first_reached: dict[str, int]
 
-    def hypertree_dict(self) -> dict[str, int]:
-        return dict(self.hypertree)
-
 
 def run_bernardi(g: RibbonBipartiteGraph, f: dict[str, int],
                  variant: ProcessVariant, paranoid: bool = False) -> BernardiRun:
@@ -225,12 +222,8 @@ def bernardi_interior(g: RibbonBipartiteGraph, side: str,
         raise ValueError("variant must carry its hypertree on the requested side")
     if hypertrees is None:
         hypertrees = enumerate_hypertrees(g, side)
-    counts: dict[int, int] = {}
-    for f in hypertrees:
-        internal, _ = embedding_inactivities(g, f, variant)
-        counts[internal] = counts.get(internal, 0) + 1
-    top = max(counts) if counts else 0
-    return Poly([counts.get(i, 0) for i in range(top + 1)])
+    return Poly.counting(embedding_inactivities(g, f, variant)[0]
+                         for f in hypertrees)
 
 
 def bernardi_exterior(g: RibbonBipartiteGraph, side: str,
@@ -239,12 +232,8 @@ def bernardi_exterior(g: RibbonBipartiteGraph, side: str,
         raise ValueError("variant must carry its hypertree on the requested side")
     if hypertrees is None:
         hypertrees = enumerate_hypertrees(g, side)
-    counts: dict[int, int] = {}
-    for f in hypertrees:
-        _, external = embedding_inactivities(g, f, variant)
-        counts[external] = counts.get(external, 0) + 1
-    top = max(counts) if counts else 0
-    return Poly([counts.get(i, 0) for i in range(top + 1)])
+    return Poly.counting(embedding_inactivities(g, f, variant)[1]
+                         for f in hypertrees)
 
 
 def check_composition(g: RibbonBipartiteGraph, f: dict[str, int]) -> dict[str, bool]:

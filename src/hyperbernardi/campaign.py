@@ -15,6 +15,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import __version__
 from .bernardi import (HT_E_CUT_E, HT_E_CUT_V, HT_V_CUT_E, HT_V_CUT_V,
@@ -24,8 +25,8 @@ from .docio import serialize_graph
 from .graph import EMERALD, VIOLET, RibbonBipartiteGraph
 from .hypertree import (enumerate_hypertrees, exterior_polynomial,
                         interior_polynomial)
-from .jaeger import (ECUT, VCUT, characterize_edge,
-                     enumerate_jaeger_trees, is_jaeger_tree, t_order)
+from .jaeger import (ECUT, VCUT, characterize_edge, enumerate_jaeger_trees,
+                     jaeger_cuts, t_order)
 from .polytope import (ehrhart_values, ehrhart_values_scan,
                        fit_binomial_coefficients, geometric_shelling_check,
                        kato_series_check, normalized_simplex_volume,
@@ -35,6 +36,10 @@ PASS = "pass"
 FAIL = "fail"
 FLAG = "CONJECTURE-COUNTEREXAMPLE?"
 SKIP = "skipped"
+
+# largest instance (edges) that gets the pairwise dissection certificates
+# and the facet-by-facet shelling check
+GEOMETRY_EDGE_LIMIT = 8
 
 
 @dataclass
@@ -85,14 +90,11 @@ def _paranoid_embedding_polynomial(g, variant, kind, hypertrees):
     from .bernardi import embedding_inactivities, run_bernardi
     from .hypertree import Poly
 
-    counts: dict[int, int] = {}
-    for f in hypertrees:
-        run = run_bernardi(g, f, variant, paranoid=True)
-        internal, external = embedding_inactivities(g, f, variant, run=run)
-        k = internal if kind == "interior" else external
-        counts[k] = counts.get(k, 0) + 1
-    top = max(counts) if counts else 0
-    return Poly([counts.get(i, 0) for i in range(top + 1)])
+    pick = 0 if kind == "interior" else 1
+    return Poly.counting(
+        embedding_inactivities(g, f, variant,
+                               run=run_bernardi(g, f, variant, paranoid=True))[pick]
+        for f in hypertrees)
 
 
 def check_conjectures(g: RibbonBipartiteGraph, report: CampaignReport | None = None,
@@ -135,7 +137,7 @@ def check_conjectures(g: RibbonBipartiteGraph, report: CampaignReport | None = N
 
 
 def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
-                        geometry_edge_limit: int = 8,
+                        geometry_edge_limit: int = GEOMETRY_EDGE_LIMIT,
                         lattice_scan_edge_limit: int = 6,
                         ehrhart_edge_limit: int = 10,
                         random_orders: int = 10,
@@ -202,12 +204,21 @@ def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
                PASS if bernardi_interior(g, EMERALD, HT_E_CUT_E, hypertrees=b_e)
                == interior else FAIL)
 
+    # one pass over all spanning trees feeds both recognitions and the
+    # volume check; only the recognized trees and the volumes are kept
+    simple = len({g.edges[e] for e in g.edge_ids}) == len(g.edge_ids)
+    recognized: dict[str, set] = {VCUT: set(), ECUT: set()}
+    vols: set[int] = set()
+    for t in g.spanning_trees():
+        for cut in jaeger_cuts(g, t):
+            recognized[cut].add(t)
+        if simple:
+            vols.add(normalized_simplex_volume(g, t))
+
     vcut = enumerate_jaeger_trees(g, VCUT)
     ecut = enumerate_jaeger_trees(g, ECUT)
-    recognized_v = {t for t in g.spanning_trees() if is_jaeger_tree(g, t, VCUT)}
-    recognized_e = {t for t in g.spanning_trees() if is_jaeger_tree(g, t, ECUT)}
-    ok = (set(vcut) == recognized_v == outcome["htE-cutV"] == outcome["htV-cutV"]
-          and set(ecut) == recognized_e == outcome["htE-cutE"] == outcome["htV-cutE"])
+    ok = (set(vcut) == recognized[VCUT] == outcome["htE-cutV"] == outcome["htV-cutV"]
+          and set(ecut) == recognized[ECUT] == outcome["htE-cutE"] == outcome["htV-cutE"])
     report.add("bernardi-equals-jaeger", PASS if ok else FAIL,
                vcut=len(vcut), ecut=len(ecut))
 
@@ -262,11 +273,9 @@ def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
     report.add("composition-theorems", PASS if ok else FAIL)
 
     # geometry
-    simple = len({g.edges[e] for e in g.edge_ids}) == len(g.edge_ids)
     if not simple:
         report.add("root-polytope", SKIP, reason="parallel edges")
     else:
-        vols = {normalized_simplex_volume(g, t) for t in g.spanning_trees()}
         report.add("equal-simplex-volumes",
                    PASS if vols == {1} else FAIL, volumes=sorted(vols))
 
@@ -315,34 +324,37 @@ def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
     return report
 
 
-def fuzz_conjectures(seed_range, max_emerald: int = 4, max_violet: int = 4,
-                     max_edges: int = 10, graphs_only: bool = False) -> CampaignReport:
-    """check_conjectures over seeded random instances."""
+def fuzz_instance(seed: int, max_emerald: int = 4, max_violet: int = 4,
+                  max_edges: int = 10, graphs_only: bool = False) -> list[dict]:
+    """check_conjectures on one seeded random instance: the checks that
+    did not pass, each tagged with the seed."""
     from .generators import random_bipartite, random_ordinary
     from .graph import bip
 
+    if graphs_only:
+        g = bip(random_ordinary(seed, max_vertices=max_violet, max_edges=max_edges))
+    else:
+        g = random_bipartite(seed, max_emerald, max_violet, max_edges)
+    return [dict(c, seed=seed) for c in check_conjectures(g).checks
+            if c["status"] != PASS]
+
+
+def fuzz_conjectures(seed_range, max_emerald: int = 4, max_violet: int = 4,
+                     max_edges: int = 10, graphs_only: bool = False,
+                     mapper=map) -> CampaignReport:
+    """check_conjectures over seeded random instances; ``mapper`` (a
+    process pool's ``map``, say) runs fuzz_instance over the seeds and
+    must keep their order."""
     t0 = time.time()
     report = CampaignReport()
-    flagged = 0
     seeds = list(seed_range)
-    for seed in seeds:
-        if graphs_only:
-            h = random_ordinary(seed, max_vertices=max_violet,
-                                max_edges=max_edges)
-            g = bip(h)
-        else:
-            g = random_bipartite(seed, max_emerald, max_violet, max_edges)
-        sub = CampaignReport()
-        check_conjectures(g, sub)
-        for c in sub.checks:
-            if c["status"] != PASS:
-                flagged += 1
-                entry = dict(c)
-                entry["seed"] = seed
-                report.checks.append(entry)
-    status = PASS if flagged == 0 else FLAG
-    report.add("fuzz-summary", status, instances=len(seeds),
-               flagged=flagged, graphs_only=graphs_only)
+    run = partial(fuzz_instance, max_emerald=max_emerald, max_violet=max_violet,
+                  max_edges=max_edges, graphs_only=graphs_only)
+    for flags in mapper(run, seeds):
+        report.checks.extend(flags)
+    flagged = len(report.checks)
+    report.add("fuzz-summary", PASS if flagged == 0 else FLAG,
+               instances=len(seeds), flagged=flagged, graphs_only=graphs_only)
     report.elapsed_s = time.time() - t0
     return report
 

@@ -1,7 +1,8 @@
 """Command-line frontend.
 
 Exit codes: 0 all checks pass, 1 theorem failure, 2 input error,
-3 conjecture-counterexample flag.
+3 conjecture-counterexample flag, 4 internal error (a broken internal
+invariant or an exhausted work budget, reported on one stderr line).
 """
 
 from __future__ import annotations
@@ -9,11 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from . import __version__
 from .bernardi import ProcessVariant, TheoremViolation, run_bernardi
-from .campaign import (CampaignReport, campaign_verify_all, fuzz_conjectures,
-                       graph_hash)
+from .campaign import (GEOMETRY_EDGE_LIMIT, CampaignReport, campaign_verify_all,
+                       fuzz_conjectures, graph_hash)
 from .docio import (GraphFormatError, format_hypertree, format_polynomial,
                     parse_graph, parse_hypertree)
 from .graph import EMERALD, VIOLET, ValidationError
@@ -27,6 +29,7 @@ EXIT_PASS = 0
 EXIT_THEOREM_FAILURE = 1
 EXIT_INPUT_ERROR = 2
 EXIT_CONJECTURE_FLAG = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 def _add_common(p: argparse.ArgumentParser, graph_required: bool = True):
@@ -166,8 +169,8 @@ def cmd_polytope(args) -> int:
     ok = True
     payload: dict = {"check": args.verify}
     if args.verify in ("dissection", "triangulation"):
-        rep = verify_dissection(g, trees,
-                                certify_pairs=len(g.edge_ids) <= 8)
+        rep = verify_dissection(
+            g, trees, certify_pairs=len(g.edge_ids) <= GEOMETRY_EDGE_LIMIT)
         payload.update(rep)
         payload["witnesses"] = rep["witnesses"]
         ok = rep["is_dissection"] if args.verify == "dissection" else rep["is_triangulation"]
@@ -177,7 +180,7 @@ def cmd_polytope(args) -> int:
         interior = interior_polynomial(g, EMERALD)
         payload["interior"] = interior.to_json()
         ok = h == interior.coeffs
-        if len(g.edge_ids) <= 8:
+        if len(g.edge_ids) <= GEOMETRY_EDGE_LIMIT:
             geo = geometric_shelling_check(g, trees)
             payload["geometric"] = geo
             ok = ok and geo["ok"]
@@ -220,41 +223,17 @@ def cmd_verify(args) -> int:
 
 def cmd_fuzz(args) -> int:
     seeds = range(args.seed, args.seed + args.instances)
+    run = partial(fuzz_conjectures, seeds, max_emerald=args.max_nodes,
+                  max_violet=args.max_nodes, max_edges=args.max_edges,
+                  graphs_only=args.graphs_only)
     if args.jobs > 1:
-        report = _fuzz_parallel(args, seeds)
+        import multiprocessing
+        with multiprocessing.Pool(args.jobs) as pool:
+            report = run(mapper=pool.map)  # map keeps the seed order
     else:
-        report = fuzz_conjectures(seeds, max_emerald=args.max_nodes,
-                                  max_violet=args.max_nodes,
-                                  max_edges=args.max_edges,
-                                  graphs_only=args.graphs_only)
+        report = run()
     report.seed = args.seed
     return _report_exit(args, report)
-
-
-def _fuzz_worker(item):
-    seed, max_nodes, max_edges, graphs_only = item
-    rep = fuzz_conjectures([seed], max_emerald=max_nodes, max_violet=max_nodes,
-                           max_edges=max_edges, graphs_only=graphs_only)
-    return seed, rep.checks
-
-
-def _fuzz_parallel(args, seeds) -> CampaignReport:
-    import multiprocessing
-
-    items = [(s, args.max_nodes, args.max_edges, args.graphs_only) for s in seeds]
-    report = CampaignReport()
-    flagged = 0
-    with multiprocessing.Pool(args.jobs) as pool:
-        results = pool.map(_fuzz_worker, items)
-    for seed, checks in sorted(results):  # seed-ordered, deterministic
-        for c in checks:
-            if c["name"] != "fuzz-summary" and c["status"] != "pass":
-                flagged += 1
-                report.checks.append(c)
-    status = "pass" if flagged == 0 else "CONJECTURE-COUNTEREXAMPLE?"
-    report.add("fuzz-summary", status, instances=len(items), flagged=flagged,
-               graphs_only=args.graphs_only)
-    return report
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,6 +310,10 @@ def main(argv=None) -> int:
     except TheoremViolation as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)
         return EXIT_THEOREM_FAILURE
+    except (AssertionError, RuntimeError) as exc:
+        # after TheoremViolation, which is an AssertionError
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -14,10 +14,6 @@ from itertools import combinations
 Vec = tuple[Fraction, ...]
 
 
-def frac_vec(values) -> Vec:
-    return tuple(Fraction(v) for v in values)
-
-
 def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]):
     """Solve an (possibly overdetermined) linear system exactly.
 
@@ -58,24 +54,6 @@ def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]):
     return tuple(sol)
 
 
-def invert_matrix(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse of a square nonsingular matrix (Gauss-Jordan)."""
-    n = len(rows)
-    a = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[c], a[piv] = a[piv], a[c]
-        pv = a[c][c]
-        a[c] = [x / pv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return [row[n:] for row in a]
-
-
 def det_bareiss(rows: list[list[int]]) -> int:
     """Integer determinant via fraction-free Bareiss elimination."""
     a = [list(r) for r in rows]
@@ -91,11 +69,16 @@ def det_bareiss(rows: list[list[int]]) -> int:
                 return 0
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
+        pivot, top = a[k][k], a[k]
         for i in range(k + 1, n):
+            row = a[i]
+            lead = row[k]
+            if lead == 0 and pivot == prev:
+                continue  # the update leaves the row as it is
             for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
+                row[j] = (row[j] * pivot - lead * top[j]) // prev
+            row[k] = 0
+        prev = pivot
     return sign * a[n - 1][n - 1]
 
 

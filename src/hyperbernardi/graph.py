@@ -10,7 +10,7 @@ inherits the cyclic orders by restriction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
 
 from .exactla import det_bareiss
 
@@ -76,9 +76,6 @@ class Tour:
             seen.setdefault(e, None)
         return tuple(seen)
 
-    def first_index(self) -> dict[tuple[str, str], int]:
-        return {p: i for i, p in enumerate(self.pairs)}
-
 
 class RibbonGraph:
     """Loopless multigraph with rotation system, base node and base edge."""
@@ -137,6 +134,7 @@ class RibbonGraph:
             raise ValidationError("graph is not connected")
 
         self._feas_cache: dict = {}  # used by hypertree oracle
+        self._subdivision: RibbonBipartiteGraph | None = None  # memo of bip()
 
     # -- basic queries ---------------------------------------------------
 
@@ -172,8 +170,16 @@ class RibbonGraph:
                 return cand
         raise AssertionError("unreachable: edge itself is live")
 
+    @cached_property
+    def _successor(self) -> dict[tuple[str, str], str]:
+        """(node, edge) -> the next edge in the full rotation at node."""
+        return {(x, e): rot[(i + 1) % len(rot)]
+                for x, rot in self.rotations.items() for i, e in enumerate(rot)}
+
     def next_edge(self, node: str, edge: str, live: frozenset[str] | None = None) -> str:
         """The edge following ``edge`` at ``node`` in the inherited order."""
+        if live is None and (node, edge) in self._successor:
+            return self._successor[(node, edge)]
         return self._rotation_step(node, edge, +1, live)
 
     def prev_edge(self, node: str, edge: str, live: frozenset[str] | None = None) -> str:
@@ -199,12 +205,26 @@ class RibbonGraph:
     # -- spanning trees --------------------------------------------------
 
     def spanning_trees(self):
-        """All spanning trees, lexicographic by sorted edge-id tuples."""
-        n = len(self.nodes)
-        for combo in combinations(self.edge_ids, n - 1):
-            t = frozenset(combo)
-            if self.is_spanning_tree(t):
-                yield t
+        """All spanning trees, lexicographic by sorted edge-id tuples.
+
+        Grows forests by union-find, choosing each next edge in
+        ``edge_ids`` order among those that join two components and leave
+        enough edges to span; backtracking rolls the union-find back.
+        """
+        ends = [self.edges[e] for e in self.edge_ids]
+        need = len(self.nodes) - 1
+        uf = UnionFind(self.nodes)
+
+        def grow(start: int, taken: list[str]):
+            if len(taken) == need:
+                yield frozenset(taken)
+                return
+            for i in range(start, len(ends) - need + len(taken) + 1):
+                mark = uf.snapshot()
+                if uf.union(*ends[i]):
+                    yield from grow(i + 1, taken + [self.edge_ids[i]])
+                    uf.rollback(mark)
+        return grow(0, [])
 
     def count_spanning_trees(self) -> int:
         """Kirchhoff matrix-tree count (independent oracle)."""
@@ -278,36 +298,32 @@ class RibbonGraph:
 
     # -- tour of a spanning tree ------------------------------------------
 
-    def tour_of_tree(self, tree: frozenset[str],
-                     base_node: str | None = None,
-                     base_edge: str | None = None) -> Tour:
-        """Walk around the tree starting at the base pair.
+    def tour_pairs(self, tree: frozenset[str]):
+        """The (node, edge) pairs of the tree's tour, lazily, from the
+        base pair; ``tree`` must be a spanning tree (not checked here).
 
         Non-tree current edge (x, xy): next pair is (x, xy+).  Tree edge:
         next pair is (y, yx+).  Stops right before the base pair recurs.
         """
+        start = (self.base_node, self.base_edge)
+        node, edge = start
+        succ = self._successor
+        for _ in range(2 * len(self.edges)):
+            yield node, edge
+            if edge in tree:
+                node = self.other_end(edge, node)
+            edge = succ[(node, edge)]
+            if (node, edge) == start:
+                return
+        raise AssertionError("tour failed to close")
+
+    def tour_of_tree(self, tree: frozenset[str]) -> Tour:
+        """Walk around the tree starting at the base pair (see tour_pairs)."""
         if not self.is_spanning_tree(tree):
             raise ValueError("not a spanning tree")
-        b0 = self.base_node if base_node is None else base_node
-        e0 = self.base_edge if base_edge is None else base_edge
-        pairs: list[tuple[str, str]] = []
-        actions: list[str] = []
-        node, edge = b0, e0
-        limit = 2 * len(self.edges) + 1
-        while True:
-            pairs.append((node, edge))
-            if edge in tree:
-                actions.append(TRAVERSED)
-                node = self.other_end(edge, node)
-                edge = self.next_edge(node, edge)
-            else:
-                actions.append(SKIPPED)
-                edge = self.next_edge(node, edge)
-            if (node, edge) == (b0, e0):
-                break
-            if len(pairs) > limit:
-                raise AssertionError("tour failed to close")
-        return Tour(tuple(pairs), tuple(actions))
+        pairs = tuple(self.tour_pairs(tree))
+        return Tour(pairs, tuple(TRAVERSED if e in tree else SKIPPED
+                                 for _, e in pairs))
 
     # -- faces / genus -----------------------------------------------------
 
@@ -419,25 +435,6 @@ class RibbonBipartiteGraph(RibbonGraph):
             self.emeralds, self.violets, dict(self.edges),
             dict(self.rotations), base_node, base_edge)
 
-    def with_rotations(self, rotations: dict[str, tuple[str, ...]]) -> "RibbonBipartiteGraph":
-        rot = dict(self.rotations)
-        rot.update(rotations)
-        return RibbonBipartiteGraph(
-            self.emeralds, self.violets, dict(self.edges), rot,
-            self.base_node, self.base_edge)
-
-    def subgraph(self, node_subset, base_node: str, base_edge: str) -> "RibbonBipartiteGraph":
-        """Induced subgraph on a node subset, rotations inherited."""
-        keep = set(node_subset)
-        edges = {e: (a, b) for e, (a, b) in self.edges.items()
-                 if a in keep and b in keep}
-        rot = {x: tuple(e for e in self.rotations[x] if e in edges)
-               for x in self.nodes if x in keep}
-        return RibbonBipartiteGraph(
-            [x for x in self.emeralds if x in keep],
-            [x for x in self.violets if x in keep],
-            edges, rot, base_node, base_edge)
-
     def degree_vector(self, tree: frozenset[str], side: str) -> dict[str, int]:
         """The hypertree realized by ``tree`` on ``side``: degree - 1."""
         vals = {x: -1 for x in self.side_nodes(side)}
@@ -454,8 +451,11 @@ def bip(g: RibbonGraph) -> RibbonBipartiteGraph:
     nodes of degree two, and each edge splits into two half-edges named
     ``"<edge>|<vertex>"``.  Degree-two nodes admit a unique cyclic order,
     so the ribbon structure extends uniquely; the base pair carries over
-    to the half-edge at the base node.
+    to the half-edge at the base node.  Graphs are immutable, so the
+    subdivision is built once per graph and shared with its memos.
     """
+    if g._subdivision is not None:
+        return g._subdivision
     clash = set(g.nodes) & set(g.edge_ids)
     if clash:
         raise ValidationError(f"vertex/edge name clash: {sorted(clash)}")
@@ -466,7 +466,8 @@ def bip(g: RibbonGraph) -> RibbonBipartiteGraph:
     rotations = {}
     for x in g.nodes:
         rotations[x] = tuple(f"{e}|{x}" for e in g.rotations[x])
-    return RibbonBipartiteGraph(
+    g._subdivision = RibbonBipartiteGraph(
         emeralds=g.edge_ids, violets=g.nodes, edges=halves,
         rotations=rotations, base_node=g.base_node,
         base_edge=f"{g.base_edge}|{g.base_node}")
+    return g._subdivision

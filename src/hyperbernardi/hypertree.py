@@ -19,6 +19,7 @@ activities are read off the family by membership.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 
 from .graph import EMERALD, VIOLET, RibbonBipartiteGraph, RibbonGraph, UnionFind, bip
@@ -59,6 +60,12 @@ class Poly:
 
     def to_json(self):
         return list(self.coeffs)
+
+    @classmethod
+    def counting(cls, exponents) -> "Poly":
+        """The polynomial whose x^k coefficient counts k in ``exponents``."""
+        counts = Counter(exponents)
+        return cls([counts[k] for k in range(max(counts, default=0) + 1)])
 
 
 def _side_key(g: RibbonBipartiteGraph, side: str, f: dict[str, int]):
@@ -309,12 +316,8 @@ def interior_polynomial(g: RibbonBipartiteGraph, side: str, order=None,
         order = list(g.side_nodes(side))
     if hypertrees is None:
         hypertrees = enumerate_hypertrees(g, side)
-    counts: dict[int, int] = {}
-    for f in hypertrees:
-        k, _ = internal_inactivity(g, side, f, order)
-        counts[k] = counts.get(k, 0) + 1
-    top = max(counts) if counts else 0
-    return Poly([counts.get(i, 0) for i in range(top + 1)])
+    return Poly.counting(internal_inactivity(g, side, f, order)[0]
+                         for f in hypertrees)
 
 
 def exterior_polynomial(g: RibbonBipartiteGraph, side: str, order=None,
@@ -323,12 +326,8 @@ def exterior_polynomial(g: RibbonBipartiteGraph, side: str, order=None,
         order = list(g.side_nodes(side))
     if hypertrees is None:
         hypertrees = enumerate_hypertrees(g, side)
-    counts: dict[int, int] = {}
-    for f in hypertrees:
-        k, _ = external_inactivity(g, side, f, order)
-        counts[k] = counts.get(k, 0) + 1
-    top = max(counts) if counts else 0
-    return Poly([counts.get(i, 0) for i in range(top + 1)])
+    return Poly.counting(external_inactivity(g, side, f, order)[0]
+                         for f in hypertrees)
 
 
 # -- ordinary graphs ------------------------------------------------------

@@ -19,17 +19,29 @@ VCUT = VIOLET
 ECUT = EMERALD
 
 
-def is_jaeger_tree(g: RibbonBipartiteGraph, tree: frozenset[str], cut: str) -> bool:
-    """Each non-tree edge must be first skipped at its ``cut``-colored end."""
-    tour = g.tour_of_tree(tree)
+def jaeger_cuts(g: RibbonBipartiteGraph, tree: frozenset[str]) -> frozenset[str]:
+    """The cuts (VCUT, ECUT) for which ``tree`` is a Jaeger tree, from
+    one tour: a non-tree edge first skipped at its emerald end rules out
+    the V cut, one first skipped at its violet end the E cut.  The tour
+    stops once both are ruled out.  ``tree`` must be a spanning tree;
+    is_jaeger_tree checks it."""
+    cuts = {VCUT, ECUT}
     seen: set[str] = set()
-    for node, edge in tour.pairs:
+    for node, edge in g.tour_pairs(tree):
         if edge in tree or edge in seen:
             continue
         seen.add(edge)
-        if g.color(node) != cut:
-            return False
-    return True
+        cuts.discard(VCUT if g.color(node) == EMERALD else ECUT)
+        if not cuts:
+            break
+    return frozenset(cuts)
+
+
+def is_jaeger_tree(g: RibbonBipartiteGraph, tree: frozenset[str], cut: str) -> bool:
+    """Each non-tree edge must be first skipped at its ``cut``-colored end."""
+    if not g.is_spanning_tree(tree):
+        raise ValueError("not a spanning tree")
+    return cut in jaeger_cuts(g, tree)
 
 
 def enumerate_jaeger_trees(g: RibbonBipartiteGraph, cut: str) -> list[frozenset[str]]:
@@ -151,9 +163,6 @@ class TOrder:
     def edge_rank(self) -> dict[str, int]:
         return {e: i for i, e in enumerate(self.edge_order)}
 
-    def node_rank(self) -> dict[str, int]:
-        return {x: i for i, x in enumerate(self.class_order)}
-
 
 def t_order(g: RibbonBipartiteGraph, tree: frozenset[str], flavor: str,
             cut: str | None = None) -> TOrder:
@@ -164,12 +173,10 @@ def t_order(g: RibbonBipartiteGraph, tree: frozenset[str], flavor: str,
     default it is inferred by recognition.
     """
     if cut is None:
-        if is_jaeger_tree(g, tree, VCUT):
-            cut = VCUT
-        elif is_jaeger_tree(g, tree, ECUT):
-            cut = ECUT
-        else:
+        cuts = jaeger_cuts(g, tree)
+        if not cuts:
             raise ValueError("tree is not a Jaeger tree; pass cut explicitly")
+        cut = VCUT if VCUT in cuts else ECUT
     tour, setup = flavor_tour(g, tree, cut, flavor)
     order: list[str] = []
     seen: set[str] = set()

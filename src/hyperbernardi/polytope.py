@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .exactla import binomial, det_bareiss, invert_matrix, solve_exact
+from .exactla import binomial, det_bareiss, solve_exact
 from .graph import EMERALD, VIOLET, RibbonBipartiteGraph
 
 Point = tuple[Fraction, ...]
@@ -60,36 +60,48 @@ def marker(g: RibbonBipartiteGraph, f: dict[str, int], side: str = EMERALD) -> P
 
 
 class TreeSimplex:
-    """The maximal simplex of a spanning tree, with a precomputed affine
-    barycentric-coordinate functional for fast exact containment."""
+    """The maximal simplex of a spanning tree, with a precomputed leaf
+    peeling order for exact barycentric coordinates."""
 
     def __init__(self, g: RibbonBipartiteGraph, tree: frozenset[str]):
-        self.g = g
         self.tree_edges = tuple(sorted(tree))
-        self.vertices = [vertex_point(g, e) for e in self.tree_edges]
-        n = len(g.nodes)
-        k = len(self.tree_edges)
-        # columns = vertices, plus the affine row of ones
-        self._rows = [[self.vertices[j][i] for j in range(k)] for i in range(n)]
-        self._rows.append([Fraction(1)] * k)
-        ata = [[sum(self._rows[r][i] * self._rows[r][j] for r in range(n + 1))
-                for j in range(k)] for i in range(k)]
-        inv = invert_matrix(ata)
-        # P maps the stacked vector (point, 1) to barycentric coordinates
-        self._proj = [[sum(inv[i][l] * self._rows[r][l] for l in range(k))
-                       for r in range(n + 1)] for i in range(k)]
+        # breadth-first from one node; reversed, each node is a leaf once
+        # its children are peeled: (leaf, its edge, far end)
+        idx = node_index(g)
+        adj: dict[str, list] = {x: [] for x in g.nodes}
+        for j, e in enumerate(self.tree_edges):
+            a, b = g.edges[e]
+            adj[a].append((b, j))
+            adj[b].append((a, j))
+        order = [(g.nodes[0], None, None)]
+        seen = {g.nodes[0]}
+        for x, _, _ in order:
+            for y, j in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    order.append((y, j, x))
+        if len(order) != len(g.nodes) or len(self.tree_edges) != len(g.nodes) - 1:
+            raise ValueError("not a spanning tree")
+        self._peel = [(idx[y], j, idx[x]) for y, j, x in reversed(order[1:])]
+        self._root = idx[g.nodes[0]]
 
     def barycentric(self, p: Point) -> tuple[Fraction, ...] | None:
         """Coordinates of p in the simplex basis; None when p is outside
-        the affine hull."""
-        stacked = list(p) + [Fraction(1)]
-        lam = tuple(sum(row[r] * stacked[r] for r in range(len(stacked)))
-                    for row in self._proj)
-        # verify the least-squares solution actually solves the system
-        for r, row in enumerate(self._rows):
-            if sum(row[i] * lam[i] for i in range(len(lam))) != stacked[r]:
-                return None
-        return lam
+        the affine hull.
+
+        A leaf's edge takes the leaf's remaining coordinate, which is
+        then taken off at the far end; p is off the affine hull exactly
+        when something is left at the last node or the coordinates do
+        not sum to one.
+        """
+        rest = list(p)
+        lam = [0] * len(self._peel)
+        for x, j, y in self._peel:
+            lam[j] = rest[x]
+            rest[y] -= rest[x]
+        if rest[self._root] != 0 or sum(lam) != 1:
+            return None
+        return tuple(lam)
 
     def contains(self, p: Point, strict: bool) -> bool:
         lam = self.barycentric(p)
@@ -393,13 +405,16 @@ def normalized_simplex_volume(g: RibbonBipartiteGraph, tree: frozenset[str]) -> 
     """|det| of the edge-difference matrix in a lattice basis of the
     direction space of aff(Q_G); equals 1 exactly when the simplex is
     unimodular (which Ehrhart counting relies on)."""
-    idx = node_index(g)
-    drop = {idx[g.emeralds[0]], idx[g.violets[0]]}
-    cols = [i for i in range(len(g.nodes)) if i not in drop]
-    verts = [vertex_point(g, e) for e in sorted(tree)]
-    base = verts[0]
-    rows = [[int(v[c] - base[c]) for c in cols] for v in verts[1:]]
-    return abs(det_bareiss(rows))
+    dropped = (g.emeralds[0], g.violets[0])
+    chart = {x: i for i, x in enumerate(x for x in g.nodes if x not in dropped)}
+    verts = []
+    for e in sorted(tree):
+        v = [0] * len(chart)
+        for x in g.edges[e]:
+            if x in chart:
+                v[chart[x]] = 1
+        verts.append(v)
+    return abs(det_bareiss([[a - b for a, b in zip(v, verts[0])] for v in verts[1:]]))
 
 
 # -- Ehrhart ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Graph core: documents, rotations, views, tours, trees, faces."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from hyperbernardi.docio import GraphFormatError, parse_graph, serialize_graph
 from hyperbernardi.fixtures import torus_k4
-from hyperbernardi.generators import random_bipartite
+from hyperbernardi.generators import random_bipartite, random_ordinary
 from hyperbernardi.graph import (SKIPPED, TRAVERSED, RibbonBipartiteGraph,
                                  ValidationError, bip)
 
@@ -142,6 +143,11 @@ def test_view_next_edge_consistency(seed, drop):
             while cand not in live:
                 cand = g.next_edge(x, cand)
             assert nxt == cand
+    # the successor table agrees with the rotation walk on the whole graph
+    everything = frozenset(g.edge_ids)
+    for x in g.nodes:
+        for e in g.rotations[x]:
+            assert g.next_edge(x, e) == g.next_edge(x, e, everything)
 
 
 def test_tour_paper_example(tour_fixture):
@@ -203,6 +209,21 @@ def test_spanning_trees_counts(c4_fixture, running_fixture, single_edge_fixture)
     # deterministic lexicographic order by sorted edge tuples
     keys = [tuple(sorted(t)) for t in trees]
     assert keys == sorted(keys)
+
+
+def test_spanning_trees_equal_subset_sweep(c4_fixture, running_fixture,
+                                           single_edge_fixture, tour_fixture):
+    graphs = [c4_fixture.graph, running_fixture.graph, single_edge_fixture.graph,
+              bip(tour_fixture.graph)]
+    graphs += [random_bipartite(seed, 5, 5, 14) for seed in range(15)]
+    # subdivided multigraphs: parallel edges, degree-two emeralds
+    graphs += [bip(random_ordinary(seed, 5, 8)) for seed in range(15)]
+    for g in graphs:
+        want = [frozenset(c) for c in combinations(g.edge_ids, len(g.nodes) - 1)
+                if g.is_spanning_tree(frozenset(c))]
+        got = list(g.spanning_trees())
+        assert got == want, serialize_graph(g)
+        assert len(got) == g.count_spanning_trees()
 
 
 def test_fundamental_cut_and_cycle(c4_fixture):

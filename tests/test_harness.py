@@ -236,10 +236,13 @@ def test_cli_jaeger_orders(graph_file):
     assert len(entry["violet_edge_order"]) == 9
 
 
-def test_exit_code_mapping():
+def test_exit_code_mapping(monkeypatch, capsys, graph_file):
     import argparse
+    from hyperbernardi import cli
+    from hyperbernardi.bernardi import TheoremViolation
     from hyperbernardi.campaign import FAIL, FLAG, PASS, CampaignReport
-    from hyperbernardi.cli import (EXIT_CONJECTURE_FLAG, EXIT_PASS,
+    from hyperbernardi.cli import (EXIT_CONJECTURE_FLAG, EXIT_INPUT_ERROR,
+                                   EXIT_INTERNAL_ERROR, EXIT_PASS,
                                    EXIT_THEOREM_FAILURE, _report_exit)
     args = argparse.Namespace(json=True)
     ok = CampaignReport()
@@ -252,6 +255,19 @@ def test_exit_code_mapping():
     failed.add("x", FAIL)
     failed.add("y", FLAG)
     assert _report_exit(args, failed) == EXIT_THEOREM_FAILURE
+    # uncaught exceptions: internal errors get their own code and one line
+    for exc, code in ((RuntimeError("budget exceeded"), EXIT_INTERNAL_ERROR),
+                      (AssertionError("tour failed to close"), EXIT_INTERNAL_ERROR),
+                      (TheoremViolation("lemma failed"), EXIT_THEOREM_FAILURE),
+                      (ValueError("bad literal"), EXIT_INPUT_ERROR)):
+        def boom(_args, exc=exc):
+            raise exc
+        monkeypatch.setattr(cli, "cmd_info", boom)
+        assert cli.main(["info", "--graph", graph_file]) == code
+        err = capsys.readouterr().err
+        assert str(exc) in err and len(err.strip().splitlines()) == 1
+    assert len({EXIT_PASS, EXIT_THEOREM_FAILURE, EXIT_INPUT_ERROR,
+                EXIT_CONJECTURE_FLAG, EXIT_INTERNAL_ERROR}) == 5
 
 
 def test_cli_fuzz_parallel_matches_serial():

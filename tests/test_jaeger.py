@@ -9,7 +9,7 @@ from hyperbernardi.hypertree import enumerate_hypertrees, internal_inactivity
 from hyperbernardi.jaeger import (ECUT, VCUT, characterize_edge, compare_trees,
                                   divergence_edge, enumerate_jaeger_trees,
                                   graph_activity_matching, is_jaeger_tree,
-                                  semi_passive_edges, t_order)
+                                  jaeger_cuts, semi_passive_edges, t_order)
 
 
 def test_is_jaeger_tree_running(running_fixture):
@@ -60,6 +60,35 @@ def test_enumeration_equals_recognition():
             recognized = {t for t in g.spanning_trees()
                           if is_jaeger_tree(g, t, cut)}
             assert enumerated == recognized, (seed, cut)
+
+
+def first_skip_jaeger(g, tree, cut):
+    """Reference: every non-tree edge first skipped at its cut-colored end."""
+    seen = set()
+    for node, edge in g.tour_of_tree(tree).pairs:
+        if edge not in tree and edge not in seen:
+            seen.add(edge)
+            if g.color(node) != cut:
+                return False
+    return True
+
+
+def test_one_tour_recognition_equals_first_skip(running_fixture, knot_fixture,
+                                                c4_fixture):
+    graphs = [running_fixture.graph, knot_fixture.graph, c4_fixture.graph]
+    graphs += [random_bipartite(seed, 4, 4, 10) for seed in range(15)]
+    graphs += [bip(random_ordinary(seed, 5, 7)) for seed in range(10)]
+    for g in graphs:
+        for tree in g.spanning_trees():
+            want = {cut for cut in (VCUT, ECUT) if first_skip_jaeger(g, tree, cut)}
+            assert jaeger_cuts(g, tree) == want, sorted(tree)
+            for cut in (VCUT, ECUT):
+                assert is_jaeger_tree(g, tree, cut) == (cut in want)
+            if want:
+                cut = VCUT if VCUT in want else ECUT
+                assert t_order(g, tree, VIOLET) == t_order(g, tree, VIOLET, cut=cut)
+    with pytest.raises(ValueError, match="spanning tree"):
+        is_jaeger_tree(c4_fixture.graph, frozenset(c4_fixture.graph.edge_ids), VCUT)
 
 
 def test_compare_trees(c4_fixture, knot_fixture):

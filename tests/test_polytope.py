@@ -1,23 +1,27 @@
 """Exact root-polytope geometry: markers, dissections, shellings, Ehrhart."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from hyperbernardi.exactla import det_bareiss, solve_exact
 from hyperbernardi.fixtures import c4
 from hyperbernardi.generators import random_bipartite
 from hyperbernardi.graph import EMERALD, VIOLET, RibbonBipartiteGraph
 from hyperbernardi.hypertree import enumerate_hypertrees, interior_polynomial
 from hyperbernardi.jaeger import VCUT, enumerate_jaeger_trees
-from hyperbernardi.polytope import (ehrhart_values, ehrhart_values_scan,
+from hyperbernardi.polytope import (TreeSimplex, ehrhart_values,
+                                    ehrhart_values_scan,
                                     fit_binomial_coefficients,
                                     geometric_shelling_check,
                                     intersection_is_common_face,
                                     kato_series_check, marker,
                                     normalized_simplex_volume,
                                     shelling_h_vector, simplex_contains,
-                                    trees_compatible, verify_dissection)
+                                    trees_compatible, verify_dissection,
+                                    vertex_point)
 
 
 def test_marker_values_c4(c4_fixture):
@@ -155,6 +159,67 @@ def test_geometric_shelling_random_small():
 def test_equal_simplex_volumes(running_fixture):
     g = running_fixture.graph
     assert {normalized_simplex_volume(g, t) for t in g.spanning_trees()} == {1}
+
+
+def geometry_graphs(c4_fixture, running_fixture, knot_fixture):
+    graphs = [c4_fixture.graph, running_fixture.graph, knot_fixture.graph]
+    return graphs + [random_bipartite(seed, 3, 4, 8) for seed in range(6)]
+
+
+def test_peeled_barycentric_equals_exact_solve(c4_fixture, running_fixture,
+                                               knot_fixture):
+    for g in geometry_graphs(c4_fixture, running_fixture, knot_fixture):
+        points = [vertex_point(g, e) for e in g.edge_ids]
+        points += [marker(g, f, side) for side in (EMERALD, VIOLET)
+                   for f in enumerate_hypertrees(g, side)]
+        off_hull = [tuple(2 * c for c in points[0]),  # coordinates sum to 2
+                    tuple(Fraction(int(i == 0)) for i in range(len(g.nodes)))]
+        for tree in g.spanning_trees():
+            simplex = TreeSimplex(g, tree)
+            rows = [[vertex_point(g, e)[i] for e in simplex.tree_edges]
+                    for i in range(len(g.nodes))]
+            rows.append([Fraction(1)] * len(simplex.tree_edges))
+            for p in points + off_hull:
+                want = solve_exact(rows, list(p) + [Fraction(1)])
+                assert simplex.barycentric(p) == want, (sorted(tree), p)
+            for p in off_hull:
+                assert simplex.barycentric(p) is None
+
+
+def fraction_det(rows):
+    """Reference determinant by Gaussian elimination over Fractions."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(a)):
+        piv = next((i for i in range(c, len(a)) if a[i][c] != 0), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        for i in range(c + 1, len(a)):
+            f = a[i][c] / a[c][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return det
+
+
+def test_integer_volume_equals_fraction_determinant(c4_fixture, running_fixture,
+                                                    knot_fixture):
+    for g in geometry_graphs(c4_fixture, running_fixture, knot_fixture):
+        idx = {x: i for i, x in enumerate(g.nodes)}
+        drop = {idx[g.emeralds[0]], idx[g.violets[0]]}
+        cols = [i for i in range(len(g.nodes)) if i not in drop]
+        for tree in g.spanning_trees():
+            verts = [vertex_point(g, e) for e in sorted(tree)]
+            rows = [[v[c] - verts[0][c] for c in cols] for v in verts[1:]]
+            assert normalized_simplex_volume(g, tree) == abs(fraction_det(rows))
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        rows = [[rng.choice((-2, -1, 0, 0, 0, 1, 1, 3)) for _ in range(n)]
+                for _ in range(n)]
+        assert det_bareiss(rows) == fraction_det(rows), rows
 
 
 def test_ehrhart_c4(c4_fixture):
