@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .bernardi import (HT_E_CUT_E, HT_E_CUT_V, HT_V_CUT_E, HT_V_CUT_V,
                        BernardiRun, ProcessVariant, TheoremViolation,
                        bernardi_exterior, bernardi_interior,
-                       check_composition, embedding_inactivities,
+                       bernardi_polynomials, check_composition, embedding_inactivities,
                        graph_specialization_check, induced_class_order,
                        run_bernardi)
 from .campaign import (CampaignReport, arborescence_duality,

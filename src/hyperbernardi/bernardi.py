@@ -73,18 +73,31 @@ def run_bernardi(g: RibbonBipartiteGraph, f: dict[str, int],
                  variant: ProcessVariant, paranoid: bool = False) -> BernardiRun:
     """Execute one Bernardi process run.
 
-    ``paranoid`` disables memoization and kept-edge pinning in the
-    feasibility oracle (used to re-verify flagged conjecture outcomes).
+    The current edge is removed exactly when some spanning tree of the
+    live graph without it contains the kept edges and realizes ``f``.
+    The run carries such a tree (the witness) from the initial query and
+    decides each step, in order: a current edge outside the witness is
+    removed; one whose removal leaves an endpoint below its degree cap is
+    kept; one that a live edge at its hypertree-side node can replace in
+    the witness is removed; otherwise the memoized oracle decides, and
+    the realization it finds becomes the witness.
+
+    ``paranoid`` instead asks the oracle for a full search on every
+    step, without memoization, kept-edge pinning, witness or exchange
+    (used to re-verify flagged conjecture outcomes and in tests).
     """
     cut = variant.cut_side
     far = EMERALD if cut == VIOLET else VIOLET
+    ht_pos = 0 if variant.ht_side == EMERALD else 1
     oracle = _oracle(g, variant.ht_side)
     f_key = _side_key(g, variant.ht_side, f)
-    if not oracle.feasible(f_key, frozenset(g.edge_ids), frozenset(),
-                           memo=not paranoid):
+    witness = oracle.feasible(f_key, frozenset(g.edge_ids), frozenset(),
+                              memo=not paranoid)
+    if witness is None:
         raise ValueError("input vector is not a hypertree")
 
     live = set(g.edge_ids)
+    live_degree = {x: len(g.rotations[x]) for x in g.nodes}
     kept: set[str] = set()
     traversed: set[tuple[str, str]] = set()   # (edge, from-color)
     tree_uf = UnionFind(g.nodes)              # traversed subgraph, no-cycle check
@@ -111,6 +124,28 @@ def run_bernardi(g: RibbonBipartiteGraph, f: dict[str, int],
                     f"traversed subgraph acquired a cycle at {edge!r}")
         reach(g.other_end(edge, g.end_of_color(edge, from_color)))
 
+    def removable(cur: str) -> bool:
+        """Does a realization avoid ``cur``?  Updates the witness."""
+        nonlocal witness
+        if paranoid:
+            return oracle.feasible(f_key, frozenset(live - {cur}), frozenset(),
+                                   memo=False) is not None
+        if cur not in witness:
+            return True
+        x = g.edges[cur][ht_pos]
+        y = g.other_end(cur, x)
+        if live_degree[x] <= f[x] + 1 or live_degree[y] == 1:
+            return False
+        swap = _exchange(g, witness, cur, x, live)
+        if swap is not None:
+            witness = witness - {cur} | {swap}
+            return True
+        found = oracle.feasible(f_key, frozenset(live - {cur}), frozenset(kept))
+        if found is None:
+            return False
+        witness = found
+        return True
+
     # initialization: if the base node's color is not the cut color, the
     # base edge is pre-traversed from that side and the walk starts with
     # the edge following it at the far endpoint.
@@ -120,7 +155,7 @@ def run_bernardi(g: RibbonBipartiteGraph, f: dict[str, int],
     else:
         record_traversal(g.base_edge, far)
         b1 = g.other_end(g.base_edge, g.base_node)
-        cur = g.next_edge(b1, g.base_edge, frozenset(live))
+        cur = g.next_edge(b1, g.base_edge, live)
 
     limit = 4 * len(g.edge_ids) + 4
     while True:
@@ -135,13 +170,13 @@ def run_bernardi(g: RibbonBipartiteGraph, f: dict[str, int],
         order.append(cur)
         live_before = len(live)
 
-        live_f = frozenset(live - {cur})
-        required = frozenset(kept) if not paranoid else frozenset()
-        if oracle.feasible(f_key, live_f, required, memo=not paranoid):
+        if removable(cur):
             if cur in kept or cur in traversed_edges:
                 raise TheoremViolation(f"kept/traversed edge {cur!r} removed")
-            nxt = g.next_edge(near, cur, frozenset(live))
+            nxt = g.next_edge(near, cur, live)
             live.discard(cur)
+            for node in g.edges[cur]:
+                live_degree[node] -= 1
             steps.append(BernardiStep(cur, "removed", live_before, ()))
             if nxt == cur:
                 raise AssertionError("removal isolated the current node")
@@ -150,7 +185,7 @@ def run_bernardi(g: RibbonBipartiteGraph, f: dict[str, int],
             kept.add(cur)
             record_traversal(cur, cut)
             far_node = g.end_of_color(cur, far)
-            follow = g.next_edge(far_node, cur, frozenset(live))
+            follow = g.next_edge(far_node, cur, live)
             if (follow, far) in traversed:
                 steps.append(BernardiStep(cur, "kept", live_before,
                                           ((cur, cut),)))
@@ -159,7 +194,7 @@ def run_bernardi(g: RibbonBipartiteGraph, f: dict[str, int],
             steps.append(BernardiStep(cur, "kept", live_before,
                                       ((cur, cut), (follow, far))))
             w = g.end_of_color(follow, cut)
-            cur = g.next_edge(w, follow, frozenset(live))
+            cur = g.next_edge(w, follow, live)
         if len(order) > limit:
             raise AssertionError("process failed to terminate")
 
@@ -181,6 +216,28 @@ def run_bernardi(g: RibbonBipartiteGraph, f: dict[str, int],
         current_edge_order=tuple(order),
         first_incident_current=first_incident,
         first_reached=first_reached)
+
+
+def _exchange(g: RibbonBipartiteGraph, witness: frozenset[str], cur: str,
+              x: str, live: set[str]) -> str | None:
+    """A live edge at ``x`` outside ``witness`` that joins the two
+    components of witness - cur, or None.  Swapping it for ``cur`` keeps
+    every degree on x's side, so the swapped tree realizes the same
+    hypertree."""
+    far_side = {g.other_end(cur, x)}
+    stack = list(far_side)
+    while stack:
+        u = stack.pop()
+        for e in g.rotations[u]:
+            if e in witness and e != cur:
+                v = g.other_end(e, u)
+                if v not in far_side:
+                    far_side.add(v)
+                    stack.append(v)
+    for e in g.rotations[x]:
+        if e in live and e not in witness and g.other_end(e, x) in far_side:
+            return e
+    return None
 
 
 def _check_cut_side_arcs(g: RibbonBipartiteGraph, order: list[str], cut: str) -> None:
@@ -216,24 +273,31 @@ def embedding_inactivities(g: RibbonBipartiteGraph, f: dict[str, int],
     return internal, external
 
 
-def bernardi_interior(g: RibbonBipartiteGraph, side: str,
-                      variant: ProcessVariant, hypertrees=None) -> Poly:
+def bernardi_polynomials(g: RibbonBipartiteGraph, side: str,
+                         variant: ProcessVariant, hypertrees=None,
+                         runs=None) -> tuple[Poly, Poly]:
+    """The (interior, exterior) embedding polynomials of ``variant``: one
+    run per hypertree, or the given ``runs``, aligned with ``hypertrees``."""
     if variant.ht_side != side:
         raise ValueError("variant must carry its hypertree on the requested side")
     if hypertrees is None:
         hypertrees = enumerate_hypertrees(g, side)
-    return Poly.counting(embedding_inactivities(g, f, variant)[0]
-                         for f in hypertrees)
+    if runs is None:
+        runs = [run_bernardi(g, f, variant) for f in hypertrees]
+    pairs = [embedding_inactivities(g, f, variant, run=run)
+             for f, run in zip(hypertrees, runs, strict=True)]
+    return (Poly.counting(i for i, _ in pairs),
+            Poly.counting(e for _, e in pairs))
+
+
+def bernardi_interior(g: RibbonBipartiteGraph, side: str,
+                      variant: ProcessVariant, hypertrees=None) -> Poly:
+    return bernardi_polynomials(g, side, variant, hypertrees)[0]
 
 
 def bernardi_exterior(g: RibbonBipartiteGraph, side: str,
                       variant: ProcessVariant, hypertrees=None) -> Poly:
-    if variant.ht_side != side:
-        raise ValueError("variant must carry its hypertree on the requested side")
-    if hypertrees is None:
-        hypertrees = enumerate_hypertrees(g, side)
-    return Poly.counting(embedding_inactivities(g, f, variant)[1]
-                         for f in hypertrees)
+    return bernardi_polynomials(g, side, variant, hypertrees)[1]
 
 
 def check_composition(g: RibbonBipartiteGraph, f: dict[str, int]) -> dict[str, bool]:

@@ -3,9 +3,10 @@ fuzz the conjectures over seeded random instances, and the two
 special-case correspondences (non-crossing trees, dual arborescences).
 
 A failed theorem is a hard error.  A failed conjecture is flagged as a
-potential counterexample: it is re-verified with memoization and
-kept-edge pinning disabled before being reported, and it does not fail
-the campaign (exit code 3 signals it instead).
+potential counterexample: it is re-verified by paranoid runs (a full
+oracle search on every step, without memoization, kept-edge pinning or
+witness tree) before being reported, and it does not fail the campaign
+(exit code 3 signals it instead).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from functools import partial
 
 from . import __version__
 from .bernardi import (HT_E_CUT_E, HT_E_CUT_V, HT_V_CUT_E, HT_V_CUT_V,
-                       TheoremViolation, bernardi_exterior, bernardi_interior,
+                       TheoremViolation, bernardi_polynomials,
                        check_composition, run_bernardi)
 from .docio import serialize_graph
 from .graph import EMERALD, VIOLET, RibbonBipartiteGraph
@@ -84,26 +85,15 @@ def graph_hash(g: RibbonBipartiteGraph) -> str:
     return hashlib.sha256(serialize_graph(g).encode()).hexdigest()[:16]
 
 
-def _paranoid_embedding_polynomial(g, variant, kind, hypertrees):
-    """Recompute an embedding polynomial with memoization and kept-edge
-    pinning disabled; used to re-verify flagged conjecture mismatches."""
-    from .bernardi import embedding_inactivities, run_bernardi
-    from .hypertree import Poly
-
-    pick = 0 if kind == "interior" else 1
-    return Poly.counting(
-        embedding_inactivities(g, f, variant,
-                               run=run_bernardi(g, f, variant, paranoid=True))[pick]
-        for f in hypertrees)
-
-
 def check_conjectures(g: RibbonBipartiteGraph, report: CampaignReport | None = None,
-                      hypertrees=None) -> CampaignReport:
+                      hypertrees=None, runs=None) -> CampaignReport:
     """The cut-at-violet interior conjecture and both exterior variants.
 
-    Mismatches are flagged, never failed, and only after re-verifying
-    both sides: the classical polynomial under a different order, and
-    the embedding polynomial with memoization and pinning disabled.
+    Each ht:E variant runs once per hypertree, unless ``runs`` maps it
+    to its runs aligned with ``hypertrees``.  Mismatches are flagged,
+    never failed, and only after re-verifying both sides: the classical
+    polynomial under a different order, and the embedding polynomial
+    from paranoid runs.
     """
     if report is None:
         report = CampaignReport(input_hash=graph_hash(g))
@@ -112,14 +102,18 @@ def check_conjectures(g: RibbonBipartiteGraph, report: CampaignReport | None = N
     interior = interior_polynomial(g, EMERALD, hypertrees=hypertrees)
     exterior = exterior_polynomial(g, EMERALD, hypertrees=hypertrees)
 
+    runs = runs or {}
+    embedding = {v: bernardi_polynomials(g, EMERALD, v, hypertrees, runs.get(v))
+                 for v in (HT_E_CUT_V, HT_E_CUT_E)}
+
     cases = [
         ("conjecture-interior-cutV", "interior", HT_E_CUT_V, interior),
         ("conjecture-exterior-cutE", "exterior", HT_E_CUT_E, exterior),
         ("conjecture-exterior-cutV", "exterior", HT_E_CUT_V, exterior),
     ]
     for name, kind, variant, want in cases:
-        compute = bernardi_interior if kind == "interior" else bernardi_exterior
-        got = compute(g, EMERALD, variant, hypertrees=hypertrees)
+        pick = 0 if kind == "interior" else 1
+        got = embedding[variant][pick]
         if got == want:
             report.add(name, PASS, polynomial=list(got.coeffs))
             continue
@@ -127,7 +121,9 @@ def check_conjectures(g: RibbonBipartiteGraph, report: CampaignReport | None = N
         recheck_classical = (interior_polynomial if kind == "interior"
                              else exterior_polynomial)(
             g, EMERALD, order=alt_order, hypertrees=hypertrees)
-        reverified = _paranoid_embedding_polynomial(g, variant, kind, hypertrees)
+        paranoid = [run_bernardi(g, f, variant, paranoid=True) for f in hypertrees]
+        reverified = bernardi_polynomials(g, EMERALD, variant, hypertrees,
+                                          paranoid)[pick]
         report.add(name, FLAG,
                    expected=list(want.coeffs), got=list(got.coeffs),
                    reverified=list(reverified.coeffs),
@@ -181,16 +177,15 @@ def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
     report.add("order-independence", PASS if orders_ok else FAIL,
                orders=random_orders)
 
-    # well-definedness of all four processes over all hypertrees
+    # well-definedness of all four processes over all hypertrees; later
+    # checks read these runs
+    runs: dict = {}
     outcome: dict[str, set] = {}
     try:
-        for variant, side, family in (
-                (HT_E_CUT_V, EMERALD, b_e), (HT_E_CUT_E, EMERALD, b_e),
-                (HT_V_CUT_V, VIOLET, b_v), (HT_V_CUT_E, VIOLET, b_v)):
-            results = set()
-            for f in family:
-                run = run_bernardi(g, f, variant)
-                results.add(run.result_tree)
+        for variant, family in ((HT_E_CUT_V, b_e), (HT_E_CUT_E, b_e),
+                                (HT_V_CUT_V, b_v), (HT_V_CUT_E, b_v)):
+            runs[variant] = [run_bernardi(g, f, variant) for f in family]
+            results = {run.result_tree for run in runs[variant]}
             outcome[str(variant)] = results
             if len(results) != len(family):
                 raise TheoremViolation(f"{variant}: runs are not injective")
@@ -200,9 +195,9 @@ def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
         report.elapsed_s = time.time() - t0
         return report
 
+    bernardi_e = bernardi_polynomials(g, EMERALD, HT_E_CUT_E, b_e, runs[HT_E_CUT_E])
     report.add("bernardi-interior-theorem",
-               PASS if bernardi_interior(g, EMERALD, HT_E_CUT_E, hypertrees=b_e)
-               == interior else FAIL)
+               PASS if bernardi_e[0] == interior else FAIL)
 
     # one pass over all spanning trees feeds both recognitions and the
     # volume check; only the recognized trees and the volumes are kept
@@ -261,8 +256,7 @@ def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
 
     # runs list current edges in the violet T-order of their outcome
     ok = True
-    for f in b_e:
-        run = run_bernardi(g, f, HT_E_CUT_V)
+    for run in runs[HT_E_CUT_V]:
         vo = t_order(g, run.result_tree, VIOLET, cut=VCUT)
         if run.current_edge_order != vo.edge_order:
             ok = False
@@ -319,7 +313,7 @@ def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
                        PASS if kato_series_check(interior.coeffs, g, kmax, values)
                        else FAIL, order=kmax)
 
-    check_conjectures(g, report, hypertrees=b_e)
+    check_conjectures(g, report, hypertrees=b_e, runs=runs)
     report.elapsed_s = time.time() - t0
     return report
 

@@ -9,6 +9,7 @@ inherits the cyclic orders by restriction.
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -146,17 +147,17 @@ class RibbonGraph:
             return a
         raise ValueError(f"edge {edge!r} not incident to {node!r}")
 
-    def incident(self, node: str, live: frozenset[str] | None = None) -> tuple[str, ...]:
+    def incident(self, node: str, live: Set[str] | None = None) -> tuple[str, ...]:
         rot = self.rotations[node]
         if live is None:
             return rot
         return tuple(e for e in rot if e in live)
 
-    def degree(self, node: str, live: frozenset[str] | None = None) -> int:
+    def degree(self, node: str, live: Set[str] | None = None) -> int:
         return len(self.incident(node, live))
 
     def _rotation_step(self, node: str, edge: str, step: int,
-                       live: frozenset[str] | None) -> str:
+                       live: Set[str] | None) -> str:
         rot = self.rotations[node]
         if edge not in rot:
             raise ValueError(f"edge {edge!r} not incident to {node!r}")
@@ -176,13 +177,13 @@ class RibbonGraph:
         return {(x, e): rot[(i + 1) % len(rot)]
                 for x, rot in self.rotations.items() for i, e in enumerate(rot)}
 
-    def next_edge(self, node: str, edge: str, live: frozenset[str] | None = None) -> str:
+    def next_edge(self, node: str, edge: str, live: Set[str] | None = None) -> str:
         """The edge following ``edge`` at ``node`` in the inherited order."""
         if live is None and (node, edge) in self._successor:
             return self._successor[(node, edge)]
         return self._rotation_step(node, edge, +1, live)
 
-    def prev_edge(self, node: str, edge: str, live: frozenset[str] | None = None) -> str:
+    def prev_edge(self, node: str, edge: str, live: Set[str] | None = None) -> str:
         return self._rotation_step(node, edge, -1, live)
 
     def _connected(self, live: frozenset[str]) -> bool:

@@ -84,7 +84,8 @@ class _Feasibility:
 
     ``required`` edges are pinned into the tree (used by the Bernardi
     step, where kept edges are known to lie in every realization).
-    Results are memoized on (f, live, required) bitmask keys.
+    An answer is the realizing tree that the search found, or None;
+    answers are memoized on (f, live, required) keys.
     """
 
     def __init__(self, g: RibbonBipartiteGraph, side: str):
@@ -97,47 +98,49 @@ class _Feasibility:
                     for x in self.side_nodes}
 
     def feasible(self, f_key, live: frozenset[str], required: frozenset[str],
-                 memo=True) -> bool:
-        g = self.g
-        cache = g._feas_cache
+                 memo=True) -> frozenset[str] | None:
+        """A spanning tree inside ``live`` that contains ``required`` and
+        has degree f+1 at each node of the side, or None if none does."""
+        cache = self.g._feas_cache
         key = (self.side, f_key, live, required)
         if memo and key in cache:
             return cache[key]
 
-        ok = self._search(f_key, live, required)
+        tree = self._search(f_key, live, required)
         if memo:
-            cache[key] = ok
-        return ok
+            cache[key] = tree
+        return tree
 
-    def _search(self, f_key, live, required) -> bool:
+    def _search(self, f_key, live, required) -> frozenset[str] | None:
         g = self.g
         need = {x: f_key[i] + 1 for i, x in enumerate(self.side_nodes)}
         if any(v < 1 for v in need.values()):
-            return False
+            return None
         # sum over the whole class: a necessary equality
         if sum(need.values()) != len(self.opp_nodes) - 1 + len(self.side_nodes):
-            return False
+            return None
         # singleton instances of the neighborhood inequality = degree caps
         inc_live = {x: [e for e in self.inc[x] if e in live] for x in self.side_nodes}
         req_at = {x: [e for e in inc_live[x] if e in required] for x in self.side_nodes}
         for x in self.side_nodes:
             if need[x] > len(inc_live[x]) or len(req_at[x]) > need[x]:
-                return False
+                return None
         for v in self.opp_nodes:
             if g.degree(v, live) == 0:
-                return False
+                return None
 
         uf = UnionFind(g.nodes)
         for e in required:
             a, b = g.edges[e]
             if not uf.union(a, b):
-                return False  # pinned edges already contain a cycle
+                return None  # pinned edges already contain a cycle
 
         order = sorted(self.side_nodes,
                        key=lambda x: (len(inc_live[x]) - need[x], x))
         total_left = [0] * (len(order) + 1)
         for i in range(len(order) - 1, -1, -1):
             total_left[i] = total_left[i + 1] + need[order[i]]
+        chosen: list[str] = []
 
         def rec(i: int) -> bool:
             if uf.components - 1 > total_left[i]:
@@ -148,7 +151,7 @@ class _Feasibility:
             pinned = req_at[x]
             free = [e for e in inc_live[x] if e not in required]
             k = need[x] - len(pinned)
-            mark = uf.snapshot()
+            mark, base = uf.snapshot(), len(chosen)
             # pinned edges were unioned up front; only free choices vary
             for combo in combinations(free, k):
                 good = True
@@ -157,12 +160,15 @@ class _Feasibility:
                     if not uf.union(a, b):
                         good = False
                         break
-                if good and rec(i + 1):
-                    return True
+                if good:
+                    chosen.extend(combo)
+                    if rec(i + 1):
+                        return True
+                    del chosen[base:]
                 uf.rollback(mark)
             return False
 
-        return rec(0)
+        return required.union(chosen) if rec(0) else None
 
 
 def _oracle(g: RibbonBipartiteGraph, side: str) -> _Feasibility:
@@ -182,7 +188,7 @@ def is_hypertree(g: RibbonBipartiteGraph, side: str, f: dict[str, int],
         return False
     if live is None:
         live = frozenset(g.edge_ids)
-    return _oracle(g, side).feasible(f_key, live, required, memo=memo)
+    return _oracle(g, side).feasible(f_key, live, required, memo=memo) is not None
 
 
 def degree_vector(g: RibbonBipartiteGraph, tree: frozenset[str], side: str) -> dict[str, int]:
@@ -223,7 +229,7 @@ def _family(g: RibbonBipartiteGraph, side: str) -> frozenset[tuple[int, ...]]:
                 cand = tuple(shifted)
                 if cand in family or cand in rejected:
                     continue
-                if oracle.feasible(cand, live, pinned):
+                if oracle.feasible(cand, live, pinned) is not None:
                     family.add(cand)
                     frontier.append(cand)
                 else:

@@ -141,11 +141,15 @@ def compare_trees(g: RibbonBipartiteGraph, t1: frozenset[str], t2: frozenset[str
 
 def divergence_edge(g: RibbonBipartiteGraph, t1: frozenset[str], t2: frozenset[str],
                     cut: str = VCUT, flavor: str | None = None) -> str:
-    """The edge at which the flavor tours of two distinct trees diverge."""
-    flavor = cut if flavor is None else flavor
-    tour1, setup = flavor_tour(g, t1, cut, flavor)
-    tour2, _ = flavor_tour(g, t2, cut, flavor)
-    for (p1, p2) in zip(tour1.pairs, tour2.pairs):
+    """The edge at which the flavor tours of two distinct trees diverge.
+
+    Walks both tours side by side and stops at the first edge that one
+    tree holds and the other does not; up to there the tours agree.
+    """
+    if not (g.is_spanning_tree(t1) and g.is_spanning_tree(t2)):
+        raise ValueError("not a spanning tree")
+    setup = tour_setup(g, cut, cut if flavor is None else flavor)
+    for p1, p2 in zip(setup.tour_pairs(t1), setup.tour_pairs(t2)):
         if p1 != p2:
             raise AssertionError("tours diverged without an edge decision")
         edge = p1[1]

@@ -298,7 +298,8 @@ def facet_cover_status(piece: list[Point], simplices: list[TreeSimplex],
         for s in simplices:
             lam = [s.barycentric(p) for p in cur]
             if any(l is None for l in lam):
-                raise ValueError("point outside the affine hull")
+                # the pieces are cut from facets of these simplices
+                raise AssertionError("point outside the affine hull")
             bary.append(lam)
             if all(all(c >= 0 for c in l) for l in lam):
                 contained = True

@@ -1,6 +1,8 @@
 """The four Bernardi processes, embedding activities, and compositions."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperbernardi.bernardi import (HT_E_CUT_E, HT_E_CUT_V, HT_V_CUT_E,
                                     VARIANTS, ProcessVariant,
@@ -11,7 +13,7 @@ from hyperbernardi.bernardi import (HT_E_CUT_E, HT_E_CUT_V, HT_V_CUT_E,
 from hyperbernardi.fixtures import c4
 from hyperbernardi.generators import random_bipartite, random_ordinary
 from hyperbernardi.graph import EMERALD, VIOLET, RibbonBipartiteGraph, bip
-from hyperbernardi.hypertree import (Poly, enumerate_hypertrees,
+from hyperbernardi.hypertree import (Poly, _Feasibility, enumerate_hypertrees,
                                      interior_polynomial)
 from hyperbernardi.jaeger import VCUT, enumerate_jaeger_trees, is_jaeger_tree
 
@@ -180,14 +182,155 @@ def test_transpose_delegation_equivalence():
                 assert r1.current_edge_order == r2.current_edge_order
 
 
-def test_paranoid_mode_agrees(running_fixture):
-    g = running_fixture.graph
-    for f in enumerate_hypertrees(g, EMERALD):
-        for variant in (HT_E_CUT_V, HT_E_CUT_E):
+def oracle_instances():
+    """Fresh graphs (cold memos): fixtures, random bipartite graphs and
+    subdivisions of random ordinary graphs."""
+    from hyperbernardi.fixtures import (running_graph,
+                                        running_graph_knot_setup)
+    graphs = [running_graph().graph, running_graph_knot_setup().graph,
+              c4().graph]
+    graphs += [random_bipartite(seed, 4, 4, 10) for seed in range(40)]
+    graphs += [bip(random_ordinary(seed, 6, 9)) for seed in range(12)]
+    return graphs
+
+
+def assert_fast_runs_equal_paranoid(g):
+    for variant in VARIANTS:
+        for f in enumerate_hypertrees(g, variant.ht_side):
             fast = run_bernardi(g, f, variant)
             slow = run_bernardi(g, f, variant, paranoid=True)
-            assert fast.steps == slow.steps
-            assert fast.result_tree == slow.result_tree
+            assert fast.steps == slow.steps, (variant, f)
+            assert fast.result_tree == slow.result_tree, (variant, f)
+            assert fast.current_edge_order == slow.current_edge_order, (variant, f)
+
+
+def test_paranoid_mode_agrees():
+    """Witness, degree caps, exchange and memoized oracle decide every
+    step as a full unpinned search does."""
+    for g in oracle_instances():
+        assert_fast_runs_equal_paranoid(g)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), graphs_only=st.booleans())
+def test_paranoid_mode_agrees_drawn_seed(seed, graphs_only):
+    g = (bip(random_ordinary(seed, 6, 9)) if graphs_only
+         else random_bipartite(seed, 4, 4, 10))
+    assert_fast_runs_equal_paranoid(g)
+
+
+def test_search_returns_realizations(monkeypatch):
+    """Every tree the oracle's search returns lies in ``live``, holds the
+    pinned edges and realizes the hypertree; None means no spanning tree
+    of the live graph does (checked against all spanning trees)."""
+    queries = {}
+    search = _Feasibility._search
+
+    def recording(self, f_key, live, required):
+        tree = search(self, f_key, live, required)
+        queries[(self, f_key, live, required)] = tree
+        return tree
+    monkeypatch.setattr(_Feasibility, "_search", recording)
+    graphs = oracle_instances()
+    for g in graphs:
+        for variant in VARIANTS:
+            for f in enumerate_hypertrees(g, variant.ht_side):
+                run_bernardi(g, f, variant)
+                run_bernardi(g, f, variant, paranoid=True)
+    # every spanning tree, grouped by the hypertree it realizes
+    realizing = {}
+    for g in graphs:
+        for t in g.spanning_trees():
+            for side in (EMERALD, VIOLET):
+                vals = g.degree_vector(t, side)
+                key = (id(g), side, tuple(vals[x] for x in g.side_nodes(side)))
+                realizing.setdefault(key, []).append(t)
+    outcomes = set()
+    for (oracle, f_key, live, required), tree in queries.items():
+        g = oracle.g
+        candidates = realizing.get((id(g), oracle.side, f_key), [])
+        if tree is not None:
+            assert g.is_spanning_tree(tree) and required <= tree <= live
+            assert tree in candidates
+        assert (tree is not None) == any(required <= t <= live for t in candidates)
+        outcomes.add(tree is not None)
+    assert outcomes == {True, False}
+
+
+def test_witness_answers_most_steps(monkeypatch):
+    """The witness, the degree caps and the single exchange leave the
+    oracle at most one step in twenty (2.6% on these instances); without
+    the caps or with a trivial exchange it is asked on 15-33%."""
+    graphs = oracle_instances()
+    families = [(g, variant, enumerate_hypertrees(g, variant.ht_side))
+                for g in graphs for variant in VARIANTS]
+    queries = []
+    feasible = _Feasibility.feasible
+
+    def counting(self, f_key, live, required, memo=True):
+        queries.append(len(live) < len(self.g.edge_ids))
+        return feasible(self, f_key, live, required, memo)
+    monkeypatch.setattr(_Feasibility, "feasible", counting)
+    steps = sum(len(run_bernardi(g, f, variant).steps)
+                for g, variant, family in families for f in family)
+    assert 20 * sum(queries) <= steps
+
+
+def test_check_conjectures_runs_each_variant_once(monkeypatch):
+    from hyperbernardi import bernardi, campaign
+    from hyperbernardi.campaign import PASS, check_conjectures
+    calls = []
+    run = bernardi.run_bernardi
+
+    def counting(g, f, variant, paranoid=False):
+        calls.append((variant, tuple(sorted(f.items())), paranoid))
+        return run(g, f, variant, paranoid)
+    for module in (bernardi, campaign):
+        monkeypatch.setattr(module, "run_bernardi", counting)
+    for seed in range(5):
+        g = random_bipartite(seed, 4, 4, 10)
+        calls.clear()
+        report = check_conjectures(g)
+        assert all(c["status"] == PASS for c in report.checks)
+        assert len(calls) == 2 * len(enumerate_hypertrees(g, EMERALD))
+        assert len(set(calls)) == len(calls)
+
+
+def renamed(g, node_names, edge_names):
+    """``g`` with its nodes and edges renamed, and the two maps."""
+    nm = dict(zip(g.nodes, node_names))
+    em = dict(zip(g.edge_ids, edge_names))
+    h = RibbonBipartiteGraph(
+        [nm[x] for x in g.emeralds], [nm[x] for x in g.violets],
+        {em[e]: (nm[a], nm[b]) for e, (a, b) in g.edges.items()},
+        {nm[x]: tuple(em[e] for e in rot) for x, rot in g.rotations.items()},
+        base_node=nm[g.base_node], base_edge=em[g.base_edge])
+    return h, nm, em
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), graphs_only=st.booleans(), data=st.data())
+def test_renaming_invariance(seed, graphs_only, data):
+    """Results depend on the ribbon structure and base, not on names or
+    on their sorted order."""
+    from hyperbernardi.campaign import check_conjectures
+    g = (bip(random_ordinary(seed, 6, 9)) if graphs_only
+         else random_bipartite(seed, 4, 4, 10))
+    node_names = data.draw(st.permutations([f"n{i}" for i in range(len(g.nodes))]))
+    edge_names = data.draw(st.permutations([f"k{i}" for i in range(len(g.edge_ids))]))
+    h, nm, em = renamed(g, node_names, edge_names)
+
+    def polynomials(graph):
+        keys = ("name", "status", "polynomial", "expected", "got")
+        return [{k: c.get(k) for k in keys} for c in check_conjectures(graph).checks]
+    assert polynomials(h) == polynomials(g)
+    for variant in VARIANTS:
+        for f in enumerate_hypertrees(g, variant.ht_side):
+            run_g = run_bernardi(g, f, variant)
+            run_h = run_bernardi(h, {nm[x]: v for x, v in f.items()}, variant)
+            assert run_h.result_tree == {em[e] for e in run_g.result_tree}
+            assert run_h.current_edge_order == tuple(
+                em[e] for e in run_g.current_edge_order)
 
 
 def test_run_records_timestamps(process_fixture):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from hyperbernardi.fixtures import (Fixture, load, noncrossing_setup,
                                     running_graph)
 from hyperbernardi.generators import random_bipartite, random_ordinary
 from hyperbernardi.graph import RibbonBipartiteGraph, bip
+from hyperbernardi.polytope import TreeSimplex, facet_cover_status
 
 
 def test_random_bipartite_deterministic():
@@ -86,6 +88,42 @@ def test_campaign_all_pass(knot_fixture):
     assert h["h"] == [1, 3, 3]
     payload = rep.to_json()
     assert payload["input_hash"] and "tool_version" in payload
+
+
+def test_campaign_reuses_runs(monkeypatch):
+    """Runs from well-definedness feed the interior theorem, the T-order
+    check and the conjectures; only the composition check runs more."""
+    from hyperbernardi import bernardi, campaign
+    from hyperbernardi.hypertree import enumerate_hypertrees
+    calls = []
+    run = bernardi.run_bernardi
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return run(*args, **kwargs)
+    for module in (bernardi, campaign):
+        monkeypatch.setattr(module, "run_bernardi", counting)
+    g = running_graph().graph
+    rep = campaign_verify_all(g)
+    assert not rep.failed and not rep.flagged, rep.summary()
+    # four variants in well-definedness, four runs per composition check
+    assert len(calls) == 8 * len(enumerate_hypertrees(g, "emerald"))
+
+
+def test_conjecture_flag_is_reverified(monkeypatch):
+    """A mismatch is flagged with the paranoid runs' polynomial, which
+    equals the fast one, and with the classical recheck."""
+    from hyperbernardi import campaign
+    from hyperbernardi.campaign import FLAG
+    from hyperbernardi.hypertree import Poly
+    monkeypatch.setattr(campaign, "interior_polynomial", lambda *a, **k: Poly([7]))
+    monkeypatch.setattr(campaign, "exterior_polynomial", lambda *a, **k: Poly([7]))
+    g = random_bipartite(5, 4, 4, 10)
+    checks = check_conjectures(g).checks
+    assert [c["status"] for c in checks] == [FLAG] * 3
+    for c in checks:
+        assert c["expected"] == c["classical_recheck"] == [7]
+        assert c["reverified"] == c["got"] and sum(c["got"]) > 1
 
 
 def test_campaign_all_pass_c4(c4_fixture):
@@ -266,6 +304,16 @@ def test_exit_code_mapping(monkeypatch, capsys, graph_file):
         assert cli.main(["info", "--graph", graph_file]) == code
         err = capsys.readouterr().err
         assert str(exc) in err and len(err.strip().splitlines()) == 1
+
+    # a facet piece off the simplices' affine hull is an internal failure
+    def off_hull(_args):
+        g = running_graph().graph
+        simplex = TreeSimplex(g, next(g.spanning_trees()))
+        piece = [tuple(Fraction(int(i == 0)) for i in range(len(g.nodes)))]
+        facet_cover_status(piece, [simplex])
+    monkeypatch.setattr(cli, "cmd_info", off_hull)
+    assert cli.main(["info", "--graph", graph_file]) == EXIT_INTERNAL_ERROR
+    assert "point outside the affine hull" in capsys.readouterr().err
     assert len({EXIT_PASS, EXIT_THEOREM_FAILURE, EXIT_INPUT_ERROR,
                 EXIT_CONJECTURE_FLAG, EXIT_INTERNAL_ERROR}) == 5
 

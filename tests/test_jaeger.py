@@ -174,6 +174,39 @@ def test_divergence_edge(c4_fixture):
         divergence_edge(g, t4, t4, cut=VCUT)
 
 
+def divergence_by_full_tours(g, t1, t2, cut, flavor):
+    """Reference: build both flavor tours whole, then compare them."""
+    setup = g if flavor == cut else g.reversed_setup()
+    tour1, tour2 = setup.tour_of_tree(t1), setup.tour_of_tree(t2)
+    for p1, p2 in zip(tour1.pairs, tour2.pairs):
+        assert p1 == p2
+        if (p1[1] in t1) != (p1[1] in t2):
+            return p1[1]
+    raise AssertionError("distinct trees must diverge")
+
+
+def test_divergence_edge_equals_full_tours(c4_fixture, running_fixture,
+                                           knot_fixture):
+    graphs = [c4_fixture.graph, running_fixture.graph, knot_fixture.graph]
+    graphs += [random_bipartite(seed, 3, 4, 8) for seed in range(8)]
+    graphs += [bip(random_ordinary(seed, 4, 6)) for seed in range(4)]
+    pairs = 0
+    for g in graphs:
+        for cut in (VCUT, ECUT):
+            trees = enumerate_jaeger_trees(g, cut)
+            for flavor in (VIOLET, EMERALD):
+                for t1 in trees:
+                    for t2 in trees:
+                        if t1 != t2:
+                            pairs += 1
+                            assert divergence_edge(g, t1, t2, cut=cut, flavor=flavor) \
+                                == divergence_by_full_tours(g, t1, t2, cut, flavor)
+    assert pairs > 100  # the sweep is not vacuous
+    with pytest.raises(ValueError, match="spanning tree"):
+        divergence_edge(c4_fixture.graph, frozenset({"c1", "c2"}),
+                        frozenset({"c2", "c3", "c4"}))
+
+
 def test_unique_realization_invariant():
     for seed in range(12):
         g = random_bipartite(seed, 4, 4, 10)
