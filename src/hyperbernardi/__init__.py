@@ -21,7 +21,7 @@ from .hypertree import (Poly, break_divisors, can_transfer, degree_vector,
                         external_inactivity, interior_polynomial,
                         internal_inactivity, is_hypertree, tutte_check,
                         tutte_x_polynomial)
-from .jaeger import (ECUT, VCUT, TOrder, characterize_edge, compare_trees,
+from .jaeger import (ECUT, VCUT, TOrder, characterize_tree, compare_trees,
                      enumerate_jaeger_trees, graph_activity_matching,
                      is_jaeger_tree, semi_passive_edges, t_order)
 from .polytope import (TreeSimplex, ehrhart_values, ehrhart_values_scan,

@@ -224,18 +224,9 @@ def _exchange(g: RibbonBipartiteGraph, witness: frozenset[str], cur: str,
     components of witness - cur, or None.  Swapping it for ``cur`` keeps
     every degree on x's side, so the swapped tree realizes the same
     hypertree."""
-    far_side = {g.other_end(cur, x)}
-    stack = list(far_side)
-    while stack:
-        u = stack.pop()
-        for e in g.rotations[u]:
-            if e in witness and e != cur:
-                v = g.other_end(e, u)
-                if v not in far_side:
-                    far_side.add(v)
-                    stack.append(v)
+    _, cut_edges = g.tree_cut(witness, cur)
     for e in g.rotations[x]:
-        if e in live and e not in witness and g.other_end(e, x) in far_side:
+        if e in live and e in cut_edges and e != cur:
             return e
     return None
 

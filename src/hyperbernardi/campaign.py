@@ -26,12 +26,12 @@ from .docio import serialize_graph
 from .graph import EMERALD, VIOLET, RibbonBipartiteGraph
 from .hypertree import (enumerate_hypertrees, exterior_polynomial,
                         interior_polynomial)
-from .jaeger import (ECUT, VCUT, characterize_edge, enumerate_jaeger_trees,
+from .jaeger import (ECUT, VCUT, characterize_tree, enumerate_jaeger_trees,
                      jaeger_cuts, t_order)
-from .polytope import (ehrhart_values, ehrhart_values_scan,
-                       fit_binomial_coefficients, geometric_shelling_check,
-                       kato_series_check, normalized_simplex_volume,
-                       shelling_h_vector, verify_dissection)
+from .polytope import (ehrhart_fit, ehrhart_values, ehrhart_values_scan,
+                       geometric_shelling_check, kato_series_check,
+                       normalized_simplex_volume, shelling_h_vector,
+                       verify_dissection)
 
 PASS = "pass"
 FAIL = "fail"
@@ -41,6 +41,13 @@ SKIP = "skipped"
 # largest instance (edges) that gets the pairwise dissection certificates
 # and the facet-by-facet shelling check
 GEOMETRY_EDGE_LIMIT = 8
+# largest instance (edges) whose Ehrhart values the lattice scan recounts
+LATTICE_SCAN_EDGE_LIMIT = 6
+# largest instance (edges, nodes) that gets the Ehrhart chain
+EHRHART_EDGE_LIMIT = 10
+EHRHART_NODE_LIMIT = 9
+RANDOM_ORDERS = 10  # shuffled emerald orders for order-independence
+KATO_EXTRA = 5  # the Kato series is compared up to dilate d + KATO_EXTRA
 
 
 @dataclass
@@ -133,11 +140,6 @@ def check_conjectures(g: RibbonBipartiteGraph, report: CampaignReport | None = N
 
 
 def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
-                        geometry_edge_limit: int = GEOMETRY_EDGE_LIMIT,
-                        lattice_scan_edge_limit: int = 6,
-                        ehrhart_edge_limit: int = 10,
-                        random_orders: int = 10,
-                        kato_extra: int = 5,
                         rng_seed: int = 0) -> CampaignReport:
     """Run every module's checks on one desk-scale instance."""
     t0 = time.time()
@@ -167,7 +169,7 @@ def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
                degree=interior.degree, bound=bound)
 
     orders_ok = True
-    for _ in range(random_orders):
+    for _ in range(RANDOM_ORDERS):
         order = list(g.emeralds)
         rng.shuffle(order)
         if interior_polynomial(g, EMERALD, order=order, hypertrees=b_e) != interior:
@@ -175,7 +177,7 @@ def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
         if exterior_polynomial(g, EMERALD, order=order, hypertrees=b_e) != exterior:
             orders_ok = False
     report.add("order-independence", PASS if orders_ok else FAIL,
-               orders=random_orders)
+               orders=RANDOM_ORDERS)
 
     # well-definedness of all four processes over all hypertrees; later
     # checks read these runs
@@ -232,24 +234,10 @@ def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
             tuple(f[x] for x in nodes) for f in family}
     report.add("unique-realization-bijection", PASS if ok else FAIL)
 
-    # base-cut order and five-way characterization on every V-cut tree
+    # base-cut order lemma and five-way characterization on every V-cut tree
     try:
-        for i, tree in enumerate(vcut):
-            vo = t_order(g, tree, VIOLET, cut=VCUT)
-            rank = vo.edge_rank()
-            for eps in sorted(tree):
-                base_side, _ = g.tree_components(tree, eps)
-                cut_edges = g.fundamental_cut(tree, eps)
-                firsts = [e for e in cut_edges
-                          if g.violet_end(e) in base_side and e != eps]
-                seconds = [e for e in cut_edges
-                           if g.emerald_end(e) in base_side and e != eps]
-                for e1 in firsts:
-                    if any(rank[e1] >= rank[e2] for e2 in seconds):
-                        raise TheoremViolation("base-cut order lemma failed")
-                    if rank[e1] > rank[eps]:
-                        raise TheoremViolation("base-cut bound failed")
-                characterize_edge(g, vcut, i, eps)
+        for i in range(len(vcut)):
+            characterize_tree(g, vcut, i)
         report.add("five-way-characterization", PASS, trees=len(vcut))
     except TheoremViolation as exc:
         report.add("five-way-characterization", FAIL, error=str(exc))
@@ -273,7 +261,7 @@ def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
         report.add("equal-simplex-volumes",
                    PASS if vols == {1} else FAIL, volumes=sorted(vols))
 
-        small = len(g.edge_ids) <= geometry_edge_limit
+        small = len(g.edge_ids) <= GEOMETRY_EDGE_LIMIT
         dis = verify_dissection(g, vcut, certify_pairs=small)
         report.add("dissection", PASS if dis["is_dissection"] else FAIL,
                    triangulation=dis["is_triangulation"],
@@ -288,27 +276,20 @@ def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
             report.add("geometric-shelling", PASS if geo["ok"] else FAIL,
                        failures=geo["failures"])
 
-        if len(g.edge_ids) > ehrhart_edge_limit or len(g.nodes) > 9:
+        if len(g.edge_ids) > EHRHART_EDGE_LIMIT or len(g.nodes) > EHRHART_NODE_LIMIT:
             report.add("ehrhart-chain", SKIP,
                        reason="dilate counting too large for this instance")
         else:
             d = len(g.nodes) - 2
-            kmax = d + kato_extra
+            kmax = d + KATO_EXTRA
             values = ehrhart_values(g, kmax)
-            if len(g.edge_ids) <= lattice_scan_edge_limit:
+            if len(g.edge_ids) <= LATTICE_SCAN_EDGE_LIMIT:
                 scan = ehrhart_values_scan(g, min(kmax, d + 2))
                 report.add("ehrhart-lattice-scan-oracle",
                            PASS if values[:len(scan)] == scan else FAIL,
                            dp=values[:len(scan)], scan=scan)
-            try:
-                fitted = fit_binomial_coefficients(values, d)
-                trimmed = tuple(fitted[:len(interior.coeffs)])
-                pad_ok = all(c == 0 for c in fitted[len(interior.coeffs):])
-                report.add("ehrhart-binomial-fit",
-                           PASS if trimmed == interior.coeffs and pad_ok else FAIL,
-                           fitted=list(fitted))
-            except AssertionError as exc:
-                report.add("ehrhart-binomial-fit", FAIL, error=str(exc))
+            fit = ehrhart_fit(values, d, interior)
+            report.add("ehrhart-binomial-fit", PASS if fit.pop("ok") else FAIL, **fit)
             report.add("kato-series",
                        PASS if kato_series_check(interior.coeffs, g, kmax, values)
                        else FAIL, order=kmax)

@@ -20,10 +20,10 @@ from .docio import (GraphFormatError, format_hypertree, format_polynomial,
                     parse_graph, parse_hypertree)
 from .graph import EMERALD, VIOLET, ValidationError
 from .hypertree import enumerate_hypertrees, exterior_polynomial, interior_polynomial
-from .jaeger import ECUT, VCUT, enumerate_jaeger_trees, semi_passive_edges, t_order
-from .polytope import (ehrhart_values, fit_binomial_coefficients,
-                       geometric_shelling_check, kato_series_check,
-                       shelling_h_vector, verify_dissection)
+from .jaeger import (ECUT, VCUT, characterize_tree, enumerate_jaeger_trees,
+                     semi_passive_edges, t_order)
+from .polytope import (ehrhart_fit, ehrhart_values, geometric_shelling_check,
+                       kato_series_check, shelling_h_vector, verify_dissection)
 
 EXIT_PASS = 0
 EXIT_THEOREM_FAILURE = 1
@@ -137,23 +137,22 @@ def cmd_jaeger(args) -> int:
                 to = t_order(g, t, flavor, cut=cut)
                 entry[f"{flavor}_edge_order"] = list(to.edge_order)
                 entry[f"{flavor}_class_order"] = list(to.class_order)
-            em = t_order(g, t, EMERALD, cut=cut)
+            # the loop ends on the emerald T-order
             entry["semi_passive_emerald_order"] = sorted(
-                semi_passive_edges(g, t, em.edge_order))
+                semi_passive_edges(g, t, to.edge_order))
             detail.append(entry)
         payload["orders"] = detail
         if not args.json:
             for entry in detail:
                 lines.append(json.dumps(entry))
     if args.characterize:
-        from .jaeger import characterize_edge
         if cut != VCUT:
             raise GraphFormatError("--characterize applies to the V cut")
-        for i, t in enumerate(trees):
-            for eps in sorted(t):
-                characterize_edge(g, trees, i, eps)
+        for i in range(len(trees)):
+            characterize_tree(g, trees, i)
         payload["five_way_agreement"] = True
-        lines.append("five-way characterization: agreement on every edge")
+        lines.append("base-cut order lemma and five-way characterization: "
+                     "agreement on every edge")
     _emit(args, payload, "\n".join(lines))
     return EXIT_PASS
 
@@ -184,22 +183,23 @@ def cmd_polytope(args) -> int:
             geo = geometric_shelling_check(g, trees)
             payload["geometric"] = geo
             ok = ok and geo["ok"]
-    elif args.verify == "ehrhart":
+    else:  # ehrhart or kato
         d = len(g.nodes) - 2
-        kmax = args.kmax if args.kmax is not None else d + 2
-        values = ehrhart_values(g, max(kmax, d))
-        fitted = fit_binomial_coefficients(values, d)
+        kmax = args.kmax
+        if kmax is None:
+            kmax = d + (2 if args.verify == "ehrhart" else 5)
+        elif kmax < d:
+            raise ValueError(f"--kmax {kmax} is below d = |V| - 2 = {d}")
         interior = interior_polynomial(g, EMERALD)
-        payload.update({"values": values, "fitted": list(fitted),
-                        "interior": interior.to_json()})
-        ok = tuple(fitted[:len(interior.coeffs)]) == interior.coeffs and \
-            all(c == 0 for c in fitted[len(interior.coeffs):])
-    elif args.verify == "kato":
-        d = len(g.nodes) - 2
-        kmax = args.kmax if args.kmax is not None else d + 5
-        interior = interior_polynomial(g, EMERALD)
-        ok = kato_series_check(interior.coeffs, g, kmax)
-        payload.update({"order": kmax, "interior": interior.to_json()})
+        payload["interior"] = interior.to_json()
+        if args.verify == "ehrhart":
+            values = ehrhart_values(g, kmax)
+            fit = ehrhart_fit(values, d, interior)
+            payload.update(fit, values=values)
+            ok = fit["ok"]
+        else:
+            ok = kato_series_check(interior.coeffs, g, kmax)
+            payload["order"] = kmax
     payload["ok"] = ok
     _emit(args, payload, f"{args.verify}: {'pass' if ok else 'FAIL'}")
     return EXIT_PASS if ok else EXIT_THEOREM_FAILURE

@@ -241,61 +241,26 @@ class RibbonGraph:
         minor = [row[1:] for row in lap[1:]]
         return det_bareiss(minor)
 
-    def fundamental_cut(self, tree: frozenset[str], edge: str) -> frozenset[str]:
-        """Edges joining the two components of tree - edge."""
+    def tree_cut(self, tree: frozenset[str], edge: str) -> tuple[frozenset[str], frozenset[str]]:
+        """The two sides of tree - edge: the base node's side, from one
+        search over the other tree edges, and the edges joining the two
+        sides (``edge`` among them)."""
         if edge not in tree:
-            raise ValueError("fundamental cut needs a tree edge")
-        uf = UnionFind(self.nodes)
-        for e in tree:
-            if e != edge:
-                a, b = self.edges[e]
-                uf.union(a, b)
-        root = uf.find(self.edges[edge][0])
-        return frozenset(e for e in self.edge_ids
-                         if (uf.find(self.edges[e][0]) == root)
-                         != (uf.find(self.edges[e][1]) == root))
-
-    def fundamental_cycle(self, tree: frozenset[str], edge: str) -> frozenset[str]:
-        """The unique cycle of tree + edge."""
-        if edge in tree:
-            raise ValueError("fundamental cycle needs a non-tree edge")
-        a, b = self.edges[edge]
-        # path from a to b in the tree (BFS on tree edges)
-        adj: dict[str, list[tuple[str, str]]] = {x: [] for x in self.nodes}
-        for e in tree:
-            u, v = self.edges[e]
-            adj[u].append((v, e))
-            adj[v].append((u, e))
-        prev: dict[str, tuple[str, str]] = {}
-        frontier = [a]
-        seen = {a}
-        while frontier and b not in seen:
-            nxt = []
-            for u in frontier:
-                for v, e in adj[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        prev[v] = (u, e)
-                        nxt.append(v)
-            frontier = nxt
-        path = []
-        node = b
-        while node != a:
-            node, e = prev[node]
-            path.append(e)
-        return frozenset(path) | {edge}
-
-    def tree_components(self, tree: frozenset[str], edge: str) -> tuple[frozenset[str], frozenset[str]]:
-        """Node sets of the two components of tree - edge; base side first."""
-        uf = UnionFind(self.nodes)
-        for e in tree:
-            if e != edge:
-                a, b = self.edges[e]
-                uf.union(a, b)
-        root = uf.find(self.base_node)
-        base_side = frozenset(x for x in self.nodes if uf.find(x) == root)
-        other = frozenset(self.nodes) - base_side
-        return base_side, other
+            raise ValueError("tree cut needs a tree edge")
+        base_side = {self.base_node}
+        stack = [self.base_node]
+        while stack:
+            x = stack.pop()
+            for e in self.rotations[x]:
+                if e in tree and e != edge:
+                    a, b = self.edges[e]
+                    y = b if a == x else a
+                    if y not in base_side:
+                        base_side.add(y)
+                        stack.append(y)
+        cut_edges = frozenset(e for e, (a, b) in self.edges.items()
+                              if (a in base_side) != (b in base_side))
+        return frozenset(base_side), cut_edges
 
     # -- tour of a spanning tree ------------------------------------------
 

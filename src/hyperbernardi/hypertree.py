@@ -178,17 +178,13 @@ def _oracle(g: RibbonBipartiteGraph, side: str) -> _Feasibility:
     return g._feas_cache[key]
 
 
-def is_hypertree(g: RibbonBipartiteGraph, side: str, f: dict[str, int],
-                 live: frozenset[str] | None = None,
-                 required: frozenset[str] = frozenset(),
-                 memo: bool = True) -> bool:
-    """Does some spanning tree of the (live) graph realize ``f``?"""
+def is_hypertree(g: RibbonBipartiteGraph, side: str, f: dict[str, int]) -> bool:
+    """Does some spanning tree of the graph realize ``f``?"""
     f_key = _side_key(g, side, f)
     if any(v < 0 for v in f_key):
         return False
-    if live is None:
-        live = frozenset(g.edge_ids)
-    return _oracle(g, side).feasible(f_key, live, required, memo=memo) is not None
+    return _oracle(g, side).feasible(f_key, frozenset(g.edge_ids),
+                                     frozenset()) is not None
 
 
 def degree_vector(g: RibbonBipartiteGraph, tree: frozenset[str], side: str) -> dict[str, int]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import EMERALD, VIOLET, RibbonBipartiteGraph, Tour, UnionFind
+from .graph import EMERALD, VIOLET, RibbonBipartiteGraph, UnionFind
 from .hypertree import internal_inactivity
 
 VCUT = VIOLET
@@ -123,12 +123,6 @@ def tour_setup(g: RibbonBipartiteGraph, cut: str, flavor: str) -> RibbonBipartit
     return g if flavor == cut else g.reversed_setup()
 
 
-def flavor_tour(g: RibbonBipartiteGraph, tree: frozenset[str], cut: str,
-                flavor: str) -> tuple[Tour, RibbonBipartiteGraph]:
-    setup = tour_setup(g, cut, flavor)
-    return setup.tour_of_tree(tree), setup
-
-
 def compare_trees(g: RibbonBipartiteGraph, t1: frozenset[str], t2: frozenset[str],
                   flavor: str, cut: str) -> int:
     """-1, 0, +1 in the flavor order; the tree containing the first
@@ -176,15 +170,17 @@ def t_order(g: RibbonBipartiteGraph, tree: frozenset[str], flavor: str,
     ``cut`` names the setup in which the tree is a Jaeger tree; by
     default it is inferred by recognition.
     """
+    if not g.is_spanning_tree(tree):
+        raise ValueError("not a spanning tree")
     if cut is None:
         cuts = jaeger_cuts(g, tree)
         if not cuts:
             raise ValueError("tree is not a Jaeger tree; pass cut explicitly")
         cut = VCUT if VCUT in cuts else ECUT
-    tour, setup = flavor_tour(g, tree, cut, flavor)
+    setup = tour_setup(g, cut, flavor)
     order: list[str] = []
     seen: set[str] = set()
-    for node, edge in tour.pairs:
+    for node, edge in setup.tour_pairs(tree):
         if setup.color(node) == flavor and edge not in seen:
             seen.add(edge)
             order.append(edge)
@@ -207,8 +203,7 @@ def semi_passive_edges(g: RibbonBipartiteGraph, tree: frozenset[str],
     rank = {e: i for i, e in enumerate(edge_order)}
     out = set()
     for eps in sorted(tree):
-        side_a, _ = g.tree_components(tree, eps)
-        cut_edges = g.fundamental_cut(tree, eps)
+        side_a, cut_edges = g.tree_cut(tree, eps)
         smallest = min(cut_edges, key=lambda e: rank[e])
         if smallest == eps:
             continue
@@ -219,52 +214,55 @@ def semi_passive_edges(g: RibbonBipartiteGraph, tree: frozenset[str],
     return frozenset(out)
 
 
-def characterize_edge(g: RibbonBipartiteGraph, trees_in_violet_order,
-                      index: int, eps: str) -> dict[str, bool]:
-    """The five equivalent descriptions of a semi-passive tree edge, for
-    a V-cut Jaeger tree given with its violet-order prefix.
+def characterize_tree(g: RibbonBipartiteGraph, trees_in_violet_order,
+                      index: int) -> dict[str, dict[str, bool]]:
+    """The five equivalent descriptions of an internally semi-passive
+    edge, keyed by edge, for every edge of the V-cut Jaeger tree
+    ``index`` of the violet-ordered list.
 
-    Raises TheoremViolation when the five disagree.
+    Each edge is also checked against the base-cut order lemma: in the
+    violet order, a cut edge with its violet end on the base side
+    precedes every cut edge with its emerald end there, and does not
+    follow the edge itself.  Raises TheoremViolation when the lemma
+    fails or the five disagree.
     """
     from .bernardi import TheoremViolation
 
-    trees = list(trees_in_violet_order)
-    tree = trees[index]
-    if eps not in tree:
-        raise ValueError("edge must belong to the tree")
-
-    first_difference = any(
-        divergence_edge(g, earlier, tree, cut=VCUT) == eps
-        for earlier in trees[:index])
-
+    tree = trees_in_violet_order[index]
+    first_differences = {divergence_edge(g, earlier, tree, cut=VCUT)
+                         for earlier in trees_in_violet_order[:index]}
     em_order = t_order(g, tree, EMERALD, cut=VCUT)
-    semi_passive = eps in semi_passive_edges(g, tree, em_order.edge_order)
+    vrank = t_order(g, tree, VIOLET, cut=VCUT).edge_rank()
+    semi_passive = semi_passive_edges(g, tree, em_order.edge_order)
+    _, inactive = internal_inactivity(g, EMERALD, g.degree_vector(tree, EMERALD),
+                                      em_order.class_order)
 
-    base_side, _ = g.tree_components(tree, eps)
-    violet_in_base = g.violet_end(eps) in base_side
-    f_e = g.degree_vector(tree, EMERALD)
-    _, inactive = internal_inactivity(g, EMERALD, f_e, em_order.class_order)
-    cond_three = violet_in_base and g.emerald_end(eps) in inactive
+    reports = {}
+    for eps in sorted(tree):
+        base_side, cut_edges = g.tree_cut(tree, eps)
+        violet_in_base = g.violet_end(eps) in base_side
+        firsts = [e for e in cut_edges if g.violet_end(e) in base_side and e != eps]
+        seconds = [e for e in cut_edges if g.emerald_end(e) in base_side and e != eps]
+        for e1 in firsts:
+            if any(vrank[e1] >= vrank[e2] for e2 in seconds):
+                raise TheoremViolation("base-cut order lemma failed")
+            if vrank[e1] > vrank[eps]:
+                raise TheoremViolation("base-cut bound failed")
 
-    vi_order = t_order(g, tree, VIOLET, cut=VCUT)
-    vrank = vi_order.edge_rank()
-    cut_edges = g.fundamental_cut(tree, eps)
-    not_largest = eps != max(cut_edges, key=lambda e: vrank[e])
-
-    cond_five = violet_in_base and any(
-        g.emerald_end(e) in base_side for e in cut_edges - {eps})
-
-    report = {
-        "first_difference": first_difference,
-        "semi_passive_emerald_order": semi_passive,
-        "violet_in_base_and_inactive_end": cond_three,
-        "not_largest_in_cut_violet_order": not_largest,
-        "base_cut_witness": cond_five,
-    }
-    if len(set(report.values())) != 1:
-        raise TheoremViolation(
-            f"five-way characterization disagrees for {eps!r}: {report}")
-    return report
+        report = {
+            "first_difference": eps in first_differences,
+            "semi_passive_emerald_order": eps in semi_passive,
+            "violet_in_base_and_inactive_end":
+                violet_in_base and g.emerald_end(eps) in inactive,
+            "not_largest_in_cut_violet_order":
+                eps != max(cut_edges, key=lambda e: vrank[e]),
+            "base_cut_witness": violet_in_base and bool(seconds),
+        }
+        if len(set(report.values())) != 1:
+            raise TheoremViolation(
+                f"five-way characterization disagrees for {eps!r}: {report}")
+        reports[eps] = report
+    return reports
 
 
 def graph_activity_matching(graph_g, tree: frozenset[str]) -> dict:

@@ -18,8 +18,12 @@ from itertools import combinations
 
 from .exactla import binomial, det_bareiss, solve_exact
 from .graph import EMERALD, VIOLET, RibbonBipartiteGraph
+from .hypertree import Poly
 
 Point = tuple[Fraction, ...]
+
+# pieces facet_cover_status may examine before it gives up
+FACET_COVER_BUDGET = 20000
 
 
 def _require_simple(g: RibbonBipartiteGraph) -> None:
@@ -157,14 +161,9 @@ def separating_functional(g: RibbonBipartiteGraph, later_tree: frozenset[str],
     tree: +1 on emeralds outside / violets inside the component of the
     violet endpoint, -1 elsewhere.  Edge value = sum of its endpoints,
     so eps maps to +2 and all other later-tree edges to 0."""
-    from .graph import UnionFind
-    uf = UnionFind(g.nodes)
-    for e in later_tree:
-        if e != eps:
-            a, b = g.edges[e]
-            uf.union(a, b)
-    root = uf.find(g.violet_end(eps))
-    side1 = {x for x in g.nodes if uf.find(x) == root}
+    side1, _ = g.tree_cut(later_tree, eps)
+    if g.violet_end(eps) not in side1:
+        side1 = frozenset(g.nodes) - side1
     weights = {}
     for x in g.emeralds:
         weights[x] = -1 if x in side1 else 1
@@ -275,8 +274,7 @@ def _split_piece(piece: list[Point], values: list[Fraction]) -> tuple[list[Point
     return pos, neg
 
 
-def facet_cover_status(piece: list[Point], simplices: list[TreeSimplex],
-                       budget: int = 20000) -> str:
+def facet_cover_status(piece: list[Point], simplices: list[TreeSimplex]) -> str:
     """Exact coverage of conv(piece) by a union of simplices.
 
     Returns "covered", "disjoint" (interior misses every simplex), or
@@ -290,7 +288,7 @@ def facet_cover_status(piece: list[Point], simplices: list[TreeSimplex],
     work = 0
     while stack:
         work += 1
-        if work > budget:
+        if work > FACET_COVER_BUDGET:
             raise RuntimeError("facet coverage recursion budget exceeded")
         cur = stack.pop()
         bary = []
@@ -509,6 +507,17 @@ def fit_binomial_coefficients(values, d: int) -> tuple[int, ...]:
         if pred != values[k]:
             raise AssertionError(f"binomial fit fails at k={k}: {pred} != {values[k]}")
     return tuple(out)
+
+
+def ehrhart_fit(values, d: int, interior: Poly) -> dict:
+    """The Ehrhart chain's verdict: ``ok`` when the binomial fit is the
+    interior polynomial padded with zeros, with ``fitted``; or ``error``
+    when the fit is not a nonnegative integer vector."""
+    try:
+        fitted = fit_binomial_coefficients(values, d)
+    except AssertionError as exc:
+        return {"ok": False, "error": str(exc)}
+    return {"ok": Poly(fitted) == interior, "fitted": list(fitted)}
 
 
 def kato_series_check(interior_coeffs, g: RibbonBipartiteGraph, order: int,

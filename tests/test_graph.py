@@ -1,6 +1,7 @@
 """Graph core: documents, rotations, views, tours, trees, faces."""
 
 import random
+from collections import deque
 from itertools import combinations
 
 import pytest
@@ -226,23 +227,50 @@ def test_spanning_trees_equal_subset_sweep(c4_fixture, running_fixture,
         assert len(got) == g.count_spanning_trees()
 
 
-def test_fundamental_cut_and_cycle(c4_fixture):
+def bfs_split(g, tree, edge):
+    """Reference: the base node's side of tree - edge by breadth-first
+    search, and the graph edges with one end on each side."""
+    side, queue = {g.base_node}, deque([g.base_node])
+    while queue:
+        x = queue.popleft()
+        for e in g.incident(x):
+            y = g.other_end(e, x)
+            if e in tree and e != edge and y not in side:
+                side.add(y)
+                queue.append(y)
+    return (frozenset(side),
+            frozenset(e for e in g.edge_ids
+                      if (g.edges[e][0] in side) != (g.edges[e][1] in side)))
+
+
+def test_tree_cut_c4(c4_fixture):
     g = c4_fixture.graph
     t = frozenset({"c1", "c2", "c4"})
-    assert g.fundamental_cut(t, "c2") == frozenset({"c2", "c3"})
-    assert g.fundamental_cycle(t, "c3") == frozenset({"c1", "c2", "c3", "c4"})
-    with pytest.raises(ValueError):
-        g.fundamental_cut(t, "c3")
-    with pytest.raises(ValueError):
-        g.fundamental_cycle(t, "c1")
+    assert g.tree_cut(t, "c2") == (frozenset({"v1", "e1", "v2"}),
+                                   frozenset({"c2", "c3"}))
+    with pytest.raises(ValueError, match="tree edge"):
+        g.tree_cut(t, "c3")
 
 
-def test_fundamental_cut_tree_graph():
+def test_tree_cut_tree_graph():
     g = RibbonBipartiteGraph(["e0"], ["v0", "v1"],
                              {"a": ("e0", "v0"), "b": ("e0", "v1")}, None,
                              base_node="e0", base_edge="a")
     t = frozenset({"a", "b"})
-    assert g.fundamental_cut(t, "a") == frozenset({"a"})
+    assert g.tree_cut(t, "a") == (frozenset({"e0", "v1"}), frozenset({"a"}))
+
+
+def test_tree_cut_equals_bfs_split(c4_fixture, running_fixture, knot_fixture,
+                                   single_edge_fixture, tour_fixture):
+    graphs = [c4_fixture.graph, running_fixture.graph, knot_fixture.graph,
+              single_edge_fixture.graph, bip(tour_fixture.graph)]
+    cuts = 0
+    for g in graphs:
+        for tree in g.spanning_trees():
+            for edge in tree:
+                assert g.tree_cut(tree, edge) == bfs_split(g, tree, edge)
+                cuts += 1
+    assert cuts > 500  # the sweep is not vacuous
 
 
 def test_transpose_involution(running_fixture):

@@ -17,7 +17,8 @@ from hyperbernardi.docio import GraphFormatError, parse_graph, serialize_graph
 from hyperbernardi.fixtures import (Fixture, load, noncrossing_setup,
                                     running_graph)
 from hyperbernardi.generators import random_bipartite, random_ordinary
-from hyperbernardi.graph import RibbonBipartiteGraph, bip
+from hyperbernardi.graph import EMERALD, VIOLET, RibbonBipartiteGraph, bip
+from hyperbernardi.jaeger import VCUT, semi_passive_edges, t_order
 from hyperbernardi.polytope import TreeSimplex, facet_cover_status
 
 
@@ -251,10 +252,76 @@ def test_cli_polytope(graph_file):
     run_cli("polytope", "--graph", graph_file, "--verify", "kato", "--kmax", "8")
 
 
+def test_cli_polytope_ehrhart(graph_file):
+    for cut in ("V", "E"):
+        proc = run_cli("polytope", "--graph", graph_file, "--verify", "ehrhart",
+                       "--cut", cut, "--json")
+        payload = json.loads(proc.stdout)
+        assert payload["ok"] is True and payload["fitted"] == [1, 3, 3, 0, 0, 0]
+    # the running example has d = |V| - 2 = 5
+    for check in ("ehrhart", "kato"):
+        for kmax in ("4", "-3"):
+            proc = run_cli("polytope", "--graph", graph_file, "--verify", check,
+                           "--kmax", kmax, expect=2)
+            assert f"--kmax {kmax} is below d = |V| - 2 = 5" in proc.stderr
+        run_cli("polytope", "--graph", graph_file, "--verify", check, "--kmax", "5")
+
+
+def test_cli_ehrhart_fit_failure_is_theorem_failure(monkeypatch, capsys,
+                                                    graph_file):
+    from hyperbernardi import cli
+    monkeypatch.setattr(cli, "ehrhart_values", lambda g, kmax: [1] + [0] * kmax)
+    assert cli.main(["polytope", "--graph", graph_file, "--verify", "ehrhart",
+                     "--json"]) == cli.EXIT_THEOREM_FAILURE
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] is False
+    assert "not a nonnegative integer" in payload["error"]
+
+
 def test_cli_verify(graph_file):
     proc = run_cli("verify", "--graph", graph_file, "--json")
     payload = json.loads(proc.stdout)
     assert all(c["status"] in ("pass", "skipped") for c in payload["checks"])
+
+
+def reversed_order(tree, order):
+    return order[::-1]
+
+
+def non_tree_edges_first_reversed(tree, order):
+    return (tuple(e for e in reversed(order) if e not in tree)
+            + tuple(e for e in order if e in tree))
+
+
+@pytest.mark.parametrize("perturb, message", [
+    (reversed_order, "base-cut bound failed"),
+    (non_tree_edges_first_reversed, "base-cut order lemma failed"),
+])
+def test_lemma_failure_fails_verify_and_characterize(monkeypatch, capsys,
+                                                      graph_file, perturb,
+                                                      message):
+    from hyperbernardi import cli, jaeger
+    from hyperbernardi.cli import EXIT_THEOREM_FAILURE
+    honest = jaeger.t_order
+
+    def perturbed_violet_order(g, tree, flavor, cut=None):
+        to = honest(g, tree, flavor, cut)
+        if flavor != VIOLET:
+            return to
+        return jaeger.TOrder(flavor, perturb(tree, to.edge_order), to.class_order)
+
+    # the other modules bound t_order at import and the geometry asks only
+    # for emerald orders, so only the characterization sees the change
+    monkeypatch.setattr(jaeger, "t_order", perturbed_violet_order)
+    assert cli.main(["verify", "--graph", graph_file, "--json"]) == \
+        EXIT_THEOREM_FAILURE
+    failed = [c for c in json.loads(capsys.readouterr().out)["checks"]
+              if c["status"] == "fail"]
+    assert failed == [{"name": "five-way-characterization", "status": "fail",
+                       "error": message}]
+    assert cli.main(["jaeger", "--graph", graph_file, "--characterize"]) == \
+        EXIT_THEOREM_FAILURE
+    assert message in capsys.readouterr().err
 
 
 def test_cli_fuzz():
@@ -272,6 +339,12 @@ def test_cli_jaeger_orders(graph_file):
                           "violet_class_order", "emerald_class_order",
                           "semi_passive_emerald_order"}
     assert len(entry["violet_edge_order"]) == 9
+    g = running_graph().graph
+    for entry in payload["orders"]:
+        tree = frozenset(entry["tree"])
+        emerald = t_order(g, tree, EMERALD, cut=VCUT).edge_order
+        assert entry["semi_passive_emerald_order"] == sorted(
+            semi_passive_edges(g, tree, emerald))
 
 
 def test_exit_code_mapping(monkeypatch, capsys, graph_file):

@@ -2,11 +2,12 @@
 
 import pytest
 
-from hyperbernardi.bernardi import HT_E_CUT_V, run_bernardi
+from hyperbernardi import jaeger
+from hyperbernardi.bernardi import HT_E_CUT_V, TheoremViolation, run_bernardi
 from hyperbernardi.generators import random_bipartite, random_ordinary
 from hyperbernardi.graph import EMERALD, VIOLET, RibbonBipartiteGraph, bip
 from hyperbernardi.hypertree import enumerate_hypertrees, internal_inactivity
-from hyperbernardi.jaeger import (ECUT, VCUT, characterize_edge, compare_trees,
+from hyperbernardi.jaeger import (ECUT, VCUT, characterize_tree, compare_trees,
                                   divergence_edge, enumerate_jaeger_trees,
                                   graph_activity_matching, is_jaeger_tree,
                                   jaeger_cuts, semi_passive_edges, t_order)
@@ -126,6 +127,9 @@ def test_t_order_rejects_non_jaeger(running_fixture):
     with pytest.raises(ValueError, match="not a Jaeger tree"):
         t_order(running_fixture.graph, running_fixture.value("right_tree"),
                 EMERALD)
+    with pytest.raises(ValueError, match="not a spanning tree"):
+        t_order(running_fixture.graph, frozenset({"e0v0", "e0v1"}), VIOLET,
+                cut=VCUT)
 
 
 def test_semi_passive_numbered_example(numbered_fixture):
@@ -150,19 +154,58 @@ def test_semi_passive_c4(c4_fixture):
     assert len(semi_passive_edges(g, t2, em.edge_order)) == 1
 
 
-def test_characterize_edges(knot_fixture, c4_fixture):
-    for fixture in (knot_fixture, c4_fixture):
-        g = fixture.graph
+def characterize_edge_reference(g, trees, index, eps):
+    """Reference: the five descriptions for one edge, each computed from
+    scratch for that edge alone."""
+    tree = trees[index]
+    first_difference = any(divergence_edge(g, earlier, tree, cut=VCUT) == eps
+                           for earlier in trees[:index])
+    em_order = t_order(g, tree, EMERALD, cut=VCUT)
+    semi_passive = eps in semi_passive_edges(g, tree, em_order.edge_order)
+    base_side, cut_edges = g.tree_cut(tree, eps)
+    violet_in_base = g.violet_end(eps) in base_side
+    _, inactive = internal_inactivity(g, EMERALD, g.degree_vector(tree, EMERALD),
+                                      em_order.class_order)
+    vrank = t_order(g, tree, VIOLET, cut=VCUT).edge_rank()
+    return {
+        "first_difference": first_difference,
+        "semi_passive_emerald_order": semi_passive,
+        "violet_in_base_and_inactive_end":
+            violet_in_base and g.emerald_end(eps) in inactive,
+        "not_largest_in_cut_violet_order":
+            eps != max(cut_edges, key=lambda e: vrank[e]),
+        "base_cut_witness": violet_in_base and any(
+            g.emerald_end(e) in base_side for e in cut_edges - {eps}),
+    }
+
+
+def test_characterize_edges(c4_fixture, running_fixture, knot_fixture):
+    graphs = [c4_fixture.graph, running_fixture.graph, knot_fixture.graph]
+    graphs += [random_bipartite(seed, 4, 4, 10) for seed in range(20)]
+    graphs += [bip(random_ordinary(seed, 5, 7)) for seed in range(8)]
+    answers = set()
+    for g in graphs:
         trees = enumerate_jaeger_trees(g, VCUT)
         for i, tree in enumerate(trees):
-            for eps in sorted(tree):
-                report = characterize_edge(g, trees, i, eps)
-                assert len(set(report.values())) == 1
+            want = {eps: characterize_edge_reference(g, trees, i, eps)
+                    for eps in sorted(tree)}
+            assert characterize_tree(g, trees, i) == want
+            answers.update(r["first_difference"] for r in want.values())
+    assert answers == {False, True}  # both answers occur
     # nothing precedes the first tree, so description (i) must be false
     g = knot_fixture.graph
     trees = enumerate_jaeger_trees(g, VCUT)
-    for eps in sorted(trees[0]):
-        assert not characterize_edge(g, trees, 0, eps)["first_difference"]
+    assert not any(r["first_difference"]
+                   for r in characterize_tree(g, trees, 0).values())
+
+
+def test_characterize_tree_reports_disagreement(monkeypatch, running_fixture):
+    g = running_fixture.graph
+    trees = enumerate_jaeger_trees(g, VCUT)
+    monkeypatch.setattr(jaeger, "semi_passive_edges", lambda *args: frozenset())
+    with pytest.raises(TheoremViolation, match="five-way characterization disagrees"):
+        for i in range(len(trees)):
+            characterize_tree(g, trees, i)
 
 
 def test_divergence_edge(c4_fixture):
@@ -237,8 +280,7 @@ def test_base_cut_order_lemma():
         for tree in enumerate_jaeger_trees(g, VCUT):
             rank = t_order(g, tree, VIOLET, cut=VCUT).edge_rank()
             for eps in tree:
-                base_side, _ = g.tree_components(tree, eps)
-                cut_edges = g.fundamental_cut(tree, eps)
+                base_side, cut_edges = g.tree_cut(tree, eps)
                 violet_side = [e for e in cut_edges - {eps}
                                if g.violet_end(e) in base_side]
                 emerald_side = [e for e in cut_edges - {eps}

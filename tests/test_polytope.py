@@ -6,13 +6,14 @@ from itertools import combinations
 
 import pytest
 
-from hyperbernardi.exactla import det_bareiss, solve_exact
+from hyperbernardi.exactla import binomial, det_bareiss, solve_exact
 from hyperbernardi.fixtures import c4
 from hyperbernardi.generators import random_bipartite
 from hyperbernardi.graph import EMERALD, VIOLET, RibbonBipartiteGraph
-from hyperbernardi.hypertree import enumerate_hypertrees, interior_polynomial
+from hyperbernardi.hypertree import (Poly, enumerate_hypertrees,
+                                     interior_polynomial)
 from hyperbernardi.jaeger import VCUT, enumerate_jaeger_trees
-from hyperbernardi.polytope import (TreeSimplex, ehrhart_values,
+from hyperbernardi.polytope import (TreeSimplex, ehrhart_fit, ehrhart_values,
                                     ehrhart_values_scan,
                                     fit_binomial_coefficients,
                                     geometric_shelling_check,
@@ -256,6 +257,20 @@ def test_fit_rejects_bad_values():
 
 def test_fit_constant_values():
     assert fit_binomial_coefficients([1, 1, 1], 0) == (1,)
+
+
+def test_ehrhart_fit_verdict():
+    def values(coeffs, d):
+        return [sum(a * binomial(d + k - i, d) for i, a in enumerate(coeffs))
+                for k in range(d + 3)]
+    interior = Poly([1, 3, 3])
+    assert ehrhart_fit(values([1, 3, 3, 0, 0, 0], 5), 5, interior) == \
+        {"ok": True, "fitted": [1, 3, 3, 0, 0, 0]}
+    # a nonzero coefficient past the interior polynomial, or one missing
+    assert not ehrhart_fit(values([1, 3, 3, 0, 0, 1], 5), 5, interior)["ok"]
+    assert not ehrhart_fit(values([1, 3, 0, 0, 0, 0], 5), 5, interior)["ok"]
+    bad = ehrhart_fit([1, 2, 6], 2, Poly([1]))
+    assert bad["ok"] is False and "nonnegative integer" in bad["error"]
 
 
 def test_kato_series(c4_fixture, running_fixture, single_edge_fixture):
