@@ -23,7 +23,7 @@ from .hypertree import (Poly, break_divisors, can_transfer, degree_vector,
                         tutte_x_polynomial)
 from .jaeger import (ECUT, VCUT, TOrder, characterize_tree, compare_trees,
                      enumerate_jaeger_trees, graph_activity_matching,
-                     is_jaeger_tree, semi_passive_edges, t_order)
+                     is_jaeger_tree, semi_passive_edges, shelling, t_order)
 from .polytope import (TreeSimplex, ehrhart_values, ehrhart_values_scan,
                        fit_binomial_coefficients, geometric_shelling_check,
                        intersection_is_common_face, kato_series_check,

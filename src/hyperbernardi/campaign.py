@@ -27,7 +27,7 @@ from .graph import EMERALD, VIOLET, RibbonBipartiteGraph
 from .hypertree import (enumerate_hypertrees, exterior_polynomial,
                         interior_polynomial)
 from .jaeger import (ECUT, VCUT, characterize_tree, enumerate_jaeger_trees,
-                     jaeger_cuts, t_order)
+                     jaeger_cuts, shelling, t_order)
 from .polytope import (ehrhart_fit, ehrhart_values, ehrhart_values_scan,
                        geometric_shelling_check, kato_series_check,
                        normalized_simplex_volume, shelling_h_vector,
@@ -38,8 +38,7 @@ FAIL = "fail"
 FLAG = "CONJECTURE-COUNTEREXAMPLE?"
 SKIP = "skipped"
 
-# largest instance (edges) that gets the pairwise dissection certificates
-# and the facet-by-facet shelling check
+# largest instance (edges) that gets the facet-by-facet shelling check
 GEOMETRY_EDGE_LIMIT = 8
 # largest instance (edges) whose Ehrhart values the lattice scan recounts
 LATTICE_SCAN_EDGE_LIMIT = 6
@@ -234,10 +233,12 @@ def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
             tuple(f[x] for x in nodes) for f in family}
     report.add("unique-realization-bijection", PASS if ok else FAIL)
 
-    # base-cut order lemma and five-way characterization on every V-cut tree
+    # base-cut order lemma and five-way characterization on every V-cut
+    # tree; the dissection and shelling checks read the same record
+    steps = shelling(g, vcut)
     try:
-        for i in range(len(vcut)):
-            characterize_tree(g, vcut, i)
+        for step in steps:
+            characterize_tree(g, step)
         report.add("five-way-characterization", PASS, trees=len(vcut))
     except TheoremViolation as exc:
         report.add("five-way-characterization", FAIL, error=str(exc))
@@ -261,18 +262,17 @@ def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
         report.add("equal-simplex-volumes",
                    PASS if vols == {1} else FAIL, volumes=sorted(vols))
 
-        small = len(g.edge_ids) <= GEOMETRY_EDGE_LIMIT
-        dis = verify_dissection(g, vcut, certify_pairs=small)
+        dis = verify_dissection(g, steps)
         report.add("dissection", PASS if dis["is_dissection"] else FAIL,
                    triangulation=dis["is_triangulation"],
                    certified=dis["interiors_disjoint_certified"])
 
-        h = shelling_h_vector(g, vcut)
+        h = shelling_h_vector(steps)
         report.add("h-vector-equals-interior",
                    PASS if h == interior.coeffs else FAIL,
                    h=list(h), interior=list(interior.coeffs))
-        if small:
-            geo = geometric_shelling_check(g, vcut)
+        if len(g.edge_ids) <= GEOMETRY_EDGE_LIMIT:
+            geo = geometric_shelling_check(g, steps)
             report.add("geometric-shelling", PASS if geo["ok"] else FAIL,
                        failures=geo["failures"])
 

@@ -20,8 +20,7 @@ from .docio import (GraphFormatError, format_hypertree, format_polynomial,
                     parse_graph, parse_hypertree)
 from .graph import EMERALD, VIOLET, ValidationError
 from .hypertree import enumerate_hypertrees, exterior_polynomial, interior_polynomial
-from .jaeger import (ECUT, VCUT, characterize_tree, enumerate_jaeger_trees,
-                     semi_passive_edges, t_order)
+from .jaeger import ECUT, VCUT, characterize_tree, enumerate_jaeger_trees, shelling
 from .polytope import (ehrhart_fit, ehrhart_values, geometric_shelling_check,
                        kato_series_check, shelling_h_vector, verify_dissection)
 
@@ -125,31 +124,31 @@ def cmd_bernardi(args) -> int:
 def cmd_jaeger(args) -> int:
     g = _load_graph(args)
     cut = VCUT if args.cut.upper() == "V" else ECUT
+    if args.characterize and cut != VCUT:
+        raise GraphFormatError("--characterize applies to the V cut")
     trees = enumerate_jaeger_trees(g, cut)
     payload: dict = {"cut": args.cut.upper(), "count": len(trees),
                      "trees": [sorted(t) for t in trees]}
     lines = [" ".join(sorted(t)) for t in trees] if (args.list or not args.orders) else []
     if args.orders or args.characterize:
+        # E-cut trees are the V-cut trees of the reversed setup, whose
+        # violet and emerald tours are theirs
+        steps = shelling(g if cut == VCUT else g.reversed_setup(), trees)
         detail = []
-        for t in trees:
-            entry = {"tree": sorted(t)}
-            for flavor in (VIOLET, EMERALD):
-                to = t_order(g, t, flavor, cut=cut)
-                entry[f"{flavor}_edge_order"] = list(to.edge_order)
-                entry[f"{flavor}_class_order"] = list(to.class_order)
-            # the loop ends on the emerald T-order
-            entry["semi_passive_emerald_order"] = sorted(
-                semi_passive_edges(g, t, to.edge_order))
+        for step in steps:
+            entry = {"tree": sorted(step.tree)}
+            for to in (step.violet, step.emerald):
+                entry[f"{to.flavor}_edge_order"] = list(to.edge_order)
+                entry[f"{to.flavor}_class_order"] = list(to.class_order)
+            entry["semi_passive_emerald_order"] = sorted(step.semi_passive)
             detail.append(entry)
         payload["orders"] = detail
         if not args.json:
             for entry in detail:
                 lines.append(json.dumps(entry))
     if args.characterize:
-        if cut != VCUT:
-            raise GraphFormatError("--characterize applies to the V cut")
-        for i in range(len(trees)):
-            characterize_tree(g, trees, i)
+        for step in steps:
+            characterize_tree(g, step)
         payload["five_way_agreement"] = True
         lines.append("base-cut order lemma and five-way characterization: "
                      "agreement on every edge")
@@ -159,28 +158,25 @@ def cmd_jaeger(args) -> int:
 
 def cmd_polytope(args) -> int:
     g = _load_graph(args)
-    cut = VCUT if args.cut.upper() == "V" else ECUT
-    trees = enumerate_jaeger_trees(g, cut)
-    if cut == ECUT:
+    if args.cut.upper() == "E":
         # geometric checks are phrased for V-cut trees in violet order
         g = g.reversed_setup()
-        trees = enumerate_jaeger_trees(g, VCUT)
     ok = True
     payload: dict = {"check": args.verify}
     if args.verify in ("dissection", "triangulation"):
-        rep = verify_dissection(
-            g, trees, certify_pairs=len(g.edge_ids) <= GEOMETRY_EDGE_LIMIT)
+        rep = verify_dissection(g, shelling(g, enumerate_jaeger_trees(g, VCUT)))
         payload.update(rep)
         payload["witnesses"] = rep["witnesses"]
         ok = rep["is_dissection"] if args.verify == "dissection" else rep["is_triangulation"]
     elif args.verify == "shelling":
-        h = shelling_h_vector(g, trees)
+        steps = shelling(g, enumerate_jaeger_trees(g, VCUT))
+        h = shelling_h_vector(steps)
         payload["h_vector"] = list(h)
         interior = interior_polynomial(g, EMERALD)
         payload["interior"] = interior.to_json()
         ok = h == interior.coeffs
         if len(g.edge_ids) <= GEOMETRY_EDGE_LIMIT:
-            geo = geometric_shelling_check(g, trees)
+            geo = geometric_shelling_check(g, steps)
             payload["geometric"] = geo
             ok = ok and geo["ok"]
     else:  # ehrhart or kato

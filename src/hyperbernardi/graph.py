@@ -97,7 +97,6 @@ class RibbonGraph:
             node_set.update(nodes)
         self.nodes = tuple(sorted(node_set))
         self.edge_ids = tuple(sorted(self.edges))
-        self.edge_pos = {e: i for i, e in enumerate(self.edge_ids)}
         if not self.edges:
             raise ValidationError("graph must have at least one edge")
 

@@ -214,11 +214,35 @@ def semi_passive_edges(g: RibbonBipartiteGraph, tree: frozenset[str],
     return frozenset(out)
 
 
-def characterize_tree(g: RibbonBipartiteGraph, trees_in_violet_order,
-                      index: int) -> dict[str, dict[str, bool]]:
+@dataclass(frozen=True)
+class ShellingStep:
+    """One V-cut Jaeger tree of the shelling in violet order: both
+    T-orders, the semi-passive edges under the emerald T-order, and the
+    divergence edge with each earlier tree, in order."""
+    tree: frozenset[str]
+    violet: TOrder
+    emerald: TOrder
+    semi_passive: frozenset[str]
+    divergences: tuple[str, ...]
+
+
+def shelling(g: RibbonBipartiteGraph, trees_in_violet_order) -> list[ShellingStep]:
+    """The shelling record of the V-cut Jaeger trees, one step per tree;
+    the characterization, dissection and shelling checks read it."""
+    trees = [frozenset(t) for t in trees_in_violet_order]
+    steps = []
+    for i, tree in enumerate(trees):
+        emerald = t_order(g, tree, EMERALD, cut=VCUT)
+        steps.append(ShellingStep(
+            tree, t_order(g, tree, VIOLET, cut=VCUT), emerald,
+            semi_passive_edges(g, tree, emerald.edge_order),
+            tuple(divergence_edge(g, earlier, tree, cut=VCUT) for earlier in trees[:i])))
+    return steps
+
+
+def characterize_tree(g: RibbonBipartiteGraph, step: ShellingStep) -> dict[str, dict[str, bool]]:
     """The five equivalent descriptions of an internally semi-passive
-    edge, keyed by edge, for every edge of the V-cut Jaeger tree
-    ``index`` of the violet-ordered list.
+    edge, keyed by edge, for every edge of the tree of one shelling step.
 
     Each edge is also checked against the base-cut order lemma: in the
     violet order, a cut edge with its violet end on the base side
@@ -228,14 +252,10 @@ def characterize_tree(g: RibbonBipartiteGraph, trees_in_violet_order,
     """
     from .bernardi import TheoremViolation
 
-    tree = trees_in_violet_order[index]
-    first_differences = {divergence_edge(g, earlier, tree, cut=VCUT)
-                         for earlier in trees_in_violet_order[:index]}
-    em_order = t_order(g, tree, EMERALD, cut=VCUT)
-    vrank = t_order(g, tree, VIOLET, cut=VCUT).edge_rank()
-    semi_passive = semi_passive_edges(g, tree, em_order.edge_order)
+    tree = step.tree
+    vrank = step.violet.edge_rank()
     _, inactive = internal_inactivity(g, EMERALD, g.degree_vector(tree, EMERALD),
-                                      em_order.class_order)
+                                      step.emerald.class_order)
 
     reports = {}
     for eps in sorted(tree):
@@ -250,8 +270,8 @@ def characterize_tree(g: RibbonBipartiteGraph, trees_in_violet_order,
                 raise TheoremViolation("base-cut bound failed")
 
         report = {
-            "first_difference": eps in first_differences,
-            "semi_passive_emerald_order": eps in semi_passive,
+            "first_difference": eps in step.divergences,
+            "semi_passive_emerald_order": eps in step.semi_passive,
             "violet_in_base_and_inactive_end":
                 violet_in_base and g.emerald_end(eps) in inactive,
             "not_largest_in_cut_violet_order":

@@ -14,11 +14,12 @@ operations require a simple bipartite graph.
 from __future__ import annotations
 
 from fractions import Fraction
+from graphlib import CycleError, TopologicalSorter
 from itertools import combinations
 
 from .exactla import binomial, det_bareiss, solve_exact
-from .graph import EMERALD, VIOLET, RibbonBipartiteGraph
-from .hypertree import Poly
+from .graph import EMERALD, VIOLET, RibbonBipartiteGraph, UnionFind
+from .hypertree import Poly, enumerate_hypertrees
 
 Point = tuple[Fraction, ...]
 
@@ -123,35 +124,23 @@ def simplex_contains(g: RibbonBipartiteGraph, tree: frozenset[str], p: Point,
 
 def trees_compatible(g: RibbonBipartiteGraph, t1: frozenset[str],
                      t2: frozenset[str]) -> bool:
-    """No cycle alternates between the two trees (shared edges may serve
-    on either side); equivalent to the simplices meeting in a common face."""
+    """Whether the two tree simplices meet in a common face (Postnikov
+    2009, section 12): with the shared edges contracted, t1-only edges
+    oriented emerald to violet and t2-only edges violet to emerald must
+    form an acyclic digraph."""
     _require_simple(g)
-    if t1 == t2:
-        return True
-
-    def usable(edge: str, parity: int) -> bool:
-        return edge in (t1 if parity == 0 else t2)
-
-    nodes = g.nodes
-    for start in nodes:
-        # depth-first search over simple alternating closed walks
-        stack = [(start, 0, [start], [])]
-        while stack:
-            node, parity, path, edges_used = stack.pop()
-            for e in g.incident(node):
-                if not usable(e, parity):
-                    continue
-                if e in edges_used:
-                    continue
-                nxt = g.other_end(e, node)
-                if nxt == start and len(edges_used) >= 1:
-                    if (len(edges_used) + 1) % 2 == 0:
-                        return False  # alternating cycle found
-                    continue
-                if nxt in path:
-                    continue
-                stack.append((nxt, 1 - parity, path + [nxt],
-                              edges_used + [e]))
+    uf = UnionFind(g.nodes)
+    for e in t1 & t2:
+        uf.union(*g.edges[e])
+    preds: dict[str, set] = {}
+    for e in t1 ^ t2:
+        emerald, violet = (uf.find(x) for x in g.edges[e])
+        tail, head = (emerald, violet) if e in t1 else (violet, emerald)
+        preds.setdefault(head, set()).add(tail)
+    try:
+        TopologicalSorter(preds).prepare()
+    except CycleError:
+        return False
     return True
 
 
@@ -191,22 +180,18 @@ def certify_disjoint_interiors(g: RibbonBipartiteGraph,
     return all(functional_on_edge(g, weights, e) <= 0 for e in earlier)
 
 
-def verify_dissection(g: RibbonBipartiteGraph, trees,
-                      certify_pairs: bool = True) -> dict:
-    """Marker counts and placement for a claimed dissection.
+def verify_dissection(g: RibbonBipartiteGraph, steps) -> dict:
+    """Marker counts and placement for a claimed dissection, given as the
+    shelling record (jaeger.shelling) of V-cut Jaeger trees in violet
+    order.
 
     Checks that the tree count matches both hypertree counts, that each
     emerald and violet marker lies strictly inside exactly one simplex,
-    and (optionally, intended for small instances) that tour-divergence
-    functionals certify pairwise interior-disjointness.  The pair
-    certificates assume the trees are V-cut Jaeger trees listed in
-    violet order.
+    and that tour-divergence functionals certify pairwise
+    interior-disjointness.
     """
-    from .hypertree import enumerate_hypertrees
-    from .jaeger import divergence_edge
-
     _require_simple(g)
-    trees = [frozenset(t) for t in trees]
+    trees = [s.tree for s in steps]
     simplices = [TreeSimplex(g, t) for t in trees]
     b_e = enumerate_hypertrees(g, EMERALD)
     b_v = enumerate_hypertrees(g, VIOLET)
@@ -230,26 +215,21 @@ def verify_dissection(g: RibbonBipartiteGraph, trees,
                      "strictly_inside": hits})
     report["markers_in_unique_simplex"] = placement_ok
 
-    if certify_pairs:
-        certified = True
-        for i, j in combinations(range(len(trees)), 2):
-            eps = divergence_edge(g, trees[i], trees[j], cut=VIOLET)
+    certified = True
+    for j, step in enumerate(steps):
+        for i, eps in enumerate(step.divergences):
             earlier, later = (trees[i], trees[j]) if eps in trees[j] else (trees[j], trees[i])
             if not certify_disjoint_interiors(g, earlier, later, eps):
                 certified = False
                 report["witnesses"].append(
                     {"kind": "pair", "trees": [sorted(earlier), sorted(later)],
                      "divergence": eps})
-        report["interiors_disjoint_certified"] = certified
-    else:
-        certified = None
-        report["interiors_disjoint_certified"] = None
+    report["interiors_disjoint_certified"] = certified
 
     pairwise_compatible = all(
         trees_compatible(g, a, b) for a, b in combinations(trees, 2))
     report["is_triangulation"] = report["counts_match"] and placement_ok and pairwise_compatible
-    report["is_dissection"] = bool(
-        report["counts_match"] and placement_ok and (certified is not False))
+    report["is_dissection"] = report["counts_match"] and placement_ok and certified
     return report
 
 
@@ -331,70 +311,52 @@ def facet_cover_status(piece: list[Point], simplices: list[TreeSimplex]) -> str:
     return "mixed"
 
 
-def geometric_shelling_check(g: RibbonBipartiteGraph, trees) -> dict:
-    """Facet-by-facet geometric verification of the shelling order.
+def geometric_shelling_check(g: RibbonBipartiteGraph, steps) -> dict:
+    """Facet-by-facet geometric verification of the shelling record
+    (jaeger.shelling) of V-cut Jaeger trees in violet order.
 
-    For each tree in violet order and each tree edge: a facet whose edge
-    is internally semi-passive (emerald T-order) must be covered by the
-    earlier simplices; a semi-active facet's interior must be disjoint
-    from them (certified by the tour-divergence functionals).
+    For each tree and each tree edge: a facet whose edge is internally
+    semi-passive (emerald T-order) must be covered by the earlier
+    simplices; a semi-active facet's interior must be disjoint from them
+    (certified by the tour-divergence functional of each earlier tree).
     """
-    from .jaeger import divergence_edge, semi_passive_edges, t_order
-
     _require_simple(g)
-    trees = [frozenset(t) for t in trees]
+    trees = [s.tree for s in steps]
     simplices = [TreeSimplex(g, t) for t in trees]
     failures = []
-    for i, tree in enumerate(trees):
-        em_order = t_order(g, tree, EMERALD, cut=VIOLET)
-        semi = semi_passive_edges(g, tree, em_order.edge_order)
-        divergences = {}
-        for j in range(i):
-            eps = divergence_edge(g, trees[j], tree, cut=VIOLET)
-            if eps not in tree or eps in trees[j]:
+    for i, step in enumerate(steps):
+        tree = step.tree
+        certified = {}  # earlier tree -> its pair certificate holds
+        for j, eps_j in enumerate(step.divergences):
+            if eps_j in trees[j]:
                 failures.append({"kind": "divergence-side", "tree": i, "earlier": j})
-                continue
-            divergences[j] = eps
+            else:
+                certified[j] = certify_disjoint_interiors(g, trees[j], tree, eps_j)
         for eps in sorted(tree):
-            facet = [vertex_point(g, e) for e in sorted(tree - {eps})]
-            if eps in semi:
+            if eps in step.semi_passive:
+                facet = [vertex_point(g, e) for e in sorted(tree - {eps})]
                 status = facet_cover_status(facet, simplices[:i])
                 if status != "covered":
                     failures.append({"kind": "uncovered-facet", "tree": i,
                                      "edge": eps, "status": status})
-            else:
-                for j in range(i):
-                    eps_j = divergences.get(j)
-                    if eps_j == eps or eps_j is None:
-                        failures.append({"kind": "active-facet-hit",
-                                         "tree": i, "earlier": j, "edge": eps})
-                        continue
-                    weights = separating_functional(g, tree, eps_j)
-                    bad = (functional_on_edge(g, weights, eps_j) != 2
-                           or any(functional_on_edge(g, weights, e) > 0
-                                  for e in trees[j]))
-                    if bad:
-                        failures.append({"kind": "separation-failed",
-                                         "tree": i, "earlier": j, "edge": eps})
+                continue
+            for j, eps_j in enumerate(step.divergences):
+                if j not in certified or eps_j == eps:
+                    failures.append({"kind": "active-facet-hit",
+                                     "tree": i, "earlier": j, "edge": eps})
+                elif not certified[j]:
+                    failures.append({"kind": "separation-failed",
+                                     "tree": i, "earlier": j, "edge": eps})
     return {"ok": not failures, "failures": failures}
 
 
-def shelling_h_vector(g: RibbonBipartiteGraph, trees) -> tuple[int, ...]:
+def shelling_h_vector(steps) -> tuple[int, ...]:
     """Combinatorial h-vector: a_i counts trees with i internally
     semi-passive edges under their own emerald T-order.  The input must
-    be the V-cut Jaeger trees in violet order."""
-    from .jaeger import semi_passive_edges, t_order
-
-    counts: dict[int, int] = {}
-    trees = [frozenset(t) for t in trees]
-    for i, tree in enumerate(trees):
-        em_order = t_order(g, tree, EMERALD, cut=VIOLET)
-        k = len(semi_passive_edges(g, tree, em_order.edge_order))
-        if i == 0 and k != 0:
-            raise AssertionError("first tree of a shelling has no covered facets")
-        counts[k] = counts.get(k, 0) + 1
-    top = max(counts) if counts else 0
-    return tuple(counts.get(i, 0) for i in range(top + 1))
+    be the shelling record of the V-cut Jaeger trees in violet order."""
+    if steps and steps[0].semi_passive:
+        raise AssertionError("first tree of a shelling has no covered facets")
+    return Poly.counting(len(s.semi_passive) for s in steps).coeffs
 
 
 # -- volumes ---------------------------------------------------------------

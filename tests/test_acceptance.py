@@ -32,7 +32,8 @@ from hyperbernardi.hypertree import (enumerate_hypertrees,
                                      interior_polynomial, tutte_check)
 from hyperbernardi.jaeger import (ECUT, VCUT, characterize_tree,
                                   enumerate_jaeger_trees,
-                                  graph_activity_matching, is_jaeger_tree)
+                                  graph_activity_matching, is_jaeger_tree,
+                                  shelling)
 from hyperbernardi.polytope import (TreeSimplex, certify_disjoint_interiors,
                                     ehrhart_values, fit_binomial_coefficients,
                                     geometric_shelling_check,
@@ -57,6 +58,7 @@ class Bundle:
                                 (HT_V_CUT_V, self.b_v), (HT_V_CUT_E, self.b_v)):
             self.runs[variant] = [run_bernardi(g, f, variant) for f in family]
         self.vcut = enumerate_jaeger_trees(g, VCUT)
+        self.steps = shelling(g, self.vcut)
         self.ecut = enumerate_jaeger_trees(g, ECUT)
 
 
@@ -189,14 +191,14 @@ def test_criterion_07_shelling(bundles):
     g = fx.graph
     trees = enumerate_jaeger_trees(g, VCUT)
     assert trees == fx.value("vcut_jaeger_violet_order")
-    assert shelling_h_vector(g, trees) == (1, 3, 3)
+    assert shelling_h_vector(shelling(g, trees)) == (1, 3, 3)
     checked = 0
     for b in bundles:
         if len(b.g.edge_ids) > 8:
             continue
-        geo = geometric_shelling_check(b.g, b.vcut)
+        geo = geometric_shelling_check(b.g, b.steps)
         assert geo["ok"], geo["failures"]
-        assert shelling_h_vector(b.g, b.vcut) == \
+        assert shelling_h_vector(b.steps) == \
             interior_polynomial(b.g, EMERALD, hypertrees=b.b_e).coeffs
         checked += 1
     assert checked >= 10
@@ -209,7 +211,7 @@ def test_criterion_08_five_way_equivalence(bundles):
     for b in bundles:
         for i in range(len(b.vcut)):
             # raises on a lemma failure or a disagreement
-            edges_checked += len(characterize_tree(b.g, b.vcut, i))
+            edges_checked += len(characterize_tree(b.g, b.steps[i]))
     report(8, f"five descriptions agree on {edges_checked} tree edges, "
               "zero disagreements")
 

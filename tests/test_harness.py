@@ -18,7 +18,7 @@ from hyperbernardi.fixtures import (Fixture, load, noncrossing_setup,
                                     running_graph)
 from hyperbernardi.generators import random_bipartite, random_ordinary
 from hyperbernardi.graph import EMERALD, VIOLET, RibbonBipartiteGraph, bip
-from hyperbernardi.jaeger import VCUT, semi_passive_edges, t_order
+from hyperbernardi.jaeger import ECUT, VCUT, semi_passive_edges, t_order
 from hyperbernardi.polytope import TreeSimplex, facet_cover_status
 
 
@@ -109,6 +109,44 @@ def test_campaign_reuses_runs(monkeypatch):
     assert not rep.failed and not rep.flagged, rep.summary()
     # four variants in well-definedness, four runs per composition check
     assert len(calls) == 8 * len(enumerate_hypertrees(g, "emerald"))
+
+
+def test_campaign_builds_one_shelling_record(monkeypatch):
+    """Within the geometry limit, the characterization, the dissection
+    and both shelling checks read one record: each pair's divergence is
+    walked once, and each tree's emerald T-order and semi-passive set
+    are computed once."""
+    from hyperbernardi import jaeger
+    from hyperbernardi.campaign import GEOMETRY_EDGE_LIMIT
+    pairs, emerald, semi = [], [], []
+    divergence_edge, t_order, semi_passive_edges = (
+        jaeger.divergence_edge, jaeger.t_order, jaeger.semi_passive_edges)
+
+    def counting_divergence(g, t1, t2, **kwargs):
+        pairs.append(frozenset((t1, t2)))
+        return divergence_edge(g, t1, t2, **kwargs)
+
+    def counting_order(g, tree, flavor, cut=None):
+        if flavor == EMERALD:
+            emerald.append(tree)
+        return t_order(g, tree, flavor, cut)
+
+    def counting_semi(g, tree, edge_order):
+        semi.append(tree)
+        return semi_passive_edges(g, tree, edge_order)
+    monkeypatch.setattr(jaeger, "divergence_edge", counting_divergence)
+    monkeypatch.setattr(jaeger, "t_order", counting_order)
+    monkeypatch.setattr(jaeger, "semi_passive_edges", counting_semi)
+    g = random_bipartite(5, 4, 4, 8)
+    assert len(g.edge_ids) <= GEOMETRY_EDGE_LIMIT
+    rep = campaign_verify_all(g)
+    assert not rep.failed and not rep.flagged, rep.summary()
+    assert "geometric-shelling" in [c["name"] for c in rep.checks]
+    trees = jaeger.enumerate_jaeger_trees(g, VCUT)
+    assert len(trees) == 5
+    assert sorted(map(sorted, emerald)) == sorted(map(sorted, trees))
+    assert sorted(map(sorted, semi)) == sorted(map(sorted, trees))
+    assert len(pairs) == len(set(pairs)) == 10
 
 
 def test_conjecture_flag_is_reverified(monkeypatch):
@@ -324,6 +362,16 @@ def test_lemma_failure_fails_verify_and_characterize(monkeypatch, capsys,
     assert message in capsys.readouterr().err
 
 
+def test_cli_characterize_rejects_e_cut_first(monkeypatch, graph_file):
+    from hyperbernardi import cli
+
+    def no_enumeration(*args):
+        raise AssertionError("enumerated before rejecting --cut E")
+    monkeypatch.setattr(cli, "enumerate_jaeger_trees", no_enumeration)
+    assert cli.main(["jaeger", "--graph", graph_file, "--cut", "E",
+                     "--characterize"]) == cli.EXIT_INPUT_ERROR
+
+
 def test_cli_fuzz():
     proc = run_cli("fuzz", "--instances", "6", "--seed", "3", "--json")
     payload = json.loads(proc.stdout)
@@ -340,11 +388,17 @@ def test_cli_jaeger_orders(graph_file):
                           "semi_passive_emerald_order"}
     assert len(entry["violet_edge_order"]) == 9
     g = running_graph().graph
-    for entry in payload["orders"]:
-        tree = frozenset(entry["tree"])
-        emerald = t_order(g, tree, EMERALD, cut=VCUT).edge_order
-        assert entry["semi_passive_emerald_order"] == sorted(
-            semi_passive_edges(g, tree, emerald))
+    for cut, tag in ((VCUT, "V"), (ECUT, "E")):
+        proc = run_cli("jaeger", "--graph", graph_file, "--cut", tag,
+                       "--orders", "--json")
+        for entry in json.loads(proc.stdout)["orders"]:
+            tree = frozenset(entry["tree"])
+            for flavor in (VIOLET, EMERALD):
+                to = t_order(g, tree, flavor, cut=cut)
+                assert entry[f"{flavor}_edge_order"] == list(to.edge_order)
+                assert entry[f"{flavor}_class_order"] == list(to.class_order)
+            assert entry["semi_passive_emerald_order"] == sorted(
+                semi_passive_edges(g, tree, to.edge_order))
 
 
 def test_exit_code_mapping(monkeypatch, capsys, graph_file):

@@ -10,7 +10,8 @@ from hyperbernardi.hypertree import enumerate_hypertrees, internal_inactivity
 from hyperbernardi.jaeger import (ECUT, VCUT, characterize_tree, compare_trees,
                                   divergence_edge, enumerate_jaeger_trees,
                                   graph_activity_matching, is_jaeger_tree,
-                                  jaeger_cuts, semi_passive_edges, t_order)
+                                  jaeger_cuts, semi_passive_edges, shelling,
+                                  t_order)
 
 
 def test_is_jaeger_tree_running(running_fixture):
@@ -180,23 +181,33 @@ def characterize_edge_reference(g, trees, index, eps):
 
 
 def test_characterize_edges(c4_fixture, running_fixture, knot_fixture):
+    """Each shelling step holds its tree's T-orders, semi-passive set and
+    divergences, and characterizes its edges as the reference does."""
     graphs = [c4_fixture.graph, running_fixture.graph, knot_fixture.graph]
     graphs += [random_bipartite(seed, 4, 4, 10) for seed in range(20)]
     graphs += [bip(random_ordinary(seed, 5, 7)) for seed in range(8)]
     answers = set()
     for g in graphs:
         trees = enumerate_jaeger_trees(g, VCUT)
+        steps = shelling(g, trees)
+        assert [step.tree for step in steps] == trees
         for i, tree in enumerate(trees):
+            emerald = t_order(g, tree, EMERALD, cut=VCUT)
+            assert steps[i].violet == t_order(g, tree, VIOLET, cut=VCUT)
+            assert steps[i].emerald == emerald
+            assert steps[i].semi_passive == semi_passive_edges(g, tree, emerald.edge_order)
+            assert steps[i].divergences == tuple(
+                divergence_edge(g, earlier, tree, cut=VCUT) for earlier in trees[:i])
             want = {eps: characterize_edge_reference(g, trees, i, eps)
                     for eps in sorted(tree)}
-            assert characterize_tree(g, trees, i) == want
+            assert characterize_tree(g, steps[i]) == want
             answers.update(r["first_difference"] for r in want.values())
     assert answers == {False, True}  # both answers occur
     # nothing precedes the first tree, so description (i) must be false
     g = knot_fixture.graph
     trees = enumerate_jaeger_trees(g, VCUT)
     assert not any(r["first_difference"]
-                   for r in characterize_tree(g, trees, 0).values())
+                   for r in characterize_tree(g, shelling(g, trees)[0]).values())
 
 
 def test_characterize_tree_reports_disagreement(monkeypatch, running_fixture):
@@ -204,8 +215,8 @@ def test_characterize_tree_reports_disagreement(monkeypatch, running_fixture):
     trees = enumerate_jaeger_trees(g, VCUT)
     monkeypatch.setattr(jaeger, "semi_passive_edges", lambda *args: frozenset())
     with pytest.raises(TheoremViolation, match="five-way characterization disagrees"):
-        for i in range(len(trees)):
-            characterize_tree(g, trees, i)
+        for step in shelling(g, trees):
+            characterize_tree(g, step)
 
 
 def test_divergence_edge(c4_fixture):

@@ -1,6 +1,7 @@
 """Exact root-polytope geometry: markers, dissections, shellings, Ehrhart."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -12,8 +13,9 @@ from hyperbernardi.generators import random_bipartite
 from hyperbernardi.graph import EMERALD, VIOLET, RibbonBipartiteGraph
 from hyperbernardi.hypertree import (Poly, enumerate_hypertrees,
                                      interior_polynomial)
-from hyperbernardi.jaeger import VCUT, enumerate_jaeger_trees
-from hyperbernardi.polytope import (TreeSimplex, ehrhart_fit, ehrhart_values,
+from hyperbernardi.jaeger import VCUT, enumerate_jaeger_trees, shelling
+from hyperbernardi.polytope import (TreeSimplex, certify_disjoint_interiors,
+                                    ehrhart_fit, ehrhart_values,
                                     ehrhart_values_scan,
                                     fit_binomial_coefficients,
                                     geometric_shelling_check,
@@ -91,31 +93,34 @@ def test_compatibility_matches_geometry(c4_fixture):
 
 
 def test_compatibility_matches_geometry_random():
-    for seed in (0, 2, 5, 9):
-        g = random_bipartite(seed, 3, 3, 6)
+    answers = []
+    for seed in range(6):
+        g = random_bipartite(seed, 3, 3, 7)
         trees = list(g.spanning_trees())
         for t1, t2 in combinations(trees, 2):
-            assert trees_compatible(g, t1, t2) == \
+            answers.append(trees_compatible(g, t1, t2))
+            assert answers[-1] == \
                 intersection_is_common_face(g, t1, t2), (seed, sorted(t1), sorted(t2))
+    assert set(answers) == {False, True}  # both answers occur
 
 
 def test_dissection_verdicts(knot_fixture, c4_fixture):
     g = knot_fixture.graph
     trees = enumerate_jaeger_trees(g, VCUT)
-    rep = verify_dissection(g, trees, certify_pairs=True)
+    rep = verify_dissection(g, shelling(g, trees))
     assert rep["is_dissection"]
     assert not rep["is_triangulation"]
     assert rep["interiors_disjoint_certified"]
 
     c = c4_fixture.graph
-    rep = verify_dissection(c, enumerate_jaeger_trees(c, VCUT))
+    rep = verify_dissection(c, shelling(c, enumerate_jaeger_trees(c, VCUT)))
     assert rep["is_dissection"] and rep["is_triangulation"]
 
 
 def test_dissection_missing_tree_witness(knot_fixture):
     g = knot_fixture.graph
     trees = enumerate_jaeger_trees(g, VCUT)[:-1]
-    rep = verify_dissection(g, trees, certify_pairs=False)
+    rep = verify_dissection(g, shelling(g, trees))
     assert not rep["is_dissection"]
     assert not rep["counts_match"]
     uncovered = [w for w in rep["witnesses"]
@@ -125,21 +130,53 @@ def test_dissection_missing_tree_witness(knot_fixture):
 
 def test_shelling_h_vectors(knot_fixture, c4_fixture, single_edge_fixture):
     g = knot_fixture.graph
-    assert shelling_h_vector(g, enumerate_jaeger_trees(g, VCUT)) == (1, 3, 3)
+    assert shelling_h_vector(shelling(g, enumerate_jaeger_trees(g, VCUT))) == (1, 3, 3)
     c = c4_fixture.graph
-    assert shelling_h_vector(c, enumerate_jaeger_trees(c, VCUT)) == (1, 1)
+    assert shelling_h_vector(shelling(c, enumerate_jaeger_trees(c, VCUT))) == (1, 1)
     s = single_edge_fixture.graph
-    assert shelling_h_vector(s, enumerate_jaeger_trees(s, VCUT)) == (1,)
+    assert shelling_h_vector(shelling(s, enumerate_jaeger_trees(s, VCUT))) == (1,)
 
 
 def test_geometric_shelling(c4_fixture, running_fixture):
     c = c4_fixture.graph
-    rep = geometric_shelling_check(c, enumerate_jaeger_trees(c, VCUT))
+    rep = geometric_shelling_check(c, shelling(c, enumerate_jaeger_trees(c, VCUT)))
     assert rep["ok"], rep["failures"]
     # nine edges: beyond the acceptance bound but still tractable here
     g = running_fixture.graph
-    rep = geometric_shelling_check(g, enumerate_jaeger_trees(g, VCUT))
+    trees = enumerate_jaeger_trees(g, VCUT)
+    rep = geometric_shelling_check(g, shelling(g, trees))
     assert rep["ok"], rep["failures"]
+    # reversed, the divergence edges lie in the earlier trees and the
+    # first tree has facets that nothing covers
+    steps = shelling(g, trees[::-1])
+    rep = geometric_shelling_check(g, steps)
+    assert {f["kind"] for f in rep["failures"]} == {"divergence-side", "uncovered-facet",
+                                                    "active-facet-hit"}
+    with pytest.raises(AssertionError, match="first tree"):
+        shelling_h_vector(steps)
+
+
+def test_tampered_records_fail_certificates(running_fixture):
+    """A divergence edge whose functional does not separate the pair
+    fails the dissection's and the shelling's certificates; a tree whose
+    semi-passive edges are dropped has active facets at its divergences."""
+    g = running_fixture.graph
+    steps = shelling(g, enumerate_jaeger_trees(g, VCUT))
+    divergences = list(steps[5].divergences)
+    assert divergences[1] == "e0v0"
+    assert not certify_disjoint_interiors(g, steps[1].tree, steps[5].tree, "e3v0")
+    divergences[1] = "e3v0"
+    steps[5] = replace(steps[5], divergences=tuple(divergences))
+    rep = verify_dissection(g, steps)
+    assert rep["interiors_disjoint_certified"] is False and not rep["is_dissection"]
+    assert [w["divergence"] for w in rep["witnesses"]] == ["e3v0"]
+    rep = geometric_shelling_check(g, steps)
+    assert "separation-failed" in {f["kind"] for f in rep["failures"]}
+    steps = shelling(g, enumerate_jaeger_trees(g, VCUT))
+    steps[6] = replace(steps[6], semi_passive=frozenset())
+    rep = geometric_shelling_check(g, steps)
+    assert {(f["kind"], f["edge"]) for f in rep["failures"]} == {
+        ("active-facet-hit", e) for e in steps[6].divergences}
 
 
 def test_geometric_shelling_random_small():
@@ -148,10 +185,10 @@ def test_geometric_shelling_random_small():
         g = random_bipartite(seed, 4, 4, 8)
         if len(g.edge_ids) > 8:
             continue
-        trees = enumerate_jaeger_trees(g, VCUT)
-        rep = geometric_shelling_check(g, trees)
+        steps = shelling(g, enumerate_jaeger_trees(g, VCUT))
+        rep = geometric_shelling_check(g, steps)
         assert rep["ok"], (seed, rep["failures"])
-        h = shelling_h_vector(g, trees)
+        h = shelling_h_vector(steps)
         assert h == interior_polynomial(g, EMERALD).coeffs, seed
         checked += 1
     assert checked >= 15
@@ -289,7 +326,7 @@ def test_h_vector_chain_random():
         g = random_bipartite(seed, 3, 4, 8)
         interior = interior_polynomial(g, EMERALD)
         trees = enumerate_jaeger_trees(g, VCUT)
-        h = shelling_h_vector(g, trees)
+        h = shelling_h_vector(shelling(g, trees))
         assert h == interior.coeffs, seed
         d = len(g.nodes) - 2
         values = ehrhart_values(g, d)
