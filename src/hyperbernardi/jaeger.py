@@ -142,7 +142,13 @@ def divergence_edge(g: RibbonBipartiteGraph, t1: frozenset[str], t2: frozenset[s
     """
     if not (g.is_spanning_tree(t1) and g.is_spanning_tree(t2)):
         raise ValueError("not a spanning tree")
-    setup = tour_setup(g, cut, cut if flavor is None else flavor)
+    return _tour_divergence(tour_setup(g, cut, cut if flavor is None else flavor), t1, t2)
+
+
+def _tour_divergence(setup: RibbonBipartiteGraph, t1: frozenset[str],
+                     t2: frozenset[str]) -> str:
+    """divergence_edge on the tours of ``setup``, for trees the caller
+    has already checked to be spanning."""
     for p1, p2 in zip(setup.tour_pairs(t1), setup.tour_pairs(t2)):
         if p1 != p2:
             raise AssertionError("tours diverged without an edge decision")
@@ -236,7 +242,7 @@ def shelling(g: RibbonBipartiteGraph, trees_in_violet_order) -> list[ShellingSte
         steps.append(ShellingStep(
             tree, t_order(g, tree, VIOLET, cut=VCUT), emerald,
             semi_passive_edges(g, tree, emerald.edge_order),
-            tuple(divergence_edge(g, earlier, tree, cut=VCUT) for earlier in trees[:i])))
+            tuple(_tour_divergence(g, earlier, tree) for earlier in trees[:i])))
     return steps
 
 

@@ -2,10 +2,13 @@
 
 The root polytope of a bipartite graph is the convex hull of the points
 e + v over its edges; maximal simplices correspond to spanning trees.
-Everything here runs over exact rationals: marker containment, the
-separating functionals that certify pairwise interior-disjointness of a
-dissection, facet-coverage for shelling orders, Ehrhart counting and
-the binomial-basis fit.
+Everything here is exact.  The hot kernels run on plain ints: marker
+containment (markers scaled by |E||V| to integer points, peeled on the
+tree), simplex volumes (incidence-row determinants), Ehrhart counting
+(dilate points packed into one int each) and the +/-1 separating
+functionals that certify pairwise interior-disjointness of a
+dissection.  Facet coverage for shelling orders, the binomial-basis fit
+and the brute-force oracles run over ``Fraction``.
 
 Parallel edges collapse to one polytope vertex, so the geometric
 operations require a simple bipartite graph.
@@ -45,23 +48,22 @@ def vertex_point(g: RibbonBipartiteGraph, edge: str) -> Point:
     return tuple(coords)
 
 
+def scaled_marker(g: RibbonBipartiteGraph, f: dict[str, int],
+                  side: str = EMERALD) -> tuple[int, ...]:
+    """The marker of a hypertree times |E||V|: f*|side| + 1 on the side's
+    nodes and |side| on the opposite ones, all integers."""
+    idx = node_index(g)
+    own = g.side_nodes(side)
+    coords = [len(own)] * len(g.nodes)
+    for x in own:
+        coords[idx[x]] = f[x] * len(own) + 1
+    return tuple(coords)
+
+
 def marker(g: RibbonBipartiteGraph, f: dict[str, int], side: str = EMERALD) -> Point:
     """The marker point of a hypertree: f/|opp| + i_side/(|E||V|) + i_opp/|opp|."""
-    idx = node_index(g)
-    n_e = len(g.emeralds)
-    n_v = len(g.violets)
-    coords = [Fraction(0)] * len(g.nodes)
-    if side == EMERALD:
-        for x in g.emeralds:
-            coords[idx[x]] = Fraction(f[x], n_v) + Fraction(1, n_e * n_v)
-        for x in g.violets:
-            coords[idx[x]] = Fraction(1, n_v)
-    else:
-        for x in g.violets:
-            coords[idx[x]] = Fraction(f[x], n_e) + Fraction(1, n_e * n_v)
-        for x in g.emeralds:
-            coords[idx[x]] = Fraction(1, n_e)
-    return tuple(coords)
+    scale = len(g.emeralds) * len(g.violets)
+    return tuple(Fraction(c, scale) for c in scaled_marker(g, f, side))
 
 
 class TreeSimplex:
@@ -90,21 +92,23 @@ class TreeSimplex:
         self._peel = [(idx[y], j, idx[x]) for y, j, x in reversed(order[1:])]
         self._root = idx[g.nodes[0]]
 
-    def barycentric(self, p: Point) -> tuple[Fraction, ...] | None:
-        """Coordinates of p in the simplex basis; None when p is outside
-        the affine hull.
-
-        A leaf's edge takes the leaf's remaining coordinate, which is
-        then taken off at the far end; p is off the affine hull exactly
-        when something is left at the last node or the coordinates do
-        not sum to one.
-        """
+    def _peel_point(self, p):
+        """A leaf's edge takes the leaf's remaining coordinate, which is
+        then taken off at the far end: the edge coordinates, and what is
+        left at the last node."""
         rest = list(p)
         lam = [0] * len(self._peel)
         for x, j, y in self._peel:
             lam[j] = rest[x]
             rest[y] -= rest[x]
-        if rest[self._root] != 0 or sum(lam) != 1:
+        return lam, rest[self._root]
+
+    def barycentric(self, p: Point) -> tuple[Fraction, ...] | None:
+        """Coordinates of p in the simplex basis; None when p is outside
+        the affine hull, that is when something is left at the last node
+        or the coordinates do not sum to one."""
+        lam, left = self._peel_point(p)
+        if left != 0 or sum(lam) != 1:
             return None
         return tuple(lam)
 
@@ -115,6 +119,13 @@ class TreeSimplex:
         if strict:
             return all(c > 0 for c in lam)
         return all(c >= 0 for c in lam)
+
+    def strictly_contains_scaled(self, p: tuple[int, ...], scale: int) -> bool:
+        """Whether p/scale lies strictly inside, for an integer point p:
+        nothing is left at the last node, the coordinates sum to scale
+        and every one of them is positive."""
+        lam, left = self._peel_point(p)
+        return left == 0 and sum(lam) == scale and min(lam) > 0
 
 
 def simplex_contains(g: RibbonBipartiteGraph, tree: frozenset[str], p: Point,
@@ -204,10 +215,12 @@ def verify_dissection(g: RibbonBipartiteGraph, steps) -> dict:
     }
 
     placement_ok = True
+    scale = len(g.emeralds) * len(g.violets)
     for side, family in ((EMERALD, b_e), (VIOLET, b_v)):
         for f in family:
-            p = marker(g, f, side)
-            hits = [i for i, s in enumerate(simplices) if s.contains(p, strict=True)]
+            p = scaled_marker(g, f, side)
+            hits = [i for i, s in enumerate(simplices)
+                    if s.strictly_contains_scaled(p, scale)]
             if len(hits) != 1:
                 placement_ok = False
                 report["witnesses"].append(
@@ -363,19 +376,24 @@ def shelling_h_vector(steps) -> tuple[int, ...]:
 
 
 def normalized_simplex_volume(g: RibbonBipartiteGraph, tree: frozenset[str]) -> int:
-    """|det| of the edge-difference matrix in a lattice basis of the
-    direction space of aff(Q_G); equals 1 exactly when the simplex is
-    unimodular (which Ehrhart counting relies on)."""
-    dropped = (g.emeralds[0], g.violets[0])
-    chart = {x: i for i, x in enumerate(x for x in g.nodes if x not in dropped)}
-    verts = []
-    for e in sorted(tree):
-        v = [0] * len(chart)
+    """|det| of the tree's incidence rows with the first violet's
+    coordinate dropped; 0 when the edges hold a cycle.
+
+    Dropping that coordinate maps the lattice of span(Q_G) onto Z^(n-1),
+    and the emerald coordinate sum is a primitive functional equal to 1
+    on aff(Q_G), so this is the normalized volume of the tree simplex.
+    It equals 1 exactly when the simplex is unimodular (which Ehrhart
+    counting relies on)."""
+    dropped = g.violets[0]
+    col = {x: i for i, x in enumerate(x for x in g.nodes if x != dropped)}
+    rows = []
+    for e in tree:
+        row = [0] * len(col)
         for x in g.edges[e]:
-            if x in chart:
-                v[chart[x]] = 1
-        verts.append(v)
-    return abs(det_bareiss([[a - b for a, b in zip(v, verts[0])] for v in verts[1:]]))
+            if x != dropped:
+                row[col[x]] = 1
+        rows.append(row)
+    return abs(det_bareiss(rows))
 
 
 # -- Ehrhart ---------------------------------------------------------------
@@ -388,25 +406,20 @@ def ehrhart_values(g: RibbonBipartiteGraph, kmax: int) -> list[int]:
     this relies on the maximal simplices being unimodular, which
     normalized_simplex_volume checks and the lattice-scan oracle
     cross-checks on small instances.
+
+    Each vector is packed into one int, a digit per node in base
+    kmax + 1.  No coordinate of a point of k*Q_G exceeds k <= kmax, so
+    adding an edge's packed vector never carries, and distinct vectors
+    stay distinct ints.
     """
     _require_simple(g)
+    base = kmax + 1
     idx = node_index(g)
-    n = len(g.nodes)
-    edge_vecs = []
-    for e in g.edge_ids:
-        a, b = g.edges[e]
-        v = [0] * n
-        v[idx[a]] += 1
-        v[idx[b]] += 1
-        edge_vecs.append(tuple(v))
+    steps = [base ** idx[a] + base ** idx[b] for a, b in g.edges.values()]
     values = [1]
-    layer = {tuple([0] * n)}
+    layer = {0}
     for _ in range(kmax):
-        nxt = set()
-        for p in layer:
-            for v in edge_vecs:
-                nxt.add(tuple(a + b for a, b in zip(p, v)))
-        layer = nxt
+        layer = {p + s for p in layer for s in steps}
         values.append(len(layer))
     return values
 

@@ -297,6 +297,23 @@ def test_reversed_setup_round_trip(running_fixture, c4_fixture):
         assert _cyclic_equal(c.reversed_setup().rotations[x], c.rotations[x])
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6))
+def test_transpose_and_reversal_are_involutions(seed):
+    g = random_bipartite(seed, 4, 4, 10)
+    t, rev = g.transpose(), g.reversed_setup()
+    assert (t.emeralds, t.violets) == (g.violets, g.emeralds)
+    assert all(t.color(x) != g.color(x) for x in g.nodes)
+    assert rev.rotations == {x: tuple(reversed(r)) for x, r in g.rotations.items()}
+    assert rev.base_edge == g.prev_edge(g.base_node, g.base_edge)
+    for back in (t.transpose(), rev.reversed_setup()):
+        assert back.edges == g.edges
+        assert (back.emeralds, back.violets) == (g.emeralds, g.violets)
+        assert all(back.color(x) == g.color(x) for x in g.nodes)
+        assert back.rotations == g.rotations
+        assert (back.base_node, back.base_edge) == (g.base_node, g.base_edge)
+
+
 def test_reversed_setup_degree_one_base():
     g = RibbonBipartiteGraph(["e0"], ["v0", "v1"],
                              {"a": ("e0", "v0"), "b": ("e0", "v1")}, None,

@@ -119,12 +119,12 @@ def test_campaign_builds_one_shelling_record(monkeypatch):
     from hyperbernardi import jaeger
     from hyperbernardi.campaign import GEOMETRY_EDGE_LIMIT
     pairs, emerald, semi = [], [], []
-    divergence_edge, t_order, semi_passive_edges = (
-        jaeger.divergence_edge, jaeger.t_order, jaeger.semi_passive_edges)
+    tour_divergence, t_order, semi_passive_edges = (
+        jaeger._tour_divergence, jaeger.t_order, jaeger.semi_passive_edges)
 
-    def counting_divergence(g, t1, t2, **kwargs):
+    def counting_divergence(setup, t1, t2):
         pairs.append(frozenset((t1, t2)))
-        return divergence_edge(g, t1, t2, **kwargs)
+        return tour_divergence(setup, t1, t2)
 
     def counting_order(g, tree, flavor, cut=None):
         if flavor == EMERALD:
@@ -134,7 +134,7 @@ def test_campaign_builds_one_shelling_record(monkeypatch):
     def counting_semi(g, tree, edge_order):
         semi.append(tree)
         return semi_passive_edges(g, tree, edge_order)
-    monkeypatch.setattr(jaeger, "divergence_edge", counting_divergence)
+    monkeypatch.setattr(jaeger, "_tour_divergence", counting_divergence)
     monkeypatch.setattr(jaeger, "t_order", counting_order)
     monkeypatch.setattr(jaeger, "semi_passive_edges", counting_semi)
     g = random_bipartite(5, 4, 4, 8)

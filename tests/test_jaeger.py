@@ -5,7 +5,7 @@ import pytest
 from hyperbernardi import jaeger
 from hyperbernardi.bernardi import HT_E_CUT_V, TheoremViolation, run_bernardi
 from hyperbernardi.generators import random_bipartite, random_ordinary
-from hyperbernardi.graph import EMERALD, VIOLET, RibbonBipartiteGraph, bip
+from hyperbernardi.graph import EMERALD, VIOLET, RibbonBipartiteGraph, RibbonGraph, bip
 from hyperbernardi.hypertree import enumerate_hypertrees, internal_inactivity
 from hyperbernardi.jaeger import (ECUT, VCUT, characterize_tree, compare_trees,
                                   divergence_edge, enumerate_jaeger_trees,
@@ -226,6 +226,22 @@ def test_divergence_edge(c4_fixture):
     assert divergence_edge(g, t4, t2, cut=VCUT) == "c1"
     with pytest.raises(ValueError):
         divergence_edge(g, t4, t4, cut=VCUT)
+
+
+def test_shelling_checks_each_tree_once(monkeypatch, running_fixture):
+    """shelling checks each tree in its two T-orders and walks the pairs'
+    tours without checking the trees again; a bad tree still fails."""
+    g = running_fixture.graph
+    trees = enumerate_jaeger_trees(g, VCUT)
+    checked = []
+    is_spanning_tree = RibbonGraph.is_spanning_tree
+    monkeypatch.setattr(RibbonGraph, "is_spanning_tree",
+                        lambda self, tree: checked.append(tree) or is_spanning_tree(self, tree))
+    steps = shelling(g, trees)
+    assert sum(len(step.divergences) for step in steps) == 21
+    assert len(checked) == 2 * len(trees) == 14
+    with pytest.raises(ValueError, match="spanning tree"):
+        shelling(g, [trees[0], trees[1] - {min(trees[1])}])
 
 
 def divergence_by_full_tours(g, t1, t2, cut, flavor):

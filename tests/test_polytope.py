@@ -8,7 +8,7 @@ from itertools import combinations
 import pytest
 
 from hyperbernardi.exactla import binomial, det_bareiss, solve_exact
-from hyperbernardi.fixtures import c4
+from hyperbernardi.fixtures import c4, noncrossing_setup
 from hyperbernardi.generators import random_bipartite
 from hyperbernardi.graph import EMERALD, VIOLET, RibbonBipartiteGraph
 from hyperbernardi.hypertree import (Poly, enumerate_hypertrees,
@@ -21,7 +21,7 @@ from hyperbernardi.polytope import (TreeSimplex, certify_disjoint_interiors,
                                     geometric_shelling_check,
                                     intersection_is_common_face,
                                     kato_series_check, marker,
-                                    normalized_simplex_volume,
+                                    normalized_simplex_volume, scaled_marker,
                                     shelling_h_vector, simplex_contains,
                                     trees_compatible, verify_dissection,
                                     vertex_point)
@@ -242,22 +242,92 @@ def fraction_det(rows):
     return det
 
 
+def test_scaled_marker_hits_equal_fraction_containment(c4_fixture, running_fixture,
+                                                       knot_fixture):
+    """Integer peeling of markers scaled by |E||V| answers strict
+    containment as the Fraction peeling does, on every spanning tree; so
+    do points off the affine hull (twice a marker, a marker nudged at one
+    node) and boundary points (the vertices)."""
+    answers = set()
+    for g in geometry_graphs(c4_fixture, running_fixture, knot_fixture):
+        scale = len(g.emeralds) * len(g.violets)
+        pairs = []
+        for side in (EMERALD, VIOLET):
+            for f in enumerate_hypertrees(g, side):
+                p, q = scaled_marker(g, f, side), marker(g, f, side)
+                nudged = (p[0] + 1,) + p[1:]
+                pairs += [(p, q), (tuple(2 * c for c in p), tuple(2 * c for c in q)),
+                          (nudged, tuple(Fraction(c, scale) for c in nudged))]
+        for e in g.edge_ids:
+            q = vertex_point(g, e)
+            pairs.append((tuple(int(scale * c) for c in q), q))
+        simplices = [TreeSimplex(g, t) for t in g.spanning_trees()]
+        for p, q in pairs:
+            hits = [i for i, s in enumerate(simplices) if s.strictly_contains_scaled(p, scale)]
+            assert hits == [i for i, s in enumerate(simplices) if s.contains(q, strict=True)]
+            answers.add(len(hits))
+    assert {0, 1} <= answers
+
+
+def chart_volume(g, edges):
+    """Reference volume: the Fraction determinant of the edge-difference
+    matrix in the chart that drops the first emerald and violet."""
+    idx = {x: i for i, x in enumerate(g.nodes)}
+    drop = {idx[g.emeralds[0]], idx[g.violets[0]]}
+    cols = [i for i in range(len(g.nodes)) if i not in drop]
+    verts = [vertex_point(g, e) for e in sorted(edges)]
+    return abs(fraction_det([[v[c] - verts[0][c] for c in cols] for v in verts[1:]]))
+
+
 def test_integer_volume_equals_fraction_determinant(c4_fixture, running_fixture,
                                                     knot_fixture):
+    """Every (n-1)-edge set: a spanning tree gives its normalized volume,
+    a set with a cycle gives 0, by both determinants."""
+    answers = set()
     for g in geometry_graphs(c4_fixture, running_fixture, knot_fixture):
-        idx = {x: i for i, x in enumerate(g.nodes)}
-        drop = {idx[g.emeralds[0]], idx[g.violets[0]]}
-        cols = [i for i in range(len(g.nodes)) if i not in drop]
-        for tree in g.spanning_trees():
-            verts = [vertex_point(g, e) for e in sorted(tree)]
-            rows = [[v[c] - verts[0][c] for c in cols] for v in verts[1:]]
-            assert normalized_simplex_volume(g, tree) == abs(fraction_det(rows))
+        for edges in combinations(g.edge_ids, len(g.nodes) - 1):
+            vol = normalized_simplex_volume(g, frozenset(edges))
+            assert vol == chart_volume(g, edges), edges
+            assert vol == (1 if g.is_spanning_tree(frozenset(edges)) else 0)
+            answers.add(vol)
+    assert answers == {0, 1}
+
+
+def test_det_bareiss_equals_fraction_determinant():
     rng = random.Random(7)
     for _ in range(300):
         n = rng.randint(1, 6)
         rows = [[rng.choice((-2, -1, 0, 0, 0, 1, 1, 3)) for _ in range(n)]
                 for _ in range(n)]
         assert det_bareiss(rows) == fraction_det(rows), rows
+
+
+def ehrhart_by_tuples(g, kmax):
+    """Reference: the dilate layers as sets of degree-vector tuples."""
+    idx = {x: i for i, x in enumerate(g.nodes)}
+    edge_vecs = []
+    for a, b in g.edges.values():
+        v = [0] * len(g.nodes)
+        v[idx[a]] += 1
+        v[idx[b]] += 1
+        edge_vecs.append(tuple(v))
+    values = [1]
+    layer = {tuple([0] * len(g.nodes))}
+    for _ in range(kmax):
+        layer = {tuple(a + b for a, b in zip(p, v)) for p in layer for v in edge_vecs}
+        values.append(len(layer))
+    return values
+
+
+def test_packed_ehrhart_equals_tuple_dilates(c4_fixture, running_fixture):
+    graphs = [running_fixture.graph, noncrossing_setup(2, 2), random_bipartite(24, 5, 5, 10)]
+    assert [len(g.nodes) for g in graphs] == [7, 6, 9]
+    for g in graphs:
+        for kmax in (1, 2, len(g.nodes) - 2 + 5):
+            assert ehrhart_values(g, kmax) == ehrhart_by_tuples(g, kmax), kmax
+    values = ehrhart_values(c4_fixture.graph, 20)
+    assert values == ehrhart_by_tuples(c4_fixture.graph, 20)
+    assert ehrhart_values_scan(c4_fixture.graph, 6) == values[:7]
 
 
 def test_ehrhart_c4(c4_fixture):
