@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .bernardi import (HT_E_CUT_E, HT_E_CUT_V, HT_V_CUT_E, HT_V_CUT_V,
                        BernardiRun, ProcessVariant, TheoremViolation,
-                       bernardi_exterior, bernardi_interior,
                        bernardi_polynomials, check_composition, embedding_inactivities,
                        graph_specialization_check, induced_class_order,
                        run_bernardi)
@@ -21,11 +20,11 @@ from .hypertree import (Poly, break_divisors, can_transfer, degree_vector,
                         external_inactivity, interior_polynomial,
                         internal_inactivity, is_hypertree, tutte_check,
                         tutte_x_polynomial)
-from .jaeger import (ECUT, VCUT, TOrder, characterize_tree, compare_trees,
+from .jaeger import (ECUT, VCUT, TOrder, characterize_tree,
                      enumerate_jaeger_trees, graph_activity_matching,
                      is_jaeger_tree, semi_passive_edges, shelling, t_order)
 from .polytope import (TreeSimplex, ehrhart_values, ehrhart_values_scan,
                        fit_binomial_coefficients, geometric_shelling_check,
                        intersection_is_common_face, kato_series_check,
-                       marker, shelling_h_vector, simplex_contains,
+                       marker, shelling_h_vector,
                        trees_compatible, verify_dissection)

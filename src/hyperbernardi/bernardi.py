@@ -281,32 +281,20 @@ def bernardi_polynomials(g: RibbonBipartiteGraph, side: str,
             Poly.counting(e for _, e in pairs))
 
 
-def bernardi_interior(g: RibbonBipartiteGraph, side: str,
-                      variant: ProcessVariant, hypertrees=None) -> Poly:
-    return bernardi_polynomials(g, side, variant, hypertrees)[0]
-
-
-def bernardi_exterior(g: RibbonBipartiteGraph, side: str,
-                      variant: ProcessVariant, hypertrees=None) -> Poly:
-    return bernardi_polynomials(g, side, variant, hypertrees)[1]
-
-
-def check_composition(g: RibbonBipartiteGraph, f: dict[str, int]) -> dict[str, bool]:
-    """The three composition identities for a hypertree f on E.
-
-    (a) run ht:E cut:V, feed the induced hypertree on V to ht:V cut:V;
-    (b) run ht:E cut:E on the reversed setup;
-    (c) feed the induced hypertree on V to ht:V cut:E on the reversed
-    setup.  All three must reproduce the same tree.
-    """
-    base_run = run_bernardi(g, f, HT_E_CUT_V)
-    t = base_run.result_tree
-    f_v = g.degree_vector(t, VIOLET)
-    rev = g.reversed_setup()
+def check_composition(g: RibbonBipartiteGraph, runs, rev_runs) -> dict[str, bool]:
+    """The three composition identities, from the runs of every variant
+    on ``g`` and of both cut:E variants on the reversed setup, each over
+    all hypertrees.  With t the ht:E cut:V outcome of f and f_v its violet
+    degree vector: (a) ht:V cut:V sends f_v to t; (b) ht:E cut:E and (c)
+    ht:V cut:E on the reversed setup send f and f_v to t."""
+    def outcomes(variant_runs):
+        return {(run.hypertree, run.result_tree) for run in variant_runs}
+    base = outcomes(runs[HT_E_CUT_V])
+    on_f_v = {(tuple(sorted(g.degree_vector(t, VIOLET).items())), t) for _, t in base}
     return {
-        "htV-cutV-on-fV": run_bernardi(g, f_v, HT_V_CUT_V).result_tree == t,
-        "htE-cutE-reversed": run_bernardi(rev, f, HT_E_CUT_E).result_tree == t,
-        "htV-cutE-reversed": run_bernardi(rev, f_v, HT_V_CUT_E).result_tree == t,
+        "htV-cutV-on-fV": outcomes(runs[HT_V_CUT_V]) == on_f_v,
+        "htE-cutE-reversed": outcomes(rev_runs[HT_E_CUT_E]) == base,
+        "htV-cutE-reversed": outcomes(rev_runs[HT_V_CUT_E]) == on_f_v,
     }
 
 

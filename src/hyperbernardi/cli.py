@@ -14,8 +14,8 @@ from functools import partial
 
 from . import __version__
 from .bernardi import ProcessVariant, TheoremViolation, run_bernardi
-from .campaign import (GEOMETRY_EDGE_LIMIT, CampaignReport, campaign_verify_all,
-                       fuzz_conjectures, graph_hash)
+from .campaign import (GEOMETRY_EDGE_LIMIT, KATO_EXTRA, CampaignReport,
+                       campaign_verify_all, fuzz_conjectures, graph_hash)
 from .docio import (GraphFormatError, format_hypertree, format_polynomial,
                     parse_graph, parse_hypertree)
 from .graph import EMERALD, VIOLET, ValidationError
@@ -166,7 +166,6 @@ def cmd_polytope(args) -> int:
     if args.verify in ("dissection", "triangulation"):
         rep = verify_dissection(g, shelling(g, enumerate_jaeger_trees(g, VCUT)))
         payload.update(rep)
-        payload["witnesses"] = rep["witnesses"]
         ok = rep["is_dissection"] if args.verify == "dissection" else rep["is_triangulation"]
     elif args.verify == "shelling":
         steps = shelling(g, enumerate_jaeger_trees(g, VCUT))
@@ -183,7 +182,7 @@ def cmd_polytope(args) -> int:
         d = len(g.nodes) - 2
         kmax = args.kmax
         if kmax is None:
-            kmax = d + (2 if args.verify == "ehrhart" else 5)
+            kmax = d + (2 if args.verify == "ehrhart" else KATO_EXTRA)
         elif kmax < d:
             raise ValueError(f"--kmax {kmax} is below d = |V| - 2 = {d}")
         interior = interior_polynomial(g, EMERALD)

@@ -106,12 +106,3 @@ def in_convex_hull(points: list[Vec], target: Vec) -> bool:
             if sol is not None and all(c >= 0 for c in sol):
                 return True
     return False
-
-
-def binomial(n: int, k: int) -> int:
-    if k < 0 or n < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out

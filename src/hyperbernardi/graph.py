@@ -353,6 +353,7 @@ class RibbonBipartiteGraph(RibbonGraph):
         self.emeralds = emeralds
         self.violets = violets
         self._color = color
+        self._reversed: RibbonBipartiteGraph | None = None  # memo of reversed_setup()
         super().__init__(norm, rotations, base_node, base_edge,
                          nodes=emeralds + violets)
 
@@ -388,12 +389,15 @@ class RibbonBipartiteGraph(RibbonGraph):
 
     def reversed_setup(self) -> "RibbonBipartiteGraph":
         """All rotations reversed; base edge becomes b0b1- (computed here,
-        in the original structure)."""
-        rev = {x: tuple(reversed(r)) for x, r in self.rotations.items()}
-        new_base_edge = self.prev_edge(self.base_node, self.base_edge)
-        return RibbonBipartiteGraph(
-            self.emeralds, self.violets, dict(self.edges), rev,
-            self.base_node, new_base_edge)
+        in the original structure).  Graphs are immutable, so the
+        reversed setup is built once per graph and shared with its memos;
+        reversing it again gives a graph equal to this one."""
+        if self._reversed is None:
+            rev = {x: tuple(reversed(r)) for x, r in self.rotations.items()}
+            self._reversed = RibbonBipartiteGraph(
+                self.emeralds, self.violets, dict(self.edges), rev,
+                self.base_node, self.prev_edge(self.base_node, self.base_edge))
+        return self._reversed
 
     def with_base(self, base_node: str, base_edge: str) -> "RibbonBipartiteGraph":
         return RibbonBipartiteGraph(

@@ -314,21 +314,21 @@ def interior_polynomial(g: RibbonBipartiteGraph, side: str, order=None,
     Independent of ``order`` (default: sorted node names); callers who
     want the order-independence asserted can recompute with shuffles.
     """
-    if order is None:
-        order = list(g.side_nodes(side))
-    if hypertrees is None:
-        hypertrees = enumerate_hypertrees(g, side)
-    return Poly.counting(internal_inactivity(g, side, f, order)[0]
-                         for f in hypertrees)
+    return _polynomial(g, side, order, hypertrees, outgoing=True)
 
 
 def exterior_polynomial(g: RibbonBipartiteGraph, side: str, order=None,
                         hypertrees=None) -> Poly:
+    return _polynomial(g, side, order, hypertrees, outgoing=False)
+
+
+def _polynomial(g: RibbonBipartiteGraph, side: str, order, hypertrees,
+                outgoing: bool) -> Poly:
     if order is None:
         order = list(g.side_nodes(side))
     if hypertrees is None:
         hypertrees = enumerate_hypertrees(g, side)
-    return Poly.counting(external_inactivity(g, side, f, order)[0]
+    return Poly.counting(_inactivity(g, side, f, order, outgoing)[0]
                          for f in hypertrees)
 
 

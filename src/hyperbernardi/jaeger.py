@@ -123,16 +123,6 @@ def tour_setup(g: RibbonBipartiteGraph, cut: str, flavor: str) -> RibbonBipartit
     return g if flavor == cut else g.reversed_setup()
 
 
-def compare_trees(g: RibbonBipartiteGraph, t1: frozenset[str], t2: frozenset[str],
-                  flavor: str, cut: str) -> int:
-    """-1, 0, +1 in the flavor order; the tree containing the first
-    divergent edge is the larger one."""
-    if t1 == t2:
-        return 0
-    edge = divergence_edge(g, t1, t2, cut=cut, flavor=flavor)
-    return 1 if edge in t1 else -1
-
-
 def divergence_edge(g: RibbonBipartiteGraph, t1: frozenset[str], t2: frozenset[str],
                     cut: str = VCUT, flavor: str | None = None) -> str:
     """The edge at which the flavor tours of two distinct trees diverge.

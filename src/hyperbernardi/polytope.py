@@ -19,8 +19,9 @@ from __future__ import annotations
 from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
 from itertools import combinations
+from math import comb
 
-from .exactla import binomial, det_bareiss, solve_exact
+from .exactla import det_bareiss, solve_exact
 from .graph import EMERALD, VIOLET, RibbonBipartiteGraph, UnionFind
 from .hypertree import Poly, enumerate_hypertrees
 
@@ -126,11 +127,6 @@ class TreeSimplex:
         and every one of them is positive."""
         lam, left = self._peel_point(p)
         return left == 0 and sum(lam) == scale and min(lam) > 0
-
-
-def simplex_contains(g: RibbonBipartiteGraph, tree: frozenset[str], p: Point,
-                     strict: bool) -> bool:
-    return TreeSimplex(g, tree).contains(p, strict)
 
 
 def trees_compatible(g: RibbonBipartiteGraph, t1: frozenset[str],
@@ -468,9 +464,8 @@ def fit_binomial_coefficients(values, d: int) -> tuple[int, ...]:
     for k in range(d + 1):
         acc = Fraction(values[k])
         for i, ai in enumerate(a):
-            acc -= ai * binomial(d + k - i, d)
-        coeff = binomial(d, d)  # C(d + k - k, d) = 1
-        a.append(acc / coeff)
+            acc -= ai * comb(d + k - i, d)
+        a.append(acc)
     out = []
     for ai in a:
         if ai.denominator != 1 or ai < 0:
@@ -478,7 +473,7 @@ def fit_binomial_coefficients(values, d: int) -> tuple[int, ...]:
         out.append(int(ai))
     # consistency on any extra supplied values
     for k in range(d + 1, len(values)):
-        pred = sum(out[i] * binomial(d + k - i, d) for i in range(len(out)))
+        pred = sum(out[i] * comb(d + k - i, d) for i in range(len(out)))
         if pred != values[k]:
             raise AssertionError(f"binomial fit fails at k={k}: {pred} != {values[k]}")
     return tuple(out)
@@ -503,7 +498,7 @@ def kato_series_check(interior_coeffs, g: RibbonBipartiteGraph, order: int,
         values = ehrhart_values(g, order)
     coeffs = list(interior_coeffs)
     for k in range(order + 1):
-        series = sum(c * binomial(m - 1 + k - j, m - 1)
+        series = sum(c * comb(m - 1 + k - j, m - 1)
                      for j, c in enumerate(coeffs) if k - j >= 0)
         if series != values[k]:
             return False

@@ -18,7 +18,7 @@ from itertools import combinations
 import pytest
 
 from hyperbernardi.bernardi import (HT_E_CUT_E, HT_E_CUT_V, HT_V_CUT_E,
-                                    HT_V_CUT_V, bernardi_interior,
+                                    HT_V_CUT_V, bernardi_polynomials,
                                     check_composition,
                                     graph_specialization_check, run_bernardi)
 from hyperbernardi.campaign import (arborescence_duality, fuzz_conjectures,
@@ -112,7 +112,7 @@ def test_criterion_01_running_example_interior():
 def test_criterion_02_bernardi_interior_theorem(bundles):
     for b in bundles:
         interior = interior_polynomial(b.g, EMERALD, hypertrees=b.b_e)
-        tilde = bernardi_interior(b.g, EMERALD, HT_E_CUT_E, hypertrees=b.b_e)
+        tilde = bernardi_polynomials(b.g, EMERALD, HT_E_CUT_E, hypertrees=b.b_e)[0]
         assert tilde == interior, b.g.base_node
     report(2, f"I~ = I on {N_SETUPS} setups of the running example and "
               f"{N_BIPARTITE} random bipartite graphs")
@@ -299,9 +299,11 @@ def test_criterion_13_graph_consistency(sweep_c):
 def test_criterion_14_composition_theorems(bundles):
     checked = 0
     for b in bundles:
-        for f in b.b_e:
-            assert all(check_composition(b.g, f).values()), f
-            checked += 1
+        rev = b.g.reversed_setup()
+        rev_runs = {variant: [run_bernardi(rev, f, variant) for f in family]
+                    for variant, family in ((HT_E_CUT_E, b.b_e), (HT_V_CUT_E, b.b_v))}
+        assert all(check_composition(b.g, b.runs, rev_runs).values()), b.g.base_node
+        checked += len(b.b_e)
     report(14, f"all three composition identities hold for {checked} "
                "hypertrees across the sweep")
 

@@ -1,13 +1,15 @@
 """The four Bernardi processes, embedding activities, and compositions."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperbernardi.bernardi import (HT_E_CUT_E, HT_E_CUT_V, HT_V_CUT_E,
-                                    VARIANTS, ProcessVariant,
-                                    bernardi_exterior, bernardi_interior,
-                                    check_composition, embedding_inactivities,
+                                    HT_V_CUT_V, VARIANTS, ProcessVariant,
+                                    bernardi_polynomials, check_composition,
+                                    embedding_inactivities,
                                     graph_specialization_check,
                                     induced_class_order, run_bernardi)
 from hyperbernardi.fixtures import c4
@@ -98,12 +100,13 @@ def test_embedding_inactivities_tree_graph():
 def test_bernardi_interior_equals_interior(running_fixture, c4_fixture,
                                            single_edge_fixture):
     g = running_fixture.graph
-    assert bernardi_interior(g, EMERALD, HT_E_CUT_E) == Poly((1, 3, 3))
-    assert bernardi_interior(c4_fixture.graph, EMERALD, HT_E_CUT_E) == Poly((1, 1))
-    assert bernardi_interior(single_edge_fixture.graph, EMERALD,
-                             HT_E_CUT_E) == Poly((1,))
+    assert bernardi_polynomials(g, EMERALD, HT_E_CUT_E)[0] == Poly((1, 3, 3))
+    assert bernardi_polynomials(c4_fixture.graph, EMERALD,
+                                HT_E_CUT_E)[0] == Poly((1, 1))
+    assert bernardi_polynomials(single_edge_fixture.graph, EMERALD,
+                                HT_E_CUT_E)[0] == Poly((1,))
     with pytest.raises(ValueError):
-        bernardi_interior(g, VIOLET, HT_E_CUT_E)
+        bernardi_polynomials(g, VIOLET, HT_E_CUT_E)
 
 
 def test_bernardi_interior_random_setups(running_fixture):
@@ -112,21 +115,50 @@ def test_bernardi_interior_random_setups(running_fixture):
     want = interior_polynomial(g, EMERALD)
     for seed in range(12):
         setup = random_setup_variation(g, seed)
-        assert bernardi_interior(setup, EMERALD, HT_E_CUT_E) == want
+        assert bernardi_polynomials(setup, EMERALD, HT_E_CUT_E)[0] == want
+
+
+def composition_runs(g):
+    """Runs of every variant on ``g``, and of the two cut:E variants on
+    its reversed setup, over all hypertrees of each ht side."""
+    family = {side: enumerate_hypertrees(g, side) for side in (EMERALD, VIOLET)}
+    runs = {v: [run_bernardi(g, f, v) for f in family[v.ht_side]] for v in VARIANTS}
+    rev = g.reversed_setup()
+    rev_runs = {v: [run_bernardi(rev, f, v) for f in family[v.ht_side]]
+                for v in (HT_E_CUT_E, HT_V_CUT_E)}
+    return runs, rev_runs
 
 
 def test_composition_theorems(c4_fixture, running_fixture):
-    assert all(check_composition(c4_fixture.graph, {"e1": 1, "e2": 0}).values())
-    g = running_fixture.graph
-    for f in enumerate_hypertrees(g, EMERALD):
-        assert all(check_composition(g, f).values()), f
+    for g in (c4_fixture.graph, running_fixture.graph):
+        assert all(check_composition(g, *composition_runs(g)).values())
 
 
 def test_composition_tree_graph():
     g = RibbonBipartiteGraph(["e0"], ["v0", "v1"],
                              {"a": ("e0", "v0"), "b": ("e0", "v1")}, None,
                              base_node="v0", base_edge="a")
-    assert all(check_composition(g, {"e0": 1}).values())
+    assert all(check_composition(g, *composition_runs(g)).values())
+
+
+def test_composition_detects_a_tampered_outcome(running_fixture):
+    """One wrong or missing outcome fails exactly the identity that reads
+    it; a wrong ht:E cut:V outcome fails all three."""
+    g = running_fixture.graph
+    runs, rev_runs = composition_runs(g)
+    names = {HT_V_CUT_V: "htV-cutV-on-fV", HT_E_CUT_E: "htE-cutE-reversed",
+             HT_V_CUT_E: "htV-cutE-reversed"}
+    for table, variant in ((runs, HT_V_CUT_V), (rev_runs, HT_E_CUT_E),
+                           (rev_runs, HT_V_CUT_E), (runs, HT_E_CUT_V)):
+        honest = table[variant]
+        wrong = replace(honest[0], result_tree=honest[1].result_tree)
+        for tampered in ([wrong] + honest[1:], honest[1:]):
+            table[variant] = tampered
+            failed = {k for k, ok in check_composition(g, runs, rev_runs).items()
+                      if not ok}
+            table[variant] = honest
+            assert failed == ({names[variant]} if variant in names
+                              else set(names.values()))
 
 
 def test_graph_specialization(tour_fixture):
@@ -351,5 +383,5 @@ def test_exterior_polynomials_match_for_graphs(c4_fixture):
     from hyperbernardi.hypertree import exterior_polynomial
     g = c4_fixture.graph
     want = exterior_polynomial(g, EMERALD)
-    assert bernardi_exterior(g, EMERALD, HT_E_CUT_E) == want
-    assert bernardi_exterior(g, EMERALD, HT_E_CUT_V) == want
+    assert bernardi_polynomials(g, EMERALD, HT_E_CUT_E)[1] == want
+    assert bernardi_polynomials(g, EMERALD, HT_E_CUT_V)[1] == want

@@ -286,6 +286,7 @@ def test_transpose_involution(running_fixture):
 def test_reversed_setup_round_trip(running_fixture, c4_fixture):
     g = running_fixture.graph
     rev = g.reversed_setup()
+    assert g.reversed_setup() is rev  # one shared graph per setup
     assert rev.rotations["v0"] == tuple(reversed(g.rotations["v0"]))
     again = rev.reversed_setup()
     assert again.rotations == g.rotations

@@ -93,22 +93,25 @@ def test_campaign_all_pass(knot_fixture):
 
 def test_campaign_reuses_runs(monkeypatch):
     """Runs from well-definedness feed the interior theorem, the T-order
-    check and the conjectures; only the composition check runs more."""
+    check, the compositions and the conjectures; only the two cut:E
+    variants run again, on the reversed setup."""
     from hyperbernardi import bernardi, campaign
     from hyperbernardi.hypertree import enumerate_hypertrees
     calls = []
     run = bernardi.run_bernardi
 
-    def counting(*args, **kwargs):
-        calls.append(args[2])
-        return run(*args, **kwargs)
+    def counting(g, f, variant, paranoid=False):
+        calls.append((id(g), variant, tuple(sorted(f.items()))))
+        return run(g, f, variant, paranoid)
     for module in (bernardi, campaign):
         monkeypatch.setattr(module, "run_bernardi", counting)
     g = running_graph().graph
     rep = campaign_verify_all(g)
     assert not rep.failed and not rep.flagged, rep.summary()
-    # four variants in well-definedness, four runs per composition check
-    assert len(calls) == 8 * len(enumerate_hypertrees(g, "emerald"))
+    # four variants on g, two on its reversed setup, none repeated
+    assert len(calls) == 6 * len(enumerate_hypertrees(g, "emerald"))
+    assert len(set(calls)) == len(calls)
+    assert {graph for graph, _, _ in calls} == {id(g), id(g.reversed_setup())}
 
 
 def test_campaign_builds_one_shelling_record(monkeypatch):

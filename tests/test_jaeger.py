@@ -7,8 +7,8 @@ from hyperbernardi.bernardi import HT_E_CUT_V, TheoremViolation, run_bernardi
 from hyperbernardi.generators import random_bipartite, random_ordinary
 from hyperbernardi.graph import EMERALD, VIOLET, RibbonBipartiteGraph, RibbonGraph, bip
 from hyperbernardi.hypertree import enumerate_hypertrees, internal_inactivity
-from hyperbernardi.jaeger import (ECUT, VCUT, characterize_tree, compare_trees,
-                                  divergence_edge, enumerate_jaeger_trees,
+from hyperbernardi.jaeger import (ECUT, VCUT, characterize_tree, divergence_edge,
+                                  enumerate_jaeger_trees,
                                   graph_activity_matching, is_jaeger_tree,
                                   jaeger_cuts, semi_passive_edges, shelling,
                                   t_order)
@@ -97,14 +97,14 @@ def test_compare_trees(c4_fixture, knot_fixture):
     g = c4_fixture.graph
     t4 = frozenset({"c2", "c3", "c4"})
     t2 = frozenset({"c1", "c2", "c4"})
-    assert compare_trees(g, t4, t2, VIOLET, VCUT) == -1
-    assert compare_trees(g, t2, t4, VIOLET, VCUT) == 1
-    assert compare_trees(g, t2, t2, VIOLET, VCUT) == 0
+    # the tree holding the divergence edge is the larger one
+    assert divergence_edge(g, t2, t4, VCUT, VIOLET) in t2
+    assert divergence_edge(g, t4, t2, VCUT, VIOLET) not in t4
     kg = knot_fixture.graph
     trees = knot_fixture.value("vcut_jaeger_violet_order")
     for i in range(len(trees)):
         for j in range(i + 1, len(trees)):
-            assert compare_trees(kg, trees[i], trees[j], VIOLET, VCUT) == -1
+            assert divergence_edge(kg, trees[i], trees[j], VCUT, VIOLET) in trees[j]
 
 
 def test_t_order_paper_example(running_fixture):

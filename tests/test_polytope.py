@@ -4,10 +4,11 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
-from hyperbernardi.exactla import binomial, det_bareiss, solve_exact
+from hyperbernardi.exactla import det_bareiss, solve_exact
 from hyperbernardi.fixtures import c4, noncrossing_setup
 from hyperbernardi.generators import random_bipartite
 from hyperbernardi.graph import EMERALD, VIOLET, RibbonBipartiteGraph
@@ -22,9 +23,8 @@ from hyperbernardi.polytope import (TreeSimplex, certify_disjoint_interiors,
                                     intersection_is_common_face,
                                     kato_series_check, marker,
                                     normalized_simplex_volume, scaled_marker,
-                                    shelling_h_vector, simplex_contains,
-                                    trees_compatible, verify_dissection,
-                                    vertex_point)
+                                    shelling_h_vector, trees_compatible,
+                                    verify_dissection, vertex_point)
 
 
 def test_marker_values_c4(c4_fixture):
@@ -48,16 +48,16 @@ def test_marker_inside_own_simplex(c4_fixture, running_fixture):
     for g in (c4_fixture.graph, running_fixture.graph):
         for tree in g.spanning_trees():
             f = g.degree_vector(tree, EMERALD)
-            assert simplex_contains(g, tree, marker(g, f, EMERALD), strict=True)
+            assert TreeSimplex(g, tree).contains(marker(g, f, EMERALD), strict=True)
             fv = g.degree_vector(tree, VIOLET)
-            assert simplex_contains(g, tree, marker(g, fv, VIOLET), strict=True)
+            assert TreeSimplex(g, tree).contains(marker(g, fv, VIOLET), strict=True)
 
 
 def test_marker_inside_iff_realized(c4_fixture):
     g = c4_fixture.graph
     for tree in g.spanning_trees():
         for f in enumerate_hypertrees(g, EMERALD):
-            inside = simplex_contains(g, tree, marker(g, f, EMERALD), strict=True)
+            inside = TreeSimplex(g, tree).contains(marker(g, f, EMERALD), strict=True)
             assert inside == (g.degree_vector(tree, EMERALD) == f)
 
 
@@ -66,8 +66,8 @@ def test_vertex_on_boundary(c4_fixture):
     g = c4_fixture.graph
     t = frozenset({"c1", "c2", "c4"})
     p = vertex_point(g, "c1")
-    assert simplex_contains(g, t, p, strict=False)
-    assert not simplex_contains(g, t, p, strict=True)
+    assert TreeSimplex(g, t).contains(p, strict=False)
+    assert not TreeSimplex(g, t).contains(p, strict=True)
 
 
 def test_trees_compatible(knot_fixture, k5_fixture):
@@ -368,7 +368,7 @@ def test_fit_constant_values():
 
 def test_ehrhart_fit_verdict():
     def values(coeffs, d):
-        return [sum(a * binomial(d + k - i, d) for i, a in enumerate(coeffs))
+        return [sum(a * comb(d + k - i, d) for i, a in enumerate(coeffs))
                 for k in range(d + 3)]
     interior = Poly([1, 3, 3])
     assert ehrhart_fit(values([1, 3, 3, 0, 0, 0], 5), 5, interior) == \
