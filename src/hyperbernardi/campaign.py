@@ -202,11 +202,14 @@ def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
                PASS if bernardi_e[0] == interior else FAIL)
 
     # one pass over all spanning trees feeds both recognitions and the
-    # volume check; only the recognized trees and the volumes are kept
+    # volume check; only the recognized trees, the volumes and the
+    # number of trees visited are kept
     simple = len({g.edges[e] for e in g.edge_ids}) == len(g.edge_ids)
     recognized: dict[str, set] = {VCUT: set(), ECUT: set()}
     vols: set[int] = set()
+    swept = 0
     for t in g.spanning_trees():
+        swept += 1
         for cut in jaeger_cuts(g, t):
             recognized[cut].add(t)
         if simple:
@@ -263,8 +266,10 @@ def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
     if not simple:
         report.add("root-polytope", SKIP, reason="parallel edges")
     else:
-        report.add("equal-simplex-volumes",
-                   PASS if vols == {1} else FAIL, volumes=sorted(vols))
+        # the sweep must have visited every tree (Kirchhoff's count)
+        ok = vols == {1} and swept == g.count_spanning_trees()
+        report.add("equal-simplex-volumes", PASS if ok else FAIL,
+                   volumes=sorted(vols), trees=swept)
 
         dis = verify_dissection(g, steps)
         report.add("dissection", PASS if dis["is_dissection"] else FAIL,

@@ -2,13 +2,16 @@
 
 The root polytope of a bipartite graph is the convex hull of the points
 e + v over its edges; maximal simplices correspond to spanning trees.
-Everything here is exact.  The hot kernels run on plain ints: marker
-containment (markers scaled by |E||V| to integer points, peeled on the
-tree), simplex volumes (incidence-row determinants), Ehrhart counting
-(dilate points packed into one int each) and the +/-1 separating
-functionals that certify pairwise interior-disjointness of a
-dissection.  Facet coverage for shelling orders, the binomial-basis fit
-and the brute-force oracles run over ``Fraction``.
+Everything here is exact.  Every kernel that ``verify`` runs on each
+instance works on plain ints: marker containment (markers scaled by
+|E||V| to integer points, peeled on the tree), simplex volumes (one
+search whose discovery edges pivot a unit triangular incidence matrix,
+``det_bareiss`` for any other edge set), Ehrhart counting (dilate
+points packed into one int each), the lattice-scan oracle (the same
+integer peel on the points of k*Q_G), the binomial-basis fit (a unit
+triangular system) and the +/-1 separating functionals that certify
+pairwise interior-disjointness of a dissection.  Facet coverage for
+shelling orders and the brute-force oracles run over ``Fraction``.
 
 Parallel edges collapse to one polytope vertex, so the geometric
 operations require a simple bipartite graph.
@@ -113,20 +116,16 @@ class TreeSimplex:
             return None
         return tuple(lam)
 
-    def contains(self, p: Point, strict: bool) -> bool:
-        lam = self.barycentric(p)
-        if lam is None:
-            return False
-        if strict:
-            return all(c > 0 for c in lam)
-        return all(c >= 0 for c in lam)
-
-    def strictly_contains_scaled(self, p: tuple[int, ...], scale: int) -> bool:
-        """Whether p/scale lies strictly inside, for an integer point p:
-        nothing is left at the last node, the coordinates sum to scale
-        and every one of them is positive."""
+    def contains_scaled(self, p: tuple[int, ...], scale: int, strict: bool) -> bool:
+        """Whether p/scale lies in the simplex (in its relative interior
+        when ``strict``), for an integer point p: nothing is left at the
+        last node, the coordinates sum to scale and every one of them is
+        nonnegative (positive when ``strict``)."""
         lam, left = self._peel_point(p)
-        return left == 0 and sum(lam) == scale and min(lam) > 0
+        if left != 0 or sum(lam) != scale:
+            return False
+        low = min(lam)
+        return low > 0 if strict else low >= 0
 
 
 def trees_compatible(g: RibbonBipartiteGraph, t1: frozenset[str],
@@ -216,7 +215,7 @@ def verify_dissection(g: RibbonBipartiteGraph, steps) -> dict:
         for f in family:
             p = scaled_marker(g, f, side)
             hits = [i for i, s in enumerate(simplices)
-                    if s.strictly_contains_scaled(p, scale)]
+                    if s.contains_scaled(p, scale, strict=True)]
             if len(hits) != 1:
                 placement_ok = False
                 report["witnesses"].append(
@@ -379,8 +378,31 @@ def normalized_simplex_volume(g: RibbonBipartiteGraph, tree: frozenset[str]) -> 
     and the emerald coordinate sum is a primitive functional equal to 1
     on aff(Q_G), so this is the normalized volume of the tree simplex.
     It equals 1 exactly when the simplex is unimodular (which Ehrhart
-    counting relies on)."""
+    counting relies on).
+
+    One search from the dropped violet over the edge set finds the
+    determinant without elimination.  The row of the edge that discovers
+    a node has a 1 in that node's column and at most one other 1, in
+    the column of a node discovered earlier (or in the dropped one).
+    With rows and columns in discovery order the matrix is unit lower
+    triangular, so |det| = 1 when the |V|-1 rows discover every other
+    node.  Any other edge set, one with a cycle or a disconnected one,
+    goes to ``det_bareiss`` on the rows."""
     dropped = g.violets[0]
+    ends = g.edges
+    seen = {dropped}
+    stack = [dropped]
+    while stack:
+        x = stack.pop()
+        for e in g.rotations[x]:
+            if e in tree:
+                a, b = ends[e]
+                y = b if a == x else a
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    if len(seen) == len(g.nodes) == len(tree) + 1:
+        return 1
     col = {x: i for i, x in enumerate(x for x in g.nodes if x != dropped)}
     rows = []
     for e in tree:
@@ -398,9 +420,10 @@ def normalized_simplex_volume(g: RibbonBipartiteGraph, tree: frozenset[str]) -> 
 def ehrhart_values(g: RibbonBipartiteGraph, kmax: int) -> list[int]:
     """Lattice points of the dilates k*Q_G for k = 0..kmax.
 
-    Counted as distinct endpoint-degree vectors of k-edge multisets;
-    this relies on the maximal simplices being unimodular, which
-    normalized_simplex_volume checks and the lattice-scan oracle
+    Counted as distinct endpoint-degree vectors of k-edge multisets, on
+    ints; this relies on the maximal simplices being unimodular, which
+    normalized_simplex_volume checks on every spanning tree and the
+    lattice-scan oracle (integer points peeled on every tree simplex)
     cross-checks on small instances.
 
     Each vector is packed into one int, a digit per node in base
@@ -421,8 +444,9 @@ def ehrhart_values(g: RibbonBipartiteGraph, kmax: int) -> list[int]:
 
 
 def ehrhart_values_scan(g: RibbonBipartiteGraph, kmax: int) -> list[int]:
-    """Independent oracle: scan integer points of the bounding slab and
-    test exact membership in k*Q_G via some spanning-tree simplex."""
+    """Independent oracle: scan integer points p of the bounding slab and
+    test membership of p/k in Q_G via some spanning-tree simplex, by the
+    integer peel of p (``contains_scaled``)."""
     _require_simple(g)
     simplices = [TreeSimplex(g, t) for t in g.spanning_trees()]
     n_e = len(g.emeralds)
@@ -444,9 +468,8 @@ def ehrhart_values_scan(g: RibbonBipartiteGraph, kmax: int) -> list[int]:
         count = 0
         for epart in compositions(k, n_e):
             for vpart in compositions(k, n_v):
-                p = tuple(Fraction(x) for x in epart + vpart)
-                scaled = tuple(x / k for x in p)
-                if any(s.contains(scaled, strict=False) for s in simplices):
+                p = epart + vpart
+                if any(s.contains_scaled(p, k, strict=False) for s in simplices):
                     count += 1
         values.append(count)
     return values
@@ -455,22 +478,18 @@ def ehrhart_values_scan(g: RibbonBipartiteGraph, kmax: int) -> list[int]:
 def fit_binomial_coefficients(values, d: int) -> tuple[int, ...]:
     """Solve epsilon(k) = sum_i a_i * C(d+k-i, d) for k = 0..d.
 
-    The system is triangular; the solution must be integral and
-    nonnegative or the counting upstream is broken.
+    The system is unit triangular (C(d, d) = 1 on the diagonal), so
+    integer values give integer coefficients; they must be nonnegative
+    or the counting upstream is broken.
     """
     if len(values) < d + 1:
         raise ValueError(f"need values for k = 0..{d}")
-    a: list[Fraction] = []
+    out: list[int] = []
     for k in range(d + 1):
-        acc = Fraction(values[k])
-        for i, ai in enumerate(a):
-            acc -= ai * comb(d + k - i, d)
-        a.append(acc)
-    out = []
-    for ai in a:
-        if ai.denominator != 1 or ai < 0:
-            raise AssertionError(f"binomial fit not a nonnegative integer: {a}")
-        out.append(int(ai))
+        out.append(values[k] - sum(ai * comb(d + k - i, d)
+                                   for i, ai in enumerate(out)))
+    if any(ai < 0 for ai in out):
+        raise AssertionError(f"binomial fit not a nonnegative integer: {out}")
     # consistency on any extra supplied values
     for k in range(d + 1, len(values)):
         pred = sum(out[i] * comb(d + k - i, d) for i in range(len(out)))

@@ -172,8 +172,11 @@ def test_criterion_06_dissection(bundles):
         for side, family in ((EMERALD, b.b_e), (VIOLET, b.b_v)):
             for f in family:
                 p = marker(b.g, f, side)
-                hits = [i for i, s in enumerate(simplices)
-                        if s.contains(p, strict=True)]
+                # strictly inside: in the affine hull, every barycentric
+                # coordinate positive
+                lams = [s.barycentric(p) for s in simplices]
+                hits = [i for i, lam in enumerate(lams)
+                        if lam is not None and min(lam) > 0]
                 assert len(hits) == 1, (side, f)
                 markers_checked += 1
         if len(b.g.edge_ids) <= 8:

@@ -91,6 +91,26 @@ def test_campaign_all_pass(knot_fixture):
     assert payload["input_hash"] and "tool_version" in payload
 
 
+def test_volume_check_needs_the_whole_sweep(monkeypatch):
+    """equal-simplex-volumes reports the trees the campaign's sweep
+    visited and fails when they fall short of Kirchhoff's count, even
+    though every volume it saw is 1."""
+    from itertools import islice
+    g = running_graph().graph
+
+    def volume_check():
+        rep = campaign_verify_all(g)
+        return next(c for c in rep.checks if c["name"] == "equal-simplex-volumes")
+    check = volume_check()
+    assert check["status"] == "pass"
+    assert check["trees"] == g.count_spanning_trees() > 1
+    sweep = g.spanning_trees
+    monkeypatch.setattr(g, "spanning_trees", lambda: islice(sweep(), 1, None))
+    short = volume_check()
+    assert short["status"] == "fail"
+    assert (short["volumes"], short["trees"]) == ([1], check["trees"] - 1)
+
+
 def test_campaign_reuses_runs(monkeypatch):
     """Runs from well-definedness feed the interior theorem, the T-order
     check, the compositions and the conjectures; only the two cut:E

@@ -7,7 +7,10 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hyperbernardi import polytope
 from hyperbernardi.exactla import det_bareiss, solve_exact
 from hyperbernardi.fixtures import c4, noncrossing_setup
 from hyperbernardi.generators import random_bipartite
@@ -25,6 +28,16 @@ from hyperbernardi.polytope import (TreeSimplex, certify_disjoint_interiors,
                                     normalized_simplex_volume, scaled_marker,
                                     shelling_h_vector, trees_compatible,
                                     verify_dissection, vertex_point)
+
+
+def contains(simplex, p, strict):
+    """Reference containment over Fractions: p lies in the affine hull
+    and its barycentric coordinates are nonnegative (positive when
+    ``strict``)."""
+    lam = simplex.barycentric(p)
+    if lam is None:
+        return False
+    return all(c > 0 if strict else c >= 0 for c in lam)
 
 
 def test_marker_values_c4(c4_fixture):
@@ -48,16 +61,16 @@ def test_marker_inside_own_simplex(c4_fixture, running_fixture):
     for g in (c4_fixture.graph, running_fixture.graph):
         for tree in g.spanning_trees():
             f = g.degree_vector(tree, EMERALD)
-            assert TreeSimplex(g, tree).contains(marker(g, f, EMERALD), strict=True)
+            assert contains(TreeSimplex(g, tree), marker(g, f, EMERALD), strict=True)
             fv = g.degree_vector(tree, VIOLET)
-            assert TreeSimplex(g, tree).contains(marker(g, fv, VIOLET), strict=True)
+            assert contains(TreeSimplex(g, tree), marker(g, fv, VIOLET), strict=True)
 
 
 def test_marker_inside_iff_realized(c4_fixture):
     g = c4_fixture.graph
     for tree in g.spanning_trees():
         for f in enumerate_hypertrees(g, EMERALD):
-            inside = TreeSimplex(g, tree).contains(marker(g, f, EMERALD), strict=True)
+            inside = contains(TreeSimplex(g, tree), marker(g, f, EMERALD), strict=True)
             assert inside == (g.degree_vector(tree, EMERALD) == f)
 
 
@@ -66,8 +79,8 @@ def test_vertex_on_boundary(c4_fixture):
     g = c4_fixture.graph
     t = frozenset({"c1", "c2", "c4"})
     p = vertex_point(g, "c1")
-    assert TreeSimplex(g, t).contains(p, strict=False)
-    assert not TreeSimplex(g, t).contains(p, strict=True)
+    assert contains(TreeSimplex(g, t), p, strict=False)
+    assert not contains(TreeSimplex(g, t), p, strict=True)
 
 
 def test_trees_compatible(knot_fixture, k5_fixture):
@@ -244,29 +257,40 @@ def fraction_det(rows):
 
 def test_scaled_marker_hits_equal_fraction_containment(c4_fixture, running_fixture,
                                                        knot_fixture):
-    """Integer peeling of markers scaled by |E||V| answers strict
-    containment as the Fraction peeling does, on every spanning tree; so
-    do points off the affine hull (twice a marker, a marker nudged at one
-    node) and boundary points (the vertices)."""
-    answers = set()
+    """Integer peeling of points scaled by |E||V| answers containment,
+    strict and not, as the Fraction peeling does, on every spanning
+    tree: markers (interior points), vertices (boundary points), and
+    markers doubled or nudged at one node (off the affine hull)."""
+    answers = {kind: set() for kind in ("marker", "vertex", "off-hull")}
     for g in geometry_graphs(c4_fixture, running_fixture, knot_fixture):
         scale = len(g.emeralds) * len(g.violets)
-        pairs = []
+        points = []
         for side in (EMERALD, VIOLET):
             for f in enumerate_hypertrees(g, side):
                 p, q = scaled_marker(g, f, side), marker(g, f, side)
                 nudged = (p[0] + 1,) + p[1:]
-                pairs += [(p, q), (tuple(2 * c for c in p), tuple(2 * c for c in q)),
-                          (nudged, tuple(Fraction(c, scale) for c in nudged))]
+                points += [("marker", p, q),
+                           ("off-hull", tuple(2 * c for c in p), tuple(2 * c for c in q)),
+                           ("off-hull", nudged, tuple(Fraction(c, scale) for c in nudged))]
+        # a one-edge simplex is a point, its own relative interior
+        kind = "vertex" if len(g.edge_ids) > 1 else "marker"
         for e in g.edge_ids:
             q = vertex_point(g, e)
-            pairs.append((tuple(int(scale * c) for c in q), q))
+            points.append((kind, tuple(int(scale * c) for c in q), q))
         simplices = [TreeSimplex(g, t) for t in g.spanning_trees()]
-        for p, q in pairs:
-            hits = [i for i, s in enumerate(simplices) if s.strictly_contains_scaled(p, scale)]
-            assert hits == [i for i, s in enumerate(simplices) if s.contains(q, strict=True)]
-            answers.add(len(hits))
-    assert {0, 1} <= answers
+        for kind, p, q in points:
+            hits = {}
+            for strict in (True, False):
+                hits[strict] = [i for i, s in enumerate(simplices)
+                                if s.contains_scaled(p, scale, strict)]
+                assert hits[strict] == [i for i, s in enumerate(simplices)
+                                        if contains(s, q, strict)], (kind, p, strict)
+            answers[kind].add((len(hits[True]), len(hits[False]) > 0))
+    # markers lie strictly inside some simplex, vertices only on the
+    # boundary of those holding them, off-hull points in none
+    assert all(strict > 0 and closed for strict, closed in answers["marker"])
+    assert answers["vertex"] == {(0, True)}
+    assert answers["off-hull"] == {(0, False)}
 
 
 def chart_volume(g, edges):
@@ -280,17 +304,49 @@ def chart_volume(g, edges):
 
 
 def test_integer_volume_equals_fraction_determinant(c4_fixture, running_fixture,
-                                                    knot_fixture):
+                                                    knot_fixture, monkeypatch):
     """Every (n-1)-edge set: a spanning tree gives its normalized volume,
-    a set with a cycle gives 0, by both determinants."""
+    a set with a cycle gives 0, by both determinants.  Both branches of
+    the kernel run: the discovery pivots on trees, ``det_bareiss`` on
+    the other sets."""
+    fallbacks = []
+
+    def counted(rows):
+        fallbacks.append(rows)
+        return det_bareiss(rows)
+    monkeypatch.setattr(polytope, "det_bareiss", counted)
     answers = set()
+    calls = 0
     for g in geometry_graphs(c4_fixture, running_fixture, knot_fixture):
         for edges in combinations(g.edge_ids, len(g.nodes) - 1):
             vol = normalized_simplex_volume(g, frozenset(edges))
+            calls += 1
             assert vol == chart_volume(g, edges), edges
             assert vol == (1 if g.is_spanning_tree(frozenset(edges)) else 0)
             answers.add(vol)
     assert answers == {0, 1}
+    assert 0 < len(fallbacks) < calls
+
+
+def incidence_volume(g, edges):
+    """Reference volume: |det_bareiss| of the incidence rows with the
+    first violet's coordinate dropped, in the given edge order."""
+    cols = [x for x in g.nodes if x != g.violets[0]]
+    return abs(det_bareiss([[int(x in g.edges[e]) for x in cols] for e in edges]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), data=st.data())
+def test_volume_equals_incidence_determinant_drawn(seed, data):
+    """Random (n-1)-edge sets of drawn instances, spanning trees and
+    sets with a cycle (hence disconnected) alike."""
+    g = random_bipartite(seed, 4, 4, 10)
+    assert len(set(g.edges.values())) == len(g.edge_ids)  # simple
+    for _ in range(8):
+        edges = data.draw(st.permutations(g.edge_ids))[:len(g.nodes) - 1]
+        vol = normalized_simplex_volume(g, frozenset(edges))
+        assert vol == incidence_volume(g, edges), edges
+        assert vol == int(g.is_spanning_tree(frozenset(edges)))
 
 
 def test_det_bareiss_equals_fraction_determinant():
@@ -343,6 +399,46 @@ def test_ehrhart_running(running_fixture):
     values = ehrhart_values(g, 8)
     assert values[0] == 1
     assert fit_binomial_coefficients(values, 5) == (1, 3, 3, 0, 0, 0)
+
+
+def fraction_scan(g, kmax):
+    """Reference lattice scan over Fractions: every point p of the slab
+    with both sides summing to k, tested as p/k against every tree
+    simplex by ``contains``."""
+    simplices = [TreeSimplex(g, t) for t in g.spanning_trees()]
+    values = [1]
+    for k in range(1, kmax + 1):
+        count = 0
+        for epart in compositions(k, len(g.emeralds)):
+            for vpart in compositions(k, len(g.violets)):
+                p = tuple(Fraction(x, k) for x in epart + vpart)
+                count += any(contains(s, p, strict=False) for s in simplices)
+        values.append(count)
+    return values
+
+
+def compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def test_integer_scan_equals_fraction_scan(c4_fixture, running_fixture):
+    """The integer lattice scan, the Fraction scan and the packed dilate
+    count agree on c4, the running example, the two-line K3,3 and the
+    ladder's random instances small enough for the campaign's scan."""
+    cases = [(c4_fixture.graph, 4), (running_fixture.graph, 3),
+             (noncrossing_setup(2, 2), 6)]
+    small = [random_bipartite(s, 5, 5, 16) for s in range(10)]
+    small = [g for g in small if len(g.edge_ids) <= 6]
+    assert len(small) == 5
+    cases += [(g, len(g.nodes)) for g in small]  # kmax = d + 2
+    for g, kmax in cases:
+        scan = ehrhart_values_scan(g, kmax)
+        assert scan == fraction_scan(g, kmax) == ehrhart_values(g, kmax), sorted(g.edges)
 
 
 def test_ehrhart_scan_oracle_random():
