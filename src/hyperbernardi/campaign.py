@@ -201,19 +201,14 @@ def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
     report.add("bernardi-interior-theorem",
                PASS if bernardi_e[0] == interior else FAIL)
 
-    # one pass over all spanning trees feeds both recognitions and the
-    # volume check; only the recognized trees, the volumes and the
-    # number of trees visited are kept
-    simple = len({g.edges[e] for e in g.edge_ids}) == len(g.edge_ids)
+    # one pass over all spanning trees feeds both recognitions; only the
+    # recognized trees and the number of trees visited are kept
     recognized: dict[str, set] = {VCUT: set(), ECUT: set()}
-    vols: set[int] = set()
     swept = 0
     for t in g.spanning_trees():
         swept += 1
         for cut in jaeger_cuts(g, t):
             recognized[cut].add(t)
-        if simple:
-            vols.add(normalized_simplex_volume(g, t))
 
     vcut = enumerate_jaeger_trees(g, VCUT)
     ecut = enumerate_jaeger_trees(g, ECUT)
@@ -263,10 +258,12 @@ def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
     report.add("composition-theorems", PASS if ok else FAIL)
 
     # geometry
-    if not simple:
+    if len({g.edges[e] for e in g.edge_ids}) != len(g.edge_ids):
         report.add("root-polytope", SKIP, reason="parallel edges")
     else:
-        # the sweep must have visited every tree (Kirchhoff's count)
+        # the dissection's simplices, the ones the Ehrhart chain counts,
+        # are unimodular; the sweep visited every tree (Kirchhoff's count)
+        vols = {normalized_simplex_volume(g, t) for t in vcut}
         ok = vols == {1} and swept == g.count_spanning_trees()
         report.add("equal-simplex-volumes", PASS if ok else FAIL,
                    volumes=sorted(vols), trees=swept)

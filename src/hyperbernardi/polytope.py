@@ -4,14 +4,16 @@ The root polytope of a bipartite graph is the convex hull of the points
 e + v over its edges; maximal simplices correspond to spanning trees.
 Everything here is exact.  Every kernel that ``verify`` runs on each
 instance works on plain ints: marker containment (markers scaled by
-|E||V| to integer points, peeled on the tree), simplex volumes (one
-search whose discovery edges pivot a unit triangular incidence matrix,
-``det_bareiss`` for any other edge set), Ehrhart counting (dilate
-points packed into one int each), the lattice-scan oracle (the same
-integer peel on the points of k*Q_G), the binomial-basis fit (a unit
-triangular system) and the +/-1 separating functionals that certify
-pairwise interior-disjointness of a dissection.  Facet coverage for
-shelling orders and the brute-force oracles run over ``Fraction``.
+|E||V| to integer points, peeled on the tree), simplex volumes
+(``det_bareiss`` of incidence rows, which ``verify`` computes on the
+dissection's trees; in a search's discovery order every spanning
+tree's rows are unit triangular, so every tree simplex is unimodular),
+Ehrhart counting (dilate points packed into one int each), the
+lattice-scan oracle (the same integer peel on the points of k*Q_G),
+the binomial-basis fit (a unit triangular system) and the +/-1
+separating functionals that certify pairwise interior-disjointness of
+a dissection.  Facet coverage for shelling orders and the brute-force
+oracles run over ``Fraction``.
 
 Parallel edges collapse to one polytope vertex, so the geometric
 operations require a simple bipartite graph.
@@ -371,8 +373,8 @@ def shelling_h_vector(steps) -> tuple[int, ...]:
 
 
 def normalized_simplex_volume(g: RibbonBipartiteGraph, tree: frozenset[str]) -> int:
-    """|det| of the tree's incidence rows with the first violet's
-    coordinate dropped; 0 when the edges hold a cycle.
+    """|det| of the edge set's incidence rows with the first violet's
+    coordinate dropped, for |V|-1 edges (``ValueError`` otherwise).
 
     Dropping that coordinate maps the lattice of span(Q_G) onto Z^(n-1),
     and the emerald coordinate sum is a primitive functional equal to 1
@@ -380,29 +382,16 @@ def normalized_simplex_volume(g: RibbonBipartiteGraph, tree: frozenset[str]) -> 
     It equals 1 exactly when the simplex is unimodular (which Ehrhart
     counting relies on).
 
-    One search from the dropped violet over the edge set finds the
-    determinant without elimination.  The row of the edge that discovers
-    a node has a 1 in that node's column and at most one other 1, in
-    the column of a node discovered earlier (or in the dropped one).
-    With rows and columns in discovery order the matrix is unit lower
-    triangular, so |det| = 1 when the |V|-1 rows discover every other
-    node.  Any other edge set, one with a cycle or a disconnected one,
-    goes to ``det_bareiss`` on the rows."""
+    Every spanning tree gives 1: the row of the edge that discovers a
+    node in a search from the dropped violet has a 1 in that node's
+    column and at most one other 1, in the column of a node discovered
+    earlier, so in discovery order the matrix is unit lower triangular.
+    Any other edge set gives 0: it holds a cycle, whose alternating row
+    sum vanishes.  ``verify`` computes the determinant on the trees of
+    the dissection, the simplices that the Ehrhart chain counts."""
+    if len(tree) != len(g.nodes) - 1:
+        raise ValueError(f"need {len(g.nodes) - 1} edges, got {len(tree)}")
     dropped = g.violets[0]
-    ends = g.edges
-    seen = {dropped}
-    stack = [dropped]
-    while stack:
-        x = stack.pop()
-        for e in g.rotations[x]:
-            if e in tree:
-                a, b = ends[e]
-                y = b if a == x else a
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-    if len(seen) == len(g.nodes) == len(tree) + 1:
-        return 1
     col = {x: i for i, x in enumerate(x for x in g.nodes if x != dropped)}
     rows = []
     for e in tree:
@@ -421,10 +410,11 @@ def ehrhart_values(g: RibbonBipartiteGraph, kmax: int) -> list[int]:
     """Lattice points of the dilates k*Q_G for k = 0..kmax.
 
     Counted as distinct endpoint-degree vectors of k-edge multisets, on
-    ints; this relies on the maximal simplices being unimodular, which
-    normalized_simplex_volume checks on every spanning tree and the
+    ints; this relies on the maximal simplices being unimodular.  Every
+    spanning tree's simplex is (see normalized_simplex_volume, whose
+    determinant ``verify`` computes on the dissection's trees), and the
     lattice-scan oracle (integer points peeled on every tree simplex)
-    cross-checks on small instances.
+    cross-checks the counts on small instances.
 
     Each vector is packed into one int, a digit per node in base
     kmax + 1.  No coordinate of a point of k*Q_G exceeds k <= kmax, so
@@ -443,6 +433,17 @@ def ehrhart_values(g: RibbonBipartiteGraph, kmax: int) -> list[int]:
     return values
 
 
+def compositions(total: int, parts: int):
+    """Every tuple of ``parts`` nonnegative ints summing to ``total``,
+    in lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
 def ehrhart_values_scan(g: RibbonBipartiteGraph, kmax: int) -> list[int]:
     """Independent oracle: scan integer points p of the bounding slab and
     test membership of p/k in Q_G via some spanning-tree simplex, by the
@@ -451,14 +452,6 @@ def ehrhart_values_scan(g: RibbonBipartiteGraph, kmax: int) -> list[int]:
     simplices = [TreeSimplex(g, t) for t in g.spanning_trees()]
     n_e = len(g.emeralds)
     n_v = len(g.violets)
-
-    def compositions(total: int, parts: int):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
 
     values = []
     for k in range(kmax + 1):

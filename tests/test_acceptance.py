@@ -17,6 +17,7 @@ from itertools import combinations
 
 import pytest
 
+from conftest import contains
 from hyperbernardi.bernardi import (HT_E_CUT_E, HT_E_CUT_V, HT_V_CUT_E,
                                     HT_V_CUT_V, bernardi_polynomials,
                                     check_composition,
@@ -172,11 +173,8 @@ def test_criterion_06_dissection(bundles):
         for side, family in ((EMERALD, b.b_e), (VIOLET, b.b_v)):
             for f in family:
                 p = marker(b.g, f, side)
-                # strictly inside: in the affine hull, every barycentric
-                # coordinate positive
-                lams = [s.barycentric(p) for s in simplices]
-                hits = [i for i, lam in enumerate(lams)
-                        if lam is not None and min(lam) > 0]
+                hits = [i for i, s in enumerate(simplices)
+                        if contains(s, p, strict=True)]
                 assert len(hits) == 1, (side, f)
                 markers_checked += 1
         if len(b.g.edge_ids) <= 8:

@@ -109,34 +109,25 @@ def test_bernardi_interior_equals_interior(running_fixture, c4_fixture,
         bernardi_polynomials(g, VIOLET, HT_E_CUT_E)
 
 
-def test_bernardi_interior_random_setups(running_fixture):
-    from hyperbernardi.generators import random_setup_variation
-    g = running_fixture.graph
-    want = interior_polynomial(g, EMERALD)
-    for seed in range(12):
-        setup = random_setup_variation(g, seed)
-        assert bernardi_polynomials(setup, EMERALD, HT_E_CUT_E)[0] == want
-
-
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10 ** 6), variation=st.integers(0, 10 ** 6))
-def test_interior_invariant_under_setup_variation(seed, variation):
+def test_bernardi_interior_random_setups(running_fixture, seed, variation):
     """A new base and new rotations leave the interior polynomial as it
     is: classically, from the Bernardi processes cut at the hypertree
     side on either side, and as the h-vector of the V-cut Jaeger
-    shelling."""
+    shelling; on the running example and on a drawn random graph."""
     from hyperbernardi.generators import random_setup_variation
     from hyperbernardi.jaeger import shelling
     from hyperbernardi.polytope import shelling_h_vector
-    g = random_bipartite(seed, 4, 4, 10)
-    want = interior_polynomial(g, EMERALD)
-    setup = random_setup_variation(g, variation)
-    assert setup.edges == g.edges
-    assert interior_polynomial(setup, EMERALD) == want
-    assert bernardi_polynomials(setup, EMERALD, HT_E_CUT_E)[0] == want
-    assert bernardi_polynomials(setup, VIOLET, HT_V_CUT_V)[0] == want
-    steps = shelling(setup, enumerate_jaeger_trees(setup, VCUT))
-    assert Poly(shelling_h_vector(steps)) == want
+    for g in (running_fixture.graph, random_bipartite(seed, 4, 4, 10)):
+        want = interior_polynomial(g, EMERALD)
+        setup = random_setup_variation(g, variation)
+        assert setup.edges == g.edges
+        assert interior_polynomial(setup, EMERALD) == want
+        assert bernardi_polynomials(setup, EMERALD, HT_E_CUT_E)[0] == want
+        assert bernardi_polynomials(setup, VIOLET, HT_V_CUT_V)[0] == want
+        steps = shelling(setup, enumerate_jaeger_trees(setup, VCUT))
+        assert Poly(shelling_h_vector(steps)) == want
 
 
 def composition_runs(g):

@@ -18,8 +18,10 @@ from hyperbernardi.fixtures import (Fixture, load, noncrossing_setup,
                                     running_graph)
 from hyperbernardi.generators import random_bipartite, random_ordinary
 from hyperbernardi.graph import EMERALD, VIOLET, RibbonBipartiteGraph, bip
-from hyperbernardi.jaeger import ECUT, VCUT, semi_passive_edges, t_order
-from hyperbernardi.polytope import TreeSimplex, facet_cover_status
+from hyperbernardi.jaeger import (ECUT, VCUT, enumerate_jaeger_trees,
+                                  semi_passive_edges, t_order)
+from hyperbernardi.polytope import (TreeSimplex, facet_cover_status,
+                                    normalized_simplex_volume)
 
 
 def test_random_bipartite_deterministic():
@@ -91,19 +93,35 @@ def test_campaign_all_pass(knot_fixture):
     assert payload["input_hash"] and "tool_version" in payload
 
 
-def test_volume_check_needs_the_whole_sweep(monkeypatch):
-    """equal-simplex-volumes reports the trees the campaign's sweep
-    visited and fails when they fall short of Kirchhoff's count, even
-    though every volume it saw is 1."""
+def test_volume_check_reads_dissection_and_sweep(monkeypatch):
+    """equal-simplex-volumes computes one volume per V-cut Jaeger tree,
+    the dissection's simplices, and fails on a volume other than 1; it
+    reports the trees the campaign's sweep visited and fails when they
+    fall short of Kirchhoff's count, even though every volume is 1."""
     from itertools import islice
+
+    from hyperbernardi import campaign
     g = running_graph().graph
 
     def volume_check():
         rep = campaign_verify_all(g)
         return next(c for c in rep.checks if c["name"] == "equal-simplex-volumes")
+    measured = []
+
+    def counted(h, t):
+        measured.append(t)
+        return normalized_simplex_volume(h, t)
+    monkeypatch.setattr(campaign, "normalized_simplex_volume", counted)
     check = volume_check()
     assert check["status"] == "pass"
-    assert check["trees"] == g.count_spanning_trees() > 1
+    assert sorted(map(sorted, measured)) == sorted(
+        map(sorted, enumerate_jaeger_trees(g, VCUT)))
+    assert check["trees"] == g.count_spanning_trees() > len(measured)
+    monkeypatch.setattr(campaign, "normalized_simplex_volume",
+                        lambda h, t: 2 if t == measured[0] else 1)
+    doubled = volume_check()
+    assert (doubled["status"], doubled["volumes"]) == ("fail", [1, 2])
+    monkeypatch.setattr(campaign, "normalized_simplex_volume", normalized_simplex_volume)
     sweep = g.spanning_trees
     monkeypatch.setattr(g, "spanning_trees", lambda: islice(sweep(), 1, None))
     short = volume_check()

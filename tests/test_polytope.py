@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperbernardi import polytope
+from conftest import contains
 from hyperbernardi.exactla import det_bareiss, solve_exact
 from hyperbernardi.fixtures import c4, noncrossing_setup
 from hyperbernardi.generators import random_bipartite
@@ -19,7 +19,7 @@ from hyperbernardi.hypertree import (Poly, enumerate_hypertrees,
                                      interior_polynomial)
 from hyperbernardi.jaeger import VCUT, enumerate_jaeger_trees, shelling
 from hyperbernardi.polytope import (TreeSimplex, certify_disjoint_interiors,
-                                    ehrhart_fit, ehrhart_values,
+                                    compositions, ehrhart_fit, ehrhart_values,
                                     ehrhart_values_scan,
                                     fit_binomial_coefficients,
                                     geometric_shelling_check,
@@ -28,16 +28,6 @@ from hyperbernardi.polytope import (TreeSimplex, certify_disjoint_interiors,
                                     normalized_simplex_volume, scaled_marker,
                                     shelling_h_vector, trees_compatible,
                                     verify_dissection, vertex_point)
-
-
-def contains(simplex, p, strict):
-    """Reference containment over Fractions: p lies in the affine hull
-    and its barycentric coordinates are nonnegative (positive when
-    ``strict``)."""
-    lam = simplex.barycentric(p)
-    if lam is None:
-        return False
-    return all(c > 0 if strict else c >= 0 for c in lam)
 
 
 def test_marker_values_c4(c4_fixture):
@@ -304,28 +294,26 @@ def chart_volume(g, edges):
 
 
 def test_integer_volume_equals_fraction_determinant(c4_fixture, running_fixture,
-                                                    knot_fixture, monkeypatch):
+                                                    knot_fixture):
     """Every (n-1)-edge set: a spanning tree gives its normalized volume,
-    a set with a cycle gives 0, by both determinants.  Both branches of
-    the kernel run: the discovery pivots on trees, ``det_bareiss`` on
-    the other sets."""
-    fallbacks = []
-
-    def counted(rows):
-        fallbacks.append(rows)
-        return det_bareiss(rows)
-    monkeypatch.setattr(polytope, "det_bareiss", counted)
+    a set with a cycle gives 0, by both determinants."""
     answers = set()
-    calls = 0
     for g in geometry_graphs(c4_fixture, running_fixture, knot_fixture):
         for edges in combinations(g.edge_ids, len(g.nodes) - 1):
             vol = normalized_simplex_volume(g, frozenset(edges))
-            calls += 1
             assert vol == chart_volume(g, edges), edges
             assert vol == (1 if g.is_spanning_tree(frozenset(edges)) else 0)
             answers.add(vol)
     assert answers == {0, 1}
-    assert 0 < len(fallbacks) < calls
+
+
+def test_volume_rejects_wrong_size(c4_fixture):
+    """An edge set of any size but |V|-1 spans no full-dimensional
+    simplex, so it has no normalized volume."""
+    g = c4_fixture.graph
+    for size in (0, 2, len(g.edge_ids)):
+        with pytest.raises(ValueError):
+            normalized_simplex_volume(g, frozenset(g.edge_ids[:size]))
 
 
 def incidence_volume(g, edges):
@@ -415,15 +403,6 @@ def fraction_scan(g, kmax):
                 count += any(contains(s, p, strict=False) for s in simplices)
         values.append(count)
     return values
-
-
-def compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def test_integer_scan_equals_fraction_scan(c4_fixture, running_fixture):
