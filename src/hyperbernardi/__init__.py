@@ -13,18 +13,16 @@ from .campaign import (CampaignReport, arborescence_duality,
                        fuzz_conjectures, verify_noncrossing)
 from .docio import (GraphFormatError, format_polynomial, parse_graph,
                     parse_hypertree, serialize_graph)
-from .graph import (EMERALD, VIOLET, RibbonBipartiteGraph, RibbonGraph, Tour,
+from .graph import (EMERALD, VIOLET, RibbonBipartiteGraph, RibbonGraph,
                     ValidationError, bip)
-from .hypertree import (Poly, break_divisors, can_transfer, degree_vector,
-                        enumerate_hypertrees,exterior_polynomial,
-                        external_inactivity, interior_polynomial,
-                        internal_inactivity, is_hypertree, tutte_check,
-                        tutte_x_polynomial)
+from .hypertree import (Poly, break_divisors, enumerate_hypertrees,
+                        exterior_polynomial, external_inactivity,
+                        interior_polynomial, internal_inactivity,
+                        is_hypertree, tutte_check, tutte_x_polynomial)
 from .jaeger import (ECUT, VCUT, TOrder, characterize_tree,
                      enumerate_jaeger_trees, graph_activity_matching,
                      is_jaeger_tree, semi_passive_edges, shelling, t_order)
 from .polytope import (TreeSimplex, ehrhart_values, ehrhart_values_scan,
                        fit_binomial_coefficients, geometric_shelling_check,
-                       intersection_is_common_face, kato_series_check,
-                       marker, shelling_h_vector,
+                       kato_series_check, shelling_h_vector,
                        trees_compatible, verify_dissection)

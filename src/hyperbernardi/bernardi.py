@@ -304,8 +304,7 @@ def graph_specialization_check(graph_g, tree_of_g: frozenset[str]) -> bool:
     from .graph import bip
     bg = bip(graph_g)
     f = {e: (1 if e in tree_of_g else 0) for e in graph_g.edge_ids}
-    tour = graph_g.tour_of_tree(tree_of_g)
-    want = tour.edge_order()
+    want = graph_g.tour_order(tree_of_g)
     for variant in (HT_E_CUT_E, HT_E_CUT_V):
         run = run_bernardi(bg, f, variant)
         got = induced_class_order(run, bg, EMERALD)

@@ -31,15 +31,17 @@ EXIT_CONJECTURE_FLAG = 3
 EXIT_INTERNAL_ERROR = 4
 
 
-def _add_common(p: argparse.ArgumentParser, graph_required: bool = True):
-    p.add_argument("--graph", required=graph_required,
-                   help="graph document (hyperbernardi-graph v1)")
+def _add_common(p: argparse.ArgumentParser, graph: bool = True):
+    """--json and --max-edges, and the --graph document unless the
+    command generates its instances."""
+    if graph:
+        p.add_argument("--graph", required=True,
+                       help="graph document (hyperbernardi-graph v1)")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-edges", type=int, default=14,
-                   help="refuse larger instances (checks are exponential)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for fuzz campaigns")
+                   help="refuse larger instances (checks are exponential)" if graph
+                   else "edge bound of the generated instances (with --graphs-only, "
+                        "of the ordinary graphs, whose subdivisions have twice as many)")
 
 
 def _load_graph(args):
@@ -282,10 +284,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="full theorem campaign on one graph")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the shuffled class orders")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("fuzz", help="conjecture fuzzing on random instances")
-    _add_common(p, graph_required=False)
+    _add_common(p, graph=False)
+    p.add_argument("--seed", type=int, default=0, help="seed of the first instance")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--instances", type=int, default=100)
     p.add_argument("--max-nodes", type=int, default=4,
                    help="per-class node bound for random instances")

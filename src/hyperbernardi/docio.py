@@ -131,6 +131,8 @@ def parse_hypertree(literal: str, g: RibbonBipartiteGraph, side: str) -> dict[st
             raise GraphFormatError(f"bad hypertree item {item!r}")
         name, val = item.split("=", 1)
         name = name.strip()
+        if name in values:
+            raise GraphFormatError(f"hypertree names {name!r} twice")
         try:
             values[name] = int(val)
         except ValueError as exc:

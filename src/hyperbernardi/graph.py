@@ -10,16 +10,12 @@ inherits the cyclic orders by restriction.
 from __future__ import annotations
 
 from collections.abc import Set
-from dataclasses import dataclass
 from functools import cached_property
 
 from .exactla import det_bareiss
 
 EMERALD = "emerald"
 VIOLET = "violet"
-
-TRAVERSED = "traversed"
-SKIPPED = "skipped"
 
 
 class ValidationError(ValueError):
@@ -61,21 +57,6 @@ class UnionFind:
             self.parent[rb] = rb
             self.size[ra] -= self.size[rb]
             self.components += 1
-
-
-@dataclass(frozen=True)
-class Tour:
-    """Tour of a spanning tree: each incident (node, edge) pair once."""
-
-    pairs: tuple[tuple[str, str], ...]
-    actions: tuple[str, ...]  # TRAVERSED / SKIPPED, aligned with pairs
-
-    def edge_order(self) -> tuple[str, ...]:
-        """Edges by first occurrence as current edge."""
-        seen: dict[str, None] = {}
-        for _, e in self.pairs:
-            seen.setdefault(e, None)
-        return tuple(seen)
 
 
 class RibbonGraph:
@@ -282,13 +263,11 @@ class RibbonGraph:
                 return
         raise AssertionError("tour failed to close")
 
-    def tour_of_tree(self, tree: frozenset[str]) -> Tour:
-        """Walk around the tree starting at the base pair (see tour_pairs)."""
+    def tour_order(self, tree: frozenset[str]) -> tuple[str, ...]:
+        """The edges by first occurrence in the tour of a spanning tree."""
         if not self.is_spanning_tree(tree):
             raise ValueError("not a spanning tree")
-        pairs = tuple(self.tour_pairs(tree))
-        return Tour(pairs, tuple(TRAVERSED if e in tree else SKIPPED
-                                 for _, e in pairs))
+        return tuple(dict.fromkeys(e for _, e in self.tour_pairs(tree)))
 
     # -- faces / genus -----------------------------------------------------
 

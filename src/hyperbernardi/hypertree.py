@@ -187,12 +187,6 @@ def is_hypertree(g: RibbonBipartiteGraph, side: str, f: dict[str, int]) -> bool:
                                      frozenset()) is not None
 
 
-def degree_vector(g: RibbonBipartiteGraph, tree: frozenset[str], side: str) -> dict[str, int]:
-    if not g.is_spanning_tree(tree):
-        raise ValueError("not a spanning tree")
-    return g.degree_vector(tree, side)
-
-
 def _family(g: RibbonBipartiteGraph, side: str) -> frozenset[tuple[int, ...]]:
     """The hypertree value tuples on ``side``: the transfer closure of one
     spanning tree's degree vector, memoized on the (immutable) graph."""
@@ -246,22 +240,6 @@ def enumerate_hypertrees(g: RibbonBipartiteGraph, side: str) -> list[dict[str, i
     """
     nodes = g.side_nodes(side)
     return [dict(zip(nodes, key)) for key in sorted(_family(g, side))]
-
-
-def can_transfer(g: RibbonBipartiteGraph, side: str, f: dict[str, int],
-                 src: str, dst: str) -> bool:
-    """Can one unit of valence move from src to dst, staying a hypertree?"""
-    nodes = g.side_nodes(side)
-    if src not in nodes or dst not in nodes:
-        raise ValueError("transfer endpoints must lie in the hypertree's class")
-    if src == dst:
-        raise ValueError("transfer endpoints must differ")
-    if f[src] == 0:
-        return False
-    shifted = dict(f)
-    shifted[src] -= 1
-    shifted[dst] += 1
-    return is_hypertree(g, side, shifted)
 
 
 def _inactivity(g: RibbonBipartiteGraph, side: str, f: dict[str, int],

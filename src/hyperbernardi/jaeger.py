@@ -4,8 +4,8 @@ internally semi-passive edges, and the activity matching for graphs.
 A spanning tree is a V-cut (E-cut) Jaeger tree when its tour skips every
 non-tree edge for the first time at the violet (emerald) endpoint.  The
 violet tour of a V-cut tree uses the given setup; its emerald tour uses
-the reversed setup with base edge b0b1- (and symmetrically for E-cut
-trees, whose emerald tour lives in the given setup).
+the reversed setup with base edge b0b1-.  The E-cut trees are the V-cut
+trees of the reversed setup, so their orders are read there.
 """
 
 from __future__ import annotations
@@ -116,15 +116,15 @@ def enumerate_jaeger_trees(g: RibbonBipartiteGraph, cut: str) -> list[frozenset[
     return out
 
 
-def tour_setup(g: RibbonBipartiteGraph, cut: str, flavor: str) -> RibbonBipartiteGraph:
-    """The setup whose tour realizes the requested flavor for cut-``cut``
-    Jaeger trees: the given one when flavor matches the cut color, the
-    reversed one (base edge b0b1-) otherwise."""
-    return g if flavor == cut else g.reversed_setup()
+def tour_setup(g: RibbonBipartiteGraph, flavor: str) -> RibbonBipartiteGraph:
+    """The setup whose tour realizes the requested flavor for V-cut
+    Jaeger trees: the given one for the violet flavor, the reversed one
+    (base edge b0b1-) for the emerald flavor."""
+    return g if flavor == VIOLET else g.reversed_setup()
 
 
 def divergence_edge(g: RibbonBipartiteGraph, t1: frozenset[str], t2: frozenset[str],
-                    cut: str = VCUT, flavor: str | None = None) -> str:
+                    flavor: str = VIOLET) -> str:
     """The edge at which the flavor tours of two distinct trees diverge.
 
     Walks both tours side by side and stops at the first edge that one
@@ -132,7 +132,7 @@ def divergence_edge(g: RibbonBipartiteGraph, t1: frozenset[str], t2: frozenset[s
     """
     if not (g.is_spanning_tree(t1) and g.is_spanning_tree(t2)):
         raise ValueError("not a spanning tree")
-    return _tour_divergence(tour_setup(g, cut, cut if flavor is None else flavor), t1, t2)
+    return _tour_divergence(tour_setup(g, flavor), t1, t2)
 
 
 def _tour_divergence(setup: RibbonBipartiteGraph, t1: frozenset[str],
@@ -158,22 +158,14 @@ class TOrder:
         return {e: i for i, e in enumerate(self.edge_order)}
 
 
-def t_order(g: RibbonBipartiteGraph, tree: frozenset[str], flavor: str,
-            cut: str | None = None) -> TOrder:
+def t_order(g: RibbonBipartiteGraph, tree: frozenset[str], flavor: str) -> TOrder:
     """Edges by first occurrence with a flavor-colored current node, plus
-    the class order induced by smallest incident edges.
-
-    ``cut`` names the setup in which the tree is a Jaeger tree; by
-    default it is inferred by recognition.
+    the class order induced by smallest incident edges, for a V-cut
+    Jaeger tree (an E-cut tree's orders are read on ``g.reversed_setup()``).
     """
     if not g.is_spanning_tree(tree):
         raise ValueError("not a spanning tree")
-    if cut is None:
-        cuts = jaeger_cuts(g, tree)
-        if not cuts:
-            raise ValueError("tree is not a Jaeger tree; pass cut explicitly")
-        cut = VCUT if VCUT in cuts else ECUT
-    setup = tour_setup(g, cut, flavor)
+    setup = tour_setup(g, flavor)
     order: list[str] = []
     seen: set[str] = set()
     for node, edge in setup.tour_pairs(tree):
@@ -228,9 +220,9 @@ def shelling(g: RibbonBipartiteGraph, trees_in_violet_order) -> list[ShellingSte
     trees = [frozenset(t) for t in trees_in_violet_order]
     steps = []
     for i, tree in enumerate(trees):
-        emerald = t_order(g, tree, EMERALD, cut=VCUT)
+        emerald = t_order(g, tree, EMERALD)
         steps.append(ShellingStep(
-            tree, t_order(g, tree, VIOLET, cut=VCUT), emerald,
+            tree, t_order(g, tree, VIOLET), emerald,
             semi_passive_edges(g, tree, emerald.edge_order),
             tuple(_tour_divergence(g, earlier, tree) for earlier in trees[:i])))
     return steps
@@ -291,7 +283,7 @@ def graph_activity_matching(graph_g, tree: frozenset[str]) -> dict:
     bg = bip(graph_g)
     if not is_jaeger_tree(bg, tree, VCUT):
         raise ValueError("tree must be a V-cut Jaeger tree of the subdivision")
-    vi_order = t_order(bg, tree, VIOLET, cut=VCUT)
+    vi_order = t_order(bg, tree, VIOLET)
     semi = semi_passive_edges(bg, tree, vi_order.edge_order)
 
     f_e = bg.degree_vector(tree, EMERALD)

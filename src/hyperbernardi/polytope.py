@@ -12,8 +12,8 @@ Ehrhart counting (dilate points packed into one int each), the
 lattice-scan oracle (the same integer peel on the points of k*Q_G),
 the binomial-basis fit (a unit triangular system) and the +/-1
 separating functionals that certify pairwise interior-disjointness of
-a dissection.  Facet coverage for shelling orders and the brute-force
-oracles run over ``Fraction``.
+a dissection.  Facet coverage for shelling orders runs over
+``Fraction``.
 
 Parallel edges collapse to one polytope vertex, so the geometric
 operations require a simple bipartite graph.
@@ -26,7 +26,8 @@ from graphlib import CycleError, TopologicalSorter
 from itertools import combinations
 from math import comb
 
-from .exactla import det_bareiss, solve_exact
+from .bernardi import TheoremViolation
+from .exactla import det_bareiss
 from .graph import EMERALD, VIOLET, RibbonBipartiteGraph, UnionFind
 from .hypertree import Poly, enumerate_hypertrees
 
@@ -56,20 +57,15 @@ def vertex_point(g: RibbonBipartiteGraph, edge: str) -> Point:
 
 def scaled_marker(g: RibbonBipartiteGraph, f: dict[str, int],
                   side: str = EMERALD) -> tuple[int, ...]:
-    """The marker of a hypertree times |E||V|: f*|side| + 1 on the side's
-    nodes and |side| on the opposite ones, all integers."""
+    """The marker point of a hypertree, f/|opp| + i_side/(|E||V|) +
+    i_opp/|opp|, times |E||V|: f*|side| + 1 on the side's nodes and
+    |side| on the opposite ones, all integers."""
     idx = node_index(g)
     own = g.side_nodes(side)
     coords = [len(own)] * len(g.nodes)
     for x in own:
         coords[idx[x]] = f[x] * len(own) + 1
     return tuple(coords)
-
-
-def marker(g: RibbonBipartiteGraph, f: dict[str, int], side: str = EMERALD) -> Point:
-    """The marker point of a hypertree: f/|opp| + i_side/(|E||V|) + i_opp/|opp|."""
-    scale = len(g.emeralds) * len(g.violets)
-    return tuple(Fraction(c, scale) for c in scaled_marker(g, f, side))
 
 
 class TreeSimplex:
@@ -365,7 +361,7 @@ def shelling_h_vector(steps) -> tuple[int, ...]:
     semi-passive edges under their own emerald T-order.  The input must
     be the shelling record of the V-cut Jaeger trees in violet order."""
     if steps and steps[0].semi_passive:
-        raise AssertionError("first tree of a shelling has no covered facets")
+        raise TheoremViolation("first tree of a shelling has no covered facets")
     return Poly.counting(len(s.semi_passive) for s in steps).coeffs
 
 
@@ -515,81 +511,3 @@ def kato_series_check(interior_coeffs, g: RibbonBipartiteGraph, order: int,
         if series != values[k]:
             return False
     return True
-
-
-# -- simplex intersection oracle (compatibility <=> common face) -----------
-
-
-def _affine_chart(g: RibbonBipartiteGraph):
-    """Drop one emerald and one violet coordinate: a unimodular chart of
-    the direction space of aff(Q_G)."""
-    idx = node_index(g)
-    drop = {idx[g.emeralds[0]], idx[g.violets[0]]}
-    cols = [i for i in range(len(g.nodes)) if i not in drop]
-    return cols
-
-
-def intersection_is_common_face(g: RibbonBipartiteGraph, t1: frozenset[str],
-                                t2: frozenset[str]) -> bool:
-    """Exact geometric test: Q_T1 intersect Q_T2 equals the simplex on the
-    shared edges.  Vertices of the intersection are enumerated by brute
-    force over active constraint subsets in an affine chart."""
-    _require_simple(g)
-    cols = _affine_chart(g)
-    d = len(cols)
-    s1, s2 = TreeSimplex(g, t1), TreeSimplex(g, t2)
-
-    # affine functionals lam_i(x) for both simplices, as functions of the
-    # chart coordinates: lam(x) = proj . (point(x), 1) where the dropped
-    # coordinates are recovered from the affine-hull equations.
-    idx = node_index(g)
-    drop_e = idx[g.emeralds[0]]
-    drop_v = idx[g.violets[0]]
-    e_cols = [idx[x] for x in g.emeralds if idx[x] != drop_e]
-    v_cols = [idx[x] for x in g.violets if idx[x] != drop_v]
-
-    def lift(chart: tuple[Fraction, ...]) -> Point:
-        full = [Fraction(0)] * len(g.nodes)
-        for c, val in zip(cols, chart):
-            full[c] = val
-        full[drop_e] = Fraction(1) - sum(full[c] for c in e_cols)
-        full[drop_v] = Fraction(1) - sum(full[c] for c in v_cols)
-        return tuple(full)
-
-    def functional_rows(simplex: TreeSimplex):
-        rows = []
-        zero = lift(tuple(Fraction(0) for _ in cols))
-        lam0 = simplex.barycentric(zero)
-        for i in range(len(simplex.tree_edges)):
-            grad = []
-            for c in range(d):
-                unit = tuple(Fraction(int(j == c)) for j in range(d))
-                lam = simplex.barycentric(lift(unit))
-                grad.append(lam[i] - lam0[i])
-            rows.append((grad, lam0[i]))
-        return rows
-
-    constraints = functional_rows(s1) + functional_rows(s2)
-
-    def value(con, chart):
-        grad, c0 = con
-        return c0 + sum(a * b for a, b in zip(grad, chart))
-
-    verts: set[tuple[Fraction, ...]] = set()
-    for subset in combinations(range(len(constraints)), d):
-        rows = [constraints[i][0] for i in subset]
-        rhs = [-constraints[i][1] for i in subset]
-        try:
-            sol = solve_exact([list(r) for r in rows], rhs)
-        except ValueError:
-            continue
-        if sol is None:
-            continue
-        if all(value(c, sol) >= 0 for c in constraints):
-            verts.add(sol)
-
-    expected = set()
-    for e in t1 & t2:
-        p = vertex_point(g, e)
-        expected.add(tuple(p[c] for c in cols))
-    return verts == expected

@@ -6,16 +6,6 @@ from hyperbernardi.fixtures import (c4, k5_setup, matching_example,
                                     single_edge, tour_example)
 
 
-def contains(simplex, p, strict):
-    """Reference containment over Fractions: p lies in the affine hull
-    and its barycentric coordinates are nonnegative (positive when
-    ``strict``).  Shared by the geometry tests."""
-    lam = simplex.barycentric(p)
-    if lam is None:
-        return False
-    return all(c > 0 if strict else c >= 0 for c in lam)
-
-
 @pytest.fixture(scope="session")
 def c4_fixture():
     return c4()

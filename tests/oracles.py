@@ -1,0 +1,185 @@
+"""Brute-force references for the library's fast paths, over ``Fraction``.
+
+The searches are exponential in the instance, so the tests call them
+on small instances only.  Each reference, and what it checks:
+
+* ``solve_exact`` and ``in_convex_hull``: Gauss-Jordan elimination and a
+  Caratheodory search over affinely independent subsets (against the
+  peeled ``TreeSimplex.barycentric`` and the hypertree enumeration);
+* ``intersection_is_common_face``: the vertices of the intersection of
+  two tree simplices, over every active constraint subset (against
+  ``trees_compatible``);
+* ``can_transfer``: one feasibility question per unit transfer (against
+  the activities read off the hypertree family);
+* ``marker`` and ``contains``: the Fraction marker point and simplex
+  containment (against ``scaled_marker`` and ``contains_scaled``).
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import combinations
+
+from hyperbernardi.hypertree import is_hypertree
+from hyperbernardi.polytope import (TreeSimplex, _require_simple, node_index,
+                                    scaled_marker, vertex_point)
+
+
+def solve_exact(rows, rhs):
+    """Solve an (possibly overdetermined) linear system exactly.
+
+    Returns the unique solution vector, or None if the system is
+    inconsistent.  Raises ValueError when the solution is not unique
+    (the columns are dependent).
+    """
+    m = len(rows)
+    n = len(rows[0]) if rows else 0
+    a = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
+    piv_cols = []
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        pv = a[r][c]
+        a[r] = [x / pv for x in a[r]]
+        for i in range(m):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        piv_cols.append(c)
+        r += 1
+        if r == m:
+            break
+    # inconsistent if a zero row has nonzero rhs
+    for i in range(r, m):
+        if a[i][n] != 0:
+            return None
+    if len(piv_cols) < n:
+        raise ValueError("underdetermined system (columns not independent)")
+    sol = [Fraction(0)] * n
+    for i, c in enumerate(piv_cols):
+        sol[c] = a[i][n]
+    return tuple(sol)
+
+
+def in_convex_hull(points, target) -> bool:
+    """Exact membership of ``target`` in conv(points): some affinely
+    independent subset's simplex contains it (Caratheodory)."""
+    dim = len(target)
+    for k in range(1, min(len(points), dim + 1) + 1):
+        for subset in combinations(points, k):
+            rows = [[subset[j][i] for j in range(k)] for i in range(dim)]
+            rows.append([Fraction(1)] * k)
+            rhs = [Fraction(x) for x in target] + [Fraction(1)]
+            try:
+                sol = solve_exact(rows, rhs)
+            except ValueError:
+                continue  # affinely dependent subset
+            if sol is not None and all(c >= 0 for c in sol):
+                return True
+    return False
+
+
+def _affine_chart(g):
+    """Drop one emerald and one violet coordinate: a unimodular chart of
+    the direction space of aff(Q_G)."""
+    idx = node_index(g)
+    drop = {idx[g.emeralds[0]], idx[g.violets[0]]}
+    return [i for i in range(len(g.nodes)) if i not in drop]
+
+
+def intersection_is_common_face(g, t1, t2) -> bool:
+    """Exact geometric test: Q_T1 intersect Q_T2 equals the simplex on the
+    shared edges.  Vertices of the intersection are enumerated by brute
+    force over active constraint subsets in an affine chart."""
+    _require_simple(g)
+    cols = _affine_chart(g)
+    d = len(cols)
+    s1, s2 = TreeSimplex(g, t1), TreeSimplex(g, t2)
+
+    # affine functionals lam_i(x) for both simplices, as functions of the
+    # chart coordinates: lam(x) = proj . (point(x), 1) where the dropped
+    # coordinates are recovered from the affine-hull equations.
+    idx = node_index(g)
+    drop_e = idx[g.emeralds[0]]
+    drop_v = idx[g.violets[0]]
+    e_cols = [idx[x] for x in g.emeralds if idx[x] != drop_e]
+    v_cols = [idx[x] for x in g.violets if idx[x] != drop_v]
+
+    def lift(chart):
+        full = [Fraction(0)] * len(g.nodes)
+        for c, val in zip(cols, chart):
+            full[c] = val
+        full[drop_e] = Fraction(1) - sum(full[c] for c in e_cols)
+        full[drop_v] = Fraction(1) - sum(full[c] for c in v_cols)
+        return tuple(full)
+
+    def functional_rows(simplex):
+        rows = []
+        zero = lift(tuple(Fraction(0) for _ in cols))
+        lam0 = simplex.barycentric(zero)
+        for i in range(len(simplex.tree_edges)):
+            grad = []
+            for c in range(d):
+                unit = tuple(Fraction(int(j == c)) for j in range(d))
+                lam = simplex.barycentric(lift(unit))
+                grad.append(lam[i] - lam0[i])
+            rows.append((grad, lam0[i]))
+        return rows
+
+    constraints = functional_rows(s1) + functional_rows(s2)
+
+    def value(con, chart):
+        grad, c0 = con
+        return c0 + sum(a * b for a, b in zip(grad, chart))
+
+    verts = set()
+    for subset in combinations(range(len(constraints)), d):
+        rows = [constraints[i][0] for i in subset]
+        rhs = [-constraints[i][1] for i in subset]
+        try:
+            sol = solve_exact([list(r) for r in rows], rhs)
+        except ValueError:
+            continue
+        if sol is None:
+            continue
+        if all(value(c, sol) >= 0 for c in constraints):
+            verts.add(sol)
+
+    expected = set()
+    for e in t1 & t2:
+        p = vertex_point(g, e)
+        expected.add(tuple(p[c] for c in cols))
+    return verts == expected
+
+
+def can_transfer(g, side, f, src, dst) -> bool:
+    """Can one unit of valence move from src to dst, staying a hypertree?"""
+    nodes = g.side_nodes(side)
+    if src not in nodes or dst not in nodes:
+        raise ValueError("transfer endpoints must lie in the hypertree's class")
+    if src == dst:
+        raise ValueError("transfer endpoints must differ")
+    if f[src] == 0:
+        return False
+    shifted = dict(f)
+    shifted[src] -= 1
+    shifted[dst] += 1
+    return is_hypertree(g, side, shifted)
+
+
+def marker(g, f, side):
+    """The marker point of a hypertree: f/|opp| + i_side/(|E||V|) + i_opp/|opp|."""
+    scale = len(g.emeralds) * len(g.violets)
+    return tuple(Fraction(c, scale) for c in scaled_marker(g, f, side))
+
+
+def contains(simplex, p, strict):
+    """Containment over Fractions: p lies in the affine hull and its
+    barycentric coordinates are nonnegative (positive when ``strict``)."""
+    lam = simplex.barycentric(p)
+    if lam is None:
+        return False
+    return all(c > 0 if strict else c >= 0 for c in lam)

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from hyperbernardi.docio import GraphFormatError, parse_graph, serialize_graph
 from hyperbernardi.fixtures import torus_k4
 from hyperbernardi.generators import random_bipartite, random_ordinary
-from hyperbernardi.graph import (SKIPPED, TRAVERSED, RibbonBipartiteGraph,
-                                 ValidationError, bip)
+from hyperbernardi.graph import RibbonBipartiteGraph, ValidationError, bip
 
 C4_DOC = """
 hyperbernardi-graph v1
@@ -153,26 +152,28 @@ def test_view_next_edge_consistency(seed, drop):
 
 def test_tour_paper_example(tour_fixture):
     g = tour_fixture.graph
-    tour = g.tour_of_tree(tour_fixture.value("tree"))
-    assert tour.pairs == tour_fixture.value("tour_pairs")
-    assert tour.edge_order() == tour_fixture.value("edge_order")
+    tree = tour_fixture.value("tree")
+    assert tuple(g.tour_pairs(tree)) == tour_fixture.value("tour_pairs")
+    assert g.tour_order(tree) == tour_fixture.value("edge_order")
 
 
 def test_tour_c4(c4_fixture):
     g = c4_fixture.graph
-    tour = g.tour_of_tree(frozenset({"c2", "c3", "c4"}))
-    assert tour.pairs == (("v1", "c1"), ("v1", "c2"), ("e2", "c3"),
-                          ("v2", "c4"), ("e1", "c1"), ("e1", "c4"),
-                          ("v2", "c3"), ("e2", "c2"))
-    assert tour.actions[:5] == (SKIPPED, TRAVERSED, TRAVERSED, TRAVERSED, SKIPPED)
-    assert tour.edge_order() == ("c1", "c2", "c3", "c4")
+    tree = frozenset({"c2", "c3", "c4"})
+    pairs = tuple(g.tour_pairs(tree))
+    assert pairs == (("v1", "c1"), ("v1", "c2"), ("e2", "c3"),
+                     ("v2", "c4"), ("e1", "c1"), ("e1", "c4"),
+                     ("v2", "c3"), ("e2", "c2"))
+    # a tree edge is traversed, a non-tree edge skipped
+    assert [e in tree for _, e in pairs[:5]] == [False, True, True, True, False]
+    assert g.tour_order(tree) == ("c1", "c2", "c3", "c4")
 
 
 def test_tour_single_edge(single_edge_fixture):
     g = single_edge_fixture.graph
-    tour = g.tour_of_tree(frozenset({"ev"}))
-    assert len(tour.pairs) == 2
-    assert set(tour.actions) == {TRAVERSED}
+    pairs = tuple(g.tour_pairs(frozenset({"ev"})))
+    assert pairs == (("v", "ev"), ("e", "ev"))  # traversed there and back
+    assert g.tour_order(frozenset({"ev"})) == ("ev",)
 
 
 def test_tour_totality(c4_fixture, running_fixture):
@@ -181,14 +182,14 @@ def test_tour_totality(c4_fixture, running_fixture):
     for g in instances:
         all_pairs = {(x, e) for e in g.edge_ids for x in g.edges[e]}
         for tree in g.spanning_trees():
-            tour = g.tour_of_tree(tree)
-            assert len(tour.pairs) == len(set(tour.pairs)) == len(all_pairs)
-            assert set(tour.pairs) == all_pairs
+            pairs = tuple(g.tour_pairs(tree))
+            assert len(pairs) == len(set(pairs)) == len(all_pairs)
+            assert set(pairs) == all_pairs
 
 
 def test_tour_requires_spanning_tree(c4_fixture):
-    with pytest.raises(ValueError):
-        c4_fixture.graph.tour_of_tree(frozenset({"c1", "c2", "c3", "c4"}))
+    with pytest.raises(ValueError, match="not a spanning tree"):
+        c4_fixture.graph.tour_order(frozenset({"c1", "c2", "c3", "c4"}))
 
 
 def test_path_graph_tour_is_dfs_order():
@@ -197,8 +198,7 @@ def test_path_graph_tour_is_dfs_order():
              "p2": ("e1", "v1"), "p3": ("e2", "v1")}
     g = RibbonBipartiteGraph(["e0", "e1", "e2"], ["v0", "v1"], edges, None,
                              base_node="e0", base_edge="p0")
-    tour = g.tour_of_tree(frozenset(edges))
-    assert tour.edge_order() == ("p0", "p1", "p2", "p3")
+    assert g.tour_order(frozenset(edges)) == ("p0", "p1", "p2", "p3")
 
 
 def test_spanning_trees_counts(c4_fixture, running_fixture, single_edge_fixture):

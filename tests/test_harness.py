@@ -18,8 +18,8 @@ from hyperbernardi.fixtures import (Fixture, load, noncrossing_setup,
                                     running_graph)
 from hyperbernardi.generators import random_bipartite, random_ordinary
 from hyperbernardi.graph import EMERALD, VIOLET, RibbonBipartiteGraph, bip
-from hyperbernardi.jaeger import (ECUT, VCUT, enumerate_jaeger_trees,
-                                  semi_passive_edges, t_order)
+from hyperbernardi.jaeger import (VCUT, enumerate_jaeger_trees, semi_passive_edges,
+                                  t_order)
 from hyperbernardi.polytope import (TreeSimplex, facet_cover_status,
                                     normalized_simplex_volume)
 
@@ -167,10 +167,10 @@ def test_campaign_builds_one_shelling_record(monkeypatch):
         pairs.append(frozenset((t1, t2)))
         return tour_divergence(setup, t1, t2)
 
-    def counting_order(g, tree, flavor, cut=None):
+    def counting_order(g, tree, flavor):
         if flavor == EMERALD:
             emerald.append(tree)
-        return t_order(g, tree, flavor, cut)
+        return t_order(g, tree, flavor)
 
     def counting_semi(g, tree, edge_order):
         semi.append(tree)
@@ -308,9 +308,10 @@ def test_cli_bernardi_trace(graph_file):
 
 
 def test_cli_bernardi_bad_hypertree(graph_file):
-    proc = run_cli("bernardi", "--graph", graph_file,
-                   "--hypertree", "e0=9", "--variant", "htE-cutV", expect=2)
-    assert "error:" in proc.stderr
+    for literal in ("e0=9", "e0=2,e0=0,e1=0,e2=0,e3=2"):
+        proc = run_cli("bernardi", "--graph", graph_file,
+                       "--hypertree", literal, "--variant", "htE-cutV", expect=2)
+        assert "error:" in proc.stderr
 
 
 def test_cli_jaeger(graph_file):
@@ -383,8 +384,8 @@ def test_lemma_failure_fails_verify_and_characterize(monkeypatch, capsys,
     from hyperbernardi.cli import EXIT_THEOREM_FAILURE
     honest = jaeger.t_order
 
-    def perturbed_violet_order(g, tree, flavor, cut=None):
-        to = honest(g, tree, flavor, cut)
+    def perturbed_violet_order(g, tree, flavor):
+        to = honest(g, tree, flavor)
         if flavor != VIOLET:
             return to
         return jaeger.TOrder(flavor, perturb(tree, to.edge_order), to.class_order)
@@ -401,6 +402,40 @@ def test_lemma_failure_fails_verify_and_characterize(monkeypatch, capsys,
     assert cli.main(["jaeger", "--graph", graph_file, "--characterize"]) == \
         EXIT_THEOREM_FAILURE
     assert message in capsys.readouterr().err
+
+
+def test_shelling_failure_is_theorem_failure(monkeypatch, capsys, graph_file):
+    """A semi-passive edge in the first V-cut tree fails the shelling
+    theorem: verify reports it and goes on, and both commands exit 1."""
+    from hyperbernardi import cli, jaeger
+    monkeypatch.setattr(jaeger, "semi_passive_edges",
+                        lambda g, tree, edge_order: frozenset(tree))
+    message = "first tree of a shelling has no covered facets"
+    assert cli.main(["verify", "--graph", graph_file, "--json"]) == \
+        cli.EXIT_THEOREM_FAILURE
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert {"name": "h-vector-equals-interior", "status": "fail",
+            "error": message} in checks
+    assert checks[-1]["name"] == "conjecture-exterior-cutV"
+    assert cli.main(["polytope", "--graph", graph_file, "--verify", "shelling"]) == \
+        cli.EXIT_THEOREM_FAILURE
+    assert message in capsys.readouterr().err
+
+
+def test_readme_library_sketch():
+    """The README's Python block runs on the running example, with the
+    values its comments give."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    source = 'open("running.graph").read()'
+    assert source in block
+    ns = {"running_doc": serialize_graph(running_graph().graph)}
+    exec(block.replace(source, "running_doc"), ns)
+    g, steps = ns["g"], ns["steps"]
+    assert ns["interior_polynomial"](g, ns["EMERALD"]).coeffs == (1, 3, 3)
+    assert len(ns["trees"]) == len(steps) == 7
+    assert ns["shelling_h_vector"](steps) == (1, 3, 3)
+    assert ns["verify_dissection"](g, steps)["is_dissection"]
 
 
 def test_cli_characterize_rejects_e_cut_first(monkeypatch, graph_file):
@@ -429,13 +464,14 @@ def test_cli_jaeger_orders(graph_file):
                           "semi_passive_emerald_order"}
     assert len(entry["violet_edge_order"]) == 9
     g = running_graph().graph
-    for cut, tag in ((VCUT, "V"), (ECUT, "E")):
+    # E-cut trees are the V-cut trees of the reversed setup
+    for setup, tag in ((g, "V"), (g.reversed_setup(), "E")):
         proc = run_cli("jaeger", "--graph", graph_file, "--cut", tag,
                        "--orders", "--json")
         for entry in json.loads(proc.stdout)["orders"]:
             tree = frozenset(entry["tree"])
             for flavor in (VIOLET, EMERALD):
-                to = t_order(g, tree, flavor, cut=cut)
+                to = t_order(setup, tree, flavor)
                 assert entry[f"{flavor}_edge_order"] == list(to.edge_order)
                 assert entry[f"{flavor}_class_order"] == list(to.class_order)
             assert entry["semi_passive_emerald_order"] == sorted(
@@ -494,7 +530,14 @@ def test_cli_fuzz_parallel_matches_serial():
     assert serial["checks"] == parallel["checks"]
 
 
-def test_cli_input_errors(tmp_path):
+def test_cli_input_errors(tmp_path, graph_file):
+    # each command takes only the options it reads
+    for argv in (("info", "--graph", graph_file, "--jobs", "2"),
+                 ("verify", "--graph", graph_file, "--jobs", "2"),
+                 ("hypertrees", "--graph", graph_file, "--seed", "1"),
+                 ("fuzz", "--graph", "x")):
+        assert "unrecognized arguments" in run_cli(*argv, expect=2).stderr
+    run_cli("verify", "--graph", graph_file, "--seed", "3")
     bad = tmp_path / "bad.graph"
     bad.write_text("not a graph document\n")
     run_cli("info", "--graph", str(bad), expect=2)

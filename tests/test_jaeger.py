@@ -67,7 +67,7 @@ def test_enumeration_equals_recognition():
 def first_skip_jaeger(g, tree, cut):
     """Reference: every non-tree edge first skipped at its cut-colored end."""
     seen = set()
-    for node, edge in g.tour_of_tree(tree).pairs:
+    for node, edge in g.tour_pairs(tree):
         if edge not in tree and edge not in seen:
             seen.add(edge)
             if g.color(node) != cut:
@@ -86,9 +86,9 @@ def test_one_tour_recognition_equals_first_skip(running_fixture, knot_fixture,
             assert jaeger_cuts(g, tree) == want, sorted(tree)
             for cut in (VCUT, ECUT):
                 assert is_jaeger_tree(g, tree, cut) == (cut in want)
-            if want:
-                cut = VCUT if VCUT in want else ECUT
-                assert t_order(g, tree, VIOLET) == t_order(g, tree, VIOLET, cut=cut)
+            # reversal swaps the cuts: E-cut trees are V-cut trees there
+            assert jaeger_cuts(g.reversed_setup(), tree) == \
+                {ECUT if cut == VCUT else VCUT for cut in want}
     with pytest.raises(ValueError, match="spanning tree"):
         is_jaeger_tree(c4_fixture.graph, frozenset(c4_fixture.graph.edge_ids), VCUT)
 
@@ -98,39 +98,36 @@ def test_compare_trees(c4_fixture, knot_fixture):
     t4 = frozenset({"c2", "c3", "c4"})
     t2 = frozenset({"c1", "c2", "c4"})
     # the tree holding the divergence edge is the larger one
-    assert divergence_edge(g, t2, t4, VCUT, VIOLET) in t2
-    assert divergence_edge(g, t4, t2, VCUT, VIOLET) not in t4
+    assert divergence_edge(g, t2, t4, VIOLET) in t2
+    assert divergence_edge(g, t4, t2, VIOLET) not in t4
     kg = knot_fixture.graph
     trees = knot_fixture.value("vcut_jaeger_violet_order")
     for i in range(len(trees)):
         for j in range(i + 1, len(trees)):
-            assert divergence_edge(kg, trees[i], trees[j], VCUT, VIOLET) in trees[j]
+            assert divergence_edge(kg, trees[i], trees[j], VIOLET) in trees[j]
 
 
 def test_t_order_paper_example(running_fixture):
     g = running_fixture.graph
     left = running_fixture.value("left_tree")
-    em = t_order(g, left, EMERALD)  # cut inferred: E-cut tree
+    rev = g.reversed_setup()  # left is an E-cut tree
+    em = t_order(rev, left, EMERALD)
     assert em.edge_order == running_fixture.value("left_tree_emerald_t_order")
     assert em.class_order == running_fixture.value("left_tree_order_on_E")
-    vi = t_order(g, left, VIOLET)
+    vi = t_order(rev, left, VIOLET)
     assert vi.edge_order == running_fixture.value("left_tree_violet_t_order")
     assert vi.class_order == running_fixture.value("left_tree_order_on_V")
 
 
 def test_t_order_single_edge(single_edge_fixture):
     g = single_edge_fixture.graph
-    to = t_order(g, frozenset({"ev"}), VIOLET, cut=VCUT)
+    to = t_order(g, frozenset({"ev"}), VIOLET)
     assert to.edge_order == ("ev",) and to.class_order == ("v",)
 
 
-def test_t_order_rejects_non_jaeger(running_fixture):
-    with pytest.raises(ValueError, match="not a Jaeger tree"):
-        t_order(running_fixture.graph, running_fixture.value("right_tree"),
-                EMERALD)
+def test_t_order_rejects_non_spanning_tree(running_fixture):
     with pytest.raises(ValueError, match="not a spanning tree"):
-        t_order(running_fixture.graph, frozenset({"e0v0", "e0v1"}), VIOLET,
-                cut=VCUT)
+        t_order(running_fixture.graph, frozenset({"e0v0", "e0v1"}), VIOLET)
 
 
 def test_semi_passive_numbered_example(numbered_fixture):
@@ -151,7 +148,7 @@ def test_semi_passive_tree_graph():
 def test_semi_passive_c4(c4_fixture):
     g = c4_fixture.graph
     t2 = frozenset({"c1", "c2", "c4"})
-    em = t_order(g, t2, EMERALD, cut=VCUT)
+    em = t_order(g, t2, EMERALD)
     assert len(semi_passive_edges(g, t2, em.edge_order)) == 1
 
 
@@ -159,15 +156,15 @@ def characterize_edge_reference(g, trees, index, eps):
     """Reference: the five descriptions for one edge, each computed from
     scratch for that edge alone."""
     tree = trees[index]
-    first_difference = any(divergence_edge(g, earlier, tree, cut=VCUT) == eps
+    first_difference = any(divergence_edge(g, earlier, tree) == eps
                            for earlier in trees[:index])
-    em_order = t_order(g, tree, EMERALD, cut=VCUT)
+    em_order = t_order(g, tree, EMERALD)
     semi_passive = eps in semi_passive_edges(g, tree, em_order.edge_order)
     base_side, cut_edges = g.tree_cut(tree, eps)
     violet_in_base = g.violet_end(eps) in base_side
     _, inactive = internal_inactivity(g, EMERALD, g.degree_vector(tree, EMERALD),
                                       em_order.class_order)
-    vrank = t_order(g, tree, VIOLET, cut=VCUT).edge_rank()
+    vrank = t_order(g, tree, VIOLET).edge_rank()
     return {
         "first_difference": first_difference,
         "semi_passive_emerald_order": semi_passive,
@@ -192,12 +189,12 @@ def test_characterize_edges(c4_fixture, running_fixture, knot_fixture):
         steps = shelling(g, trees)
         assert [step.tree for step in steps] == trees
         for i, tree in enumerate(trees):
-            emerald = t_order(g, tree, EMERALD, cut=VCUT)
-            assert steps[i].violet == t_order(g, tree, VIOLET, cut=VCUT)
+            emerald = t_order(g, tree, EMERALD)
+            assert steps[i].violet == t_order(g, tree, VIOLET)
             assert steps[i].emerald == emerald
             assert steps[i].semi_passive == semi_passive_edges(g, tree, emerald.edge_order)
             assert steps[i].divergences == tuple(
-                divergence_edge(g, earlier, tree, cut=VCUT) for earlier in trees[:i])
+                divergence_edge(g, earlier, tree) for earlier in trees[:i])
             want = {eps: characterize_edge_reference(g, trees, i, eps)
                     for eps in sorted(tree)}
             assert characterize_tree(g, steps[i]) == want
@@ -223,9 +220,9 @@ def test_divergence_edge(c4_fixture):
     g = c4_fixture.graph
     t4 = frozenset({"c2", "c3", "c4"})
     t2 = frozenset({"c1", "c2", "c4"})
-    assert divergence_edge(g, t4, t2, cut=VCUT) == "c1"
+    assert divergence_edge(g, t4, t2) == "c1"
     with pytest.raises(ValueError):
-        divergence_edge(g, t4, t4, cut=VCUT)
+        divergence_edge(g, t4, t4)
 
 
 def test_shelling_checks_each_tree_once(monkeypatch, running_fixture):
@@ -247,8 +244,8 @@ def test_shelling_checks_each_tree_once(monkeypatch, running_fixture):
 def divergence_by_full_tours(g, t1, t2, cut, flavor):
     """Reference: build both flavor tours whole, then compare them."""
     setup = g if flavor == cut else g.reversed_setup()
-    tour1, tour2 = setup.tour_of_tree(t1), setup.tour_of_tree(t2)
-    for p1, p2 in zip(tour1.pairs, tour2.pairs):
+    tour1, tour2 = tuple(setup.tour_pairs(t1)), tuple(setup.tour_pairs(t2))
+    for p1, p2 in zip(tour1, tour2):
         assert p1 == p2
         if (p1[1] in t1) != (p1[1] in t2):
             return p1[1]
@@ -264,12 +261,14 @@ def test_divergence_edge_equals_full_tours(c4_fixture, running_fixture,
     for g in graphs:
         for cut in (VCUT, ECUT):
             trees = enumerate_jaeger_trees(g, cut)
+            # E-cut trees are the V-cut trees of the reversed setup
+            setup = g if cut == VCUT else g.reversed_setup()
             for flavor in (VIOLET, EMERALD):
                 for t1 in trees:
                     for t2 in trees:
                         if t1 != t2:
                             pairs += 1
-                            assert divergence_edge(g, t1, t2, cut=cut, flavor=flavor) \
+                            assert divergence_edge(setup, t1, t2, flavor) \
                                 == divergence_by_full_tours(g, t1, t2, cut, flavor)
     assert pairs > 100  # the sweep is not vacuous
     with pytest.raises(ValueError, match="spanning tree"):
@@ -305,7 +304,7 @@ def test_base_cut_order_lemma():
     for seed in range(10):
         g = random_bipartite(seed, 4, 4, 10)
         for tree in enumerate_jaeger_trees(g, VCUT):
-            rank = t_order(g, tree, VIOLET, cut=VCUT).edge_rank()
+            rank = t_order(g, tree, VIOLET).edge_rank()
             for eps in tree:
                 base_side, cut_edges = g.tree_cut(tree, eps)
                 violet_side = [e for e in cut_edges - {eps}
@@ -322,7 +321,7 @@ def test_run_order_equals_t_order():
         g = random_bipartite(seed, 4, 4, 10)
         for f in enumerate_hypertrees(g, EMERALD):
             run = run_bernardi(g, f, HT_E_CUT_V)
-            vo = t_order(g, run.result_tree, VIOLET, cut=VCUT)
+            vo = t_order(g, run.result_tree, VIOLET)
             assert run.current_edge_order == vo.edge_order
 
 
@@ -331,7 +330,7 @@ def test_matching_figure_instance(matching_fixture):
     tree = matching_fixture.value("tree")
     bg = bip(g)
     assert is_jaeger_tree(bg, tree, VCUT)
-    vo = t_order(bg, tree, VIOLET, cut=VCUT)
+    vo = t_order(bg, tree, VIOLET)
     assert vo.edge_order == matching_fixture.value("violet_t_order")
     report = graph_activity_matching(g, tree)
     assert report["matched"]
@@ -369,7 +368,7 @@ def test_matching_random_graphs():
             report = graph_activity_matching(h, tree)
             assert report["matched"], (seed, sorted(tree))
             # coarse count equality: internal embedding inactivity on both sides
-            vo = t_order(bg, tree, VIOLET, cut=VCUT)
+            vo = t_order(bg, tree, VIOLET)
             rank = vo.edge_rank()
             order_e = tuple(sorted(
                 bg.emeralds, key=lambda x: min(rank[e] for e in bg.incident(x))))

@@ -10,8 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import contains
-from hyperbernardi.exactla import det_bareiss, solve_exact
+from hyperbernardi.exactla import det_bareiss
 from hyperbernardi.fixtures import c4, noncrossing_setup
 from hyperbernardi.generators import random_bipartite
 from hyperbernardi.graph import EMERALD, VIOLET, RibbonBipartiteGraph
@@ -23,11 +22,12 @@ from hyperbernardi.polytope import (TreeSimplex, certify_disjoint_interiors,
                                     ehrhart_values_scan,
                                     fit_binomial_coefficients,
                                     geometric_shelling_check,
-                                    intersection_is_common_face,
-                                    kato_series_check, marker,
+                                    kato_series_check,
                                     normalized_simplex_volume, scaled_marker,
                                     shelling_h_vector, trees_compatible,
                                     verify_dissection, vertex_point)
+from oracles import (contains, intersection_is_common_face, marker,
+                     solve_exact)
 
 
 def test_marker_values_c4(c4_fixture):
