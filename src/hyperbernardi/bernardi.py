@@ -74,25 +74,28 @@ def run_bernardi(g: RibbonBipartiteGraph, f: dict[str, int],
     """Execute one Bernardi process run.
 
     The current edge is removed exactly when some spanning tree of the
-    live graph without it contains the kept edges and realizes ``f``.
-    The run carries such a tree (the witness) from the initial query and
-    decides each step, in order: a current edge outside the witness is
-    removed; one whose removal leaves an endpoint below its degree cap is
-    kept; one that a live edge at its hypertree-side node can replace in
-    the witness is removed; otherwise the memoized oracle decides, and
-    the realization it finds becomes the witness.
+    live graph without it realizes ``f``; kept edges lie in every such
+    tree.  The run starts from the tree that the hypertree family maps
+    ``f`` to (the witness) and decides each step, in order: a current
+    edge outside the witness is removed; one whose removal leaves an
+    endpoint below its degree cap is kept; one that a live edge at its
+    hypertree-side node can replace in the witness is removed; otherwise
+    the oracle searches the live graph without it, and the realization
+    it finds becomes the witness.
 
-    ``paranoid`` instead asks the oracle for a full search on every
-    step, without memoization, kept-edge pinning, witness or exchange
-    (used to re-verify flagged conjecture outcomes and in tests).
+    ``paranoid`` instead starts from a fresh full search and searches on
+    every step, without the family, witness or exchange (used to
+    re-verify flagged conjecture outcomes and in tests).
     """
     cut = variant.cut_side
     far = EMERALD if cut == VIOLET else VIOLET
     ht_pos = 0 if variant.ht_side == EMERALD else 1
     oracle = _oracle(g, variant.ht_side)
     f_key = _side_key(g, variant.ht_side, f)
-    witness = oracle.feasible(f_key, frozenset(g.edge_ids), frozenset(),
-                              memo=not paranoid)
+    if paranoid:
+        witness = oracle._search(f_key, frozenset(g.edge_ids))
+    else:
+        witness = oracle.family.get(f_key)
     if witness is None:
         raise ValueError("input vector is not a hypertree")
 
@@ -128,8 +131,7 @@ def run_bernardi(g: RibbonBipartiteGraph, f: dict[str, int],
         """Does a realization avoid ``cur``?  Updates the witness."""
         nonlocal witness
         if paranoid:
-            return oracle.feasible(f_key, frozenset(live - {cur}), frozenset(),
-                                   memo=False) is not None
+            return oracle._search(f_key, frozenset(live - {cur})) is not None
         if cur not in witness:
             return True
         x = g.edges[cur][ht_pos]
@@ -140,7 +142,7 @@ def run_bernardi(g: RibbonBipartiteGraph, f: dict[str, int],
         if swap is not None:
             witness = witness - {cur} | {swap}
             return True
-        found = oracle.feasible(f_key, frozenset(live - {cur}), frozenset(kept))
+        found = oracle._search(f_key, frozenset(live - {cur}))
         if found is None:
             return False
         witness = found

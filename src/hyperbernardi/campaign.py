@@ -3,10 +3,10 @@ fuzz the conjectures over seeded random instances, and the two
 special-case correspondences (non-crossing trees, dual arborescences).
 
 A failed theorem is a hard error.  A failed conjecture is flagged as a
-potential counterexample: it is re-verified by paranoid runs (a full
-oracle search on every step, without memoization, kept-edge pinning or
-witness tree) before being reported, and it does not fail the campaign
-(exit code 3 signals it instead).
+potential counterexample: it is re-verified by paranoid runs (a fresh
+oracle search at the start and on every step, without the hypertree
+family, witness tree or exchange) before being reported, and it does
+not fail the campaign (exit code 3 signals it instead).
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ def check_conjectures(g: RibbonBipartiteGraph, report: CampaignReport | None = N
 def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
                         rng_seed: int = 0) -> CampaignReport:
     """Run every module's checks on one desk-scale instance."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     report = CampaignReport(seed=rng_seed, input_hash=graph_hash(g))
     if len(g.edge_ids) > max_edges:
         raise ValueError(
@@ -194,7 +194,7 @@ def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
         report.add("well-definedness", PASS, runs=4 * len(b_e))
     except TheoremViolation as exc:
         report.add("well-definedness", FAIL, error=str(exc))
-        report.elapsed_s = time.time() - t0
+        report.elapsed_s = time.perf_counter() - t0
         return report
 
     bernardi_e = bernardi_polynomials(g, EMERALD, HT_E_CUT_E, b_e, runs[HT_E_CUT_E])
@@ -305,7 +305,7 @@ def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
                        else FAIL, order=kmax)
 
     check_conjectures(g, report, hypertrees=b_e, runs=runs)
-    report.elapsed_s = time.time() - t0
+    report.elapsed_s = time.perf_counter() - t0
     return report
 
 
@@ -330,7 +330,7 @@ def fuzz_conjectures(seed_range, max_emerald: int = 4, max_violet: int = 4,
     """check_conjectures over seeded random instances; ``mapper`` (a
     process pool's ``map``, say) runs fuzz_instance over the seeds and
     must keep their order."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     report = CampaignReport()
     seeds = list(seed_range)
     run = partial(fuzz_instance, max_emerald=max_emerald, max_violet=max_violet,
@@ -340,7 +340,7 @@ def fuzz_conjectures(seed_range, max_emerald: int = 4, max_violet: int = 4,
     flagged = len(report.checks)
     report.add("fuzz-summary", PASS if flagged == 0 else FLAG,
                instances=len(seeds), flagged=flagged, graphs_only=graphs_only)
-    report.elapsed_s = time.time() - t0
+    report.elapsed_s = time.perf_counter() - t0
     return report
 
 

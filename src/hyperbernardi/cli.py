@@ -305,7 +305,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GraphFormatError, ValidationError, FileNotFoundError, ValueError) as exc:
+    except (GraphFormatError, ValidationError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except TheoremViolation as exc:

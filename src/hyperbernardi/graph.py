@@ -114,7 +114,8 @@ class RibbonGraph:
         if not self._connected(frozenset(self.edge_ids)):
             raise ValidationError("graph is not connected")
 
-        self._feas_cache: dict = {}  # used by hypertree oracle
+        # side -> the hypertree oracle, which owns the side's family
+        self._feas_cache: dict = {}
         self._subdivision: RibbonBipartiteGraph | None = None  # memo of bip()
 
     # -- basic queries ---------------------------------------------------
@@ -370,12 +371,15 @@ class RibbonBipartiteGraph(RibbonGraph):
         """All rotations reversed; base edge becomes b0b1- (computed here,
         in the original structure).  Graphs are immutable, so the
         reversed setup is built once per graph and shared with its memos;
-        reversing it again gives a graph equal to this one."""
+        reversing it again gives a graph equal to this one.  It has the
+        same edges and colors, hence the same hypertrees and
+        realizations, so it shares this graph's hypertree oracles."""
         if self._reversed is None:
             rev = {x: tuple(reversed(r)) for x, r in self.rotations.items()}
             self._reversed = RibbonBipartiteGraph(
                 self.emeralds, self.violets, dict(self.edges), rev,
                 self.base_node, self.prev_edge(self.base_node, self.base_edge))
+            self._reversed._feas_cache = self._feas_cache
         return self._reversed
 
     def with_base(self, base_node: str, base_edge: str) -> "RibbonBipartiteGraph":

@@ -20,6 +20,7 @@ activities are read off the family by membership.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cached_property
 from itertools import combinations
 
 from .graph import EMERALD, VIOLET, RibbonBipartiteGraph, RibbonGraph, UnionFind, bip
@@ -80,12 +81,12 @@ def _opposite(side: str) -> str:
 
 
 class _Feasibility:
-    """Degree-constrained spanning tree search on one graph and side.
+    """Degree-constrained spanning tree search on one graph and side, and
+    the side's hypertree family.
 
-    ``required`` edges are pinned into the tree (used by the Bernardi
-    step, where kept edges are known to lie in every realization).
-    An answer is the realizing tree that the search found, or None;
-    answers are memoized on (f, live, required) keys.
+    A search answers with the realizing tree it found, or None.  Nothing
+    is memoized but ``family``, which maps each hypertree's value tuple
+    to the spanning tree that realized it.
     """
 
     def __init__(self, g: RibbonBipartiteGraph, side: str):
@@ -97,21 +98,9 @@ class _Feasibility:
         self.inc = {x: tuple(e for e in g.edge_ids if g.edges[e][pos] == x)
                     for x in self.side_nodes}
 
-    def feasible(self, f_key, live: frozenset[str], required: frozenset[str],
-                 memo=True) -> frozenset[str] | None:
-        """A spanning tree inside ``live`` that contains ``required`` and
-        has degree f+1 at each node of the side, or None if none does."""
-        cache = self.g._feas_cache
-        key = (self.side, f_key, live, required)
-        if memo and key in cache:
-            return cache[key]
-
-        tree = self._search(f_key, live, required)
-        if memo:
-            cache[key] = tree
-        return tree
-
-    def _search(self, f_key, live, required) -> frozenset[str] | None:
+    def _search(self, f_key, live) -> frozenset[str] | None:
+        """A spanning tree inside ``live`` with degree f+1 at each node of
+        the side, or None if none exists."""
         g = self.g
         need = {x: f_key[i] + 1 for i, x in enumerate(self.side_nodes)}
         if any(v < 1 for v in need.values()):
@@ -121,20 +110,14 @@ class _Feasibility:
             return None
         # singleton instances of the neighborhood inequality = degree caps
         inc_live = {x: [e for e in self.inc[x] if e in live] for x in self.side_nodes}
-        req_at = {x: [e for e in inc_live[x] if e in required] for x in self.side_nodes}
         for x in self.side_nodes:
-            if need[x] > len(inc_live[x]) or len(req_at[x]) > need[x]:
+            if need[x] > len(inc_live[x]):
                 return None
         for v in self.opp_nodes:
             if g.degree(v, live) == 0:
                 return None
 
         uf = UnionFind(g.nodes)
-        for e in required:
-            a, b = g.edges[e]
-            if not uf.union(a, b):
-                return None  # pinned edges already contain a cycle
-
         order = sorted(self.side_nodes,
                        key=lambda x: (len(inc_live[x]) - need[x], x))
         total_left = [0] * (len(order) + 1)
@@ -148,12 +131,8 @@ class _Feasibility:
             if i == len(order):
                 return uf.components == 1
             x = order[i]
-            pinned = req_at[x]
-            free = [e for e in inc_live[x] if e not in required]
-            k = need[x] - len(pinned)
             mark, base = uf.snapshot(), len(chosen)
-            # pinned edges were unioned up front; only free choices vary
-            for combo in combinations(free, k):
+            for combo in combinations(inc_live[x], need[x]):
                 good = True
                 for e in combo:
                     a, b = self.g.edges[e]
@@ -168,14 +147,51 @@ class _Feasibility:
                 uf.rollback(mark)
             return False
 
-        return required.union(chosen) if rec(0) else None
+        return frozenset(chosen) if rec(0) else None
+
+    @cached_property
+    def family(self) -> dict[tuple[int, ...], frozenset[str]]:
+        """The transfer closure of one spanning tree's degree vector, each
+        member mapped to the tree that realized it."""
+        g = self.g
+        uf = UnionFind(g.nodes)
+        tree = frozenset(e for e in g.edge_ids if uf.union(*g.edges[e]))
+        vals = g.degree_vector(tree, self.side)
+        start = tuple(vals[x] for x in self.side_nodes)
+
+        live = frozenset(g.edge_ids)
+        # a node's value stays below its degree; cheaper than a search
+        cap = [g.degree(x) - 1 for x in self.side_nodes]
+        idx = range(len(start))
+        family, rejected = {start: tree}, set()
+        frontier = [start]
+        while frontier:
+            f = frontier.pop()
+            for i in idx:
+                if f[i] == 0:
+                    continue
+                for j in idx:
+                    if i == j or f[j] == cap[j]:
+                        continue
+                    shifted = list(f)
+                    shifted[i] -= 1
+                    shifted[j] += 1
+                    cand = tuple(shifted)
+                    if cand in family or cand in rejected:
+                        continue
+                    found = self._search(cand, live)
+                    if found is not None:
+                        family[cand] = found
+                        frontier.append(cand)
+                    else:
+                        rejected.add(cand)
+        return family
 
 
 def _oracle(g: RibbonBipartiteGraph, side: str) -> _Feasibility:
-    key = ("_oracle", side)
-    if key not in g._feas_cache:
-        g._feas_cache[key] = _Feasibility(g, side)
-    return g._feas_cache[key]
+    if side not in g._feas_cache:
+        g._feas_cache[side] = _Feasibility(g, side)
+    return g._feas_cache[side]
 
 
 def is_hypertree(g: RibbonBipartiteGraph, side: str, f: dict[str, int]) -> bool:
@@ -183,49 +199,13 @@ def is_hypertree(g: RibbonBipartiteGraph, side: str, f: dict[str, int]) -> bool:
     f_key = _side_key(g, side, f)
     if any(v < 0 for v in f_key):
         return False
-    return _oracle(g, side).feasible(f_key, frozenset(g.edge_ids),
-                                     frozenset()) is not None
+    return _oracle(g, side)._search(f_key, frozenset(g.edge_ids)) is not None
 
 
-def _family(g: RibbonBipartiteGraph, side: str) -> frozenset[tuple[int, ...]]:
-    """The hypertree value tuples on ``side``: the transfer closure of one
-    spanning tree's degree vector, memoized on the (immutable) graph."""
-    memo = ("_family", side)
-    if memo in g._feas_cache:
-        return g._feas_cache[memo]
-    uf = UnionFind(g.nodes)
-    tree = frozenset(e for e in g.edge_ids if uf.union(*g.edges[e]))
-    vals = g.degree_vector(tree, side)
-    start = tuple(vals[x] for x in g.side_nodes(side))
-
-    oracle = _oracle(g, side)
-    live, pinned = frozenset(g.edge_ids), frozenset()
-    # a node's value stays below its degree; cheaper than asking the oracle
-    cap = [g.degree(x) - 1 for x in g.side_nodes(side)]
-    idx = range(len(start))
-    family, rejected = {start}, set()
-    frontier = [start]
-    while frontier:
-        f = frontier.pop()
-        for i in idx:
-            if f[i] == 0:
-                continue
-            for j in idx:
-                if i == j or f[j] == cap[j]:
-                    continue
-                shifted = list(f)
-                shifted[i] -= 1
-                shifted[j] += 1
-                cand = tuple(shifted)
-                if cand in family or cand in rejected:
-                    continue
-                if oracle.feasible(cand, live, pinned) is not None:
-                    family.add(cand)
-                    frontier.append(cand)
-                else:
-                    rejected.add(cand)
-    g._feas_cache[memo] = frozenset(family)
-    return g._feas_cache[memo]
+def _family(g: RibbonBipartiteGraph, side: str) -> dict[tuple[int, ...], frozenset[str]]:
+    """The hypertree value tuples on ``side``, each mapped to a spanning
+    tree that realizes it; built once per graph and side.  Read only."""
+    return _oracle(g, side).family
 
 
 def enumerate_hypertrees(g: RibbonBipartiteGraph, side: str) -> list[dict[str, int]]:

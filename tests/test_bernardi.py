@@ -15,8 +15,8 @@ from hyperbernardi.bernardi import (HT_E_CUT_E, HT_E_CUT_V, HT_V_CUT_E,
 from hyperbernardi.fixtures import c4
 from hyperbernardi.generators import random_bipartite, random_ordinary
 from hyperbernardi.graph import EMERALD, VIOLET, RibbonBipartiteGraph, bip
-from hyperbernardi.hypertree import (Poly, _Feasibility, enumerate_hypertrees,
-                                     interior_polynomial)
+from hyperbernardi.hypertree import (Poly, _Feasibility, _family,
+                                     enumerate_hypertrees, interior_polynomial)
 from hyperbernardi.jaeger import VCUT, enumerate_jaeger_trees, is_jaeger_tree
 
 
@@ -264,15 +264,15 @@ def test_paranoid_mode_agrees_drawn_seed(seed, graphs_only):
 
 
 def test_search_returns_realizations(monkeypatch):
-    """Every tree the oracle's search returns lies in ``live``, holds the
-    pinned edges and realizes the hypertree; None means no spanning tree
-    of the live graph does (checked against all spanning trees)."""
+    """Every tree the oracle's search returns lies in ``live`` and
+    realizes the hypertree; None means no spanning tree of the live graph
+    does (checked against all spanning trees)."""
     queries = {}
     search = _Feasibility._search
 
-    def recording(self, f_key, live, required):
-        tree = search(self, f_key, live, required)
-        queries[(self, f_key, live, required)] = tree
+    def recording(self, f_key, live):
+        tree = search(self, f_key, live)
+        queries[(self, f_key, live)] = tree
         return tree
     monkeypatch.setattr(_Feasibility, "_search", recording)
     graphs = oracle_instances()
@@ -290,31 +290,63 @@ def test_search_returns_realizations(monkeypatch):
                 key = (id(g), side, tuple(vals[x] for x in g.side_nodes(side)))
                 realizing.setdefault(key, []).append(t)
     outcomes = set()
-    for (oracle, f_key, live, required), tree in queries.items():
+    for (oracle, f_key, live), tree in queries.items():
         g = oracle.g
         candidates = realizing.get((id(g), oracle.side, f_key), [])
         if tree is not None:
-            assert g.is_spanning_tree(tree) and required <= tree <= live
+            assert g.is_spanning_tree(tree) and tree <= live
             assert tree in candidates
-        assert (tree is not None) == any(required <= t <= live for t in candidates)
+        assert (tree is not None) == any(t <= live for t in candidates)
         outcomes.add(tree is not None)
     assert outcomes == {True, False}
 
 
+def test_family_maps_hypertrees_to_realizations():
+    """Each member of the family is mapped to a spanning tree that
+    realizes it."""
+    for g in oracle_instances():
+        for side in (EMERALD, VIOLET):
+            family = _family(g, side)
+            assert family
+            for key, tree in family.items():
+                assert g.is_spanning_tree(tree)
+                vals = g.degree_vector(tree, side)
+                assert tuple(vals[x] for x in g.side_nodes(side)) == key
+
+
+def test_reversed_runs_start_from_the_shared_family(monkeypatch):
+    """The reversed setup shares the graph's family, so its runs take
+    their starting witnesses from it: no search on the full edge set."""
+    families = [(g.reversed_setup(), variant,
+                 enumerate_hypertrees(g, variant.ht_side))
+                for g in oracle_instances() for variant in VARIANTS]
+    full = []
+    search = _Feasibility._search
+
+    def recording(self, f_key, live):
+        full.append(len(live) == len(self.g.edge_ids))
+        return search(self, f_key, live)
+    monkeypatch.setattr(_Feasibility, "_search", recording)
+    for rev, variant, family in families:
+        for f in family:
+            run_bernardi(rev, f, variant)
+    assert full and not any(full)
+
+
 def test_witness_answers_most_steps(monkeypatch):
     """The witness, the degree caps and the single exchange leave the
-    oracle at most one step in twenty (2.6% on these instances); without
-    the caps or with a trivial exchange it is asked on 15-33%."""
+    oracle's search at most one step in twenty (2.6% on these instances);
+    without the caps or with a trivial exchange it runs on 15-33%."""
     graphs = oracle_instances()
     families = [(g, variant, enumerate_hypertrees(g, variant.ht_side))
                 for g in graphs for variant in VARIANTS]
     queries = []
-    feasible = _Feasibility.feasible
+    search = _Feasibility._search
 
-    def counting(self, f_key, live, required, memo=True):
+    def counting(self, f_key, live):
         queries.append(len(live) < len(self.g.edge_ids))
-        return feasible(self, f_key, live, required, memo)
-    monkeypatch.setattr(_Feasibility, "feasible", counting)
+        return search(self, f_key, live)
+    monkeypatch.setattr(_Feasibility, "_search", counting)
     steps = sum(len(run_bernardi(g, f, variant).steps)
                 for g, variant, family in families for f in family)
     assert 20 * sum(queries) <= steps

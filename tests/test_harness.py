@@ -15,7 +15,7 @@ from hyperbernardi.campaign import (arborescence_duality, campaign_verify_all,
                                     verify_noncrossing)
 from hyperbernardi.docio import GraphFormatError, parse_graph, serialize_graph
 from hyperbernardi.fixtures import (Fixture, load, noncrossing_setup,
-                                    running_graph)
+                                    running_graph, running_graph_knot_setup)
 from hyperbernardi.generators import random_bipartite, random_ordinary
 from hyperbernardi.graph import EMERALD, VIOLET, RibbonBipartiteGraph, bip
 from hyperbernardi.jaeger import (VCUT, enumerate_jaeger_trees, semi_passive_edges,
@@ -91,6 +91,18 @@ def test_campaign_all_pass(knot_fixture):
     assert h["h"] == [1, 3, 3]
     payload = rep.to_json()
     assert payload["input_hash"] and "tool_version" in payload
+
+
+def test_campaign_caches_only_the_oracles():
+    """After a campaign the graph's cache holds one oracle per side, and
+    the reversed setup shares it."""
+    from hyperbernardi.hypertree import _Feasibility
+    g = running_graph_knot_setup().graph
+    campaign_verify_all(g)
+    assert set(g._feas_cache) == {EMERALD, VIOLET}
+    for side, oracle in g._feas_cache.items():
+        assert isinstance(oracle, _Feasibility) and oracle.side == side
+    assert g.reversed_setup()._feas_cache is g._feas_cache
 
 
 def test_volume_check_reads_dissection_and_sweep(monkeypatch):
@@ -549,6 +561,14 @@ def test_cli_input_errors(tmp_path, graph_file):
     text = serialize_graph(running_graph().graph)
     twice.write_text(text.replace("rotations:\n", "rotations:\n  v0: e0v0 e2v0 e3v0\n"))
     run_cli("info", "--graph", str(twice), expect=2)
+
+
+def test_cli_unreadable_input(tmp_path):
+    # a directory is not a readable document: an input error, not a
+    # theorem failure, reported on one line without a traceback
+    proc = run_cli("info", "--graph", str(tmp_path), expect=2)
+    assert proc.stderr.startswith("error: ")
+    assert len(proc.stderr.strip().splitlines()) == 1
 
 
 def test_corrupted_rotation_rejected(graph_file):
