@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import EMERALD, VIOLET, RibbonBipartiteGraph, UnionFind
+from .graph import EMERALD, VIOLET, RibbonBipartiteGraph, UnionFind, bip
 from .hypertree import (Poly, _oracle, _side_key, enumerate_hypertrees,
                         external_inactivity, internal_inactivity)
 
@@ -303,7 +303,6 @@ def check_composition(g: RibbonBipartiteGraph, runs, rev_runs) -> dict[str, bool
 def graph_specialization_check(graph_g, tree_of_g: frozenset[str]) -> bool:
     """For an ordinary ribbon graph and one of its spanning trees, both
     ht:E processes induce the tour order of the tree on the edge class."""
-    from .graph import bip
     bg = bip(graph_g)
     f = {e: (1 if e in tree_of_g else 0) for e in graph_g.edge_ids}
     want = graph_g.tour_order(tree_of_g)

@@ -24,6 +24,7 @@ from .bernardi import (HT_E_CUT_E, HT_E_CUT_V, HT_V_CUT_E, HT_V_CUT_V,
                        TheoremViolation, bernardi_polynomials,
                        check_composition, run_bernardi)
 from .docio import serialize_graph
+from .exactla import det_bareiss
 from .graph import EMERALD, VIOLET, RibbonBipartiteGraph
 from .hypertree import (enumerate_hypertrees, exterior_polynomial,
                         interior_polynomial)
@@ -379,6 +380,10 @@ def arborescence_duality(g: RibbonBipartiteGraph, r0=None) -> dict:
     means the arc runs from the face of the violet-tailed dart to the
     face of the emerald-tailed one.  The base pair is chosen (violet
     base node, r0 on the right of the base dart) to match r0.
+
+    Each tree's complement is checked to be an arborescence rooted at
+    r0, and the arborescences are counted by the directed matrix-tree
+    theorem; the trees are distinct, so equal counts make the sets equal.
     """
     if g.genus() != 0:
         raise ValueError("needs a planar (genus zero) rotation system")
@@ -404,42 +409,29 @@ def arborescence_duality(g: RibbonBipartiteGraph, r0=None) -> dict:
     # dual digraph: one arc per edge of g
     arcs = {e: (face_of_dart[(g.violet_end(e), e)],
                 face_of_dart[(g.emerald_end(e), e)]) for e in g.edge_ids}
+    others = [f for f in range(len(faces)) if f != r0]
 
-    # spanning arborescences rooted at r0, brute force
-    from itertools import combinations
-    n_faces = len(faces)
-    arbs = []
-    for combo in combinations(sorted(arcs), n_faces - 1):
-        head_of = {}
-        ok = True
-        for e in combo:
-            tail, head = arcs[e]
-            if head == r0 or head in head_of or tail == head:
-                ok = False
-                break
-            head_of[head] = tail
-        if not ok or len(head_of) != n_faces - 1:
-            continue
-        # every non-root face must reach r0 through its parent
-        reachable = True
-        for start in head_of:
-            node, hops = start, 0
-            while node != r0:
-                if node not in head_of or hops > n_faces:
-                    reachable = False
-                    break
-                node = head_of[node]
-                hops += 1
-            if not reachable:
-                break
-        if reachable:
-            arbs.append(frozenset(combo))
+    # directed matrix-tree theorem: spanning arborescences rooted at r0
+    # = the minor of the in-degree Laplacian at r0 (a loop arc adds to
+    # and takes from the same diagonal entry, so it counts for nothing)
+    row = {f: i for i, f in enumerate(others)}
+    lap = [[0] * len(others) for _ in others]
+    for tail, head in arcs.values():
+        if head != r0:
+            lap[row[head]][row[head]] += 1
+            if tail != r0:
+                lap[row[tail]][row[head]] -= 1
+    count = det_bareiss(lap)
 
-    complements = {frozenset(g.edge_ids) - a for a in arbs}
-    jaeger = set(enumerate_jaeger_trees(setup, VCUT))
+    # by planar duality a tree's complement is dual to a spanning tree of
+    # the faces, so it is an arborescence rooted at r0 exactly when its
+    # arcs enter every other face once and r0 never
+    jaeger = enumerate_jaeger_trees(setup, VCUT)
+    rooted = all(sorted(arcs[e][1] for e in g.edge_ids if e not in t) == others
+                 for t in jaeger)
     return {
         "base": base,
-        "arborescences": len(arbs),
+        "arborescences": count,
         "jaeger": len(jaeger),
-        "equal": complements == jaeger,
+        "equal": rooted and count == len(jaeger),
     }

@@ -219,13 +219,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    if args.jobs < 1 or args.instances < 1:
+        raise ValueError("--jobs and --instances must be at least 1")
     seeds = range(args.seed, args.seed + args.instances)
     run = partial(fuzz_conjectures, seeds, max_emerald=args.max_nodes,
                   max_violet=args.max_nodes, max_edges=args.max_edges,
                   graphs_only=args.graphs_only)
-    if args.jobs > 1:
+    jobs = min(args.jobs, args.instances)  # an idle worker is a wasted fork
+    if jobs > 1:
         import multiprocessing
-        with multiprocessing.Pool(args.jobs) as pool:
+        with multiprocessing.Pool(jobs) as pool:
             report = run(mapper=pool.map)  # map keeps the seed order
     else:
         report = run()
@@ -291,8 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuzz", help="conjecture fuzzing on random instances")
     _add_common(p, graph=False)
     p.add_argument("--seed", type=int, default=0, help="seed of the first instance")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
-    p.add_argument("--instances", type=int, default=100)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, at most one per instance")
+    p.add_argument("--instances", type=int, default=100, help="at least 1")
     p.add_argument("--max-nodes", type=int, default=4,
                    help="per-class node bound for random instances")
     p.add_argument("--graphs-only", action="store_true",

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import EMERALD, VIOLET, RibbonBipartiteGraph, UnionFind
+from .bernardi import TheoremViolation
+from .graph import EMERALD, VIOLET, RibbonBipartiteGraph, UnionFind, bip
 from .hypertree import internal_inactivity
 
 VCUT = VIOLET
@@ -50,77 +51,61 @@ def enumerate_jaeger_trees(g: RibbonBipartiteGraph, cut: str) -> list[frozenset[
     An undecided edge met at a cut-colored node branches, cut first and
     keep second, which emits the trees exactly in the violet (emerald)
     tree order.  At the opposite color the edge is forced into the tree.
-    Branches whose live graph can no longer span, or whose kept edges
-    close a cycle, are pruned.
+    One union-find of the kept edges and one status map are shared by
+    the whole search; each branch undoes its own decisions on return.
+    Two prunes drop only branches that cannot end in a spanning tree: a
+    keep goes ahead only when it joins two components of the kept
+    edges, and a cut only while fewer than |E| - |V| + 1 edges are cut.
+
+    The walk is the orbit of the base pair under the tour permutation of
+    its final decisions, so it returns to the base pair within 2|E|
+    steps even when the cuts disconnect the graph; it emits the kept
+    edges there when they connect every node.
     """
     start = (g.base_node, g.base_edge)
     limit = 2 * len(g.edge_ids) + 1
+    max_cuts = len(g.edge_ids) - len(g.nodes) + 1
+    kept = UnionFind(g.nodes)
+    status: dict[str, bool] = {}  # decided edge -> kept
     out: list[frozenset[str]] = []
 
-    IN, OUT = 1, 2
-
-    def live_connected(status: dict[str, int]) -> bool:
-        uf = UnionFind(g.nodes)
-        for e in g.edge_ids:
-            if status.get(e) != OUT:
-                a, b = g.edges[e]
-                uf.union(a, b)
-        return uf.components == 1
-
-    def keeps_acyclic(status: dict[str, int]) -> bool:
-        uf = UnionFind(g.nodes)
-        for e, s in status.items():
-            if s == IN:
-                a, b = g.edges[e]
-                if not uf.union(a, b):
-                    return False
-        return True
-
-    def walk(node: str, edge: str, status: dict[str, int], steps: int) -> None:
+    def walk(node: str, edge: str, steps: int, cuts: int) -> None:
+        mark = kept.snapshot()
+        forced: list[str] = []
         while True:
             if steps > 0 and (node, edge) == start:
-                if len(status) == len(g.edge_ids):
-                    tree = frozenset(e for e, s in status.items() if s == IN)
-                    if g.is_spanning_tree(tree):
-                        out.append(tree)
-                return
+                if kept.components == 1:
+                    out.append(frozenset(e for e, s in status.items() if s))
+                break
             if steps > limit:
                 raise AssertionError("branching tour failed to close")
             s = status.get(edge)
             if s is None:
                 if g.color(node) == cut:
                     # cut branch first: emission order = tree order
-                    cut_status = dict(status)
-                    cut_status[edge] = OUT
-                    if live_connected(cut_status):
-                        walk(node, g.next_edge(node, edge), cut_status, steps + 1)
-                    keep_status = dict(status)
-                    keep_status[edge] = IN
-                    if keeps_acyclic(keep_status):
+                    if cuts < max_cuts:
+                        status[edge] = False
+                        walk(node, g.next_edge(node, edge), steps + 1, cuts + 1)
+                    status[edge] = True
+                    if kept.union(*g.edges[edge]):
                         far = g.other_end(edge, node)
-                        walk(far, g.next_edge(far, edge), keep_status, steps + 1)
-                    return
-                status = dict(status)
-                status[edge] = IN
-                if not keeps_acyclic(status):
-                    return
-                s = IN
-            if s == IN:
+                        walk(far, g.next_edge(far, edge), steps + 1, cuts)
+                    del status[edge]
+                    break
+                forced.append(edge)
+                status[edge] = s = True
+                if not kept.union(*g.edges[edge]):
+                    break
+            if s:
                 node = g.other_end(edge, node)
-                edge = g.next_edge(node, edge)
-            else:
-                edge = g.next_edge(node, edge)
+            edge = g.next_edge(node, edge)
             steps += 1
+        for e in forced:
+            del status[e]
+        kept.rollback(mark)
 
-    walk(g.base_node, g.base_edge, {}, 0)
+    walk(g.base_node, g.base_edge, 0, 0)
     return out
-
-
-def tour_setup(g: RibbonBipartiteGraph, flavor: str) -> RibbonBipartiteGraph:
-    """The setup whose tour realizes the requested flavor for V-cut
-    Jaeger trees: the given one for the violet flavor, the reversed one
-    (base edge b0b1-) for the emerald flavor."""
-    return g if flavor == VIOLET else g.reversed_setup()
 
 
 def divergence_edge(g: RibbonBipartiteGraph, t1: frozenset[str], t2: frozenset[str],
@@ -128,11 +113,13 @@ def divergence_edge(g: RibbonBipartiteGraph, t1: frozenset[str], t2: frozenset[s
     """The edge at which the flavor tours of two distinct trees diverge.
 
     Walks both tours side by side and stops at the first edge that one
-    tree holds and the other does not; up to there the tours agree.
+    tree holds and the other does not; up to there the tours agree.  The
+    violet tours are those of ``g``, the emerald tours those of the
+    reversed setup (base edge b0b1-).
     """
     if not (g.is_spanning_tree(t1) and g.is_spanning_tree(t2)):
         raise ValueError("not a spanning tree")
-    return _tour_divergence(tour_setup(g, flavor), t1, t2)
+    return _tour_divergence(g if flavor == VIOLET else g.reversed_setup(), t1, t2)
 
 
 def _tour_divergence(setup: RibbonBipartiteGraph, t1: frozenset[str],
@@ -165,7 +152,7 @@ def t_order(g: RibbonBipartiteGraph, tree: frozenset[str], flavor: str) -> TOrde
     """
     if not g.is_spanning_tree(tree):
         raise ValueError("not a spanning tree")
-    setup = tour_setup(g, flavor)
+    setup = g if flavor == VIOLET else g.reversed_setup()
     order: list[str] = []
     seen: set[str] = set()
     for node, edge in setup.tour_pairs(tree):
@@ -238,8 +225,6 @@ def characterize_tree(g: RibbonBipartiteGraph, step: ShellingStep) -> dict[str, 
     follow the edge itself.  Raises TheoremViolation when the lemma
     fails or the five disagree.
     """
-    from .bernardi import TheoremViolation
-
     tree = step.tree
     vrank = step.violet.edge_rank()
     _, inactive = internal_inactivity(g, EMERALD, g.degree_vector(tree, EMERALD),
@@ -278,8 +263,6 @@ def graph_activity_matching(graph_g, tree: frozenset[str]) -> dict:
     subdivision: semi-passive edges under the violet T-order match the
     internally inactive nodes of both induced hypertrees, one-to-one by
     incidence."""
-    from .graph import bip
-
     bg = bip(graph_g)
     if not is_jaeger_tree(bg, tree, VCUT):
         raise ValueError("tree must be a V-cut Jaeger tree of the subdivision")

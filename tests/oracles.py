@@ -12,7 +12,11 @@ on small instances only.  Each reference, and what it checks:
 * ``can_transfer``: one feasibility question per unit transfer (against
   the activities read off the hypertree family);
 * ``marker`` and ``contains``: the Fraction marker point and simplex
-  containment (against ``scaled_marker`` and ``contains_scaled``).
+  containment (against ``scaled_marker`` and ``contains_scaled``);
+* ``arborescence_duality_brute_force``: every C(arcs, faces - 1) arc
+  set of the face-dual digraph tested for an arborescence rooted at r0
+  (against the matrix-tree count and the per-tree check of
+  ``campaign.arborescence_duality``).
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from hyperbernardi.hypertree import is_hypertree
+from hyperbernardi.jaeger import VCUT, enumerate_jaeger_trees
 from hyperbernardi.polytope import (TreeSimplex, _require_simple, node_index,
                                     scaled_marker, vertex_point)
 
@@ -183,3 +188,37 @@ def contains(simplex, p, strict):
     if lam is None:
         return False
     return all(c > 0 if strict else c >= 0 for c in lam)
+
+
+def arborescence_duality_brute_force(g, r0=0):
+    """The V-cut Jaeger trees of the setup based at face r0 against the
+    complements of the spanning arborescences rooted at r0, searched over
+    every arc set of size faces - 1; the same dict as the campaign's."""
+    faces = g.faces()
+    face_of_dart = {dart: i for i, walk in enumerate(faces) for dart in walk}
+    base = next((g.violet_end(e), e) for e in g.edge_ids
+                if face_of_dart[(g.violet_end(e), e)] == r0)
+    arcs = {e: (face_of_dart[(g.violet_end(e), e)],
+                face_of_dart[(g.emerald_end(e), e)]) for e in g.edge_ids}
+    arbs = []
+    for combo in combinations(sorted(arcs), len(faces) - 1):
+        head_of = {}
+        for e in combo:
+            tail, head = arcs[e]
+            if head == r0 or head in head_of or tail == head:
+                break
+            head_of[head] = tail
+        else:
+            # every non-root face must reach r0 through its parents
+            def reaches_root(node):
+                for _ in range(len(faces)):
+                    if node == r0:
+                        return True
+                    node = head_of[node]
+                return node == r0
+            if all(reaches_root(x) for x in head_of):
+                arbs.append(frozenset(combo))
+    complements = {frozenset(g.edge_ids) - a for a in arbs}
+    jaeger = set(enumerate_jaeger_trees(g.with_base(*base), VCUT))
+    return {"base": base, "arborescences": len(arbs), "jaeger": len(jaeger),
+            "equal": complements == jaeger}

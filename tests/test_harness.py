@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import hyperbernardi
+from hyperbernardi import campaign
 from hyperbernardi.campaign import (arborescence_duality, campaign_verify_all,
                                     check_conjectures, fuzz_conjectures,
                                     verify_noncrossing)
@@ -22,6 +23,7 @@ from hyperbernardi.jaeger import (VCUT, enumerate_jaeger_trees, semi_passive_edg
                                   t_order)
 from hyperbernardi.polytope import (TreeSimplex, facet_cover_status,
                                     normalized_simplex_volume)
+from oracles import arborescence_duality_brute_force
 
 
 def test_random_bipartite_deterministic():
@@ -76,6 +78,46 @@ def test_arborescence_duality_tree_graph():
                              base_node="v0", base_edge="a")
     rep = arborescence_duality(g)
     assert rep["equal"] and rep["arborescences"] == 1
+
+
+def test_arborescence_duality_equals_brute_force(monkeypatch,
+                                                 running_fixture, c4_fixture,
+                                                 tour_fixture, matching_fixture,
+                                                 numbered_fixture,
+                                                 single_edge_fixture):
+    """The matrix-tree count and the per-tree check give the dict that
+    the search over every arc set gives, for every root face."""
+    tree_graph = RibbonBipartiteGraph(["e0"], ["v0", "v1"],
+                                      {"a": ("e0", "v0"), "b": ("e0", "v1")},
+                                      None, base_node="v0", base_edge="a")
+    setups = [running_fixture.graph, c4_fixture.graph, bip(tour_fixture.graph),
+              bip(matching_fixture.graph), numbered_fixture.graph,
+              single_edge_fixture.graph, tree_graph]
+    pairs = 0
+    for g in setups:
+        for r0 in range(len(g.faces())):
+            want = arborescence_duality_brute_force(g, r0)
+            assert want["equal"]
+            assert arborescence_duality(g, r0) == want, (g.edge_ids, r0)
+            pairs += 1
+    assert pairs == 18
+
+    # a missing tree fails the count, and a tree whose complement is no
+    # arborescence fails the duality though the two counts still agree
+    enumerate_trees = campaign.enumerate_jaeger_trees
+
+    def one_dropped(setup, cut):
+        return enumerate_trees(setup, cut)[:-1]
+
+    def one_swapped(setup, cut):
+        trees = enumerate_trees(setup, cut)
+        other = next(t for t in setup.spanning_trees() if t not in trees)
+        return trees[:-1] + [other]
+    for tampered, counts_agree in ((one_dropped, False), (one_swapped, True)):
+        monkeypatch.setattr(campaign, "enumerate_jaeger_trees", tampered)
+        rep = arborescence_duality(running_fixture.graph)
+        assert (rep["arborescences"] == rep["jaeger"]) == counts_agree
+        assert not rep["equal"]
 
 
 def test_arborescence_duality_needs_plane():
@@ -540,6 +582,42 @@ def test_cli_fuzz_parallel_matches_serial():
     parallel = json.loads(run_cli("fuzz", "--instances", "6", "--seed", "3",
                                   "--jobs", "2", "--json").stdout)
     assert serial["checks"] == parallel["checks"]
+
+
+def test_cli_fuzz_jobs_and_instances(monkeypatch, capsys):
+    """--jobs and --instances below 1 are input errors, and the pool
+    starts at most one worker per instance."""
+    import multiprocessing
+    from hyperbernardi import cli
+    started = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, seeds):
+            return list(map(func, seeds))
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    for argv in (("--jobs", "0"), ("--jobs", "-2"), ("--instances", "0"),
+                 ("--instances", "-1", "--jobs", "2")):
+        assert cli.main(["fuzz", *argv]) == cli.EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert "at least 1" in err and len(err.strip().splitlines()) == 1
+    assert started == []
+    for jobs, instances, pool in (("8", "2", [2]), ("3", "5", [3]), ("4", "1", [])):
+        started.clear()
+        assert cli.main(["fuzz", "--jobs", jobs, "--instances", instances,
+                         "--json"]) == cli.EXIT_PASS
+        summary = json.loads(capsys.readouterr().out)["checks"][-1]
+        assert summary["instances"] == int(instances)
+        assert started == pool
 
 
 def test_cli_input_errors(tmp_path, graph_file):

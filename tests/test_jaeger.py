@@ -1,10 +1,13 @@
 """Jaeger tree recognition, enumeration, orders, and activity matching."""
 
+import random
+
 import pytest
 
 from hyperbernardi import jaeger
 from hyperbernardi.bernardi import HT_E_CUT_V, TheoremViolation, run_bernardi
-from hyperbernardi.generators import random_bipartite, random_ordinary
+from hyperbernardi.generators import (random_bipartite, random_ordinary,
+                                      random_setup_variation)
 from hyperbernardi.graph import EMERALD, VIOLET, RibbonBipartiteGraph, RibbonGraph, bip
 from hyperbernardi.hypertree import enumerate_hypertrees, internal_inactivity
 from hyperbernardi.jaeger import (ECUT, VCUT, characterize_tree, divergence_edge,
@@ -54,14 +57,59 @@ def test_enumeration_tree_graph():
     assert enumerate_jaeger_trees(g, ECUT) == [whole]
 
 
-def test_enumeration_equals_recognition():
-    for seed in range(15):
-        g = random_bipartite(seed, 4, 4, 10)
+def random_multigraph(seed):
+    """A connected bipartite multigraph with random rotations and base,
+    from seeded random pairs; unlike random_bipartite it repeats pairs,
+    so it has parallel edges."""
+    rng = random.Random(seed)
+    emeralds = [f"e{i}" for i in range(rng.randint(1, 3))]
+    violets = [f"v{i}" for i in range(rng.randint(2, 4))]
+    pairs = [(e, violets[0]) for e in emeralds]
+    pairs += [(rng.choice(emeralds), v) for v in violets[1:]]
+    pairs.append(rng.choice(pairs))
+    for _ in range(rng.randint(1, 4)):
+        pairs.append(rng.choice(pairs) if rng.random() < 0.5
+                     else (rng.choice(emeralds), rng.choice(violets)))
+    edges = {f"x{i}": pair for i, pair in enumerate(pairs)}
+    g = RibbonBipartiteGraph(emeralds, violets, edges, None,
+                             base_node=emeralds[0], base_edge="x0")
+    return random_setup_variation(g, seed)
+
+
+def test_enumeration_equals_recognition(running_fixture, knot_fixture,
+                                        c4_fixture, process_fixture,
+                                        numbered_fixture, single_edge_fixture,
+                                        tour_fixture, matching_fixture,
+                                        k5_fixture):
+    """The enumeration finds the trees the sweep recognizes, on simple
+    graphs, subdivisions and multigraphs, and emits the V-cut trees in
+    violet tree order: each later tree holds its divergence edge with
+    every earlier one.  The order holds on the reversed setup too."""
+    graphs = [running_fixture.graph, knot_fixture.graph, c4_fixture.graph,
+              process_fixture.graph, numbered_fixture.graph,
+              single_edge_fixture.graph, bip(tour_fixture.graph),
+              bip(matching_fixture.graph), bip(k5_fixture.graph)]
+    graphs += [random_bipartite(seed, 4, 4, 10) for seed in range(15)]
+    graphs += [bip(random_ordinary(seed, 5, 8)) for seed in range(10)]
+    multigraphs = [random_multigraph(seed) for seed in range(25)]
+    assert all(len(set(g.edges.values())) < len(g.edges) for g in multigraphs)
+    pairs = 0
+    for g in graphs + multigraphs:
+        recognized = {VCUT: set(), ECUT: set()}
+        for t in g.spanning_trees():
+            for cut in jaeger_cuts(g, t):
+                recognized[cut].add(t)
         for cut in (VCUT, ECUT):
-            enumerated = set(enumerate_jaeger_trees(g, cut))
-            recognized = {t for t in g.spanning_trees()
-                          if is_jaeger_tree(g, t, cut)}
-            assert enumerated == recognized, (seed, cut)
+            enumerated = enumerate_jaeger_trees(g, cut)
+            assert len(set(enumerated)) == len(enumerated)
+            assert set(enumerated) == recognized[cut], (sorted(g.edges), cut)
+        for h in (g, g.reversed_setup()):
+            trees = enumerate_jaeger_trees(h, VCUT)
+            for j, later in enumerate(trees):
+                for earlier in trees[:j]:
+                    pairs += 1
+                    assert divergence_edge(h, earlier, later) in later
+    assert pairs > 10000  # the order check is not vacuous
 
 
 def first_skip_jaeger(g, tree, cut):
