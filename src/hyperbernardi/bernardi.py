@@ -65,7 +65,6 @@ class BernardiRun:
     steps: tuple[BernardiStep, ...]
     result_tree: frozenset[str]
     current_edge_order: tuple[str, ...]
-    first_incident_current: dict[str, int]
     first_reached: dict[str, int]
 
 
@@ -108,7 +107,6 @@ def run_bernardi(g: RibbonBipartiteGraph, f: dict[str, int],
     steps: list[BernardiStep] = []
     order: list[str] = []
     seen_current: set[str] = set()
-    first_incident: dict[str, int] = {}
     first_reached: dict[str, int] = {}
 
     def reach(node: str):
@@ -167,8 +165,6 @@ def run_bernardi(g: RibbonBipartiteGraph, f: dict[str, int],
             raise TheoremViolation(f"edge {cur!r} became current twice")
         seen_current.add(cur)
         near = g.end_of_color(cur, cut)
-        for node in g.edges[cur]:
-            first_incident.setdefault(node, len(order))
         order.append(cur)
         live_before = len(live)
 
@@ -216,7 +212,6 @@ def run_bernardi(g: RibbonBipartiteGraph, f: dict[str, int],
         steps=tuple(steps),
         result_tree=result,
         current_edge_order=tuple(order),
-        first_incident_current=first_incident,
         first_reached=first_reached)
 
 
@@ -247,38 +242,26 @@ def _check_cut_side_arcs(g: RibbonBipartiteGraph, order: list[str], cut: str) ->
                 f"current edges at {x!r} broke the cyclic-order discipline")
 
 
-def induced_class_order(run: BernardiRun, g: RibbonBipartiteGraph,
-                        side: str) -> tuple[str, ...]:
-    """Class nodes ordered by their earliest incident current edge."""
-    nodes = g.side_nodes(side)
-    return tuple(sorted(nodes, key=lambda x: run.first_incident_current[x]))
+def embedding_inactivities(g: RibbonBipartiteGraph, run: BernardiRun) -> tuple[int, int]:
+    """(internal, external) inactivity of the run's hypertree against the
+    class order that the run's current edges induce."""
+    side = run.variant.ht_side
+    f = dict(run.hypertree)
+    order = g.induced_order(side, run.current_edge_order)
+    return (len(internal_inactivity(g, side, f, order)),
+            len(external_inactivity(g, side, f, order)))
 
 
-def embedding_inactivities(g: RibbonBipartiteGraph, f: dict[str, int],
-                           variant: ProcessVariant,
-                           run: BernardiRun | None = None) -> tuple[int, int]:
-    """(internal, external) inactivity of f against its own run's order."""
-    if run is None:
-        run = run_bernardi(g, f, variant)
-    order = induced_class_order(run, g, variant.ht_side)
-    internal, _ = internal_inactivity(g, variant.ht_side, f, order)
-    external, _ = external_inactivity(g, variant.ht_side, f, order)
-    return internal, external
-
-
-def bernardi_polynomials(g: RibbonBipartiteGraph, side: str,
-                         variant: ProcessVariant, hypertrees=None,
+def bernardi_polynomials(g: RibbonBipartiteGraph, variant: ProcessVariant,
                          runs=None) -> tuple[Poly, Poly]:
     """The (interior, exterior) embedding polynomials of ``variant``: one
-    run per hypertree, or the given ``runs``, aligned with ``hypertrees``."""
-    if variant.ht_side != side:
-        raise ValueError("variant must carry its hypertree on the requested side")
-    if hypertrees is None:
-        hypertrees = enumerate_hypertrees(g, side)
+    run per hypertree, or the given ``runs`` of ``variant``, in any order."""
     if runs is None:
-        runs = [run_bernardi(g, f, variant) for f in hypertrees]
-    pairs = [embedding_inactivities(g, f, variant, run=run)
-             for f, run in zip(hypertrees, runs, strict=True)]
+        runs = [run_bernardi(g, f, variant)
+                for f in enumerate_hypertrees(g, variant.ht_side)]
+    if any(run.variant != variant for run in runs):
+        raise ValueError(f"runs must be runs of {variant}")
+    pairs = [embedding_inactivities(g, run) for run in runs]
     return (Poly.counting(i for i, _ in pairs),
             Poly.counting(e for _, e in pairs))
 
@@ -308,7 +291,6 @@ def graph_specialization_check(graph_g, tree_of_g: frozenset[str]) -> bool:
     want = graph_g.tour_order(tree_of_g)
     for variant in (HT_E_CUT_E, HT_E_CUT_V):
         run = run_bernardi(bg, f, variant)
-        got = induced_class_order(run, bg, EMERALD)
-        if got != want:
+        if bg.induced_order(EMERALD, run.current_edge_order) != want:
             return False
     return True

@@ -93,25 +93,20 @@ def graph_hash(g: RibbonBipartiteGraph) -> str:
     return hashlib.sha256(serialize_graph(g).encode()).hexdigest()[:16]
 
 
-def check_conjectures(g: RibbonBipartiteGraph, report: CampaignReport | None = None,
-                      hypertrees=None, runs=None) -> CampaignReport:
+def check_conjectures(g: RibbonBipartiteGraph, runs=None) -> CampaignReport:
     """The cut-at-violet interior conjecture and both exterior variants.
 
     Each ht:E variant runs once per hypertree, unless ``runs`` maps it
-    to its runs aligned with ``hypertrees``.  Mismatches are flagged,
-    never failed, and only after re-verifying both sides: the classical
-    polynomial under a different order, and the embedding polynomial
-    from paranoid runs.
+    to its runs.  Mismatches are flagged, never failed, and only after
+    re-verifying both sides: the classical polynomial under a different
+    order, and the embedding polynomial from paranoid runs.
     """
-    if report is None:
-        report = CampaignReport(input_hash=graph_hash(g))
-    if hypertrees is None:
-        hypertrees = enumerate_hypertrees(g, EMERALD)
-    interior = interior_polynomial(g, EMERALD, hypertrees=hypertrees)
-    exterior = exterior_polynomial(g, EMERALD, hypertrees=hypertrees)
+    report = CampaignReport(input_hash=graph_hash(g))
+    interior = interior_polynomial(g, EMERALD)
+    exterior = exterior_polynomial(g, EMERALD)
 
     runs = runs or {}
-    embedding = {v: bernardi_polynomials(g, EMERALD, v, hypertrees, runs.get(v))
+    embedding = {v: bernardi_polynomials(g, v, runs.get(v))
                  for v in (HT_E_CUT_V, HT_E_CUT_E)}
 
     cases = [
@@ -127,11 +122,10 @@ def check_conjectures(g: RibbonBipartiteGraph, report: CampaignReport | None = N
             continue
         alt_order = sorted(g.emeralds, reverse=True)
         recheck_classical = (interior_polynomial if kind == "interior"
-                             else exterior_polynomial)(
-            g, EMERALD, order=alt_order, hypertrees=hypertrees)
-        paranoid = [run_bernardi(g, f, variant, paranoid=True) for f in hypertrees]
-        reverified = bernardi_polynomials(g, EMERALD, variant, hypertrees,
-                                          paranoid)[pick]
+                             else exterior_polynomial)(g, EMERALD, order=alt_order)
+        paranoid = [run_bernardi(g, f, variant, paranoid=True)
+                    for f in enumerate_hypertrees(g, EMERALD)]
+        reverified = bernardi_polynomials(g, variant, paranoid)[pick]
         report.add(name, FLAG,
                    expected=list(want.coeffs), got=list(got.coeffs),
                    reverified=list(reverified.coeffs),
@@ -156,9 +150,9 @@ def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
     report.add("hypertree-counts-equal", PASS if len(b_e) == len(b_v) else FAIL,
                emerald=len(b_e), violet=len(b_v))
 
-    interior = interior_polynomial(g, EMERALD, hypertrees=b_e)
-    interior_v = interior_polynomial(g, VIOLET, hypertrees=b_v)
-    exterior = exterior_polynomial(g, EMERALD, hypertrees=b_e)
+    interior = interior_polynomial(g, EMERALD)
+    interior_v = interior_polynomial(g, VIOLET)
+    exterior = exterior_polynomial(g, EMERALD)
     report.add("interior-transpose-invariant",
                PASS if interior == interior_v else FAIL,
                emerald=list(interior.coeffs), violet=list(interior_v.coeffs))
@@ -173,9 +167,9 @@ def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
     for _ in range(RANDOM_ORDERS):
         order = list(g.emeralds)
         rng.shuffle(order)
-        if interior_polynomial(g, EMERALD, order=order, hypertrees=b_e) != interior:
+        if interior_polynomial(g, EMERALD, order=order) != interior:
             orders_ok = False
-        if exterior_polynomial(g, EMERALD, order=order, hypertrees=b_e) != exterior:
+        if exterior_polynomial(g, EMERALD, order=order) != exterior:
             orders_ok = False
     report.add("order-independence", PASS if orders_ok else FAIL,
                orders=RANDOM_ORDERS)
@@ -198,7 +192,7 @@ def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
         report.elapsed_s = time.perf_counter() - t0
         return report
 
-    bernardi_e = bernardi_polynomials(g, EMERALD, HT_E_CUT_E, b_e, runs[HT_E_CUT_E])
+    bernardi_e = bernardi_polynomials(g, HT_E_CUT_E, runs[HT_E_CUT_E])
     report.add("bernardi-interior-theorem",
                PASS if bernardi_e[0] == interior else FAIL)
 
@@ -305,37 +299,48 @@ def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
                        PASS if kato_series_check(interior.coeffs, g, kmax, values)
                        else FAIL, order=kmax)
 
-    check_conjectures(g, report, hypertrees=b_e, runs=runs)
+    report.checks.extend(check_conjectures(g, runs).checks)
     report.elapsed_s = time.perf_counter() - t0
     return report
 
 
-def fuzz_instance(seed: int, max_emerald: int = 4, max_violet: int = 4,
-                  max_edges: int = 10, graphs_only: bool = False) -> list[dict]:
+def fuzz_instance(seed: int, max_nodes: int = 4, max_edges: int = 10,
+                  graphs_only: bool = False) -> list[dict]:
     """check_conjectures on one seeded random instance: the checks that
-    did not pass, each tagged with the seed."""
+    did not pass, each tagged with the seed.  With ``graphs_only`` the
+    instance is the subdivision of an ordinary graph with at most
+    ``max_edges // 2`` edges, so it has at most ``max_edges`` edges."""
     from .generators import random_bipartite, random_ordinary
     from .graph import bip
 
     if graphs_only:
-        g = bip(random_ordinary(seed, max_vertices=max_violet, max_edges=max_edges))
+        g = bip(random_ordinary(seed, max_vertices=max_nodes,
+                                max_edges=max_edges // 2))
     else:
-        g = random_bipartite(seed, max_emerald, max_violet, max_edges)
+        g = random_bipartite(seed, max_nodes, max_nodes, max_edges)
     return [dict(c, seed=seed) for c in check_conjectures(g).checks
             if c["status"] != PASS]
 
 
-def fuzz_conjectures(seed_range, max_emerald: int = 4, max_violet: int = 4,
-                     max_edges: int = 10, graphs_only: bool = False,
-                     mapper=map) -> CampaignReport:
+def fuzz_conjectures(seed_range, max_nodes: int = 4, max_edges: int = 10,
+                     graphs_only: bool = False, mapper=map) -> CampaignReport:
     """check_conjectures over seeded random instances; ``mapper`` (a
     process pool's ``map``, say) runs fuzz_instance over the seeds and
-    must keep their order."""
+    must keep their order.  Bounds under which some seed's instance
+    cannot be drawn are rejected before any instance runs."""
+    least_nodes = 2 if graphs_only else 1  # an ordinary graph has two vertices
+    if max_nodes < least_nodes:
+        raise ValueError(f"--max-nodes {max_nodes} is below {least_nodes}")
+    # a subdivided tree on max_nodes vertices, or a tree on 2 * max_nodes nodes
+    least_edges = 2 * (max_nodes - 1) if graphs_only else 2 * max_nodes - 1
+    if max_edges < least_edges:
+        raise ValueError(f"--max-edges {max_edges} is below {least_edges}, the fewest "
+                         f"edges of a connected instance at --max-nodes {max_nodes}")
     t0 = time.perf_counter()
     report = CampaignReport()
     seeds = list(seed_range)
-    run = partial(fuzz_instance, max_emerald=max_emerald, max_violet=max_violet,
-                  max_edges=max_edges, graphs_only=graphs_only)
+    run = partial(fuzz_instance, max_nodes=max_nodes, max_edges=max_edges,
+                  graphs_only=graphs_only)
     for flags in mapper(run, seeds):
         report.checks.extend(flags)
     flagged = len(report.checks)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
 
 from . import __version__
 from .bernardi import ProcessVariant, TheoremViolation, run_bernardi
@@ -41,7 +40,7 @@ def _add_common(p: argparse.ArgumentParser, graph: bool = True):
     p.add_argument("--max-edges", type=int, default=14,
                    help="refuse larger instances (checks are exponential)" if graph
                    else "edge bound of the generated instances (with --graphs-only, "
-                        "of the ordinary graphs, whose subdivisions have twice as many)")
+                        "of the subdivisions: the ordinary graphs get half as many)")
 
 
 def _load_graph(args):
@@ -221,17 +220,18 @@ def cmd_verify(args) -> int:
 def cmd_fuzz(args) -> int:
     if args.jobs < 1 or args.instances < 1:
         raise ValueError("--jobs and --instances must be at least 1")
-    seeds = range(args.seed, args.seed + args.instances)
-    run = partial(fuzz_conjectures, seeds, max_emerald=args.max_nodes,
-                  max_violet=args.max_nodes, max_edges=args.max_edges,
-                  graphs_only=args.graphs_only)
     jobs = min(args.jobs, args.instances)  # an idle worker is a wasted fork
+    mapper = map
     if jobs > 1:
         import multiprocessing
-        with multiprocessing.Pool(jobs) as pool:
-            report = run(mapper=pool.map)  # map keeps the seed order
-    else:
-        report = run()
+
+        def mapper(func, seeds):
+            # started only once fuzz_conjectures has checked the bounds
+            with multiprocessing.Pool(jobs) as pool:
+                return pool.map(func, seeds)  # map keeps the seed order
+    report = fuzz_conjectures(range(args.seed, args.seed + args.instances),
+                              max_nodes=args.max_nodes, max_edges=args.max_edges,
+                              graphs_only=args.graphs_only, mapper=mapper)
     report.seed = args.seed
     return _report_exit(args, report)
 

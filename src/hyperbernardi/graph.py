@@ -111,7 +111,10 @@ class RibbonGraph:
         self.base_node = base_node
         self.base_edge = base_edge
 
-        if not self._connected(frozenset(self.edge_ids)):
+        uf = UnionFind(self.nodes)
+        for a, b in self.edges.values():
+            uf.union(a, b)
+        if uf.components != 1:
             raise ValidationError("graph is not connected")
 
         # side -> the hypertree oracle, which owns the side's family
@@ -166,13 +169,6 @@ class RibbonGraph:
 
     def prev_edge(self, node: str, edge: str, live: Set[str] | None = None) -> str:
         return self._rotation_step(node, edge, -1, live)
-
-    def _connected(self, live: frozenset[str]) -> bool:
-        uf = UnionFind(self.nodes)
-        for e in live:
-            a, b = self.edges[e]
-            uf.union(a, b)
-        return uf.components == 1
 
     def is_spanning_tree(self, tree: frozenset[str]) -> bool:
         if len(tree) != len(self.nodes) - 1:
@@ -386,6 +382,16 @@ class RibbonBipartiteGraph(RibbonGraph):
         return RibbonBipartiteGraph(
             self.emeralds, self.violets, dict(self.edges),
             dict(self.rotations), base_node, base_edge)
+
+    def induced_order(self, side: str, edge_order) -> tuple[str, ...]:
+        """The ``side`` nodes ordered by the earliest position of an
+        incident edge in ``edge_order``, which must reach every one."""
+        nodes = self.side_nodes(side)
+        pos = 0 if side == EMERALD else 1
+        order = tuple(dict.fromkeys(self.edges[e][pos] for e in edge_order))
+        if len(order) != len(nodes):
+            raise ValueError(f"edge order misses a {side} node")
+        return order
 
     def degree_vector(self, tree: frozenset[str], side: str) -> dict[str, int]:
         """The hypertree realized by ``tree`` on ``side``: degree - 1."""

@@ -223,7 +223,7 @@ def enumerate_hypertrees(g: RibbonBipartiteGraph, side: str) -> list[dict[str, i
 
 
 def _inactivity(g: RibbonBipartiteGraph, side: str, f: dict[str, int],
-                order, outgoing: bool) -> tuple[int, frozenset[str]]:
+                order, outgoing: bool) -> frozenset[str]:
     """Nodes x of ``order`` such that, for some y before x, the transfer
     x -> y (``outgoing``) or y -> x stays in the hypertree family."""
     key = list(_side_key(g, side, f))
@@ -246,48 +246,42 @@ def _inactivity(g: RibbonBipartiteGraph, side: str, f: dict[str, int],
             if hit:
                 inactive.add(x)
                 break
-    return len(inactive), frozenset(inactive)
+    return frozenset(inactive)
 
 
 def internal_inactivity(g: RibbonBipartiteGraph, side: str, f: dict[str, int],
-                        order) -> tuple[int, frozenset[str]]:
-    """Count nodes that can transfer valence to some smaller node.
+                        order) -> frozenset[str]:
+    """The nodes that can transfer valence to some smaller node.
 
-    Returns (count, the inactive set).  ``order`` lists the class from
-    smallest to largest.
+    ``order`` lists the class from smallest to largest.
     """
     return _inactivity(g, side, f, order, outgoing=True)
 
 
 def external_inactivity(g: RibbonBipartiteGraph, side: str, f: dict[str, int],
-                        order) -> tuple[int, frozenset[str]]:
-    """Count nodes that may receive a transfer from some smaller node."""
+                        order) -> frozenset[str]:
+    """The nodes that may receive a transfer from some smaller node."""
     return _inactivity(g, side, f, order, outgoing=False)
 
 
-def interior_polynomial(g: RibbonBipartiteGraph, side: str, order=None,
-                        hypertrees=None) -> Poly:
+def interior_polynomial(g: RibbonBipartiteGraph, side: str, order=None) -> Poly:
     """Generating function of internal inactivity over all hypertrees.
 
     Independent of ``order`` (default: sorted node names); callers who
     want the order-independence asserted can recompute with shuffles.
     """
-    return _polynomial(g, side, order, hypertrees, outgoing=True)
+    return _polynomial(g, side, order, outgoing=True)
 
 
-def exterior_polynomial(g: RibbonBipartiteGraph, side: str, order=None,
-                        hypertrees=None) -> Poly:
-    return _polynomial(g, side, order, hypertrees, outgoing=False)
+def exterior_polynomial(g: RibbonBipartiteGraph, side: str, order=None) -> Poly:
+    return _polynomial(g, side, order, outgoing=False)
 
 
-def _polynomial(g: RibbonBipartiteGraph, side: str, order, hypertrees,
-                outgoing: bool) -> Poly:
+def _polynomial(g: RibbonBipartiteGraph, side: str, order, outgoing: bool) -> Poly:
     if order is None:
-        order = list(g.side_nodes(side))
-    if hypertrees is None:
-        hypertrees = enumerate_hypertrees(g, side)
-    return Poly.counting(_inactivity(g, side, f, order, outgoing)[0]
-                         for f in hypertrees)
+        order = g.side_nodes(side)
+    return Poly.counting(len(_inactivity(g, side, f, order, outgoing))
+                         for f in enumerate_hypertrees(g, side))
 
 
 # -- ordinary graphs ------------------------------------------------------

@@ -161,11 +161,7 @@ def t_order(g: RibbonBipartiteGraph, tree: frozenset[str], flavor: str) -> TOrde
             order.append(edge)
     if len(order) != len(g.edge_ids):
         raise AssertionError("tour missed an edge on the flavor side")
-    class_nodes = g.side_nodes(EMERALD if flavor == EMERALD else VIOLET)
-    rank = {e: i for i, e in enumerate(order)}
-    first = {x: min(rank[e] for e in g.incident(x)) for x in class_nodes}
-    induced = tuple(sorted(class_nodes, key=lambda x: first[x]))
-    return TOrder(flavor, tuple(order), induced)
+    return TOrder(flavor, tuple(order), g.induced_order(flavor, order))
 
 
 def semi_passive_edges(g: RibbonBipartiteGraph, tree: frozenset[str],
@@ -227,8 +223,8 @@ def characterize_tree(g: RibbonBipartiteGraph, step: ShellingStep) -> dict[str, 
     """
     tree = step.tree
     vrank = step.violet.edge_rank()
-    _, inactive = internal_inactivity(g, EMERALD, g.degree_vector(tree, EMERALD),
-                                      step.emerald.class_order)
+    inactive = internal_inactivity(g, EMERALD, g.degree_vector(tree, EMERALD),
+                                   step.emerald.class_order)
 
     reports = {}
     for eps in sorted(tree):
@@ -271,13 +267,10 @@ def graph_activity_matching(graph_g, tree: frozenset[str]) -> dict:
 
     f_e = bg.degree_vector(tree, EMERALD)
     f_v = bg.degree_vector(tree, VIOLET)
-    # the violet T-order induces orders on both classes by smallest
-    # incident edge
-    rank = vi_order.edge_rank()
-    order_e = tuple(sorted(bg.emeralds, key=lambda x: min(rank[e] for e in bg.incident(x))))
-    order_v = vi_order.class_order
-    _, inactive_e = internal_inactivity(bg, EMERALD, f_e, order_e)
-    _, inactive_v = internal_inactivity(bg, VIOLET, f_v, order_v)
+    # the violet T-order induces orders on both classes
+    order_e = bg.induced_order(EMERALD, vi_order.edge_order)
+    inactive_e = internal_inactivity(bg, EMERALD, f_e, order_e)
+    inactive_v = internal_inactivity(bg, VIOLET, f_v, vi_order.class_order)
 
     em_ends = sorted(bg.emerald_end(e) for e in semi)
     vi_ends = sorted(bg.violet_end(e) for e in semi)

@@ -148,40 +148,27 @@ def trees_compatible(g: RibbonBipartiteGraph, t1: frozenset[str],
     return True
 
 
-def separating_functional(g: RibbonBipartiteGraph, later_tree: frozenset[str],
-                          eps: str) -> dict[str, int]:
-    """The +/-1 node weights from the base cut of ``eps`` in the later
-    tree: +1 on emeralds outside / violets inside the component of the
-    violet endpoint, -1 elsewhere.  Edge value = sum of its endpoints,
-    so eps maps to +2 and all other later-tree edges to 0."""
-    side1, _ = g.tree_cut(later_tree, eps)
-    if g.violet_end(eps) not in side1:
-        side1 = frozenset(g.nodes) - side1
-    weights = {}
-    for x in g.emeralds:
-        weights[x] = -1 if x in side1 else 1
-    for x in g.violets:
-        weights[x] = 1 if x in side1 else -1
-    return weights
-
-
-def functional_on_edge(g: RibbonBipartiteGraph, weights: dict[str, int],
-                       edge: str) -> int:
-    a, b = g.edges[edge]
-    return weights[a] + weights[b]
-
-
 def certify_disjoint_interiors(g: RibbonBipartiteGraph,
                                earlier: frozenset[str], later: frozenset[str],
                                eps: str) -> bool:
     """Check the separating-functional certificate for an ordered pair of
-    trees whose tours diverge at ``eps`` (an edge of the later tree)."""
-    weights = separating_functional(g, later, eps)
-    if functional_on_edge(g, weights, eps) != 2:
-        return False
-    if any(functional_on_edge(g, weights, e) != 0 for e in later if e != eps):
-        return False
-    return all(functional_on_edge(g, weights, e) <= 0 for e in earlier)
+    trees whose tours diverge at ``eps`` (an edge of the later tree).
+
+    The functional weighs a node +1 when it is an emerald outside, or a
+    violet inside, the component of eps's violet end in later - eps, and
+    -1 otherwise; an edge takes the sum of its ends.  It must be 2 on
+    eps, 0 on the other later-tree edges and at most 0 on the earlier
+    tree's edges."""
+    side, _ = g.tree_cut(later, eps)
+    inside = g.violet_end(eps) in side
+    weight = {x: 1 if (x in side) == inside else -1 for x in g.violets}
+    weight.update({x: -1 if (x in side) == inside else 1 for x in g.emeralds})
+
+    def value(e: str) -> int:
+        return sum(weight[x] for x in g.edges[e])
+
+    return (value(eps) == 2 and all(value(e) == 0 for e in later if e != eps)
+            and all(value(e) <= 0 for e in earlier))
 
 
 def verify_dissection(g: RibbonBipartiteGraph, steps) -> dict:

@@ -96,13 +96,13 @@ def test_criterion_01_running_example_interior():
     b_v = enumerate_hypertrees(g, VIOLET)
     assert len(b_e) == len(b_v) == 7
     import random
-    for side, family in ((EMERALD, b_e), (VIOLET, b_v)):
-        assert interior_polynomial(g, side, hypertrees=family).coeffs == (1, 3, 3)
+    for side in (EMERALD, VIOLET):
+        assert interior_polynomial(g, side).coeffs == (1, 3, 3)
         rng = random.Random(17)
         for _ in range(10):
             order = list(g.side_nodes(side))
             rng.shuffle(order)
-            poly = interior_polynomial(g, side, order=order, hypertrees=family)
+            poly = interior_polynomial(g, side, order=order)
             assert poly.coeffs == (1, 3, 3)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
@@ -112,8 +112,8 @@ def test_criterion_01_running_example_interior():
 
 def test_criterion_02_bernardi_interior_theorem(bundles):
     for b in bundles:
-        interior = interior_polynomial(b.g, EMERALD, hypertrees=b.b_e)
-        tilde = bernardi_polynomials(b.g, EMERALD, HT_E_CUT_E, hypertrees=b.b_e)[0]
+        interior = interior_polynomial(b.g, EMERALD)
+        tilde = bernardi_polynomials(b.g, HT_E_CUT_E)[0]
         assert tilde == interior, b.g.base_node
     report(2, f"I~ = I on {N_SETUPS} setups of the running example and "
               f"{N_BIPARTITE} random bipartite graphs")
@@ -200,7 +200,7 @@ def test_criterion_07_shelling(bundles):
         geo = geometric_shelling_check(b.g, b.steps)
         assert geo["ok"], geo["failures"]
         assert shelling_h_vector(b.steps) == \
-            interior_polynomial(b.g, EMERALD, hypertrees=b.b_e).coeffs
+            interior_polynomial(b.g, EMERALD).coeffs
         checked += 1
     assert checked >= 10
     report(7, f"running example h-vector (1, 3, 3) in violet order; geometric "
@@ -309,7 +309,7 @@ def test_criterion_14_composition_theorems(bundles):
 
 
 def test_criterion_15_conjecture_fuzz():
-    rep = fuzz_conjectures(range(N_FUZZ), 4, 4, 10)
+    rep = fuzz_conjectures(range(N_FUZZ), 4, 10)
     summary = rep.checks[-1]
     assert summary["instances"] == N_FUZZ
     # a genuine counterexample would be flagged, not failed; none expected

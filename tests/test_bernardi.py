@@ -1,5 +1,6 @@
 """The four Bernardi processes, embedding activities, and compositions."""
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -10,8 +11,7 @@ from hyperbernardi.bernardi import (HT_E_CUT_E, HT_E_CUT_V, HT_V_CUT_E,
                                     HT_V_CUT_V, VARIANTS, ProcessVariant,
                                     bernardi_polynomials, check_composition,
                                     embedding_inactivities,
-                                    graph_specialization_check,
-                                    induced_class_order, run_bernardi)
+                                    graph_specialization_check, run_bernardi)
 from hyperbernardi.fixtures import c4
 from hyperbernardi.generators import random_bipartite, random_ordinary
 from hyperbernardi.graph import EMERALD, VIOLET, RibbonBipartiteGraph, bip
@@ -37,9 +37,9 @@ def test_process_walkthrough_cut_at_hypertree_side(process_fixture):
         process_fixture.value("htE_cutE_decisions")
     assert len(run.current_edge_order) == len(g.edge_ids)
     assert g.degree_vector(run.result_tree, EMERALD) == f
-    assert induced_class_order(run, g, EMERALD) == \
+    assert g.induced_order(EMERALD, run.current_edge_order) == \
         process_fixture.value("induced_order_on_E")
-    assert embedding_inactivities(g, f, HT_E_CUT_E, run=run) == \
+    assert embedding_inactivities(g, run) == \
         process_fixture.value("embedding_inactivities")
 
 
@@ -63,7 +63,7 @@ def test_c4_run_transcript(c4_fixture):
     assert run.current_edge_order == ("c1", "c3", "c4", "c2")
     assert [s.decision for s in run.steps] == \
         ["kept", "removed", "kept", "kept"]
-    assert induced_class_order(run, g, EMERALD) == ("e1", "e2")
+    assert g.induced_order(EMERALD, run.current_edge_order) == ("e1", "e2")
 
 
 def test_infeasible_hypertree_rejected(c4_fixture):
@@ -77,7 +77,7 @@ def test_star_induced_order_follows_rotation():
     g = RibbonBipartiteGraph(["hub"], [f"v{i}" for i in range(4)], edges, rot,
                              base_node="hub", base_edge="s0")
     run = run_bernardi(g, {"hub": 3}, HT_E_CUT_E)
-    assert induced_class_order(run, g, VIOLET) == ("v0", "v1", "v2", "v3")
+    assert g.induced_order(VIOLET, run.current_edge_order) == ("v0", "v1", "v2", "v3")
 
 
 def test_single_edge_runs(single_edge_fixture):
@@ -94,19 +94,34 @@ def test_embedding_inactivities_tree_graph():
     g = RibbonBipartiteGraph(["e0"], ["v0", "v1"],
                              {"a": ("e0", "v0"), "b": ("e0", "v1")}, None,
                              base_node="v0", base_edge="a")
-    assert embedding_inactivities(g, {"e0": 1}, HT_E_CUT_E) == (0, 0)
+    assert embedding_inactivities(g, run_bernardi(g, {"e0": 1}, HT_E_CUT_E)) == (0, 0)
 
 
 def test_bernardi_interior_equals_interior(running_fixture, c4_fixture,
                                            single_edge_fixture):
     g = running_fixture.graph
-    assert bernardi_polynomials(g, EMERALD, HT_E_CUT_E)[0] == Poly((1, 3, 3))
-    assert bernardi_polynomials(c4_fixture.graph, EMERALD,
-                                HT_E_CUT_E)[0] == Poly((1, 1))
-    assert bernardi_polynomials(single_edge_fixture.graph, EMERALD,
+    assert bernardi_polynomials(g, HT_E_CUT_E)[0] == Poly((1, 3, 3))
+    assert bernardi_polynomials(c4_fixture.graph, HT_E_CUT_E)[0] == Poly((1, 1))
+    assert bernardi_polynomials(single_edge_fixture.graph,
                                 HT_E_CUT_E)[0] == Poly((1,))
-    with pytest.raises(ValueError):
-        bernardi_polynomials(g, VIOLET, HT_E_CUT_E)
+    cut_v = [run_bernardi(g, f, HT_E_CUT_V) for f in enumerate_hypertrees(g, EMERALD)]
+    with pytest.raises(ValueError, match="runs must be runs of htE-cutE"):
+        bernardi_polynomials(g, HT_E_CUT_E, cut_v)
+
+
+def test_bernardi_polynomials_ignore_run_order():
+    """Each run carries its own hypertree, so the polynomials do not
+    depend on the order in which the runs are given."""
+    rng = random.Random(5)
+    for seed in range(50):
+        g = random_bipartite(seed, 4, 4, 10)
+        for variant in (HT_E_CUT_V, HT_E_CUT_E):
+            runs = [run_bernardi(g, f, variant) for f in enumerate_hypertrees(g, EMERALD)]
+            shuffled = list(runs)
+            rng.shuffle(shuffled)
+            want = bernardi_polynomials(g, variant, runs)
+            assert bernardi_polynomials(g, variant, runs[::-1]) == want
+            assert bernardi_polynomials(g, variant, shuffled) == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -124,8 +139,8 @@ def test_bernardi_interior_random_setups(running_fixture, seed, variation):
         setup = random_setup_variation(g, variation)
         assert setup.edges == g.edges
         assert interior_polynomial(setup, EMERALD) == want
-        assert bernardi_polynomials(setup, EMERALD, HT_E_CUT_E)[0] == want
-        assert bernardi_polynomials(setup, VIOLET, HT_V_CUT_V)[0] == want
+        assert bernardi_polynomials(setup, HT_E_CUT_E)[0] == want
+        assert bernardi_polynomials(setup, HT_V_CUT_V)[0] == want
         steps = shelling(setup, enumerate_jaeger_trees(setup, VCUT))
         assert Poly(shelling_h_vector(steps)) == want
 
@@ -180,7 +195,7 @@ def test_graph_specialization(tour_fixture):
     bg = bip(g)
     f = {e: (1 if e in tree else 0) for e in g.edge_ids}
     run = run_bernardi(bg, f, HT_E_CUT_E)
-    assert induced_class_order(run, bg, EMERALD) == \
+    assert bg.induced_order(EMERALD, run.current_edge_order) == \
         tour_fixture.value("edge_order")
 
 
@@ -412,20 +427,24 @@ def test_renaming_invariance(seed, graphs_only, data):
 def test_run_records_timestamps(process_fixture):
     g = process_fixture.graph
     run = run_bernardi(g, process_fixture.value("hypertree"), HT_E_CUT_V)
-    assert set(run.first_incident_current) == set(g.nodes)
+    first_incident_current: dict[str, int] = {}
+    for i, e in enumerate(run.current_edge_order):
+        for x in g.edges[e]:
+            first_incident_current.setdefault(x, i)
+    assert set(first_incident_current) == set(g.nodes)
     assert set(run.first_reached) == set(g.nodes)
     # away from the starting nodes, numbering by incident current edge
     # can only precede the walk's arrival; here the top node is numbered
     # well before it is reached
     start = {x for x, i in run.first_reached.items() if i == 0}
-    assert all(run.first_incident_current[x] <= run.first_reached[x]
+    assert all(first_incident_current[x] <= run.first_reached[x]
                for x in g.nodes if x not in start)
-    assert run.first_incident_current["T"] < run.first_reached["T"]
+    assert first_incident_current["T"] < run.first_reached["T"]
 
 
 def test_exterior_polynomials_match_for_graphs(c4_fixture):
     from hyperbernardi.hypertree import exterior_polynomial
     g = c4_fixture.graph
     want = exterior_polynomial(g, EMERALD)
-    assert bernardi_polynomials(g, EMERALD, HT_E_CUT_E)[1] == want
-    assert bernardi_polynomials(g, EMERALD, HT_E_CUT_V)[1] == want
+    assert bernardi_polynomials(g, HT_E_CUT_E)[1] == want
+    assert bernardi_polynomials(g, HT_E_CUT_V)[1] == want

@@ -293,11 +293,11 @@ def test_conjectures_large_subdivision():
 
 
 def test_fuzz_smoke_and_replay():
-    rep1 = fuzz_conjectures(range(20), 4, 4, 9)
-    rep2 = fuzz_conjectures(range(20), 4, 4, 9)
+    rep1 = fuzz_conjectures(range(20), 4, 9)
+    rep2 = fuzz_conjectures(range(20), 4, 9)
     assert not rep1.flagged
     assert json.dumps(rep1.checks) == json.dumps(rep2.checks)
-    rep3 = fuzz_conjectures(range(5), 4, 4, 9, graphs_only=True)
+    rep3 = fuzz_conjectures(range(5), 4, 18, graphs_only=True)
     assert not rep3.flagged
 
 
@@ -618,6 +618,41 @@ def test_cli_fuzz_jobs_and_instances(monkeypatch, capsys):
         summary = json.loads(capsys.readouterr().out)["checks"][-1]
         assert summary["instances"] == int(instances)
         assert started == pool
+
+
+def test_cli_fuzz_bounds_checked_before_any_instance(monkeypatch, capsys):
+    """Bounds under which some seed's instance cannot be drawn are input
+    errors before the first instance; the smallest accepted edge bound
+    draws every seed, and bounds the checked instance."""
+    import multiprocessing
+    from hyperbernardi import cli
+    checked = []
+
+    def recorder(g):
+        checked.append(len(g.edge_ids))
+        return campaign.CampaignReport()
+
+    def no_pool(processes):
+        raise AssertionError("worker pool started before the bounds were checked")
+    monkeypatch.setattr(campaign, "check_conjectures", recorder)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    for argv, option in ((("--max-nodes", "0"), "--max-nodes"),
+                         (("--max-nodes", "1", "--graphs-only"), "--max-nodes"),
+                         (("--max-edges", "6"), "--max-edges"),
+                         (("--max-nodes", "5", "--max-edges", "8"), "--max-edges"),
+                         (("--max-edges", "5", "--graphs-only"), "--max-edges")):
+        assert cli.main(["fuzz", "--instances", "12", "--jobs", "2",
+                         *argv]) == cli.EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert option in err and len(err.strip().splitlines()) == 1
+    assert checked == []
+    for argv, most in ((("--max-edges", "7"), 7),
+                       (("--max-edges", "6", "--graphs-only"), 6),
+                       (("--max-nodes", "2", "--max-edges", "9", "--graphs-only"), 8)):
+        checked.clear()
+        assert cli.main(["fuzz", "--instances", "12", "--json", *argv]) == cli.EXIT_PASS
+        capsys.readouterr()
+        assert len(checked) == 12 and max(checked) <= most
 
 
 def test_cli_input_errors(tmp_path, graph_file):

@@ -130,8 +130,8 @@ def test_activities_equal_can_transfer_count():
                     want_e = frozenset(
                         x for k, x in enumerate(order)
                         if any(can_transfer(g, side, f, y, x) for y in order[:k]))
-                    assert internal_inactivity(g, side, f, order) == (len(want_i), want_i)
-                    assert external_inactivity(g, side, f, order) == (len(want_e), want_e)
+                    assert internal_inactivity(g, side, f, order) == want_i
+                    assert external_inactivity(g, side, f, order) == want_e
 
 
 def test_activities_reject_bad_orders(c4_fixture):
@@ -161,10 +161,8 @@ def test_activities_process_example(process_fixture):
     g = process_fixture.graph
     f = process_fixture.value("hypertree")
     order = process_fixture.value("induced_order_on_E")
-    count, inactive = internal_inactivity(g, EMERALD, f, order)
-    assert count == 1 and inactive == frozenset({"R"})
-    count, inactive = external_inactivity(g, EMERALD, f, order)
-    assert count == 1 and inactive == frozenset({"T"})
+    assert internal_inactivity(g, EMERALD, f, order) == frozenset({"R"})
+    assert external_inactivity(g, EMERALD, f, order) == frozenset({"T"})
 
 
 def test_smallest_node_always_active():
@@ -172,10 +170,8 @@ def test_smallest_node_always_active():
         g = random_bipartite(seed, 3, 3, 8)
         order = sorted(g.emeralds)
         for f in enumerate_hypertrees(g, EMERALD):
-            _, inactive_i = internal_inactivity(g, EMERALD, f, order)
-            _, inactive_e = external_inactivity(g, EMERALD, f, order)
-            assert order[0] not in inactive_i
-            assert order[0] not in inactive_e
+            assert order[0] not in internal_inactivity(g, EMERALD, f, order)
+            assert order[0] not in external_inactivity(g, EMERALD, f, order)
 
 
 def test_interior_polynomial_values(running_fixture, c4_fixture,
@@ -206,7 +202,7 @@ def test_hypertree_class_size_invariants():
         b_e = enumerate_hypertrees(g, EMERALD)
         b_v = enumerate_hypertrees(g, VIOLET)
         assert len(b_e) == len(b_v)
-        poly = interior_polynomial(g, EMERALD, hypertrees=b_e)
+        poly = interior_polynomial(g, EMERALD)
         assert poly.coefficient_sum() == len(b_e)
         assert poly.coeffs[0] == 1
         assert poly.degree <= min(len(g.emeralds), len(g.violets)) - 1
