@@ -221,9 +221,10 @@ def _exchange(g: RibbonBipartiteGraph, witness: frozenset[str], cur: str,
     components of witness - cur, or None.  Swapping it for ``cur`` keeps
     every degree on x's side, so the swapped tree realizes the same
     hypertree."""
-    _, cut_edges = g.tree_cut(witness, cur)
+    side = g.base_side(witness, cur)
+    x_in_base = x in side
     for e in g.rotations[x]:
-        if e in live and e in cut_edges and e != cur:
+        if e != cur and e in live and (g.other_end(e, x) in side) != x_in_base:
             return e
     return None
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Set
 from functools import cached_property
+from typing import NamedTuple
 
 from .exactla import det_bareiss
 
@@ -57,6 +58,17 @@ class UnionFind:
             self.parent[rb] = rb
             self.size[ra] -= self.size[rb]
             self.components += 1
+
+
+class _DartTable(NamedTuple):
+    """A graph's darts as integers: dart 2i is edge i of ``edge_ids`` at
+    its first end, dart 2i+1 at its second (for a bipartite graph, the
+    emerald and the violet end)."""
+    edge: list[int]    # edge index of each dart
+    twin: list[int]    # the same edge at its other end
+    succ: list[int]    # the next dart in the rotation at its node
+    node: list[int]    # node index of each dart, into ``nodes``
+    base: int          # the base edge at the base node
 
 
 class RibbonGraph:
@@ -155,20 +167,33 @@ class RibbonGraph:
                 return cand
         raise AssertionError("unreachable: edge itself is live")
 
-    @cached_property
-    def _successor(self) -> dict[tuple[str, str], str]:
-        """(node, edge) -> the next edge in the full rotation at node."""
-        return {(x, e): rot[(i + 1) % len(rot)]
-                for x, rot in self.rotations.items() for i, e in enumerate(rot)}
-
     def next_edge(self, node: str, edge: str, live: Set[str] | None = None) -> str:
         """The edge following ``edge`` at ``node`` in the inherited order."""
-        if live is None and (node, edge) in self._successor:
-            return self._successor[(node, edge)]
         return self._rotation_step(node, edge, +1, live)
 
     def prev_edge(self, node: str, edge: str, live: Set[str] | None = None) -> str:
         return self._rotation_step(node, edge, -1, live)
+
+    @cached_property
+    def _darts(self) -> _DartTable:
+        """The dart table of the tour walks, built on the first walk: the
+        live-view queries above read ``rotations`` and never need it."""
+        ids = self.edge_ids
+        index = {e: i for i, e in enumerate(ids)}
+
+        def dart(x: str, e: str) -> int:
+            return 2 * index[e] + self.edges[e].index(x)
+
+        succ = [0] * (2 * len(ids))
+        for x, rot in self.rotations.items():
+            for e, nxt in zip(rot, rot[1:] + rot[:1]):
+                succ[dart(x, e)] = dart(x, nxt)
+        node_index = {x: i for i, x in enumerate(self.nodes)}
+        darts = range(len(succ))
+        return _DartTable(
+            edge=[d >> 1 for d in darts], twin=[d ^ 1 for d in darts], succ=succ,
+            node=[node_index[x] for e in ids for x in self.edges[e]],
+            base=dart(self.base_node, self.base_edge))
 
     def is_spanning_tree(self, tree: frozenset[str]) -> bool:
         if len(tree) != len(self.nodes) - 1:
@@ -185,24 +210,48 @@ class RibbonGraph:
     def spanning_trees(self):
         """All spanning trees, lexicographic by sorted edge-id tuples.
 
-        Grows forests by union-find, choosing each next edge in
-        ``edge_ids`` order among those that join two components and leave
-        enough edges to span; backtracking rolls the union-find back.
+        Grows forests in one frame over node indices, taking each next
+        edge in ``edge_ids`` order among those that join two components
+        and leave enough edges to span; an edge that completes a tree is
+        yielded and not linked.  Taking any other edge links one root
+        under another and pushes that root on the undo trail;
+        backtracking unlinks the last root and goes on after its edge.
         """
-        ends = [self.edges[e] for e in self.edge_ids]
+        ids, node = self.edge_ids, self._darts.node
         need = len(self.nodes) - 1
-        uf = UnionFind(self.nodes)
-
-        def grow(start: int, taken: list[str]):
-            if len(taken) == need:
-                yield frozenset(taken)
+        parent = list(range(len(self.nodes)))
+        size = [1] * len(self.nodes)
+        taken: list[str] = []
+        trail: list[tuple[int, int]] = []   # (edge index, root it linked)
+        i = 0
+        while True:
+            if i <= len(ids) - need + len(taken):
+                a, b = node[2 * i], node[2 * i + 1]
+                while parent[a] != a:
+                    a = parent[a]
+                while parent[b] != b:
+                    b = parent[b]
+                if a != b:
+                    taken.append(ids[i])
+                    if len(taken) == need:
+                        yield frozenset(taken)
+                        taken.pop()
+                    else:
+                        if size[a] < size[b]:
+                            a, b = b, a
+                        parent[b] = a
+                        size[a] += size[b]
+                        trail.append((i, b))
+                i += 1
+                continue
+            if not trail:
                 return
-            for i in range(start, len(ends) - need + len(taken) + 1):
-                mark = uf.snapshot()
-                if uf.union(*ends[i]):
-                    yield from grow(i + 1, taken + [self.edge_ids[i]])
-                    uf.rollback(mark)
-        return grow(0, [])
+            taken.pop()
+            i, b = trail.pop()
+            a = parent[b]
+            parent[b] = b
+            size[a] -= size[b]
+            i += 1
 
     def count_spanning_trees(self) -> int:
         """Kirchhoff matrix-tree count (independent oracle)."""
@@ -218,13 +267,12 @@ class RibbonGraph:
         minor = [row[1:] for row in lap[1:]]
         return det_bareiss(minor)
 
-    def tree_cut(self, tree: frozenset[str], edge: str) -> tuple[frozenset[str], frozenset[str]]:
-        """The two sides of tree - edge: the base node's side, from one
-        search over the other tree edges, and the edges joining the two
-        sides (``edge`` among them)."""
+    def base_side(self, tree: frozenset[str], edge: str) -> frozenset[str]:
+        """The base node's side of tree - edge, from one search over the
+        other tree edges."""
         if edge not in tree:
             raise ValueError("tree cut needs a tree edge")
-        base_side = {self.base_node}
+        side = {self.base_node}
         stack = [self.base_node]
         while stack:
             x = stack.pop()
@@ -232,12 +280,18 @@ class RibbonGraph:
                 if e in tree and e != edge:
                     a, b = self.edges[e]
                     y = b if a == x else a
-                    if y not in base_side:
-                        base_side.add(y)
+                    if y not in side:
+                        side.add(y)
                         stack.append(y)
+        return frozenset(side)
+
+    def tree_cut(self, tree: frozenset[str], edge: str) -> tuple[frozenset[str], frozenset[str]]:
+        """The two sides of tree - edge: the base node's side, and the
+        edges joining the two sides (``edge`` among them)."""
+        side = self.base_side(tree, edge)
         cut_edges = frozenset(e for e, (a, b) in self.edges.items()
-                              if (a in base_side) != (b in base_side))
-        return frozenset(base_side), cut_edges
+                              if (a in side) != (b in side))
+        return side, cut_edges
 
     # -- tour of a spanning tree ------------------------------------------
 
@@ -248,15 +302,17 @@ class RibbonGraph:
         Non-tree current edge (x, xy): next pair is (x, xy+).  Tree edge:
         next pair is (y, yx+).  Stops right before the base pair recurs.
         """
-        start = (self.base_node, self.base_edge)
-        node, edge = start
-        succ = self._successor
-        for _ in range(2 * len(self.edges)):
-            yield node, edge
+        darts = self._darts
+        succ, twin, edge_of, node_of = darts.succ, darts.twin, darts.edge, darts.node
+        ids, nodes = self.edge_ids, self.nodes
+        start = d = darts.base
+        for _ in succ:
+            edge = ids[edge_of[d]]
+            yield nodes[node_of[d]], edge
             if edge in tree:
-                node = self.other_end(edge, node)
-            edge = succ[(node, edge)]
-            if (node, edge) == start:
+                d = twin[d]
+            d = succ[d]
+            if d == start:
                 return
         raise AssertionError("tour failed to close")
 
@@ -276,21 +332,20 @@ class RibbonGraph:
         read counterclockwise this lists each face's darts with the face
         on the right of the dart's direction of motion.
         """
-        darts = [(u, e) for e in self.edge_ids for u in self.edges[e]]
-        remaining = set(darts)
+        darts = self._darts
+        names = [(self.nodes[x], self.edge_ids[e])
+                 for x, e in zip(darts.node, darts.edge)]
+        remaining = set(range(len(names)))
         out = []
-        for start in sorted(darts):
-            if start not in remaining:
-                continue
+        for start in sorted(remaining, key=names.__getitem__):
             walk = []
             d = start
             while d in remaining:
                 remaining.discard(d)
-                walk.append(d)
-                u, e = d
-                v = self.other_end(e, u)
-                d = (v, self.next_edge(v, e))
-            out.append(tuple(walk))
+                walk.append(names[d])
+                d = darts.succ[darts.twin[d]]
+            if walk:
+                out.append(tuple(walk))
         return out
 
     def genus(self) -> int:

@@ -222,38 +222,50 @@ def enumerate_hypertrees(g: RibbonBipartiteGraph, side: str) -> list[dict[str, i
     return [dict(zip(nodes, key)) for key in sorted(_family(g, side))]
 
 
-def _inactivity(g: RibbonBipartiteGraph, side: str, f: dict[str, int],
-                order, outgoing: bool) -> frozenset[str]:
-    """Nodes x of ``order`` such that, for some y before x, the transfer
-    x -> y (``outgoing``) or y -> x stays in the hypertree family."""
-    key = list(_side_key(g, side, f))
+def _order_positions(g: RibbonBipartiteGraph, side: str, order) -> list[int]:
+    """The positions in ``side_nodes`` of a class order, which must list
+    every node of the class exactly once."""
     pos = {x: i for i, x in enumerate(g.side_nodes(side))}
     order = list(order)
-    if not set(order) <= set(pos):
-        raise ValueError("transfer endpoints must lie in the hypertree's class")
-    if len(set(order)) != len(order):
-        raise ValueError("transfer endpoints must differ")
-    family = _family(g, side)
-    inactive = set()
+    if len(order) != len(pos) or set(order) != set(pos):
+        raise ValueError(f"a class order must list each {side} node once")
+    return [pos[x] for x in order]
+
+
+def _inactive(family, key: tuple[int, ...], order: list[int],
+              outgoing: bool) -> list[int]:
+    """The positions x of ``order`` such that, for some y before x, the
+    transfer x -> y (``outgoing``) or y -> x stays in ``family``."""
+    key = list(key)
+    inactive = []
     for k, x in enumerate(order):
         for y in order[:k]:
-            src, dst = (pos[x], pos[y]) if outgoing else (pos[y], pos[x])
+            src, dst = (x, y) if outgoing else (y, x)
             key[src] -= 1
             key[dst] += 1
             hit = tuple(key) in family
             key[src] += 1
             key[dst] -= 1
             if hit:
-                inactive.add(x)
+                inactive.append(x)
                 break
-    return frozenset(inactive)
+    return inactive
+
+
+def _inactivity(g: RibbonBipartiteGraph, side: str, f: dict[str, int],
+                order, outgoing: bool) -> frozenset[str]:
+    nodes = g.side_nodes(side)
+    inactive = _inactive(_family(g, side), _side_key(g, side, f),
+                         _order_positions(g, side, order), outgoing)
+    return frozenset(nodes[i] for i in inactive)
 
 
 def internal_inactivity(g: RibbonBipartiteGraph, side: str, f: dict[str, int],
                         order) -> frozenset[str]:
     """The nodes that can transfer valence to some smaller node.
 
-    ``order`` lists the class from smallest to largest.
+    ``order`` lists the whole class, each node once, from smallest to
+    largest.
     """
     return _inactivity(g, side, f, order, outgoing=True)
 
@@ -280,8 +292,10 @@ def exterior_polynomial(g: RibbonBipartiteGraph, side: str, order=None) -> Poly:
 def _polynomial(g: RibbonBipartiteGraph, side: str, order, outgoing: bool) -> Poly:
     if order is None:
         order = g.side_nodes(side)
-    return Poly.counting(len(_inactivity(g, side, f, order, outgoing))
-                         for f in enumerate_hypertrees(g, side))
+    positions = _order_positions(g, side, order)
+    family = _family(g, side)
+    return Poly.counting(len(_inactive(family, key, positions, outgoing))
+                         for key in family)
 
 
 # -- ordinary graphs ------------------------------------------------------

@@ -22,20 +22,30 @@ ECUT = EMERALD
 
 def jaeger_cuts(g: RibbonBipartiteGraph, tree: frozenset[str]) -> frozenset[str]:
     """The cuts (VCUT, ECUT) for which ``tree`` is a Jaeger tree, from
-    one tour: a non-tree edge first skipped at its emerald end rules out
-    the V cut, one first skipped at its violet end the E cut.  The tour
-    stops once both are ruled out.  ``tree`` must be a spanning tree;
-    is_jaeger_tree checks it."""
-    cuts = {VCUT, ECUT}
-    seen: set[str] = set()
-    for node, edge in g.tour_pairs(tree):
-        if edge in tree or edge in seen:
-            continue
-        seen.add(edge)
-        cuts.discard(VCUT if g.color(node) == EMERALD else ECUT)
-        if not cuts:
+    one tour over the dart table: a non-tree edge first skipped at its
+    emerald end (an even dart) rules out the V cut, one first skipped at
+    its violet end the E cut.  The tour stops once both are ruled out.
+    ``tree`` must be a spanning tree; is_jaeger_tree checks it."""
+    darts, ids = g._darts, g.edge_ids
+    succ, twin, edge_of = darts.succ, darts.twin, darts.edge
+    seen = bytearray(len(ids))
+    alive = [True, True]  # V cut, E cut: an even dart rules out the first
+    start = d = darts.base
+    for _ in succ:
+        i = edge_of[d]
+        if ids[i] in tree:
+            d = twin[d]
+        elif not seen[i]:
+            seen[i] = 1
+            alive[d & 1] = False
+            if not (alive[0] or alive[1]):
+                return frozenset()
+        d = succ[d]
+        if d == start:
             break
-    return frozenset(cuts)
+    else:
+        raise AssertionError("tour failed to close")
+    return frozenset(cut for cut, ok in zip((VCUT, ECUT), alive) if ok)
 
 
 def is_jaeger_tree(g: RibbonBipartiteGraph, tree: frozenset[str], cut: str) -> bool:
@@ -62,49 +72,51 @@ def enumerate_jaeger_trees(g: RibbonBipartiteGraph, cut: str) -> list[frozenset[
     steps even when the cuts disconnect the graph; it emits the kept
     edges there when they connect every node.
     """
-    start = (g.base_node, g.base_edge)
-    limit = 2 * len(g.edge_ids) + 1
-    max_cuts = len(g.edge_ids) - len(g.nodes) + 1
-    kept = UnionFind(g.nodes)
-    status: dict[str, bool] = {}  # decided edge -> kept
+    darts, ids = g._darts, g.edge_ids
+    succ, twin, edge_of, node_of = darts.succ, darts.twin, darts.edge, darts.node
+    at_cut = 0 if cut == EMERALD else 1   # parity of the darts at cut-colored ends
+    limit = 2 * len(ids) + 1
+    max_cuts = len(ids) - len(g.nodes) + 1
+    kept = UnionFind(range(len(g.nodes)))
+    status: dict[int, bool] = {}  # decided edge index -> kept
     out: list[frozenset[str]] = []
 
-    def walk(node: str, edge: str, steps: int, cuts: int) -> None:
+    def walk(d: int, steps: int, cuts: int) -> None:
         mark = kept.snapshot()
-        forced: list[str] = []
+        forced: list[int] = []
         while True:
-            if steps > 0 and (node, edge) == start:
+            if steps > 0 and d == darts.base:
                 if kept.components == 1:
-                    out.append(frozenset(e for e, s in status.items() if s))
+                    out.append(frozenset(ids[i] for i, s in status.items() if s))
                 break
             if steps > limit:
                 raise AssertionError("branching tour failed to close")
-            s = status.get(edge)
+            i = edge_of[d]
+            s = status.get(i)
             if s is None:
-                if g.color(node) == cut:
+                if d & 1 == at_cut:
                     # cut branch first: emission order = tree order
                     if cuts < max_cuts:
-                        status[edge] = False
-                        walk(node, g.next_edge(node, edge), steps + 1, cuts + 1)
-                    status[edge] = True
-                    if kept.union(*g.edges[edge]):
-                        far = g.other_end(edge, node)
-                        walk(far, g.next_edge(far, edge), steps + 1, cuts)
-                    del status[edge]
+                        status[i] = False
+                        walk(succ[d], steps + 1, cuts + 1)
+                    status[i] = True
+                    if kept.union(node_of[d], node_of[twin[d]]):
+                        walk(succ[twin[d]], steps + 1, cuts)
+                    del status[i]
                     break
-                forced.append(edge)
-                status[edge] = s = True
-                if not kept.union(*g.edges[edge]):
+                forced.append(i)
+                status[i] = s = True
+                if not kept.union(node_of[d], node_of[twin[d]]):
                     break
             if s:
-                node = g.other_end(edge, node)
-            edge = g.next_edge(node, edge)
+                d = twin[d]
+            d = succ[d]
             steps += 1
-        for e in forced:
-            del status[e]
+        for i in forced:
+            del status[i]
         kept.rollback(mark)
 
-    walk(g.base_node, g.base_edge, 0, 0)
+    walk(darts.base, 0, 0)
     return out
 
 

@@ -159,7 +159,7 @@ def certify_disjoint_interiors(g: RibbonBipartiteGraph,
     -1 otherwise; an edge takes the sum of its ends.  It must be 2 on
     eps, 0 on the other later-tree edges and at most 0 on the earlier
     tree's edges."""
-    side, _ = g.tree_cut(later, eps)
+    side = g.base_side(later, eps)
     inside = g.violet_end(eps) in side
     weight = {x: 1 if (x in side) == inside else -1 for x in g.violets}
     weight.update({x: -1 if (x in side) == inside else 1 for x in g.emeralds})

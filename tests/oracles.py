@@ -13,6 +13,9 @@ on small instances only.  Each reference, and what it checks:
   the activities read off the hypertree family);
 * ``marker`` and ``contains``: the Fraction marker point and simplex
   containment (against ``scaled_marker`` and ``contains_scaled``);
+* ``tour_pairs``: the tour walked through a (node, edge) -> next edge
+  table (against the dart-table ``tour_pairs``, ``tour_order`` and
+  ``jaeger_cuts``);
 * ``arborescence_duality_brute_force``: every C(arcs, faces - 1) arc
   set of the face-dual digraph tested for an arborescence rooted at r0
   (against the matrix-tree count and the per-tree check of
@@ -222,3 +225,22 @@ def arborescence_duality_brute_force(g, r0=0):
     jaeger = set(enumerate_jaeger_trees(g.with_base(*base), VCUT))
     return {"base": base, "arborescences": len(arbs), "jaeger": len(jaeger),
             "equal": complements == jaeger}
+
+
+def tour_pairs(g, tree) -> list[tuple[str, str]]:
+    """The (node, edge) pairs of a spanning tree's tour from the base
+    pair, walked through a table from each (node, edge) to the next edge
+    in the rotation at node: a tree edge moves to its other end first."""
+    succ = {(x, e): rot[(i + 1) % len(rot)]
+            for x, rot in g.rotations.items() for i, e in enumerate(rot)}
+    start = (g.base_node, g.base_edge)
+    node, edge = start
+    pairs = []
+    for _ in range(2 * len(g.edges)):
+        pairs.append((node, edge))
+        if edge in tree:
+            node = g.other_end(edge, node)
+        edge = succ[(node, edge)]
+        if (node, edge) == start:
+            return pairs
+    raise AssertionError("tour failed to close")

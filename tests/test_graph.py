@@ -2,7 +2,7 @@
 
 import random
 from collections import deque
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings
@@ -143,7 +143,8 @@ def test_view_next_edge_consistency(seed, drop):
             while cand not in live:
                 cand = g.next_edge(x, cand)
             assert nxt == cand
-    # the successor table agrees with the rotation walk on the whole graph
+            assert g.prev_edge(x, nxt, live) == e
+    # the all-live view agrees with the full rotation
     everything = frozenset(g.edge_ids)
     for x in g.nodes:
         for e in g.rotations[x]:
@@ -225,6 +226,22 @@ def test_spanning_trees_equal_subset_sweep(c4_fixture, running_fixture,
         got = list(g.spanning_trees())
         assert got == want, serialize_graph(g)
         assert len(got) == g.count_spanning_trees()
+
+
+def test_spanning_tree_sweeps_are_independent():
+    """Each sweep keeps its own forest: two interleaved sweeps of one
+    graph, and a fresh sweep after an abandoned one, yield every tree."""
+    g = random_bipartite(3, 5, 5, 14)
+    want = list(g.spanning_trees())
+    assert len(want) == g.count_spanning_trees() > 20
+    first, second = g.spanning_trees(), g.spanning_trees()
+    got_first, got_second = list(islice(first, 7)), []
+    for tree in second:
+        got_second.append(tree)
+        got_first.extend(islice(first, 1))
+    assert got_first == got_second == want
+    assert list(islice(g.spanning_trees(), 5)) == want[:5]
+    assert list(g.spanning_trees()) == want
 
 
 def bfs_split(g, tree, edge):

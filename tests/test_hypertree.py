@@ -137,11 +137,25 @@ def test_activities_equal_can_transfer_count():
 def test_activities_reject_bad_orders(c4_fixture):
     g = c4_fixture.graph
     f = {"e1": 0, "e2": 1}
-    for order in (["e1", "e1"], ["e1", "v1"]):
+    for order in (["e1", "e1"], ["e1", "v1"], ["e1"]):
         with pytest.raises(ValueError):
             internal_inactivity(g, EMERALD, f, order)
         with pytest.raises(ValueError):
             external_inactivity(g, EMERALD, f, order)
+
+
+def test_polynomials_reject_partial_orders(running_fixture):
+    """A class order that misses a node is not an order of the class: at
+    the running example it would count 7 hypertrees with no inactive
+    node instead of 1 + 3x + 3x^2."""
+    g = running_fixture.graph
+    for order in (["e0"], ["e0", "e1", "e2", "e3", "e0"]):
+        with pytest.raises(ValueError, match="each emerald node once"):
+            interior_polynomial(g, EMERALD, order=order)
+        with pytest.raises(ValueError, match="each emerald node once"):
+            exterior_polynomial(g, EMERALD, order=order)
+    assert interior_polynomial(g, EMERALD, order=["e3", "e2", "e1", "e0"]) == \
+        Poly((1, 3, 3))
 
 
 def test_can_transfer(process_fixture, c4_fixture):

@@ -15,6 +15,7 @@ from hyperbernardi.jaeger import (ECUT, VCUT, characterize_tree, divergence_edge
                                   graph_activity_matching, is_jaeger_tree,
                                   jaeger_cuts, semi_passive_edges, shelling,
                                   t_order)
+from oracles import tour_pairs as reference_tour_pairs
 
 
 def test_is_jaeger_tree_running(running_fixture):
@@ -112,31 +113,47 @@ def test_enumeration_equals_recognition(running_fixture, knot_fixture,
     assert pairs > 10000  # the order check is not vacuous
 
 
-def first_skip_jaeger(g, tree, cut):
-    """Reference: every non-tree edge first skipped at its cut-colored end."""
-    seen = set()
-    for node, edge in g.tour_pairs(tree):
-        if edge not in tree and edge not in seen:
-            seen.add(edge)
-            if g.color(node) != cut:
-                return False
-    return True
+def first_skip_cuts(g, tree):
+    """Reference: the cuts at whose colored end the reference tour first
+    skips every non-tree edge."""
+    first = {}
+    for node, edge in reference_tour_pairs(g, tree):
+        if edge not in tree:
+            first.setdefault(edge, g.color(node))
+    return {cut for cut in (VCUT, ECUT) if all(c == cut for c in first.values())}
 
 
 def test_one_tour_recognition_equals_first_skip(running_fixture, knot_fixture,
-                                                c4_fixture):
-    graphs = [running_fixture.graph, knot_fixture.graph, c4_fixture.graph]
+                                                c4_fixture, process_fixture,
+                                                numbered_fixture, single_edge_fixture,
+                                                tour_fixture, matching_fixture,
+                                                k5_fixture):
+    """The dart-table tour, tour order and recognition agree with the
+    reference tour on both setups, for every spanning tree of simple
+    graphs, subdivisions and multigraphs."""
+    graphs = [running_fixture.graph, knot_fixture.graph, c4_fixture.graph,
+              process_fixture.graph, numbered_fixture.graph,
+              single_edge_fixture.graph, bip(tour_fixture.graph),
+              bip(matching_fixture.graph), bip(k5_fixture.graph)]
     graphs += [random_bipartite(seed, 4, 4, 10) for seed in range(15)]
     graphs += [bip(random_ordinary(seed, 5, 7)) for seed in range(10)]
+    graphs += [random_multigraph(seed) for seed in range(25)]
+    trees = 0
     for g in graphs:
         for tree in g.spanning_trees():
-            want = {cut for cut in (VCUT, ECUT) if first_skip_jaeger(g, tree, cut)}
-            assert jaeger_cuts(g, tree) == want, sorted(tree)
+            trees += 1
+            for h in (g, g.reversed_setup()):
+                pairs = reference_tour_pairs(h, tree)
+                assert list(h.tour_pairs(tree)) == pairs
+                assert h.tour_order(tree) == tuple(dict.fromkeys(e for _, e in pairs))
+                assert jaeger_cuts(h, tree) == first_skip_cuts(h, tree), sorted(tree)
+            want = jaeger_cuts(g, tree)
             for cut in (VCUT, ECUT):
                 assert is_jaeger_tree(g, tree, cut) == (cut in want)
             # reversal swaps the cuts: E-cut trees are V-cut trees there
             assert jaeger_cuts(g.reversed_setup(), tree) == \
                 {ECUT if cut == VCUT else VCUT for cut in want}
+    assert trees > 1000
     with pytest.raises(ValueError, match="spanning tree"):
         is_jaeger_tree(c4_fixture.graph, frozenset(c4_fixture.graph.edge_ids), VCUT)
 
