@@ -16,10 +16,11 @@ a genuine counterexample, which the campaign machinery re-verifies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
-from .graph import EMERALD, VIOLET, RibbonBipartiteGraph, UnionFind, bip
-from .hypertree import (Poly, _oracle, _side_key, enumerate_hypertrees,
-                        external_inactivity, internal_inactivity)
+from .graph import EMERALD, VIOLET, RibbonBipartiteGraph, bip
+from .hypertree import (Poly, _family, _inactive, _oracle, _order_positions,
+                        _side_key, enumerate_hypertrees)
 
 
 class TheoremViolation(AssertionError):
@@ -85,9 +86,13 @@ def run_bernardi(g: RibbonBipartiteGraph, f: dict[str, int],
     ``paranoid`` instead starts from a fresh full search and searches on
     every step, without the family, witness or exchange (used to
     re-verify flagged conjecture outcomes and in tests).
+
+    The walk runs on the graph's dart table: the current edge is its dart
+    at the cut-side end, a traversal the dart it leaves from.
     """
     cut = variant.cut_side
     far = EMERALD if cut == VIOLET else VIOLET
+    cut_pos = 0 if cut == EMERALD else 1   # parity of a dart at a cut-side end
     ht_pos = 0 if variant.ht_side == EMERALD else 1
     oracle = _oracle(g, variant.ht_side)
     f_key = _side_key(g, variant.ht_side, f)
@@ -98,159 +103,156 @@ def run_bernardi(g: RibbonBipartiteGraph, f: dict[str, int],
     if witness is None:
         raise ValueError("input vector is not a hypertree")
 
-    live = set(g.edge_ids)
-    live_degree = {x: len(g.rotations[x]) for x in g.nodes}
-    kept: set[str] = set()
-    traversed: set[tuple[str, str]] = set()   # (edge, from-color)
-    tree_uf = UnionFind(g.nodes)              # traversed subgraph, no-cycle check
-    traversed_edges: set[str] = set()
+    darts = g._darts
+    succ, node_of, rotation = darts.succ, darts.node, darts.rotation
+    ids, nodes = g.edge_ids, g.nodes
+    in_witness = bytearray(map(witness.__contains__, ids))
+    live = bytearray([1]) * len(ids)
+    live_degree = [len(ds) for ds in rotation]
+    traversed = bytearray(len(succ))   # by the dart a traversal leaves from
+    seen_current = bytearray(len(ids))
+    parent = list(range(len(nodes)))   # union-find of the traversed edges
     steps: list[BernardiStep] = []
-    order: list[str] = []
-    seen_current: set[str] = set()
+    order: list[int] = []
     first_reached: dict[str, int] = {}
 
-    def reach(node: str):
-        first_reached.setdefault(node, len(order))
+    def next_live(d: int) -> int:
+        """The first live dart after ``d`` in the rotation at its node."""
+        d = succ[d]
+        while not live[d >> 1]:
+            d = succ[d]
+        return d
 
-    def record_traversal(edge: str, from_color: str):
-        key = (edge, from_color)
-        if key in traversed:
+    def traverse(d: int) -> None:
+        if traversed[d]:
             raise AssertionError("second same-direction traversal executed")
-        traversed.add(key)
-        if edge not in traversed_edges:
-            traversed_edges.add(edge)
-            a, b = g.edges[edge]
-            if not tree_uf.union(a, b):
+        traversed[d] = 1
+        if not traversed[d ^ 1]:  # a new edge of the traversed subgraph
+            a, b = node_of[d], node_of[d ^ 1]
+            while parent[a] != a:
+                a = parent[a]
+            while parent[b] != b:
+                b = parent[b]
+            if a == b:
                 raise TheoremViolation(
-                    f"traversed subgraph acquired a cycle at {edge!r}")
-        reach(g.other_end(edge, g.end_of_color(edge, from_color)))
+                    f"traversed subgraph acquired a cycle at {ids[d >> 1]!r}")
+            parent[b] = a
+        first_reached.setdefault(nodes[node_of[d ^ 1]], len(order))
 
-    def removable(cur: str) -> bool:
-        """Does a realization avoid ``cur``?  Updates the witness."""
-        nonlocal witness
-        if paranoid:
-            return oracle._search(f_key, frozenset(live - {cur})) is not None
-        if cur not in witness:
-            return True
-        x = g.edges[cur][ht_pos]
-        y = g.other_end(cur, x)
-        if live_degree[x] <= f[x] + 1 or live_degree[y] == 1:
-            return False
-        swap = _exchange(g, witness, cur, x, live)
-        if swap is not None:
-            witness = witness - {cur} | {swap}
-            return True
-        found = oracle._search(f_key, frozenset(live - {cur}))
+    def removable(e: int) -> bool:
+        """Does a realization avoid edge ``e``?  Updates the witness."""
+        if not paranoid:
+            if not in_witness[e]:
+                return True
+            x, y = node_of[2 * e + ht_pos], node_of[2 * e + 1 - ht_pos]
+            if live_degree[x] <= f[nodes[x]] + 1 or live_degree[y] == 1:
+                return False
+            # a live edge at x that joins x's component of witness - e to
+            # the other one: swapping it in keeps every degree on x's side
+            side = bytearray(len(nodes))
+            side[x] = 1
+            stack = [x]
+            while stack:
+                for d in rotation[stack.pop()]:
+                    z = node_of[d ^ 1]
+                    if in_witness[d >> 1] and d >> 1 != e and not side[z]:
+                        side[z] = 1
+                        stack.append(z)
+            for d in rotation[x]:
+                if live[d >> 1] and not side[node_of[d ^ 1]] and d >> 1 != e:
+                    in_witness[e], in_witness[d >> 1] = 0, 1
+                    return True
+        found = oracle._search(f_key, frozenset(compress(ids, live)) - {ids[e]})
         if found is None:
             return False
-        witness = found
+        in_witness[:] = bytearray(map(found.__contains__, ids))
         return True
 
-    # initialization: if the base node's color is not the cut color, the
-    # base edge is pre-traversed from that side and the walk starts with
-    # the edge following it at the far endpoint.
-    reach(g.base_node)
-    if g.color(g.base_node) == cut:
-        cur = g.base_edge
-    else:
-        record_traversal(g.base_edge, far)
-        b1 = g.other_end(g.base_edge, g.base_node)
-        cur = g.next_edge(b1, g.base_edge, live)
+    # if the base node is not cut-side, the base edge is pre-traversed from
+    # it and the walk starts with the edge following it at the far end
+    first_reached[g.base_node] = 0
+    c = darts.base
+    if c & 1 != cut_pos:
+        traverse(c)
+        c = succ[c ^ 1]
 
-    limit = 4 * len(g.edge_ids) + 4
-    while True:
-        if (cur, cut) in traversed:
-            break  # the re-examination would re-traverse: stop right before
-        if cur in seen_current:
-            raise TheoremViolation(f"edge {cur!r} became current twice")
-        seen_current.add(cur)
-        near = g.end_of_color(cur, cut)
-        order.append(cur)
-        live_before = len(live)
+    limit = 4 * len(ids) + 4
+    while not traversed[c]:  # a re-examination would re-traverse: stop right before
+        e = c >> 1
+        if seen_current[e]:
+            raise TheoremViolation(f"edge {ids[e]!r} became current twice")
+        seen_current[e] = 1
+        order.append(e)
+        live_before = live.count(1)
 
-        if removable(cur):
-            if cur in kept or cur in traversed_edges:
-                raise TheoremViolation(f"kept/traversed edge {cur!r} removed")
-            nxt = g.next_edge(near, cur, live)
-            live.discard(cur)
-            for node in g.edges[cur]:
-                live_degree[node] -= 1
-            steps.append(BernardiStep(cur, "removed", live_before, ()))
-            if nxt == cur:
+        if removable(e):
+            if traversed[c ^ 1]:
+                raise TheoremViolation(f"kept/traversed edge {ids[e]!r} removed")
+            nxt = next_live(c)
+            if nxt == c:
                 raise AssertionError("removal isolated the current node")
-            cur = nxt
+            live[e] = 0
+            live_degree[node_of[c]] -= 1
+            live_degree[node_of[c ^ 1]] -= 1
+            steps.append(BernardiStep(ids[e], "removed", live_before, ()))
+            c = nxt
         else:
-            kept.add(cur)
-            record_traversal(cur, cut)
-            far_node = g.end_of_color(cur, far)
-            follow = g.next_edge(far_node, cur, live)
-            if (follow, far) in traversed:
-                steps.append(BernardiStep(cur, "kept", live_before,
-                                          ((cur, cut),)))
+            traverse(c)
+            d = next_live(c ^ 1)
+            if traversed[d]:
+                steps.append(BernardiStep(ids[e], "kept", live_before,
+                                          ((ids[e], cut),)))
                 break  # stop right before the second far-side traversal
-            record_traversal(follow, far)
-            steps.append(BernardiStep(cur, "kept", live_before,
-                                      ((cur, cut), (follow, far))))
-            w = g.end_of_color(follow, cut)
-            cur = g.next_edge(w, follow, live)
+            traverse(d)
+            steps.append(BernardiStep(ids[e], "kept", live_before,
+                                      ((ids[e], cut), (ids[d >> 1], far))))
+            c = next_live(d ^ 1)
         if len(order) > limit:
             raise AssertionError("process failed to terminate")
 
-    if seen_current != set(g.edge_ids):
+    if len(order) != len(ids):
         raise TheoremViolation("some edge never became current")
-    result = frozenset(live)
-    if not g.is_spanning_tree(result):
+    # the traversed edges stay live and acyclic (checked online): one
+    # component of them spans, and the live edges are just these
+    if sum(p == x for x, p in enumerate(parent)) != 1 or \
+            live.count(1) != len(nodes) - 1:
         raise TheoremViolation("final current graph is not a spanning tree")
-    vals = g.degree_vector(result, variant.ht_side)
-    if any(vals[x] != f[x] for x in vals):
+    if tuple(live_degree[x] - 1 for x, ds in enumerate(rotation)
+             if ds[0] & 1 == ht_pos) != f_key:
         raise TheoremViolation("result tree does not realize the hypertree")
-    _check_cut_side_arcs(g, order, variant.cut_side)
+    _check_arc_rule(g, order, cut_pos)
 
     return BernardiRun(
-        variant=variant,
-        hypertree=tuple(sorted(f.items())),
-        steps=tuple(steps),
-        result_tree=result,
-        current_edge_order=tuple(order),
-        first_reached=first_reached)
+        variant=variant, hypertree=tuple(sorted(f.items())), steps=tuple(steps),
+        result_tree=frozenset(compress(ids, live)),
+        current_edge_order=tuple(ids[e] for e in order), first_reached=first_reached)
 
 
-def _exchange(g: RibbonBipartiteGraph, witness: frozenset[str], cur: str,
-              x: str, live: set[str]) -> str | None:
-    """A live edge at ``x`` outside ``witness`` that joins the two
-    components of witness - cur, or None.  Swapping it for ``cur`` keeps
-    every degree on x's side, so the swapped tree realizes the same
-    hypertree."""
-    side = g.base_side(witness, cur)
-    x_in_base = x in side
-    for e in g.rotations[x]:
-        if e != cur and e in live and (g.other_end(e, x) in side) != x_in_base:
-            return e
-    return None
-
-
-def _check_cut_side_arcs(g: RibbonBipartiteGraph, order: list[str], cut: str) -> None:
-    """Current edges at each cut-side node follow its full rotation,
-    starting at the earliest (consecutive arc discipline)."""
-    rank = {e: i for i, e in enumerate(order)}
-    for x in g.side_nodes(cut):
-        rot = g.rotations[x]
-        by_time = sorted(rot, key=lambda e: rank[e])
-        start = rot.index(by_time[0])
-        expected = tuple(rot[(start + k) % len(rot)] for k in range(len(rot)))
-        if tuple(by_time) != expected:
+def _check_arc_rule(g: RibbonBipartiteGraph, order: list[int], cut_pos: int) -> None:
+    """The current edges at each cut-side node follow its rotation from
+    the earliest (consecutive arc discipline): their current times descend
+    exactly once around it.  ``order`` lists every edge index once, by
+    current time; ``cut_pos`` is the dart parity at cut-side ends."""
+    succ, rotation = g._darts.succ, g._darts.rotation
+    rank = [0] * len(g.edge_ids)
+    for t, e in enumerate(order):
+        rank[e] = t
+    for x, ds in enumerate(rotation):
+        if ds[0] & 1 == cut_pos and sum(
+                rank[succ[d] >> 1] <= rank[d >> 1] for d in ds) != 1:
             raise TheoremViolation(
-                f"current edges at {x!r} broke the cyclic-order discipline")
+                f"current edges at {g.nodes[x]!r} broke the cyclic-order discipline")
 
 
 def embedding_inactivities(g: RibbonBipartiteGraph, run: BernardiRun) -> tuple[int, int]:
     """(internal, external) inactivity of the run's hypertree against the
     class order that the run's current edges induce."""
     side = run.variant.ht_side
-    f = dict(run.hypertree)
-    order = g.induced_order(side, run.current_edge_order)
-    return (len(internal_inactivity(g, side, f, order)),
-            len(external_inactivity(g, side, f, order)))
+    family = _family(g, side)
+    key = _side_key(g, side, dict(run.hypertree))
+    order = _order_positions(g, side, g.induced_order(side, run.current_edge_order))
+    return (len(_inactive(family, key, order, outgoing=True)),
+            len(_inactive(family, key, order, outgoing=False)))
 
 
 def bernardi_polynomials(g: RibbonBipartiteGraph, variant: ProcessVariant,

@@ -69,6 +69,7 @@ class _DartTable(NamedTuple):
     succ: list[int]    # the next dart in the rotation at its node
     node: list[int]    # node index of each dart, into ``nodes``
     base: int          # the base edge at the base node
+    rotation: list[tuple[int, ...]]  # each node's darts in rotation order
 
 
 class RibbonGraph:
@@ -176,24 +177,23 @@ class RibbonGraph:
 
     @cached_property
     def _darts(self) -> _DartTable:
-        """The dart table of the tour walks, built on the first walk: the
-        live-view queries above read ``rotations`` and never need it."""
-        ids = self.edge_ids
-        index = {e: i for i, e in enumerate(ids)}
+        """The dart table of the tour walks and the Bernardi process,
+        built on the first walk; ``next_edge`` and ``prev_edge`` read
+        ``rotations`` and never need it."""
+        index = {e: i for i, e in enumerate(self.edge_ids)}
 
         def dart(x: str, e: str) -> int:
             return 2 * index[e] + self.edges[e].index(x)
 
-        succ = [0] * (2 * len(ids))
-        for x, rot in self.rotations.items():
-            for e, nxt in zip(rot, rot[1:] + rot[:1]):
-                succ[dart(x, e)] = dart(x, nxt)
-        node_index = {x: i for i, x in enumerate(self.nodes)}
-        darts = range(len(succ))
+        rotation = [tuple(dart(x, e) for e in self.rotations[x]) for x in self.nodes]
+        darts = range(2 * len(index))
+        succ, node = [0] * len(darts), [0] * len(darts)
+        for x, ds in enumerate(rotation):
+            for d, nxt in zip(ds, ds[1:] + ds[:1]):
+                succ[d], node[d] = nxt, x
         return _DartTable(
             edge=[d >> 1 for d in darts], twin=[d ^ 1 for d in darts], succ=succ,
-            node=[node_index[x] for e in ids for x in self.edges[e]],
-            base=dart(self.base_node, self.base_edge))
+            node=node, base=dart(self.base_node, self.base_edge), rotation=rotation)
 
     def is_spanning_tree(self, tree: frozenset[str]) -> bool:
         if len(tree) != len(self.nodes) - 1:
@@ -405,9 +405,6 @@ class RibbonBipartiteGraph(RibbonGraph):
 
     def violet_end(self, edge: str) -> str:
         return self.edges[edge][1]
-
-    def end_of_color(self, edge: str, color: str) -> str:
-        return self.edges[edge][0] if color == EMERALD else self.edges[edge][1]
 
     # -- derived graphs ----------------------------------------------------
 

@@ -16,6 +16,9 @@ on small instances only.  Each reference, and what it checks:
 * ``tour_pairs``: the tour walked through a (node, edge) -> next edge
   table (against the dart-table ``tour_pairs``, ``tour_order`` and
   ``jaeger_cuts``);
+* ``bernardi_run``: the Bernardi process walked on edge names, deciding
+  every step by a full search (against the dart-table ``run_bernardi``,
+  fast and paranoid);
 * ``arborescence_duality_brute_force``: every C(arcs, faces - 1) arc
   set of the face-dual digraph tested for an arborescence rooted at r0
   (against the matrix-tree count and the per-tree check of
@@ -27,7 +30,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from hyperbernardi.hypertree import is_hypertree
+from hyperbernardi.bernardi import BernardiRun, BernardiStep, TheoremViolation
+from hyperbernardi.graph import EMERALD, VIOLET, UnionFind
+from hyperbernardi.hypertree import _oracle, _side_key, is_hypertree
 from hyperbernardi.jaeger import VCUT, enumerate_jaeger_trees
 from hyperbernardi.polytope import (TreeSimplex, _require_simple, node_index,
                                     scaled_marker, vertex_point)
@@ -244,3 +249,107 @@ def tour_pairs(g, tree) -> list[tuple[str, str]]:
         if (node, edge) == start:
             return pairs
     raise AssertionError("tour failed to close")
+
+
+def bernardi_run(g, f, variant) -> BernardiRun:
+    """The Bernardi process walked on edge names: ``next_edge`` over the
+    live edge set, a name-keyed union-find for the acyclicity check, and
+    the final checks through ``is_spanning_tree``, ``degree_vector`` and
+    each cut-side rotation against its edges sorted by current time.
+    Every step asks the oracle's search whether the live graph without
+    the current edge still realizes ``f``."""
+    cut = variant.cut_side
+    far = EMERALD if cut == VIOLET else VIOLET
+    oracle = _oracle(g, variant.ht_side)
+    f_key = _side_key(g, variant.ht_side, f)
+    if oracle._search(f_key, frozenset(g.edge_ids)) is None:
+        raise ValueError("input vector is not a hypertree")
+
+    live = set(g.edge_ids)
+    traversed: set[tuple[str, str]] = set()   # (edge, from-color)
+    tree_uf = UnionFind(g.nodes)
+    traversed_edges: set[str] = set()
+    steps: list[BernardiStep] = []
+    order: list[str] = []
+    seen_current: set[str] = set()
+    first_reached: dict[str, int] = {}
+
+    def reach(node):
+        first_reached.setdefault(node, len(order))
+
+    def record_traversal(edge, from_color):
+        key = (edge, from_color)
+        if key in traversed:
+            raise AssertionError("second same-direction traversal executed")
+        traversed.add(key)
+        if edge not in traversed_edges:
+            traversed_edges.add(edge)
+            a, b = g.edges[edge]
+            if not tree_uf.union(a, b):
+                raise TheoremViolation(
+                    f"traversed subgraph acquired a cycle at {edge!r}")
+        reach(g.other_end(edge, g.edges[edge][from_color == VIOLET]))
+
+    reach(g.base_node)
+    if g.color(g.base_node) == cut:
+        cur = g.base_edge
+    else:
+        record_traversal(g.base_edge, far)
+        b1 = g.other_end(g.base_edge, g.base_node)
+        cur = g.next_edge(b1, g.base_edge, live)
+
+    limit = 4 * len(g.edge_ids) + 4
+    while True:
+        if (cur, cut) in traversed:
+            break
+        if cur in seen_current:
+            raise TheoremViolation(f"edge {cur!r} became current twice")
+        seen_current.add(cur)
+        near = g.edges[cur][cut == VIOLET]
+        order.append(cur)
+        live_before = len(live)
+
+        if oracle._search(f_key, frozenset(live - {cur})) is not None:
+            if cur in traversed_edges:
+                raise TheoremViolation(f"kept/traversed edge {cur!r} removed")
+            nxt = g.next_edge(near, cur, live)
+            live.discard(cur)
+            steps.append(BernardiStep(cur, "removed", live_before, ()))
+            if nxt == cur:
+                raise AssertionError("removal isolated the current node")
+            cur = nxt
+        else:
+            record_traversal(cur, cut)
+            far_node = g.edges[cur][far == VIOLET]
+            follow = g.next_edge(far_node, cur, live)
+            if (follow, far) in traversed:
+                steps.append(BernardiStep(cur, "kept", live_before,
+                                          ((cur, cut),)))
+                break
+            record_traversal(follow, far)
+            steps.append(BernardiStep(cur, "kept", live_before,
+                                      ((cur, cut), (follow, far))))
+            w = g.edges[follow][cut == VIOLET]
+            cur = g.next_edge(w, follow, live)
+        if len(order) > limit:
+            raise AssertionError("process failed to terminate")
+
+    if seen_current != set(g.edge_ids):
+        raise TheoremViolation("some edge never became current")
+    result = frozenset(live)
+    if not g.is_spanning_tree(result):
+        raise TheoremViolation("final current graph is not a spanning tree")
+    if g.degree_vector(result, variant.ht_side) != f:
+        raise TheoremViolation("result tree does not realize the hypertree")
+    rank = {e: i for i, e in enumerate(order)}
+    for x in g.side_nodes(cut):
+        rot = g.rotations[x]
+        by_time = sorted(rot, key=lambda e: rank[e])
+        start = rot.index(by_time[0])
+        if tuple(by_time) != rot[start:] + rot[:start]:
+            raise TheoremViolation(
+                f"current edges at {x!r} broke the cyclic-order discipline")
+    return BernardiRun(variant=variant, hypertree=tuple(sorted(f.items())),
+                       steps=tuple(steps), result_tree=result,
+                       current_edge_order=tuple(order),
+                       first_reached=first_reached)

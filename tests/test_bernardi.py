@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hyperbernardi.bernardi import (HT_E_CUT_E, HT_E_CUT_V, HT_V_CUT_E,
                                     HT_V_CUT_V, VARIANTS, ProcessVariant,
+                                    TheoremViolation, _check_arc_rule,
                                     bernardi_polynomials, check_composition,
                                     embedding_inactivities,
                                     graph_specialization_check, run_bernardi)
@@ -18,6 +19,7 @@ from hyperbernardi.graph import EMERALD, VIOLET, RibbonBipartiteGraph, bip
 from hyperbernardi.hypertree import (Poly, _Feasibility, _family,
                                      enumerate_hypertrees, interior_polynomial)
 from hyperbernardi.jaeger import VCUT, enumerate_jaeger_trees, is_jaeger_tree
+from oracles import bernardi_run as reference_run
 
 
 def test_variant_parsing():
@@ -253,21 +255,29 @@ def oracle_instances():
     return graphs
 
 
-def assert_fast_runs_equal_paranoid(g):
-    for variant in VARIANTS:
-        for f in enumerate_hypertrees(g, variant.ht_side):
-            fast = run_bernardi(g, f, variant)
-            slow = run_bernardi(g, f, variant, paranoid=True)
-            assert fast.steps == slow.steps, (variant, f)
-            assert fast.result_tree == slow.result_tree, (variant, f)
-            assert fast.current_edge_order == slow.current_edge_order, (variant, f)
+def assert_runs_equal_reference(g):
+    """Fast and paranoid runs on ``g`` and on its reversed setup make the
+    records of the name-keyed reference walk, which searches every step."""
+    for setup in (g, g.reversed_setup()):
+        for variant in VARIANTS:
+            for f in enumerate_hypertrees(setup, variant.ht_side):
+                want = reference_run(setup, f, variant)
+                for paranoid in (False, True):
+                    got = run_bernardi(setup, f, variant, paranoid)
+                    case = (setup.base_edge, variant, f, paranoid)
+                    assert got.steps == want.steps, case
+                    assert got.current_edge_order == want.current_edge_order, case
+                    assert got.result_tree == want.result_tree, case
+                    assert list(got.first_reached.items()) == \
+                        list(want.first_reached.items()), case
 
 
 def test_paranoid_mode_agrees():
     """Witness, degree caps, exchange and memoized oracle decide every
-    step as a full unpinned search does."""
+    step as a full unpinned search does, and the dart-table walk takes
+    the reference walk's steps."""
     for g in oracle_instances():
-        assert_fast_runs_equal_paranoid(g)
+        assert_runs_equal_reference(g)
 
 
 @settings(max_examples=15, deadline=None)
@@ -275,7 +285,32 @@ def test_paranoid_mode_agrees():
 def test_paranoid_mode_agrees_drawn_seed(seed, graphs_only):
     g = (bip(random_ordinary(seed, 6, 9)) if graphs_only
          else random_bipartite(seed, 4, 4, 10))
-    assert_fast_runs_equal_paranoid(g)
+    assert_runs_equal_reference(g)
+
+
+def test_arc_rule_names_the_node(running_fixture):
+    """The consecutive-arc check passes each run's current-edge order and
+    names the cut-side node whose current edges leave its rotation; on
+    the star each leaf's one edge makes one descent around it."""
+    star = RibbonBipartiteGraph(
+        ["hub"], [f"v{i}" for i in range(4)],
+        {f"s{i}": ("hub", f"v{i}") for i in range(4)},
+        {"hub": ("s0", "s1", "s2", "s3")}, base_node="hub", base_edge="s0")
+    for g in (running_fixture.graph, star):
+        for variant in VARIANTS:
+            for f in enumerate_hypertrees(g, variant.ht_side):
+                run = run_bernardi(g, f, variant)
+                order = [g.edge_ids.index(e) for e in run.current_edge_order]
+                _check_arc_rule(g, order, 0 if variant.cut_side == EMERALD else 1)
+    # swap the current times of the last two of e3's edges: around its
+    # rotation (e3v0, e3v1, e3v2) the times then descend twice
+    g = running_fixture.graph
+    run = run_bernardi(g, enumerate_hypertrees(g, EMERALD)[0], HT_E_CUT_E)
+    order = [g.edge_ids.index(e) for e in run.current_edge_order]
+    i, j = sorted(run.current_edge_order.index(e) for e in g.rotations["e3"])[1:]
+    order[i], order[j] = order[j], order[i]
+    with pytest.raises(TheoremViolation, match="current edges at 'e3' broke"):
+        _check_arc_rule(g, order, 0)
 
 
 def test_search_returns_realizations(monkeypatch):

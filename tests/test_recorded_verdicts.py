@@ -1,8 +1,8 @@
-"""The benchmark's recorded ``verify-ladder`` verdicts, recomputed.
+"""The benchmark's recorded verdicts, recomputed for every workload.
 
-``bench/workloads.py`` builds the ladder instances and reduces each
-campaign report to its verdict; ``bench/expected/verify-ladder.json``
-holds the verdicts recorded for them.  Both files are only read here.
+``bench/workloads.py`` builds each workload's instances and reduces each
+report to its verdict; ``bench/expected/<workload>.json`` holds the
+verdicts recorded for them.  Both files are only read here.
 """
 
 import importlib.util
@@ -10,6 +10,8 @@ import json
 import sys
 from pathlib import Path
 from types import SimpleNamespace
+
+import pytest
 
 from hyperbernardi import campaign, docio, fixtures, generators, graph
 
@@ -27,15 +29,24 @@ def load_workloads(monkeypatch):
     return module
 
 
-def test_verify_ladder_verdicts_match_the_recording(monkeypatch):
+def assert_verdicts_match_the_recording(monkeypatch, name):
     workloads = load_workloads(monkeypatch)
     hb = SimpleNamespace(campaign=campaign, docio=docio, fixtures=fixtures,
                          generators=generators, graph=graph)
-    ladder = workloads.WORKLOADS["verify-ladder"]
-    rec = json.loads((BENCH / "expected" / "verify-ladder.json").read_text())
-    instances = ladder.build(hb)
+    workload = workloads.WORKLOADS[name]
+    rec = json.loads((BENCH / "expected" / f"{name}.json").read_text())
+    instances = workload.build(hb)
     assert len(instances) == rec["instances"] == len(rec["index"])
     for inst, k in zip(instances, rec["index"]):
-        report = ladder.unit(hb, docio.parse_graph(inst.doc))
+        report = workload.unit(hb, docio.parse_graph(inst.doc))
         got = workloads.canonical(workloads.verdict(report))
         assert got == rec["verdicts"][k], inst.name
+
+
+def test_verify_ladder_verdicts_match_the_recording(monkeypatch):
+    assert_verdicts_match_the_recording(monkeypatch, "verify-ladder")
+
+
+@pytest.mark.parametrize("name", ["fuzz-bipartite", "fuzz-graphs"])
+def test_fuzz_verdicts_match_the_recording(monkeypatch, name):
+    assert_verdicts_match_the_recording(monkeypatch, name)
