@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .graph import EMERALD, VIOLET, RibbonBipartiteGraph, bip
-from .hypertree import (Poly, _family, _inactive, _oracle, _order_positions,
+from .hypertree import (Poly, _inactive, _member, _oracle, _order_positions,
                         _side_key, enumerate_hypertrees)
 
 
@@ -78,13 +78,21 @@ def run_bernardi(g: RibbonBipartiteGraph, f: dict[str, int],
     tree.  The run starts from the tree that the hypertree family maps
     ``f`` to (the witness) and decides each step, in order: a current
     edge outside the witness is removed; one whose removal leaves an
-    endpoint below its degree cap is kept; one that a live edge at its
-    hypertree-side node can replace in the witness is removed; otherwise
-    the oracle searches the live graph without it, and the realization
-    it finds becomes the witness.
+    endpoint below its degree cap is kept; otherwise the oracle's
+    exchange primitive (``_Feasibility.avoid``) decides it on the
+    witness.  A live edge that reconnects the witness without the edge
+    (preferably one at its hypertree-side node x, a single exchange)
+    gives a tree that moves one unit from x to the new edge's node j;
+    the edge is removed exactly when j is reachable from x by exchange
+    arcs (Kalman 2013: no tight set holds x and misses j), and the
+    shortest-path exchange back to x becomes the witness.  With no
+    reconnecting edge the edge is a bridge of the live graph and kept.
+    A kept edge's refutation, x with all it reaches (the whole class
+    for a bridge), is checked online to violate Kalman's inequality
+    f(S) <= |N(S)| - c(S) on the live graph without the edge.
 
     ``paranoid`` instead starts from a fresh full search and searches on
-    every step, without the family, witness or exchange (used to
+    every step, without the family, witness or exchanges (used to
     re-verify flagged conjecture outcomes and in tests).
 
     The walk runs on the graph's dart table: the current edge is its dart
@@ -99,7 +107,8 @@ def run_bernardi(g: RibbonBipartiteGraph, f: dict[str, int],
     if paranoid:
         witness = oracle._search(f_key, frozenset(g.edge_ids))
     else:
-        witness = oracle.family.get(f_key)
+        member = oracle.family.get(f_key)
+        witness = None if member is None else member.tree
     if witness is None:
         raise ValueError("input vector is not a hypertree")
 
@@ -141,32 +150,21 @@ def run_bernardi(g: RibbonBipartiteGraph, f: dict[str, int],
 
     def removable(e: int) -> bool:
         """Does a realization avoid edge ``e``?  Updates the witness."""
-        if not paranoid:
-            if not in_witness[e]:
-                return True
-            x, y = node_of[2 * e + ht_pos], node_of[2 * e + 1 - ht_pos]
-            if live_degree[x] <= f[nodes[x]] + 1 or live_degree[y] == 1:
-                return False
-            # a live edge at x that joins x's component of witness - e to
-            # the other one: swapping it in keeps every degree on x's side
-            side = bytearray(len(nodes))
-            side[x] = 1
-            stack = [x]
-            while stack:
-                for d in rotation[stack.pop()]:
-                    z = node_of[d ^ 1]
-                    if in_witness[d >> 1] and d >> 1 != e and not side[z]:
-                        side[z] = 1
-                        stack.append(z)
-            for d in rotation[x]:
-                if live[d >> 1] and not side[node_of[d ^ 1]] and d >> 1 != e:
-                    in_witness[e], in_witness[d >> 1] = 0, 1
-                    return True
-        found = oracle._search(f_key, frozenset(compress(ids, live)) - {ids[e]})
-        if found is None:
+        if paranoid:
+            return oracle._search(
+                f_key, frozenset(compress(ids, live)) - {ids[e]}) is not None
+        if not in_witness[e]:
+            return True
+        x, y = node_of[2 * e + ht_pos], node_of[2 * e + 1 - ht_pos]
+        if live_degree[x] <= f[nodes[x]] + 1 or live_degree[y] == 1:
             return False
-        in_witness[:] = bytearray(map(found.__contains__, ids))
-        return True
+        rest = bytearray(live)
+        rest[e] = 0
+        refuted = oracle.avoid(in_witness, rest, e)
+        if refuted and oracle.excess(f_key, refuted, rest) <= 0:
+            raise TheoremViolation(
+                f"edge {ids[e]!r} kept by a set that violates no rank inequality")
+        return not refuted
 
     # if the base node is not cut-side, the base edge is pre-traversed from
     # it and the walk starts with the edge following it at the far end
@@ -248,11 +246,10 @@ def embedding_inactivities(g: RibbonBipartiteGraph, run: BernardiRun) -> tuple[i
     """(internal, external) inactivity of the run's hypertree against the
     class order that the run's current edges induce."""
     side = run.variant.ht_side
-    family = _family(g, side)
-    key = _side_key(g, side, dict(run.hypertree))
+    member = _member(g, side, dict(run.hypertree))
     order = _order_positions(g, side, g.induced_order(side, run.current_edge_order))
-    return (len(_inactive(family, key, order, outgoing=True)),
-            len(_inactive(family, key, order, outgoing=False)))
+    return (len(_inactive(member, order, outgoing=True)),
+            len(_inactive(member, order, outgoing=False)))
 
 
 def bernardi_polynomials(g: RibbonBipartiteGraph, variant: ProcessVariant,

@@ -3,25 +3,38 @@ exterior polynomials.
 
 A hypertree on one color class assigns a nonnegative integer to each
 node of that class so that some spanning tree has degree value+1 there.
-Feasibility is decided by exact backtracking over per-node edge choices
-with union-find pruning; the subset inequality sum f(E') <= |N(E')| - 1
-is only used as a necessary rejection filter (singletons and the full
-class), never assumed sufficient.
+The hypertrees of one class are the integer bases of a polymatroid
+(Kalman 2013, "A version of Tutte's polynomial for hypergraphs"): f is
+one exactly when f(S) <= mu(S) = |N(S)| - c(S) for every set S of the
+class, with equality on the whole class, where N(S) is the set of
+neighbours of S and c(S) counts the components of S, N(S) and the edges
+at S.
 
-The hypertrees of one class are the lattice points of a polymatroid base
-polytope (Kalman 2013, "A version of Tutte's polynomial for
-hypergraphs"), so any two of them are joined by a path of unit valence
-transfers f - 1_x + 1_y (the exchange axiom of M-convex sets).  The
-family is therefore enumerated by closing one spanning tree's degree
-vector under transfers that the feasibility oracle admits, and
-activities are read off the family by membership.
+Every question the library asks about them is answered by exchanges on
+a tree T that realizes f.  Draw an arc j -> i when some non-tree edge at
+j has a tree edge at i on its fundamental path in T.  Then f(S) = mu(S)
+(S is tight) exactly when S is closed under the arcs, and, by base
+exchange, the transfer f - 1_i + 1_j is a hypertree exactly when i is
+reachable from j: no tight set holds j and misses i.  Exchanging along
+a shortest path j = v_0 -> ... -> v_k = i (add each v_t's non-tree
+edge, drop the tree edge at v_{t+1}) realizes the transfer, because a
+shortest path has no shortcut arc, so its exchange matrix is triangular.
+
+The family is enumerated by closing one spanning tree's degree vector
+under the admitted transfers (the exchange axiom of M-convex sets joins
+any two hypertrees by a path of them), and activities are read from the
+transfer masks that the closure records for each member.  Exact
+backtracking over per-node edge choices (``_Feasibility._search``)
+remains as an independent oracle: ``is_hypertree``, paranoid Bernardi
+runs and the tests use it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, compress
+from typing import NamedTuple
 
 from .graph import EMERALD, VIOLET, RibbonBipartiteGraph, RibbonGraph, UnionFind, bip
 
@@ -80,13 +93,70 @@ def _opposite(side: str) -> str:
     return VIOLET if side == EMERALD else EMERALD
 
 
-class _Feasibility:
-    """Degree-constrained spanning tree search on one graph and side, and
-    the side's hypertree family.
+class _Member(NamedTuple):
+    """A hypertree f's realizing tree and its admissible unit transfers,
+    as bitmasks over the class's positions: bit y of ``out[x]`` when
+    f - 1_x + 1_y is a hypertree, bit y of ``inn[x]`` when f - 1_y + 1_x
+    is."""
+    tree: frozenset[str]
+    out: tuple[int, ...]
+    inn: tuple[int, ...]
 
-    A search answers with the realizing tree it found, or None.  Nothing
-    is memoized but ``family``, which maps each hypertree's value tuple
-    to the spanning tree that realized it.
+
+def _bfs(adj: list[int], source: int) -> dict[int, int]:
+    """The positions reachable from ``source`` along the arcs ``adj`` (bit
+    b of ``adj[a]`` for a -> b), each mapped to its predecessor on a
+    shortest path from ``source``, which maps to itself."""
+    pred = {source: source}
+    seen = 1 << source
+    frontier = [source]
+    while frontier:
+        reached = []
+        for a in frontier:
+            new = adj[a] & ~seen
+            seen |= new
+            while new:
+                low = new & -new
+                new ^= low
+                b = low.bit_length() - 1
+                pred[b] = a
+                reached.append(b)
+        frontier = reached
+    return pred
+
+
+def _exchange(tree: bytearray, pred: dict[int, int], witness: dict,
+              target: int) -> None:
+    """Exchange along the shortest path that ``pred`` gives to ``target``:
+    each arc a -> b adds its non-tree edge at a and drops its tree edge at
+    b (``witness[a, b]``), so the path's source gains an edge, ``target``
+    loses one, and every other degree on the side stays."""
+    b = target
+    while pred[b] != b:
+        a = pred[b]
+        add, drop = witness[a, b]
+        tree[add], tree[drop] = 1, 0
+        b = a
+
+
+class _Feasibility:
+    """The hypertrees of one graph and side: their family, the exchange
+    primitive that decides transfers and Bernardi steps on a realizing
+    tree, and the backtracking search kept as an independent oracle.
+
+    The rule (Kalman 2013): let a tree T among the live edges realize f,
+    and draw an arc j -> i when a live non-tree edge at j has a tree edge
+    at i on its fundamental path.  Since f(S) = |N(S)| - c_T(S), a set S
+    of the side is tight (f(S) = mu(S)) exactly when T's edges at S
+    connect what the live edges at S connect, that is, when S is closed
+    under the arcs.  So f - 1_i + 1_j is a hypertree of the live graph
+    exactly when i is reachable from j, and exchanging along a shortest
+    path j -> ... -> i (add the non-tree edge at each node, drop the tree
+    edge at the next) gives its tree: with no shortcut arc the exchange
+    matrix is triangular.
+
+    Trees and live edge sets are bytearrays over edge indices; a side
+    node is its position in ``side_nodes``, a set of them a bitmask.
     """
 
     def __init__(self, g: RibbonBipartiteGraph, side: str):
@@ -94,9 +164,10 @@ class _Feasibility:
         self.side = side
         self.side_nodes = g.side_nodes(side)
         self.opp_nodes = g.side_nodes(_opposite(side))
-        pos = 0 if side == EMERALD else 1
-        self.inc = {x: tuple(e for e in g.edge_ids if g.edges[e][pos] == x)
-                    for x in self.side_nodes}
+        self.parity = 0 if side == EMERALD else 1   # of a dart at this side's end
+        at = {x: i for i, x in enumerate(self.side_nodes)}
+        self.at = [at[g.edges[e][self.parity]] for e in g.edge_ids]
+        self.darts = g._darts
 
     def _search(self, f_key, live) -> frozenset[str] | None:
         """A spanning tree inside ``live`` with degree f+1 at each node of
@@ -109,7 +180,10 @@ class _Feasibility:
         if sum(need.values()) != len(self.opp_nodes) - 1 + len(self.side_nodes):
             return None
         # singleton instances of the neighborhood inequality = degree caps
-        inc_live = {x: [e for e in self.inc[x] if e in live] for x in self.side_nodes}
+        inc_live = {x: [] for x in self.side_nodes}
+        for e in g.edge_ids:
+            if e in live:
+                inc_live[g.edges[e][self.parity]].append(e)
         for x in self.side_nodes:
             if need[x] > len(inc_live[x]):
                 return None
@@ -149,43 +223,155 @@ class _Feasibility:
 
         return frozenset(chosen) if rec(0) else None
 
+    def _arcs(self, tree: bytearray, live: bytearray) -> tuple[list[int], dict]:
+        """The exchange arcs of a spanning tree of the live edges: bit b of
+        ``adj[a]`` when a live non-tree edge at a has a tree edge at b on
+        its fundamental path, and for each arc one such (non-tree edge,
+        tree edge) pair."""
+        node, rotation, at = self.darts.node, self.darts.rotation, self.at
+        # root the tree at node 0: each node's depth, parent and edge to it
+        depth = [-1] * len(rotation)
+        up_node, up_edge = [0] * len(rotation), [0] * len(rotation)
+        depth[0] = 0
+        stack = [0]
+        while stack:
+            u = stack.pop()
+            for d in rotation[u]:
+                v = node[d ^ 1]
+                if tree[d >> 1] and depth[v] < 0:
+                    depth[v] = depth[u] + 1
+                    up_node[v], up_edge[v] = u, d >> 1
+                    stack.append(v)
+        if -1 in depth:
+            raise AssertionError("exchange arcs of an edge set that does not span")
+        adj = [0] * len(self.side_nodes)
+        witness = {}
+        for k, alive in enumerate(live):
+            if not alive or tree[k]:
+                continue
+            a = at[k]
+            u, v = node[2 * k], node[2 * k + 1]
+            while u != v:
+                if depth[u] < depth[v]:
+                    u, v = v, u
+                d = up_edge[u]
+                b = at[d]
+                if b != a and not adj[a] >> b & 1:
+                    adj[a] |= 1 << b
+                    witness[a, b] = (k, d)
+                u = up_node[u]
+        return adj, witness
+
+    def _realized(self, tree: bytearray) -> tuple[int, ...]:
+        """The value tuple that a spanning tree realizes on the side."""
+        vals = [-1] * len(self.side_nodes)
+        for k in compress(range(len(tree)), tree):
+            vals[self.at[k]] += 1
+        return tuple(vals)
+
     @cached_property
-    def family(self) -> dict[tuple[int, ...], frozenset[str]]:
-        """The transfer closure of one spanning tree's degree vector, each
-        member mapped to the tree that realized it."""
+    def family(self) -> dict[tuple[int, ...], _Member]:
+        """Every hypertree's value tuple, mapped to a realizing tree and
+        its admissible transfers: the closure of one spanning tree's
+        degree vector under the transfers that reachability admits."""
         g = self.g
         uf = UnionFind(g.nodes)
-        tree = frozenset(e for e in g.edge_ids if uf.union(*g.edges[e]))
-        vals = g.degree_vector(tree, self.side)
-        start = tuple(vals[x] for x in self.side_nodes)
-
-        live = frozenset(g.edge_ids)
-        # a node's value stays below its degree; cheaper than a search
-        cap = [g.degree(x) - 1 for x in self.side_nodes]
-        idx = range(len(start))
-        family, rejected = {start: tree}, set()
-        frontier = [start]
+        start = bytearray(uf.union(*g.edges[e]) for e in g.edge_ids)
+        live = bytearray([1]) * len(start)
+        width = len(self.side_nodes)
+        trees = {self._realized(start): start}
+        frontier = list(trees)
+        family = {}
         while frontier:
             f = frontier.pop()
-            for i in idx:
-                if f[i] == 0:
-                    continue
-                for j in idx:
-                    if i == j or f[j] == cap[j]:
+            tree = trees[f]
+            adj, witness = self._arcs(tree, live)
+            out, inn = [0] * width, [0] * width
+            for j in range(width):
+                pred = _bfs(adj, j)
+                for i in pred:
+                    if i == j:
                         continue
+                    inn[j] |= 1 << i
+                    out[i] |= 1 << j
                     shifted = list(f)
                     shifted[i] -= 1
                     shifted[j] += 1
                     cand = tuple(shifted)
-                    if cand in family or cand in rejected:
+                    if cand in trees:
                         continue
-                    found = self._search(cand, live)
-                    if found is not None:
-                        family[cand] = found
-                        frontier.append(cand)
-                    else:
-                        rejected.add(cand)
+                    new = bytearray(tree)
+                    _exchange(new, pred, witness, i)
+                    # that it spans is checked when its arcs are drawn
+                    if new.count(1) != len(g.nodes) - 1 or self._realized(new) != cand:
+                        raise AssertionError(f"exchanges gave no tree realizing {cand}")
+                    trees[cand] = new
+                    frontier.append(cand)
+            family[f] = _Member(frozenset(compress(g.edge_ids, tree)),
+                                tuple(out), tuple(inn))
         return family
+
+    def avoid(self, tree: bytearray, live: bytearray, e: int) -> int:
+        """Rewrite ``tree``, a spanning tree of the ``live`` edges and edge
+        ``e`` that uses ``e``, into a spanning tree of the live edges with
+        the same degree at each node of the side, and return 0; or leave
+        it as it is and return a set S of side positions (a bitmask) with
+        f(S) > mu(S) among the live edges, f the hypertree it realizes.
+
+        A live edge that reconnects tree - e (one at e's node x if there
+        is one) makes a tree that moves one unit from x to the edge's node
+        j; the unit moves back exactly when j is reachable from x.  If it
+        is not, x and the nodes it reaches form a tight set of that tree,
+        which f exceeds by the unit.  With no reconnecting edge the live
+        edges are disconnected and f exceeds mu on the whole side.
+        """
+        node, rotation, at = self.darts.node, self.darts.rotation, self.at
+        x = node[2 * e + self.parity]
+        tree[e] = 0
+        near = bytearray(len(rotation))   # x's component of tree - e
+        near[x] = 1
+        stack = [x]
+        while stack:
+            for d in rotation[stack.pop()]:
+                z = node[d ^ 1]
+                if tree[d >> 1] and not near[z]:
+                    near[z] = 1
+                    stack.append(z)
+        link = next((d >> 1 for d in rotation[x]
+                     if live[d >> 1] and not near[node[d ^ 1]]), None)
+        if link is None:
+            link = next((k for k, alive in enumerate(live)
+                         if alive and near[node[2 * k]] != near[node[2 * k + 1]]), None)
+        if link is None:
+            tree[e] = 1
+            return (1 << len(self.side_nodes)) - 1
+        tree[link] = 1
+        source, target = at[e], at[link]
+        if source == target:
+            return 0
+        adj, witness = self._arcs(tree, live)
+        pred = _bfs(adj, source)
+        if target in pred:
+            _exchange(tree, pred, witness, target)
+            return 0
+        tree[link], tree[e] = 0, 1
+        return sum(1 << p for p in pred)
+
+    def excess(self, f_key, members: int, live: bytearray) -> int:
+        """f(S) - mu(S) among the ``live`` edges, S the side positions in
+        the bitmask ``members``: mu(S) = |N(S)| - c(S), with N(S) the
+        neighbours of S and c(S) the components of S, N(S) and the live
+        edges at S (Kalman 2013).  Positive exactly when S refutes f."""
+        node = self.darts.node
+        uf = UnionFind(range(len(self.darts.rotation)))
+        around, joined = set(), 0
+        for k, alive in enumerate(live):
+            if alive and members >> self.at[k] & 1:
+                around.add(node[2 * k + 1 - self.parity])
+                joined += uf.union(node[2 * k], node[2 * k + 1])
+        components = members.bit_count() + len(around) - joined
+        value = sum(v for p, v in enumerate(f_key) if members >> p & 1)
+        return value - (len(around) - components)
 
 
 def _oracle(g: RibbonBipartiteGraph, side: str) -> _Feasibility:
@@ -202,17 +388,25 @@ def is_hypertree(g: RibbonBipartiteGraph, side: str, f: dict[str, int]) -> bool:
     return _oracle(g, side)._search(f_key, frozenset(g.edge_ids)) is not None
 
 
-def _family(g: RibbonBipartiteGraph, side: str) -> dict[tuple[int, ...], frozenset[str]]:
-    """The hypertree value tuples on ``side``, each mapped to a spanning
-    tree that realizes it; built once per graph and side.  Read only."""
+def _family(g: RibbonBipartiteGraph, side: str) -> dict[tuple[int, ...], _Member]:
+    """The hypertree value tuples on ``side``, each mapped to a realizing
+    tree and its admissible transfers; built once per graph and side.
+    Read only."""
     return _oracle(g, side).family
+
+
+def _member(g: RibbonBipartiteGraph, side: str, f: dict[str, int]) -> _Member:
+    member = _family(g, side).get(_side_key(g, side, f))
+    if member is None:
+        raise ValueError(f"not a hypertree on the {side} side: {f}")
+    return member
 
 
 def enumerate_hypertrees(g: RibbonBipartiteGraph, side: str) -> list[dict[str, int]]:
     """All hypertrees on ``side``, as a fresh list sorted by value tuples.
 
     Starts from the degree vector of one spanning tree and closes it
-    under unit valence transfers admitted by the feasibility oracle.
+    under the unit valence transfers that exchange reachability admits.
     The closure is complete because hypertrees form an M-convex set:
     for hypertrees f != h and any x with f(x) > h(x) there is a y with
     f(y) < h(y) such that f - 1_x + 1_y is a hypertree, one step closer
@@ -232,31 +426,23 @@ def _order_positions(g: RibbonBipartiteGraph, side: str, order) -> list[int]:
     return [pos[x] for x in order]
 
 
-def _inactive(family, key: tuple[int, ...], order: list[int],
-              outgoing: bool) -> list[int]:
+def _inactive(member: _Member, order: list[int], outgoing: bool) -> list[int]:
     """The positions x of ``order`` such that, for some y before x, the
-    transfer x -> y (``outgoing``) or y -> x stays in ``family``."""
-    key = list(key)
-    inactive = []
-    for k, x in enumerate(order):
-        for y in order[:k]:
-            src, dst = (x, y) if outgoing else (y, x)
-            key[src] -= 1
-            key[dst] += 1
-            hit = tuple(key) in family
-            key[src] += 1
-            key[dst] -= 1
-            if hit:
-                inactive.append(x)
-                break
+    transfer x -> y (``outgoing``) or y -> x is admissible."""
+    reach = member.out if outgoing else member.inn
+    before, inactive = 0, []
+    for x in order:
+        if reach[x] & before:
+            inactive.append(x)
+        before |= 1 << x
     return inactive
 
 
 def _inactivity(g: RibbonBipartiteGraph, side: str, f: dict[str, int],
                 order, outgoing: bool) -> frozenset[str]:
     nodes = g.side_nodes(side)
-    inactive = _inactive(_family(g, side), _side_key(g, side, f),
-                         _order_positions(g, side, order), outgoing)
+    inactive = _inactive(_member(g, side, f), _order_positions(g, side, order),
+                         outgoing)
     return frozenset(nodes[i] for i in inactive)
 
 
@@ -293,9 +479,8 @@ def _polynomial(g: RibbonBipartiteGraph, side: str, order, outgoing: bool) -> Po
     if order is None:
         order = g.side_nodes(side)
     positions = _order_positions(g, side, order)
-    family = _family(g, side)
-    return Poly.counting(len(_inactive(family, key, positions, outgoing))
-                         for key in family)
+    return Poly.counting(len(_inactive(member, positions, outgoing))
+                         for member in _family(g, side).values())
 
 
 # -- ordinary graphs ------------------------------------------------------

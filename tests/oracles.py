@@ -11,6 +11,9 @@ on small instances only.  Each reference, and what it checks:
   ``trees_compatible``);
 * ``can_transfer``: one feasibility question per unit transfer (against
   the activities read off the hypertree family);
+* ``rank_feasible``: Kalman's rank inequalities over every subset of
+  the class, on a live subgraph (against the backtracking search and
+  the exchange reachability that decides transfers and Bernardi steps);
 * ``marker`` and ``contains``: the Fraction marker point and simplex
   containment (against ``scaled_marker`` and ``contains_scaled``);
 * ``tour_pairs``: the tour walked through a (node, edge) -> next edge
@@ -181,6 +184,36 @@ def can_transfer(g, side, f, src, dst) -> bool:
     shifted[src] -= 1
     shifted[dst] += 1
     return is_hypertree(g, side, shifted)
+
+
+def rank_feasible(g, side, f, live) -> bool:
+    """Does some spanning tree of the live subgraph (every node, the
+    edges in ``live``) realize ``f``?  Kalman 2013: exactly when the live
+    subgraph is connected, f >= 0, and f(S) <= mu(S) = |N(S)| - c(S) for
+    every set S of the class, with equality on the whole class; N(S) is
+    the set of live neighbours of S, and c(S) counts the components of S,
+    N(S) and the live edges at S."""
+    nodes = g.side_nodes(side)
+    pos = 0 if side == EMERALD else 1
+    everything = UnionFind(g.nodes)
+    for e in live:
+        everything.union(*g.edges[e])
+    if everything.components != 1 or any(f[x] < 0 for x in nodes):
+        return False
+
+    def mu(subset):
+        at = [g.edges[e] for e in live if g.edges[e][pos] in subset]
+        around = {ends[1 - pos] for ends in at}
+        uf = UnionFind(set(subset) | around)
+        for a, b in at:
+            uf.union(a, b)
+        return len(around) - uf.components
+
+    for k in range(1, len(nodes)):
+        for subset in combinations(nodes, k):
+            if sum(f[x] for x in subset) > mu(subset):
+                return False
+    return sum(f.values()) == mu(nodes)
 
 
 def marker(g, f, side):

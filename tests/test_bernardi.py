@@ -273,9 +273,9 @@ def assert_runs_equal_reference(g):
 
 
 def test_paranoid_mode_agrees():
-    """Witness, degree caps, exchange and memoized oracle decide every
-    step as a full unpinned search does, and the dart-table walk takes
-    the reference walk's steps."""
+    """Witness, degree caps and exchange reachability decide every step
+    as a full search does, and the dart-table walk takes the reference
+    walk's steps."""
     for g in oracle_instances():
         assert_runs_equal_reference(g)
 
@@ -358,48 +358,82 @@ def test_family_maps_hypertrees_to_realizations():
         for side in (EMERALD, VIOLET):
             family = _family(g, side)
             assert family
-            for key, tree in family.items():
-                assert g.is_spanning_tree(tree)
-                vals = g.degree_vector(tree, side)
+            for key, member in family.items():
+                assert g.is_spanning_tree(member.tree)
+                vals = g.degree_vector(member.tree, side)
                 assert tuple(vals[x] for x in g.side_nodes(side)) == key
 
 
-def test_reversed_runs_start_from_the_shared_family(monkeypatch):
-    """The reversed setup shares the graph's family, so its runs take
-    their starting witnesses from it: no search on the full edge set."""
-    families = [(g.reversed_setup(), variant,
-                 enumerate_hypertrees(g, variant.ht_side))
-                for g in oracle_instances() for variant in VARIANTS]
-    full = []
-    search = _Feasibility._search
-
-    def recording(self, f_key, live):
-        full.append(len(live) == len(self.g.edge_ids))
-        return search(self, f_key, live)
-    monkeypatch.setattr(_Feasibility, "_search", recording)
-    for rev, variant, family in families:
-        for f in family:
-            run_bernardi(rev, f, variant)
-    assert full and not any(full)
-
-
-def test_witness_answers_most_steps(monkeypatch):
-    """The witness, the degree caps and the single exchange leave the
-    oracle's search at most one step in twenty (2.6% on these instances);
-    without the caps or with a trivial exchange it runs on 15-33%."""
-    graphs = oracle_instances()
-    families = [(g, variant, enumerate_hypertrees(g, variant.ht_side))
-                for g in graphs for variant in VARIANTS]
-    queries = []
+def counting_searches(monkeypatch) -> list[int]:
+    """The live edge count of every oracle search from now on."""
+    searches = []
     search = _Feasibility._search
 
     def counting(self, f_key, live):
-        queries.append(len(live) < len(self.g.edge_ids))
+        searches.append(len(live))
         return search(self, f_key, live)
     monkeypatch.setattr(_Feasibility, "_search", counting)
-    steps = sum(len(run_bernardi(g, f, variant).steps)
-                for g, variant, family in families for f in family)
-    assert 20 * sum(queries) <= steps
+    return searches
+
+
+def assert_paranoid_searches_every_step(setup, f, variant, searches):
+    """A paranoid run searches the full edge set once, then the live
+    graph without the current edge at every step."""
+    steps = run_bernardi(setup, f, variant, paranoid=True).steps
+    assert searches == [len(setup.edge_ids)] + [s.live_before - 1 for s in steps]
+    searches.clear()
+
+
+def test_reversed_runs_start_from_the_shared_family(monkeypatch):
+    """Building the families makes no search, and the reversed setup
+    shares them, so its fast runs take their witnesses from them and
+    make no search either; its paranoid runs search at every step."""
+    searches = counting_searches(monkeypatch)
+    for g in oracle_instances():
+        rev = g.reversed_setup()
+        assert rev._feas_cache is g._feas_cache
+        for variant in VARIANTS:
+            family = enumerate_hypertrees(g, variant.ht_side)
+            for f in family:
+                run_bernardi(rev, f, variant)
+            assert searches == []
+            for f in family:
+                assert_paranoid_searches_every_step(rev, f, variant, searches)
+
+
+def test_witness_answers_most_steps(monkeypatch):
+    """The witness, the degree caps and exchange reachability decide
+    every step of a fast run, without a search; paranoid runs search at
+    every step."""
+    searches = counting_searches(monkeypatch)
+    for g in oracle_instances():
+        for variant in VARIANTS:
+            for f in enumerate_hypertrees(g, variant.ht_side):
+                run_bernardi(g, f, variant)
+                assert searches == []
+                assert_paranoid_searches_every_step(g, f, variant, searches)
+
+
+def test_kept_steps_carry_violated_rank_inequalities(monkeypatch):
+    """Each step that exchange reachability keeps is checked online: its
+    refuting set must violate Kalman's inequality on the live graph
+    without the edge, or the run fails with a TheoremViolation."""
+    excesses = []
+    excess = _Feasibility.excess
+
+    def recording(self, f_key, members, live):
+        excesses.append(excess(self, f_key, members, live))
+        return excesses[-1]
+    monkeypatch.setattr(_Feasibility, "excess", recording)
+    runs = [(g, f, variant) for g in oracle_instances() for variant in VARIANTS
+            for f in enumerate_hypertrees(g, variant.ht_side)]
+    for g, f, variant in runs:
+        run_bernardi(g, f, variant)
+    assert excesses and min(excesses) > 0
+    monkeypatch.setattr(_Feasibility, "excess", lambda *args: 0)
+    with pytest.raises(TheoremViolation, match="violates no rank inequality"):
+        for g, f, variant in runs:
+            run_bernardi(g, f, variant)
 
 
 def test_check_conjectures_runs_each_variant_once(monkeypatch):

@@ -1,8 +1,9 @@
 """Hypertree feasibility, activities, and the two polynomials."""
 
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 
 import pytest
 
@@ -10,13 +11,14 @@ from hyperbernardi.docio import format_polynomial, serialize_graph
 from hyperbernardi.fixtures import (c4, k5_setup, process_example, running_graph,
                                     running_graph_knot_setup, single_edge)
 from hyperbernardi.generators import random_bipartite, random_ordinary
-from hyperbernardi.graph import EMERALD, VIOLET, RibbonBipartiteGraph, RibbonGraph, bip
-from hyperbernardi.hypertree import (Poly, break_divisors, enumerate_hypertrees,
-                                     exterior_polynomial, external_inactivity,
-                                     interior_polynomial, internal_inactivity,
-                                     is_hypertree, tutte_check,
-                                     tutte_x_polynomial)
-from oracles import can_transfer, in_convex_hull
+from hyperbernardi.graph import (EMERALD, VIOLET, RibbonBipartiteGraph, RibbonGraph,
+                                  UnionFind, bip)
+from hyperbernardi.hypertree import (Poly, _bfs, _oracle, break_divisors,
+                                     enumerate_hypertrees, exterior_polynomial,
+                                     external_inactivity, interior_polynomial,
+                                     internal_inactivity, is_hypertree,
+                                     tutte_check, tutte_x_polynomial)
+from oracles import can_transfer, in_convex_hull, rank_feasible
 
 
 def doubled_edge():
@@ -132,6 +134,84 @@ def test_activities_equal_can_transfer_count():
                         if any(can_transfer(g, side, f, y, x) for y in order[:k]))
                     assert internal_inactivity(g, side, f, order) == want_i
                     assert external_inactivity(g, side, f, order) == want_e
+
+
+def with_parallel_edges(g, rng):
+    """``g`` with a parallel copy of a third of its edges."""
+    edges = dict(g.edges)
+    for e in rng.sample(g.edge_ids, max(1, len(g.edge_ids) // 3)):
+        edges[e + "p"] = g.edges[e]
+    return RibbonBipartiteGraph(g.emeralds, g.violets, edges, None,
+                                g.base_node, g.base_edge)
+
+
+def spanning_forest(g, edges) -> tuple[set, bool]:
+    """A spanning forest of ``edges`` taken in the given order, and
+    whether it is a tree."""
+    uf = UnionFind(g.nodes)
+    return {e for e in edges if uf.union(*g.edges[e])}, uf.components == 1
+
+
+def test_exchange_reachability_equals_rank_oracle():
+    """On connected live subgraphs of seeded graphs (simple, with
+    parallel edges, and subdivided multigraphs), on both sides: a
+    transfer f - 1_i + 1_j of the hypertree f that a tree realizes is
+    reachable from j exactly when Kalman's rank inequalities and the
+    backtracking search admit it.  Dropping a tree edge e, ``avoid``
+    rewrites the tree into a realization of f without e exactly when they
+    admit f there, and otherwise returns a set whose rank inequality f
+    violates there, bridges included."""
+    rng = random.Random(11)
+    graphs = [random_bipartite(seed, 4, 4, 10) for seed in range(20)]
+    graphs += [with_parallel_edges(random_bipartite(seed, 3, 4, 8), rng)
+               for seed in range(10)]
+    graphs += [bip(random_ordinary(seed, 4, 6)) for seed in range(12)]
+    outcomes = Counter()
+    for g in graphs:
+        ids = g.edge_ids
+        for side in (EMERALD, VIOLET):
+            oracle, nodes = _oracle(g, side), g.side_nodes(side)
+            for _ in range(3):
+                live = {e for e in ids if rng.random() < 0.8}
+                tree, spans = spanning_forest(g, sorted(live, key=lambda _: rng.random()))
+                if not spans:
+                    continue
+                f = g.degree_vector(frozenset(tree), side)
+                f_key = tuple(f[x] for x in nodes)
+                live_bits = bytearray(e in live for e in ids)
+                tree_bits = bytearray(e in tree for e in ids)
+                adj, _ = oracle._arcs(tree_bits, live_bits)
+                for j, y in enumerate(nodes):
+                    reach = _bfs(adj, j)
+                    for i, x in enumerate(nodes):
+                        if i == j:
+                            continue
+                        shifted = dict(f, **{x: f[x] - 1, y: f[y] + 1})
+                        want = rank_feasible(g, side, shifted, live)
+                        searched = oracle._search(tuple(shifted[z] for z in nodes),
+                                                  frozenset(live))
+                        assert (searched is not None) == want == (i in reach)
+                        outcomes["transfer", want] += 1
+                for e in tree:
+                    k = ids.index(e)
+                    rest, bits = bytearray(live_bits), bytearray(tree_bits)
+                    rest[k] = 0
+                    refuted = oracle.avoid(bits, rest, k)
+                    want = rank_feasible(g, side, f, live - {e})
+                    assert (oracle._search(f_key, frozenset(live - {e})) is not None) == want
+                    assert (not refuted) == want
+                    if refuted:
+                        assert bits == tree_bits
+                        assert oracle.excess(f_key, refuted, rest) > 0
+                    else:
+                        avoiding = frozenset(compress(ids, bits))
+                        assert avoiding <= live - {e} and g.is_spanning_tree(avoiding)
+                        assert g.degree_vector(avoiding, side) == f
+                    bridge = not spanning_forest(g, live - {e})[1]
+                    outcomes["step", want, bridge] += 1
+    assert set(outcomes) == {("transfer", True), ("transfer", False),
+                             ("step", True, False), ("step", False, False),
+                             ("step", False, True)}
 
 
 def test_activities_reject_bad_orders(c4_fixture):

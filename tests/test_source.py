@@ -35,3 +35,57 @@ def test_no_unused_imports():
     assert modules
     unused = {p.name: unused_imports(p.read_text(encoding="utf-8")) for p in modules}
     assert {name: found for name, found in unused.items() if found} == {}
+
+
+def search_calls(source: str) -> list[tuple[str, bool]]:
+    """Each ``._search(`` call in a module: its outermost enclosing
+    function, and whether it lies in the body of an ``if paranoid:``."""
+    calls = []
+
+    def visit(node, function, paranoid):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "_search":
+            calls.append((function, paranoid))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and function is None:
+            function = node.name
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) \
+                and node.test.id == "paranoid":
+            for child in node.body:
+                visit(child, function, True)
+            for child in node.orelse:
+                visit(child, function, paranoid)
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, function, paranoid)
+    visit(ast.parse(source), None, False)
+    return calls
+
+
+# the backtracking search is the independent oracle: it may run in a
+# paranoid Bernardi run and in the public membership test, and nowhere
+# on the fast paths
+ALLOWED_SEARCH_CALLS = {("run_bernardi", True), ("is_hypertree", False)}
+
+
+def test_search_calls_detected():
+    source = ("def run_bernardi(paranoid):\n"
+              "    def removable():\n"
+              "        if paranoid:\n"
+              "            return o._search(1)\n"
+              "        return o._search(2)\n"
+              "    if not paranoid:\n"
+              "        o._search(3)\n"
+              "    return removable() if paranoid else o._search(4)\n"
+              "o._search(5)\n")
+    assert search_calls(source) == [("run_bernardi", True), ("run_bernardi", False),
+                                    ("run_bernardi", False), ("run_bernardi", False),
+                                    (None, False)]
+
+
+def test_hot_path_makes_no_search():
+    modules = sorted(PACKAGE.glob("*.py"))
+    calls = {p.name: search_calls(p.read_text(encoding="utf-8")) for p in modules}
+    assert {name: [c for c in found if c not in ALLOWED_SEARCH_CALLS]
+            for name, found in calls.items()
+            if set(found) - ALLOWED_SEARCH_CALLS} == {}
+    assert {c for found in calls.values() for c in found} == ALLOWED_SEARCH_CALLS
