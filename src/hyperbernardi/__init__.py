@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .bernardi import (HT_E_CUT_E, HT_E_CUT_V, HT_V_CUT_E, HT_V_CUT_V,
                        BernardiRun, ProcessVariant, TheoremViolation,
                        bernardi_polynomials, check_composition, embedding_inactivities,
-                       graph_specialization_check, run_bernardi)
+                       bernardi_runs, graph_specialization_check, run_bernardi)
 from .campaign import (CampaignReport, arborescence_duality,
                        campaign_verify_all, check_conjectures,
                        fuzz_conjectures, verify_noncrossing)

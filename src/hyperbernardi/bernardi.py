@@ -7,6 +7,11 @@ edge it is removed, otherwise it is kept and traversed together with
 the following edge at the far endpoint.  The run stops right before any
 edge would be traversed a second time from the same direction.
 
+``bernardi_runs`` runs one variant over every hypertree of its ht side,
+in family order, from one set-up of the dart table, the oracle and the
+per-edge tables; ``run_bernardi`` is the same walk for one hypertree.
+A step is a ``BernardiStep`` named tuple.
+
 Each run performs online checks of the structural guarantees (each edge
 current once, traversed subgraph acyclic, kept/traversed edges never
 removed); a violation raises TheoremViolation and means either a bug or
@@ -17,10 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from operator import eq
+from typing import NamedTuple
 
 from .graph import EMERALD, VIOLET, RibbonBipartiteGraph, bip
-from .hypertree import (Poly, _inactive, _member, _oracle, _order_positions,
-                        _side_key, enumerate_hypertrees)
+from .hypertree import Poly, _family, _inactive, _oracle, _side_key
 
 
 class TheoremViolation(AssertionError):
@@ -51,8 +57,7 @@ HT_V_CUT_E = ProcessVariant(VIOLET, EMERALD)
 VARIANTS = (HT_E_CUT_V, HT_E_CUT_E, HT_V_CUT_V, HT_V_CUT_E)
 
 
-@dataclass(frozen=True)
-class BernardiStep:
+class BernardiStep(NamedTuple):
     edge: str
     decision: str          # "removed" or "kept"
     live_before: int       # current-graph edge count when examined
@@ -71,7 +76,8 @@ class BernardiRun:
 
 def run_bernardi(g: RibbonBipartiteGraph, f: dict[str, int],
                  variant: ProcessVariant, paranoid: bool = False) -> BernardiRun:
-    """Execute one Bernardi process run.
+    """Execute one Bernardi process run: the walk of ``bernardi_runs``
+    for the single hypertree ``f``.
 
     The current edge is removed exactly when some spanning tree of the
     live graph without it realizes ``f``; kept edges lie in every such
@@ -98,156 +104,201 @@ def run_bernardi(g: RibbonBipartiteGraph, f: dict[str, int],
     The walk runs on the graph's dart table: the current edge is its dart
     at the cut-side end, a traversal the dart it leaves from.
     """
-    cut = variant.cut_side
+    return _walk(g, variant, [_side_key(g, variant.ht_side, f)], paranoid)[0]
+
+
+def bernardi_runs(g: RibbonBipartiteGraph, variant: ProcessVariant,
+                  paranoid: bool = False) -> list[BernardiRun]:
+    """One run of ``variant`` per hypertree on its ht side, in the order
+    of ``enumerate_hypertrees``: the walk of ``run_bernardi``, with its
+    online checks, set up once for the whole family."""
+    return _walk(g, variant, sorted(_family(g, variant.ht_side)), paranoid)
+
+
+def _walk(g: RibbonBipartiteGraph, variant: ProcessVariant,
+          keys: list[tuple[int, ...]], paranoid: bool) -> list[BernardiRun]:
+    """The runs for the hypertree value tuples ``keys``, in their order.
+    The dart table, the oracle and the per-edge tables are read once; each
+    run then keeps its state in bytearrays by edge and by dart, a live
+    edge counter and an int-list union-find of the traversed edges."""
+    side, cut = variant.ht_side, variant.cut_side
     far = EMERALD if cut == VIOLET else VIOLET
     cut_pos = 0 if cut == EMERALD else 1   # parity of a dart at a cut-side end
-    ht_pos = 0 if variant.ht_side == EMERALD else 1
-    oracle = _oracle(g, variant.ht_side)
-    f_key = _side_key(g, variant.ht_side, f)
-    if paranoid:
-        witness = oracle._search(f_key, frozenset(g.edge_ids))
-    else:
-        member = oracle.family.get(f_key)
-        witness = None if member is None else member.tree
-    if witness is None:
-        raise ValueError("input vector is not a hypertree")
-
+    ht_pos = 0 if side == EMERALD else 1
+    oracle = _oracle(g, side)
+    family = None if paranoid else oracle.family
     darts = g._darts
     succ, node_of, rotation = darts.succ, darts.node, darts.rotation
-    ids, nodes = g.edge_ids, g.nodes
-    in_witness = bytearray(map(witness.__contains__, ids))
-    live = bytearray([1]) * len(ids)
-    live_degree = [len(ds) for ds in rotation]
-    traversed = bytearray(len(succ))   # by the dart a traversal leaves from
-    seen_current = bytearray(len(ids))
-    parent = list(range(len(nodes)))   # union-find of the traversed edges
-    steps: list[BernardiStep] = []
-    order: list[int] = []
-    first_reached: dict[str, int] = {}
-
-    def next_live(d: int) -> int:
-        """The first live dart after ``d`` in the rotation at its node."""
-        d = succ[d]
-        while not live[d >> 1]:
-            d = succ[d]
-        return d
-
-    def traverse(d: int) -> None:
-        if traversed[d]:
-            raise AssertionError("second same-direction traversal executed")
-        traversed[d] = 1
-        if not traversed[d ^ 1]:  # a new edge of the traversed subgraph
-            a, b = node_of[d], node_of[d ^ 1]
-            while parent[a] != a:
-                a = parent[a]
-            while parent[b] != b:
-                b = parent[b]
-            if a == b:
-                raise TheoremViolation(
-                    f"traversed subgraph acquired a cycle at {ids[d >> 1]!r}")
-            parent[b] = a
-        first_reached.setdefault(nodes[node_of[d ^ 1]], len(order))
-
-    def removable(e: int) -> bool:
-        """Does a realization avoid edge ``e``?  Updates the witness."""
+    ids, nodes, side_nodes = g.edge_ids, g.nodes, oracle.side_nodes
+    at = oracle.at                      # each edge's position on the ht side
+    ht_end, opp_end = node_of[ht_pos::2], node_of[1 - ht_pos::2]
+    ht_nodes = [x for x, ds in enumerate(rotation) if ds[0] & 1 == ht_pos]
+    degree = [len(ds) for ds in rotation]
+    from_cut = [(e, cut) for e in ids]   # each edge's traversal records
+    from_far = [(e, far) for e in ids]
+    m, n = len(ids), len(nodes)
+    limit = 4 * m + 4
+    base = darts.base
+    runs = []
+    for f_key in keys:
         if paranoid:
-            return oracle._search(
-                f_key, frozenset(compress(ids, live)) - {ids[e]}) is not None
-        if not in_witness[e]:
-            return True
-        x, y = node_of[2 * e + ht_pos], node_of[2 * e + 1 - ht_pos]
-        if live_degree[x] <= f[nodes[x]] + 1 or live_degree[y] == 1:
-            return False
-        rest = bytearray(live)
-        rest[e] = 0
-        refuted = oracle.avoid(in_witness, rest, e)
-        if refuted and oracle.excess(f_key, refuted, rest) <= 0:
-            raise TheoremViolation(
-                f"edge {ids[e]!r} kept by a set that violates no rank inequality")
-        return not refuted
-
-    # if the base node is not cut-side, the base edge is pre-traversed from
-    # it and the walk starts with the edge following it at the far end
-    first_reached[g.base_node] = 0
-    c = darts.base
-    if c & 1 != cut_pos:
-        traverse(c)
-        c = succ[c ^ 1]
-
-    limit = 4 * len(ids) + 4
-    while not traversed[c]:  # a re-examination would re-traverse: stop right before
-        e = c >> 1
-        if seen_current[e]:
-            raise TheoremViolation(f"edge {ids[e]!r} became current twice")
-        seen_current[e] = 1
-        order.append(e)
-        live_before = live.count(1)
-
-        if removable(e):
-            if traversed[c ^ 1]:
-                raise TheoremViolation(f"kept/traversed edge {ids[e]!r} removed")
-            nxt = next_live(c)
-            if nxt == c:
-                raise AssertionError("removal isolated the current node")
-            live[e] = 0
-            live_degree[node_of[c]] -= 1
-            live_degree[node_of[c ^ 1]] -= 1
-            steps.append(BernardiStep(ids[e], "removed", live_before, ()))
-            c = nxt
+            if oracle._search(f_key, frozenset(ids)) is None:
+                raise ValueError("input vector is not a hypertree")
         else:
-            traverse(c)
-            d = next_live(c ^ 1)
-            if traversed[d]:
-                steps.append(BernardiStep(ids[e], "kept", live_before,
-                                          ((ids[e], cut),)))
-                break  # stop right before the second far-side traversal
-            traverse(d)
-            steps.append(BernardiStep(ids[e], "kept", live_before,
-                                      ((ids[e], cut), (ids[d >> 1], far))))
-            c = next_live(d ^ 1)
-        if len(order) > limit:
-            raise AssertionError("process failed to terminate")
+            member = family.get(f_key)
+            if member is None:
+                raise ValueError("input vector is not a hypertree")
+            witness = bytearray(member.tree)
+        live = bytearray([1]) * m
+        n_live = m
+        live_degree = degree[:]
+        traversed = bytearray(2 * m)    # by the dart a traversal leaves from
+        seen_current = bytearray(m)
+        parent = list(range(n))         # union-find of the traversed edges
+        steps: list[BernardiStep] = []
+        order: list[int] = []
+        first_reached = {g.base_node: 0}
 
-    if len(order) != len(ids):
-        raise TheoremViolation("some edge never became current")
-    # the traversed edges stay live and acyclic (checked online): one
-    # component of them spans, and the live edges are just these
-    if sum(p == x for x, p in enumerate(parent)) != 1 or \
-            live.count(1) != len(nodes) - 1:
-        raise TheoremViolation("final current graph is not a spanning tree")
-    if tuple(live_degree[x] - 1 for x, ds in enumerate(rotation)
-             if ds[0] & 1 == ht_pos) != f_key:
-        raise TheoremViolation("result tree does not realize the hypertree")
-    _check_arc_rule(g, order, cut_pos)
+        # if the base node is not cut-side, the base edge is pre-traversed
+        # from it (joining two roots) and the walk starts with the edge
+        # following it at the far end
+        c = base
+        if c & 1 != cut_pos:
+            traversed[c] = 1
+            parent[node_of[c ^ 1]] = node_of[c]
+            first_reached[nodes[node_of[c ^ 1]]] = 0
+            c = succ[c ^ 1]
 
-    return BernardiRun(
-        variant=variant, hypertree=tuple(sorted(f.items())), steps=tuple(steps),
-        result_tree=frozenset(compress(ids, live)),
-        current_edge_order=tuple(ids[e] for e in order), first_reached=first_reached)
+        # a dart is traversed only after the loop guard or the stop test
+        # below found it untraversed, so no traversal repeats
+        while not traversed[c]:  # a re-examination would re-traverse: stop right before
+            e = c >> 1
+            if seen_current[e]:
+                raise TheoremViolation(f"edge {ids[e]!r} became current twice")
+            seen_current[e] = 1
+            order.append(e)
+            now = len(order)
+
+            # does a realization avoid e?  Updates the witness
+            if paranoid:
+                removable = oracle._search(
+                    f_key, frozenset(compress(ids, live)) - {ids[e]}) is not None
+            elif not witness[e]:
+                removable = True
+            elif live_degree[ht_end[e]] <= f_key[at[e]] + 1 or \
+                    live_degree[opp_end[e]] == 1:
+                removable = False
+            else:
+                live[e] = 0             # the live graph without e, for the oracle
+                refuted = oracle.avoid(witness, live, e)
+                if refuted and oracle.excess(f_key, refuted, live) <= 0:
+                    raise TheoremViolation(
+                        f"edge {ids[e]!r} kept by a set that violates no rank inequality")
+                live[e] = 1
+                removable = not refuted
+
+            if removable:
+                if traversed[c ^ 1]:
+                    raise TheoremViolation(f"kept/traversed edge {ids[e]!r} removed")
+                nxt = succ[c]           # the next live dart around the node
+                while not live[nxt >> 1]:
+                    nxt = succ[nxt]
+                if nxt == c:
+                    raise AssertionError("removal isolated the current node")
+                live[e] = 0
+                live_degree[node_of[c]] -= 1
+                live_degree[node_of[c ^ 1]] -= 1
+                steps.append(BernardiStep(ids[e], "removed", n_live, ()))
+                n_live -= 1
+                c = nxt
+            else:
+                traversed[c] = 1
+                if not traversed[c ^ 1]:    # a new edge of the traversed subgraph
+                    a, b = node_of[c], node_of[c ^ 1]
+                    while parent[a] != a:
+                        a = parent[a]
+                    while parent[b] != b:
+                        b = parent[b]
+                    if a == b:
+                        raise TheoremViolation(
+                            f"traversed subgraph acquired a cycle at {ids[e]!r}")
+                    parent[b] = a
+                first_reached.setdefault(nodes[node_of[c ^ 1]], now)
+                d = succ[c ^ 1]
+                while not live[d >> 1]:
+                    d = succ[d]
+                if traversed[d]:
+                    steps.append(BernardiStep(ids[e], "kept", n_live, (from_cut[e],)))
+                    break  # stop right before the second far-side traversal
+                traversed[d] = 1
+                if not traversed[d ^ 1]:
+                    a, b = node_of[d], node_of[d ^ 1]
+                    while parent[a] != a:
+                        a = parent[a]
+                    while parent[b] != b:
+                        b = parent[b]
+                    if a == b:
+                        raise TheoremViolation(
+                            f"traversed subgraph acquired a cycle at {ids[d >> 1]!r}")
+                    parent[b] = a
+                first_reached.setdefault(nodes[node_of[d ^ 1]], now)
+                steps.append(BernardiStep(ids[e], "kept", n_live,
+                                          (from_cut[e], from_far[d >> 1])))
+                c = succ[d ^ 1]
+                while not live[c >> 1]:
+                    c = succ[c]
+            if now > limit:
+                raise AssertionError("process failed to terminate")
+
+        if len(order) != m:
+            raise TheoremViolation("some edge never became current")
+        # the traversed edges stay live and acyclic (checked online): one
+        # component of them spans, and the live edges are just these
+        if sum(map(eq, parent, range(n))) != 1 or n_live != n - 1:
+            raise TheoremViolation("final current graph is not a spanning tree")
+        if tuple(live_degree[x] - 1 for x in ht_nodes) != f_key:
+            raise TheoremViolation("result tree does not realize the hypertree")
+        _check_arc_rule(g, order, cut_pos)
+        runs.append(BernardiRun(
+            variant=variant, hypertree=tuple(zip(side_nodes, f_key)),
+            steps=tuple(steps), result_tree=frozenset(compress(ids, live)),
+            current_edge_order=tuple(map(ids.__getitem__, order)),
+            first_reached=first_reached))
+    return runs
 
 
 def _check_arc_rule(g: RibbonBipartiteGraph, order: list[int], cut_pos: int) -> None:
     """The current edges at each cut-side node follow its rotation from
-    the earliest (consecutive arc discipline): their current times descend
-    exactly once around it.  ``order`` lists every edge index once, by
-    current time; ``cut_pos`` is the dart parity at cut-side ends."""
-    succ, rotation = g._darts.succ, g._darts.rotation
-    rank = [0] * len(g.edge_ids)
-    for t, e in enumerate(order):
-        rank[e] = t
-    for x, ds in enumerate(rotation):
-        if ds[0] & 1 == cut_pos and sum(
-                rank[succ[d] >> 1] <= rank[d >> 1] for d in ds) != 1:
+    the earliest (consecutive arc discipline): each one after the first
+    comes right after the one before it around the node.  ``order`` lists
+    every edge index once, by current time; ``cut_pos`` is the dart
+    parity at cut-side ends."""
+    succ, node = g._darts.succ, g._darts.node
+    last = [-1] * len(g.nodes)   # the latest current dart at each node
+    for e in order:
+        d = 2 * e + cut_pos
+        x = node[d]
+        if last[x] >= 0 and succ[last[x]] != d:
             raise TheoremViolation(
                 f"current edges at {g.nodes[x]!r} broke the cyclic-order discipline")
+        last[x] = d
 
 
 def embedding_inactivities(g: RibbonBipartiteGraph, run: BernardiRun) -> tuple[int, int]:
     """(internal, external) inactivity of the run's hypertree against the
     class order that the run's current edges induce."""
     side = run.variant.ht_side
-    member = _member(g, side, dict(run.hypertree))
-    order = _order_positions(g, side, g.induced_order(side, run.current_edge_order))
+    oracle = _oracle(g, side)
+    names, key = zip(*run.hypertree)
+    if names != oracle.side_nodes:
+        raise ValueError(f"hypertree must be indexed by the {side} nodes")
+    member = oracle.family.get(key)
+    if member is None:
+        raise ValueError(f"not a hypertree on the {side} side: {dict(run.hypertree)}")
+    # class positions by the earliest current edge at each
+    order = list(dict.fromkeys(map(oracle.position.__getitem__, run.current_edge_order)))
+    if len(order) != len(names):
+        raise ValueError(f"a class order must list each {side} node once")
     return (len(_inactive(member, order, outgoing=True)),
             len(_inactive(member, order, outgoing=False)))
 
@@ -257,8 +308,7 @@ def bernardi_polynomials(g: RibbonBipartiteGraph, variant: ProcessVariant,
     """The (interior, exterior) embedding polynomials of ``variant``: one
     run per hypertree, or the given ``runs`` of ``variant``, in any order."""
     if runs is None:
-        runs = [run_bernardi(g, f, variant)
-                for f in enumerate_hypertrees(g, variant.ht_side)]
+        runs = bernardi_runs(g, variant)
     if any(run.variant != variant for run in runs):
         raise ValueError(f"runs must be runs of {variant}")
     pairs = [embedding_inactivities(g, run) for run in runs]

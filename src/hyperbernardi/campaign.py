@@ -21,8 +21,8 @@ from math import comb
 
 from . import __version__
 from .bernardi import (HT_E_CUT_E, HT_E_CUT_V, HT_V_CUT_E, HT_V_CUT_V,
-                       TheoremViolation, bernardi_polynomials,
-                       check_composition, run_bernardi)
+                       TheoremViolation, bernardi_polynomials, bernardi_runs,
+                       check_composition)
 from .docio import serialize_graph
 from .exactla import det_bareiss
 from .graph import EMERALD, VIOLET, RibbonBipartiteGraph
@@ -132,8 +132,7 @@ def _add_conjecture_checks(report: CampaignReport, g: RibbonBipartiteGraph,
         alt_order = sorted(g.emeralds, reverse=True)
         recheck_classical = (interior_polynomial if kind == "interior"
                              else exterior_polynomial)(g, EMERALD, order=alt_order)
-        paranoid = [run_bernardi(g, f, variant, paranoid=True)
-                    for f in enumerate_hypertrees(g, EMERALD)]
+        paranoid = bernardi_runs(g, variant, paranoid=True)
         reverified = bernardi_polynomials(g, variant, paranoid)[pick]
         report.add(name, FLAG,
                    expected=list(want.coeffs), got=list(got.coeffs),
@@ -189,7 +188,7 @@ def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
     try:
         for variant, family in ((HT_E_CUT_V, b_e), (HT_E_CUT_E, b_e),
                                 (HT_V_CUT_V, b_v), (HT_V_CUT_E, b_v)):
-            runs[variant] = [run_bernardi(g, f, variant) for f in family]
+            runs[variant] = bernardi_runs(g, variant)
             results = {run.result_tree for run in runs[variant]}
             outcome[str(variant)] = results
             if len(results) != len(family):
@@ -255,8 +254,8 @@ def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
 
     # composition theorems: the cut:E variants run once on the reversed
     # setup; the other outcomes are the well-definedness runs
-    rev_runs = {variant: [run_bernardi(rev, f, variant) for f in family]
-                for variant, family in ((HT_E_CUT_E, b_e), (HT_V_CUT_E, b_v))}
+    rev_runs = {variant: bernardi_runs(rev, variant)
+                for variant in (HT_E_CUT_E, HT_V_CUT_E)}
     ok = all(check_composition(g, runs, rev_runs).values())
     report.add("composition-theorems", PASS if ok else FAIL)
 
@@ -314,8 +313,8 @@ def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
 
 def fuzz_instance(seed: int, max_nodes: int = 4, max_edges: int = 10,
                   graphs_only: bool = False) -> list[dict]:
-    """check_conjectures on one seeded random instance: the checks that
-    did not pass, each tagged with the seed.  With ``graphs_only`` the
+    """The conjecture checks on one seeded random instance: the checks
+    that did not pass, each tagged with the seed.  With ``graphs_only`` the
     instance is the subdivision of an ordinary graph with at most
     ``max_edges // 2`` edges, so it has at most ``max_edges`` edges."""
     from .generators import random_bipartite, random_ordinary
@@ -326,13 +325,14 @@ def fuzz_instance(seed: int, max_nodes: int = 4, max_edges: int = 10,
                                 max_edges=max_edges // 2))
     else:
         g = random_bipartite(seed, max_nodes, max_nodes, max_edges)
-    return [dict(c, seed=seed) for c in check_conjectures(g).checks
-            if c["status"] != PASS]
+    report = CampaignReport()
+    _add_conjecture_checks(report, g)
+    return [dict(c, seed=seed) for c in report.checks if c["status"] != PASS]
 
 
 def fuzz_conjectures(seed_range, max_nodes: int = 4, max_edges: int = 10,
                      graphs_only: bool = False, mapper=map) -> CampaignReport:
-    """check_conjectures over seeded random instances; ``mapper`` (a
+    """The conjecture checks over seeded random instances; ``mapper`` (a
     process pool's ``map``, say) runs fuzz_instance over the seeds and
     must keep their order.  Bounds under which some seed's instance
     cannot be drawn are rejected before any instance runs."""

@@ -94,11 +94,11 @@ def _opposite(side: str) -> str:
 
 
 class _Member(NamedTuple):
-    """A hypertree f's realizing tree and its admissible unit transfers,
-    as bitmasks over the class's positions: bit y of ``out[x]`` when
-    f - 1_x + 1_y is a hypertree, bit y of ``inn[x]`` when f - 1_y + 1_x
-    is."""
-    tree: frozenset[str]
+    """A hypertree f's realizing tree, as a byte mask over edge indices,
+    and its admissible unit transfers, as bitmasks over the class's
+    positions: bit y of ``out[x]`` when f - 1_x + 1_y is a hypertree, bit
+    y of ``inn[x]`` when f - 1_y + 1_x is."""
+    tree: bytes
     out: tuple[int, ...]
     inn: tuple[int, ...]
 
@@ -167,6 +167,7 @@ class _Feasibility:
         self.parity = 0 if side == EMERALD else 1   # of a dart at this side's end
         at = {x: i for i, x in enumerate(self.side_nodes)}
         self.at = [at[g.edges[e][self.parity]] for e in g.edge_ids]
+        self.position = dict(zip(g.edge_ids, self.at))   # by edge name
         self.darts = g._darts
 
     def _search(self, f_key, live) -> frozenset[str] | None:
@@ -307,8 +308,7 @@ class _Feasibility:
                         raise AssertionError(f"exchanges gave no tree realizing {cand}")
                     trees[cand] = new
                     frontier.append(cand)
-            family[f] = _Member(frozenset(compress(g.edge_ids, tree)),
-                                tuple(out), tuple(inn))
+            family[f] = _Member(bytes(tree), tuple(out), tuple(inn))
         return family
 
     def avoid(self, tree: bytearray, live: bytearray, e: int) -> int:

@@ -49,3 +49,20 @@ def matching_fixture():
 @pytest.fixture(scope="session")
 def single_edge_fixture():
     return single_edge()
+
+
+@pytest.fixture
+def family_runs(monkeypatch):
+    """Each ``bernardi_runs`` call made during the test, as ((graph id,
+    variant, paranoid), the hypertrees of its runs in order)."""
+    from hyperbernardi import bernardi, campaign
+    calls = []
+    runs_of = bernardi.bernardi_runs
+
+    def recording(g, variant, paranoid=False):
+        runs = runs_of(g, variant, paranoid)
+        calls.append(((id(g), variant, paranoid), [run.hypertree for run in runs]))
+        return runs
+    for module in (bernardi, campaign):
+        monkeypatch.setattr(module, "bernardi_runs", recording)
+    return calls

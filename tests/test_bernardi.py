@@ -1,16 +1,19 @@
 """The four Bernardi processes, embedding activities, and compositions."""
 
 import random
+from collections import Counter
 from dataclasses import replace
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperbernardi.bernardi import (HT_E_CUT_E, HT_E_CUT_V, HT_V_CUT_E,
-                                    HT_V_CUT_V, VARIANTS, ProcessVariant,
-                                    TheoremViolation, _check_arc_rule,
-                                    bernardi_polynomials, check_composition,
+                                    HT_V_CUT_V, VARIANTS, BernardiStep,
+                                    ProcessVariant, TheoremViolation,
+                                    _check_arc_rule, bernardi_polynomials,
+                                    bernardi_runs, check_composition,
                                     embedding_inactivities,
                                     graph_specialization_check, run_bernardi)
 from hyperbernardi.fixtures import c4
@@ -97,6 +100,21 @@ def test_embedding_inactivities_tree_graph():
                              {"a": ("e0", "v0"), "b": ("e0", "v1")}, None,
                              base_node="v0", base_edge="a")
     assert embedding_inactivities(g, run_bernardi(g, {"e0": 1}, HT_E_CUT_E)) == (0, 0)
+
+
+def test_embedding_inactivities_reject_foreign_runs(running_fixture, c4_fixture):
+    """A run whose hypertree is indexed by other nodes, is no hypertree,
+    or whose current edges miss a class node is refused."""
+    g = running_fixture.graph
+    run = bernardi_runs(g, HT_E_CUT_E)[0]
+    with pytest.raises(ValueError, match="indexed by the emerald nodes"):
+        embedding_inactivities(g, bernardi_runs(c4_fixture.graph, HT_E_CUT_E)[0])
+    zero = replace(run, hypertree=tuple((x, 0) for x, _ in run.hypertree))
+    with pytest.raises(ValueError, match="not a hypertree"):
+        embedding_inactivities(g, zero)
+    partial = replace(run, current_edge_order=run.current_edge_order[:1])
+    with pytest.raises(ValueError, match="a class order must list each emerald node"):
+        embedding_inactivities(g, partial)
 
 
 def test_bernardi_interior_equals_interior(running_fixture, c4_fixture,
@@ -256,20 +274,31 @@ def oracle_instances():
 
 
 def assert_runs_equal_reference(g):
-    """Fast and paranoid runs on ``g`` and on its reversed setup make the
-    records of the name-keyed reference walk, which searches every step."""
+    """Fast and paranoid runs on ``g`` and on its reversed setup, over
+    each family at once and one hypertree at a time, make the records of
+    the name-keyed reference walk, which searches every step; the
+    embedding polynomials count the runs' embedding inactivities."""
     for setup in (g, g.reversed_setup()):
         for variant in VARIANTS:
-            for f in enumerate_hypertrees(setup, variant.ht_side):
-                want = reference_run(setup, f, variant)
-                for paranoid in (False, True):
-                    got = run_bernardi(setup, f, variant, paranoid)
-                    case = (setup.base_edge, variant, f, paranoid)
-                    assert got.steps == want.steps, case
-                    assert got.current_edge_order == want.current_edge_order, case
-                    assert got.result_tree == want.result_tree, case
-                    assert list(got.first_reached.items()) == \
-                        list(want.first_reached.items()), case
+            family = enumerate_hypertrees(setup, variant.ht_side)
+            wants = [reference_run(setup, f, variant) for f in family]
+            for paranoid in (False, True):
+                batch = bernardi_runs(setup, variant, paranoid)
+                assert len(batch) == len(family)
+                for f, want, got in zip(family, wants, batch):
+                    one = run_bernardi(setup, f, variant, paranoid)
+                    for run in (got, one):
+                        case = (setup.base_edge, variant, f, paranoid, run is got)
+                        assert run.variant == want.variant, case
+                        assert run.hypertree == want.hypertree, case
+                        assert run.steps == want.steps, case
+                        assert run.current_edge_order == want.current_edge_order, case
+                        assert run.result_tree == want.result_tree, case
+                        assert list(run.first_reached.items()) == \
+                            list(want.first_reached.items()), case
+            pairs = [embedding_inactivities(setup, run) for run in wants]
+            assert bernardi_polynomials(setup, variant) == (
+                Poly.counting(i for i, _ in pairs), Poly.counting(e for _, e in pairs))
 
 
 def test_paranoid_mode_agrees():
@@ -288,10 +317,38 @@ def test_paranoid_mode_agrees_drawn_seed(seed, graphs_only):
     assert_runs_equal_reference(g)
 
 
+def test_runs_check_the_arc_rule(monkeypatch, running_fixture):
+    """Every run, over a family or alone, fast or paranoid, checks its
+    own current-edge order against the arc rule, once."""
+    from hyperbernardi import bernardi
+    checked = []
+    monkeypatch.setattr(bernardi, "_check_arc_rule",
+                        lambda g, order, cut_pos: checked.append((list(order), cut_pos)))
+    g = running_fixture.graph
+    for variant in VARIANTS:
+        cut_pos = 0 if variant.cut_side == EMERALD else 1
+        for paranoid in (False, True):
+            checked.clear()
+            runs = bernardi_runs(g, variant, paranoid)
+            runs += [run_bernardi(g, dict(run.hypertree), variant, paranoid)
+                     for run in runs]
+            assert checked == [([g.edge_ids.index(e) for e in run.current_edge_order],
+                                cut_pos) for run in runs]
+
+
+def test_bernardi_step_is_an_immutable_named_tuple():
+    step = BernardiStep("c1", "kept", 4, (("c1", VIOLET), ("c2", EMERALD)))
+    assert BernardiStep._fields == ("edge", "decision", "live_before", "traversals")
+    assert step == ("c1", "kept", 4, (("c1", VIOLET), ("c2", EMERALD)))
+    assert step.live_before == 4
+    with pytest.raises(AttributeError):
+        step.edge = "c2"
+
+
 def test_arc_rule_names_the_node(running_fixture):
     """The consecutive-arc check passes each run's current-edge order and
     names the cut-side node whose current edges leave its rotation; on
-    the star each leaf's one edge makes one descent around it."""
+    the star each leaf has one edge, which follows itself."""
     star = RibbonBipartiteGraph(
         ["hub"], [f"v{i}" for i in range(4)],
         {f"s{i}": ("hub", f"v{i}") for i in range(4)},
@@ -311,6 +368,43 @@ def test_arc_rule_names_the_node(running_fixture):
     order[i], order[j] = order[j], order[i]
     with pytest.raises(TheoremViolation, match="current edges at 'e3' broke"):
         _check_arc_rule(g, order, 0)
+
+
+def test_arc_rule_is_one_descent_per_rotation(running_fixture, knot_fixture):
+    """An order passes the consecutive-arc check exactly when, around each
+    cut-side rotation, the current times descend once, on run orders and
+    on shuffled orders that keep all but one node's current edges in
+    rotation order."""
+    rng = random.Random(3)
+    outcomes = set()
+    for g in (running_fixture.graph, knot_fixture.graph, c4().graph):
+        succ, rotation = g._darts.succ, g._darts.rotation
+        for variant in VARIANTS:
+            cut_pos = 0 if variant.cut_side == EMERALD else 1
+            orders = [[g.edge_ids.index(e) for e in run.current_edge_order]
+                      for run in bernardi_runs(g, variant)]
+            for base in list(orders):
+                for _ in range(20):
+                    order = list(base)
+                    ds = rng.choice([ds for ds in rotation if ds[0] & 1 == cut_pos])
+                    times = sorted(order.index(d >> 1) for d in ds)
+                    shuffled = [d >> 1 for d in ds]
+                    rng.shuffle(shuffled)
+                    for t, e in zip(times, shuffled):
+                        order[t] = e
+                    orders.append(order)
+            for order in orders:
+                rank = {e: t for t, e in enumerate(order)}
+                once = all(sum(rank[succ[d] >> 1] <= rank[d >> 1] for d in ds) == 1
+                           for ds in rotation if ds[0] & 1 == cut_pos)
+                try:
+                    _check_arc_rule(g, order, cut_pos)
+                except TheoremViolation:
+                    assert not once, (variant, order)
+                else:
+                    assert once, (variant, order)
+                outcomes.add(once)
+    assert outcomes == {True, False}
 
 
 def test_search_returns_realizations(monkeypatch):
@@ -353,14 +447,16 @@ def test_search_returns_realizations(monkeypatch):
 
 def test_family_maps_hypertrees_to_realizations():
     """Each member of the family is mapped to a spanning tree that
-    realizes it."""
+    realizes it, given as a byte mask over the edge indices."""
     for g in oracle_instances():
         for side in (EMERALD, VIOLET):
             family = _family(g, side)
             assert family
             for key, member in family.items():
-                assert g.is_spanning_tree(member.tree)
-                vals = g.degree_vector(member.tree, side)
+                assert len(member.tree) == len(g.edge_ids)
+                tree = frozenset(compress(g.edge_ids, member.tree))
+                assert g.is_spanning_tree(tree)
+                vals = g.degree_vector(tree, side)
                 assert tuple(vals[x] for x in g.side_nodes(side)) == key
 
 
@@ -436,24 +532,20 @@ def test_kept_steps_carry_violated_rank_inequalities(monkeypatch):
             run_bernardi(g, f, variant)
 
 
-def test_check_conjectures_runs_each_variant_once(monkeypatch):
-    from hyperbernardi import bernardi, campaign
+def test_check_conjectures_runs_each_variant_once(family_runs):
+    """Each ht:E variant runs over the emerald family once, and no
+    hypertree runs twice."""
     from hyperbernardi.campaign import PASS, check_conjectures
-    calls = []
-    run = bernardi.run_bernardi
-
-    def counting(g, f, variant, paranoid=False):
-        calls.append((variant, tuple(sorted(f.items())), paranoid))
-        return run(g, f, variant, paranoid)
-    for module in (bernardi, campaign):
-        monkeypatch.setattr(module, "run_bernardi", counting)
     for seed in range(5):
         g = random_bipartite(seed, 4, 4, 10)
-        calls.clear()
+        family_runs.clear()
         report = check_conjectures(g)
         assert all(c["status"] == PASS for c in report.checks)
-        assert len(calls) == 2 * len(enumerate_hypertrees(g, EMERALD))
-        assert len(set(calls)) == len(calls)
+        assert Counter(family for family, _ in family_runs) == \
+            Counter([(id(g), HT_E_CUT_V, False), (id(g), HT_E_CUT_E, False)])
+        assert all(len(set(hts)) == len(hts) for _, hts in family_runs)
+        assert sum(len(hts) for _, hts in family_runs) == \
+            2 * len(enumerate_hypertrees(g, EMERALD))
 
 
 def renamed(g, node_names, edge_names):

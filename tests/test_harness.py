@@ -183,27 +183,25 @@ def test_volume_check_reads_dissection_and_sweep(monkeypatch):
     assert (short["volumes"], short["trees"]) == ([1], check["trees"] - 1)
 
 
-def test_campaign_reuses_runs(monkeypatch):
+def test_campaign_reuses_runs(family_runs):
     """Runs from well-definedness feed the interior theorem, the T-order
     check, the compositions and the conjectures; only the two cut:E
     variants run again, on the reversed setup."""
-    from hyperbernardi import bernardi, campaign
-    from hyperbernardi.hypertree import enumerate_hypertrees
-    calls = []
-    run = bernardi.run_bernardi
+    from collections import Counter
 
-    def counting(g, f, variant, paranoid=False):
-        calls.append((id(g), variant, tuple(sorted(f.items()))))
-        return run(g, f, variant, paranoid)
-    for module in (bernardi, campaign):
-        monkeypatch.setattr(module, "run_bernardi", counting)
+    from hyperbernardi.bernardi import HT_E_CUT_E, HT_V_CUT_E, VARIANTS
+    from hyperbernardi.hypertree import enumerate_hypertrees
     g = running_graph().graph
     rep = campaign_verify_all(g)
     assert not rep.failed and not rep.flagged, rep.summary()
     # four variants on g, two on its reversed setup, none repeated
-    assert len(calls) == 6 * len(enumerate_hypertrees(g, "emerald"))
-    assert len(set(calls)) == len(calls)
-    assert {graph for graph, _, _ in calls} == {id(g), id(g.reversed_setup())}
+    rev = g.reversed_setup()
+    assert Counter(family for family, _ in family_runs) == Counter(
+        [(id(g), v, False) for v in VARIANTS] +
+        [(id(rev), v, False) for v in (HT_E_CUT_E, HT_V_CUT_E)])
+    assert all(len(set(hts)) == len(hts) for _, hts in family_runs)
+    assert sum(len(hts) for _, hts in family_runs) == \
+        6 * len(enumerate_hypertrees(g, "emerald"))
 
 
 def test_campaign_builds_one_shelling_record(monkeypatch):
@@ -628,13 +626,12 @@ def test_cli_fuzz_bounds_checked_before_any_instance(monkeypatch, capsys):
     from hyperbernardi import cli
     checked = []
 
-    def recorder(g):
+    def recorder(report, g, runs=None):
         checked.append(len(g.edge_ids))
-        return campaign.CampaignReport()
 
     def no_pool(processes):
         raise AssertionError("worker pool started before the bounds were checked")
-    monkeypatch.setattr(campaign, "check_conjectures", recorder)
+    monkeypatch.setattr(campaign, "_add_conjecture_checks", recorder)
     monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     for argv, option in ((("--max-nodes", "0"), "--max-nodes"),
                          (("--max-nodes", "1", "--graphs-only"), "--max-nodes"),

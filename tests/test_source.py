@@ -37,14 +37,15 @@ def test_no_unused_imports():
     assert {name: found for name, found in unused.items() if found} == {}
 
 
-def search_calls(source: str) -> list[tuple[str, bool]]:
-    """Each ``._search(`` call in a module: its outermost enclosing
-    function, and whether it lies in the body of an ``if paranoid:``."""
+def calls_to(source: str, name: str) -> list[tuple[str, bool]]:
+    """Each call of ``name``, plain or as an attribute, in a module: its
+    outermost enclosing function, and whether it lies in the body of an
+    ``if paranoid:``."""
     calls = []
 
     def visit(node, function, paranoid):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
-                and node.func.attr == "_search":
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "attr", None),
+                                                   getattr(node.func, "id", None)):
             calls.append((function, paranoid))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and function is None:
             function = node.name
@@ -64,7 +65,7 @@ def search_calls(source: str) -> list[tuple[str, bool]]:
 # the backtracking search is the independent oracle: it may run in a
 # paranoid Bernardi run and in the public membership test, and nowhere
 # on the fast paths
-ALLOWED_SEARCH_CALLS = {("run_bernardi", True), ("is_hypertree", False)}
+ALLOWED_SEARCH_CALLS = {("_walk", True), ("is_hypertree", False)}
 
 
 def test_search_calls_detected():
@@ -77,15 +78,29 @@ def test_search_calls_detected():
               "        o._search(3)\n"
               "    return removable() if paranoid else o._search(4)\n"
               "o._search(5)\n")
-    assert search_calls(source) == [("run_bernardi", True), ("run_bernardi", False),
-                                    ("run_bernardi", False), ("run_bernardi", False),
-                                    (None, False)]
+    assert calls_to(source, "_search") == [
+        ("run_bernardi", True), ("run_bernardi", False), ("run_bernardi", False),
+        ("run_bernardi", False), (None, False)]
+    assert calls_to("def f():\n    run_bernardi(g)\nhb.run_bernardi(g)\n",
+                    "run_bernardi") == [("f", False), (None, False)]
 
 
 def test_hot_path_makes_no_search():
     modules = sorted(PACKAGE.glob("*.py"))
-    calls = {p.name: search_calls(p.read_text(encoding="utf-8")) for p in modules}
+    calls = {p.name: calls_to(p.read_text(encoding="utf-8"), "_search")
+             for p in modules}
     assert {name: [c for c in found if c not in ALLOWED_SEARCH_CALLS]
             for name, found in calls.items()
             if set(found) - ALLOWED_SEARCH_CALLS} == {}
     assert {c for found in calls.values() for c in found} == ALLOWED_SEARCH_CALLS
+
+
+def test_families_run_through_bernardi_runs():
+    """A run over a whole hypertree family goes through ``bernardi_runs``,
+    which sets the walk up once; single runs remain only for the graph
+    specialization check and the CLI's one-hypertree command."""
+    callers = {(p.name, function) for p in PACKAGE.glob("*.py")
+               for function, _ in calls_to(p.read_text(encoding="utf-8"),
+                                           "run_bernardi")}
+    assert callers == {("bernardi.py", "graph_specialization_check"),
+                       ("cli.py", "cmd_bernardi")}
