@@ -17,6 +17,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import compress
 from math import comb
 
 from . import __version__
@@ -28,8 +29,8 @@ from .exactla import det_bareiss
 from .graph import EMERALD, VIOLET, RibbonBipartiteGraph
 from .hypertree import (enumerate_hypertrees, exterior_polynomial,
                         interior_polynomial)
-from .jaeger import (ECUT, VCUT, characterize_tree, enumerate_jaeger_trees,
-                     jaeger_cuts, shelling, t_order)
+from .jaeger import (ECUT, VCUT, _tour_cuts, characterize_tree,
+                     enumerate_jaeger_trees, shelling, t_order)
 from .polytope import (ehrhart_fit, ehrhart_values, ehrhart_values_scan,
                        geometric_shelling_check, kato_series_check,
                        normalized_simplex_volume, shelling_h_vector,
@@ -102,17 +103,21 @@ def check_conjectures(g: RibbonBipartiteGraph, runs=None) -> CampaignReport:
 
 
 def _add_conjecture_checks(report: CampaignReport, g: RibbonBipartiteGraph,
-                           runs=None) -> None:
+                           runs=None, interior=None, exterior=None) -> None:
     """Add the cut-at-violet interior conjecture and both exterior
     variants to ``report``.
 
     Each ht:E variant runs once per hypertree, unless ``runs`` maps it
-    to its runs.  Mismatches are flagged, never failed, and only after
-    re-verifying both sides: the classical polynomial under a different
-    order, and the embedding polynomial from paranoid runs.
+    to its runs; the emerald interior and exterior polynomials are
+    computed here unless given.  Mismatches are flagged, never failed,
+    and only after re-verifying both sides: the classical polynomial
+    under a different order, and the embedding polynomial from paranoid
+    runs.
     """
-    interior = interior_polynomial(g, EMERALD)
-    exterior = exterior_polynomial(g, EMERALD)
+    if interior is None:
+        interior = interior_polynomial(g, EMERALD)
+    if exterior is None:
+        exterior = exterior_polynomial(g, EMERALD)
 
     runs = runs or {}
     embedding = {v: bernardi_polynomials(g, v, runs.get(v))
@@ -203,14 +208,19 @@ def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
     report.add("bernardi-interior-theorem",
                PASS if bernardi_e[0] == interior else FAIL)
 
-    # one pass over all spanning trees feeds both recognitions; only the
-    # recognized trees and the number of trees visited are kept
+    # one pass over all spanning trees, as the sweep's in-tree flags,
+    # feeds both recognitions; only the recognized trees and the number
+    # of trees visited are kept
     recognized: dict[str, set] = {VCUT: set(), ECUT: set()}
     swept = 0
-    for t in g.spanning_trees():
+    darts, ids = g._darts, g.edge_ids
+    for mask in g._spanning_masks():
         swept += 1
-        for cut in jaeger_cuts(g, t):
-            recognized[cut].add(t)
+        cuts = _tour_cuts(darts, mask)
+        if cuts:
+            t = frozenset(compress(ids, mask))
+            for cut in cuts:
+                recognized[cut].add(t)
 
     vcut = enumerate_jaeger_trees(g, VCUT)
     ecut = enumerate_jaeger_trees(g, ECUT)
@@ -306,7 +316,7 @@ def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
                        PASS if kato_series_check(interior.coeffs, g, kmax, values)
                        else FAIL, order=kmax)
 
-    _add_conjecture_checks(report, g, runs)
+    _add_conjecture_checks(report, g, runs, interior, exterior)
     report.elapsed_s = time.perf_counter() - t0
     return report
 

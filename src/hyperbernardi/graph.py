@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Set
 from functools import cached_property
+from itertools import compress
 from typing import NamedTuple
 
 from .exactla import det_bareiss
@@ -208,7 +209,15 @@ class RibbonGraph:
     # -- spanning trees --------------------------------------------------
 
     def spanning_trees(self):
-        """All spanning trees, lexicographic by sorted edge-id tuples.
+        """All spanning trees, lexicographic by sorted edge-id tuples."""
+        ids = self.edge_ids
+        for mask in self._spanning_masks():
+            yield frozenset(compress(ids, mask))
+
+    def _spanning_masks(self):
+        """The spanning trees of ``spanning_trees``, in its order, each as
+        the sweep's own in-tree flags over ``edge_ids``: one bytearray,
+        valid until the next step.
 
         Grows forests in one frame over node indices, taking each next
         edge in ``edge_ids`` order among those that join two components
@@ -217,37 +226,40 @@ class RibbonGraph:
         under another and pushes that root on the undo trail;
         backtracking unlinks the last root and goes on after its edge.
         """
-        ids, node = self.edge_ids, self._darts.node
+        m, node = len(self.edge_ids), self._darts.node
         need = len(self.nodes) - 1
         parent = list(range(len(self.nodes)))
         size = [1] * len(self.nodes)
-        taken: list[str] = []
+        in_tree = bytearray(m)
         trail: list[tuple[int, int]] = []   # (edge index, root it linked)
+        last = m - need   # the last edge index that leaves enough to span
         i = 0
         while True:
-            if i <= len(ids) - need + len(taken):
+            if i <= last:
                 a, b = node[2 * i], node[2 * i + 1]
                 while parent[a] != a:
                     a = parent[a]
                 while parent[b] != b:
                     b = parent[b]
                 if a != b:
-                    taken.append(ids[i])
-                    if len(taken) == need:
-                        yield frozenset(taken)
-                        taken.pop()
+                    in_tree[i] = 1
+                    if last == m - 1:   # the tree needs no edge after this one
+                        yield in_tree
+                        in_tree[i] = 0
                     else:
                         if size[a] < size[b]:
                             a, b = b, a
                         parent[b] = a
                         size[a] += size[b]
                         trail.append((i, b))
+                        last += 1
                 i += 1
                 continue
             if not trail:
                 return
-            taken.pop()
             i, b = trail.pop()
+            last -= 1
+            in_tree[i] = 0
             a = parent[b]
             parent[b] = b
             size[a] -= size[b]

@@ -31,7 +31,6 @@ runs and the tests use it.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cached_property
 from itertools import combinations, compress
 from typing import NamedTuple
@@ -78,8 +77,12 @@ class Poly:
     @classmethod
     def counting(cls, exponents) -> "Poly":
         """The polynomial whose x^k coefficient counts k in ``exponents``."""
-        counts = Counter(exponents)
-        return cls([counts[k] for k in range(max(counts, default=0) + 1)])
+        counts: list[int] = []
+        for k in exponents:
+            if k >= len(counts):
+                counts += [0] * (k + 1 - len(counts))
+            counts[k] += 1
+        return cls(counts)
 
 
 def _side_key(g: RibbonBipartiteGraph, side: str, f: dict[str, int]):

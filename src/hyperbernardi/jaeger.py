@@ -20,32 +20,42 @@ VCUT = VIOLET
 ECUT = EMERALD
 
 
-def jaeger_cuts(g: RibbonBipartiteGraph, tree: frozenset[str]) -> frozenset[str]:
-    """The cuts (VCUT, ECUT) for which ``tree`` is a Jaeger tree, from
-    one tour over the dart table: a non-tree edge first skipped at its
-    emerald end (an even dart) rules out the V cut, one first skipped at
-    its violet end the E cut.  The tour stops once both are ruled out.
-    ``tree`` must be a spanning tree; is_jaeger_tree checks it."""
-    darts, ids = g._darts, g.edge_ids
+# the cuts still open after a tour, indexed by flags: bit 0 the V cut,
+# bit 1 the E cut
+_OPEN_CUTS = (frozenset(), frozenset({VCUT}), frozenset({ECUT}),
+              frozenset({VCUT, ECUT}))
+
+
+def _tour_cuts(darts, mask) -> frozenset[str]:
+    """The cuts (VCUT, ECUT) for which the spanning tree with in-tree
+    flags ``mask`` over the edge indices is a Jaeger tree, from one tour
+    over the dart table: a non-tree edge first skipped at its emerald end
+    (an even dart) rules out the V cut, one first skipped at its violet
+    end the E cut.  The tour stops once both are ruled out."""
     succ, twin, edge_of = darts.succ, darts.twin, darts.edge
-    seen = bytearray(len(ids))
-    alive = [True, True]  # V cut, E cut: an even dart rules out the first
+    seen = bytearray(len(mask))
+    flags = 3
     start = d = darts.base
     for _ in succ:
         i = edge_of[d]
-        if ids[i] in tree:
+        if mask[i]:
             d = twin[d]
         elif not seen[i]:
             seen[i] = 1
-            alive[d & 1] = False
-            if not (alive[0] or alive[1]):
-                return frozenset()
+            flags &= 2 >> (d & 1)   # an even dart clears bit 0, an odd bit 1
+            if not flags:
+                return _OPEN_CUTS[0]
         d = succ[d]
         if d == start:
-            break
-    else:
-        raise AssertionError("tour failed to close")
-    return frozenset(cut for cut, ok in zip((VCUT, ECUT), alive) if ok)
+            return _OPEN_CUTS[flags]
+    raise AssertionError("tour failed to close")
+
+
+def jaeger_cuts(g: RibbonBipartiteGraph, tree: frozenset[str]) -> frozenset[str]:
+    """The cuts (VCUT, ECUT) for which ``tree`` is a Jaeger tree: each
+    non-tree edge must be first skipped at the cut-colored end.  ``tree``
+    must be a spanning tree; is_jaeger_tree checks it."""
+    return _tour_cuts(g._darts, bytearray(e in tree for e in g.edge_ids))
 
 
 def is_jaeger_tree(g: RibbonBipartiteGraph, tree: frozenset[str], cut: str) -> bool:

@@ -10,10 +10,13 @@ dissection's trees; in a search's discovery order every spanning
 tree's rows are unit triangular, so every tree simplex is unimodular),
 Ehrhart counting (dilate points packed into one int each), the
 lattice-scan oracle (the same integer peel on the points of k*Q_G),
-the binomial-basis fit (a unit triangular system) and the +/-1
-separating functionals that certify pairwise interior-disjointness of
-a dissection.  Facet coverage for shelling orders runs over
-``Fraction``.
+the binomial-basis fit (a unit triangular system), and the +/-1
+functional of a tree's cut side (node bitmasks read off the dart
+table).  That one functional certifies pairwise interior-disjointness
+of a dissection and sorts the trees sharing a facet onto its two
+sides, which decides a triangulation by a local facet-neighbour check
+instead of a test on every pair of trees.  Facet coverage for shelling
+orders runs over ``Fraction``.
 
 Parallel edges collapse to one polytope vertex, so the geometric
 operations require a simple bipartite graph.
@@ -22,13 +25,12 @@ operations require a simple bipartite graph.
 from __future__ import annotations
 
 from fractions import Fraction
-from graphlib import CycleError, TopologicalSorter
-from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from .bernardi import TheoremViolation
 from .exactla import det_bareiss
-from .graph import EMERALD, VIOLET, RibbonBipartiteGraph, UnionFind
+from .graph import EMERALD, VIOLET, RibbonBipartiteGraph
 from .hypertree import Poly, enumerate_hypertrees
 
 Point = tuple[Fraction, ...]
@@ -126,49 +128,103 @@ class TreeSimplex:
         return low > 0 if strict else low >= 0
 
 
-def trees_compatible(g: RibbonBipartiteGraph, t1: frozenset[str],
-                     t2: frozenset[str]) -> bool:
-    """Whether the two tree simplices meet in a common face (Postnikov
-    2009, section 12): with the shared edges contracted, t1-only edges
-    oriented emerald to violet and t2-only edges violet to emerald must
-    form an acyclic digraph."""
-    _require_simple(g)
-    uf = UnionFind(g.nodes)
-    for e in t1 & t2:
-        uf.union(*g.edges[e])
-    preds: dict[str, set] = {}
-    for e in t1 ^ t2:
-        emerald, violet = (uf.find(x) for x in g.edges[e])
-        tail, head = (emerald, violet) if e in t1 else (violet, emerald)
-        preds.setdefault(head, set()).add(tail)
-    try:
-        TopologicalSorter(preds).prepare()
-    except CycleError:
-        return False
-    return True
+def _cut_values(g: RibbonBipartiteGraph, tree: frozenset[str]) -> dict[str, dict[str, int]]:
+    """For each edge e of a spanning tree, the +/-1 functional of its cut
+    on every edge.  With S the component of tree - e that holds e's
+    emerald end, a node weighs +1 when it is an emerald in S or a violet
+    off it, and -1 otherwise; an edge takes the sum of its ends.  That is
+    2 on e and on the cut edges oriented like e, -2 on the opposite cut
+    edges and 0 on every other edge, tree - e among them.  The sides are
+    node bitmasks, from one search over the tree on the dart table and
+    one pass back up it."""
+    darts, ids = g._darts, g.edge_ids
+    node, rotation = darts.node, darts.rotation
+    n = len(rotation)
+    upward = [-1] * n   # the dart at each node of the tree edge to its parent
+    order = [0]
+    for x in order:
+        for d in rotation[x]:
+            y = node[d ^ 1]
+            if y and upward[y] < 0 and ids[d >> 1] in tree:
+                upward[y] = d ^ 1
+                order.append(y)
+    if len(order) != n or len(tree) != n - 1:
+        raise ValueError("not a spanning tree")
+    ends = list(zip(ids, node[0::2], node[1::2]))   # (edge, emerald, violet)
+    below = [1 << x for x in range(n)]
+    values = {}
+    for y in reversed(order[1:]):
+        d = upward[y]
+        below[node[d ^ 1]] |= below[y]
+        # y is the edge's emerald end when its dart there is even
+        side = ((1 << n) - 1) ^ below[y] if d & 1 else below[y]
+        values[ids[d >> 1]] = {f: 2 * ((side >> a & 1) - (side >> b & 1))
+                               for f, a, b in ends}
+    return values
+
+
+def _separates(value: dict[str, int], earlier, later, eps: str) -> bool:
+    """The pair certificate: ``value``, the functional of eps's cut in
+    the later tree, is 2 on eps, 0 on the later tree's other edges and
+    at most 0 on the earlier tree's edges."""
+    return (value[eps] == 2 and all(value[e] == 0 for e in later if e != eps)
+            and all(value[e] <= 0 for e in earlier))
 
 
 def certify_disjoint_interiors(g: RibbonBipartiteGraph,
                                earlier: frozenset[str], later: frozenset[str],
                                eps: str) -> bool:
     """Check the separating-functional certificate for an ordered pair of
-    trees whose tours diverge at ``eps`` (an edge of the later tree).
+    trees whose tours diverge at ``eps`` (an edge of the later tree): the
+    functional of eps's cut in the later tree (``_cut_values``) must be
+    2 on eps, 0 on the other later-tree edges and at most 0 on the
+    earlier tree's edges."""
+    if eps not in later:
+        raise ValueError("tree cut needs a tree edge")
+    return _separates(_cut_values(g, later)[eps], earlier, later, eps)
 
-    The functional weighs a node +1 when it is an emerald outside, or a
-    violet inside, the component of eps's violet end in later - eps, and
-    -1 otherwise; an edge takes the sum of its ends.  It must be 2 on
-    eps, 0 on the other later-tree edges and at most 0 on the earlier
-    tree's edges."""
-    side = g.base_side(later, eps)
-    inside = g.violet_end(eps) in side
-    weight = {x: 1 if (x in side) == inside else -1 for x in g.violets}
-    weight.update({x: -1 if (x in side) == inside else 1 for x in g.emeralds})
 
-    def value(e: str) -> int:
-        return sum(weight[x] for x in g.edges[e])
+class Facet(NamedTuple):
+    """The facet conv(T - e) of the simplex of tree ``tree`` (an index
+    into the set) opposite its edge ``edge``, and the trees of the set
+    that share it: ``across`` on the other side of its hyperplane,
+    ``beside`` on the tree's own side.  ``interior`` when some spanning
+    tree of the graph lies across, that is when the facet is not on the
+    boundary of Q_G."""
+    tree: int
+    edge: str
+    across: tuple[int, ...]
+    beside: tuple[int, ...]
+    interior: bool
 
-    return (value(eps) == 2 and all(value(e) == 0 for e in later if e != eps)
-            and all(value(e) <= 0 for e in earlier))
+
+def facet_neighbours(g: RibbonBipartiteGraph, trees) -> list[Facet]:
+    """Every facet of every tree simplex in ``trees``, with the trees of
+    the set that share it.
+
+    The trees sharing the facet conv(T - e) are T - e + e' for the other
+    edges e' across the cut of e in T.  The functional of that cut
+    (``_cut_values``) is 0 on T - e, 2 on e and on the cut edges oriented
+    like e, and -2 on the opposite ones: T - e + e' lies across the facet
+    exactly when e' is opposite, on T's own side otherwise.  With no
+    opposite edge the facet is on the boundary of Q_G.
+    """
+    _require_simple(g)
+    trees = [frozenset(t) for t in trees]
+    position = {t: k for k, t in enumerate(trees)}
+    out = []
+    for k, tree in enumerate(trees):
+        for e, value in sorted(_cut_values(g, tree).items()):
+            across, beside, interior = [], [], False
+            for f, v in value.items():
+                if v == 0 or f == e:
+                    continue
+                interior = interior or v < 0
+                other = position.get(tree - {e} | {f})
+                if other is not None:
+                    (across if v < 0 else beside).append(other)
+            out.append(Facet(k, e, tuple(across), tuple(beside), interior))
+    return out
 
 
 def verify_dissection(g: RibbonBipartiteGraph, steps) -> dict:
@@ -179,7 +235,20 @@ def verify_dissection(g: RibbonBipartiteGraph, steps) -> dict:
     Checks that the tree count matches both hypertree counts, that each
     emerald and violet marker lies strictly inside exactly one simplex,
     and that tour-divergence functionals certify pairwise
-    interior-disjointness.
+    interior-disjointness; together these make ``is_dissection``.
+
+    ``is_triangulation`` replaces the pair certificates by a local check
+    on facet neighbours (``facet_neighbours``): every interior facet of
+    every simplex has exactly one neighbour across it in the set, and no
+    facet has one on its own side.  Then the covering number, the number
+    of simplices of the set that hold a point, does not change where a
+    generic path crosses a facet, so it is constant on the generic
+    points of Q_G.  Every tree simplex is unimodular, and the normalized
+    volume of Q_G is its hypertree count (Postnikov 2009, section 12),
+    so matching counts make that constant one, as does a marker held
+    by one simplex.  A set of full-dimensional simplices with this
+    pseudo-manifold property and covering number one is a triangulation
+    (De Loera, Rambau and Santos 2010, ch. 4).
     """
     _require_simple(g)
     trees = [s.tree for s in steps]
@@ -209,19 +278,25 @@ def verify_dissection(g: RibbonBipartiteGraph, steps) -> dict:
     report["markers_in_unique_simplex"] = placement_ok
 
     certified = True
+    values = [_cut_values(g, t) for t in trees]
     for j, step in enumerate(steps):
         for i, eps in enumerate(step.divergences):
-            earlier, later = (trees[i], trees[j]) if eps in trees[j] else (trees[j], trees[i])
-            if not certify_disjoint_interiors(g, earlier, later, eps):
+            earlier, later = (i, j) if eps in trees[j] else (j, i)
+            if not _separates(values[later][eps], trees[earlier], trees[later], eps):
                 certified = False
                 report["witnesses"].append(
-                    {"kind": "pair", "trees": [sorted(earlier), sorted(later)],
+                    {"kind": "pair", "trees": [sorted(trees[earlier]), sorted(trees[later])],
                      "divergence": eps})
     report["interiors_disjoint_certified"] = certified
 
-    pairwise_compatible = all(
-        trees_compatible(g, a, b) for a, b in combinations(trees, 2))
-    report["is_triangulation"] = report["counts_match"] and placement_ok and pairwise_compatible
+    matched = True
+    for f in facet_neighbours(g, trees):
+        if f.beside or len(f.across) != (1 if f.interior else 0):
+            matched = False
+            report["witnesses"].append(
+                {"kind": "facet", "tree": f.tree, "edge": f.edge,
+                 "across": list(f.across), "beside": list(f.beside)})
+    report["is_triangulation"] = report["counts_match"] and placement_ok and matched
     report["is_dissection"] = report["counts_match"] and placement_ok and certified
     return report
 

@@ -9,6 +9,9 @@ on small instances only.  Each reference, and what it checks:
 * ``intersection_is_common_face``: the vertices of the intersection of
   two tree simplices, over every active constraint subset (against
   ``trees_compatible``);
+* ``trees_compatible``: Postnikov's acyclicity test for two tree
+  simplices meeting in a common face, run on every pair of a set
+  (against the facet-neighbour check behind ``is_triangulation``);
 * ``can_transfer``: one feasibility question per unit transfer (against
   the activities read off the hypertree family);
 * ``rank_feasible``: Kalman's rank inequalities over every subset of
@@ -31,6 +34,7 @@ on small instances only.  Each reference, and what it checks:
 from __future__ import annotations
 
 from fractions import Fraction
+from graphlib import CycleError, TopologicalSorter
 from itertools import combinations
 
 from hyperbernardi.bernardi import BernardiRun, BernardiStep, TheoremViolation
@@ -169,6 +173,27 @@ def intersection_is_common_face(g, t1, t2) -> bool:
         p = vertex_point(g, e)
         expected.add(tuple(p[c] for c in cols))
     return verts == expected
+
+
+def trees_compatible(g, t1, t2) -> bool:
+    """Whether the two tree simplices meet in a common face (Postnikov
+    2009, section 12): with the shared edges contracted, t1-only edges
+    oriented emerald to violet and t2-only edges violet to emerald must
+    form an acyclic digraph."""
+    _require_simple(g)
+    uf = UnionFind(g.nodes)
+    for e in t1 & t2:
+        uf.union(*g.edges[e])
+    preds: dict[str, set] = {}
+    for e in t1 ^ t2:
+        emerald, violet = (uf.find(x) for x in g.edges[e])
+        tail, head = (emerald, violet) if e in t1 else (violet, emerald)
+        preds.setdefault(head, set()).add(tail)
+    try:
+        TopologicalSorter(preds).prepare()
+    except CycleError:
+        return False
+    return True
 
 
 def can_transfer(g, side, f, src, dst) -> bool:

@@ -37,9 +37,8 @@ from hyperbernardi.jaeger import (ECUT, VCUT, characterize_tree,
 from hyperbernardi.polytope import (TreeSimplex, certify_disjoint_interiors,
                                     ehrhart_values, fit_binomial_coefficients,
                                     geometric_shelling_check,
-                                    kato_series_check, shelling_h_vector,
-                                    trees_compatible)
-from oracles import contains, marker
+                                    kato_series_check, shelling_h_vector)
+from oracles import contains, marker, trees_compatible
 
 N_SETUPS = 100
 N_BIPARTITE = 50

@@ -2,7 +2,7 @@
 
 import random
 from collections import deque
-from itertools import combinations, islice
+from itertools import combinations, compress, islice
 
 import pytest
 from hypothesis import given, settings
@@ -226,6 +226,21 @@ def test_spanning_trees_equal_subset_sweep(c4_fixture, running_fixture,
         got = list(g.spanning_trees())
         assert got == want, serialize_graph(g)
         assert len(got) == g.count_spanning_trees()
+
+
+def test_spanning_masks_are_the_sweep_flags(running_fixture):
+    """The mask sweep yields its one in-tree bytearray at every tree, and
+    reading it there gives ``spanning_trees`` tree for tree, in order."""
+    for g in (running_fixture.graph, random_bipartite(3, 5, 5, 14),
+              bip(random_ordinary(4, 5, 8))):
+        masks = g._spanning_masks()
+        first = next(masks)
+        trees = [frozenset(compress(g.edge_ids, first))]
+        for mask in masks:
+            assert mask is first and len(mask) == len(g.edge_ids)
+            trees.append(frozenset(compress(g.edge_ids, mask)))
+        assert trees == list(g.spanning_trees())
+        assert len(trees) == g.count_spanning_trees()
 
 
 def test_spanning_tree_sweeps_are_independent():

@@ -176,8 +176,8 @@ def test_volume_check_reads_dissection_and_sweep(monkeypatch):
     doubled = volume_check()
     assert (doubled["status"], doubled["volumes"]) == ("fail", [1, 2])
     monkeypatch.setattr(campaign, "normalized_simplex_volume", normalized_simplex_volume)
-    sweep = g.spanning_trees
-    monkeypatch.setattr(g, "spanning_trees", lambda: islice(sweep(), 1, None))
+    sweep = g._spanning_masks
+    monkeypatch.setattr(g, "_spanning_masks", lambda: islice(sweep(), 1, None))
     short = volume_check()
     assert short["status"] == "fail"
     assert (short["volumes"], short["trees"]) == ([1], check["trees"] - 1)
@@ -382,6 +382,20 @@ def test_cli_polytope(graph_file):
     assert "pass" in proc.stdout
     run_cli("polytope", "--graph", graph_file, "--verify", "shelling")
     run_cli("polytope", "--graph", graph_file, "--verify", "kato", "--kmax", "8")
+
+
+def test_cli_polytope_triangulation_fails_on_knot(tmp_path):
+    """The knot setup's Jaeger trees dissect the root polytope without
+    triangulating it: the triangulation verdict exits 1 and names the
+    unmatched facets, while the dissection verdict stays true."""
+    path = tmp_path / "knot.graph"
+    path.write_text(serialize_graph(running_graph_knot_setup().graph))
+    proc = run_cli("polytope", "--graph", str(path), "--verify", "triangulation",
+                   "--json", expect=1)
+    payload = json.loads(proc.stdout)
+    assert payload["is_triangulation"] is False and payload["is_dissection"] is True
+    assert payload["ok"] is False
+    assert {w["kind"] for w in payload["witnesses"]} == {"facet"}
 
 
 def test_cli_polytope_ehrhart(graph_file):

@@ -10,24 +10,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperbernardi.docio import serialize_graph
 from hyperbernardi.exactla import det_bareiss
 from hyperbernardi.fixtures import c4, noncrossing_setup
-from hyperbernardi.generators import random_bipartite
-from hyperbernardi.graph import EMERALD, VIOLET, RibbonBipartiteGraph
+from hyperbernardi.generators import random_bipartite, random_ordinary
+from hyperbernardi.graph import EMERALD, VIOLET, RibbonBipartiteGraph, bip
 from hyperbernardi.hypertree import (Poly, enumerate_hypertrees,
                                      interior_polynomial)
 from hyperbernardi.jaeger import VCUT, enumerate_jaeger_trees, shelling
 from hyperbernardi.polytope import (TreeSimplex, certify_disjoint_interiors,
                                     compositions, ehrhart_fit, ehrhart_values,
-                                    ehrhart_values_scan,
+                                    ehrhart_values_scan, facet_neighbours,
                                     fit_binomial_coefficients,
                                     geometric_shelling_check,
                                     kato_series_check,
                                     normalized_simplex_volume, scaled_marker,
-                                    shelling_h_vector, trees_compatible,
-                                    verify_dissection, vertex_point)
+                                    shelling_h_vector, verify_dissection,
+                                    vertex_point)
 from oracles import (contains, intersection_is_common_face, marker,
-                     solve_exact)
+                     solve_exact, trees_compatible)
 
 
 def test_marker_values_c4(c4_fixture):
@@ -118,6 +119,103 @@ def test_dissection_verdicts(knot_fixture, c4_fixture):
     c = c4_fixture.graph
     rep = verify_dissection(c, shelling(c, enumerate_jaeger_trees(c, VCUT)))
     assert rep["is_dissection"] and rep["is_triangulation"]
+
+
+def test_facet_sides_match_barycentric_signs(c4_fixture, running_fixture):
+    """Over all spanning trees, T - e + e' lies across the facet
+    conv(T - e) exactly when the vertex of e' has a negative e-coordinate
+    in the barycentric coordinates of T's simplex, and on T's side when
+    it has a positive one; the facet is interior exactly when some
+    vertex of Q_G has a negative e-coordinate."""
+    graphs = [c4_fixture.graph, running_fixture.graph]
+    graphs += [random_bipartite(seed, 4, 4, 8) for seed in range(20)]
+    facets_seen = 0
+    for g in graphs:
+        trees = list(g.spanning_trees())
+        position = {t: k for k, t in enumerate(trees)}
+        facets = facet_neighbours(g, trees)
+        assert [(f.tree, f.edge) for f in facets] == [
+            (k, e) for k, t in enumerate(trees) for e in sorted(t)]
+        for f in facets:
+            tree = trees[f.tree]
+            simplex = TreeSimplex(g, tree)
+            j = simplex.tree_edges.index(f.edge)
+            coordinate = {e: simplex.barycentric(vertex_point(g, e))[j]
+                          for e in g.edge_ids}
+            across, beside = set(), set()
+            for e in g.edge_ids:
+                if e in tree:
+                    continue
+                other = tree - {f.edge} | {e}
+                if coordinate[e] == 0:
+                    assert other not in position
+                    continue
+                (across if coordinate[e] < 0 else beside).add(position[other])
+            assert (set(f.across), set(f.beside)) == (across, beside)
+            assert len(f.across) + len(f.beside) == len(across) + len(beside)
+            assert f.interior == any(c < 0 for c in coordinate.values())
+            facets_seen += 1
+    assert facets_seen > 800
+
+
+def locally_matched(g, trees) -> bool:
+    """The facet-neighbour rule: one neighbour across every interior
+    facet, none across a boundary facet, none beside any."""
+    return all(not f.beside and len(f.across) == (1 if f.interior else 0)
+               for f in facet_neighbours(g, trees))
+
+
+def test_triangulation_equals_pairwise_oracle(knot_fixture, c4_fixture,
+                                              running_fixture):
+    """The facet-neighbour verdict equals counts, markers and Postnikov's
+    pairwise compatibility on every instance; among them are dissections
+    that do not triangulate (the knot setup, rb4x4-10/12, subdivisions)."""
+    graphs = [knot_fixture.graph, c4_fixture.graph, running_fixture.graph,
+              random_bipartite(12, 4, 4, 10)]
+    graphs += [random_bipartite(seed, 4, 4, 10) for seed in range(20)]
+    graphs += [bip(random_ordinary(seed, 5, 8)) for seed in range(20)]
+    verdicts = []
+    for g in graphs:
+        if len(set(g.edges.values())) != len(g.edge_ids):
+            continue
+        trees = enumerate_jaeger_trees(g, VCUT)
+        rep = verify_dissection(g, shelling(g, trees))
+        pairwise = all(trees_compatible(g, a, b) for a, b in combinations(trees, 2))
+        assert rep["is_triangulation"] == (
+            rep["counts_match"] and rep["markers_in_unique_simplex"] and pairwise), \
+            serialize_graph(g)
+        assert locally_matched(g, trees) == pairwise
+        unmatched = [w for w in rep["witnesses"] if w["kind"] == "facet"]
+        assert bool(unmatched) != pairwise
+        verdicts.append((rep["is_dissection"], rep["is_triangulation"]))
+    assert verdicts[0] == (True, False) and verdicts[3] == (True, False)
+    assert set(verdicts) == {(True, True), (True, False)}
+    assert verdicts.count((True, False)) >= 5
+
+
+def test_swapped_tree_fails_facet_check(c4_fixture, running_fixture):
+    """Swapping one Jaeger tree of a triangulation for any other spanning
+    tree leaves some interior facet unmatched or doubled."""
+    graphs = [c4_fixture.graph, running_fixture.graph]
+    graphs += [random_bipartite(seed, 5, 5, 14) for seed in range(40)]
+    swaps = 0
+    for g in graphs:
+        trees = enumerate_jaeger_trees(g, VCUT)
+        if not locally_matched(g, trees):
+            continue
+        jaeger = set(trees)
+        others = [t for t in g.spanning_trees() if t not in jaeger]
+        for k in range(len(trees)):
+            for other in others[k::len(trees)][:5]:
+                swapped = trees[:k] + [other] + trees[k + 1:]
+                assert not locally_matched(g, swapped), (serialize_graph(g), k)
+                swaps += 1
+        if others:
+            swapped = [others[0]] + trees[1:]
+            rep = verify_dissection(g, shelling(g, swapped))
+            assert not rep["is_triangulation"]
+            assert any(w["kind"] == "facet" for w in rep["witnesses"])
+    assert swaps > 200
 
 
 def test_dissection_missing_tree_witness(knot_fixture):

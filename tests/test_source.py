@@ -104,3 +104,37 @@ def test_families_run_through_bernardi_runs():
                                            "run_bernardi")}
     assert callers == {("bernardi.py", "graph_specialization_check"),
                        ("cli.py", "cmd_bernardi")}
+
+
+def imports_and_definitions(source: str) -> tuple[set[str], set[str]]:
+    """The top-level modules a module imports, and the functions it
+    defines."""
+    tree = ast.parse(source)
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            modules.add(node.module.split(".")[0])
+    functions = {node.name for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    return modules, functions
+
+
+def test_imports_and_definitions_detected():
+    source = ("import graphlib\nfrom graphlib import TopologicalSorter\n"
+              "from .graph import bip\nimport os.path\n"
+              "def trees_compatible():\n    def inner():\n        pass\n")
+    assert imports_and_definitions(source) == (
+        {"graphlib", "os"}, {"trees_compatible", "inner"})
+
+
+def test_pairwise_compatibility_stays_in_the_oracles():
+    """The triangulation verdict is local on facet neighbours; the
+    pairwise compatibility test and its topological sort live in
+    ``tests/oracles.py`` only."""
+    found = {p.name: imports_and_definitions(p.read_text(encoding="utf-8"))
+             for p in PACKAGE.glob("*.py")}
+    assert {name for name, (modules, _) in found.items() if "graphlib" in modules} == set()
+    assert {name for name, (_, functions) in found.items()
+            if "trees_compatible" in functions} == set()
