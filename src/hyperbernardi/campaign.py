@@ -17,7 +17,6 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import compress
 from math import comb
 
 from . import __version__
@@ -146,6 +145,21 @@ def _add_conjecture_checks(report: CampaignReport, g: RibbonBipartiteGraph,
                    graph=serialize_graph(g))
 
 
+def _jaeger_sweep(g: RibbonBipartiteGraph) -> tuple[int, dict[str, set]]:
+    """The brute-force oracle for the Jaeger trees: every spanning tree,
+    swept in blocks of edge subsets and toured bit-parallel for both
+    cuts at once.  Returns the number of trees swept and the trees
+    recognized for each cut; only those are decoded to edge sets."""
+    recognized: dict[str, set] = {VCUT: set(), ECUT: set()}
+    swept = 0
+    for cols, span in g._tree_blocks():
+        swept += span.bit_count()
+        vcut, ecut = _tour_cuts(g._darts, cols, span)
+        recognized[VCUT].update(g._block_subsets(cols, vcut))
+        recognized[ECUT].update(g._block_subsets(cols, ecut))
+    return swept, recognized
+
+
 def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
                         rng_seed: int = 0) -> CampaignReport:
     """Run every module's checks on one desk-scale instance."""
@@ -208,20 +222,7 @@ def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
     report.add("bernardi-interior-theorem",
                PASS if bernardi_e[0] == interior else FAIL)
 
-    # one pass over all spanning trees, as the sweep's in-tree flags,
-    # feeds both recognitions; only the recognized trees and the number
-    # of trees visited are kept
-    recognized: dict[str, set] = {VCUT: set(), ECUT: set()}
-    swept = 0
-    darts, ids = g._darts, g.edge_ids
-    for mask in g._spanning_masks():
-        swept += 1
-        cuts = _tour_cuts(darts, mask)
-        if cuts:
-            t = frozenset(compress(ids, mask))
-            for cut in cuts:
-                recognized[cut].add(t)
-
+    swept, recognized = _jaeger_sweep(g)
     vcut = enumerate_jaeger_trees(g, VCUT)
     ecut = enumerate_jaeger_trees(g, ECUT)
     ok = (set(vcut) == recognized[VCUT] == outcome["htE-cutV"] == outcome["htV-cutV"]

@@ -12,12 +12,18 @@ from __future__ import annotations
 from collections.abc import Set
 from functools import cached_property
 from itertools import compress
+from math import comb
 from typing import NamedTuple
 
 from .exactla import det_bareiss
 
 EMERALD = "emerald"
 VIOLET = "violet"
+
+# the most subsets in one block of the spanning-tree sweep: each of a
+# block's columns is an int of this many bits
+SWEEP_BLOCK = 1 << 16
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 class ValidationError(ValueError):
@@ -197,7 +203,9 @@ class RibbonGraph:
             node=node, base=dart(self.base_node, self.base_edge), rotation=rotation)
 
     def is_spanning_tree(self, tree: frozenset[str]) -> bool:
-        if len(tree) != len(self.nodes) - 1:
+        """Whether ``tree`` is a set of edges of this graph that forms a
+        spanning tree; a name that is not an edge here makes it False."""
+        if len(tree) != len(self.nodes) - 1 or not self.edges.keys() >= tree:
             return False
         uf = UnionFind(self.nodes)
         for e in tree:
@@ -209,61 +217,94 @@ class RibbonGraph:
     # -- spanning trees --------------------------------------------------
 
     def spanning_trees(self):
-        """All spanning trees, lexicographic by sorted edge-id tuples."""
+        """All spanning trees, lexicographic by sorted edge-id tuples,
+        lazily: each block of ``_tree_blocks`` is decoded when it is
+        reached, through one row of 0/1 bytes per edge, so a sweep holds
+        one block at a time."""
         ids = self.edge_ids
-        for mask in self._spanning_masks():
-            yield frozenset(compress(ids, mask))
+        for cols, span in self._tree_blocks():
+            width = f"0{max(c.bit_length() for c in cols)}b"
+            rows = [format(c, width)[::-1].encode().translate(_BIT_BYTES) for c in cols]
+            trees = format(span, width)[::-1].encode().translate(_BIT_BYTES)
+            for flags in compress(zip(*rows), trees):
+                yield frozenset(compress(ids, flags))
 
-    def _spanning_masks(self):
-        """The spanning trees of ``spanning_trees``, in its order, each as
-        the sweep's own in-tree flags over ``edge_ids``: one bytearray,
-        valid until the next step.
+    def _tree_blocks(self):
+        """The (|V|-1)-edge subsets, lexicographic by sorted edge-index
+        tuples, in blocks of at most ``SWEEP_BLOCK`` consecutive subsets.
+        Each block is a pair (cols, span) of ints: bit t of cols[i] is set
+        when the block's t-th subset holds edge i, and bit t of span when
+        that subset connects every node, which for |V| - 1 edges makes
+        it a spanning tree.
 
-        Grows forests in one frame over node indices, taking each next
-        edge in ``edge_ids`` order among those that join two components
-        and leave enough edges to span; an edge that completes a tree is
-        yielded and not linked.  Taking any other edge links one root
-        under another and pushes that root on the undo trail;
-        backtracking unlinks the last root and goes on after its edge.
+        The k-subsets of the edges from j on are those holding j (the
+        low bits) followed by those without it.  A block is a prefix of
+        edges, each in all of its subsets or in none, and a table of the
+        subsets of the edges after it.  Each table is built from two
+        smaller ones and memoized for this sweep; a table holds at most
+        ``SWEEP_BLOCK`` subsets and there is at most one per pair (j, k),
+        so memory follows the block size and not the number of subsets.
+        A subset reaches a node when an edge it holds joins the node to
+        one it reaches: bit-parallel passes over the edges spread the
+        base node's reach until a pass adds nothing.
         """
-        m, node = len(self.edge_ids), self._darts.node
-        need = len(self.nodes) - 1
-        parent = list(range(len(self.nodes)))
-        size = [1] * len(self.nodes)
-        in_tree = bytearray(m)
-        trail: list[tuple[int, int]] = []   # (edge index, root it linked)
-        last = m - need   # the last edge index that leaves enough to span
-        i = 0
-        while True:
-            if i <= last:
-                a, b = node[2 * i], node[2 * i + 1]
-                while parent[a] != a:
-                    a = parent[a]
-                while parent[b] != b:
-                    b = parent[b]
-                if a != b:
-                    in_tree[i] = 1
-                    if last == m - 1:   # the tree needs no edge after this one
-                        yield in_tree
-                        in_tree[i] = 0
-                    else:
-                        if size[a] < size[b]:
-                            a, b = b, a
-                        parent[b] = a
-                        size[a] += size[b]
-                        trail.append((i, b))
-                        last += 1
-                i += 1
-                continue
-            if not trail:
+        m, need = len(self.edge_ids), len(self.nodes) - 1
+        node, base = self._darts.node, self.nodes.index(self.base_node)
+        tables: dict[tuple[int, int], tuple[list[int], int]] = {}
+
+        def table(j: int, k: int) -> tuple[list[int], int]:
+            """The columns of the edges from j on over their k-subsets,
+            and the number of subsets."""
+            if (j, k) not in tables:
+                if k == 0 or k > m - j:
+                    tables[j, k] = [0] * (m - j), int(k == 0)
+                else:
+                    a, na = table(j + 1, k - 1)
+                    b, nb = table(j + 1, k)
+                    tables[j, k] = ([(1 << na) - 1] + [x | y << na for x, y in zip(a, b)],
+                                    na + nb)
+            return tables[j, k]
+
+        def blocks(j: int, k: int, prefix: list[int]):
+            if comb(m - j, k) > SWEEP_BLOCK:
+                yield from blocks(j + 1, k - 1, prefix + [1])
+                yield from blocks(j + 1, k, prefix + [0])
                 return
-            i, b = trail.pop()
-            last -= 1
-            in_tree[i] = 0
-            a = parent[b]
-            parent[b] = b
-            size[a] -= size[b]
-            i += 1
+            suffix, n = table(j, k)
+            full = (1 << n) - 1
+            cols = [full * flag for flag in prefix] + suffix
+            reach = [0] * len(self.nodes)
+            reach[base] = full
+            edges = [(c, node[2 * i], node[2 * i + 1]) for i, c in enumerate(cols) if c]
+            grown = True
+            while grown:
+                grown = False
+                for c, a, b in edges:
+                    x = (reach[a] ^ reach[b]) & c
+                    if x:
+                        reach[a] |= x
+                        reach[b] |= x
+                        grown = True
+            span = full
+            for r in reach:
+                span &= r
+            yield cols, span
+
+        yield from blocks(0, need, [])
+
+    def _block_subsets(self, cols, bits):
+        """The subsets of a ``_tree_blocks`` block at the set bits of
+        ``bits``, in order, as frozensets of edge ids; the columns are
+        turned into bytes once, so each subset costs one byte per edge."""
+        ids = self.edge_ids
+        size = (max(c.bit_length() for c in cols) + 7) // 8
+        rows = [c.to_bytes(size, "little") for c in cols]
+        marks = format(bits, "b")[::-1]
+        t = marks.find("1")
+        while t >= 0:
+            byte, bit = t >> 3, 1 << (t & 7)
+            yield frozenset(compress(ids, [row[byte] & bit for row in rows]))
+            t = marks.find("1", t + 1)
 
     def count_spanning_trees(self) -> int:
         """Kirchhoff matrix-tree count (independent oracle)."""
@@ -279,31 +320,31 @@ class RibbonGraph:
         minor = [row[1:] for row in lap[1:]]
         return det_bareiss(minor)
 
-    def base_side(self, tree: frozenset[str], edge: str) -> frozenset[str]:
-        """The base node's side of tree - edge, from one search over the
-        other tree edges."""
-        if edge not in tree:
-            raise ValueError("tree cut needs a tree edge")
-        side = {self.base_node}
-        stack = [self.base_node]
-        while stack:
-            x = stack.pop()
-            for e in self.rotations[x]:
-                if e in tree and e != edge:
-                    a, b = self.edges[e]
-                    y = b if a == x else a
-                    if y not in side:
-                        side.add(y)
-                        stack.append(y)
-        return frozenset(side)
-
-    def tree_cut(self, tree: frozenset[str], edge: str) -> tuple[frozenset[str], frozenset[str]]:
-        """The two sides of tree - edge: the base node's side, and the
-        edges joining the two sides (``edge`` among them)."""
-        side = self.base_side(tree, edge)
-        cut_edges = frozenset(e for e, (a, b) in self.edges.items()
-                              if (a in side) != (b in side))
-        return side, cut_edges
+    def _base_sides(self, tree: frozenset[str]) -> dict[str, int]:
+        """For each edge e of a spanning tree, the base node's side of
+        tree - e as a node bitmask over ``nodes``: one search down the
+        tree from the base node on the dart table, one pass back up."""
+        darts, ids = self._darts, self.edge_ids
+        node, rotation = darts.node, darts.rotation
+        n = len(rotation)
+        root = self.nodes.index(self.base_node)
+        upward = [-1] * n   # the dart at each node of the tree edge to its parent
+        order = [root]
+        for x in order:
+            for d in rotation[x]:
+                y = node[d ^ 1]
+                if y != root and upward[y] < 0 and ids[d >> 1] in tree:
+                    upward[y] = d ^ 1
+                    order.append(y)
+        if len(order) != n or len(tree) != n - 1:
+            raise ValueError("not a spanning tree")
+        below = [1 << x for x in range(n)]
+        sides = {}
+        for y in reversed(order[1:]):
+            d = upward[y]
+            below[node[d ^ 1]] |= below[y]
+            sides[ids[d >> 1]] = ((1 << n) - 1) ^ below[y]
+        return sides
 
     # -- tour of a spanning tree ------------------------------------------
 

@@ -6,6 +6,11 @@ non-tree edge for the first time at the violet (emerald) endpoint.  The
 violet tour of a V-cut tree uses the given setup; its emerald tour uses
 the reversed setup with base edge b0b1-.  The E-cut trees are the V-cut
 trees of the reversed setup, so their orders are read there.
+
+Recognition tours many trees at once: each edge is a column, an int
+with one bit per tree, and each dart carries the bits of the trees at
+it.  ``jaeger_cuts`` tours one tree through one-bit columns; the
+campaign's brute-force sweep tours whole blocks of edge subsets.
 """
 
 from __future__ import annotations
@@ -20,48 +25,65 @@ VCUT = VIOLET
 ECUT = EMERALD
 
 
-# the cuts still open after a tour, indexed by flags: bit 0 the V cut,
-# bit 1 the E cut
-_OPEN_CUTS = (frozenset(), frozenset({VCUT}), frozenset({ECUT}),
-              frozenset({VCUT, ECUT}))
+def _tour_cuts(darts, cols, span) -> tuple[int, int]:
+    """The trees of a block of edge subsets that are V-cut and E-cut
+    Jaeger trees, as bits (vcut, ecut), from one bit-parallel tour over
+    the dart table.  Bit t of cols[i] says whether subset t holds edge
+    i; ``span`` has a bit for each subset that is a spanning tree, and
+    only those are toured.
 
-
-def _tour_cuts(darts, mask) -> frozenset[str]:
-    """The cuts (VCUT, ECUT) for which the spanning tree with in-tree
-    flags ``mask`` over the edge indices is a Jaeger tree, from one tour
-    over the dart table: a non-tree edge first skipped at its emerald end
-    (an even dart) rules out the V cut, one first skipped at its violet
-    end the E cut.  The tour stops once both are ruled out."""
+    Each step moves the trees at a dart on together: across the edge
+    for the trees holding it, around the node for the others.  A
+    non-tree edge first skipped at its emerald end (an even dart) rules
+    out the V cut, one first skipped at its violet end the E cut, and a
+    tree ruled out of both leaves the tour.  A spanning tree's tour
+    passes every dart once, so after 2|E| steps every tree still on it
+    is back at the base dart."""
     succ, twin, edge_of = darts.succ, darts.twin, darts.edge
-    seen = bytearray(len(mask))
-    flags = 3
-    start = d = darts.base
+    skipped = [0] * len(cols)   # per edge, the trees that have skipped it
+    vcut = ecut = span
+    at = {darts.base: span}     # dart -> the trees at it
     for _ in succ:
-        i = edge_of[d]
-        if mask[i]:
-            d = twin[d]
-        elif not seen[i]:
-            seen[i] = 1
-            flags &= 2 >> (d & 1)   # an even dart clears bit 0, an odd bit 1
-            if not flags:
-                return _OPEN_CUTS[0]
-        d = succ[d]
-        if d == start:
-            return _OPEN_CUTS[flags]
-    raise AssertionError("tour failed to close")
+        nxt: dict[int, int] = {}
+        ruled_out = False
+        for d, bits in at.items():
+            i = edge_of[d]
+            held = bits & cols[i]
+            if held:
+                e = succ[twin[d]]
+                nxt[e] = nxt.get(e, 0) | held
+            passed = bits ^ held
+            if passed:
+                first = passed & ~skipped[i]
+                if first:
+                    skipped[i] |= first
+                    if d & 1:
+                        ecut &= ~first
+                    else:
+                        vcut &= ~first
+                    ruled_out = True
+                e = succ[d]
+                nxt[e] = nxt.get(e, 0) | passed
+        if ruled_out:
+            walking = vcut | ecut
+            nxt = {d: bits & walking for d, bits in nxt.items() if bits & walking}
+        at = nxt
+    if any(d != darts.base for d in at):
+        raise AssertionError("tour failed to close")
+    return vcut, ecut
 
 
 def jaeger_cuts(g: RibbonBipartiteGraph, tree: frozenset[str]) -> frozenset[str]:
     """The cuts (VCUT, ECUT) for which ``tree`` is a Jaeger tree: each
-    non-tree edge must be first skipped at the cut-colored end.  ``tree``
-    must be a spanning tree; is_jaeger_tree checks it."""
-    return _tour_cuts(g._darts, bytearray(e in tree for e in g.edge_ids))
+    non-tree edge must be first skipped at the cut-colored end."""
+    if not g.is_spanning_tree(tree):
+        raise ValueError("not a spanning tree")
+    vcut, ecut = _tour_cuts(g._darts, [int(e in tree) for e in g.edge_ids], 1)
+    return frozenset(cut for cut, bit in ((VCUT, vcut), (ECUT, ecut)) if bit)
 
 
 def is_jaeger_tree(g: RibbonBipartiteGraph, tree: frozenset[str], cut: str) -> bool:
     """Each non-tree edge must be first skipped at its ``cut``-colored end."""
-    if not g.is_spanning_tree(tree):
-        raise ValueError("not a spanning tree")
     return cut in jaeger_cuts(g, tree)
 
 
@@ -186,6 +208,18 @@ def t_order(g: RibbonBipartiteGraph, tree: frozenset[str], flavor: str) -> TOrde
     return TOrder(flavor, tuple(order), g.induced_order(flavor, order))
 
 
+def _base_cuts(g: RibbonBipartiteGraph, tree: frozenset[str]):
+    """Each edge of a spanning tree, in sorted order, with its cut in
+    tree - edge: the cut edges whose violet end lies on the base node's
+    side, and those whose emerald end does (the edge itself in one)."""
+    node = g._darts.node
+    ends = list(zip(g.edge_ids, node[0::2], node[1::2]))   # (edge, emerald, violet)
+    for eps, side in sorted(g._base_sides(tree).items()):
+        violet_in = [e for e, a, b in ends if side >> b & 1 and not side >> a & 1]
+        emerald_in = [e for e, a, b in ends if side >> a & 1 and not side >> b & 1]
+        yield eps, violet_in, emerald_in
+
+
 def semi_passive_edges(g: RibbonBipartiteGraph, tree: frozenset[str],
                        edge_order) -> frozenset[str]:
     """Tree edges standing opposite to the minimum of their own base cut.
@@ -195,14 +229,9 @@ def semi_passive_edges(g: RibbonBipartiteGraph, tree: frozenset[str],
     """
     rank = {e: i for i, e in enumerate(edge_order)}
     out = set()
-    for eps in sorted(tree):
-        side_a, cut_edges = g.tree_cut(tree, eps)
-        smallest = min(cut_edges, key=lambda e: rank[e])
-        if smallest == eps:
-            continue
-        em_a = g.emerald_end(eps) in side_a
-        em_b = g.emerald_end(smallest) in side_a
-        if em_a != em_b:
+    for eps, violet_in, emerald_in in _base_cuts(g, tree):
+        smallest = min(violet_in + emerald_in, key=rank.__getitem__)
+        if (smallest in emerald_in) != (eps in emerald_in):
             out.add(eps)
     return frozenset(out)
 
@@ -249,11 +278,10 @@ def characterize_tree(g: RibbonBipartiteGraph, step: ShellingStep) -> dict[str, 
                                    step.emerald.class_order)
 
     reports = {}
-    for eps in sorted(tree):
-        base_side, cut_edges = g.tree_cut(tree, eps)
-        violet_in_base = g.violet_end(eps) in base_side
-        firsts = [e for e in cut_edges if g.violet_end(e) in base_side and e != eps]
-        seconds = [e for e in cut_edges if g.emerald_end(e) in base_side and e != eps]
+    for eps, violet_in, emerald_in in _base_cuts(g, tree):
+        violet_in_base = eps in violet_in
+        firsts = [e for e in violet_in if e != eps]
+        seconds = [e for e in emerald_in if e != eps]
         for e1 in firsts:
             if any(vrank[e1] >= vrank[e2] for e2 in seconds):
                 raise TheoremViolation("base-cut order lemma failed")
@@ -266,7 +294,7 @@ def characterize_tree(g: RibbonBipartiteGraph, step: ShellingStep) -> dict[str, 
             "violet_in_base_and_inactive_end":
                 violet_in_base and g.emerald_end(eps) in inactive,
             "not_largest_in_cut_violet_order":
-                eps != max(cut_edges, key=lambda e: vrank[e]),
+                eps != max(violet_in + emerald_in, key=vrank.__getitem__),
             "base_cut_witness": violet_in_base and bool(seconds),
         }
         if len(set(report.values())) != 1:

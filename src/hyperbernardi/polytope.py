@@ -134,32 +134,17 @@ def _cut_values(g: RibbonBipartiteGraph, tree: frozenset[str]) -> dict[str, dict
     emerald end, a node weighs +1 when it is an emerald in S or a violet
     off it, and -1 otherwise; an edge takes the sum of its ends.  That is
     2 on e and on the cut edges oriented like e, -2 on the opposite cut
-    edges and 0 on every other edge, tree - e among them.  The sides are
-    node bitmasks, from one search over the tree on the dart table and
-    one pass back up it."""
-    darts, ids = g._darts, g.edge_ids
-    node, rotation = darts.node, darts.rotation
-    n = len(rotation)
-    upward = [-1] * n   # the dart at each node of the tree edge to its parent
-    order = [0]
-    for x in order:
-        for d in rotation[x]:
-            y = node[d ^ 1]
-            if y and upward[y] < 0 and ids[d >> 1] in tree:
-                upward[y] = d ^ 1
-                order.append(y)
-    if len(order) != n or len(tree) != n - 1:
-        raise ValueError("not a spanning tree")
-    ends = list(zip(ids, node[0::2], node[1::2]))   # (edge, emerald, violet)
-    below = [1 << x for x in range(n)]
+    edges and 0 on every other edge, tree - e among them.  The sides
+    are the node bitmasks of ``_base_sides``."""
+    node = g._darts.node
+    ends = list(zip(g.edge_ids, node[0::2], node[1::2]))   # (edge, emerald, violet)
+    emerald = dict(zip(g.edge_ids, node[0::2]))
+    full = (1 << len(g.nodes)) - 1
     values = {}
-    for y in reversed(order[1:]):
-        d = upward[y]
-        below[node[d ^ 1]] |= below[y]
-        # y is the edge's emerald end when its dart there is even
-        side = ((1 << n) - 1) ^ below[y] if d & 1 else below[y]
-        values[ids[d >> 1]] = {f: 2 * ((side >> a & 1) - (side >> b & 1))
-                               for f, a, b in ends}
+    for e, side in g._base_sides(tree).items():
+        if not side >> emerald[e] & 1:
+            side ^= full
+        values[e] = {f: 2 * ((side >> a & 1) - (side >> b & 1)) for f, a, b in ends}
     return values
 
 

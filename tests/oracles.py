@@ -20,8 +20,13 @@ on small instances only.  Each reference, and what it checks:
 * ``marker`` and ``contains``: the Fraction marker point and simplex
   containment (against ``scaled_marker`` and ``contains_scaled``);
 * ``tour_pairs``: the tour walked through a (node, edge) -> next edge
-  table (against the dart-table ``tour_pairs``, ``tour_order`` and
-  ``jaeger_cuts``);
+  table (against the dart-table ``tour_pairs`` and ``tour_order``);
+* ``first_skip_cuts``: the cuts at whose colored end that tour first
+  skips every non-tree edge (against ``jaeger_cuts`` and the
+  bit-parallel tour of the campaign's sweep);
+* ``base_side`` and ``tree_cut``: the sides of tree - edge by a
+  name-keyed search (against the side masks of ``_base_sides``, which
+  the cut functional and the five-way characterization read);
 * ``bernardi_run``: the Bernardi process walked on edge names, deciding
   every step by a full search (against the dart-table ``run_bernardi``,
   fast and paranoid);
@@ -40,7 +45,7 @@ from itertools import combinations
 from hyperbernardi.bernardi import BernardiRun, BernardiStep, TheoremViolation
 from hyperbernardi.graph import EMERALD, VIOLET, UnionFind
 from hyperbernardi.hypertree import _oracle, _side_key, is_hypertree
-from hyperbernardi.jaeger import VCUT, enumerate_jaeger_trees
+from hyperbernardi.jaeger import ECUT, VCUT, enumerate_jaeger_trees
 from hyperbernardi.polytope import (TreeSimplex, _require_simple, node_index,
                                     scaled_marker, vertex_point)
 
@@ -307,6 +312,42 @@ def tour_pairs(g, tree) -> list[tuple[str, str]]:
         if (node, edge) == start:
             return pairs
     raise AssertionError("tour failed to close")
+
+
+def first_skip_cuts(g, tree) -> set[str]:
+    """The cuts at whose colored end the reference tour first skips every
+    non-tree edge."""
+    first = {}
+    for node, edge in tour_pairs(g, tree):
+        if edge not in tree:
+            first.setdefault(edge, g.color(node))
+    return {cut for cut in (VCUT, ECUT) if all(c == cut for c in first.values())}
+
+
+def base_side(g, tree, edge) -> frozenset[str]:
+    """The base node's side of tree - edge, from one search over the
+    other tree edges."""
+    if edge not in tree:
+        raise ValueError("tree cut needs a tree edge")
+    side = {g.base_node}
+    stack = [g.base_node]
+    while stack:
+        x = stack.pop()
+        for e in g.rotations[x]:
+            if e in tree and e != edge:
+                y = g.other_end(e, x)
+                if y not in side:
+                    side.add(y)
+                    stack.append(y)
+    return frozenset(side)
+
+
+def tree_cut(g, tree, edge) -> tuple[frozenset[str], frozenset[str]]:
+    """The two sides of tree - edge: the base node's side, and the edges
+    joining the two sides (``edge`` among them)."""
+    side = base_side(g, tree, edge)
+    return side, frozenset(e for e, (a, b) in g.edges.items()
+                           if (a in side) != (b in side))
 
 
 def bernardi_run(g, f, variant) -> BernardiRun:

@@ -2,16 +2,18 @@
 
 import random
 from collections import deque
-from itertools import combinations, compress, islice
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperbernardi import graph
 from hyperbernardi.docio import GraphFormatError, parse_graph, serialize_graph
-from hyperbernardi.fixtures import torus_k4
+from hyperbernardi.fixtures import noncrossing_setup, torus_k4
 from hyperbernardi.generators import random_bipartite, random_ordinary
 from hyperbernardi.graph import RibbonBipartiteGraph, ValidationError, bip
+from oracles import tree_cut
 
 C4_DOC = """
 hyperbernardi-graph v1
@@ -188,6 +190,22 @@ def test_tour_totality(c4_fixture, running_fixture):
             assert set(pairs) == all_pairs
 
 
+def test_unknown_edge_is_not_a_spanning_tree(c4_fixture):
+    """A name that is not an edge of the graph makes the set no spanning
+    tree, so the tree queries refuse it with their documented error."""
+    from hyperbernardi.graph import VIOLET
+    from hyperbernardi.jaeger import (VCUT, divergence_edge, is_jaeger_tree,
+                                      jaeger_cuts, t_order)
+    g = c4_fixture.graph
+    bad, good = frozenset({"c1", "c2", "zz"}), frozenset({"c1", "c2", "c3"})
+    assert not g.is_spanning_tree(bad)
+    for query in (lambda: g.tour_order(bad), lambda: jaeger_cuts(g, bad),
+                  lambda: is_jaeger_tree(g, bad, VCUT), lambda: t_order(g, bad, VIOLET),
+                  lambda: divergence_edge(g, good, bad)):
+        with pytest.raises(ValueError, match="not a spanning tree"):
+            query()
+
+
 def test_tour_requires_spanning_tree(c4_fixture):
     with pytest.raises(ValueError, match="not a spanning tree"):
         c4_fixture.graph.tour_order(frozenset({"c1", "c2", "c3", "c4"}))
@@ -228,19 +246,28 @@ def test_spanning_trees_equal_subset_sweep(c4_fixture, running_fixture,
         assert len(got) == g.count_spanning_trees()
 
 
-def test_spanning_masks_are_the_sweep_flags(running_fixture):
-    """The mask sweep yields its one in-tree bytearray at every tree, and
-    reading it there gives ``spanning_trees`` tree for tree, in order."""
-    for g in (running_fixture.graph, random_bipartite(3, 5, 5, 14),
-              bip(random_ordinary(4, 5, 8))):
-        masks = g._spanning_masks()
-        first = next(masks)
-        trees = [frozenset(compress(g.edge_ids, first))]
-        for mask in masks:
-            assert mask is first and len(mask) == len(g.edge_ids)
-            trees.append(frozenset(compress(g.edge_ids, mask)))
-        assert trees == list(g.spanning_trees())
-        assert len(trees) == g.count_spanning_trees()
+def test_tree_blocks_decode_to_lexicographic_subsets(running_fixture, monkeypatch):
+    """The sweep's blocks, decoded bit by bit, are every (|V|-1)-edge
+    subset once, in lexicographic order, and their span bits mark the
+    spanning trees; at most ``SWEEP_BLOCK`` subsets share a block.  A
+    small block size splits K3,4 into prefix blocks."""
+    cases = [(running_fixture.graph, graph.SWEEP_BLOCK),
+             (random_bipartite(3, 5, 5, 14), graph.SWEEP_BLOCK),
+             (bip(random_ordinary(4, 5, 8)), graph.SWEEP_BLOCK),
+             (noncrossing_setup(2, 3), 5)]
+    for g, block in cases:
+        monkeypatch.setattr(graph, "SWEEP_BLOCK", block)
+        want = [frozenset(c) for c in combinations(g.edge_ids, len(g.nodes) - 1)]
+        subsets, trees, sizes = [], [], []
+        for cols, span in g._tree_blocks():
+            size = max(c.bit_length() for c in cols)
+            sizes.append(size)
+            subsets += g._block_subsets(cols, (1 << size) - 1)
+            trees += g._block_subsets(cols, span)
+        assert subsets == want
+        assert trees == [t for t in want if g.is_spanning_tree(t)] == list(g.spanning_trees())
+        assert max(sizes) <= block
+    assert len(sizes) > 10  # the small block size made prefixes
 
 
 def test_spanning_tree_sweeps_are_independent():
@@ -275,13 +302,21 @@ def bfs_split(g, tree, edge):
                       if (g.edges[e][0] in side) != (g.edges[e][1] in side)))
 
 
+def side_names(g, mask):
+    return frozenset(x for i, x in enumerate(g.nodes) if mask >> i & 1)
+
+
 def test_tree_cut_c4(c4_fixture):
     g = c4_fixture.graph
     t = frozenset({"c1", "c2", "c4"})
-    assert g.tree_cut(t, "c2") == (frozenset({"v1", "e1", "v2"}),
-                                   frozenset({"c2", "c3"}))
+    assert tree_cut(g, t, "c2") == (frozenset({"v1", "e1", "v2"}),
+                                    frozenset({"c2", "c3"}))
+    assert {e: side_names(g, m) for e, m in g._base_sides(t).items()} == {
+        "c1": {"v1", "e2"}, "c2": {"v1", "e1", "v2"}, "c4": {"v1", "e2", "e1"}}
     with pytest.raises(ValueError, match="tree edge"):
-        g.tree_cut(t, "c3")
+        tree_cut(g, t, "c3")
+    with pytest.raises(ValueError, match="not a spanning tree"):
+        g._base_sides(frozenset({"c1", "c2", "c3", "c4"}))
 
 
 def test_tree_cut_tree_graph():
@@ -289,18 +324,25 @@ def test_tree_cut_tree_graph():
                              {"a": ("e0", "v0"), "b": ("e0", "v1")}, None,
                              base_node="e0", base_edge="a")
     t = frozenset({"a", "b"})
-    assert g.tree_cut(t, "a") == (frozenset({"e0", "v1"}), frozenset({"a"}))
+    assert tree_cut(g, t, "a") == (frozenset({"e0", "v1"}), frozenset({"a"}))
+    assert side_names(g, g._base_sides(t)["a"]) == {"e0", "v1"}
 
 
 def test_tree_cut_equals_bfs_split(c4_fixture, running_fixture, knot_fixture,
                                    single_edge_fixture, tour_fixture):
+    """The reference cut and the side masks of ``_base_sides`` both give
+    the breadth-first split of every tree edge."""
     graphs = [c4_fixture.graph, running_fixture.graph, knot_fixture.graph,
               single_edge_fixture.graph, bip(tour_fixture.graph)]
     cuts = 0
     for g in graphs:
         for tree in g.spanning_trees():
+            sides = g._base_sides(tree)
+            assert sides.keys() == tree
             for edge in tree:
-                assert g.tree_cut(tree, edge) == bfs_split(g, tree, edge)
+                want = bfs_split(g, tree, edge)
+                assert tree_cut(g, tree, edge) == want
+                assert side_names(g, sides[edge]) == want[0]
                 cuts += 1
     assert cuts > 500  # the sweep is not vacuous
 

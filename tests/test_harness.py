@@ -152,8 +152,6 @@ def test_volume_check_reads_dissection_and_sweep(monkeypatch):
     the dissection's simplices, and fails on a volume other than 1; it
     reports the trees the campaign's sweep visited and fails when they
     fall short of Kirchhoff's count, even though every volume is 1."""
-    from itertools import islice
-
     from hyperbernardi import campaign
     g = running_graph().graph
 
@@ -176,8 +174,15 @@ def test_volume_check_reads_dissection_and_sweep(monkeypatch):
     doubled = volume_check()
     assert (doubled["status"], doubled["volumes"]) == ("fail", [1, 2])
     monkeypatch.setattr(campaign, "normalized_simplex_volume", normalized_simplex_volume)
-    sweep = g._spanning_masks
-    monkeypatch.setattr(g, "_spanning_masks", lambda: islice(sweep(), 1, None))
+    sweep = g._tree_blocks
+
+    def short_sweep():
+        """The blocks, with the first spanning tree's bit dropped."""
+        blocks = sweep()
+        cols, span = next(blocks)
+        yield cols, span & (span - 1)
+        yield from blocks
+    monkeypatch.setattr(g, "_tree_blocks", short_sweep)
     short = volume_check()
     assert short["status"] == "fail"
     assert (short["volumes"], short["trees"]) == ([1], check["trees"] - 1)

@@ -1,11 +1,14 @@
 """Jaeger tree recognition, enumeration, orders, and activity matching."""
 
 import random
+from itertools import combinations
 
 import pytest
 
-from hyperbernardi import jaeger
+from hyperbernardi import graph, jaeger
 from hyperbernardi.bernardi import HT_E_CUT_V, TheoremViolation, run_bernardi
+from hyperbernardi.campaign import _jaeger_sweep
+from hyperbernardi.fixtures import noncrossing_setup
 from hyperbernardi.generators import (random_bipartite, random_ordinary,
                                       random_setup_variation)
 from hyperbernardi.graph import EMERALD, VIOLET, RibbonBipartiteGraph, RibbonGraph, bip
@@ -15,6 +18,7 @@ from hyperbernardi.jaeger import (ECUT, VCUT, characterize_tree, divergence_edge
                                   graph_activity_matching, is_jaeger_tree,
                                   jaeger_cuts, semi_passive_edges, shelling,
                                   t_order)
+from oracles import first_skip_cuts, tree_cut
 from oracles import tour_pairs as reference_tour_pairs
 
 
@@ -113,14 +117,47 @@ def test_enumeration_equals_recognition(running_fixture, knot_fixture,
     assert pairs > 10000  # the order check is not vacuous
 
 
-def first_skip_cuts(g, tree):
-    """Reference: the cuts at whose colored end the reference tour first
-    skips every non-tree edge."""
-    first = {}
-    for node, edge in reference_tour_pairs(g, tree):
-        if edge not in tree:
-            first.setdefault(edge, g.color(node))
-    return {cut for cut in (VCUT, ECUT) if all(c == cut for c in first.values())}
+def test_bulk_tour_equals_first_skip(monkeypatch, single_edge_fixture):
+    """The campaign's sweep, blocks of edge subsets toured bit-parallel,
+    recognizes for each cut the trees that the reference tour accepts
+    over the ``combinations`` reference, on both setups, and counts every
+    spanning tree once: on simple instances, subdivided multigraphs and
+    multigraphs with parallel edges, a tree-shaped graph, the single
+    edge, and K3,4 cut into prefix blocks of at most five subsets."""
+    path = RibbonBipartiteGraph(["e0", "e1", "e2"], ["v0", "v1"],
+                                {"p0": ("e0", "v0"), "p1": ("e1", "v0"),
+                                 "p2": ("e1", "v1"), "p3": ("e2", "v1")}, None,
+                                base_node="v1", base_edge="p2")
+    graphs = [(g, graph.SWEEP_BLOCK) for g in
+              [random_bipartite(seed, 4, 4, 10) for seed in range(6)]
+              + [bip(random_ordinary(seed, 5, 8)) for seed in range(6)]
+              + [random_multigraph(seed) for seed in range(6)]
+              + [path, single_edge_fixture.graph]]
+    graphs.append((noncrossing_setup(2, 3), 5))
+    trees = 0
+    for g, block in graphs:
+        monkeypatch.setattr(graph, "SWEEP_BLOCK", block)
+        for h in (g, g.reversed_setup()):
+            want = {VCUT: set(), ECUT: set()}
+            spanning = [frozenset(c) for c in combinations(h.edge_ids, len(h.nodes) - 1)
+                        if h.is_spanning_tree(frozenset(c))]
+            for tree in spanning:
+                for cut in first_skip_cuts(h, tree):
+                    want[cut].add(tree)
+            swept, recognized = _jaeger_sweep(h)
+            assert (swept, recognized) == (len(spanning), want), sorted(h.edges)
+            trees += swept
+    assert trees > 2000
+
+
+def test_bulk_tour_must_close(running_fixture):
+    """A tour still walking after 2|E| steps away from the base dart is
+    not a spanning tree's: the bit-parallel tour refuses it."""
+    g = running_fixture.graph
+    cycle = {"e0v0", "e0v1", "e1v1", "e1v2", "e3v0", "e3v1"}
+    assert not g.is_spanning_tree(frozenset(cycle))
+    with pytest.raises(AssertionError, match="tour failed to close"):
+        jaeger._tour_cuts(g._darts, [int(e in cycle) for e in g.edge_ids], 1)
 
 
 def test_one_tour_recognition_equals_first_skip(running_fixture, knot_fixture,
@@ -225,7 +262,7 @@ def characterize_edge_reference(g, trees, index, eps):
                            for earlier in trees[:index])
     em_order = t_order(g, tree, EMERALD)
     semi_passive = eps in semi_passive_edges(g, tree, em_order.edge_order)
-    base_side, cut_edges = g.tree_cut(tree, eps)
+    base_side, cut_edges = tree_cut(g, tree, eps)
     violet_in_base = g.violet_end(eps) in base_side
     inactive = internal_inactivity(g, EMERALD, g.degree_vector(tree, EMERALD),
                                    em_order.class_order)
@@ -371,7 +408,7 @@ def test_base_cut_order_lemma():
         for tree in enumerate_jaeger_trees(g, VCUT):
             rank = t_order(g, tree, VIOLET).edge_rank()
             for eps in tree:
-                base_side, cut_edges = g.tree_cut(tree, eps)
+                base_side, cut_edges = tree_cut(g, tree, eps)
                 violet_side = [e for e in cut_edges - {eps}
                                if g.violet_end(e) in base_side]
                 emerald_side = [e for e in cut_edges - {eps}

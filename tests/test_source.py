@@ -138,3 +138,21 @@ def test_pairwise_compatibility_stays_in_the_oracles():
     assert {name for name, (modules, _) in found.items() if "graphlib" in modules} == set()
     assert {name for name, (_, functions) in found.items()
             if "trees_compatible" in functions} == set()
+
+
+def test_sweep_is_the_block_primitive():
+    """Spanning trees are swept in bit-parallel blocks only: no module
+    under ``src/`` defines the per-tree mask frame, and the campaign's
+    brute-force oracle (``campaign_verify_all`` and the ``_jaeger_sweep``
+    it calls) neither walks ``spanning_trees`` nor tours tree by tree
+    through ``jaeger_cuts``."""
+    definers = {p.name for p in PACKAGE.glob("*.py")
+                if "_spanning_masks" in imports_and_definitions(
+                    p.read_text(encoding="utf-8"))[1]}
+    assert definers == set()
+    source = (PACKAGE / "campaign.py").read_text(encoding="utf-8")
+    assert {function for function, _ in calls_to(source, "_jaeger_sweep")} == {
+        "campaign_verify_all"}
+    callers = {function for name in ("spanning_trees", "jaeger_cuts")
+               for function, _ in calls_to(source, name)}
+    assert callers & {"campaign_verify_all", "_jaeger_sweep"} == set()
