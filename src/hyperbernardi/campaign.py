@@ -29,7 +29,8 @@ from .graph import EMERALD, VIOLET, RibbonBipartiteGraph
 from .hypertree import (enumerate_hypertrees, exterior_polynomial,
                         interior_polynomial)
 from .jaeger import (ECUT, VCUT, _tour_cuts, characterize_tree,
-                     enumerate_jaeger_trees, shelling, t_order)
+                     enumerate_jaeger_trees, realized_hypertrees, shelling,
+                     t_order)
 from .polytope import (ehrhart_fit, ehrhart_values, ehrhart_values_scan,
                        geometric_shelling_check, kato_series_check,
                        normalized_simplex_volume, shelling_h_vector,
@@ -102,13 +103,15 @@ def check_conjectures(g: RibbonBipartiteGraph, runs=None) -> CampaignReport:
 
 
 def _add_conjecture_checks(report: CampaignReport, g: RibbonBipartiteGraph,
-                           runs=None, interior=None, exterior=None) -> None:
+                           runs=None, interior=None, exterior=None,
+                           embedding=None) -> None:
     """Add the cut-at-violet interior conjecture and both exterior
     variants to ``report``.
 
     Each ht:E variant runs once per hypertree, unless ``runs`` maps it
-    to its runs; the emerald interior and exterior polynomials are
-    computed here unless given.  Mismatches are flagged, never failed,
+    to its runs; the emerald interior and exterior polynomials, and the
+    ht:E embedding polynomials, are computed here unless given (a
+    variant's in ``embedding``).  Mismatches are flagged, never failed,
     and only after re-verifying both sides: the classical polynomial
     under a different order, and the embedding polynomial from paranoid
     runs.
@@ -118,8 +121,8 @@ def _add_conjecture_checks(report: CampaignReport, g: RibbonBipartiteGraph,
     if exterior is None:
         exterior = exterior_polynomial(g, EMERALD)
 
-    runs = runs or {}
-    embedding = {v: bernardi_polynomials(g, v, runs.get(v))
+    runs, known = runs or {}, embedding or {}
+    embedding = {v: known.get(v) or bernardi_polynomials(g, v, runs.get(v))
                  for v in (HT_E_CUT_V, HT_E_CUT_E)}
 
     cases = [
@@ -236,12 +239,13 @@ def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
 
     # unique realization and the induced bijection between hypertree
     # sets; Jaeger enumeration does not use the hypertree module, so this
-    # also cross-checks the hypertree enumeration on both sides
+    # also cross-checks the hypertree enumeration on both sides.  The
+    # dissection's markers and the compositions read the same map.
+    realized = realized_hypertrees(g, vcut)
     ok = True
     for side, family in ((EMERALD, b_e), (VIOLET, b_v)):
         nodes = g.side_nodes(side)
-        realized = {tuple(g.degree_vector(t, side)[x] for x in nodes) for t in vcut}
-        ok = ok and len(realized) == len(vcut) and realized == {
+        ok = ok and len(realized[side]) == len(vcut) and realized[side].keys() == {
             tuple(f[x] for x in nodes) for f in family}
     report.add("unique-realization-bijection", PASS if ok else FAIL)
 
@@ -255,10 +259,13 @@ def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
     except TheoremViolation as exc:
         report.add("five-way-characterization", FAIL, error=str(exc))
 
-    # runs list current edges in the violet T-order of their outcome
+    # runs list current edges in the violet T-order of their outcome,
+    # read from its record when the outcome is a V-cut Jaeger tree
+    recorded = {step.tree: step.violet for step in steps}
     ok = True
     for run in runs[HT_E_CUT_V]:
-        vo = t_order(g, run.result_tree, VIOLET)
+        t = run.result_tree
+        vo = recorded[t] if t in recorded else t_order(g, t, VIOLET)
         if run.current_edge_order != vo.edge_order:
             ok = False
     report.add("run-order-is-t-order", PASS if ok else FAIL)
@@ -267,7 +274,9 @@ def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
     # setup; the other outcomes are the well-definedness runs
     rev_runs = {variant: bernardi_runs(rev, variant)
                 for variant in (HT_E_CUT_E, HT_V_CUT_E)}
-    ok = all(check_composition(g, runs, rev_runs).values())
+    violet_of = {vcut[k]: tuple(zip(g.violets, f_v))
+                 for f_v, ks in realized[VIOLET].items() for k in ks}
+    ok = all(check_composition(g, runs, rev_runs, violet_of).values())
     report.add("composition-theorems", PASS if ok else FAIL)
 
     # geometry
@@ -281,7 +290,7 @@ def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
         report.add("equal-simplex-volumes", PASS if ok else FAIL,
                    volumes=sorted(vols), trees=swept)
 
-        dis = verify_dissection(g, steps)
+        dis = verify_dissection(g, steps, realized)
         report.add("dissection", PASS if dis["is_dissection"] else FAIL,
                    triangulation=dis["is_triangulation"],
                    certified=dis["interiors_disjoint_certified"])
@@ -317,7 +326,8 @@ def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
                        PASS if kato_series_check(interior.coeffs, g, kmax, values)
                        else FAIL, order=kmax)
 
-    _add_conjecture_checks(report, g, runs, interior, exterior)
+    _add_conjecture_checks(report, g, runs, interior, exterior,
+                           {HT_E_CUT_E: bernardi_e})
     report.elapsed_s = time.perf_counter() - t0
     return report
 

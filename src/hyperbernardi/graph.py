@@ -320,10 +320,22 @@ class RibbonGraph:
         minor = [row[1:] for row in lap[1:]]
         return det_bareiss(minor)
 
-    def _base_sides(self, tree: frozenset[str]) -> dict[str, int]:
+    @cached_property
+    def _edge_index(self) -> dict[str, int]:
+        """Each edge's index in ``edge_ids``, its bit in edge bitmasks."""
+        return {e: i for i, e in enumerate(self.edge_ids)}
+
+    def _edge_mask(self, edges) -> int:
+        """The bitmask of a set of edges."""
+        index = self._edge_index
+        return sum(1 << index[e] for e in edges)
+
+    def _base_sides(self, tree: frozenset[str], weight=None) -> dict[str, int]:
         """For each edge e of a spanning tree, the base node's side of
         tree - e as a node bitmask over ``nodes``: one search down the
-        tree from the base node on the dart table, one pass back up."""
+        tree from the base node on the dart table, one pass back up.
+        With ``weight``, one int per node, a side is the OR of its nodes'
+        weights instead, which must have disjoint bits."""
         darts, ids = self._darts, self.edge_ids
         node, rotation = darts.node, darts.rotation
         n = len(rotation)
@@ -338,12 +350,13 @@ class RibbonGraph:
                     order.append(y)
         if len(order) != n or len(tree) != n - 1:
             raise ValueError("not a spanning tree")
-        below = [1 << x for x in range(n)]
+        below = list(weight) if weight else [1 << x for x in range(n)]
+        full = sum(below)
         sides = {}
         for y in reversed(order[1:]):
             d = upward[y]
             below[node[d ^ 1]] |= below[y]
-            sides[ids[d >> 1]] = ((1 << n) - 1) ^ below[y]
+            sides[ids[d >> 1]] = full ^ below[y]
         return sides
 
     # -- tour of a spanning tree ------------------------------------------

@@ -11,11 +11,17 @@ Recognition tours many trees at once: each edge is a column, an int
 with one bit per tree, and each dart carries the bits of the trees at
 it.  ``jaeger_cuts`` tours one tree through one-bit columns; the
 campaign's brute-force sweep tours whole blocks of edge subsets.
+
+The shelling record tours each tree once on each setup and files the
+violet tours in one trie, whose branches give the divergence edge of
+every pair of trees; each tree's cut table is built once, as edge
+bitmasks, for the semi-passive edges, the characterization and the
+geometry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .bernardi import TheoremViolation
 from .graph import EMERALD, VIOLET, RibbonBipartiteGraph, UnionFind, bip
@@ -152,6 +158,16 @@ def enumerate_jaeger_trees(g: RibbonBipartiteGraph, cut: str) -> list[frozenset[
     return out
 
 
+def _flavor_setup(g: RibbonBipartiteGraph, flavor: str) -> RibbonBipartiteGraph:
+    """The setup whose tours are the ``flavor`` tours: ``g`` for violet,
+    the reversed setup (base edge b0b1-) for emerald."""
+    if flavor == VIOLET:
+        return g
+    if flavor == EMERALD:
+        return g.reversed_setup()
+    raise ValueError(f"unknown flavor {flavor!r}")
+
+
 def divergence_edge(g: RibbonBipartiteGraph, t1: frozenset[str], t2: frozenset[str],
                     flavor: str = VIOLET) -> str:
     """The edge at which the flavor tours of two distinct trees diverge.
@@ -161,9 +177,10 @@ def divergence_edge(g: RibbonBipartiteGraph, t1: frozenset[str], t2: frozenset[s
     violet tours are those of ``g``, the emerald tours those of the
     reversed setup (base edge b0b1-).
     """
+    setup = _flavor_setup(g, flavor)
     if not (g.is_spanning_tree(t1) and g.is_spanning_tree(t2)):
         raise ValueError("not a spanning tree")
-    return _tour_divergence(g if flavor == VIOLET else g.reversed_setup(), t1, t2)
+    return _tour_divergence(setup, t1, t2)
 
 
 def _tour_divergence(setup: RibbonBipartiteGraph, t1: frozenset[str],
@@ -189,49 +206,97 @@ class TOrder:
         return {e: i for i, e in enumerate(self.edge_order)}
 
 
-def t_order(g: RibbonBipartiteGraph, tree: frozenset[str], flavor: str) -> TOrder:
-    """Edges by first occurrence with a flavor-colored current node, plus
-    the class order induced by smallest incident edges, for a V-cut
-    Jaeger tree (an E-cut tree's orders are read on ``g.reversed_setup()``).
-    """
-    if not g.is_spanning_tree(tree):
-        raise ValueError("not a spanning tree")
-    setup = g if flavor == VIOLET else g.reversed_setup()
-    order: list[str] = []
-    seen: set[str] = set()
-    for node, edge in setup.tour_pairs(tree):
-        if setup.color(node) == flavor and edge not in seen:
-            seen.add(edge)
-            order.append(edge)
+def _tour(darts, mask: int) -> list[int]:
+    """The darts of a spanning tree's tour from the base dart, for the
+    tree as an edge bitmask; dart 2i + 1 is edge i at its violet end."""
+    succ, twin = darts.succ, darts.twin
+    d, tour = darts.base, []
+    for _ in succ:
+        tour.append(d)
+        d = succ[twin[d]] if mask >> (d >> 1) & 1 else succ[d]
+    return tour
+
+
+def _flavor_order(g: RibbonBipartiteGraph, tour: list[int], flavor: str) -> TOrder:
+    """The T-order of a tour (``_tour``) on the flavor setup."""
+    at_flavor = int(flavor == VIOLET)
+    order = [g.edge_ids[i] for i in dict.fromkeys(d >> 1 for d in tour if d & 1 == at_flavor)]
     if len(order) != len(g.edge_ids):
         raise AssertionError("tour missed an edge on the flavor side")
     return TOrder(flavor, tuple(order), g.induced_order(flavor, order))
 
 
-def _base_cuts(g: RibbonBipartiteGraph, tree: frozenset[str]):
-    """Each edge of a spanning tree, in sorted order, with its cut in
-    tree - edge: the cut edges whose violet end lies on the base node's
-    side, and those whose emerald end does (the edge itself in one)."""
-    node = g._darts.node
-    ends = list(zip(g.edge_ids, node[0::2], node[1::2]))   # (edge, emerald, violet)
-    for eps, side in sorted(g._base_sides(tree).items()):
-        violet_in = [e for e, a, b in ends if side >> b & 1 and not side >> a & 1]
-        emerald_in = [e for e, a, b in ends if side >> a & 1 and not side >> b & 1]
-        yield eps, violet_in, emerald_in
+def t_order(g: RibbonBipartiteGraph, tree: frozenset[str], flavor: str) -> TOrder:
+    """Edges by first occurrence with a flavor-colored current node, plus
+    the class order induced by smallest incident edges, for a V-cut
+    Jaeger tree (an E-cut tree's orders are read on ``g.reversed_setup()``).
+    """
+    darts = _flavor_setup(g, flavor)._darts
+    if not g.is_spanning_tree(tree):
+        raise ValueError("not a spanning tree")
+    return _flavor_order(g, _tour(darts, g._edge_mask(tree)), flavor)
+
+
+def _bits(mask: int):
+    """The indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _ranks(g: RibbonBipartiteGraph, edge_order) -> list[int]:
+    """Each edge's position in ``edge_order``, by edge index."""
+    rank = [0] * len(g.edge_ids)
+    for pos, e in enumerate(edge_order):
+        rank[g._edge_index[e]] = pos
+    return rank
+
+
+def _base_cuts(g: RibbonBipartiteGraph, tree: frozenset[str]) -> dict[str, tuple[int, int]]:
+    """The cut table of a spanning tree: each tree edge, in sorted order,
+    with its cut in tree - edge as two edge bitmasks, the cut edges whose
+    violet end lies on the base node's side and those whose emerald end
+    does (the edge itself is in one).  One ``_base_sides`` pass, where a
+    node weighs its edges' bits, shifted by |E| at a violet node.
+
+    The edges in e's own half of its cut are oriented like e.  The +/-1
+    functional that weighs +1 the emeralds on e's emerald side and the
+    violets off it, an edge taking the sum of its ends, is 2 on e's
+    half, -2 on the other one and 0 elsewhere, on tree - e too."""
+    m = len(g.edge_ids)
+    weight = [0] * len(g.nodes)
+    for d, x in enumerate(g._darts.node):
+        weight[x] |= 1 << ((d >> 1) + (m if d & 1 else 0))
+    low = (1 << m) - 1
+    cuts = {}
+    for e, side in sorted(g._base_sides(tree, weight).items()):
+        emerald, violet = side & low, side >> m
+        cuts[e] = (violet & ~emerald, emerald & ~violet)
+    return cuts
+
+
+def _halves(cut: tuple[int, int], bit: int) -> tuple[int, int]:
+    """A cut of the cut table as (the half holding the edge's own
+    ``bit``, the other half)."""
+    violet_in, emerald_in = cut
+    return (violet_in, emerald_in) if violet_in & bit else (emerald_in, violet_in)
 
 
 def semi_passive_edges(g: RibbonBipartiteGraph, tree: frozenset[str],
-                       edge_order) -> frozenset[str]:
+                       edge_order, cuts=None) -> frozenset[str]:
     """Tree edges standing opposite to the minimum of their own base cut.
 
     Standing opposite means the two edges have endpoints of different
     colors in each component of tree - edge.  Base-free by definition.
+    ``cuts`` is the tree's cut table (``_base_cuts``) where the caller
+    has it.
     """
-    rank = {e: i for i, e in enumerate(edge_order)}
+    rank, index = _ranks(g, edge_order), g._edge_index
     out = set()
-    for eps, violet_in, emerald_in in _base_cuts(g, tree):
-        smallest = min(violet_in + emerald_in, key=rank.__getitem__)
-        if (smallest in emerald_in) != (eps in emerald_in):
+    for eps, cut in (cuts or _base_cuts(g, tree)).items():
+        smallest = min(_bits(cut[0] | cut[1]), key=rank.__getitem__)
+        if _halves(cut, 1 << index[eps])[1] >> smallest & 1:
             out.add(eps)
     return frozenset(out)
 
@@ -240,26 +305,77 @@ def semi_passive_edges(g: RibbonBipartiteGraph, tree: frozenset[str],
 class ShellingStep:
     """One V-cut Jaeger tree of the shelling in violet order: both
     T-orders, the semi-passive edges under the emerald T-order, and the
-    divergence edge with each earlier tree, in order."""
+    divergence edge with each earlier tree, in order.  ``mask`` is the
+    tree as an edge bitmask and ``cuts`` its cut table (``_base_cuts``),
+    which the characterization, the pair certificates and the facet
+    check read."""
     tree: frozenset[str]
     violet: TOrder
     emerald: TOrder
     semi_passive: frozenset[str]
     divergences: tuple[str, ...]
+    mask: int = field(compare=False, repr=False)
+    cuts: dict[str, tuple[int, int]] = field(compare=False, repr=False)
 
 
 def shelling(g: RibbonBipartiteGraph, trees_in_violet_order) -> list[ShellingStep]:
     """The shelling record of the V-cut Jaeger trees, one step per tree;
-    the characterization, dissection and shelling checks read it."""
+    the characterization, dissection and shelling checks read it.
+
+    Each tree is toured once on each setup: the emerald tour, on the
+    reversed setup, checks the tree.  The violet tour is filed in a trie
+    of (dart, held) decisions, where ``filed[k]`` lists the trees whose
+    tours reach node k.  Two tours agree up to their first different
+    decision, so the earlier trees under the other branch of a node on
+    a tree's path diverge from it at that node's edge.  Every tour has
+    2|E| steps, so a repeated tree ends where an earlier one did.
+    """
     trees = [frozenset(t) for t in trees_in_violet_order]
+    ids = g.edge_ids
+    # node 0, the root, is nobody's child: a missing child reads as 0,
+    # under which nothing is filed
+    kids, filed = [[0, 0]], [[]]
     steps = []
-    for i, tree in enumerate(trees):
+    for j, tree in enumerate(trees):
         emerald = t_order(g, tree, EMERALD)
+        mask = g._edge_mask(tree)
+        tour = _tour(g._darts, mask)
+        divergences = [""] * j
+        k = 0
+        for d in tour:
+            held = mask >> (d >> 1) & 1
+            for earlier in filed[kids[k][held ^ 1]]:
+                divergences[earlier] = ids[d >> 1]
+            if not kids[k][held]:
+                kids[k][held] = len(kids)
+                kids.append([0, 0])
+                filed.append([])
+            k = kids[k][held]
+            filed[k].append(j)
+        if len(filed[k]) > 1:
+            raise ValueError("identical trees have no divergence")
+        cuts = _base_cuts(g, tree)
         steps.append(ShellingStep(
-            tree, t_order(g, tree, VIOLET), emerald,
-            semi_passive_edges(g, tree, emerald.edge_order),
-            tuple(_tour_divergence(g, earlier, tree) for earlier in trees[:i])))
+            tree, _flavor_order(g, tour, VIOLET), emerald,
+            semi_passive_edges(g, tree, emerald.edge_order, cuts),
+            tuple(divergences), mask, cuts))
     return steps
+
+
+def realized_hypertrees(g: RibbonBipartiteGraph, trees) -> dict[str, dict]:
+    """For each side, the hypertrees that ``trees`` realize, as degree
+    vectors over ``g.side_nodes(side)``, each with the positions of the
+    trees that realize it.  The unique-realization check, the
+    dissection's markers and the composition check read it."""
+    out = {}
+    for side in (EMERALD, VIOLET):
+        nodes = g.side_nodes(side)
+        realized: dict[tuple[int, ...], list[int]] = {}
+        for k, tree in enumerate(trees):
+            f = g.degree_vector(tree, side)
+            realized.setdefault(tuple(f[x] for x in nodes), []).append(k)
+        out[side] = realized
+    return out
 
 
 def characterize_tree(g: RibbonBipartiteGraph, step: ShellingStep) -> dict[str, dict[str, bool]]:
@@ -272,29 +388,30 @@ def characterize_tree(g: RibbonBipartiteGraph, step: ShellingStep) -> dict[str, 
     follow the edge itself.  Raises TheoremViolation when the lemma
     fails or the five disagree.
     """
-    tree = step.tree
-    vrank = step.violet.edge_rank()
-    inactive = internal_inactivity(g, EMERALD, g.degree_vector(tree, EMERALD),
+    vrank, index = _ranks(g, step.violet.edge_order), g._edge_index
+    inactive = internal_inactivity(g, EMERALD, g.degree_vector(step.tree, EMERALD),
                                    step.emerald.class_order)
+    diverged = set(step.divergences)
 
     reports = {}
-    for eps, violet_in, emerald_in in _base_cuts(g, tree):
-        violet_in_base = eps in violet_in
-        firsts = [e for e in violet_in if e != eps]
-        seconds = [e for e in emerald_in if e != eps]
-        for e1 in firsts:
-            if any(vrank[e1] >= vrank[e2] for e2 in seconds):
+    for eps, (violet_in, emerald_in) in step.cuts.items():
+        bit = 1 << index[eps]
+        violet_in_base = bool(violet_in & bit)
+        seconds = emerald_in & ~bit
+        earliest_second = min(map(vrank.__getitem__, _bits(seconds)), default=len(vrank))
+        for e1 in _bits(violet_in & ~bit):
+            if vrank[e1] >= earliest_second:
                 raise TheoremViolation("base-cut order lemma failed")
-            if vrank[e1] > vrank[eps]:
+            if vrank[e1] > vrank[index[eps]]:
                 raise TheoremViolation("base-cut bound failed")
 
         report = {
-            "first_difference": eps in step.divergences,
+            "first_difference": eps in diverged,
             "semi_passive_emerald_order": eps in step.semi_passive,
             "violet_in_base_and_inactive_end":
                 violet_in_base and g.emerald_end(eps) in inactive,
-            "not_largest_in_cut_violet_order":
-                eps != max(violet_in + emerald_in, key=vrank.__getitem__),
+            "not_largest_in_cut_violet_order": vrank[index[eps]] != max(
+                map(vrank.__getitem__, _bits(violet_in | emerald_in))),
             "base_cut_witness": violet_in_base and bool(seconds),
         }
         if len(set(report.values())) != 1:

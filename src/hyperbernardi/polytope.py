@@ -4,19 +4,20 @@ The root polytope of a bipartite graph is the convex hull of the points
 e + v over its edges; maximal simplices correspond to spanning trees.
 Everything here is exact.  Every kernel that ``verify`` runs on each
 instance works on plain ints: marker containment (markers scaled by
-|E||V| to integer points, peeled on the tree), simplex volumes
-(``det_bareiss`` of incidence rows, which ``verify`` computes on the
-dissection's trees; in a search's discovery order every spanning
-tree's rows are unit triangular, so every tree simplex is unimodular),
-Ehrhart counting (dilate points packed into one int each), the
-lattice-scan oracle (the same integer peel on the points of k*Q_G),
-the binomial-basis fit (a unit triangular system), and the +/-1
-functional of a tree's cut side (node bitmasks read off the dart
-table).  That one functional certifies pairwise interior-disjointness
-of a dissection and sorts the trees sharing a facet onto its two
-sides, which decides a triangulation by a local facet-neighbour check
-instead of a test on every pair of trees.  Facet coverage for shelling
-orders runs over ``Fraction``.
+|E||V| to integer points, peeled on the simplex of the tree that
+realizes them), simplex volumes (``det_bareiss`` of incidence rows,
+which ``verify`` computes on the dissection's trees; in a search's
+discovery order every spanning tree's rows are unit triangular, so
+every tree simplex is unimodular), Ehrhart counting (dilate points
+packed into one int each), the lattice-scan oracle (the same integer
+peel on the points of k*Q_G), the binomial-basis fit (a unit
+triangular system), and the +/-1 functional of a tree's cut, read as
+edge bitmasks off the tree's cut table (``jaeger._base_cuts``).  That
+one functional certifies pairwise interior-disjointness of a
+dissection, one AND of bitmasks per pair, and sorts the trees sharing
+a facet onto its two sides, which decides a triangulation by a local
+facet-neighbour check instead of a test on every pair of trees.  Facet
+coverage for shelling orders runs over ``Fraction``.
 
 Parallel edges collapse to one polytope vertex, so the geometric
 operations require a simple bipartite graph.
@@ -32,6 +33,7 @@ from .bernardi import TheoremViolation
 from .exactla import det_bareiss
 from .graph import EMERALD, VIOLET, RibbonBipartiteGraph
 from .hypertree import Poly, enumerate_hypertrees
+from .jaeger import _base_cuts, _bits, _halves, realized_hypertrees
 
 Point = tuple[Fraction, ...]
 
@@ -128,32 +130,15 @@ class TreeSimplex:
         return low > 0 if strict else low >= 0
 
 
-def _cut_values(g: RibbonBipartiteGraph, tree: frozenset[str]) -> dict[str, dict[str, int]]:
-    """For each edge e of a spanning tree, the +/-1 functional of its cut
-    on every edge.  With S the component of tree - e that holds e's
-    emerald end, a node weighs +1 when it is an emerald in S or a violet
-    off it, and -1 otherwise; an edge takes the sum of its ends.  That is
-    2 on e and on the cut edges oriented like e, -2 on the opposite cut
-    edges and 0 on every other edge, tree - e among them.  The sides
-    are the node bitmasks of ``_base_sides``."""
-    node = g._darts.node
-    ends = list(zip(g.edge_ids, node[0::2], node[1::2]))   # (edge, emerald, violet)
-    emerald = dict(zip(g.edge_ids, node[0::2]))
-    full = (1 << len(g.nodes)) - 1
-    values = {}
-    for e, side in g._base_sides(tree).items():
-        if not side >> emerald[e] & 1:
-            side ^= full
-        values[e] = {f: 2 * ((side >> a & 1) - (side >> b & 1)) for f, a, b in ends}
-    return values
-
-
-def _separates(value: dict[str, int], earlier, later, eps: str) -> bool:
-    """The pair certificate: ``value``, the functional of eps's cut in
-    the later tree, is 2 on eps, 0 on the later tree's other edges and
-    at most 0 on the earlier tree's edges."""
-    return (value[eps] == 2 and all(value[e] == 0 for e in later if e != eps)
-            and all(value[e] <= 0 for e in earlier))
+def _certified(g: RibbonBipartiteGraph, cuts, eps: str, earlier: int) -> bool:
+    """The pair certificate, from the later tree's cut table ``cuts``:
+    eps is an edge of the later tree, so the functional of its cut is 2
+    on eps and 0 on the later tree's other edges, and it is at most 0 on
+    the earlier tree's edges (bitmask ``earlier``), none of which lies
+    in eps's own half of the cut."""
+    if eps not in cuts:
+        return False
+    return not _halves(cuts[eps], 1 << g._edge_index[eps])[0] & earlier
 
 
 def certify_disjoint_interiors(g: RibbonBipartiteGraph,
@@ -161,12 +146,12 @@ def certify_disjoint_interiors(g: RibbonBipartiteGraph,
                                eps: str) -> bool:
     """Check the separating-functional certificate for an ordered pair of
     trees whose tours diverge at ``eps`` (an edge of the later tree): the
-    functional of eps's cut in the later tree (``_cut_values``) must be
-    2 on eps, 0 on the other later-tree edges and at most 0 on the
-    earlier tree's edges."""
+    functional of eps's cut in the later tree (``jaeger._base_cuts``)
+    must be 2 on eps, 0 on the other later-tree edges and at most 0 on
+    the earlier tree's edges."""
     if eps not in later:
         raise ValueError("tree cut needs a tree edge")
-    return _separates(_cut_values(g, later)[eps], earlier, later, eps)
+    return _certified(g, _base_cuts(g, later), eps, g._edge_mask(earlier))
 
 
 class Facet(NamedTuple):
@@ -189,38 +174,56 @@ def facet_neighbours(g: RibbonBipartiteGraph, trees) -> list[Facet]:
 
     The trees sharing the facet conv(T - e) are T - e + e' for the other
     edges e' across the cut of e in T.  The functional of that cut
-    (``_cut_values``) is 0 on T - e, 2 on e and on the cut edges oriented
-    like e, and -2 on the opposite ones: T - e + e' lies across the facet
-    exactly when e' is opposite, on T's own side otherwise.  With no
-    opposite edge the facet is on the boundary of Q_G.
+    (``jaeger._base_cuts``) is 0 on T - e, 2 on e and on the cut edges
+    oriented like e, and -2 on the opposite ones: T - e + e' lies across
+    the facet exactly when e' is opposite, on T's own side otherwise.
+    With no opposite edge the facet is on the boundary of Q_G.
     """
     _require_simple(g)
     trees = [frozenset(t) for t in trees]
-    position = {t: k for k, t in enumerate(trees)}
+    return _facets(g, [g._edge_mask(t) for t in trees], [_base_cuts(g, t) for t in trees])
+
+
+def _facets(g: RibbonBipartiteGraph, masks, tables) -> list[Facet]:
+    """facet_neighbours for trees given as edge bitmasks with their cut
+    tables; trees are looked up by bitmask."""
+    index = g._edge_index
+    position = {mask: k for k, mask in enumerate(masks)}
     out = []
-    for k, tree in enumerate(trees):
-        for e, value in sorted(_cut_values(g, tree).items()):
-            across, beside, interior = [], [], False
-            for f, v in value.items():
-                if v == 0 or f == e:
-                    continue
-                interior = interior or v < 0
-                other = position.get(tree - {e} | {f})
-                if other is not None:
-                    (across if v < 0 else beside).append(other)
-            out.append(Facet(k, e, tuple(across), tuple(beside), interior))
+    for k, (mask, cuts) in enumerate(zip(masks, tables)):
+        for e, cut in cuts.items():
+            bit = 1 << index[e]
+            own, other = _halves(cut, bit)
+            rest = mask ^ bit
+            across, beside = (
+                tuple(p for f in _bits(half)
+                      if (p := position.get(rest | 1 << f)) is not None)
+                for half in (other, own ^ bit))
+            out.append(Facet(k, e, across, beside, bool(other)))
     return out
 
 
-def verify_dissection(g: RibbonBipartiteGraph, steps) -> dict:
+def _strictly_inside(simplices, p, scale: int) -> list[int]:
+    """The simplices that hold p/scale in their interior, by position."""
+    return [k for k, s in enumerate(simplices) if s.contains_scaled(p, scale, strict=True)]
+
+
+def verify_dissection(g: RibbonBipartiteGraph, steps, realized=None) -> dict:
     """Marker counts and placement for a claimed dissection, given as the
     shelling record (jaeger.shelling) of V-cut Jaeger trees in violet
-    order.
+    order, and ``realized``, the hypertrees they realize
+    (``jaeger.realized_hypertrees``), computed here when not given.
 
     Checks that the tree count matches both hypertree counts, that each
-    emerald and violet marker lies strictly inside exactly one simplex,
-    and that tour-divergence functionals certify pairwise
-    interior-disjointness; together these make ``is_dissection``.
+    emerald and violet marker lies strictly inside the simplex of the one
+    tree that realizes its hypertree, and that tour-divergence
+    functionals certify pairwise interior-disjointness; together these
+    make ``is_dissection``, and the certificates make each marker's
+    simplex the only one that holds it.  A marker that fails is peeled
+    on every simplex, and its witness lists those that hold it.  Each
+    certificate reads the later tree's cut table; the earlier trees that
+    diverge from a tree at one edge are checked at once, by the OR of
+    their edge bitmasks.
 
     ``is_triangulation`` replaces the pair certificates by a local check
     on facet neighbours (``facet_neighbours``): every interior facet of
@@ -237,6 +240,9 @@ def verify_dissection(g: RibbonBipartiteGraph, steps) -> dict:
     """
     _require_simple(g)
     trees = [s.tree for s in steps]
+    masks = [s.mask for s in steps]
+    if realized is None:
+        realized = realized_hypertrees(g, trees)
     simplices = [TreeSimplex(g, t) for t in trees]
     b_e = enumerate_hypertrees(g, EMERALD)
     b_v = enumerate_hypertrees(g, VIOLET)
@@ -251,23 +257,29 @@ def verify_dissection(g: RibbonBipartiteGraph, steps) -> dict:
     placement_ok = True
     scale = len(g.emeralds) * len(g.violets)
     for side, family in ((EMERALD, b_e), (VIOLET, b_v)):
+        nodes = g.side_nodes(side)
         for f in family:
             p = scaled_marker(g, f, side)
-            hits = [i for i, s in enumerate(simplices)
-                    if s.contains_scaled(p, scale, strict=True)]
-            if len(hits) != 1:
+            own = realized[side].get(tuple(f[x] for x in nodes), [])
+            if sum(simplices[k].contains_scaled(p, scale, strict=True) for k in own) != 1:
                 placement_ok = False
                 report["witnesses"].append(
                     {"kind": "marker", "side": side, "hypertree": dict(f),
-                     "strictly_inside": hits})
+                     "strictly_inside": _strictly_inside(simplices, p, scale)})
     report["markers_in_unique_simplex"] = placement_ok
 
     certified = True
-    values = [_cut_values(g, t) for t in trees]
     for j, step in enumerate(steps):
+        cover: dict[str, int] = {}   # divergence edge -> OR of the earlier trees
         for i, eps in enumerate(step.divergences):
-            earlier, later = (i, j) if eps in trees[j] else (j, i)
-            if not _separates(values[later][eps], trees[earlier], trees[later], eps):
+            cover[eps] = cover.get(eps, 0) | masks[i]
+        if all(_certified(g, step.cuts, eps, earlier) for eps, earlier in cover.items()):
+            continue
+        for i, eps in enumerate(step.divergences):
+            # a divergence edge that the later tree lacks orients the pair
+            # the other way
+            earlier, later = (i, j) if eps in step.tree else (j, i)
+            if not _certified(g, steps[later].cuts, eps, masks[earlier]):
                 certified = False
                 report["witnesses"].append(
                     {"kind": "pair", "trees": [sorted(trees[earlier]), sorted(trees[later])],
@@ -275,7 +287,7 @@ def verify_dissection(g: RibbonBipartiteGraph, steps) -> dict:
     report["interiors_disjoint_certified"] = certified
 
     matched = True
-    for f in facet_neighbours(g, trees):
+    for f in _facets(g, masks, [s.cuts for s in steps]):
         if f.beside or len(f.across) != (1 if f.interior else 0):
             matched = False
             report["witnesses"].append(
@@ -384,7 +396,7 @@ def geometric_shelling_check(g: RibbonBipartiteGraph, steps) -> dict:
             if eps_j in trees[j]:
                 failures.append({"kind": "divergence-side", "tree": i, "earlier": j})
             else:
-                certified[j] = certify_disjoint_interiors(g, trees[j], tree, eps_j)
+                certified[j] = _certified(g, step.cuts, eps_j, steps[j].mask)
         for eps in sorted(tree):
             if eps in step.semi_passive:
                 facet = [vertex_point(g, e) for e in sorted(tree - {eps})]

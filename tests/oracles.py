@@ -19,6 +19,9 @@ on small instances only.  Each reference, and what it checks:
   the exchange reachability that decides transfers and Bernardi steps);
 * ``marker`` and ``contains``: the Fraction marker point and simplex
   containment (against ``scaled_marker`` and ``contains_scaled``);
+* ``marker_placement``: every marker peeled on every tree simplex
+  (against the peel on the realizing tree's simplex alone in
+  ``verify_dissection``);
 * ``tour_pairs``: the tour walked through a (node, edge) -> next edge
   table (against the dart-table ``tour_pairs`` and ``tour_order``);
 * ``first_skip_cuts``: the cuts at whose colored end that tour first
@@ -27,6 +30,10 @@ on small instances only.  Each reference, and what it checks:
 * ``base_side`` and ``tree_cut``: the sides of tree - edge by a
   name-keyed search (against the side masks of ``_base_sides``, which
   the cut functional and the five-way characterization read);
+* ``cut_values`` and ``separates``: the +/-1 cut functional on every
+  edge, from ``base_side``, and the pair certificate read off it
+  (against the cut tables of ``jaeger._base_cuts`` and the bitmask
+  certificates of ``verify_dissection``);
 * ``bernardi_run``: the Bernardi process walked on edge names, deciding
   every step by a full search (against the dart-table ``run_bernardi``,
   fast and paranoid);
@@ -44,7 +51,8 @@ from itertools import combinations
 
 from hyperbernardi.bernardi import BernardiRun, BernardiStep, TheoremViolation
 from hyperbernardi.graph import EMERALD, VIOLET, UnionFind
-from hyperbernardi.hypertree import _oracle, _side_key, is_hypertree
+from hyperbernardi.hypertree import (_oracle, _side_key, enumerate_hypertrees,
+                                     is_hypertree)
 from hyperbernardi.jaeger import ECUT, VCUT, enumerate_jaeger_trees
 from hyperbernardi.polytope import (TreeSimplex, _require_simple, node_index,
                                     scaled_marker, vertex_point)
@@ -340,6 +348,43 @@ def base_side(g, tree, edge) -> frozenset[str]:
                     side.add(y)
                     stack.append(y)
     return frozenset(side)
+
+
+def cut_values(g, tree) -> dict[str, dict[str, int]]:
+    """For each edge e of a spanning tree, the +/-1 functional of its cut
+    on every edge.  With S the component of tree - e that holds e's
+    emerald end, a node weighs +1 when it is an emerald in S or a violet
+    off it, and -1 otherwise; an edge takes the sum of its ends."""
+    values = {}
+    for e in tree:
+        side = base_side(g, tree, e)
+        if g.emerald_end(e) not in side:
+            side = frozenset(g.nodes) - side
+        values[e] = {f: 2 * ((a in side) - (b in side)) for f, (a, b) in g.edges.items()}
+    return values
+
+
+def separates(value, earlier, later, eps) -> bool:
+    """The pair certificate: ``value``, the functional of eps's cut in
+    the later tree, is 2 on eps, 0 on the later tree's other edges and
+    at most 0 on the earlier tree's edges."""
+    return (value[eps] == 2 and all(value[e] == 0 for e in later if e != eps)
+            and all(value[e] <= 0 for e in earlier))
+
+
+def marker_placement(g, trees) -> list[tuple[str, dict, list[int]]]:
+    """Each hypertree's marker, emerald side first, with the positions of
+    the trees whose simplices hold it strictly inside: every marker
+    peeled on every simplex."""
+    simplices = [TreeSimplex(g, t) for t in trees]
+    scale = len(g.emeralds) * len(g.violets)
+    out = []
+    for side in (EMERALD, VIOLET):
+        for f in enumerate_hypertrees(g, side):
+            p = scaled_marker(g, f, side)
+            out.append((side, f, [k for k, s in enumerate(simplices)
+                                  if s.contains_scaled(p, scale, strict=True)]))
+    return out
 
 
 def tree_cut(g, tree, edge) -> tuple[frozenset[str], frozenset[str]]:

@@ -211,14 +211,16 @@ def test_campaign_reuses_runs(family_runs):
 
 def test_campaign_builds_one_shelling_record(monkeypatch):
     """Within the geometry limit, the characterization, the dissection
-    and both shelling checks read one record: each pair's divergence is
-    walked once, and each tree's emerald T-order and semi-passive set
-    are computed once."""
+    and both shelling checks read one record: no pair's tours are walked
+    side by side (the trie of tours gives the divergences), and each
+    tree's emerald T-order, semi-passive set and cut table are computed
+    once."""
     from hyperbernardi import jaeger
     from hyperbernardi.campaign import GEOMETRY_EDGE_LIMIT
-    pairs, emerald, semi = [], [], []
+    pairs, emerald, semi, sides = [], [], [], []
     tour_divergence, t_order, semi_passive_edges = (
         jaeger._tour_divergence, jaeger.t_order, jaeger.semi_passive_edges)
+    base_sides = RibbonBipartiteGraph._base_sides
 
     def counting_divergence(setup, t1, t2):
         pairs.append(frozenset((t1, t2)))
@@ -229,12 +231,17 @@ def test_campaign_builds_one_shelling_record(monkeypatch):
             emerald.append(tree)
         return t_order(g, tree, flavor)
 
-    def counting_semi(g, tree, edge_order):
+    def counting_semi(g, tree, edge_order, cuts=None):
         semi.append(tree)
-        return semi_passive_edges(g, tree, edge_order)
+        return semi_passive_edges(g, tree, edge_order, cuts)
+
+    def counting_sides(g, tree, weight=None):
+        sides.append(tree)
+        return base_sides(g, tree, weight)
     monkeypatch.setattr(jaeger, "_tour_divergence", counting_divergence)
     monkeypatch.setattr(jaeger, "t_order", counting_order)
     monkeypatch.setattr(jaeger, "semi_passive_edges", counting_semi)
+    monkeypatch.setattr(RibbonBipartiteGraph, "_base_sides", counting_sides)
     g = random_bipartite(5, 4, 4, 8)
     assert len(g.edge_ids) <= GEOMETRY_EDGE_LIMIT
     rep = campaign_verify_all(g)
@@ -244,7 +251,29 @@ def test_campaign_builds_one_shelling_record(monkeypatch):
     assert len(trees) == 5
     assert sorted(map(sorted, emerald)) == sorted(map(sorted, trees))
     assert sorted(map(sorted, semi)) == sorted(map(sorted, trees))
-    assert len(pairs) == len(set(pairs)) == 10
+    assert sorted(map(sorted, sides)) == sorted(map(sorted, trees))
+    assert pairs == []
+
+
+def test_campaign_reads_polynomials_and_orders_once(monkeypatch):
+    """The campaign computes the ht:E cut:E embedding polynomials once,
+    for the interior theorem and the conjectures alike, and reads each
+    run's violet T-order from the shelling record of its outcome."""
+    from collections import Counter
+
+    from hyperbernardi.bernardi import HT_E_CUT_E, HT_E_CUT_V
+    polynomials, orders = Counter(), []
+    bernardi_polynomials = campaign.bernardi_polynomials
+
+    def counting_polynomials(g, variant, runs=None):
+        polynomials[variant] += 1
+        return bernardi_polynomials(g, variant, runs)
+    monkeypatch.setattr(campaign, "bernardi_polynomials", counting_polynomials)
+    monkeypatch.setattr(campaign, "t_order", lambda *args: orders.append(args))
+    rep = campaign_verify_all(running_graph().graph)
+    assert not rep.failed and not rep.flagged, rep.summary()
+    assert polynomials == Counter({HT_E_CUT_E: 1, HT_E_CUT_V: 1})
+    assert orders == []
 
 
 def test_conjecture_flag_is_reverified(monkeypatch):
@@ -451,19 +480,21 @@ def non_tree_edges_first_reversed(tree, order):
 def test_lemma_failure_fails_verify_and_characterize(monkeypatch, capsys,
                                                       graph_file, perturb,
                                                       message):
+    from dataclasses import replace
+
     from hyperbernardi import cli, jaeger
     from hyperbernardi.cli import EXIT_THEOREM_FAILURE
-    honest = jaeger.t_order
+    honest = jaeger.characterize_tree
 
-    def perturbed_violet_order(g, tree, flavor):
-        to = honest(g, tree, flavor)
-        if flavor != VIOLET:
-            return to
-        return jaeger.TOrder(flavor, perturb(tree, to.edge_order), to.class_order)
+    def on_perturbed_violet_order(g, step):
+        to = step.violet
+        return honest(g, replace(step, violet=jaeger.TOrder(
+            to.flavor, perturb(step.tree, to.edge_order), to.class_order)))
 
-    # the other modules bound t_order at import and the geometry asks only
-    # for emerald orders, so only the characterization sees the change
-    monkeypatch.setattr(jaeger, "t_order", perturbed_violet_order)
+    # the run-order check reads the same records, so the characterization
+    # alone is handed records whose violet orders are perturbed
+    monkeypatch.setattr(campaign, "characterize_tree", on_perturbed_violet_order)
+    monkeypatch.setattr(cli, "characterize_tree", on_perturbed_violet_order)
     assert cli.main(["verify", "--graph", graph_file, "--json"]) == \
         EXIT_THEOREM_FAILURE
     failed = [c for c in json.loads(capsys.readouterr().out)["checks"]
@@ -480,7 +511,7 @@ def test_shelling_failure_is_theorem_failure(monkeypatch, capsys, graph_file):
     theorem: verify reports it and goes on, and both commands exit 1."""
     from hyperbernardi import cli, jaeger
     monkeypatch.setattr(jaeger, "semi_passive_edges",
-                        lambda g, tree, edge_order: frozenset(tree))
+                        lambda g, tree, edge_order, cuts=None: frozenset(tree))
     message = "first tree of a shelling has no covered facets"
     assert cli.main(["verify", "--graph", graph_file, "--json"]) == \
         cli.EXIT_THEOREM_FAILURE

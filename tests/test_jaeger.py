@@ -328,8 +328,9 @@ def test_divergence_edge(c4_fixture):
 
 
 def test_shelling_checks_each_tree_once(monkeypatch, running_fixture):
-    """shelling checks each tree in its two T-orders and walks the pairs'
-    tours without checking the trees again; a bad tree still fails."""
+    """shelling checks each tree once, in its emerald T-order, and files
+    its violet tour in the trie without checking it again; a bad tree
+    still fails."""
     g = running_fixture.graph
     trees = enumerate_jaeger_trees(g, VCUT)
     checked = []
@@ -338,9 +339,75 @@ def test_shelling_checks_each_tree_once(monkeypatch, running_fixture):
                         lambda self, tree: checked.append(tree) or is_spanning_tree(self, tree))
     steps = shelling(g, trees)
     assert sum(len(step.divergences) for step in steps) == 21
-    assert len(checked) == 2 * len(trees) == 14
+    assert len(checked) == len(trees) == 7
     with pytest.raises(ValueError, match="spanning tree"):
         shelling(g, [trees[0], trees[1] - {min(trees[1])}])
+
+
+def test_trie_divergences_equal_pairwise_walks(c4_fixture, running_fixture,
+                                               knot_fixture):
+    """The trie of violet tours gives each pair the edge at which the
+    pairwise walk (``_tour_divergence``) finds their tours diverge, and
+    each tree its violet T-order: for V-cut and E-cut trees, in
+    enumeration order and shuffled, on the setup and its reversal.  A
+    repeated tree still has no divergence."""
+    from hyperbernardi.jaeger import _tour_divergence
+    rng = random.Random(21)
+    graphs = [c4_fixture.graph, running_fixture.graph, knot_fixture.graph]
+    graphs += [random_bipartite(seed, 4, 4, 10) for seed in range(40)]
+    graphs += [bip(random_ordinary(seed, 5, 8)) for seed in range(20)]
+    pairs = 0
+    for g in graphs:
+        for cut in (VCUT, ECUT):
+            trees = enumerate_jaeger_trees(g, cut)
+            shuffled = rng.sample(trees, len(trees))
+            for setup in (g, g.reversed_setup()):
+                for listed in (trees, shuffled):
+                    steps = shelling(setup, listed)
+                    for j, step in enumerate(steps):
+                        assert step.violet == t_order(setup, step.tree, VIOLET)
+                        assert step.divergences == tuple(
+                            _tour_divergence(setup, earlier, step.tree)
+                            for earlier in listed[:j])
+                        pairs += j
+    assert pairs > 5000
+    g = running_fixture.graph
+    trees = enumerate_jaeger_trees(g, VCUT)
+    with pytest.raises(ValueError, match="identical trees"):
+        shelling(g, trees[:3] + [trees[1]])
+
+
+def test_unknown_flavor_is_rejected(c4_fixture):
+    g = c4_fixture.graph
+    t4 = frozenset({"c2", "c3", "c4"})
+    t2 = frozenset({"c1", "c2", "c4"})
+    with pytest.raises(ValueError, match="unknown flavor 'bogus'"):
+        t_order(g, t4, "bogus")
+    with pytest.raises(ValueError, match="unknown flavor 'bogus'"):
+        divergence_edge(g, t4, t2, flavor="bogus")
+    assert divergence_edge(g, t4, t2, flavor=EMERALD) in t4 ^ t2
+
+
+def test_cut_tables_equal_reference_cuts(c4_fixture, running_fixture, knot_fixture):
+    """Each tree edge's cut table entry splits the reference cut of
+    tree - edge by which end of a cut edge lies on the base side."""
+    from hyperbernardi.jaeger import _base_cuts
+    graphs = [c4_fixture.graph, running_fixture.graph, knot_fixture.graph]
+    graphs += [random_bipartite(seed, 3, 4, 8) for seed in range(6)]
+    cuts = 0
+    for g in graphs:
+        names = {i: e for e, i in g._edge_index.items()}
+        for tree in g.spanning_trees():
+            table = _base_cuts(g, tree)
+            assert list(table) == sorted(tree)
+            for edge, (violet_in, emerald_in) in table.items():
+                side, cut = tree_cut(g, tree, edge)
+                assert {names[i] for i in names if violet_in >> i & 1} == {
+                    e for e in cut if g.violet_end(e) in side}
+                assert {names[i] for i in names if emerald_in >> i & 1} == {
+                    e for e in cut if g.emerald_end(e) in side}
+                cuts += 1
+    assert cuts > 500
 
 
 def divergence_by_full_tours(g, t1, t2, cut, flavor):

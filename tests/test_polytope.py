@@ -27,8 +27,8 @@ from hyperbernardi.polytope import (TreeSimplex, certify_disjoint_interiors,
                                     normalized_simplex_volume, scaled_marker,
                                     shelling_h_vector, verify_dissection,
                                     vertex_point)
-from oracles import (contains, intersection_is_common_face, marker,
-                     solve_exact, trees_compatible)
+from oracles import (contains, cut_values, intersection_is_common_face, marker,
+                     marker_placement, separates, solve_exact, trees_compatible)
 
 
 def test_marker_values_c4(c4_fixture):
@@ -278,6 +278,94 @@ def test_tampered_records_fail_certificates(running_fixture):
     rep = geometric_shelling_check(g, steps)
     assert {(f["kind"], f["edge"]) for f in rep["failures"]} == {
         ("active-facet-hit", e) for e in steps[6].divergences}
+
+
+def simple_instances(knot, c4, running):
+    graphs = [knot, c4, running]
+    graphs += [random_bipartite(seed, 4, 4, 10) for seed in range(30)]
+    graphs += [bip(random_ordinary(seed, 5, 8)) for seed in range(20)]
+    return [g for g in graphs if len(set(g.edges.values())) == len(g.edge_ids)]
+
+
+def test_own_simplex_markers_equal_all_simplices(knot_fixture, c4_fixture,
+                                                 running_fixture):
+    """Peeling each marker on the simplex of the tree that realizes it
+    gives the verdict and the witnesses of peeling it on every simplex:
+    on the V-cut Jaeger trees, and with one of them missing, when the
+    missing tree's markers lie in no simplex.  On any list whose pairs
+    are certified, the two agree too."""
+    instances = 0
+    for g in simple_instances(knot_fixture.graph, c4_fixture.graph, running_fixture.graph):
+        trees = enumerate_jaeger_trees(g, VCUT)
+        others = [t for t in g.spanning_trees() if t not in set(trees)][:1]
+        for listed in (trees, trees[:-1], trees[1:], others + trees[1:]):
+            rep = verify_dissection(g, shelling(g, listed))
+            want = [{"kind": "marker", "side": side, "hypertree": dict(f),
+                     "strictly_inside": hits}
+                    for side, f, hits in marker_placement(g, listed) if len(hits) != 1]
+            if listed is trees or rep["interiors_disjoint_certified"]:
+                assert [w for w in rep["witnesses"] if w["kind"] == "marker"] == want
+                assert rep["markers_in_unique_simplex"] == (not want)
+        rep = verify_dissection(g, shelling(g, trees[:-1]))
+        missing = [w for w in rep["witnesses"] if w["kind"] == "marker"]
+        assert len(missing) == 2 and all(w["strictly_inside"] == [] for w in missing)
+        instances += 1
+    assert instances > 40
+
+
+def test_mask_certificates_equal_functional(c4_fixture, running_fixture):
+    """The bitmask certificate equals the certificate read off the +/-1
+    cut functional, on every ordered pair of spanning trees and every
+    edge of the later one; the cut table's halves are where that
+    functional is 2 and -2."""
+    from hyperbernardi.jaeger import _base_cuts, _halves
+    graphs = [c4_fixture.graph, running_fixture.graph]
+    graphs += [random_bipartite(seed, 3, 3, 7) for seed in range(4)]
+    answers = []
+    for g in graphs:
+        trees = list(g.spanning_trees())
+        values = {t: cut_values(g, t) for t in trees}
+        for later in trees:
+            for eps, cut in _base_cuts(g, later).items():
+                own, other = _halves(cut, 1 << g._edge_index[eps])
+                assert own == g._edge_mask(f for f, v in values[later][eps].items() if v == 2)
+                assert other == g._edge_mask(f for f, v in values[later][eps].items() if v == -2)
+            for earlier in trees:
+                if earlier != later:
+                    for eps in later:
+                        answers.append(certify_disjoint_interiors(g, earlier, later, eps))
+                        assert answers[-1] == separates(values[later][eps], earlier, later, eps)
+    assert set(answers) == {False, True} and len(answers) > 10000
+
+
+def test_pair_witnesses_equal_functional(knot_fixture, c4_fixture, running_fixture):
+    """The dissection's grouped certificates fail exactly the pairs whose
+    functional does not separate them, oriented by the tree that holds
+    the divergence edge: on Jaeger trees in violet order, shuffled, and
+    with a spanning tree that is not Jaeger swapped in."""
+    rng = random.Random(5)
+    verdicts = set()
+    for g in simple_instances(knot_fixture.graph, c4_fixture.graph, running_fixture.graph):
+        trees = enumerate_jaeger_trees(g, VCUT)
+        others = [t for t in g.spanning_trees() if t not in set(trees)]
+        lists = [trees, rng.sample(trees, len(trees))]
+        lists += [trees[:k] + [t] + trees[k + 1:]
+                  for k, t in zip(range(len(trees)), others[::7][:3])]
+        for listed in lists:
+            steps = shelling(g, listed)
+            want = []
+            for j, step in enumerate(steps):
+                for i, eps in enumerate(step.divergences):
+                    earlier, later = (listed[i], listed[j]) if eps in listed[j] else (
+                        listed[j], listed[i])
+                    if not separates(cut_values(g, later)[eps], earlier, later, eps):
+                        want.append({"kind": "pair", "trees": [sorted(earlier), sorted(later)],
+                                     "divergence": eps})
+            rep = verify_dissection(g, steps)
+            assert [w for w in rep["witnesses"] if w["kind"] == "pair"] == want
+            assert rep["interiors_disjoint_certified"] == (not want)
+            verdicts.add(not want)
+    assert verdicts == {False, True}
 
 
 def test_geometric_shelling_random_small():

@@ -156,3 +156,74 @@ def test_sweep_is_the_block_primitive():
     callers = {function for name in ("spanning_trees", "jaeger_cuts")
                for function, _ in calls_to(source, name)}
     assert callers & {"campaign_verify_all", "_jaeger_sweep"} == set()
+
+
+def test_record_checks_walk_no_pairs():
+    """The shelling record's divergences come from the trie of tours, and
+    the dissection reads them: of the modules under ``src/``, only
+    ``divergence_edge`` walks two tours side by side."""
+    callers = {(p.name, function) for p in PACKAGE.glob("*.py")
+               for function, _ in calls_to(p.read_text(encoding="utf-8"),
+                                           "_tour_divergence")}
+    assert callers == {("jaeger.py", "divergence_edge")}
+
+
+PEELS = ("contains_scaled", "_strictly_inside")
+
+
+def peels_in(source: str, function: str) -> list[tuple[str, bool, bool]]:
+    """Each peel (a call of ``contains_scaled`` or ``_strictly_inside``) in
+    a module's top-level ``function``: its name, whether it lies in a
+    loop or comprehension over ``simplices``, and whether it lies in a
+    branch of an ``if``."""
+    found = []
+
+    def over_simplices(node) -> bool:
+        loops = [node] if isinstance(node, ast.For) else getattr(node, "generators", [])
+        return any(isinstance(n, ast.Name) and n.id == "simplices"
+                   for loop in loops for n in ast.walk(loop.iter))
+
+    def visit(node, every, guarded):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+            if name in PEELS:
+                found.append((name, every, guarded))
+        every = every or over_simplices(node)
+        if isinstance(node, ast.If):
+            visit(node.test, every, guarded)
+            for child in node.body + node.orelse:
+                visit(child, every, True)
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, every, guarded)
+
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            visit(node, False, False)
+    return found
+
+
+def test_peels_detected():
+    source = ("def f(simplices, own, p):\n"
+              "    a = [s.contains_scaled(p) for s in simplices]\n"
+              "    b = sum(simplices[k].contains_scaled(p) for k in own)\n"
+              "    for s in simplices:\n"
+              "        if p:\n"
+              "            _strictly_inside(simplices, p)\n"
+              "    if b:\n"
+              "        s.contains_scaled(p)\n"
+              "def g(simplices, p):\n"
+              "    return [s.contains_scaled(p) for s in simplices]\n")
+    assert peels_in(source, "f") == [
+        ("contains_scaled", True, False), ("contains_scaled", False, False),
+        ("_strictly_inside", True, True), ("contains_scaled", False, True)]
+
+
+def test_markers_peel_on_their_own_simplex():
+    """``verify_dissection`` peels each marker on the simplices of the
+    trees that realize it; only a marker that fails there is peeled on
+    every simplex (``_strictly_inside``), for its witness."""
+    source = (PACKAGE / "polytope.py").read_text(encoding="utf-8")
+    assert peels_in(source, "verify_dissection") == [
+        ("contains_scaled", False, False), ("_strictly_inside", False, True)]
+    assert peels_in(source, "_strictly_inside") == [("contains_scaled", True, False)]
