@@ -316,21 +316,16 @@ def bernardi_polynomials(g: RibbonBipartiteGraph, variant: ProcessVariant,
             Poly.counting(e for _, e in pairs))
 
 
-def check_composition(g: RibbonBipartiteGraph, runs, rev_runs,
-                      violet_of=None) -> dict[str, bool]:
+def check_composition(g: RibbonBipartiteGraph, runs, rev_runs) -> dict[str, bool]:
     """The three composition identities, from the runs of every variant
     on ``g`` and of both cut:E variants on the reversed setup, each over
     all hypertrees.  With t the ht:E cut:V outcome of f and f_v its violet
     degree vector: (a) ht:V cut:V sends f_v to t; (b) ht:E cut:E and (c)
-    ht:V cut:E on the reversed setup send f and f_v to t.  ``violet_of``
-    maps trees to their f_v, as sorted (node, value) pairs, where the
-    caller has them."""
+    ht:V cut:E on the reversed setup send f and f_v to t."""
     def outcomes(variant_runs):
         return {(run.hypertree, run.result_tree) for run in variant_runs}
-    violet_of = violet_of or {}
     base = outcomes(runs[HT_E_CUT_V])
-    on_f_v = {(violet_of.get(t) or tuple(sorted(g.degree_vector(t, VIOLET).items())), t)
-              for _, t in base}
+    on_f_v = {(tuple(sorted(g.degree_vector(t, VIOLET).items())), t) for _, t in base}
     return {
         "htV-cutV-on-fV": outcomes(runs[HT_V_CUT_V]) == on_f_v,
         "htE-cutE-reversed": outcomes(rev_runs[HT_E_CUT_E]) == base,

@@ -330,12 +330,11 @@ class RibbonGraph:
         index = self._edge_index
         return sum(1 << index[e] for e in edges)
 
-    def _base_sides(self, tree: frozenset[str], weight=None) -> dict[str, int]:
+    def _base_sides(self, tree: frozenset[str], weight: list[int]) -> dict[str, int]:
         """For each edge e of a spanning tree, the base node's side of
-        tree - e as a node bitmask over ``nodes``: one search down the
-        tree from the base node on the dart table, one pass back up.
-        With ``weight``, one int per node, a side is the OR of its nodes'
-        weights instead, which must have disjoint bits."""
+        tree - e as the OR of its nodes' ``weight`` (one int per node in
+        ``nodes``, with disjoint bits): one search down the tree from the
+        base node on the dart table, one pass back up."""
         darts, ids = self._darts, self.edge_ids
         node, rotation = darts.node, darts.rotation
         n = len(rotation)
@@ -350,7 +349,7 @@ class RibbonGraph:
                     order.append(y)
         if len(order) != n or len(tree) != n - 1:
             raise ValueError("not a spanning tree")
-        below = list(weight) if weight else [1 << x for x in range(n)]
+        below = list(weight)
         full = sum(below)
         sides = {}
         for y in reversed(order[1:]):

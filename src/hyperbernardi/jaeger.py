@@ -365,8 +365,8 @@ def shelling(g: RibbonBipartiteGraph, trees_in_violet_order) -> list[ShellingSte
 def realized_hypertrees(g: RibbonBipartiteGraph, trees) -> dict[str, dict]:
     """For each side, the hypertrees that ``trees`` realize, as degree
     vectors over ``g.side_nodes(side)``, each with the positions of the
-    trees that realize it.  The unique-realization check, the
-    dissection's markers and the composition check read it."""
+    trees that realize it.  The unique-realization check and the
+    dissection's markers read it."""
     out = {}
     for side in (EMERALD, VIOLET):
         nodes = g.side_nodes(side)

@@ -130,15 +130,21 @@ class TreeSimplex:
         return low > 0 if strict else low >= 0
 
 
-def _certified(g: RibbonBipartiteGraph, cuts, eps: str, earlier: int) -> bool:
-    """The pair certificate, from the later tree's cut table ``cuts``:
-    eps is an edge of the later tree, so the functional of its cut is 2
-    on eps and 0 on the later tree's other edges, and it is at most 0 on
-    the earlier tree's edges (bitmask ``earlier``), none of which lies
-    in eps's own half of the cut."""
-    if eps not in cuts:
-        return False
-    return not _halves(cuts[eps], 1 << g._edge_index[eps])[0] & earlier
+def _positive(g: RibbonBipartiteGraph, cuts) -> dict[str, int]:
+    """For each edge eps of a tree, from its cut table ``cuts``, the half
+    of eps's cut that holds eps, as an edge bitmask: where the functional
+    of that cut is 2.  It is 0 on the tree's other edges."""
+    index = g._edge_index
+    return {eps: _halves(cut, 1 << index[eps])[0] for eps, cut in cuts.items()}
+
+
+def _certified(positive: dict[str, int], eps: str, earlier: int) -> bool:
+    """The pair certificate, from the later tree's ``_positive`` masks:
+    eps is an edge of the later tree, and the functional of its cut is
+    at most 0 on the earlier tree's edges (bitmask ``earlier``), none of
+    which lies in eps's own half of the cut."""
+    own = positive.get(eps)
+    return own is not None and not own & earlier
 
 
 def certify_disjoint_interiors(g: RibbonBipartiteGraph,
@@ -151,7 +157,7 @@ def certify_disjoint_interiors(g: RibbonBipartiteGraph,
     the earlier tree's edges."""
     if eps not in later:
         raise ValueError("tree cut needs a tree edge")
-    return _certified(g, _base_cuts(g, later), eps, g._edge_mask(earlier))
+    return _certified(_positive(g, _base_cuts(g, later)), eps, g._edge_mask(earlier))
 
 
 class Facet(NamedTuple):
@@ -215,15 +221,18 @@ def verify_dissection(g: RibbonBipartiteGraph, steps, realized=None) -> dict:
     (``jaeger.realized_hypertrees``), computed here when not given.
 
     Checks that the tree count matches both hypertree counts, that each
-    emerald and violet marker lies strictly inside the simplex of the one
-    tree that realizes its hypertree, and that tour-divergence
-    functionals certify pairwise interior-disjointness; together these
-    make ``is_dissection``, and the certificates make each marker's
-    simplex the only one that holds it.  A marker that fails is peeled
-    on every simplex, and its witness lists those that hold it.  Each
-    certificate reads the later tree's cut table; the earlier trees that
-    diverge from a tree at one edge are checked at once, by the OR of
-    their edge bitmasks.
+    emerald and violet marker lies strictly inside exactly one simplex,
+    and that tour-divergence functionals certify pairwise
+    interior-disjointness; together these make ``is_dissection``.  Each
+    certificate is one AND of the earlier tree's edge bitmask with the
+    half of the later tree's cut (its cut table) that holds the
+    divergence edge.  Once every pair is certified, a marker strictly
+    inside the simplex of a tree that realizes its hypertree lies in no
+    other, so only those simplices are peeled; any other marker, and
+    every marker of a list whose pairs are not all certified, is peeled
+    on every simplex, and a witness lists the simplices that hold it.
+    So a ``realized`` that does not match ``steps`` cannot pass a marker
+    that the peel on every simplex fails.
 
     ``is_triangulation`` replaces the pair certificates by a local check
     on facet neighbours (``facet_neighbours``): every interior facet of
@@ -254,6 +263,19 @@ def verify_dissection(g: RibbonBipartiteGraph, steps, realized=None) -> dict:
         "witnesses": [],
     }
 
+    positive = [_positive(g, s.cuts) for s in steps]
+    pairs = []
+    for j, step in enumerate(steps):
+        for i, eps in enumerate(step.divergences):
+            # a divergence edge that the later tree lacks orients the pair
+            # the other way
+            earlier, later = (i, j) if eps in positive[j] else (j, i)
+            if not _certified(positive[later], eps, masks[earlier]):
+                pairs.append({"kind": "pair", "trees": [sorted(trees[earlier]),
+                                                        sorted(trees[later])],
+                              "divergence": eps})
+    certified = not pairs
+
     placement_ok = True
     scale = len(g.emeralds) * len(g.violets)
     for side, family in ((EMERALD, b_e), (VIOLET, b_v)):
@@ -261,29 +283,16 @@ def verify_dissection(g: RibbonBipartiteGraph, steps, realized=None) -> dict:
         for f in family:
             p = scaled_marker(g, f, side)
             own = realized[side].get(tuple(f[x] for x in nodes), [])
-            if sum(simplices[k].contains_scaled(p, scale, strict=True) for k in own) != 1:
-                placement_ok = False
-                report["witnesses"].append(
-                    {"kind": "marker", "side": side, "hypertree": dict(f),
-                     "strictly_inside": _strictly_inside(simplices, p, scale)})
+            if not (certified and any(simplices[k].contains_scaled(p, scale, strict=True)
+                                      for k in own)):
+                inside = _strictly_inside(simplices, p, scale)
+                if len(inside) != 1:
+                    placement_ok = False
+                    report["witnesses"].append(
+                        {"kind": "marker", "side": side, "hypertree": dict(f),
+                         "strictly_inside": inside})
     report["markers_in_unique_simplex"] = placement_ok
-
-    certified = True
-    for j, step in enumerate(steps):
-        cover: dict[str, int] = {}   # divergence edge -> OR of the earlier trees
-        for i, eps in enumerate(step.divergences):
-            cover[eps] = cover.get(eps, 0) | masks[i]
-        if all(_certified(g, step.cuts, eps, earlier) for eps, earlier in cover.items()):
-            continue
-        for i, eps in enumerate(step.divergences):
-            # a divergence edge that the later tree lacks orients the pair
-            # the other way
-            earlier, later = (i, j) if eps in step.tree else (j, i)
-            if not _certified(g, steps[later].cuts, eps, masks[earlier]):
-                certified = False
-                report["witnesses"].append(
-                    {"kind": "pair", "trees": [sorted(trees[earlier]), sorted(trees[later])],
-                     "divergence": eps})
+    report["witnesses"] += pairs
     report["interiors_disjoint_certified"] = certified
 
     matched = True
@@ -390,13 +399,13 @@ def geometric_shelling_check(g: RibbonBipartiteGraph, steps) -> dict:
     simplices = [TreeSimplex(g, t) for t in trees]
     failures = []
     for i, step in enumerate(steps):
-        tree = step.tree
+        tree, positive = step.tree, _positive(g, step.cuts)
         certified = {}  # earlier tree -> its pair certificate holds
         for j, eps_j in enumerate(step.divergences):
             if eps_j in trees[j]:
                 failures.append({"kind": "divergence-side", "tree": i, "earlier": j})
             else:
-                certified[j] = _certified(g, step.cuts, eps_j, steps[j].mask)
+                certified[j] = _certified(positive, eps_j, steps[j].mask)
         for eps in sorted(tree):
             if eps in step.semi_passive:
                 facet = [vertex_point(g, e) for e in sorted(tree - {eps})]

@@ -302,6 +302,11 @@ def bfs_split(g, tree, edge):
                       if (g.edges[e][0] in side) != (g.edges[e][1] in side)))
 
 
+def node_bits(g):
+    """Each node's own bit, so that ``_base_sides`` gives node bitmasks."""
+    return [1 << x for x in range(len(g.nodes))]
+
+
 def side_names(g, mask):
     return frozenset(x for i, x in enumerate(g.nodes) if mask >> i & 1)
 
@@ -311,12 +316,12 @@ def test_tree_cut_c4(c4_fixture):
     t = frozenset({"c1", "c2", "c4"})
     assert tree_cut(g, t, "c2") == (frozenset({"v1", "e1", "v2"}),
                                     frozenset({"c2", "c3"}))
-    assert {e: side_names(g, m) for e, m in g._base_sides(t).items()} == {
+    assert {e: side_names(g, m) for e, m in g._base_sides(t, node_bits(g)).items()} == {
         "c1": {"v1", "e2"}, "c2": {"v1", "e1", "v2"}, "c4": {"v1", "e2", "e1"}}
     with pytest.raises(ValueError, match="tree edge"):
         tree_cut(g, t, "c3")
     with pytest.raises(ValueError, match="not a spanning tree"):
-        g._base_sides(frozenset({"c1", "c2", "c3", "c4"}))
+        g._base_sides(frozenset({"c1", "c2", "c3", "c4"}), node_bits(g))
 
 
 def test_tree_cut_tree_graph():
@@ -325,7 +330,7 @@ def test_tree_cut_tree_graph():
                              base_node="e0", base_edge="a")
     t = frozenset({"a", "b"})
     assert tree_cut(g, t, "a") == (frozenset({"e0", "v1"}), frozenset({"a"}))
-    assert side_names(g, g._base_sides(t)["a"]) == {"e0", "v1"}
+    assert side_names(g, g._base_sides(t, node_bits(g))["a"]) == {"e0", "v1"}
 
 
 def test_tree_cut_equals_bfs_split(c4_fixture, running_fixture, knot_fixture,
@@ -337,7 +342,7 @@ def test_tree_cut_equals_bfs_split(c4_fixture, running_fixture, knot_fixture,
     cuts = 0
     for g in graphs:
         for tree in g.spanning_trees():
-            sides = g._base_sides(tree)
+            sides = g._base_sides(tree, node_bits(g))
             assert sides.keys() == tree
             for edge in tree:
                 want = bfs_split(g, tree, edge)

@@ -235,7 +235,7 @@ def test_campaign_builds_one_shelling_record(monkeypatch):
         semi.append(tree)
         return semi_passive_edges(g, tree, edge_order, cuts)
 
-    def counting_sides(g, tree, weight=None):
+    def counting_sides(g, tree, weight):
         sides.append(tree)
         return base_sides(g, tree, weight)
     monkeypatch.setattr(jaeger, "_tour_divergence", counting_divergence)

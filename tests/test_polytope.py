@@ -17,7 +17,8 @@ from hyperbernardi.generators import random_bipartite, random_ordinary
 from hyperbernardi.graph import EMERALD, VIOLET, RibbonBipartiteGraph, bip
 from hyperbernardi.hypertree import (Poly, enumerate_hypertrees,
                                      interior_polynomial)
-from hyperbernardi.jaeger import VCUT, enumerate_jaeger_trees, shelling
+from hyperbernardi.jaeger import (VCUT, enumerate_jaeger_trees, realized_hypertrees,
+                                  shelling)
 from hyperbernardi.polytope import (TreeSimplex, certify_disjoint_interiors,
                                     compositions, ehrhart_fit, ehrhart_values,
                                     ehrhart_values_scan, facet_neighbours,
@@ -289,28 +290,58 @@ def simple_instances(knot, c4, running):
 
 def test_own_simplex_markers_equal_all_simplices(knot_fixture, c4_fixture,
                                                  running_fixture):
-    """Peeling each marker on the simplex of the tree that realizes it
-    gives the verdict and the witnesses of peeling it on every simplex:
-    on the V-cut Jaeger trees, and with one of them missing, when the
-    missing tree's markers lie in no simplex.  On any list whose pairs
-    are certified, the two agree too."""
-    instances = 0
+    """``markers_in_unique_simplex`` says that every marker lies strictly
+    inside exactly one simplex of the list: the verdict and the marker
+    witnesses are those of peeling every marker on every simplex,
+    whether or not the list's pairs are certified, and with a
+    realization map of the trees in reverse order.  Lists: the V-cut
+    Jaeger trees, one of them missing (its markers lie in no simplex),
+    and a spanning tree that is not Jaeger swapped in or added (its
+    pairs may fail their certificates and its simplex may hold a marker
+    that another simplex holds too)."""
+    seen = set()
     for g in simple_instances(knot_fixture.graph, c4_fixture.graph, running_fixture.graph):
         trees = enumerate_jaeger_trees(g, VCUT)
         others = [t for t in g.spanning_trees() if t not in set(trees)][:1]
-        for listed in (trees, trees[:-1], trees[1:], others + trees[1:]):
-            rep = verify_dissection(g, shelling(g, listed))
+        for listed in (trees, trees[:-1], trees[1:], others + trees[1:], trees + others):
+            steps = shelling(g, listed)
+            placement = marker_placement(g, listed)
             want = [{"kind": "marker", "side": side, "hypertree": dict(f),
                      "strictly_inside": hits}
-                    for side, f, hits in marker_placement(g, listed) if len(hits) != 1]
-            if listed is trees or rep["interiors_disjoint_certified"]:
+                    for side, f, hits in placement if len(hits) != 1]
+            for realized in (None, realized_hypertrees(g, listed[::-1])):
+                rep = verify_dissection(g, steps, realized)
                 assert [w for w in rep["witnesses"] if w["kind"] == "marker"] == want
                 assert rep["markers_in_unique_simplex"] == (not want)
+            seen.add((rep["interiors_disjoint_certified"],
+                      any(len(hits) > 1 for _, _, hits in placement)))
         rep = verify_dissection(g, shelling(g, trees[:-1]))
         missing = [w for w in rep["witnesses"] if w["kind"] == "marker"]
         assert len(missing) == 2 and all(w["strictly_inside"] == [] for w in missing)
-        instances += 1
-    assert instances > 40
+    assert seen == {(True, False), (False, True)}
+
+
+def test_certified_markers_peel_one_simplex_each(monkeypatch, knot_fixture,
+                                                 running_fixture):
+    """On the V-cut Jaeger trees in violet order every pair is certified,
+    so each marker is peeled once, on the simplex of the tree that
+    realizes its hypertree, and none on every simplex."""
+    peels = []
+    contains_scaled = TreeSimplex.contains_scaled
+
+    def counting(simplex, p, scale, strict):
+        peels.append((simplex.tree_edges, p))
+        return contains_scaled(simplex, p, scale, strict)
+    monkeypatch.setattr(TreeSimplex, "contains_scaled", counting)
+    for g in (knot_fixture.graph, running_fixture.graph):
+        trees = enumerate_jaeger_trees(g, VCUT)
+        peels.clear()
+        rep = verify_dissection(g, shelling(g, trees))
+        assert rep["is_dissection"] and rep["interiors_disjoint_certified"]
+        assert peels == [
+            (tuple(sorted(next(t for t in trees if g.degree_vector(t, side) == f))),
+             scaled_marker(g, f, side))
+            for side in (EMERALD, VIOLET) for f in enumerate_hypertrees(g, side)]
 
 
 def test_mask_certificates_equal_functional(c4_fixture, running_fixture):
@@ -339,7 +370,7 @@ def test_mask_certificates_equal_functional(c4_fixture, running_fixture):
 
 
 def test_pair_witnesses_equal_functional(knot_fixture, c4_fixture, running_fixture):
-    """The dissection's grouped certificates fail exactly the pairs whose
+    """The dissection's certificates fail exactly the pairs whose
     functional does not separate them, oriented by the tree that holds
     the divergence edge: on Jaeger trees in violet order, shuffled, and
     with a spanning tree that is not Jaeger swapped in."""

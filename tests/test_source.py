@@ -221,8 +221,9 @@ def test_peels_detected():
 
 def test_markers_peel_on_their_own_simplex():
     """``verify_dissection`` peels each marker on the simplices of the
-    trees that realize it; only a marker that fails there is peeled on
-    every simplex (``_strictly_inside``), for its witness."""
+    trees that realize it; only a marker that no such simplex holds, or
+    any marker of a list whose pairs are not all certified, is peeled on
+    every simplex (``_strictly_inside``)."""
     source = (PACKAGE / "polytope.py").read_text(encoding="utf-8")
     assert peels_in(source, "verify_dissection") == [
         ("contains_scaled", False, False), ("_strictly_inside", False, True)]
