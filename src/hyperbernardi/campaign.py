@@ -94,11 +94,11 @@ def graph_hash(g: RibbonBipartiteGraph) -> str:
     return hashlib.sha256(serialize_graph(g).encode()).hexdigest()[:16]
 
 
-def check_conjectures(g: RibbonBipartiteGraph, runs=None) -> CampaignReport:
+def check_conjectures(g: RibbonBipartiteGraph) -> CampaignReport:
     """The cut-at-violet interior conjecture and both exterior variants,
     in a report of their own (see ``_add_conjecture_checks``)."""
     report = CampaignReport(input_hash=graph_hash(g))
-    _add_conjecture_checks(report, g, runs)
+    _add_conjecture_checks(report, g)
     return report
 
 

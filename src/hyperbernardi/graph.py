@@ -5,6 +5,12 @@ edges.  Parallel edges are allowed (each edge has its own id), loops are
 not.  Graphs are immutable after construction; "deleting" edges is done
 through a ``live`` edge subset passed to the query methods, which
 inherits the cyclic orders by restriction.
+
+One spanning tree is read through two primitives on the dart table:
+``_tour`` walks its tour from the base dart, ``_root`` roots it at the
+base node.  The tours, T-orders and divergence edges read the first;
+the spanning-tree check, the cut tables and the tree simplices' peels
+read the second.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ VIOLET = "violet"
 # the most subsets in one block of the spanning-tree sweep: each of a
 # block's columns is an int of this many bits
 SWEEP_BLOCK = 1 << 16
-_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 class ValidationError(ValueError):
@@ -204,30 +209,23 @@ class RibbonGraph:
 
     def is_spanning_tree(self, tree: frozenset[str]) -> bool:
         """Whether ``tree`` is a set of edges of this graph that forms a
-        spanning tree; a name that is not an edge here makes it False."""
-        if len(tree) != len(self.nodes) - 1 or not self.edges.keys() >= tree:
+        spanning tree, that is whether ``_root`` roots it; a name that is
+        not an edge here makes it False."""
+        try:
+            self._root(tree)
+        except ValueError:
             return False
-        uf = UnionFind(self.nodes)
-        for e in tree:
-            a, b = self.edges[e]
-            if not uf.union(a, b):
-                return False
-        return uf.components == 1
+        return True
 
     # -- spanning trees --------------------------------------------------
 
     def spanning_trees(self):
         """All spanning trees, lexicographic by sorted edge-id tuples,
-        lazily: each block of ``_tree_blocks`` is decoded when it is
-        reached, through one row of 0/1 bytes per edge, so a sweep holds
-        one block at a time."""
-        ids = self.edge_ids
+        lazily: each block of ``_tree_blocks`` is decoded by
+        ``_block_subsets`` when it is reached, so a sweep holds one
+        block at a time."""
         for cols, span in self._tree_blocks():
-            width = f"0{max(c.bit_length() for c in cols)}b"
-            rows = [format(c, width)[::-1].encode().translate(_BIT_BYTES) for c in cols]
-            trees = format(span, width)[::-1].encode().translate(_BIT_BYTES)
-            for flags in compress(zip(*rows), trees):
-                yield frozenset(compress(ids, flags))
+            yield from self._block_subsets(cols, span)
 
     def _tree_blocks(self):
         """The (|V|-1)-edge subsets, lexicographic by sorted edge-index
@@ -330,16 +328,16 @@ class RibbonGraph:
         index = self._edge_index
         return sum(1 << index[e] for e in edges)
 
-    def _base_sides(self, tree: frozenset[str], weight: list[int]) -> dict[str, int]:
-        """For each edge e of a spanning tree, the base node's side of
-        tree - e as the OR of its nodes' ``weight`` (one int per node in
-        ``nodes``, with disjoint bits): one search down the tree from the
-        base node on the dart table, one pass back up."""
+    def _root(self, tree: frozenset[str]) -> tuple[list[int], list[int]]:
+        """A spanning tree rooted at the base node on the dart table: its
+        nodes in breadth-first order from the base node, and at each
+        node the dart of its tree edge to its parent (-1 at the base
+        node).  Reversed, the order lists every node after its children."""
         darts, ids = self._darts, self.edge_ids
         node, rotation = darts.node, darts.rotation
         n = len(rotation)
         root = self.nodes.index(self.base_node)
-        upward = [-1] * n   # the dart at each node of the tree edge to its parent
+        upward = [-1] * n
         order = [root]
         for x in order:
             for d in rotation[x]:
@@ -349,37 +347,31 @@ class RibbonGraph:
                     order.append(y)
         if len(order) != n or len(tree) != n - 1:
             raise ValueError("not a spanning tree")
-        below = list(weight)
-        full = sum(below)
-        sides = {}
-        for y in reversed(order[1:]):
-            d = upward[y]
-            below[node[d ^ 1]] |= below[y]
-            sides[ids[d >> 1]] = full ^ below[y]
-        return sides
+        return order, upward
 
     # -- tour of a spanning tree ------------------------------------------
 
-    def tour_pairs(self, tree: frozenset[str]):
-        """The (node, edge) pairs of the tree's tour, lazily, from the
-        base pair; ``tree`` must be a spanning tree (not checked here).
-
-        Non-tree current edge (x, xy): next pair is (x, xy+).  Tree edge:
-        next pair is (y, yx+).  Stops right before the base pair recurs.
-        """
+    def _tour(self, mask: int) -> list[int]:
+        """The darts of a spanning tree's tour from the base dart, for the
+        tree as an edge bitmask (not checked to be a spanning tree): from
+        a tree edge's dart the tour moves on after its twin, from a
+        non-tree edge's dart after the dart itself, in the rotation.
+        Stops right before the base dart recurs."""
         darts = self._darts
-        succ, twin, edge_of, node_of = darts.succ, darts.twin, darts.edge, darts.node
-        ids, nodes = self.edge_ids, self.nodes
-        start = d = darts.base
+        succ, twin, start = darts.succ, darts.twin, darts.base
+        d, tour = start, []
         for _ in succ:
-            edge = ids[edge_of[d]]
-            yield nodes[node_of[d]], edge
-            if edge in tree:
-                d = twin[d]
-            d = succ[d]
+            tour.append(d)
+            d = succ[twin[d]] if mask >> (d >> 1) & 1 else succ[d]
             if d == start:
-                return
+                return tour
         raise AssertionError("tour failed to close")
+
+    def tour_pairs(self, tree: frozenset[str]) -> list[tuple[str, str]]:
+        """The (node, edge) pairs of the tree's tour (``_tour``), from the
+        base pair; ``tree`` must be a spanning tree (not checked here)."""
+        node, ids, nodes = self._darts.node, self.edge_ids, self.nodes
+        return [(nodes[node[d]], ids[d >> 1]) for d in self._tour(self._edge_mask(tree))]
 
     def tour_order(self, tree: frozenset[str]) -> tuple[str, ...]:
         """The edges by first occurrence in the tour of a spanning tree."""

@@ -12,11 +12,12 @@ with one bit per tree, and each dart carries the bits of the trees at
 it.  ``jaeger_cuts`` tours one tree through one-bit columns; the
 campaign's brute-force sweep tours whole blocks of edge subsets.
 
-The shelling record tours each tree once on each setup and files the
-violet tours in one trie, whose branches give the divergence edge of
-every pair of trees; each tree's cut table is built once, as edge
-bitmasks, for the semi-passive edges, the characterization and the
-geometry.
+The shelling record tours each tree once on each setup
+(``RibbonGraph._tour``) and files the violet tours in one trie, whose
+branches give the divergence edge of every pair of trees; each tree's
+cut table is built once from the tree rooted at the base node
+(``RibbonGraph._root``), as edge bitmasks, for the semi-passive edges,
+the characterization and the geometry.
 """
 
 from __future__ import annotations
@@ -172,27 +173,18 @@ def divergence_edge(g: RibbonBipartiteGraph, t1: frozenset[str], t2: frozenset[s
                     flavor: str = VIOLET) -> str:
     """The edge at which the flavor tours of two distinct trees diverge.
 
-    Walks both tours side by side and stops at the first edge that one
-    tree holds and the other does not; up to there the tours agree.  The
-    violet tours are those of ``g``, the emerald tours those of the
-    reversed setup (base edge b0b1-).
+    It is the edge of the first dart on t1's tour that one tree holds
+    and the other does not; up to there the tours agree.  The violet
+    tours are those of ``g``, the emerald tours those of the reversed
+    setup (base edge b0b1-).
     """
     setup = _flavor_setup(g, flavor)
     if not (g.is_spanning_tree(t1) and g.is_spanning_tree(t2)):
         raise ValueError("not a spanning tree")
-    return _tour_divergence(setup, t1, t2)
-
-
-def _tour_divergence(setup: RibbonBipartiteGraph, t1: frozenset[str],
-                     t2: frozenset[str]) -> str:
-    """divergence_edge on the tours of ``setup``, for trees the caller
-    has already checked to be spanning."""
-    for p1, p2 in zip(setup.tour_pairs(t1), setup.tour_pairs(t2)):
-        if p1 != p2:
-            raise AssertionError("tours diverged without an edge decision")
-        edge = p1[1]
-        if (edge in t1) != (edge in t2):
-            return edge
+    mask, differ = g._edge_mask(t1), g._edge_mask(t1 ^ t2)
+    for d in setup._tour(mask):
+        if differ >> (d >> 1) & 1:
+            return g.edge_ids[d >> 1]
     raise ValueError("identical trees have no divergence")
 
 
@@ -206,19 +198,8 @@ class TOrder:
         return {e: i for i, e in enumerate(self.edge_order)}
 
 
-def _tour(darts, mask: int) -> list[int]:
-    """The darts of a spanning tree's tour from the base dart, for the
-    tree as an edge bitmask; dart 2i + 1 is edge i at its violet end."""
-    succ, twin = darts.succ, darts.twin
-    d, tour = darts.base, []
-    for _ in succ:
-        tour.append(d)
-        d = succ[twin[d]] if mask >> (d >> 1) & 1 else succ[d]
-    return tour
-
-
 def _flavor_order(g: RibbonBipartiteGraph, tour: list[int], flavor: str) -> TOrder:
-    """The T-order of a tour (``_tour``) on the flavor setup."""
+    """The T-order of a tour (``RibbonGraph._tour``) on the flavor setup."""
     at_flavor = int(flavor == VIOLET)
     order = [g.edge_ids[i] for i in dict.fromkeys(d >> 1 for d in tour if d & 1 == at_flavor)]
     if len(order) != len(g.edge_ids):
@@ -231,10 +212,10 @@ def t_order(g: RibbonBipartiteGraph, tree: frozenset[str], flavor: str) -> TOrde
     the class order induced by smallest incident edges, for a V-cut
     Jaeger tree (an E-cut tree's orders are read on ``g.reversed_setup()``).
     """
-    darts = _flavor_setup(g, flavor)._darts
+    setup = _flavor_setup(g, flavor)
     if not g.is_spanning_tree(tree):
         raise ValueError("not a spanning tree")
-    return _flavor_order(g, _tour(darts, g._edge_mask(tree)), flavor)
+    return _flavor_order(g, setup._tour(g._edge_mask(tree)), flavor)
 
 
 def _bits(mask: int):
@@ -246,7 +227,10 @@ def _bits(mask: int):
 
 
 def _ranks(g: RibbonBipartiteGraph, edge_order) -> list[int]:
-    """Each edge's position in ``edge_order``, by edge index."""
+    """Each edge's position in ``edge_order``, by edge index; the order
+    must list every edge once."""
+    if sorted(edge_order) != list(g.edge_ids):
+        raise ValueError("edge order is not a permutation of the edges")
     rank = [0] * len(g.edge_ids)
     for pos, e in enumerate(edge_order):
         rank[g._edge_index[e]] = pos
@@ -257,23 +241,27 @@ def _base_cuts(g: RibbonBipartiteGraph, tree: frozenset[str]) -> dict[str, tuple
     """The cut table of a spanning tree: each tree edge, in sorted order,
     with its cut in tree - edge as two edge bitmasks, the cut edges whose
     violet end lies on the base node's side and those whose emerald end
-    does (the edge itself is in one).  One ``_base_sides`` pass, where a
-    node weighs its edges' bits, shifted by |E| at a violet node.
+    does (the edge itself is in one).  One pass up the tree from
+    ``RibbonGraph._root`` gathers each subtree's edge bits, shifted by
+    |E| at a violet dart.
 
     The edges in e's own half of its cut are oriented like e.  The +/-1
     functional that weighs +1 the emeralds on e's emerald side and the
     violets off it, an edge taking the sum of its ends, is 2 on e's
     half, -2 on the other one and 0 elsewhere, on tree - e too."""
-    m = len(g.edge_ids)
-    weight = [0] * len(g.nodes)
-    for d, x in enumerate(g._darts.node):
-        weight[x] |= 1 << ((d >> 1) + (m if d & 1 else 0))
+    darts, ids, m = g._darts, g.edge_ids, len(g.edge_ids)
+    order, upward = g._root(tree)
+    below = [0] * len(g.nodes)
+    for d, x in enumerate(darts.node):
+        below[x] |= 1 << ((d >> 1) + (m if d & 1 else 0))
     low = (1 << m) - 1
     cuts = {}
-    for e, side in sorted(g._base_sides(tree, weight).items()):
-        emerald, violet = side & low, side >> m
-        cuts[e] = (violet & ~emerald, emerald & ~violet)
-    return cuts
+    for y in reversed(order[1:]):
+        d = upward[y]
+        below[darts.node[d ^ 1]] |= below[y]
+        emerald_below, violet_below = below[y] & low, below[y] >> m
+        cuts[ids[d >> 1]] = (emerald_below & ~violet_below, violet_below & ~emerald_below)
+    return dict(sorted(cuts.items()))
 
 
 def _halves(cut: tuple[int, int], bit: int) -> tuple[int, int]:
@@ -339,7 +327,7 @@ def shelling(g: RibbonBipartiteGraph, trees_in_violet_order) -> list[ShellingSte
     for j, tree in enumerate(trees):
         emerald = t_order(g, tree, EMERALD)
         mask = g._edge_mask(tree)
-        tour = _tour(g._darts, mask)
+        tour = g._tour(mask)
         divergences = [""] * j
         k = 0
         for d in tour:

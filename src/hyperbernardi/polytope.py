@@ -4,11 +4,12 @@ The root polytope of a bipartite graph is the convex hull of the points
 e + v over its edges; maximal simplices correspond to spanning trees.
 Everything here is exact.  Every kernel that ``verify`` runs on each
 instance works on plain ints: marker containment (markers scaled by
-|E||V| to integer points, peeled on the simplex of the tree that
-realizes them), simplex volumes (``det_bareiss`` of incidence rows,
-which ``verify`` computes on the dissection's trees; in a search's
-discovery order every spanning tree's rows are unit triangular, so
-every tree simplex is unimodular), Ehrhart counting (dilate points
+|E||V| to integer points, peeled leaf by leaf up the tree that realizes
+them, rooted at the base node by ``RibbonGraph._root``), simplex
+volumes (``det_bareiss`` of incidence rows, which ``verify`` computes
+on the dissection's trees; in a search's discovery order every
+spanning tree's rows are unit triangular, so every tree simplex is
+unimodular), Ehrhart counting (dilate points
 packed into one int each), the lattice-scan oracle (the same integer
 peel on the points of k*Q_G), the binomial-basis fit (a unit
 triangular system), and the +/-1 functional of a tree's cut, read as
@@ -78,25 +79,13 @@ class TreeSimplex:
 
     def __init__(self, g: RibbonBipartiteGraph, tree: frozenset[str]):
         self.tree_edges = tuple(sorted(tree))
-        # breadth-first from one node; reversed, each node is a leaf once
-        # its children are peeled: (leaf, its edge, far end)
-        idx = node_index(g)
-        adj: dict[str, list] = {x: [] for x in g.nodes}
-        for j, e in enumerate(self.tree_edges):
-            a, b = g.edges[e]
-            adj[a].append((b, j))
-            adj[b].append((a, j))
-        order = [(g.nodes[0], None, None)]
-        seen = {g.nodes[0]}
-        for x, _, _ in order:
-            for y, j in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    order.append((y, j, x))
-        if len(order) != len(g.nodes) or len(self.tree_edges) != len(g.nodes) - 1:
-            raise ValueError("not a spanning tree")
-        self._peel = [(idx[y], j, idx[x]) for y, j, x in reversed(order[1:])]
-        self._root = idx[g.nodes[0]]
+        # the tree rooted at the base node; reversed, each node is a leaf
+        # once its children are peeled: (leaf, its edge, far end)
+        order, upward = g._root(tree)
+        position = {g._edge_index[e]: j for j, e in enumerate(self.tree_edges)}
+        self._peel = [(y, position[upward[y] >> 1], g._darts.node[upward[y] ^ 1])
+                      for y in reversed(order[1:])]
+        self._root = order[0]
 
     def _peel_point(self, p):
         """A leaf's edge takes the leaf's remaining coordinate, which is

@@ -24,12 +24,17 @@ on small instances only.  Each reference, and what it checks:
   ``verify_dissection``);
 * ``tour_pairs``: the tour walked through a (node, edge) -> next edge
   table (against the dart-table ``tour_pairs`` and ``tour_order``);
+* ``divergence_by_full_tours``: two reference tours built whole and
+  compared (against ``divergence_edge``, which reads one dart-table
+  tour, and the trie of tours in the shelling record);
 * ``first_skip_cuts``: the cuts at whose colored end that tour first
   skips every non-tree edge (against ``jaeger_cuts`` and the
   bit-parallel tour of the campaign's sweep);
 * ``base_side`` and ``tree_cut``: the sides of tree - edge by a
-  name-keyed search (against the side masks of ``_base_sides``, which
-  the cut functional and the five-way characterization read);
+  name-keyed search (against the sides that the dart-table rooting
+  ``_root`` gives, and the cut tables of ``jaeger._base_cuts`` built
+  on it, which the cut functional and the five-way characterization
+  read);
 * ``cut_values`` and ``separates``: the +/-1 cut functional on every
   edge, from ``base_side``, and the pair certificate read off it
   (against the cut tables of ``jaeger._base_cuts`` and the bitmask
@@ -320,6 +325,19 @@ def tour_pairs(g, tree) -> list[tuple[str, str]]:
         if (node, edge) == start:
             return pairs
     raise AssertionError("tour failed to close")
+
+
+def divergence_by_full_tours(g, t1, t2, cut, flavor) -> str:
+    """The divergence edge of two distinct trees: both flavor tours
+    built whole by ``tour_pairs`` (on ``g`` when the flavor is the cut,
+    on its reversed setup otherwise), then compared pair by pair."""
+    setup = g if flavor == cut else g.reversed_setup()
+    tour1, tour2 = tour_pairs(setup, t1), tour_pairs(setup, t2)
+    for p1, p2 in zip(tour1, tour2):
+        assert p1 == p2
+        if (p1[1] in t1) != (p1[1] in t2):
+            return p1[1]
+    raise AssertionError("distinct trees must diverge")
 
 
 def first_skip_cuts(g, tree) -> set[str]:

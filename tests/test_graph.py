@@ -13,6 +13,7 @@ from hyperbernardi.docio import GraphFormatError, parse_graph, serialize_graph
 from hyperbernardi.fixtures import noncrossing_setup, torus_k4
 from hyperbernardi.generators import random_bipartite, random_ordinary
 from hyperbernardi.graph import RibbonBipartiteGraph, ValidationError, bip
+from hyperbernardi.jaeger import _base_cuts
 from oracles import tree_cut
 
 C4_DOC = """
@@ -196,12 +197,13 @@ def test_unknown_edge_is_not_a_spanning_tree(c4_fixture):
     from hyperbernardi.graph import VIOLET
     from hyperbernardi.jaeger import (VCUT, divergence_edge, is_jaeger_tree,
                                       jaeger_cuts, t_order)
+    from hyperbernardi.polytope import TreeSimplex
     g = c4_fixture.graph
     bad, good = frozenset({"c1", "c2", "zz"}), frozenset({"c1", "c2", "c3"})
     assert not g.is_spanning_tree(bad)
     for query in (lambda: g.tour_order(bad), lambda: jaeger_cuts(g, bad),
                   lambda: is_jaeger_tree(g, bad, VCUT), lambda: t_order(g, bad, VIOLET),
-                  lambda: divergence_edge(g, good, bad)):
+                  lambda: divergence_edge(g, good, bad), lambda: TreeSimplex(g, bad)):
         with pytest.raises(ValueError, match="not a spanning tree"):
             query()
 
@@ -302,13 +304,32 @@ def bfs_split(g, tree, edge):
                       if (g.edges[e][0] in side) != (g.edges[e][1] in side)))
 
 
-def node_bits(g):
-    """Each node's own bit, so that ``_base_sides`` gives node bitmasks."""
-    return [1 << x for x in range(len(g.nodes))]
+def bfs_order(g, tree):
+    """Reference: the nodes of a spanning tree in breadth-first order
+    from the base node, each with its parent and the tree edge to it,
+    neighbours taken in rotation order."""
+    order, parent = [g.base_node], {g.base_node: None}
+    for x in order:
+        for e in g.incident(x):
+            y = g.other_end(e, x)
+            if e in tree and y not in parent:
+                parent[y] = (g.other_end(e, y), e)
+                order.append(y)
+    return order, parent
 
 
-def side_names(g, mask):
-    return frozenset(x for i, x in enumerate(g.nodes) if mask >> i & 1)
+def root_sides(g, tree):
+    """The base node's side of tree - e for each tree edge e, from the
+    rooting (``_root``): every node but those below e's child end."""
+    order, upward = g._root(tree)
+    node = g._darts.node
+    below = {y: {g.nodes[y]} for y in order}
+    sides = {}
+    for y in reversed(order[1:]):
+        d = upward[y]
+        below[node[d ^ 1]] |= below[y]
+        sides[g.edge_ids[d >> 1]] = frozenset(g.nodes) - below[y]
+    return sides
 
 
 def test_tree_cut_c4(c4_fixture):
@@ -316,12 +337,14 @@ def test_tree_cut_c4(c4_fixture):
     t = frozenset({"c1", "c2", "c4"})
     assert tree_cut(g, t, "c2") == (frozenset({"v1", "e1", "v2"}),
                                     frozenset({"c2", "c3"}))
-    assert {e: side_names(g, m) for e, m in g._base_sides(t, node_bits(g)).items()} == {
+    assert root_sides(g, t) == {
         "c1": {"v1", "e2"}, "c2": {"v1", "e1", "v2"}, "c4": {"v1", "e2", "e1"}}
     with pytest.raises(ValueError, match="tree edge"):
         tree_cut(g, t, "c3")
-    with pytest.raises(ValueError, match="not a spanning tree"):
-        g._base_sides(frozenset({"c1", "c2", "c3", "c4"}), node_bits(g))
+    for bad in (frozenset({"c1", "c2", "c3", "c4"}), frozenset({"c1", "c2", "zz"})):
+        for query in (g._root, lambda tree: _base_cuts(g, tree)):
+            with pytest.raises(ValueError, match="not a spanning tree"):
+                query(bad)
 
 
 def test_tree_cut_tree_graph():
@@ -330,24 +353,35 @@ def test_tree_cut_tree_graph():
                              base_node="e0", base_edge="a")
     t = frozenset({"a", "b"})
     assert tree_cut(g, t, "a") == (frozenset({"e0", "v1"}), frozenset({"a"}))
-    assert side_names(g, g._base_sides(t, node_bits(g))["a"]) == {"e0", "v1"}
+    assert root_sides(g, t)["a"] == {"e0", "v1"}
+    # each cut is the edge alone, whose emerald end e0 is the base node
+    assert _base_cuts(g, t) == {"a": (0, 0b01), "b": (0, 0b10)}
 
 
 def test_tree_cut_equals_bfs_split(c4_fixture, running_fixture, knot_fixture,
                                    single_edge_fixture, tour_fixture):
-    """The reference cut and the side masks of ``_base_sides`` both give
-    the breadth-first split of every tree edge."""
+    """The rooting (``_root``) is the breadth-first search from the base
+    node, parent darts included, and the reference cut and the sides it
+    gives are the breadth-first split of every tree edge."""
     graphs = [c4_fixture.graph, running_fixture.graph, knot_fixture.graph,
               single_edge_fixture.graph, bip(tour_fixture.graph)]
     cuts = 0
     for g in graphs:
+        node = g._darts.node
         for tree in g.spanning_trees():
-            sides = g._base_sides(tree, node_bits(g))
+            order, upward = g._root(tree)
+            want_order, parent = bfs_order(g, tree)
+            assert [g.nodes[y] for y in order] == want_order
+            assert upward[order[0]] == -1
+            assert {g.nodes[y]: (g.nodes[node[upward[y] ^ 1]], g.edge_ids[upward[y] >> 1])
+                    for y in order[1:]} == {y: p for y, p in parent.items() if p}
+            assert all(node[upward[y]] == y for y in order[1:])
+            sides = root_sides(g, tree)
             assert sides.keys() == tree
             for edge in tree:
                 want = bfs_split(g, tree, edge)
                 assert tree_cut(g, tree, edge) == want
-                assert side_names(g, sides[edge]) == want[0]
+                assert sides[edge] == want[0]
                 cuts += 1
     assert cuts > 500  # the sweep is not vacuous
 

@@ -211,20 +211,22 @@ def test_campaign_reuses_runs(family_runs):
 
 def test_campaign_builds_one_shelling_record(monkeypatch):
     """Within the geometry limit, the characterization, the dissection
-    and both shelling checks read one record: no pair's tours are walked
-    side by side (the trie of tours gives the divergences), and each
-    tree's emerald T-order, semi-passive set and cut table are computed
-    once."""
-    from hyperbernardi import jaeger
-    from hyperbernardi.campaign import GEOMETRY_EDGE_LIMIT
-    pairs, emerald, semi, sides = [], [], [], []
-    tour_divergence, t_order, semi_passive_edges = (
-        jaeger._tour_divergence, jaeger.t_order, jaeger.semi_passive_edges)
-    base_sides = RibbonBipartiteGraph._base_sides
+    and both shelling checks read one record: each tree's tour is walked
+    once on each setup (the trie of tours gives the divergences, so no
+    pair's tours are walked again), and each tree's emerald T-order,
+    semi-passive set and cut table are computed once."""
+    from collections import Counter
 
-    def counting_divergence(setup, t1, t2):
-        pairs.append(frozenset((t1, t2)))
-        return tour_divergence(setup, t1, t2)
+    from hyperbernardi import jaeger, polytope
+    from hyperbernardi.campaign import GEOMETRY_EDGE_LIMIT
+    from hyperbernardi.graph import RibbonGraph
+    tours, emerald, semi, tables = [], [], [], []
+    tour, t_order, semi_passive_edges, base_cuts = (
+        RibbonGraph._tour, jaeger.t_order, jaeger.semi_passive_edges, jaeger._base_cuts)
+
+    def counting_tour(setup, mask):
+        tours.append((id(setup), mask))
+        return tour(setup, mask)
 
     def counting_order(g, tree, flavor):
         if flavor == EMERALD:
@@ -235,13 +237,14 @@ def test_campaign_builds_one_shelling_record(monkeypatch):
         semi.append(tree)
         return semi_passive_edges(g, tree, edge_order, cuts)
 
-    def counting_sides(g, tree, weight):
-        sides.append(tree)
-        return base_sides(g, tree, weight)
-    monkeypatch.setattr(jaeger, "_tour_divergence", counting_divergence)
+    def counting_cuts(g, tree):
+        tables.append(tree)
+        return base_cuts(g, tree)
+    monkeypatch.setattr(RibbonGraph, "_tour", counting_tour)
     monkeypatch.setattr(jaeger, "t_order", counting_order)
     monkeypatch.setattr(jaeger, "semi_passive_edges", counting_semi)
-    monkeypatch.setattr(RibbonBipartiteGraph, "_base_sides", counting_sides)
+    monkeypatch.setattr(jaeger, "_base_cuts", counting_cuts)
+    monkeypatch.setattr(polytope, "_base_cuts", counting_cuts)
     g = random_bipartite(5, 4, 4, 8)
     assert len(g.edge_ids) <= GEOMETRY_EDGE_LIMIT
     rep = campaign_verify_all(g)
@@ -251,8 +254,10 @@ def test_campaign_builds_one_shelling_record(monkeypatch):
     assert len(trees) == 5
     assert sorted(map(sorted, emerald)) == sorted(map(sorted, trees))
     assert sorted(map(sorted, semi)) == sorted(map(sorted, trees))
-    assert sorted(map(sorted, sides)) == sorted(map(sorted, trees))
-    assert pairs == []
+    assert sorted(map(sorted, tables)) == sorted(map(sorted, trees))
+    assert Counter(tours) == Counter(
+        (id(setup), g._edge_mask(tree))
+        for setup in (g, g.reversed_setup()) for tree in trees)
 
 
 def test_campaign_reads_polynomials_and_orders_once(monkeypatch):

@@ -18,7 +18,7 @@ from hyperbernardi.jaeger import (ECUT, VCUT, characterize_tree, divergence_edge
                                   graph_activity_matching, is_jaeger_tree,
                                   jaeger_cuts, semi_passive_edges, shelling,
                                   t_order)
-from oracles import first_skip_cuts, tree_cut
+from oracles import divergence_by_full_tours, first_skip_cuts, tree_cut
 from oracles import tour_pairs as reference_tour_pairs
 
 
@@ -254,6 +254,19 @@ def test_semi_passive_c4(c4_fixture):
     assert len(semi_passive_edges(g, t2, em.edge_order)) == 1
 
 
+def test_semi_passive_needs_an_order_of_every_edge(running_fixture):
+    """The edge order must list every edge once: a short order, a
+    repeated edge and an unknown name are refused, where they would read
+    a missing edge as first or a repeat at its last position."""
+    g = running_fixture.graph
+    tree = enumerate_jaeger_trees(g, VCUT)[3]
+    order = t_order(g, tree, EMERALD).edge_order
+    assert semi_passive_edges(g, tree, order) == {"e1v1", "e3v0"}
+    for bad in (order[:3], order + order[:1], order + ("zz",)):
+        with pytest.raises(ValueError, match="not a permutation of the edges"):
+            semi_passive_edges(g, tree, bad)
+
+
 def characterize_edge_reference(g, trees, index, eps):
     """Reference: the five descriptions for one edge, each computed from
     scratch for that edge alone."""
@@ -346,12 +359,11 @@ def test_shelling_checks_each_tree_once(monkeypatch, running_fixture):
 
 def test_trie_divergences_equal_pairwise_walks(c4_fixture, running_fixture,
                                                knot_fixture):
-    """The trie of violet tours gives each pair the edge at which the
-    pairwise walk (``_tour_divergence``) finds their tours diverge, and
-    each tree its violet T-order: for V-cut and E-cut trees, in
-    enumeration order and shuffled, on the setup and its reversal.  A
-    repeated tree still has no divergence."""
-    from hyperbernardi.jaeger import _tour_divergence
+    """The trie of violet tours gives each pair the edge at which their
+    tours diverge, by ``divergence_edge`` and by the reference that
+    builds both tours whole, and each tree its violet T-order: for V-cut
+    and E-cut trees, in enumeration order and shuffled, on the setup and
+    its reversal.  A repeated tree still has no divergence."""
     rng = random.Random(21)
     graphs = [c4_fixture.graph, running_fixture.graph, knot_fixture.graph]
     graphs += [random_bipartite(seed, 4, 4, 10) for seed in range(40)]
@@ -367,7 +379,12 @@ def test_trie_divergences_equal_pairwise_walks(c4_fixture, running_fixture,
                     for j, step in enumerate(steps):
                         assert step.violet == t_order(setup, step.tree, VIOLET)
                         assert step.divergences == tuple(
-                            _tour_divergence(setup, earlier, step.tree)
+                            divergence_edge(setup, earlier, step.tree)
+                            for earlier in listed[:j])
+                        # with the cut equal to the flavor, the reference tours ``setup``
+                        assert step.divergences == tuple(
+                            divergence_by_full_tours(setup, earlier, step.tree,
+                                                     VCUT, VIOLET)
                             for earlier in listed[:j])
                         pairs += j
     assert pairs > 5000
@@ -408,17 +425,6 @@ def test_cut_tables_equal_reference_cuts(c4_fixture, running_fixture, knot_fixtu
                     e for e in cut if g.emerald_end(e) in side}
                 cuts += 1
     assert cuts > 500
-
-
-def divergence_by_full_tours(g, t1, t2, cut, flavor):
-    """Reference: build both flavor tours whole, then compare them."""
-    setup = g if flavor == cut else g.reversed_setup()
-    tour1, tour2 = tuple(setup.tour_pairs(t1)), tuple(setup.tour_pairs(t2))
-    for p1, p2 in zip(tour1, tour2):
-        assert p1 == p2
-        if (p1[1] in t1) != (p1[1] in t2):
-            return p1[1]
-    raise AssertionError("distinct trees must diverge")
 
 
 def test_divergence_edge_equals_full_tours(c4_fixture, running_fixture,

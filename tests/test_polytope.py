@@ -414,6 +414,30 @@ def test_geometric_shelling_random_small():
     assert checked >= 15
 
 
+def test_geometric_shelling_of_a_dissection_that_is_no_triangulation():
+    """The Fraction facet coverage decides the shelling of a dissection
+    that is not a triangulation.  There a covered facet can have no
+    neighbour across it: on seed 7, semi-passive facet t2|w1 of trees 3
+    and 4 is covered by earlier simplices that do not share it."""
+    for seed in (7, 23):
+        g = bip(random_ordinary(seed, 4, 4))
+        trees = enumerate_jaeger_trees(g, VCUT)
+        assert (len(g.edge_ids), len(trees)) == (8, 5)
+        steps = shelling(g, trees)
+        rep = verify_dissection(g, steps)
+        assert rep["is_dissection"] and not rep["is_triangulation"], seed
+        shelled = geometric_shelling_check(g, steps)
+        assert shelled["ok"], (seed, shelled["failures"])
+        assert shelling_h_vector(steps) == interior_polynomial(g, EMERALD).coeffs
+        if seed == 7:
+            lonely = [f for f in facet_neighbours(g, trees)
+                      if f.edge == "t2|w1" and f.tree in (3, 4)]
+            assert len(lonely) == 2
+            for f in lonely:
+                assert f.edge in steps[f.tree].semi_passive
+                assert f.interior and f.across == () and f.beside == ()
+
+
 def test_equal_simplex_volumes(running_fixture):
     g = running_fixture.graph
     assert {normalized_simplex_volume(g, t) for t in g.spanning_trees()} == {1}

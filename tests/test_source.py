@@ -160,12 +160,34 @@ def test_sweep_is_the_block_primitive():
 
 def test_record_checks_walk_no_pairs():
     """The shelling record's divergences come from the trie of tours, and
-    the dissection reads them: of the modules under ``src/``, only
-    ``divergence_edge`` walks two tours side by side."""
+    the dissection reads them: no module under ``src/`` walks two tours
+    side by side, and every single-tree tour is one ``_tour``, which
+    ``divergence_edge`` walks once."""
     callers = {(p.name, function) for p in PACKAGE.glob("*.py")
-               for function, _ in calls_to(p.read_text(encoding="utf-8"),
-                                           "_tour_divergence")}
-    assert callers == {("jaeger.py", "divergence_edge")}
+               for function, _ in calls_to(p.read_text(encoding="utf-8"), "_tour")}
+    assert callers == {("graph.py", "tour_pairs"), ("jaeger.py", "t_order"),
+                       ("jaeger.py", "shelling"), ("jaeger.py", "divergence_edge")}
+    source = (PACKAGE / "jaeger.py").read_text(encoding="utf-8")
+    assert calls_to(source, "_tour").count(("divergence_edge", False)) == 1
+
+
+def test_one_tour_and_one_rooting_primitive():
+    """One spanning tree is toured by ``_tour`` and rooted by ``_root``,
+    both defined in ``graph.py`` only; no module defines the retired
+    ``_base_sides`` or the pairwise walk ``_tour_divergence``, and the
+    tree simplex's peel and the cut table are built on ``_root``."""
+    found = {p.name: imports_and_definitions(p.read_text(encoding="utf-8"))[1]
+             for p in PACKAGE.glob("*.py")}
+    for name, definers in (("_tour", {"graph.py"}), ("_root", {"graph.py"}),
+                           ("_base_sides", set()), ("_tour_divergence", set())):
+        assert {module for module, functions in found.items() if name in functions} \
+            == definers, name
+    polytope = ast.parse((PACKAGE / "polytope.py").read_text(encoding="utf-8"))
+    simplex = next(node for node in polytope.body
+                   if isinstance(node, ast.ClassDef) and node.name == "TreeSimplex")
+    assert calls_to(ast.unparse(simplex), "_root") == [("__init__", False)]
+    source = (PACKAGE / "jaeger.py").read_text(encoding="utf-8")
+    assert calls_to(source, "_root") == [("_base_cuts", False)]
 
 
 PEELS = ("contains_scaled", "_strictly_inside")
