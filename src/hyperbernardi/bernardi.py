@@ -26,7 +26,7 @@ from operator import eq
 from typing import NamedTuple
 
 from .graph import EMERALD, VIOLET, RibbonBipartiteGraph, bip
-from .hypertree import Poly, _family, _inactive, _oracle, _side_key
+from .hypertree import Poly, _family, _inactive, _opposite, _oracle, _side_key
 
 
 class TheoremViolation(AssertionError):
@@ -120,13 +120,18 @@ def _walk(g: RibbonBipartiteGraph, variant: ProcessVariant,
     """The runs for the hypertree value tuples ``keys``, in their order.
     The dart table, the oracle and the per-edge tables are read once; each
     run then keeps its state in bytearrays by edge and by dart, a live
-    edge counter and an int-list union-find of the traversed edges."""
+    edge counter and an int-list union-find of the traversed edges.
+
+    A run is one loop over darts from the base dart.  A dart at a cut-side
+    end is the current edge, examined first; a removed one moves on around
+    its node.  Every other dart takes the one traversal step and moves on
+    after its twin (the base edge when the base node is not cut-side, a
+    kept current edge, and the edge after it at the far end).  The run
+    stops at the first dart already traversed."""
     side, cut = variant.ht_side, variant.cut_side
-    far = EMERALD if cut == VIOLET else VIOLET
     cut_pos = 0 if cut == EMERALD else 1   # parity of a dart at a cut-side end
     ht_pos = 0 if side == EMERALD else 1
     oracle = _oracle(g, side)
-    family = None if paranoid else oracle.family
     darts = g._darts
     succ, node_of, rotation = darts.succ, darts.node, darts.rotation
     ids, nodes, side_nodes = g.edge_ids, g.nodes, oracle.side_nodes
@@ -135,17 +140,15 @@ def _walk(g: RibbonBipartiteGraph, variant: ProcessVariant,
     ht_nodes = [x for x, ds in enumerate(rotation) if ds[0] & 1 == ht_pos]
     degree = [len(ds) for ds in rotation]
     from_cut = [(e, cut) for e in ids]   # each edge's traversal records
-    from_far = [(e, far) for e in ids]
+    from_far = [(e, _opposite(cut)) for e in ids]
     m, n = len(ids), len(nodes)
-    limit = 4 * m + 4
-    base = darts.base
     runs = []
     for f_key in keys:
         if paranoid:
             if oracle._search(f_key, frozenset(ids)) is None:
                 raise ValueError("input vector is not a hypertree")
         else:
-            member = family.get(f_key)
+            member = oracle.family.get(f_key)
             if member is None:
                 raise ValueError("input vector is not a hypertree")
             witness = bytearray(member.tree)
@@ -159,96 +162,73 @@ def _walk(g: RibbonBipartiteGraph, variant: ProcessVariant,
         order: list[int] = []
         first_reached = {g.base_node: 0}
 
-        # if the base node is not cut-side, the base edge is pre-traversed
-        # from it (joining two roots) and the walk starts with the edge
-        # following it at the far end
-        c = base
-        if c & 1 != cut_pos:
-            traversed[c] = 1
-            parent[node_of[c ^ 1]] = node_of[c]
-            first_reached[nodes[node_of[c ^ 1]]] = 0
-            c = succ[c ^ 1]
-
-        # a dart is traversed only after the loop guard or the stop test
-        # below found it untraversed, so no traversal repeats
+        # no turn limit: a turn examines a fresh edge (the current-once
+        # check) or traverses a fresh dart (the loop guard), <= 3|E| turns
+        c, kept, now = darts.base, None, 0
         while not traversed[c]:  # a re-examination would re-traverse: stop right before
-            e = c >> 1
-            if seen_current[e]:
-                raise TheoremViolation(f"edge {ids[e]!r} became current twice")
-            seen_current[e] = 1
-            order.append(e)
-            now = len(order)
+            if kept is not None:        # the far-side traversal after a kept edge
+                steps.append(BernardiStep(ids[kept], "kept", n_live,
+                                          (from_cut[kept], from_far[c >> 1])))
+                kept = None
+            elif c & 1 == cut_pos:      # the current edge, at its cut-side end
+                e = c >> 1
+                if seen_current[e]:
+                    raise TheoremViolation(f"edge {ids[e]!r} became current twice")
+                seen_current[e] = 1
+                order.append(e)
+                now = len(order)
 
-            # does a realization avoid e?  Updates the witness
-            if paranoid:
-                removable = oracle._search(
-                    f_key, frozenset(compress(ids, live)) - {ids[e]}) is not None
-            elif not witness[e]:
-                removable = True
-            elif live_degree[ht_end[e]] <= f_key[at[e]] + 1 or \
-                    live_degree[opp_end[e]] == 1:
-                removable = False
-            else:
-                live[e] = 0             # the live graph without e, for the oracle
-                refuted = oracle.avoid(witness, live, e)
-                if refuted and oracle.excess(f_key, refuted, live) <= 0:
+                # does a realization avoid e?  Updates the witness
+                if paranoid:
+                    removable = oracle._search(
+                        f_key, frozenset(compress(ids, live)) - {ids[e]}) is not None
+                elif not witness[e]:
+                    removable = True
+                elif live_degree[ht_end[e]] <= f_key[at[e]] + 1 or \
+                        live_degree[opp_end[e]] == 1:
+                    removable = False
+                else:
+                    live[e] = 0         # the live graph without e, for the oracle
+                    refuted = oracle.avoid(witness, live, e)
+                    if refuted and oracle.excess(f_key, refuted, live) <= 0:
+                        raise TheoremViolation(
+                            f"edge {ids[e]!r} kept by a set that violates no rank inequality")
+                    live[e] = 1
+                    removable = not refuted
+
+                if removable:
+                    if traversed[c ^ 1]:
+                        raise TheoremViolation(f"kept/traversed edge {ids[e]!r} removed")
+                    live[e] = 0
+                    live_degree[node_of[c]] -= 1
+                    live_degree[node_of[c ^ 1]] -= 1
+                    if not live_degree[node_of[c]]:
+                        raise AssertionError("removal isolated the current node")
+                    steps.append(BernardiStep(ids[e], "removed", n_live, ()))
+                    n_live -= 1
+                    c = succ[c]         # the next live dart around the node
+                    while not live[c >> 1]:
+                        c = succ[c]
+                    continue
+                kept = e
+
+            traversed[c] = 1
+            if not traversed[c ^ 1]:    # a new edge of the traversed subgraph
+                a, b = node_of[c], node_of[c ^ 1]
+                while parent[a] != a:
+                    a = parent[a]
+                while parent[b] != b:
+                    b = parent[b]
+                if a == b:
                     raise TheoremViolation(
-                        f"edge {ids[e]!r} kept by a set that violates no rank inequality")
-                live[e] = 1
-                removable = not refuted
-
-            if removable:
-                if traversed[c ^ 1]:
-                    raise TheoremViolation(f"kept/traversed edge {ids[e]!r} removed")
-                nxt = succ[c]           # the next live dart around the node
-                while not live[nxt >> 1]:
-                    nxt = succ[nxt]
-                if nxt == c:
-                    raise AssertionError("removal isolated the current node")
-                live[e] = 0
-                live_degree[node_of[c]] -= 1
-                live_degree[node_of[c ^ 1]] -= 1
-                steps.append(BernardiStep(ids[e], "removed", n_live, ()))
-                n_live -= 1
-                c = nxt
-            else:
-                traversed[c] = 1
-                if not traversed[c ^ 1]:    # a new edge of the traversed subgraph
-                    a, b = node_of[c], node_of[c ^ 1]
-                    while parent[a] != a:
-                        a = parent[a]
-                    while parent[b] != b:
-                        b = parent[b]
-                    if a == b:
-                        raise TheoremViolation(
-                            f"traversed subgraph acquired a cycle at {ids[e]!r}")
-                    parent[b] = a
-                first_reached.setdefault(nodes[node_of[c ^ 1]], now)
-                d = succ[c ^ 1]
-                while not live[d >> 1]:
-                    d = succ[d]
-                if traversed[d]:
-                    steps.append(BernardiStep(ids[e], "kept", n_live, (from_cut[e],)))
-                    break  # stop right before the second far-side traversal
-                traversed[d] = 1
-                if not traversed[d ^ 1]:
-                    a, b = node_of[d], node_of[d ^ 1]
-                    while parent[a] != a:
-                        a = parent[a]
-                    while parent[b] != b:
-                        b = parent[b]
-                    if a == b:
-                        raise TheoremViolation(
-                            f"traversed subgraph acquired a cycle at {ids[d >> 1]!r}")
-                    parent[b] = a
-                first_reached.setdefault(nodes[node_of[d ^ 1]], now)
-                steps.append(BernardiStep(ids[e], "kept", n_live,
-                                          (from_cut[e], from_far[d >> 1])))
-                c = succ[d ^ 1]
-                while not live[c >> 1]:
-                    c = succ[c]
-            if now > limit:
-                raise AssertionError("process failed to terminate")
+                        f"traversed subgraph acquired a cycle at {ids[c >> 1]!r}")
+                parent[b] = a
+            first_reached.setdefault(nodes[node_of[c ^ 1]], now)
+            c = succ[c ^ 1]
+            while not live[c >> 1]:
+                c = succ[c]
+        if kept is not None:            # stopped right before its far-side traversal
+            steps.append(BernardiStep(ids[kept], "kept", n_live, (from_cut[kept],)))
 
         if len(order) != m:
             raise TheoremViolation("some edge never became current")

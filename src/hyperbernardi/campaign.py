@@ -32,7 +32,7 @@ from .jaeger import (ECUT, VCUT, _tour_cuts, characterize_tree,
                      enumerate_jaeger_trees, realized_hypertrees, shelling,
                      t_order)
 from .polytope import (ehrhart_fit, ehrhart_values, ehrhart_values_scan,
-                       geometric_shelling_check, kato_series_check,
+                       geometric_shelling_check, is_simple, kato_series_check,
                        normalized_simplex_volume, shelling_h_vector,
                        verify_dissection)
 
@@ -278,7 +278,7 @@ def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
     report.add("composition-theorems", PASS if ok else FAIL)
 
     # geometry
-    if len({g.edges[e] for e in g.edge_ids}) != len(g.edge_ids):
+    if not is_simple(g):
         report.add("root-polytope", SKIP, reason="parallel edges")
     else:
         # the dissection's simplices, the ones the Ehrhart chain counts,

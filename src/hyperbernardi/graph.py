@@ -9,8 +9,9 @@ inherits the cyclic orders by restriction.
 One spanning tree is read through two primitives on the dart table:
 ``_tour`` walks its tour from the base dart, ``_root`` roots it at the
 base node.  The tours, T-orders and divergence edges read the first;
-the spanning-tree check, the cut tables and the tree simplices' peels
-read the second.
+the spanning-tree check, the cut tables, the tree simplices' peels and
+the hypertree oracle's exchange arcs read the second, which takes the
+tree as flags by edge index (``_flags`` of a set of edge names).
 """
 
 from __future__ import annotations
@@ -212,7 +213,7 @@ class RibbonGraph:
         spanning tree, that is whether ``_root`` roots it; a name that is
         not an edge here makes it False."""
         try:
-            self._root(tree)
+            self._root(self._flags(tree))
         except ValueError:
             return False
         return True
@@ -328,24 +329,32 @@ class RibbonGraph:
         index = self._edge_index
         return sum(1 << index[e] for e in edges)
 
-    def _root(self, tree: frozenset[str]) -> tuple[list[int], list[int]]:
-        """A spanning tree rooted at the base node on the dart table: its
-        nodes in breadth-first order from the base node, and at each
-        node the dart of its tree edge to its parent (-1 at the base
-        node).  Reversed, the order lists every node after its children."""
-        darts, ids = self._darts, self.edge_ids
+    def _flags(self, edges: Set[str]) -> bytearray:
+        """A set of edge names as flags by edge index, the tree encoding
+        of ``_root``; a name that is not an edge here is in no spanning tree."""
+        if not self._edge_index.keys() >= edges:
+            raise ValueError("not a spanning tree")
+        return bytearray(e in edges for e in self.edge_ids)
+
+    def _root(self, held) -> tuple[list[int], list[int]]:
+        """A spanning tree, as flags by edge index (``_flags``), rooted at
+        the base node on the dart table: its nodes in breadth-first order
+        from the base node, and at each node the dart of its tree edge to
+        its parent (-1 at the base node).  Reversed, the order lists every
+        node after its children."""
+        darts = self._darts
         node, rotation = darts.node, darts.rotation
         n = len(rotation)
-        root = self.nodes.index(self.base_node)
+        root = node[darts.base]
         upward = [-1] * n
         order = [root]
         for x in order:
             for d in rotation[x]:
                 y = node[d ^ 1]
-                if y != root and upward[y] < 0 and ids[d >> 1] in tree:
+                if held[d >> 1] and y != root and upward[y] < 0:
                     upward[y] = d ^ 1
                     order.append(y)
-        if len(order) != n or len(tree) != n - 1:
+        if len(order) != n or held.count(1) != n - 1:
             raise ValueError("not a spanning tree")
         return order, upward
 
@@ -360,23 +369,22 @@ class RibbonGraph:
         darts = self._darts
         succ, twin, start = darts.succ, darts.twin, darts.base
         d, tour = start, []
-        for _ in succ:
+        while True:     # the steps permute the darts: the base dart recurs
             tour.append(d)
             d = succ[twin[d]] if mask >> (d >> 1) & 1 else succ[d]
             if d == start:
                 return tour
-        raise AssertionError("tour failed to close")
 
     def tour_pairs(self, tree: frozenset[str]) -> list[tuple[str, str]]:
-        """The (node, edge) pairs of the tree's tour (``_tour``), from the
-        base pair; ``tree`` must be a spanning tree (not checked here)."""
+        """The (node, edge) pairs of the tour (``_tour``) of a spanning
+        tree, from the base pair."""
+        if not self.is_spanning_tree(tree):
+            raise ValueError("not a spanning tree")
         node, ids, nodes = self._darts.node, self.edge_ids, self.nodes
         return [(nodes[node[d]], ids[d >> 1]) for d in self._tour(self._edge_mask(tree))]
 
     def tour_order(self, tree: frozenset[str]) -> tuple[str, ...]:
         """The edges by first occurrence in the tour of a spanning tree."""
-        if not self.is_spanning_tree(tree):
-            raise ValueError("not a spanning tree")
         return tuple(dict.fromkeys(e for _, e in self.tour_pairs(tree)))
 
     # -- faces / genus -----------------------------------------------------

@@ -232,22 +232,14 @@ class _Feasibility:
         ``adj[a]`` when a live non-tree edge at a has a tree edge at b on
         its fundamental path, and for each arc one such (non-tree edge,
         tree edge) pair."""
-        node, rotation, at = self.darts.node, self.darts.rotation, self.at
-        # root the tree at node 0: each node's depth, parent and edge to it
-        depth = [-1] * len(rotation)
-        up_node, up_edge = [0] * len(rotation), [0] * len(rotation)
-        depth[0] = 0
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for d in rotation[u]:
-                v = node[d ^ 1]
-                if tree[d >> 1] and depth[v] < 0:
-                    depth[v] = depth[u] + 1
-                    up_node[v], up_edge[v] = u, d >> 1
-                    stack.append(v)
-        if -1 in depth:
-            raise AssertionError("exchange arcs of an edge set that does not span")
+        node, at = self.darts.node, self.at
+        try:
+            order, upward = self.g._root(tree)
+        except ValueError:
+            raise AssertionError("exchange arcs of an edge set that does not span") from None
+        depth = [0] * len(order)
+        for y in order[1:]:
+            depth[y] = depth[node[upward[y] ^ 1]] + 1
         adj = [0] * len(self.side_nodes)
         witness = {}
         for k, alive in enumerate(live):
@@ -258,12 +250,12 @@ class _Feasibility:
             while u != v:
                 if depth[u] < depth[v]:
                     u, v = v, u
-                d = up_edge[u]
-                b = at[d]
+                d = upward[u]
+                b = at[d >> 1]
                 if b != a and not adj[a] >> b & 1:
                     adj[a] |= 1 << b
-                    witness[a, b] = (k, d)
-                u = up_node[u]
+                    witness[a, b] = (k, d >> 1)
+                u = node[d ^ 1]
         return adj, witness
 
     def _realized(self, tree: bytearray) -> tuple[int, ...]:

@@ -85,7 +85,7 @@ def jaeger_cuts(g: RibbonBipartiteGraph, tree: frozenset[str]) -> frozenset[str]
     non-tree edge must be first skipped at the cut-colored end."""
     if not g.is_spanning_tree(tree):
         raise ValueError("not a spanning tree")
-    vcut, ecut = _tour_cuts(g._darts, [int(e in tree) for e in g.edge_ids], 1)
+    vcut, ecut = _tour_cuts(g._darts, g._flags(tree), 1)
     return frozenset(cut for cut, bit in ((VCUT, vcut), (ECUT, ecut)) if bit)
 
 
@@ -250,7 +250,7 @@ def _base_cuts(g: RibbonBipartiteGraph, tree: frozenset[str]) -> dict[str, tuple
     violets off it, an edge taking the sum of its ends, is 2 on e's
     half, -2 on the other one and 0 elsewhere, on tree - e too."""
     darts, ids, m = g._darts, g.edge_ids, len(g.edge_ids)
-    order, upward = g._root(tree)
+    order, upward = g._root(g._flags(tree))
     below = [0] * len(g.nodes)
     for d, x in enumerate(darts.node):
         below[x] |= 1 << ((d >> 1) + (m if d & 1 else 0))

@@ -42,8 +42,13 @@ Point = tuple[Fraction, ...]
 FACET_COVER_BUDGET = 20000
 
 
+def is_simple(g: RibbonBipartiteGraph) -> bool:
+    """Whether no two edges join the same two nodes."""
+    return len({g.edges[e] for e in g.edge_ids}) == len(g.edge_ids)
+
+
 def _require_simple(g: RibbonBipartiteGraph) -> None:
-    if len({g.edges[e] for e in g.edge_ids}) != len(g.edge_ids):
+    if not is_simple(g):
         raise ValueError("root-polytope geometry needs a simple bipartite graph")
 
 
@@ -81,7 +86,7 @@ class TreeSimplex:
         self.tree_edges = tuple(sorted(tree))
         # the tree rooted at the base node; reversed, each node is a leaf
         # once its children are peeled: (leaf, its edge, far end)
-        order, upward = g._root(tree)
+        order, upward = g._root(g._flags(tree))
         position = {g._edge_index[e]: j for j, e in enumerate(self.tree_edges)}
         self._peel = [(y, position[upward[y] >> 1], g._darts.node[upward[y] ^ 1])
                       for y in reversed(order[1:])]

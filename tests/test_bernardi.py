@@ -609,3 +609,35 @@ def test_exterior_polynomials_match_for_graphs(c4_fixture):
     want = exterior_polynomial(g, EMERALD)
     assert bernardi_polynomials(g, HT_E_CUT_E)[1] == want
     assert bernardi_polynomials(g, HT_E_CUT_V)[1] == want
+
+
+@pytest.mark.parametrize("variant, answers, error, message", [
+    (HT_E_CUT_V, "never", TheoremViolation, "traversed subgraph acquired a cycle at 'e2v0'"),
+    (HT_E_CUT_E, "never", TheoremViolation, "traversed subgraph acquired a cycle at 'e2v0'"),
+    (HT_E_CUT_V, "always", AssertionError, "removal isolated the current node"),
+    (HT_E_CUT_E, "always", TheoremViolation, "kept/traversed edge 'e0v0' removed"),
+    (HT_E_CUT_V, "after-first", TheoremViolation, "kept/traversed edge 'e0v1' removed"),
+])
+def test_walk_checks_fire_on_false_answers(monkeypatch, running_fixture, variant,
+                                           answers, error, message):
+    """A paranoid run whose search answers only the start check truthfully
+    trips the walk's online checks: keeping every edge closes a cycle in
+    the traversed subgraph, removing every edge removes a traversed edge
+    (on cut:E the base edge, traversed before the first current edge) or
+    isolates the current node, and removing every edge after a first kept
+    one removes that kept edge."""
+    search = _Feasibility._search
+    steps = []
+
+    def answering(self, f_key, live):
+        if len(live) == len(self.g.edge_ids):
+            return search(self, f_key, live)
+        steps.append(live)
+        removable = answers == "always" or answers == "after-first" and len(steps) > 1
+        return frozenset() if removable else None
+    monkeypatch.setattr(_Feasibility, "_search", answering)
+    g = running_fixture.graph
+    f = enumerate_hypertrees(g, EMERALD)[0]
+    with pytest.raises(error) as caught:
+        run_bernardi(g, f, variant, paranoid=True)
+    assert type(caught.value) is error and str(caught.value) == message

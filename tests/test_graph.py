@@ -209,8 +209,10 @@ def test_unknown_edge_is_not_a_spanning_tree(c4_fixture):
 
 
 def test_tour_requires_spanning_tree(c4_fixture):
-    with pytest.raises(ValueError, match="not a spanning tree"):
-        c4_fixture.graph.tour_order(frozenset({"c1", "c2", "c3", "c4"}))
+    cycle = frozenset({"c1", "c2", "c3", "c4"})
+    for query in (c4_fixture.graph.tour_order, c4_fixture.graph.tour_pairs):
+        with pytest.raises(ValueError, match="not a spanning tree"):
+            query(cycle)
 
 
 def test_path_graph_tour_is_dfs_order():
@@ -321,7 +323,7 @@ def bfs_order(g, tree):
 def root_sides(g, tree):
     """The base node's side of tree - e for each tree edge e, from the
     rooting (``_root``): every node but those below e's child end."""
-    order, upward = g._root(tree)
+    order, upward = g._root(g._flags(tree))
     node = g._darts.node
     below = {y: {g.nodes[y]} for y in order}
     sides = {}
@@ -341,8 +343,11 @@ def test_tree_cut_c4(c4_fixture):
         "c1": {"v1", "e2"}, "c2": {"v1", "e1", "v2"}, "c4": {"v1", "e2", "e1"}}
     with pytest.raises(ValueError, match="tree edge"):
         tree_cut(g, t, "c3")
-    for bad in (frozenset({"c1", "c2", "c3", "c4"}), frozenset({"c1", "c2", "zz"})):
-        for query in (g._root, lambda tree: _base_cuts(g, tree)):
+    # a cycle, an unknown name, and an unknown name added to a spanning tree
+    for bad in (frozenset({"c1", "c2", "c3", "c4"}), frozenset({"c1", "c2", "zz"}),
+                t | {"zz"}):
+        for query in (lambda tree: g._root(g._flags(tree)),
+                      lambda tree: _base_cuts(g, tree)):
             with pytest.raises(ValueError, match="not a spanning tree"):
                 query(bad)
 
@@ -369,7 +374,7 @@ def test_tree_cut_equals_bfs_split(c4_fixture, running_fixture, knot_fixture,
     for g in graphs:
         node = g._darts.node
         for tree in g.spanning_trees():
-            order, upward = g._root(tree)
+            order, upward = g._root(g._flags(tree))
             want_order, parent = bfs_order(g, tree)
             assert [g.nodes[y] for y in order] == want_order
             assert upward[order[0]] == -1

@@ -355,3 +355,17 @@ def test_poly_formatting():
     assert format_polynomial(()) == "0"
     assert Poly((1, 3, 3, 0)) == Poly((1, 3, 3))
     assert str(Poly((1, 0, 1))) == "1 + x^2"
+
+
+def test_arcs_of_a_non_tree_are_an_internal_error(c4_fixture):
+    """Exchange arcs are drawn only on trees the library built, so an edge
+    set that does not span is an internal error there, not a bad input:
+    AssertionError, never the ValueError of ``RibbonGraph._root``."""
+    g = c4_fixture.graph
+    live = bytearray([1]) * len(g.edge_ids)
+    for tree in (bytearray(len(g.edge_ids)), bytearray([1, 1, 0, 0]), live):
+        for side in (EMERALD, VIOLET):
+            with pytest.raises(AssertionError) as caught:
+                _oracle(g, side)._arcs(tree, live)
+            assert type(caught.value) is AssertionError
+            assert str(caught.value) == "exchange arcs of an edge set that does not span"

@@ -175,7 +175,8 @@ def test_one_tour_and_one_rooting_primitive():
     """One spanning tree is toured by ``_tour`` and rooted by ``_root``,
     both defined in ``graph.py`` only; no module defines the retired
     ``_base_sides`` or the pairwise walk ``_tour_divergence``, and the
-    tree simplex's peel and the cut table are built on ``_root``."""
+    tree simplex's peel, the cut table and the exchange arcs are built
+    on ``_root``."""
     found = {p.name: imports_and_definitions(p.read_text(encoding="utf-8"))[1]
              for p in PACKAGE.glob("*.py")}
     for name, definers in (("_tour", {"graph.py"}), ("_root", {"graph.py"}),
@@ -188,6 +189,18 @@ def test_one_tour_and_one_rooting_primitive():
     assert calls_to(ast.unparse(simplex), "_root") == [("__init__", False)]
     source = (PACKAGE / "jaeger.py").read_text(encoding="utf-8")
     assert calls_to(source, "_root") == [("_base_cuts", False)]
+    source = (PACKAGE / "hypertree.py").read_text(encoding="utf-8")
+    assert calls_to(source, "_root") == [("_arcs", False)]
+
+
+def test_walk_checks_its_cycles_in_one_place():
+    """The Bernardi walk traverses every dart through one block, so one
+    ``raise`` in ``bernardi.py`` reports a cycle in the traversed
+    subgraph."""
+    tree = ast.parse((PACKAGE / "bernardi.py").read_text(encoding="utf-8"))
+    raises = [node for node in ast.walk(tree) if isinstance(node, ast.Raise)
+              and "acquired a cycle" in ast.unparse(node)]
+    assert len(raises) == 1
 
 
 PEELS = ("contains_scaled", "_strictly_inside")
