@@ -10,19 +10,21 @@ edge would be traversed a second time from the same direction.
 ``bernardi_runs`` runs one variant over every hypertree of its ht side,
 in family order, from one set-up of the dart table, the oracle and the
 per-edge tables; ``run_bernardi`` is the same walk for one hypertree.
-A step is a ``BernardiStep`` named tuple.
+The walk keeps integers only; a run's steps (``BernardiStep`` named
+tuples) and first-reach times are built from them when first read.
 
 Each run performs online checks of the structural guarantees (each edge
-current once, traversed subgraph acyclic, kept/traversed edges never
-removed); a violation raises TheoremViolation and means either a bug or
+current once, traversed subgraph acyclic: a new traversed edge never
+ends at a node already reached, kept/traversed edges never removed);
+a violation raises TheoremViolation and means either a bug or
 a genuine counterexample, which the campaign machinery re-verifies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress
-from operator import eq
 from typing import NamedTuple
 
 from .graph import EMERALD, VIOLET, RibbonBipartiteGraph, bip
@@ -66,12 +68,37 @@ class BernardiStep(NamedTuple):
 
 @dataclass(frozen=True)
 class BernardiRun:
+    """One run's record.  ``steps`` and ``first_reached`` are built from
+    the walk's integer trace when first read, and kept."""
     variant: ProcessVariant
     hypertree: tuple[tuple[str, int], ...]
-    steps: tuple[BernardiStep, ...]
     result_tree: frozenset[str]
     current_edge_order: tuple[str, ...]
-    first_reached: dict[str, int]
+    # edge ids, node names, the order and final live flags by edge index,
+    # each kept edge's far-side edge (-1 for none), the reached nodes in
+    # first-reach order and the reach times by node
+    _trace: tuple = field(repr=False)
+
+    @cached_property
+    def steps(self) -> tuple[BernardiStep, ...]:
+        ids, _, order, live, after, _, _ = self._trace
+        cut = self.variant.cut_side
+        far, n_live, steps = _opposite(cut), len(ids), []
+        for e in order:
+            if not live[e]:
+                steps.append(BernardiStep(ids[e], "removed", n_live, ()))
+                n_live -= 1
+            elif after[e] < 0:          # the run stopped before its far side
+                steps.append(BernardiStep(ids[e], "kept", n_live, ((ids[e], cut),)))
+            else:
+                steps.append(BernardiStep(ids[e], "kept", n_live,
+                                          ((ids[e], cut), (ids[after[e]], far))))
+        return tuple(steps)
+
+    @cached_property
+    def first_reached(self) -> dict[str, int]:
+        _, nodes, _, _, _, reached, reach_time = self._trace
+        return {nodes[x]: reach_time[x] for x in reached}
 
 
 def run_bernardi(g: RibbonBipartiteGraph, f: dict[str, int],
@@ -119,15 +146,20 @@ def _walk(g: RibbonBipartiteGraph, variant: ProcessVariant,
           keys: list[tuple[int, ...]], paranoid: bool) -> list[BernardiRun]:
     """The runs for the hypertree value tuples ``keys``, in their order.
     The dart table, the oracle and the per-edge tables are read once; each
-    run then keeps its state in bytearrays by edge and by dart, a live
-    edge counter and an int-list union-find of the traversed edges.
+    run then keeps its state in bytearrays by edge and by dart, and the
+    reach time of each node (-1 until the walk reaches it).
 
     A run is one loop over darts from the base dart.  A dart at a cut-side
     end is the current edge, examined first; a removed one moves on around
     its node.  Every other dart takes the one traversal step and moves on
     after its twin (the base edge when the base node is not cut-side, a
-    kept current edge, and the edge after it at the far end).  The run
-    stops at the first dart already traversed."""
+    kept current edge, and the edge after it at the far end).  The walk
+    stands on a reached node, so a new edge of the traversed subgraph
+    closes a cycle exactly when its far end is already reached.  The run
+    stops at the first dart already traversed.  It records only integers:
+    the current-edge order, the live flags, each kept edge's far-side
+    edge and the reached nodes, from which the record builds its steps and
+    first-reach times when they are read."""
     side, cut = variant.ht_side, variant.cut_side
     cut_pos = 0 if cut == EMERALD else 1   # parity of a dart at a cut-side end
     ht_pos = 0 if side == EMERALD else 1
@@ -139,8 +171,7 @@ def _walk(g: RibbonBipartiteGraph, variant: ProcessVariant,
     ht_end, opp_end = node_of[ht_pos::2], node_of[1 - ht_pos::2]
     ht_nodes = [x for x, ds in enumerate(rotation) if ds[0] & 1 == ht_pos]
     degree = [len(ds) for ds in rotation]
-    from_cut = [(e, cut) for e in ids]   # each edge's traversal records
-    from_far = [(e, _opposite(cut)) for e in ids]
+    base = node_of[darts.base]
     m, n = len(ids), len(nodes)
     runs = []
     for f_key in keys:
@@ -153,24 +184,20 @@ def _walk(g: RibbonBipartiteGraph, variant: ProcessVariant,
                 raise ValueError("input vector is not a hypertree")
             witness = bytearray(member.tree)
         live = bytearray([1]) * m
-        n_live = m
         live_degree = degree[:]
         traversed = bytearray(2 * m)    # by the dart a traversal leaves from
         seen_current = bytearray(m)
-        parent = list(range(n))         # union-find of the traversed edges
-        steps: list[BernardiStep] = []
         order: list[int] = []
-        first_reached = {g.base_node: 0}
+        after = [-1] * m                # each kept edge's far-side edge
+        reach_time = [-1] * n
+        reach_time[base] = 0
+        reached = [base]
 
         # no turn limit: a turn examines a fresh edge (the current-once
         # check) or traverses a fresh dart (the loop guard), <= 3|E| turns
-        c, kept, now = darts.base, None, 0
+        c, now = darts.base, 0
         while not traversed[c]:  # a re-examination would re-traverse: stop right before
-            if kept is not None:        # the far-side traversal after a kept edge
-                steps.append(BernardiStep(ids[kept], "kept", n_live,
-                                          (from_cut[kept], from_far[c >> 1])))
-                kept = None
-            elif c & 1 == cut_pos:      # the current edge, at its cut-side end
+            if c & 1 == cut_pos:        # the current edge, at its cut-side end
                 e = c >> 1
                 if seen_current[e]:
                     raise TheoremViolation(f"edge {ids[e]!r} became current twice")
@@ -204,46 +231,39 @@ def _walk(g: RibbonBipartiteGraph, variant: ProcessVariant,
                     live_degree[node_of[c ^ 1]] -= 1
                     if not live_degree[node_of[c]]:
                         raise AssertionError("removal isolated the current node")
-                    steps.append(BernardiStep(ids[e], "removed", n_live, ()))
-                    n_live -= 1
                     c = succ[c]         # the next live dart around the node
                     while not live[c >> 1]:
                         c = succ[c]
                     continue
-                kept = e
+            elif now:                   # the far-side traversal after kept edge e
+                after[e] = c >> 1
 
             traversed[c] = 1
             if not traversed[c ^ 1]:    # a new edge of the traversed subgraph
-                a, b = node_of[c], node_of[c ^ 1]
-                while parent[a] != a:
-                    a = parent[a]
-                while parent[b] != b:
-                    b = parent[b]
-                if a == b:
+                x = node_of[c ^ 1]
+                if reach_time[x] >= 0:
                     raise TheoremViolation(
                         f"traversed subgraph acquired a cycle at {ids[c >> 1]!r}")
-                parent[b] = a
-            first_reached.setdefault(nodes[node_of[c ^ 1]], now)
+                reach_time[x] = now
+                reached.append(x)
             c = succ[c ^ 1]
             while not live[c >> 1]:
                 c = succ[c]
-        if kept is not None:            # stopped right before its far-side traversal
-            steps.append(BernardiStep(ids[kept], "kept", n_live, (from_cut[kept],)))
 
         if len(order) != m:
             raise TheoremViolation("some edge never became current")
-        # the traversed edges stay live and acyclic (checked online): one
-        # component of them spans, and the live edges are just these
-        if sum(map(eq, parent, range(n))) != 1 or n_live != n - 1:
+        # the traversed edges stay live and acyclic (checked online): they
+        # reach every node, and the live edges are just these
+        if len(reached) != n or live.count(1) != n - 1:
             raise TheoremViolation("final current graph is not a spanning tree")
         if tuple(live_degree[x] - 1 for x in ht_nodes) != f_key:
             raise TheoremViolation("result tree does not realize the hypertree")
         _check_arc_rule(g, order, cut_pos)
         runs.append(BernardiRun(
             variant=variant, hypertree=tuple(zip(side_nodes, f_key)),
-            steps=tuple(steps), result_tree=frozenset(compress(ids, live)),
+            result_tree=frozenset(compress(ids, live)),
             current_edge_order=tuple(map(ids.__getitem__, order)),
-            first_reached=first_reached))
+            _trace=(ids, nodes, order, live, after, reached, reach_time)))
     return runs
 
 
@@ -276,7 +296,10 @@ def embedding_inactivities(g: RibbonBipartiteGraph, run: BernardiRun) -> tuple[i
     if member is None:
         raise ValueError(f"not a hypertree on the {side} side: {dict(run.hypertree)}")
     # class positions by the earliest current edge at each
-    order = list(dict.fromkeys(map(oracle.position.__getitem__, run.current_edge_order)))
+    try:
+        order = list(dict.fromkeys(map(oracle.position.__getitem__, run.current_edge_order)))
+    except KeyError as missing:
+        raise ValueError(f"current edge {missing.args[0]!r} is not an edge here") from None
     if len(order) != len(names):
         raise ValueError(f"a class order must list each {side} node once")
     return (len(_inactive(member, order, outgoing=True)),

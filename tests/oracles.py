@@ -50,11 +50,12 @@ on small instances only.  Each reference, and what it checks:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
 from itertools import combinations
 
-from hyperbernardi.bernardi import BernardiRun, BernardiStep, TheoremViolation
+from hyperbernardi.bernardi import BernardiStep, ProcessVariant, TheoremViolation
 from hyperbernardi.graph import EMERALD, VIOLET, UnionFind
 from hyperbernardi.hypertree import (_oracle, _side_key, enumerate_hypertrees,
                                      is_hypertree)
@@ -413,7 +414,20 @@ def tree_cut(g, tree, edge) -> tuple[frozenset[str], frozenset[str]]:
                            if (a in side) != (b in side))
 
 
-def bernardi_run(g, f, variant) -> BernardiRun:
+@dataclass(frozen=True)
+class ReferenceRun:
+    """The reference walk's record, under the attribute names of
+    ``BernardiRun``, with its steps and first-reach times built in the
+    walk."""
+    variant: ProcessVariant
+    hypertree: tuple[tuple[str, int], ...]
+    steps: tuple[BernardiStep, ...]
+    result_tree: frozenset[str]
+    current_edge_order: tuple[str, ...]
+    first_reached: dict[str, int]
+
+
+def bernardi_run(g, f, variant) -> ReferenceRun:
     """The Bernardi process walked on edge names: ``next_edge`` over the
     live edge set, a name-keyed union-find for the acyclicity check, and
     the final checks through ``is_spanning_tree``, ``degree_vector`` and
@@ -511,7 +525,7 @@ def bernardi_run(g, f, variant) -> BernardiRun:
         if tuple(by_time) != rot[start:] + rot[:start]:
             raise TheoremViolation(
                 f"current edges at {x!r} broke the cyclic-order discipline")
-    return BernardiRun(variant=variant, hypertree=tuple(sorted(f.items())),
-                       steps=tuple(steps), result_tree=result,
-                       current_edge_order=tuple(order),
-                       first_reached=first_reached)
+    return ReferenceRun(variant=variant, hypertree=tuple(sorted(f.items())),
+                        steps=tuple(steps), result_tree=result,
+                        current_edge_order=tuple(order),
+                        first_reached=first_reached)

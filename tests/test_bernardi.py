@@ -104,7 +104,8 @@ def test_embedding_inactivities_tree_graph():
 
 def test_embedding_inactivities_reject_foreign_runs(running_fixture, c4_fixture):
     """A run whose hypertree is indexed by other nodes, is no hypertree,
-    or whose current edges miss a class node is refused."""
+    whose current edges are not edges of the graph, or whose current
+    edges miss a class node is refused."""
     g = running_fixture.graph
     run = bernardi_runs(g, HT_E_CUT_E)[0]
     with pytest.raises(ValueError, match="indexed by the emerald nodes"):
@@ -112,6 +113,11 @@ def test_embedding_inactivities_reject_foreign_runs(running_fixture, c4_fixture)
     zero = replace(run, hypertree=tuple((x, 0) for x, _ in run.hypertree))
     with pytest.raises(ValueError, match="not a hypertree"):
         embedding_inactivities(g, zero)
+    other_ids, _, _ = renamed(g, g.nodes, [f"r_{e}" for e in g.edge_ids])
+    foreign = bernardi_runs(other_ids, HT_E_CUT_E)[0]
+    with pytest.raises(ValueError, match=f"current edge 'r_{run.current_edge_order[0]}' "
+                                         "is not an edge here"):
+        embedding_inactivities(g, foreign)
     partial = replace(run, current_edge_order=run.current_edge_order[:1])
     with pytest.raises(ValueError, match="a class order must list each emerald node"):
         embedding_inactivities(g, partial)
@@ -546,6 +552,31 @@ def test_check_conjectures_runs_each_variant_once(family_runs):
         assert all(len(set(hts)) == len(hts) for _, hts in family_runs)
         assert sum(len(hts) for _, hts in family_runs) == \
             2 * len(enumerate_hypertrees(g, EMERALD))
+
+
+def test_steps_are_built_when_read(monkeypatch, running_fixture):
+    """The campaign reads runs' outcomes and current-edge orders only, so
+    its runs build no step; a run's steps are built on their first read,
+    one per edge, and kept."""
+    from hyperbernardi import bernardi
+    from hyperbernardi.campaign import campaign_verify_all, check_conjectures
+    built = []
+
+    def counting(*fields):
+        built.append(fields)
+        return BernardiStep(*fields)
+    monkeypatch.setattr(bernardi, "BernardiStep", counting)
+    g = running_fixture.graph
+    for graph in [g] + [bip(random_ordinary(seed, 6, 9)) for seed in range(3)]:
+        check_conjectures(graph)
+    campaign_verify_all(g)
+    assert built == []
+    f = enumerate_hypertrees(g, EMERALD)[1]
+    run = run_bernardi(g, f, HT_E_CUT_V)
+    steps = run.steps
+    assert len(built) == len(g.edge_ids) == len(steps)
+    assert run.steps is steps
+    assert steps == reference_run(g, f, HT_E_CUT_V).steps
 
 
 def renamed(g, node_names, edge_names):

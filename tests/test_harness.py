@@ -11,6 +11,7 @@ import pytest
 
 import hyperbernardi
 from hyperbernardi import campaign
+from hyperbernardi.bernardi import HT_E_CUT_V
 from hyperbernardi.campaign import (arborescence_duality, campaign_verify_all,
                                     check_conjectures, fuzz_conjectures,
                                     verify_noncrossing)
@@ -23,7 +24,7 @@ from hyperbernardi.jaeger import (VCUT, enumerate_jaeger_trees, semi_passive_edg
                                   t_order)
 from hyperbernardi.polytope import (TreeSimplex, facet_cover_status,
                                     normalized_simplex_volume)
-from oracles import arborescence_duality_brute_force
+from oracles import arborescence_duality_brute_force, bernardi_run as reference_run
 
 
 def test_random_bipartite_deterministic():
@@ -391,11 +392,21 @@ def test_cli_hypertrees(graph_file):
 
 
 def test_cli_bernardi_trace(graph_file):
-    proc = run_cli("bernardi", "--graph", graph_file,
-                   "--hypertree", "e0=0,e1=0,e2=0,e3=2",
-                   "--variant", "htE-cutV", "--trace")
+    """The trace lists the steps; the JSON record holds the reference
+    walk's steps, current-edge order and result tree."""
+    argv = ("bernardi", "--graph", graph_file, "--hypertree", "e0=0,e1=0,e2=0,e3=2",
+            "--variant", "htE-cutV")
+    proc = run_cli(*argv, "--trace")
     assert "result tree:" in proc.stdout
     assert "removed" in proc.stdout and "kept" in proc.stdout
+    payload = json.loads(run_cli(*argv, "--json").stdout)
+    want = reference_run(running_graph().graph, {"e0": 0, "e1": 0, "e2": 0, "e3": 2},
+                         HT_E_CUT_V)
+    assert payload["steps"] == [
+        {"edge": s.edge, "decision": s.decision, "live_before": s.live_before,
+         "traversals": [list(t) for t in s.traversals]} for s in want.steps]
+    assert payload["current_edge_order"] == list(want.current_edge_order)
+    assert payload["result_tree"] == sorted(want.result_tree)
 
 
 def test_cli_bernardi_bad_hypertree(graph_file):

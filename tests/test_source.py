@@ -203,6 +203,13 @@ def test_walk_checks_its_cycles_in_one_place():
     assert len(raises) == 1
 
 
+def test_walk_builds_no_steps():
+    """The Bernardi walk keeps integers; a ``BernardiStep`` is built only
+    in the run record's ``steps``, when it is read."""
+    source = (PACKAGE / "bernardi.py").read_text(encoding="utf-8")
+    assert {function for function, _ in calls_to(source, "BernardiStep")} == {"steps"}
+
+
 PEELS = ("contains_scaled", "_strictly_inside")
 
 
