@@ -239,8 +239,7 @@ def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
 
     # unique realization and the induced bijection between hypertree
     # sets; Jaeger enumeration does not use the hypertree module, so this
-    # also cross-checks the hypertree enumeration on both sides.  The
-    # dissection's markers read the same map.
+    # also cross-checks the hypertree enumeration on both sides.
     realized = realized_hypertrees(g, vcut)
     ok = True
     for side, family in ((EMERALD, b_e), (VIOLET, b_v)):
@@ -288,7 +287,7 @@ def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
         report.add("equal-simplex-volumes", PASS if ok else FAIL,
                    volumes=sorted(vols), trees=swept)
 
-        dis = verify_dissection(g, steps, realized)
+        dis = verify_dissection(g, steps)
         report.add("dissection", PASS if dis["is_dissection"] else FAIL,
                    triangulation=dis["is_triangulation"],
                    certified=dis["interiors_disjoint_certified"])

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .bernardi import TheoremViolation
-from .graph import EMERALD, VIOLET, RibbonBipartiteGraph, UnionFind, bip
+from .graph import EMERALD, VIOLET, RibbonBipartiteGraph, bip
 from .hypertree import internal_inactivity
 
 VCUT = VIOLET
@@ -89,8 +89,14 @@ def jaeger_cuts(g: RibbonBipartiteGraph, tree: frozenset[str]) -> frozenset[str]
     return frozenset(cut for cut, bit in ((VCUT, vcut), (ECUT, ecut)) if bit)
 
 
+def _require_cut(cut: str) -> None:
+    if cut not in (VCUT, ECUT):
+        raise ValueError(f"unknown cut {cut!r}")
+
+
 def is_jaeger_tree(g: RibbonBipartiteGraph, tree: frozenset[str], cut: str) -> bool:
     """Each non-tree edge must be first skipped at its ``cut``-colored end."""
+    _require_cut(cut)
     return cut in jaeger_cuts(g, tree)
 
 
@@ -99,33 +105,35 @@ def enumerate_jaeger_trees(g: RibbonBipartiteGraph, cut: str) -> list[frozenset[
 
     An undecided edge met at a cut-colored node branches, cut first and
     keep second, which emits the trees exactly in the violet (emerald)
-    tree order.  At the opposite color the edge is forced into the tree.
-    One union-find of the kept edges and one status map are shared by
-    the whole search; each branch undoes its own decisions on return.
-    Two prunes drop only branches that cannot end in a spanning tree: a
-    keep goes ahead only when it joins two components of the kept
-    edges, and a cut only while fewer than |E| - |V| + 1 edges are cut.
+    tree order; the cut branch is a nested walk and the keep branch goes
+    on in the same walk.  At the opposite color the edge is forced into
+    the tree.  A walk crosses each edge as soon as it keeps it, so it
+    stands only on reached nodes and the kept edges are one tree on
+    them: an edge is kept only if its far end is unreached, and cut only
+    while fewer than |E| - |V| + 1 edges are cut.  Each walk undoes its
+    own decisions on the shared reached flags and status map.
 
     The walk is the orbit of the base pair under the tour permutation of
     its final decisions, so it returns to the base pair within 2|E|
     steps even when the cuts disconnect the graph; it emits the kept
-    edges there when they connect every node.
+    edges there when every node is reached.
     """
+    _require_cut(cut)
     darts, ids = g._darts, g.edge_ids
     succ, twin, edge_of, node_of = darts.succ, darts.twin, darts.edge, darts.node
-    at_cut = 0 if cut == EMERALD else 1   # parity of the darts at cut-colored ends
+    at_cut = int(cut == VCUT)   # parity of the darts at cut-colored ends
     limit = 2 * len(ids) + 1
     max_cuts = len(ids) - len(g.nodes) + 1
-    kept = UnionFind(range(len(g.nodes)))
+    reached = bytearray(len(g.nodes))
+    reached[node_of[darts.base]] = 1
     status: dict[int, bool] = {}  # decided edge index -> kept
     out: list[frozenset[str]] = []
 
     def walk(d: int, steps: int, cuts: int) -> None:
-        mark = kept.snapshot()
-        forced: list[int] = []
+        kept: list[tuple[int, int]] = []   # (edge, the node it reached)
         while True:
             if steps > 0 and d == darts.base:
-                if kept.components == 1:
+                if all(reached):
                     out.append(frozenset(ids[i] for i, s in status.items() if s))
                 break
             if steps > limit:
@@ -133,27 +141,24 @@ def enumerate_jaeger_trees(g: RibbonBipartiteGraph, cut: str) -> list[frozenset[
             i = edge_of[d]
             s = status.get(i)
             if s is None:
-                if d & 1 == at_cut:
-                    # cut branch first: emission order = tree order
-                    if cuts < max_cuts:
-                        status[i] = False
-                        walk(succ[d], steps + 1, cuts + 1)
-                    status[i] = True
-                    if kept.union(node_of[d], node_of[twin[d]]):
-                        walk(succ[twin[d]], steps + 1, cuts)
+                if d & 1 == at_cut and cuts < max_cuts:
+                    # the cut branch first: emission order = tree order
+                    status[i] = False
+                    walk(succ[d], steps + 1, cuts + 1)
                     del status[i]
+                far = node_of[twin[d]]
+                if reached[far]:
                     break
-                forced.append(i)
                 status[i] = s = True
-                if not kept.union(node_of[d], node_of[twin[d]]):
-                    break
+                reached[far] = 1
+                kept.append((i, far))
             if s:
                 d = twin[d]
             d = succ[d]
             steps += 1
-        for i in forced:
+        for i, x in kept:
             del status[i]
-        kept.rollback(mark)
+            reached[x] = 0
 
     walk(darts.base, 0, 0)
     return out

@@ -66,7 +66,7 @@ def vertex_point(g: RibbonBipartiteGraph, edge: str) -> Point:
 
 
 def scaled_marker(g: RibbonBipartiteGraph, f: dict[str, int],
-                  side: str = EMERALD) -> tuple[int, ...]:
+                  side: str) -> tuple[int, ...]:
     """The marker point of a hypertree, f/|opp| + i_side/(|E||V|) +
     i_opp/|opp|, times |E||V|: f*|side| + 1 on the side's nodes and
     |side| on the opposite ones, all integers."""
@@ -181,7 +181,8 @@ def facet_neighbours(g: RibbonBipartiteGraph, trees) -> list[Facet]:
     """
     _require_simple(g)
     trees = [frozenset(t) for t in trees]
-    return _facets(g, [g._edge_mask(t) for t in trees], [_base_cuts(g, t) for t in trees])
+    tables = [_base_cuts(g, t) for t in trees]   # refuses a non-tree
+    return _facets(g, [g._edge_mask(t) for t in trees], tables)
 
 
 def _facets(g: RibbonBipartiteGraph, masks, tables) -> list[Facet]:
@@ -203,16 +204,9 @@ def _facets(g: RibbonBipartiteGraph, masks, tables) -> list[Facet]:
     return out
 
 
-def _strictly_inside(simplices, p, scale: int) -> list[int]:
-    """The simplices that hold p/scale in their interior, by position."""
-    return [k for k, s in enumerate(simplices) if s.contains_scaled(p, scale, strict=True)]
-
-
-def verify_dissection(g: RibbonBipartiteGraph, steps, realized=None) -> dict:
+def verify_dissection(g: RibbonBipartiteGraph, steps) -> dict:
     """Marker counts and placement for a claimed dissection, given as the
-    shelling record (jaeger.shelling) of V-cut Jaeger trees in violet
-    order, and ``realized``, the hypertrees they realize
-    (``jaeger.realized_hypertrees``), computed here when not given.
+    shelling record (jaeger.shelling) of V-cut Jaeger trees in violet order.
 
     Checks that the tree count matches both hypertree counts, that each
     emerald and violet marker lies strictly inside exactly one simplex,
@@ -220,13 +214,17 @@ def verify_dissection(g: RibbonBipartiteGraph, steps, realized=None) -> dict:
     interior-disjointness; together these make ``is_dissection``.  Each
     certificate is one AND of the earlier tree's edge bitmask with the
     half of the later tree's cut (its cut table) that holds the
-    divergence edge.  Once every pair is certified, a marker strictly
-    inside the simplex of a tree that realizes its hypertree lies in no
-    other, so only those simplices are peeled; any other marker, and
-    every marker of a list whose pairs are not all certified, is peeled
-    on every simplex, and a witness lists the simplices that hold it.
-    So a ``realized`` that does not match ``steps`` cannot pass a marker
-    that the peel on every simplex fails.
+    divergence edge.
+
+    A hypertree f's marker lies strictly inside the simplex of a tree T
+    exactly when T realizes f, so each marker is peeled only on the
+    listed trees that realize it (``jaeger.realized_hypertrees``), and a
+    witness lists those that hold it.  Proof: the coordinate of a tree
+    edge e is positive exactly when f(C) >= g_T(C), for C the side's
+    nodes in the component of T - e at e's end on that side and g_T the
+    hypertree T realizes; at a node x of the side, f(x) - g_T(x) sums
+    these differences over the tree edges at x, and f, g_T have equal
+    totals.
 
     ``is_triangulation`` replaces the pair certificates by a local check
     on facet neighbours (``facet_neighbours``): every interior facet of
@@ -244,8 +242,6 @@ def verify_dissection(g: RibbonBipartiteGraph, steps, realized=None) -> dict:
     _require_simple(g)
     trees = [s.tree for s in steps]
     masks = [s.mask for s in steps]
-    if realized is None:
-        realized = realized_hypertrees(g, trees)
     simplices = [TreeSimplex(g, t) for t in trees]
     b_e = enumerate_hypertrees(g, EMERALD)
     b_v = enumerate_hypertrees(g, VIOLET)
@@ -270,22 +266,19 @@ def verify_dissection(g: RibbonBipartiteGraph, steps, realized=None) -> dict:
                               "divergence": eps})
     certified = not pairs
 
-    placement_ok = True
+    realized = realized_hypertrees(g, trees)
     scale = len(g.emeralds) * len(g.violets)
     for side, family in ((EMERALD, b_e), (VIOLET, b_v)):
         nodes = g.side_nodes(side)
         for f in family:
             p = scaled_marker(g, f, side)
-            own = realized[side].get(tuple(f[x] for x in nodes), [])
-            if not (certified and any(simplices[k].contains_scaled(p, scale, strict=True)
-                                      for k in own)):
-                inside = _strictly_inside(simplices, p, scale)
-                if len(inside) != 1:
-                    placement_ok = False
-                    report["witnesses"].append(
-                        {"kind": "marker", "side": side, "hypertree": dict(f),
-                         "strictly_inside": inside})
-    report["markers_in_unique_simplex"] = placement_ok
+            inside = [k for k in realized[side].get(tuple(f[x] for x in nodes), [])
+                      if simplices[k].contains_scaled(p, scale, strict=True)]
+            if len(inside) != 1:
+                report["witnesses"].append(
+                    {"kind": "marker", "side": side, "hypertree": dict(f),
+                     "strictly_inside": inside})
+    placement_ok = report["markers_in_unique_simplex"] = not report["witnesses"]
     report["witnesses"] += pairs
     report["interiors_disjoint_certified"] = certified
 
@@ -447,6 +440,8 @@ def normalized_simplex_volume(g: RibbonBipartiteGraph, tree: frozenset[str]) -> 
     Any other edge set gives 0: it holds a cycle, whose alternating row
     sum vanishes.  ``verify`` computes the determinant on the trees of
     the dissection, the simplices that the Ehrhart chain counts."""
+    if unknown := sorted(set(tree) - g.edges.keys()):
+        raise ValueError(f"{unknown[0]!r} is not an edge here")
     if len(tree) != len(g.nodes) - 1:
         raise ValueError(f"need {len(g.nodes) - 1} edges, got {len(tree)}")
     dropped = g.violets[0]

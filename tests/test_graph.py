@@ -191,21 +191,30 @@ def test_tour_totality(c4_fixture, running_fixture):
             assert set(pairs) == all_pairs
 
 
-def test_unknown_edge_is_not_a_spanning_tree(c4_fixture):
+def test_unknown_edge_is_not_a_spanning_tree(c4_fixture, running_fixture):
     """A name that is not an edge of the graph makes the set no spanning
     tree, so the tree queries refuse it with their documented error."""
     from hyperbernardi.graph import VIOLET
     from hyperbernardi.jaeger import (VCUT, divergence_edge, is_jaeger_tree,
                                       jaeger_cuts, t_order)
-    from hyperbernardi.polytope import TreeSimplex
+    from hyperbernardi.polytope import (TreeSimplex, facet_neighbours,
+                                        normalized_simplex_volume)
     g = c4_fixture.graph
     bad, good = frozenset({"c1", "c2", "zz"}), frozenset({"c1", "c2", "c3"})
     assert not g.is_spanning_tree(bad)
     for query in (lambda: g.tour_order(bad), lambda: jaeger_cuts(g, bad),
                   lambda: is_jaeger_tree(g, bad, VCUT), lambda: t_order(g, bad, VIOLET),
-                  lambda: divergence_edge(g, good, bad), lambda: TreeSimplex(g, bad)):
+                  lambda: divergence_edge(g, good, bad), lambda: TreeSimplex(g, bad),
+                  lambda: facet_neighbours(g, [good, bad])):
         with pytest.raises(ValueError, match="not a spanning tree"):
             query()
+    # the volume takes any |V| - 1 edges of the graph, and is 0 off the trees
+    with pytest.raises(ValueError, match="'zz' is not an edge"):
+        normalized_simplex_volume(g, bad)
+    r = running_fixture.graph
+    cyclic = next(frozenset(s) for s in combinations(r.edge_ids, len(r.nodes) - 1)
+                  if not r.is_spanning_tree(frozenset(s)))
+    assert normalized_simplex_volume(r, cyclic) == 0
 
 
 def test_tour_requires_spanning_tree(c4_fixture):

@@ -405,6 +405,16 @@ def test_unknown_flavor_is_rejected(c4_fixture):
     assert divergence_edge(g, t4, t2, flavor=EMERALD) in t4 ^ t2
 
 
+def test_unknown_cut_is_rejected(running_fixture):
+    g = running_fixture.graph
+    tree = enumerate_jaeger_trees(g, VCUT)[0]
+    with pytest.raises(ValueError, match="unknown cut 'bogus'"):
+        enumerate_jaeger_trees(g, "bogus")
+    with pytest.raises(ValueError, match="unknown cut 'bogus'"):
+        is_jaeger_tree(g, tree, "bogus")
+    assert is_jaeger_tree(g, tree, VCUT)
+
+
 def test_cut_tables_equal_reference_cuts(c4_fixture, running_fixture, knot_fixture):
     """Each tree edge's cut table entry splits the reference cut of
     tree - edge by which end of a cut edge lies on the base side."""

@@ -17,13 +17,12 @@ from hyperbernardi.generators import random_bipartite, random_ordinary
 from hyperbernardi.graph import EMERALD, VIOLET, RibbonBipartiteGraph, bip
 from hyperbernardi.hypertree import (Poly, enumerate_hypertrees,
                                      interior_polynomial)
-from hyperbernardi.jaeger import (VCUT, enumerate_jaeger_trees, realized_hypertrees,
-                                  shelling)
+from hyperbernardi.jaeger import VCUT, enumerate_jaeger_trees, shelling
 from hyperbernardi.polytope import (TreeSimplex, certify_disjoint_interiors,
                                     compositions, ehrhart_fit, ehrhart_values,
                                     ehrhart_values_scan, facet_neighbours,
                                     fit_binomial_coefficients,
-                                    geometric_shelling_check,
+                                    geometric_shelling_check, is_simple,
                                     kato_series_check,
                                     normalized_simplex_volume, scaled_marker,
                                     shelling_h_vector, verify_dissection,
@@ -58,12 +57,26 @@ def test_marker_inside_own_simplex(c4_fixture, running_fixture):
             assert contains(TreeSimplex(g, tree), marker(g, fv, VIOLET), strict=True)
 
 
-def test_marker_inside_iff_realized(c4_fixture):
-    g = c4_fixture.graph
-    for tree in g.spanning_trees():
-        for f in enumerate_hypertrees(g, EMERALD):
-            inside = contains(TreeSimplex(g, tree), marker(g, f, EMERALD), strict=True)
-            assert inside == (g.degree_vector(tree, EMERALD) == f)
+def test_marker_inside_iff_realized(c4_fixture, running_fixture):
+    """The lemma behind the dissection's marker peel: a hypertree's
+    marker lies strictly inside the simplex of a spanning tree exactly
+    when the tree realizes the hypertree, on either side."""
+    graphs = [c4_fixture.graph, running_fixture.graph, noncrossing_setup(2, 3)]
+    graphs += [random_bipartite(seed, 4, 4, 10) for seed in range(30)]
+    graphs += [bip(random_ordinary(seed, 4, 6)) for seed in range(20)]
+    held = realized = 0
+    for g in filter(is_simple, graphs):
+        families = {side: enumerate_hypertrees(g, side) for side in (EMERALD, VIOLET)}
+        for tree in g.spanning_trees():
+            simplex = TreeSimplex(g, tree)
+            for side, family in families.items():
+                own = g.degree_vector(tree, side)
+                for f in family:
+                    inside = contains(simplex, marker(g, f, side), strict=True)
+                    assert inside == (own == f), (serialize_graph(g), sorted(tree), f)
+                    held += inside
+                    realized += own == f
+    assert held == realized > 1000
 
 
 def test_vertex_on_boundary(c4_fixture):
@@ -293,8 +306,7 @@ def test_own_simplex_markers_equal_all_simplices(knot_fixture, c4_fixture,
     """``markers_in_unique_simplex`` says that every marker lies strictly
     inside exactly one simplex of the list: the verdict and the marker
     witnesses are those of peeling every marker on every simplex,
-    whether or not the list's pairs are certified, and with a
-    realization map of the trees in reverse order.  Lists: the V-cut
+    whether or not the list's pairs are certified.  Lists: the V-cut
     Jaeger trees, one of them missing (its markers lie in no simplex),
     and a spanning tree that is not Jaeger swapped in or added (its
     pairs may fail their certificates and its simplex may hold a marker
@@ -304,15 +316,13 @@ def test_own_simplex_markers_equal_all_simplices(knot_fixture, c4_fixture,
         trees = enumerate_jaeger_trees(g, VCUT)
         others = [t for t in g.spanning_trees() if t not in set(trees)][:1]
         for listed in (trees, trees[:-1], trees[1:], others + trees[1:], trees + others):
-            steps = shelling(g, listed)
             placement = marker_placement(g, listed)
             want = [{"kind": "marker", "side": side, "hypertree": dict(f),
                      "strictly_inside": hits}
                     for side, f, hits in placement if len(hits) != 1]
-            for realized in (None, realized_hypertrees(g, listed[::-1])):
-                rep = verify_dissection(g, steps, realized)
-                assert [w for w in rep["witnesses"] if w["kind"] == "marker"] == want
-                assert rep["markers_in_unique_simplex"] == (not want)
+            rep = verify_dissection(g, shelling(g, listed))
+            assert [w for w in rep["witnesses"] if w["kind"] == "marker"] == want
+            assert rep["markers_in_unique_simplex"] == (not want)
             seen.add((rep["interiors_disjoint_certified"],
                       any(len(hits) > 1 for _, _, hits in placement)))
         rep = verify_dissection(g, shelling(g, trees[:-1]))
@@ -323,9 +333,11 @@ def test_own_simplex_markers_equal_all_simplices(knot_fixture, c4_fixture,
 
 def test_certified_markers_peel_one_simplex_each(monkeypatch, knot_fixture,
                                                  running_fixture):
-    """On the V-cut Jaeger trees in violet order every pair is certified,
-    so each marker is peeled once, on the simplex of the tree that
-    realizes its hypertree, and none on every simplex."""
+    """On every list each marker is peeled once on each listed tree that
+    realizes its hypertree, in list order, and on no other simplex: once
+    on the V-cut Jaeger trees, whose pairs are all certified, never when
+    its tree is missing, and twice when a tree that is not Jaeger
+    realizes it too, whether or not the pairs are certified."""
     peels = []
     contains_scaled = TreeSimplex.contains_scaled
 
@@ -333,15 +345,21 @@ def test_certified_markers_peel_one_simplex_each(monkeypatch, knot_fixture,
         peels.append((simplex.tree_edges, p))
         return contains_scaled(simplex, p, scale, strict)
     monkeypatch.setattr(TreeSimplex, "contains_scaled", counting)
+    certified, counts = set(), set()
     for g in (knot_fixture.graph, running_fixture.graph):
         trees = enumerate_jaeger_trees(g, VCUT)
-        peels.clear()
-        rep = verify_dissection(g, shelling(g, trees))
-        assert rep["is_dissection"] and rep["interiors_disjoint_certified"]
-        assert peels == [
-            (tuple(sorted(next(t for t in trees if g.degree_vector(t, side) == f))),
-             scaled_marker(g, f, side))
-            for side in (EMERALD, VIOLET) for f in enumerate_hypertrees(g, side)]
+        others = [t for t in g.spanning_trees() if t not in set(trees)][:1]
+        for listed in (trees, trees[:-1], trees + others, others + trees[1:]):
+            peels.clear()
+            rep = verify_dissection(g, shelling(g, listed))
+            certified.add(rep["interiors_disjoint_certified"])
+            want = [(tuple(sorted(t)), scaled_marker(g, f, side))
+                    for side in (EMERALD, VIOLET) for f in enumerate_hypertrees(g, side)
+                    for t in listed if g.degree_vector(t, side) == f]
+            assert peels == want
+            markers = [p for _, p in want]
+            counts |= {markers.count(p) for p in markers}
+    assert certified == {True, False} and counts == {1, 2}
 
 
 def test_mask_certificates_equal_functional(c4_fixture, running_fixture):

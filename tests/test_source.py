@@ -210,38 +210,31 @@ def test_walk_builds_no_steps():
     assert {function for function, _ in calls_to(source, "BernardiStep")} == {"steps"}
 
 
-PEELS = ("contains_scaled", "_strictly_inside")
-
-
-def peels_in(source: str, function: str) -> list[tuple[str, bool, bool]]:
-    """Each peel (a call of ``contains_scaled`` or ``_strictly_inside``) in
-    a module's top-level ``function``: its name, whether it lies in a
-    loop or comprehension over ``simplices``, and whether it lies in a
-    branch of an ``if``."""
+def peels_in(source: str, function: str) -> list[tuple[bool, bool, list[str]]]:
+    """Each peel (a call of ``contains_scaled``) in a module's top-level
+    ``function``: whether it lies in a loop or comprehension over
+    ``simplices``, whether it lies in a branch of an ``if``, and what
+    the loops and comprehensions around it iterate over, outermost
+    first."""
     found = []
 
-    def over_simplices(node) -> bool:
+    def visit(node, over, guarded):
+        if isinstance(node, ast.Call) and "contains_scaled" in (
+                getattr(node.func, "attr", None), getattr(node.func, "id", None)):
+            found.append((any("simplices" in it for it in over), guarded, over))
         loops = [node] if isinstance(node, ast.For) else getattr(node, "generators", [])
-        return any(isinstance(n, ast.Name) and n.id == "simplices"
-                   for loop in loops for n in ast.walk(loop.iter))
-
-    def visit(node, every, guarded):
-        if isinstance(node, ast.Call):
-            name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
-            if name in PEELS:
-                found.append((name, every, guarded))
-        every = every or over_simplices(node)
+        over = over + [ast.unparse(loop.iter) for loop in loops]
         if isinstance(node, ast.If):
-            visit(node.test, every, guarded)
+            visit(node.test, over, guarded)
             for child in node.body + node.orelse:
-                visit(child, every, True)
+                visit(child, over, True)
             return
         for child in ast.iter_child_nodes(node):
-            visit(child, every, guarded)
+            visit(child, over, guarded)
 
     for node in ast.parse(source).body:
         if isinstance(node, ast.FunctionDef) and node.name == function:
-            visit(node, False, False)
+            visit(node, [], False)
     return found
 
 
@@ -251,22 +244,43 @@ def test_peels_detected():
               "    b = sum(simplices[k].contains_scaled(p) for k in own)\n"
               "    for s in simplices:\n"
               "        if p:\n"
-              "            _strictly_inside(simplices, p)\n"
+              "            s.contains_scaled(p)\n"
               "    if b:\n"
               "        s.contains_scaled(p)\n"
               "def g(simplices, p):\n"
               "    return [s.contains_scaled(p) for s in simplices]\n")
     assert peels_in(source, "f") == [
-        ("contains_scaled", True, False), ("contains_scaled", False, False),
-        ("_strictly_inside", True, True), ("contains_scaled", False, True)]
+        (True, False, ["simplices"]), (False, False, ["own"]),
+        (True, True, ["simplices"]), (False, True, [])]
 
 
 def test_markers_peel_on_their_own_simplex():
-    """``verify_dissection`` peels each marker on the simplices of the
-    trees that realize it; only a marker that no such simplex holds, or
-    any marker of a list whose pairs are not all certified, is peeled on
-    every simplex (``_strictly_inside``)."""
+    """``verify_dissection`` peels each marker only on the listed trees
+    that realize its hypertree, with no branch to a peel on every
+    simplex, and no module keeps such a peel (``_strictly_inside``):
+    the all-simplices loop is ``tests/oracles.marker_placement``."""
     source = (PACKAGE / "polytope.py").read_text(encoding="utf-8")
-    assert peels_in(source, "verify_dissection") == [
-        ("contains_scaled", False, False), ("_strictly_inside", False, True)]
-    assert peels_in(source, "_strictly_inside") == [("contains_scaled", True, False)]
+    [(every, guarded, over)] = peels_in(source, "verify_dissection")
+    assert not every and not guarded
+    assert over[-1].startswith("realized[side].get(")
+    for path in PACKAGE.glob("*.py"):
+        source = path.read_text(encoding="utf-8")
+        assert "_strictly_inside" not in imports_and_definitions(source)[1], path.name
+        assert calls_to(source, "_strictly_inside") == [], path.name
+
+
+def test_rollback_union_find_stays_in_the_oracle():
+    """Only the backtracking oracle ``_Feasibility._search`` takes
+    snapshots of a union-find and rolls it back; the Jaeger enumeration
+    tracks the nodes that its walk has reached."""
+    calls = {(path.name, function)
+             for path in PACKAGE.glob("*.py")
+             for name in ("snapshot", "rollback")
+             for function, _ in calls_to(path.read_text(encoding="utf-8"), name)}
+    assert calls == {("hypertree.py", "_search")}
+    hypertree = ast.parse((PACKAGE / "hypertree.py").read_text(encoding="utf-8"))
+    feasibility = next(node for node in hypertree.body
+                       if isinstance(node, ast.ClassDef) and node.name == "_Feasibility")
+    searches = [node for node in ast.walk(hypertree)
+                if isinstance(node, ast.FunctionDef) and node.name == "_search"]
+    assert len(searches) == 1 and searches[0] in feasibility.body
