@@ -28,7 +28,8 @@ EMERALD = "emerald"
 VIOLET = "violet"
 
 # the most subsets in one block of the spanning-tree sweep: each of a
-# block's columns is an int of this many bits
+# block's columns is an int of this many bits; also the most bits in one
+# block of an Ehrhart dilate (polytope.ehrhart_values)
 SWEEP_BLOCK = 1 << 16
 
 

@@ -9,8 +9,8 @@ them, rooted at the base node by ``RibbonGraph._root``), simplex
 volumes (``det_bareiss`` of incidence rows, which ``verify`` computes
 on the dissection's trees; in a search's discovery order every
 spanning tree's rows are unit triangular, so every tree simplex is
-unimodular), Ehrhart counting (dilate points
-packed into one int each), the lattice-scan oracle (the same integer
+unimodular), Ehrhart counting (each dilate a dict of bitmap
+blocks, one bit per point), the lattice-scan oracle (the same integer
 peel on the points of k*Q_G), the binomial-basis fit (a unit
 triangular system), and the +/-1 functional of a tree's cut, read as
 edge bitmasks off the tree's cut table (``jaeger._base_cuts``).  That
@@ -30,6 +30,7 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
+from . import graph
 from .bernardi import TheoremViolation
 from .exactla import det_bareiss
 from .graph import EMERALD, VIOLET, RibbonBipartiteGraph
@@ -469,20 +470,46 @@ def ehrhart_values(g: RibbonBipartiteGraph, kmax: int) -> list[int]:
     lattice-scan oracle (integer points peeled on every tree simplex)
     cross-checks the counts on small instances.
 
-    Each vector is packed into one int, a digit per node in base
-    kmax + 1.  No coordinate of a point of k*Q_G exceeds k <= kmax, so
-    adding an edge's packed vector never carries, and distinct vectors
-    stay distinct ints.
+    A dilate is a dict of bitmap blocks.  Each side of a point of k*Q_G
+    sums to k, so the last emerald and the last violet coordinate follow
+    from the others and are left out: two points of one dilate that
+    agree on the rest are equal, so the encoding is injective.  The
+    remaining coordinates are digits in radix kmax + 1; no coordinate
+    exceeds k <= kmax, so adding an edge's unit digits never carries.
+    The low r digits of a packed point, for the largest r with
+    (kmax+1)^r <= ``graph.SWEEP_BLOCK``, are its bit in a block, and
+    the high digits are the block's key; an edge's packed unit splits
+    the same way into a key step and a bit shift.  Dilate k + 1 ORs
+    each block, shifted by every edge of a step, into the block at its
+    key plus that step, and a dilate's count is the sum of its blocks'
+    bit counts.  One dilate therefore holds its number of keys times
+    ``SWEEP_BLOCK`` bits, however large its bounding box is.
     """
+    if kmax < 0:
+        raise ValueError(f"kmax must be nonnegative, got {kmax}")
     _require_simple(g)
-    base = kmax + 1
-    idx = node_index(g)
-    steps = [base ** idx[a] + base ** idx[b] for a, b in g.edges.values()]
+    radix = kmax + 1
+    coords = g.emeralds[:-1] + g.violets[:-1]
+    r = 0
+    while r < len(coords) and radix ** (r + 1) <= graph.SWEEP_BLOCK:
+        r += 1
+    digit = {x: radix ** i for i, x in enumerate(coords)}
+    by_step: dict[int, list[int]] = {}
+    for a, b in g.edges.values():
+        step, shift = divmod(digit.get(a, 0) + digit.get(b, 0), radix ** r)
+        by_step.setdefault(step, []).append(shift)
     values = [1]
-    layer = {0}
+    layer = {0: 1}
     for _ in range(kmax):
-        layer = {p + s for p in layer for s in steps}
-        values.append(len(layer))
+        nxt: dict[int, int] = {}
+        for key, bits in layer.items():
+            for step, shifts in by_step.items():
+                out = 0
+                for shift in shifts:
+                    out |= bits << shift
+                nxt[key + step] = nxt.get(key + step, 0) | out
+        layer = nxt
+        values.append(sum(bits.bit_count() for bits in layer.values()))
     return values
 
 
@@ -557,10 +584,13 @@ def ehrhart_fit(values, d: int, interior: Poly) -> dict:
 
 def kato_series_check(interior_coeffs, g: RibbonBipartiteGraph, order: int,
                       values=None) -> bool:
-    """`I(x) / (1-x)^(|E|+|V|-1)` must reproduce the Ehrhart values."""
+    """`I(x) / (1-x)^(|E|+|V|-1)` must reproduce the Ehrhart values of
+    the dilates 0..order; given ``values`` must hold every one of them."""
     m = len(g.emeralds) + len(g.violets) - 1
     if values is None:
         values = ehrhart_values(g, order)
+    if len(values) <= order:
+        raise ValueError(f"no Ehrhart value for dilate {len(values)} (order {order})")
     coeffs = list(interior_coeffs)
     for k in range(order + 1):
         series = sum(c * comb(m - 1 + k - j, m - 1)

@@ -19,6 +19,11 @@ on small instances only.  Each reference, and what it checks:
   the exchange reachability that decides transfers and Bernardi steps);
 * ``marker`` and ``contains``: the Fraction marker point and simplex
   containment (against ``scaled_marker`` and ``contains_scaled``);
+* ``ehrhart_by_sets`` and ``ehrhart_by_tuples``: each dilate of the
+  root polytope as a set of its points, packed into one int or kept as
+  a degree-vector tuple, and ``ehrhart_by_hall``: the points of k*Q_G
+  counted by Gale's supply-demand condition, with no edge multisets
+  and no trees (against the bitmap blocks of ``ehrhart_values``);
 * ``marker_placement``: every marker peeled on every tree simplex
   (against the peel on the realizing tree's simplex alone in
   ``verify_dissection``);
@@ -60,8 +65,8 @@ from hyperbernardi.graph import EMERALD, VIOLET, UnionFind
 from hyperbernardi.hypertree import (_oracle, _side_key, enumerate_hypertrees,
                                      is_hypertree)
 from hyperbernardi.jaeger import ECUT, VCUT, enumerate_jaeger_trees
-from hyperbernardi.polytope import (TreeSimplex, _require_simple, node_index,
-                                    scaled_marker, vertex_point)
+from hyperbernardi.polytope import (TreeSimplex, _require_simple, compositions,
+                                    node_index, scaled_marker, vertex_point)
 
 
 def solve_exact(rows, rhs):
@@ -273,6 +278,64 @@ def contains(simplex, p, strict):
     if lam is None:
         return False
     return all(c > 0 if strict else c >= 0 for c in lam)
+
+
+def ehrhart_by_sets(g, kmax) -> list[int]:
+    """The dilates k*Q_G for k = 0..kmax as sets of points, each point
+    one int with a digit per node in base kmax + 1: dilate k + 1 adds
+    every edge's packed unit vector to every point of dilate k."""
+    _require_simple(g)
+    base = kmax + 1
+    idx = node_index(g)
+    steps = [base ** idx[a] + base ** idx[b] for a, b in g.edges.values()]
+    values = [1]
+    layer = {0}
+    for _ in range(kmax):
+        layer = {p + s for p in layer for s in steps}
+        values.append(len(layer))
+    return values
+
+
+def ehrhart_by_tuples(g, kmax) -> list[int]:
+    """The dilate layers as sets of degree-vector tuples."""
+    idx = node_index(g)
+    edge_vecs = []
+    for a, b in g.edges.values():
+        v = [0] * len(g.nodes)
+        v[idx[a]] += 1
+        v[idx[b]] += 1
+        edge_vecs.append(tuple(v))
+    values = [1]
+    layer = {tuple([0] * len(g.nodes))}
+    for _ in range(kmax):
+        layer = {tuple(a + b for a, b in zip(p, v)) for p in layer for v in edge_vecs}
+        values.append(len(layer))
+    return values
+
+
+def ehrhart_by_hall(g, kmax) -> list[int]:
+    """Lattice points of k*Q_G for k = 0..kmax by Gale's supply-demand
+    theorem (Gale 1957): a pair (a, b) of k-compositions over the
+    emeralds and over the violets is a point exactly when a(S) <=
+    b(N(S)) for every set S of emeralds, N(S) its violet neighbours."""
+    emeralds, violets = g.emeralds, g.violets
+    near = {x: set() for x in emeralds}
+    for e in g.edge_ids:
+        near[g.emerald_end(e)].add(violets.index(g.violet_end(e)))
+    conditions = [(group, sorted(set().union(*(near[emeralds[i]] for i in group))))
+                  for size in range(1, len(emeralds) + 1)
+                  for group in combinations(range(len(emeralds)), size)]
+    values = []
+    for k in range(kmax + 1):
+        demands = [[sum(b[j] for j in hood) for _, hood in conditions]
+                   for b in compositions(k, len(violets))]
+        count = 0
+        for a in compositions(k, len(emeralds)):
+            supply = [sum(a[i] for i in group) for group, _ in conditions]
+            count += sum(all(s <= t for s, t in zip(supply, demand))
+                         for demand in demands)
+        values.append(count)
+    return values
 
 
 def arborescence_duality_brute_force(g, r0=0):

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperbernardi import graph
+from hyperbernardi.campaign import EHRHART_EDGE_LIMIT, EHRHART_NODE_LIMIT
 from hyperbernardi.docio import serialize_graph
 from hyperbernardi.exactla import det_bareiss
-from hyperbernardi.fixtures import c4, noncrossing_setup
+from hyperbernardi.fixtures import REGISTRY, c4, noncrossing_setup
 from hyperbernardi.generators import random_bipartite, random_ordinary
 from hyperbernardi.graph import EMERALD, VIOLET, RibbonBipartiteGraph, bip
 from hyperbernardi.hypertree import (Poly, enumerate_hypertrees,
@@ -27,7 +29,8 @@ from hyperbernardi.polytope import (TreeSimplex, certify_disjoint_interiors,
                                     normalized_simplex_volume, scaled_marker,
                                     shelling_h_vector, verify_dissection,
                                     vertex_point)
-from oracles import (contains, cut_values, intersection_is_common_face, marker,
+from oracles import (contains, cut_values, ehrhart_by_hall, ehrhart_by_sets,
+                     ehrhart_by_tuples, intersection_is_common_face, marker,
                      marker_placement, separates, solve_exact, trees_compatible)
 
 
@@ -605,23 +608,6 @@ def test_det_bareiss_equals_fraction_determinant():
         assert det_bareiss(rows) == fraction_det(rows), rows
 
 
-def ehrhart_by_tuples(g, kmax):
-    """Reference: the dilate layers as sets of degree-vector tuples."""
-    idx = {x: i for i, x in enumerate(g.nodes)}
-    edge_vecs = []
-    for a, b in g.edges.values():
-        v = [0] * len(g.nodes)
-        v[idx[a]] += 1
-        v[idx[b]] += 1
-        edge_vecs.append(tuple(v))
-    values = [1]
-    layer = {tuple([0] * len(g.nodes))}
-    for _ in range(kmax):
-        layer = {tuple(a + b for a, b in zip(p, v)) for p in layer for v in edge_vecs}
-        values.append(len(layer))
-    return values
-
-
 def test_packed_ehrhart_equals_tuple_dilates(c4_fixture, running_fixture):
     graphs = [running_fixture.graph, noncrossing_setup(2, 2), random_bipartite(24, 5, 5, 10)]
     assert [len(g.nodes) for g in graphs] == [7, 6, 9]
@@ -631,6 +617,68 @@ def test_packed_ehrhart_equals_tuple_dilates(c4_fixture, running_fixture):
     values = ehrhart_values(c4_fixture.graph, 20)
     assert values == ehrhart_by_tuples(c4_fixture.graph, 20)
     assert ehrhart_values_scan(c4_fixture.graph, 6) == values[:7]
+
+
+# the seeded shapes of the Ehrhart comparisons: random_bipartite's
+# (max emeralds, max violets, max edges), inside the campaign's gate
+EHRHART_SHAPES = [(5, 5, 10), (4, 5, 10), (3, 6, 10), (2, 7, 9), (4, 4, 8), (5, 4, 9)]
+
+
+def ehrhart_eligible(g) -> bool:
+    return (is_simple(g) and len(g.edge_ids) <= EHRHART_EDGE_LIMIT
+            and len(g.nodes) <= EHRHART_NODE_LIMIT)
+
+
+def test_block_ehrhart_equals_point_sets(monkeypatch):
+    """The bitmap blocks count every dilate up to d + 5 as the per-point
+    sets do, on the bipartite fixtures, the other ladder instances
+    inside the campaign's Ehrhart gate and 300 seeded instances, at the
+    sweep's block width and with blocks of 2^8 and 2^4 bits, where small
+    graphs too split their coordinates between the key and the bitmap."""
+    ladder = [noncrossing_setup(m, n) for m, n in ((2, 2), (2, 3), (3, 3), (3, 4))]
+    ladder += [random_bipartite(s, 5, 5, 16) for s in range(10)]
+    ladder = [g for g in ladder if ehrhart_eligible(g)]
+    assert len(ladder) == 8
+    seeded = [random_bipartite(s, *shape) for shape in EHRHART_SHAPES for s in range(50)]
+    seeded = [g for g in seeded if ehrhart_eligible(g)]
+    assert len(seeded) == 300
+    fixtures = [f().graph for f in REGISTRY.values()]
+    graphs = [g for g in fixtures if g.bipartite] + ladder + seeded
+    widths = (graph.SWEEP_BLOCK, 1 << 8, 1 << 4)
+    for g in graphs:
+        kmax = len(g.nodes) - 2 + 5
+        want = ehrhart_by_sets(g, kmax)
+        for block in widths:
+            monkeypatch.setattr(graph, "SWEEP_BLOCK", block)
+            assert ehrhart_values(g, kmax) == want, (block, sorted(g.edges.values()))
+
+
+def test_ehrhart_closed_form_complete_bipartite():
+    """On the two-line setup of K_{m+1,n+1} the k-th dilate has
+    C(k+m, m) * C(k+n, n) points (Kalman and Postnikov 2017): up to
+    d + 5 on K2,2..K5,5 and their rectangular neighbours, and up to d on
+    K6,6 (9,018,009 points at the top dilate)."""
+    cases = [(m, n, m + n + 5) for m in range(1, 5) for n in range(m, min(m + 2, 5))]
+    cases.append((5, 5, 10))
+    for m, n, kmax in cases:
+        assert ehrhart_values(noncrossing_setup(m, n), kmax) == \
+            [comb(k + m, m) * comb(k + n, n) for k in range(kmax + 1)], (m, n)
+
+
+def test_ehrhart_equals_hall_count():
+    """Gale's supply-demand count, which needs no trees and no edge
+    multisets, gives the bitmap blocks' counts up to d + 1 on 40 seeded
+    instances."""
+    graphs = [random_bipartite(s, *shape) for s in range(7) for shape in EHRHART_SHAPES]
+    for g in graphs[:40]:
+        kmax = len(g.nodes) - 2 + 1
+        assert ehrhart_values(g, kmax) == ehrhart_by_hall(g, kmax), sorted(g.edges.values())
+
+
+def test_ehrhart_rejects_negative_kmax(c4_fixture):
+    assert ehrhart_values(c4_fixture.graph, 0) == [1]
+    with pytest.raises(ValueError, match="nonnegative"):
+        ehrhart_values(c4_fixture.graph, -3)
 
 
 def test_ehrhart_c4(c4_fixture):
@@ -722,6 +770,16 @@ def test_kato_series(c4_fixture, running_fixture, single_edge_fixture):
     g = running_fixture.graph
     assert kato_series_check((1, 3, 3), g, 8)
     assert not kato_series_check((1, 2, 3), g, 8)
+
+
+def test_kato_series_names_a_missing_dilate(running_fixture):
+    g = running_fixture.graph
+    values = ehrhart_values(g, 8)
+    assert kato_series_check((1, 3, 3), g, 6, values)
+    with pytest.raises(ValueError, match="dilate 9"):
+        kato_series_check((1, 3, 3), g, 10, values)
+    with pytest.raises(ValueError, match="dilate 0"):
+        kato_series_check((1, 3, 3), g, 0, [])
 
 
 def test_h_vector_chain_random():

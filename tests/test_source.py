@@ -284,3 +284,29 @@ def test_rollback_union_find_stays_in_the_oracle():
     searches = [node for node in ast.walk(hypertree)
                 if isinstance(node, ast.FunctionDef) and node.name == "_search"]
     assert len(searches) == 1 and searches[0] in feasibility.body
+
+
+def set_builders(source: str, function: str) -> list[str]:
+    """The set displays, set comprehensions and ``set(...)`` calls in a
+    module's top-level ``function``, unparsed."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            return [ast.unparse(found) for found in ast.walk(node)
+                    if isinstance(found, (ast.Set, ast.SetComp))
+                    or isinstance(found, ast.Call) and getattr(found.func, "id", None) == "set"]
+    raise AssertionError(f"no function {function!r}")
+
+
+def test_set_builders_detected():
+    source = ("def f(xs):\n"
+              "    a = {x + 1 for x in xs}\n"
+              "    b = set(xs) | {0}\n"
+              "    return {x: 1 for x in xs}, frozenset(xs), [x for x in xs]\n")
+    assert set_builders(source, "f") == ["{x + 1 for x in xs}", "set(xs)", "{0}"]
+
+
+def test_ehrhart_dilates_hold_no_point_set():
+    """``ehrhart_values`` counts a dilate in bitmap blocks and builds no
+    set of its points: the per-point set is ``tests/oracles.ehrhart_by_sets``."""
+    source = (PACKAGE / "polytope.py").read_text(encoding="utf-8")
+    assert set_builders(source, "ehrhart_values") == []
