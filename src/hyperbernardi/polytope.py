@@ -1,24 +1,22 @@
-"""Exact root-polytope geometry.
+"""Exact root-polytope geometry, on plain ints.
 
 The root polytope of a bipartite graph is the convex hull of the points
 e + v over its edges; maximal simplices correspond to spanning trees.
-Everything here is exact.  Every kernel that ``verify`` runs on each
-instance works on plain ints: marker containment (markers scaled by
-|E||V| to integer points, peeled leaf by leaf up the tree that realizes
-them, rooted at the base node by ``RibbonGraph._root``), simplex
-volumes (``det_bareiss`` of incidence rows, which ``verify`` computes
-on the dissection's trees; in a search's discovery order every
-spanning tree's rows are unit triangular, so every tree simplex is
-unimodular), Ehrhart counting (each dilate a dict of bitmap
-blocks, one bit per point), the lattice-scan oracle (the same integer
-peel on the points of k*Q_G), the binomial-basis fit (a unit
-triangular system), and the +/-1 functional of a tree's cut, read as
-edge bitmasks off the tree's cut table (``jaeger._base_cuts``).  That
-one functional certifies pairwise interior-disjointness of a
-dissection, one AND of bitmasks per pair, and sorts the trees sharing
-a facet onto its two sides, which decides a triangulation by a local
-facet-neighbour check instead of a test on every pair of trees.  Facet
-coverage for shelling orders runs over ``Fraction``.
+Markers are scaled by |E||V| to integer points and peeled leaf by leaf
+up the tree that realizes them (rooted at the base node by
+``RibbonGraph._root``); simplex volumes are ``det_bareiss`` of incidence
+rows (in a search's discovery order every spanning tree's rows are unit
+triangular, so every tree simplex is unimodular); each Ehrhart dilate
+is a dict of bitmap blocks, one bit per point; the lattice-scan oracle
+peels the points of k*Q_G; the binomial-basis fit is unit triangular.
+
+A tree's cut table (``jaeger._base_cuts``) gives the +/-1 functional of
+each tree edge's cut as edge bitmasks.  It certifies the pairwise
+interior-disjointness of a dissection, one AND per pair; it sorts the
+trees sharing a facet onto its two sides, which decides a triangulation
+locally; and it keys the facets of the shelling's coverage check by
+hyperplane, where two facets overlap exactly when their oppositely
+oriented forests carry a positive circulation.
 
 Parallel edges collapse to one polytope vertex, so the geometric
 operations require a simple bipartite graph.
@@ -26,7 +24,6 @@ operations require a simple bipartite graph.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
@@ -34,13 +31,8 @@ from . import graph
 from .bernardi import TheoremViolation
 from .exactla import det_bareiss
 from .graph import EMERALD, VIOLET, RibbonBipartiteGraph
-from .hypertree import Poly, enumerate_hypertrees
+from .hypertree import Poly, _family, enumerate_hypertrees
 from .jaeger import _base_cuts, _bits, _halves, realized_hypertrees
-
-Point = tuple[Fraction, ...]
-
-# pieces facet_cover_status may examine before it gives up
-FACET_COVER_BUDGET = 20000
 
 
 def is_simple(g: RibbonBipartiteGraph) -> bool:
@@ -49,21 +41,12 @@ def is_simple(g: RibbonBipartiteGraph) -> bool:
 
 
 def _require_simple(g: RibbonBipartiteGraph) -> None:
-    if not is_simple(g):
+    if not isinstance(g, RibbonBipartiteGraph) or not is_simple(g):
         raise ValueError("root-polytope geometry needs a simple bipartite graph")
 
 
 def node_index(g: RibbonBipartiteGraph) -> dict[str, int]:
     return {x: i for i, x in enumerate(g.nodes)}
-
-
-def vertex_point(g: RibbonBipartiteGraph, edge: str) -> Point:
-    idx = node_index(g)
-    coords = [Fraction(0)] * len(g.nodes)
-    a, b = g.edges[edge]
-    coords[idx[a]] += 1
-    coords[idx[b]] += 1
-    return tuple(coords)
 
 
 def scaled_marker(g: RibbonBipartiteGraph, f: dict[str, int],
@@ -81,7 +64,7 @@ def scaled_marker(g: RibbonBipartiteGraph, f: dict[str, int],
 
 class TreeSimplex:
     """The maximal simplex of a spanning tree, with a precomputed leaf
-    peeling order for exact barycentric coordinates."""
+    peeling order for exact containment of integer points."""
 
     def __init__(self, g: RibbonBipartiteGraph, tree: frozenset[str]):
         self.tree_edges = tuple(sorted(tree))
@@ -103,15 +86,6 @@ class TreeSimplex:
             lam[j] = rest[x]
             rest[y] -= rest[x]
         return lam, rest[self._root]
-
-    def barycentric(self, p: Point) -> tuple[Fraction, ...] | None:
-        """Coordinates of p in the simplex basis; None when p is outside
-        the affine hull, that is when something is left at the last node
-        or the coordinates do not sum to one."""
-        lam, left = self._peel_point(p)
-        if left != 0 or sum(lam) != 1:
-            return None
-        return tuple(lam)
 
     def contains_scaled(self, p: tuple[int, ...], scale: int, strict: bool) -> bool:
         """Whether p/scale lies in the simplex (in its relative interior
@@ -150,9 +124,29 @@ def certify_disjoint_interiors(g: RibbonBipartiteGraph,
     functional of eps's cut in the later tree (``jaeger._base_cuts``)
     must be 2 on eps, 0 on the other later-tree edges and at most 0 on
     the earlier tree's edges."""
+    _require_simple(g)
     if eps not in later:
         raise ValueError("tree cut needs a tree edge")
     return _certified(_positive(g, _base_cuts(g, later)), eps, g._edge_mask(earlier))
+
+
+def _pair_certificates(g: RibbonBipartiteGraph, steps) -> list[tuple[bytearray, list[int]]]:
+    """The pair certificates of a shelling record, for each step over
+    its earlier trees: ``ahead[i]`` when the divergence edge with tree i
+    lies in the step's own tree, the pair's later one (a divergence edge
+    that the later tree lacks orients the pair the other way), and the
+    earlier trees whose certificate fails, in order."""
+    positive = [_positive(g, s.cuts) for s in steps]
+    rows = []
+    for j, step in enumerate(steps):
+        ahead, failed = bytearray(len(step.divergences)), []
+        for i, eps in enumerate(step.divergences):
+            ahead[i] = eps in positive[j]
+            earlier, later = (i, j) if ahead[i] else (j, i)
+            if not _certified(positive[later], eps, steps[earlier].mask):
+                failed.append(i)
+        rows.append((ahead, failed))
+    return rows
 
 
 class Facet(NamedTuple):
@@ -242,7 +236,6 @@ def verify_dissection(g: RibbonBipartiteGraph, steps) -> dict:
     """
     _require_simple(g)
     trees = [s.tree for s in steps]
-    masks = [s.mask for s in steps]
     simplices = [TreeSimplex(g, t) for t in trees]
     b_e = enumerate_hypertrees(g, EMERALD)
     b_v = enumerate_hypertrees(g, VIOLET)
@@ -254,17 +247,13 @@ def verify_dissection(g: RibbonBipartiteGraph, steps) -> dict:
         "witnesses": [],
     }
 
-    positive = [_positive(g, s.cuts) for s in steps]
     pairs = []
-    for j, step in enumerate(steps):
-        for i, eps in enumerate(step.divergences):
-            # a divergence edge that the later tree lacks orients the pair
-            # the other way
-            earlier, later = (i, j) if eps in positive[j] else (j, i)
-            if not _certified(positive[later], eps, masks[earlier]):
-                pairs.append({"kind": "pair", "trees": [sorted(trees[earlier]),
-                                                        sorted(trees[later])],
-                              "divergence": eps})
+    for j, (ahead, failed) in enumerate(_pair_certificates(g, steps)):
+        for i in failed:
+            earlier, later = (i, j) if ahead[i] else (j, i)
+            pairs.append({"kind": "pair", "trees": [sorted(trees[earlier]),
+                                                    sorted(trees[later])],
+                          "divergence": steps[j].divergences[i]})
     certified = not pairs
 
     realized = realized_hypertrees(g, trees)
@@ -284,7 +273,7 @@ def verify_dissection(g: RibbonBipartiteGraph, steps) -> dict:
     report["interiors_disjoint_certified"] = certified
 
     matched = True
-    for f in _facets(g, masks, [s.cuts for s in steps]):
+    for f in _facets(g, [s.mask for s in steps], [s.cuts for s in steps]):
         if f.beside or len(f.across) != (1 if f.interior else 0):
             matched = False
             report["witnesses"].append(
@@ -298,79 +287,59 @@ def verify_dissection(g: RibbonBipartiteGraph, steps) -> dict:
 # -- facet coverage for shelling checks ------------------------------------
 
 
-def _split_piece(piece: list[Point], values: list[Fraction]) -> tuple[list[Point], list[Point]]:
-    """Split conv(piece) by the affine functional whose vertex values are
-    given; returns vertex lists (redundancy allowed) of both halves."""
-    pos = [p for p, v in zip(piece, values) if v >= 0]
-    neg = [p for p, v in zip(piece, values) if v <= 0]
-    for (p, vp) in zip(piece, values):
-        if vp <= 0:
-            continue
-        for (q, vq) in zip(piece, values):
-            if vq >= 0:
-                continue
-            t = vp / (vp - vq)  # in (0, 1): crossing point on the segment
-            cross = tuple(a + t * (b - a) for a, b in zip(p, q))
-            pos.append(cross)
-            neg.append(cross)
-    return pos, neg
+def _overlap(g: RibbonBipartiteGraph, down: int, up: int, ends: int) -> bool:
+    """Whether conv(down) and conv(up), for spanning forests (edge
+    bitmasks) with the same two components, share relative-interior
+    points, that is whether ``down``'s edges as arcs from emerald to
+    violet and ``up``'s from violet to emerald carry a strictly positive
+    circulation (compare Postnikov 2009, Lemma 12.6): whether every arc
+    lies on a cycle, so that the reach from ``ends``, a node of each
+    component, covers every node along the arcs and against them.  An
+    arc is a dart, from its node to its twin's; emerald darts are even."""
+    node = g._darts.node
+    arcs = [2 * i for i in _bits(down)] + [2 * i + 1 for i in _bits(up)]
+    for darts in (arcs, [d ^ 1 for d in arcs]):
+        reached, grown = ends, True
+        while grown:
+            grown = False
+            for d in darts:
+                if reached >> node[d] & 1 and not reached >> node[d ^ 1] & 1:
+                    reached |= 1 << node[d ^ 1]
+                    grown = True
+        if reached != (1 << len(g.nodes)) - 1:
+            return False
+    return True
 
 
-def facet_cover_status(piece: list[Point], simplices: list[TreeSimplex]) -> str:
-    """Exact coverage of conv(piece) by a union of simplices.
+def _cover_rule(g: RibbonBipartiteGraph, steps):
+    """For a dissection's shelling record, the function (i, eps) -> how
+    the earlier simplices cover F = conv(T - eps), T the i-th tree:
+    "covered", "disjoint" (its interior misses them) or "mixed".
 
-    Returns "covered", "disjoint" (interior misses every simplex), or
-    recurses by splitting along a barycentric hyperplane that separates
-    the piece's vertices.  All points must lie in the simplices' common
-    affine hull.
-    """
-    stack = [piece]
-    all_covered = True
-    all_disjoint = True
-    work = 0
-    while stack:
-        work += 1
-        if work > FACET_COVER_BUDGET:
-            raise RuntimeError("facet coverage recursion budget exceeded")
-        cur = stack.pop()
-        bary = []
-        contained = False
-        for s in simplices:
-            lam = [s.barycentric(p) for p in cur]
-            if any(l is None for l in lam):
-                # the pieces are cut from facets of these simplices
-                raise AssertionError("point outside the affine hull")
-            bary.append(lam)
-            if all(all(c >= 0 for c in l) for l in lam):
-                contained = True
-                break
-        if contained:
-            all_disjoint = False
-            continue
-        # look for a hyperplane that strictly separates the vertices
-        split = None
-        for lam in bary:
-            k = len(lam[0])
-            for i in range(k):
-                vals = [l[i] for l in lam]
-                if any(v > 0 for v in vals) and any(v < 0 for v in vals):
-                    split = vals
-                    break
-            if split:
-                break
-        if split is None:
-            # piece is on one closed side of every hyperplane: since no
-            # simplex contains it, its interior misses them all
-            all_covered = False
-            continue
-        a, b = _split_piece(cur, split)
-        stack.append(a)
-        stack.append(b)
-    if all_covered:
-        return "covered"
-    if all_disjoint:
-        return "disjoint"
-    return "mixed"
+    A facet's key is its cut's edge mask, which fixes the forest's two
+    components and so the hyperplane; its side is the cut half holding
+    the removed edge.  A generic point of F lies in one simplex across
+    F, which meets F in a facet in that hyperplane, so the trees across
+    whose facet overlaps F (``_overlap``) take up F between them."""
+    index, node = g._edge_index, g._darts.node
+    facets: dict[int, list[tuple[int, int, int]]] = {}
+    for k, step in enumerate(steps):
+        for e, (violet_in, emerald_in) in step.cuts.items():
+            facets.setdefault(violet_in | emerald_in, []).append(
+                (k, violet_in >> index[e] & 1, step.mask ^ 1 << index[e]))
+
+    def status(i: int, eps: str) -> str:
+        step, j = steps[i], index[eps]
+        violet_in, emerald_in = step.cuts[eps]
+        ends = 1 << node[2 * j] | 1 << node[2 * j + 1]
+        overlapping = [k for k, side, forest in facets[violet_in | emerald_in]
+                       if side != violet_in >> j & 1
+                       and _overlap(g, step.mask ^ 1 << j, forest, ends)]
+        earlier = sum(k < i for k in overlapping)
+        if overlapping and earlier == len(overlapping):
+            return "covered"
+        return "mixed" if earlier else "disjoint"
+    return status
 
 
 def geometric_shelling_check(g: RibbonBipartiteGraph, steps) -> dict:
@@ -379,34 +348,32 @@ def geometric_shelling_check(g: RibbonBipartiteGraph, steps) -> dict:
 
     For each tree and each tree edge: a facet whose edge is internally
     semi-passive (emerald T-order) must be covered by the earlier
-    simplices; a semi-active facet's interior must be disjoint from them
-    (certified by the tour-divergence functional of each earlier tree).
+    simplices (``_cover_rule``); a semi-active facet's interior must be
+    disjoint from them (certified by the tour-divergence functional of
+    each earlier tree).  Coverage is decided on a dissection only, with
+    every pair certificate holding and as many unimodular simplices as
+    hypertrees; otherwise one ``not-a-dissection`` failure stands for it.
     """
     _require_simple(g)
-    trees = [s.tree for s in steps]
-    simplices = [TreeSimplex(g, t) for t in trees]
-    failures = []
-    for i, step in enumerate(steps):
-        tree, positive = step.tree, _positive(g, step.cuts)
-        certified = {}  # earlier tree -> its pair certificate holds
-        for j, eps_j in enumerate(step.divergences):
-            if eps_j in trees[j]:
-                failures.append({"kind": "divergence-side", "tree": i, "earlier": j})
-            else:
-                certified[j] = _certified(positive, eps_j, steps[j].mask)
-        for eps in sorted(tree):
+    certificates = _pair_certificates(g, steps)
+    dissection = (not any(failed for _, failed in certificates)
+                  and len(steps) == len(_family(g, EMERALD)))
+    failures = [] if dissection else [{"kind": "not-a-dissection"}]
+    cover = _cover_rule(g, steps)
+    for i, (step, (ahead, failed)) in enumerate(zip(steps, certificates)):
+        failures += ({"kind": "divergence-side", "tree": i, "earlier": j}
+                     for j, own in enumerate(ahead) if not own)
+        for eps in sorted(step.tree):
             if eps in step.semi_passive:
-                facet = [vertex_point(g, e) for e in sorted(tree - {eps})]
-                status = facet_cover_status(facet, simplices[:i])
-                if status != "covered":
+                if dissection and (status := cover(i, eps)) != "covered":
                     failures.append({"kind": "uncovered-facet", "tree": i,
                                      "edge": eps, "status": status})
                 continue
             for j, eps_j in enumerate(step.divergences):
-                if j not in certified or eps_j == eps:
+                if not ahead[j] or eps_j == eps:
                     failures.append({"kind": "active-facet-hit",
                                      "tree": i, "earlier": j, "edge": eps})
-                elif not certified[j]:
+                elif j in failed:
                     failures.append({"kind": "separation-failed",
                                      "tree": i, "earlier": j, "edge": eps})
     return {"ok": not failures, "failures": failures}
@@ -441,6 +408,7 @@ def normalized_simplex_volume(g: RibbonBipartiteGraph, tree: frozenset[str]) -> 
     Any other edge set gives 0: it holds a cycle, whose alternating row
     sum vanishes.  ``verify`` computes the determinant on the trees of
     the dissection, the simplices that the Ehrhart chain counts."""
+    _require_simple(g)
     if unknown := sorted(set(tree) - g.edges.keys()):
         raise ValueError(f"{unknown[0]!r} is not an edge here")
     if len(tree) != len(g.nodes) - 1:
@@ -586,7 +554,7 @@ def kato_series_check(interior_coeffs, g: RibbonBipartiteGraph, order: int,
                       values=None) -> bool:
     """`I(x) / (1-x)^(|E|+|V|-1)` must reproduce the Ehrhart values of
     the dilates 0..order; given ``values`` must hold every one of them."""
-    m = len(g.emeralds) + len(g.violets) - 1
+    m = len(g.nodes) - 1
     if values is None:
         values = ehrhart_values(g, order)
     if len(values) <= order:

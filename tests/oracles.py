@@ -4,8 +4,12 @@ The searches are exponential in the instance, so the tests call them
 on small instances only.  Each reference, and what it checks:
 
 * ``solve_exact`` and ``in_convex_hull``: Gauss-Jordan elimination and a
-  Caratheodory search over affinely independent subsets (against the
-  peeled ``TreeSimplex.barycentric`` and the hypertree enumeration);
+  Caratheodory search over affinely independent subsets (against
+  ``barycentric``, the Fraction leaf peel of a tree simplex, and the
+  hypertree enumeration);
+* ``facet_cover_status``: a facet split along barycentric hyperplanes
+  until each piece lies in one simplex or beside all of them (against
+  the positive-circulation rule of ``geometric_shelling_check``);
 * ``intersection_is_common_face``: the vertices of the intersection of
   two tree simplices, over every active constraint subset (against
   ``trees_compatible``);
@@ -66,7 +70,111 @@ from hyperbernardi.hypertree import (_oracle, _side_key, enumerate_hypertrees,
                                      is_hypertree)
 from hyperbernardi.jaeger import ECUT, VCUT, enumerate_jaeger_trees
 from hyperbernardi.polytope import (TreeSimplex, _require_simple, compositions,
-                                    node_index, scaled_marker, vertex_point)
+                                    node_index, scaled_marker)
+
+Point = tuple[Fraction, ...]
+
+# pieces facet_cover_status may examine before it gives up
+FACET_COVER_BUDGET = 20000
+
+
+def vertex_point(g, edge: str) -> Point:
+    """The vertex e + v of an edge, over Fractions."""
+    idx = node_index(g)
+    coords = [Fraction(0)] * len(g.nodes)
+    a, b = g.edges[edge]
+    coords[idx[a]] += 1
+    coords[idx[b]] += 1
+    return tuple(coords)
+
+
+def barycentric(simplex: TreeSimplex, p: Point) -> tuple[Fraction, ...] | None:
+    """Coordinates of p in the simplex basis, by the simplex's leaf peel;
+    None when p is outside the affine hull, that is when something is
+    left at the last node or the coordinates do not sum to one."""
+    lam, left = simplex._peel_point(p)
+    if left != 0 or sum(lam) != 1:
+        return None
+    return tuple(lam)
+
+
+def _split_piece(piece: list[Point], values: list[Fraction]) -> tuple[list[Point], list[Point]]:
+    """Split conv(piece) by the affine functional whose vertex values are
+    given; returns vertex lists (redundancy allowed) of both halves."""
+    pos = [p for p, v in zip(piece, values) if v >= 0]
+    neg = [p for p, v in zip(piece, values) if v <= 0]
+    for (p, vp) in zip(piece, values):
+        if vp <= 0:
+            continue
+        for (q, vq) in zip(piece, values):
+            if vq >= 0:
+                continue
+            t = vp / (vp - vq)  # in (0, 1): crossing point on the segment
+            cross = tuple(a + t * (b - a) for a, b in zip(p, q))
+            pos.append(cross)
+            neg.append(cross)
+    return pos, neg
+
+
+def facet_cover_status(piece: list[Point], simplices: list[TreeSimplex]) -> str:
+    """Exact coverage of conv(piece) by a union of simplices.
+
+    Returns "covered", "disjoint" (interior misses every simplex), or
+    "mixed", splitting pieces along barycentric hyperplanes that
+    separate their vertices until each lies in a simplex or on one
+    closed side of every hyperplane.  A simplex with a coordinate that
+    is at most 0 on every vertex of a piece and negative on one meets
+    the piece in a proper face at most, so the piece and its parts
+    leave it out.  All points must lie in the simplices' common affine
+    hull.
+    """
+    stack = [(piece, simplices)]
+    all_covered = True
+    all_disjoint = True
+    work = 0
+    while stack:
+        work += 1
+        if work > FACET_COVER_BUDGET:
+            raise RuntimeError("facet coverage recursion budget exceeded")
+        cur, live = stack.pop()
+        bary = []
+        contained = False
+        for s in live:
+            lam = [barycentric(s, p) for p in cur]
+            if any(l is None for l in lam):
+                # the pieces are cut from facets of these simplices
+                raise AssertionError("point outside the affine hull")
+            if all(all(c >= 0 for c in l) for l in lam):
+                contained = True
+                break
+            if not any(all(l[i] <= 0 for l in lam) and any(l[i] < 0 for l in lam)
+                       for i in range(len(lam[0]))):
+                bary.append((s, lam))
+        if contained:
+            all_disjoint = False
+            continue
+        # look for a hyperplane that strictly separates the vertices
+        split = None
+        for _, lam in bary:
+            for i in range(len(lam[0])):
+                vals = [l[i] for l in lam]
+                if any(v > 0 for v in vals) and any(v < 0 for v in vals):
+                    split = vals
+                    break
+            if split:
+                break
+        if split is None:
+            # piece is on one closed side of every hyperplane: since no
+            # simplex contains it, its interior misses them all
+            all_covered = False
+            continue
+        near = [s for s, _ in bary]
+        stack.extend((half, near) for half in _split_piece(cur, split))
+    if all_covered:
+        return "covered"
+    if all_disjoint:
+        return "disjoint"
+    return "mixed"
 
 
 def solve_exact(rows, rhs):
@@ -163,12 +271,12 @@ def intersection_is_common_face(g, t1, t2) -> bool:
     def functional_rows(simplex):
         rows = []
         zero = lift(tuple(Fraction(0) for _ in cols))
-        lam0 = simplex.barycentric(zero)
+        lam0 = barycentric(simplex, zero)
         for i in range(len(simplex.tree_edges)):
             grad = []
             for c in range(d):
                 unit = tuple(Fraction(int(j == c)) for j in range(d))
-                lam = simplex.barycentric(lift(unit))
+                lam = barycentric(simplex, lift(unit))
                 grad.append(lam[i] - lam0[i])
             rows.append((grad, lam0[i]))
         return rows
@@ -274,7 +382,7 @@ def marker(g, f, side):
 def contains(simplex, p, strict):
     """Containment over Fractions: p lies in the affine hull and its
     barycentric coordinates are nonnegative (positive when ``strict``)."""
-    lam = simplex.barycentric(p)
+    lam = barycentric(simplex, p)
     if lam is None:
         return False
     return all(c > 0 if strict else c >= 0 for c in lam)

@@ -4,12 +4,14 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import compress, product
+from math import comb
 
 import pytest
 
 from hyperbernardi.docio import format_polynomial, serialize_graph
-from hyperbernardi.fixtures import (c4, k5_setup, process_example, running_graph,
-                                    running_graph_knot_setup, single_edge)
+from hyperbernardi.fixtures import (c4, k5_setup, noncrossing_setup, process_example,
+                                    running_graph, running_graph_knot_setup,
+                                    single_edge)
 from hyperbernardi.generators import random_bipartite, random_ordinary
 from hyperbernardi.graph import (EMERALD, VIOLET, RibbonBipartiteGraph, RibbonGraph,
                                   UnionFind, bip)
@@ -369,3 +371,17 @@ def test_arcs_of_a_non_tree_are_an_internal_error(c4_fixture):
                 _oracle(g, side)._arcs(tree, live)
             assert type(caught.value) is AssertionError
             assert str(caught.value) == "exchange arcs of an edge set that does not span"
+
+
+def test_closed_forms_complete_bipartite():
+    """On the two-line setup of K_{m+1,n+1} (Kalman and Postnikov 2017)
+    the interior polynomial is sum_i C(m,i) C(n,i) x^i, each side has
+    C(m+n, m) hypertrees, and there are (m+1)^n (n+1)^m spanning trees:
+    on K2,2..K8,8, K3,4 and K4,6."""
+    for m, n in [(k, k) for k in range(1, 8)] + [(2, 3), (3, 5)]:
+        g = noncrossing_setup(m, n)
+        assert interior_polynomial(g, EMERALD) == Poly(
+            comb(m, i) * comb(n, i) for i in range(min(m, n) + 1)), (m, n)
+        for side in (EMERALD, VIOLET):
+            assert len(enumerate_hypertrees(g, side)) == comb(m + n, m), (m, n, side)
+        assert g.count_spanning_trees() == (m + 1) ** n * (n + 1) ** m, (m, n)

@@ -1,6 +1,7 @@
 """Exact root-polytope geometry: markers, dissections, shellings, Ehrhart."""
 
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -20,18 +21,18 @@ from hyperbernardi.graph import EMERALD, VIOLET, RibbonBipartiteGraph, bip
 from hyperbernardi.hypertree import (Poly, enumerate_hypertrees,
                                      interior_polynomial)
 from hyperbernardi.jaeger import VCUT, enumerate_jaeger_trees, shelling
-from hyperbernardi.polytope import (TreeSimplex, certify_disjoint_interiors,
+from hyperbernardi.polytope import (TreeSimplex, _cover_rule, certify_disjoint_interiors,
                                     compositions, ehrhart_fit, ehrhart_values,
                                     ehrhart_values_scan, facet_neighbours,
                                     fit_binomial_coefficients,
                                     geometric_shelling_check, is_simple,
                                     kato_series_check,
                                     normalized_simplex_volume, scaled_marker,
-                                    shelling_h_vector, verify_dissection,
-                                    vertex_point)
-from oracles import (contains, cut_values, ehrhart_by_hall, ehrhart_by_sets,
-                     ehrhart_by_tuples, intersection_is_common_face, marker,
-                     marker_placement, separates, solve_exact, trees_compatible)
+                                    shelling_h_vector, verify_dissection)
+from oracles import (barycentric, contains, cut_values, ehrhart_by_hall,
+                     ehrhart_by_sets, ehrhart_by_tuples, facet_cover_status,
+                     intersection_is_common_face, marker, marker_placement,
+                     separates, solve_exact, trees_compatible, vertex_point)
 
 
 def test_marker_values_c4(c4_fixture):
@@ -83,7 +84,6 @@ def test_marker_inside_iff_realized(c4_fixture, running_fixture):
 
 
 def test_vertex_on_boundary(c4_fixture):
-    from hyperbernardi.polytope import vertex_point
     g = c4_fixture.graph
     t = frozenset({"c1", "c2", "c4"})
     p = vertex_point(g, "c1")
@@ -157,7 +157,7 @@ def test_facet_sides_match_barycentric_signs(c4_fixture, running_fixture):
             tree = trees[f.tree]
             simplex = TreeSimplex(g, tree)
             j = simplex.tree_edges.index(f.edge)
-            coordinate = {e: simplex.barycentric(vertex_point(g, e))[j]
+            coordinate = {e: barycentric(simplex, vertex_point(g, e))[j]
                           for e in g.edge_ids}
             across, beside = set(), set()
             for e in g.edge_ids:
@@ -436,10 +436,11 @@ def test_geometric_shelling_random_small():
 
 
 def test_geometric_shelling_of_a_dissection_that_is_no_triangulation():
-    """The Fraction facet coverage decides the shelling of a dissection
-    that is not a triangulation.  There a covered facet can have no
-    neighbour across it: on seed 7, semi-passive facet t2|w1 of trees 3
-    and 4 is covered by earlier simplices that do not share it."""
+    """The positive-circulation rule decides the shelling of a
+    dissection that is not a triangulation.  There a covered facet can
+    have no neighbour across it: on seed 7, semi-passive facet t2|w1 of
+    trees 3 and 4 is covered by earlier simplices that do not share it,
+    whose facets in its hyperplane overlap it without being equal."""
     for seed in (7, 23):
         g = bip(random_ordinary(seed, 4, 4))
         trees = enumerate_jaeger_trees(g, VCUT)
@@ -457,6 +458,76 @@ def test_geometric_shelling_of_a_dissection_that_is_no_triangulation():
             for f in lonely:
                 assert f.edge in steps[f.tree].semi_passive
                 assert f.interior and f.across == () and f.beside == ()
+
+
+def test_cover_rule_equals_fraction_oracle():
+    """The positive-circulation rule gives the coverage that the Fraction
+    splitting of ``oracles.facet_cover_status`` finds, on every facet of
+    every tree against the trees before it, for Jaeger lists in violet
+    order, reversed and shuffled; some of those dissections are not
+    triangulations."""
+    graphs = [random_bipartite(s, 4, 4, 10) for s in range(80)]
+    graphs += [bip(random_ordinary(s, 4, 4)) for s in range(40)]
+    graphs += [random_bipartite(s, 5, 5, 16) for s in (0, 5, 9)]  # ladder rb5x5-16
+    seen, untriangulated = Counter(), 0
+    for seed, g in enumerate(g for g in graphs if is_simple(g)):
+        trees = enumerate_jaeger_trees(g, VCUT)
+        untriangulated += not locally_matched(g, trees)
+        for order in (trees, trees[::-1], random.Random(seed).sample(trees, len(trees))):
+            steps = shelling(g, order)
+            cover = _cover_rule(g, steps)
+            simplices = [TreeSimplex(g, s.tree) for s in steps]
+            for i, step in enumerate(steps):
+                for e in sorted(step.tree):
+                    facet = [vertex_point(g, x) for x in sorted(step.tree - {e})]
+                    status = cover(i, e)
+                    assert status == facet_cover_status(facet, simplices[:i]), (seed, i, e)
+                    seen[status] += 1
+    assert set(seen) == {"covered", "disjoint", "mixed"}, seen
+    assert untriangulated == 10
+
+
+def test_facet_coverage_needs_a_dissection(running_fixture):
+    """Facet coverage is decided on a dissection only.  Without its first
+    Jaeger tree the list keeps every pair certificate but has too few
+    trees, and a tampered divergence fails a certificate: either report
+    has one ``not-a-dissection`` failure and decides no facet, though
+    the first of the short list has semi-passive facets."""
+    g = running_fixture.graph
+    trees = enumerate_jaeger_trees(g, VCUT)
+    steps = shelling(g, trees[1:])
+    assert steps[0].semi_passive
+    dis = verify_dissection(g, steps)
+    assert dis["interiors_disjoint_certified"] and not dis["counts_match"]
+    assert geometric_shelling_check(g, steps)["failures"] == [{"kind": "not-a-dissection"}]
+    steps = shelling(g, trees)
+    assert geometric_shelling_check(g, steps) == {"ok": True, "failures": []}
+    divergences = list(steps[5].divergences)
+    divergences[1] = "e3v0"
+    steps[5] = replace(steps[5], divergences=tuple(divergences))
+    failures = geometric_shelling_check(g, steps)["failures"]
+    assert failures[0] == {"kind": "not-a-dissection"}
+    assert {f["kind"] for f in failures[1:]} == {"separation-failed"}
+
+
+@pytest.mark.parametrize("name", ["k5", "tour-example", "matching-example"])
+def test_geometry_rejects_graphs_that_are_not_bipartite(name):
+    """Every geometry entry that takes a graph refuses one that is not
+    bipartite with the guard's ``ValueError``; ``TreeSimplex`` and
+    ``scaled_marker`` are the primitives those entries call."""
+    g = REGISTRY[name]().graph
+    tree = next(g.spanning_trees())
+    entries = [lambda: verify_dissection(g, []),
+               lambda: geometric_shelling_check(g, []),
+               lambda: facet_neighbours(g, [tree]),
+               lambda: certify_disjoint_interiors(g, tree, tree, min(tree)),
+               lambda: normalized_simplex_volume(g, tree),
+               lambda: ehrhart_values(g, 2),
+               lambda: ehrhart_values_scan(g, 2),
+               lambda: kato_series_check((1,), g, 2)]
+    for entry in entries:
+        with pytest.raises(ValueError, match="simple bipartite"):
+            entry()
 
 
 def test_equal_simplex_volumes(running_fixture):
@@ -484,9 +555,9 @@ def test_peeled_barycentric_equals_exact_solve(c4_fixture, running_fixture,
             rows.append([Fraction(1)] * len(simplex.tree_edges))
             for p in points + off_hull:
                 want = solve_exact(rows, list(p) + [Fraction(1)])
-                assert simplex.barycentric(p) == want, (sorted(tree), p)
+                assert barycentric(simplex, p) == want, (sorted(tree), p)
             for p in off_hull:
-                assert simplex.barycentric(p) is None
+                assert barycentric(simplex, p) is None
 
 
 def fraction_det(rows):

@@ -6,6 +6,7 @@ from pathlib import Path
 import hyperbernardi
 
 PACKAGE = Path(hyperbernardi.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def unused_imports(source: str) -> list[str]:
@@ -107,8 +108,8 @@ def test_families_run_through_bernardi_runs():
 
 
 def imports_and_definitions(source: str) -> tuple[set[str], set[str]]:
-    """The top-level modules a module imports, and the functions it
-    defines."""
+    """The top-level modules a module imports, and the functions and
+    module-level names it defines."""
     tree = ast.parse(source)
     modules = set()
     for node in ast.walk(tree):
@@ -118,15 +119,18 @@ def imports_and_definitions(source: str) -> tuple[set[str], set[str]]:
             modules.add(node.module.split(".")[0])
     functions = {node.name for node in ast.walk(tree)
                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
-    return modules, functions
+    names = {target.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+             for target in ast.walk(node)
+             if isinstance(target, ast.Name) and isinstance(target.ctx, ast.Store)}
+    return modules, functions | names
 
 
 def test_imports_and_definitions_detected():
     source = ("import graphlib\nfrom graphlib import TopologicalSorter\n"
-              "from .graph import bip\nimport os.path\n"
-              "def trees_compatible():\n    def inner():\n        pass\n")
+              "from .graph import bip\nimport os.path\nLIMIT = 8\nPoint: type = tuple\n"
+              "def trees_compatible():\n    def inner():\n        local = 1\n")
     assert imports_and_definitions(source) == (
-        {"graphlib", "os"}, {"trees_compatible", "inner"})
+        {"graphlib", "os"}, {"trees_compatible", "inner", "LIMIT", "Point"})
 
 
 def test_pairwise_compatibility_stays_in_the_oracles():
@@ -138,6 +142,20 @@ def test_pairwise_compatibility_stays_in_the_oracles():
     assert {name for name, (modules, _) in found.items() if "graphlib" in modules} == set()
     assert {name for name, (_, functions) in found.items()
             if "trees_compatible" in functions} == set()
+
+
+def test_fraction_recursion_stays_in_the_oracles():
+    """Facet coverage is decided on the cut tables: no module under
+    ``src/`` imports ``fractions``, and the Fraction splitting and its
+    helpers are defined in ``tests/oracles.py`` only."""
+    found = {p: imports_and_definitions(p.read_text(encoding="utf-8"))
+             for p in [*PACKAGE.glob("*.py"), *TESTS.glob("*.py")]}
+    assert {p.name for p, (modules, _) in found.items()
+            if p.parent == PACKAGE and "fractions" in modules} == set()
+    for name in ("FACET_COVER_BUDGET", "facet_cover_status", "_split_piece",
+                 "vertex_point", "barycentric", "Point"):
+        assert {p.name for p, (_, defined) in found.items() if name in defined} \
+            == {"oracles.py"}, name
 
 
 def test_sweep_is_the_block_primitive():
