@@ -10,8 +10,9 @@ edge would be traversed a second time from the same direction.
 ``bernardi_runs`` runs one variant over every hypertree of its ht side,
 in family order, from one set-up of the dart table, the oracle and the
 per-edge tables; ``run_bernardi`` is the same walk for one hypertree.
-The walk keeps integers only; a run's steps (``BernardiStep`` named
-tuples) and first-reach times are built from them when first read.
+The walk keeps integers only; a run's named fields, steps
+(``BernardiStep`` named tuples) and first-reach times are built from
+them when first read.
 
 Each run performs online checks of the structural guarantees (each edge
 current once, traversed subgraph acyclic: a new traversed edge never
@@ -66,23 +67,43 @@ class BernardiStep(NamedTuple):
     traversals: tuple[tuple[str, str], ...]  # (edge, from-color) records
 
 
+class _Trace(NamedTuple):
+    """What the walk records of one run, in integers."""
+    graph: RibbonBipartiteGraph
+    order: list[int]        # edge indices by current time
+    live: bytearray         # the final live flags by edge index
+    after: list[int]        # each kept edge's far-side edge, -1 for none
+    reached: list[int]      # node indices in first-reach order
+    reach_time: list[int]   # by node index
+
+
 @dataclass(frozen=True)
 class BernardiRun:
-    """One run's record.  ``steps`` and ``first_reached`` are built from
-    the walk's integer trace when first read, and kept."""
+    """One run's record: the hypertree's values by ht-side position
+    (``key``), those positions by first current edge (``class_order``),
+    and a trace from which the named fields, ``steps`` and
+    ``first_reached`` are built when first read, and kept."""
     variant: ProcessVariant
-    hypertree: tuple[tuple[str, int], ...]
-    result_tree: frozenset[str]
-    current_edge_order: tuple[str, ...]
-    # edge ids, node names, the order and final live flags by edge index,
-    # each kept edge's far-side edge (-1 for none), the reached nodes in
-    # first-reach order and the reach times by node
-    _trace: tuple = field(repr=False)
+    key: tuple[int, ...]
+    class_order: tuple[int, ...]
+    _trace: _Trace = field(repr=False)
+
+    @cached_property
+    def hypertree(self) -> tuple[tuple[str, int], ...]:
+        return tuple(zip(self._trace.graph.side_nodes(self.variant.ht_side), self.key))
+
+    @cached_property
+    def result_tree(self) -> frozenset[str]:
+        return frozenset(compress(self._trace.graph.edge_ids, self._trace.live))
+
+    @cached_property
+    def current_edge_order(self) -> tuple[str, ...]:
+        return tuple(map(self._trace.graph.edge_ids.__getitem__, self._trace.order))
 
     @cached_property
     def steps(self) -> tuple[BernardiStep, ...]:
-        ids, _, order, live, after, _, _ = self._trace
-        cut = self.variant.cut_side
+        g, order, live, after, _, _ = self._trace
+        ids, cut = g.edge_ids, self.variant.cut_side
         far, n_live, steps = _opposite(cut), len(ids), []
         for e in order:
             if not live[e]:
@@ -97,8 +118,8 @@ class BernardiRun:
 
     @cached_property
     def first_reached(self) -> dict[str, int]:
-        _, nodes, _, _, _, reached, reach_time = self._trace
-        return {nodes[x]: reach_time[x] for x in reached}
+        g, _, _, _, reached, reach_time = self._trace
+        return {g.nodes[x]: reach_time[x] for x in reached}
 
 
 def run_bernardi(g: RibbonBipartiteGraph, f: dict[str, int],
@@ -145,9 +166,9 @@ def bernardi_runs(g: RibbonBipartiteGraph, variant: ProcessVariant,
 def _walk(g: RibbonBipartiteGraph, variant: ProcessVariant,
           keys: list[tuple[int, ...]], paranoid: bool) -> list[BernardiRun]:
     """The runs for the hypertree value tuples ``keys``, in their order.
-    The dart table, the oracle and the per-edge tables are read once; each
-    run then keeps its state in bytearrays by edge and by dart, and the
-    reach time of each node (-1 until the walk reaches it).
+    The dart table and the oracle with its per-edge tables are read once;
+    each run then keeps its state in bytearrays by edge and by dart, and
+    the reach time of each node (-1 until the walk reaches it).
 
     A run is one loop over darts from the base dart.  A dart at a cut-side
     end is the current edge, examined first; a removed one moves on around
@@ -157,22 +178,20 @@ def _walk(g: RibbonBipartiteGraph, variant: ProcessVariant,
     stands on a reached node, so a new edge of the traversed subgraph
     closes a cycle exactly when its far end is already reached.  The run
     stops at the first dart already traversed.  It records only integers:
-    the current-edge order, the live flags, each kept edge's far-side
-    edge and the reached nodes, from which the record builds its steps and
-    first-reach times when they are read."""
+    the hypertree's values, the class order, the current-edge order, the
+    live flags, each kept edge's far-side edge and the reached nodes, from
+    which the record builds its names, steps and first-reach times when
+    they are read."""
     side, cut = variant.ht_side, variant.cut_side
     cut_pos = 0 if cut == EMERALD else 1   # parity of a dart at a cut-side end
-    ht_pos = 0 if side == EMERALD else 1
     oracle = _oracle(g, side)
-    darts = g._darts
-    succ, node_of, rotation = darts.succ, darts.node, darts.rotation
-    ids, nodes, side_nodes = g.edge_ids, g.nodes, oracle.side_nodes
+    darts, ids = g._darts, g.edge_ids
+    succ, node_of = darts.succ, darts.node
     at = oracle.at                      # each edge's position on the ht side
-    ht_end, opp_end = node_of[ht_pos::2], node_of[1 - ht_pos::2]
-    ht_nodes = [x for x, ds in enumerate(rotation) if ds[0] & 1 == ht_pos]
-    degree = [len(ds) for ds in rotation]
+    ht_end, opp_end = oracle.ht_end, oracle.opp_end
+    ht_nodes, degree = oracle.ht_nodes, oracle.degree
     base = node_of[darts.base]
-    m, n = len(ids), len(nodes)
+    m, n = len(ids), len(degree)
     runs = []
     for f_key in keys:
         if paranoid:
@@ -260,10 +279,8 @@ def _walk(g: RibbonBipartiteGraph, variant: ProcessVariant,
             raise TheoremViolation("result tree does not realize the hypertree")
         _check_arc_rule(g, order, cut_pos)
         runs.append(BernardiRun(
-            variant=variant, hypertree=tuple(zip(side_nodes, f_key)),
-            result_tree=frozenset(compress(ids, live)),
-            current_edge_order=tuple(map(ids.__getitem__, order)),
-            _trace=(ids, nodes, order, live, after, reached, reach_time)))
+            variant, f_key, tuple(dict.fromkeys(map(at.__getitem__, order))),
+            _Trace(g, order, live, after, reached, reach_time)))
     return runs
 
 
@@ -286,21 +303,25 @@ def _check_arc_rule(g: RibbonBipartiteGraph, order: list[int], cut_pos: int) -> 
 
 def embedding_inactivities(g: RibbonBipartiteGraph, run: BernardiRun) -> tuple[int, int]:
     """(internal, external) inactivity of the run's hypertree against the
-    class order that the run's current edges induce."""
+    class order that the run's current edges induce; a record other than
+    a run on this graph is read by its names."""
     side = run.variant.ht_side
     oracle = _oracle(g, side)
-    names, key = zip(*run.hypertree)
-    if names != oracle.side_nodes:
-        raise ValueError(f"hypertree must be indexed by the {side} nodes")
+    if isinstance(run, BernardiRun) and run._trace.graph is g:
+        key, order = run.key, run.class_order
+    else:
+        names, key = zip(*run.hypertree)
+        if names != oracle.side_nodes:
+            raise ValueError(f"hypertree must be indexed by the {side} nodes")
+        try:
+            order = tuple(dict.fromkeys(oracle.at[g._edge_index[e]]
+                                        for e in run.current_edge_order))
+        except KeyError as missing:
+            raise ValueError(f"current edge {missing.args[0]!r} is not an edge here") from None
     member = oracle.family.get(key)
     if member is None:
         raise ValueError(f"not a hypertree on the {side} side: {dict(run.hypertree)}")
-    # class positions by the earliest current edge at each
-    try:
-        order = list(dict.fromkeys(map(oracle.position.__getitem__, run.current_edge_order)))
-    except KeyError as missing:
-        raise ValueError(f"current edge {missing.args[0]!r} is not an edge here") from None
-    if len(order) != len(names):
+    if len(order) != len(oracle.side_nodes):
         raise ValueError(f"a class order must list each {side} node once")
     return (len(_inactive(member, order, outgoing=True)),
             len(_inactive(member, order, outgoing=False)))

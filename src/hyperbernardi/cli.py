@@ -179,6 +179,9 @@ def cmd_polytope(args) -> int:
             geo = geometric_shelling_check(g, steps)
             payload["geometric"] = geo
             ok = ok and geo["ok"]
+        else:
+            payload["geometric"] = {"status": "skipped",
+                                    "reason": f"more than {GEOMETRY_EDGE_LIMIT} edges"}
     else:  # ehrhart or kato
         d = len(g.nodes) - 2
         kmax = args.kmax

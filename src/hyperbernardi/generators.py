@@ -94,13 +94,3 @@ def _random_rotations(rng: random.Random, edges: dict[str, tuple[str, str]]):
         out[x] = tuple(inc)
     return out
 
-
-def random_setup_variation(g: RibbonBipartiteGraph, seed: int) -> RibbonBipartiteGraph:
-    """Same underlying graph with freshly shuffled rotations and base."""
-    rng = random.Random(seed)
-    rotations = _random_rotations(rng, g.edges)
-    base_node = rng.choice(list(g.nodes))
-    incident = [e for e in g.edge_ids if base_node in g.edges[e]]
-    base_edge = rng.choice(incident)
-    return RibbonBipartiteGraph(g.emeralds, g.violets, dict(g.edges),
-                                rotations, base_node, base_edge)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Set
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
 from math import comb
 from typing import NamedTuple
 
@@ -76,14 +76,23 @@ class UnionFind:
 
 class _DartTable(NamedTuple):
     """A graph's darts as integers: dart 2i is edge i of ``edge_ids`` at
-    its first end, dart 2i+1 at its second (for a bipartite graph, the
-    emerald and the violet end)."""
-    edge: list[int]    # edge index of each dart
-    twin: list[int]    # the same edge at its other end
+    its first end (a bipartite graph's emerald end), dart 2i+1 at its
+    second, so a dart's edge is ``d >> 1`` and its twin ``d ^ 1``."""
     succ: list[int]    # the next dart in the rotation at its node
     node: list[int]    # node index of each dart, into ``nodes``
     base: int          # the base edge at the base node
     rotation: list[tuple[int, ...]]  # each node's darts in rotation order
+
+
+def _rotation_error(edges, nodes, rotations) -> ValidationError:
+    """The error for the first node whose rotation is not a permutation."""
+    for name in nodes:
+        given = rotations.get(name)
+        if given is not None and sorted(given) != sorted(
+                e for e, ends in edges.items() if name in ends):
+            return ValidationError(
+                f"rotation at {name!r} is not a permutation of its incident edges")
+    raise AssertionError("every rotation is a permutation of its incident edges")
 
 
 class RibbonGraph:
@@ -93,70 +102,90 @@ class RibbonGraph:
 
     def __init__(self, edges: dict[str, tuple[str, str]],
                  rotations: dict[str, tuple[str, ...]] | None,
-                 base_node: str, base_edge: str,
-                 nodes: tuple[str, ...] | None = None):
-        self.edges = {e: (str(a), str(b)) for e, (a, b) in edges.items()}
+                 base_node: str, base_edge: str):
+        edges = {e: (str(a), str(b)) for e, (a, b) in edges.items()}
         node_set = set()
-        for e, (a, b) in self.edges.items():
+        for e, (a, b) in edges.items():
             if a == b:
                 raise ValidationError(f"loop edge {e!r} at {a!r}")
             node_set.update((a, b))
-        if nodes is not None:
-            node_set.update(nodes)
-        self.nodes = tuple(sorted(node_set))
-        self.edge_ids = tuple(sorted(self.edges))
-        if not self.edges:
+        self._build(edges, rotations, base_node, base_edge, tuple(sorted(node_set)))
+
+    def _build(self, edges: dict[str, tuple[str, str]],
+               rotations: dict[str, tuple[str, ...]] | None,
+               base_node: str, base_edge: str, nodes: tuple[str, ...]) -> None:
+        """Index the sorted ``nodes`` and the normalized ``edges``, and build
+        the dart table, validating on it: each rotation is a permutation of
+        its node's darts, and the base node reaches every node."""
+        if not edges:
             raise ValidationError("graph must have at least one edge")
+        self.edges, self.nodes = edges, nodes
+        self.edge_ids = ids = tuple(sorted(edges))
+        count = 2 * len(ids)
+        node_index = dict(zip(nodes, range(len(nodes))))
+        even = dict(zip(ids, range(0, count, 2)))     # each edge's first dart
+        ends = list(chain.from_iterable(map(edges.__getitem__, ids)))  # by dart
+        node = list(map(node_index.__getitem__, ends))
 
-        incident: dict[str, list[str]] = {x: [] for x in self.nodes}
-        for e in self.edge_ids:
-            a, b = self.edges[e]
-            incident[a].append(e)
-            incident[b].append(e)
-        self._incident_sorted = {x: tuple(v) for x, v in incident.items()}
-
-        if rotations is None:
-            rotations = {}
-        rot: dict[str, tuple[str, ...]] = {}
-        for x in self.nodes:
-            given = rotations.get(x)
-            if given is None:
-                # default: order of appearance in the (sorted) edge list
-                rot[x] = self._incident_sorted[x]
-            else:
-                given = tuple(given)
-                if sorted(given) != sorted(self._incident_sorted[x]):
-                    raise ValidationError(
-                        f"rotation at {x!r} is not a permutation of its incident edges")
-                rot[x] = given
+        rotations = rotations or {}
+        if not rotations.keys() <= node_index.keys():
+            x = min(rotations.keys() - node_index.keys())
+            raise ValidationError(f"rotation for undeclared node {x!r}")
+        incident = None
+        rot, rotation = {}, []
+        succ = [-1] * count
+        for name in nodes:
+            given = rotations.get(name)
+            if given is None:   # default: the edges in sorted order
+                if incident is None:
+                    incident = {x: [] for x in nodes}
+                    for d, x in enumerate(ends):
+                        incident[x].append(ids[d >> 1])
+                given = incident[name]
+            rot[name] = given = tuple(given)
+            # the darts at this node, each linked to the next around it; a
+            # rotation is a permutation exactly when each names an edge at
+            # its node, every dart gets a successor, and none is listed twice
+            ds = []
+            for e in given:
+                d = even.get(e, -2)
+                d += ends[d] != name
+                if d < 0 or ends[d] != name:
+                    raise _rotation_error(edges, nodes, rotations)
+                ds.append(d)
+            prev = ds[-1] if ds else -1
+            for d in ds:
+                succ[prev] = prev = d
+            rotation.append(tuple(ds))
+        if -1 in succ or sum(map(len, rotation)) != count:
+            raise _rotation_error(edges, nodes, rotations)
         self.rotations = rot
 
-        if base_node not in set(self.nodes):
+        if base_node not in node_index:
             raise ValidationError(f"base node {base_node!r} not in graph")
-        if base_edge not in self.edges or base_node not in self.edges[base_edge]:
+        if base_edge not in edges or base_node not in edges[base_edge]:
             raise ValidationError("base edge must be incident to the base node")
-        self.base_node = base_node
-        self.base_edge = base_edge
+        self.base_node, self.base_edge = base_node, base_edge
+        base = even[base_edge] + (ends[even[base_edge]] != base_node)
 
-        uf = UnionFind(self.nodes)
-        for a, b in self.edges.values():
-            uf.union(a, b)
-        if uf.components != 1:
+        reached = bytearray(len(nodes))
+        reached[node[base]] = 1
+        stack = [node[base]]
+        while stack:
+            for d in rotation[stack.pop()]:
+                y = node[d ^ 1]
+                if not reached[y]:
+                    reached[y] = 1
+                    stack.append(y)
+        if not all(reached):
             raise ValidationError("graph is not connected")
 
+        self._darts = _DartTable(succ=succ, node=node, base=base, rotation=rotation)
         # side -> the hypertree oracle, which owns the side's family
         self._feas_cache: dict = {}
         self._subdivision: RibbonBipartiteGraph | None = None  # memo of bip()
 
     # -- basic queries ---------------------------------------------------
-
-    def other_end(self, edge: str, node: str) -> str:
-        a, b = self.edges[edge]
-        if node == a:
-            return b
-        if node == b:
-            return a
-        raise ValueError(f"edge {edge!r} not incident to {node!r}")
 
     def incident(self, node: str, live: Set[str] | None = None) -> tuple[str, ...]:
         rot = self.rotations[node]
@@ -166,48 +195,6 @@ class RibbonGraph:
 
     def degree(self, node: str, live: Set[str] | None = None) -> int:
         return len(self.incident(node, live))
-
-    def _rotation_step(self, node: str, edge: str, step: int,
-                       live: Set[str] | None) -> str:
-        rot = self.rotations[node]
-        if edge not in rot:
-            raise ValueError(f"edge {edge!r} not incident to {node!r}")
-        if live is not None and edge not in live:
-            raise ValueError(f"edge {edge!r} not live")
-        n = len(rot)
-        i = rot.index(edge)
-        for k in range(1, n + 1):
-            cand = rot[(i + step * k) % n]
-            if live is None or cand in live:
-                return cand
-        raise AssertionError("unreachable: edge itself is live")
-
-    def next_edge(self, node: str, edge: str, live: Set[str] | None = None) -> str:
-        """The edge following ``edge`` at ``node`` in the inherited order."""
-        return self._rotation_step(node, edge, +1, live)
-
-    def prev_edge(self, node: str, edge: str, live: Set[str] | None = None) -> str:
-        return self._rotation_step(node, edge, -1, live)
-
-    @cached_property
-    def _darts(self) -> _DartTable:
-        """The dart table of the tour walks and the Bernardi process,
-        built on the first walk; ``next_edge`` and ``prev_edge`` read
-        ``rotations`` and never need it."""
-        index = {e: i for i, e in enumerate(self.edge_ids)}
-
-        def dart(x: str, e: str) -> int:
-            return 2 * index[e] + self.edges[e].index(x)
-
-        rotation = [tuple(dart(x, e) for e in self.rotations[x]) for x in self.nodes]
-        darts = range(2 * len(index))
-        succ, node = [0] * len(darts), [0] * len(darts)
-        for x, ds in enumerate(rotation):
-            for d, nxt in zip(ds, ds[1:] + ds[:1]):
-                succ[d], node[d] = nxt, x
-        return _DartTable(
-            edge=[d >> 1 for d in darts], twin=[d ^ 1 for d in darts], succ=succ,
-            node=node, base=dart(self.base_node, self.base_edge), rotation=rotation)
 
     def is_spanning_tree(self, tree: frozenset[str]) -> bool:
         """Whether ``tree`` is a set of edges of this graph that forms a
@@ -249,7 +236,8 @@ class RibbonGraph:
         base node's reach until a pass adds nothing.
         """
         m, need = len(self.edge_ids), len(self.nodes) - 1
-        node, base = self._darts.node, self.nodes.index(self.base_node)
+        node = self._darts.node
+        base = node[self._darts.base]
         tables: dict[tuple[int, int], tuple[list[int], int]] = {}
 
         def table(j: int, k: int) -> tuple[list[int], int]:
@@ -323,7 +311,7 @@ class RibbonGraph:
     @cached_property
     def _edge_index(self) -> dict[str, int]:
         """Each edge's index in ``edge_ids``, its bit in edge bitmasks."""
-        return {e: i for i, e in enumerate(self.edge_ids)}
+        return dict(zip(self.edge_ids, range(len(self.edge_ids))))
 
     def _edge_mask(self, edges) -> int:
         """The bitmask of a set of edges."""
@@ -368,11 +356,11 @@ class RibbonGraph:
         non-tree edge's dart after the dart itself, in the rotation.
         Stops right before the base dart recurs."""
         darts = self._darts
-        succ, twin, start = darts.succ, darts.twin, darts.base
+        succ, start = darts.succ, darts.base
         d, tour = start, []
         while True:     # the steps permute the darts: the base dart recurs
             tour.append(d)
-            d = succ[twin[d]] if mask >> (d >> 1) & 1 else succ[d]
+            d = succ[d ^ 1] if mask >> (d >> 1) & 1 else succ[d]
             if d == start:
                 return tour
 
@@ -393,14 +381,13 @@ class RibbonGraph:
     def faces(self) -> list[tuple[tuple[str, str], ...]]:
         """Face boundary walks as orbits of the face-tracing permutation.
 
-        Darts are (tail node, edge).  The successor of (u, e) is
-        (v, next_edge(v, e)) where v is the head of e.  With rotations
+        Darts are (tail node, edge).  The successor of (u, e) is (v, the
+        edge after e around v) where v is the head of e.  With rotations
         read counterclockwise this lists each face's darts with the face
         on the right of the dart's direction of motion.
         """
         darts = self._darts
-        names = [(self.nodes[x], self.edge_ids[e])
-                 for x, e in zip(darts.node, darts.edge)]
+        names = [(self.nodes[x], self.edge_ids[d >> 1]) for d, x in enumerate(darts.node)]
         remaining = set(range(len(names)))
         out = []
         for start in sorted(remaining, key=names.__getitem__):
@@ -409,7 +396,7 @@ class RibbonGraph:
             while d in remaining:
                 remaining.discard(d)
                 walk.append(names[d])
-                d = darts.succ[darts.twin[d]]
+                d = darts.succ[d ^ 1]
             if walk:
                 out.append(tuple(walk))
         return out
@@ -433,26 +420,29 @@ class RibbonBipartiteGraph(RibbonGraph):
                  edges: dict[str, tuple[str, str]],
                  rotations: dict[str, tuple[str, ...]] | None,
                  base_node: str, base_edge: str):
-        emeralds = tuple(sorted(str(x) for x in emeralds))
-        violets = tuple(sorted(str(x) for x in violets))
-        if set(emeralds) & set(violets):
+        emeralds = tuple(sorted(map(str, emeralds)))
+        violets = tuple(sorted(map(str, violets)))
+        color = dict.fromkeys(emeralds, EMERALD)
+        if not color.keys().isdisjoint(violets):
             raise ValidationError("a node cannot be both emerald and violet")
-        color = {x: EMERALD for x in emeralds}
-        color.update({x: VIOLET for x in violets})
+        color.update(dict.fromkeys(violets, VIOLET))
         norm = {}
         for e, (a, b) in edges.items():
             a, b = str(a), str(b)
-            if a not in color or b not in color:
+            ca, cb = color.get(a), color.get(b)
+            if ca is EMERALD and cb is VIOLET:
+                norm[e] = (a, b)
+            elif ca is VIOLET and cb is EMERALD:
+                norm[e] = (b, a)
+            elif ca is None or cb is None:
                 raise ValidationError(f"edge {e!r} uses an undeclared node")
-            if color[a] == color[b]:
-                raise ValidationError(f"edge {e!r} joins two {color[a]} nodes")
-            norm[e] = (a, b) if color[a] == EMERALD else (b, a)
+            else:
+                raise ValidationError(f"edge {e!r} joins two {ca} nodes")
         self.emeralds = emeralds
         self.violets = violets
         self._color = color
         self._reversed: RibbonBipartiteGraph | None = None  # memo of reversed_setup()
-        super().__init__(norm, rotations, base_node, base_edge,
-                         nodes=emeralds + violets)
+        self._build(norm, rotations, base_node, base_edge, tuple(sorted(color)))
 
     # -- color helpers ----------------------------------------------------
 
@@ -490,9 +480,10 @@ class RibbonBipartiteGraph(RibbonGraph):
         realizations, so it shares this graph's hypertree oracles."""
         if self._reversed is None:
             rev = {x: tuple(reversed(r)) for x, r in self.rotations.items()}
+            rot = self.rotations[self.base_node]
             self._reversed = RibbonBipartiteGraph(
                 self.emeralds, self.violets, dict(self.edges), rev,
-                self.base_node, self.prev_edge(self.base_node, self.base_edge))
+                self.base_node, rot[rot.index(self.base_edge) - 1])
             self._reversed._feas_cache = self._feas_cache
         return self._reversed
 

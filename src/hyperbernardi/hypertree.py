@@ -167,11 +167,16 @@ class _Feasibility:
         self.side = side
         self.side_nodes = g.side_nodes(side)
         self.opp_nodes = g.side_nodes(_opposite(side))
-        self.parity = 0 if side == EMERALD else 1   # of a dart at this side's end
-        at = {x: i for i, x in enumerate(self.side_nodes)}
-        self.at = [at[g.edges[e][self.parity]] for e in g.edge_ids]
-        self.position = dict(zip(g.edge_ids, self.at))   # by edge name
+        self.parity = parity = 0 if side == EMERALD else 1   # of a dart at this side's end
         self.darts = g._darts
+        node, rotation = g._darts.node, g._darts.rotation
+        # the Bernardi walk's tables: each edge's end on the side and on the
+        # other, the side's nodes in ``side_nodes`` order, each degree
+        self.ht_end, self.opp_end = node[parity::2], node[1 - parity::2]
+        self.ht_nodes = [x for x, ds in enumerate(rotation) if ds[0] & 1 == parity]
+        self.degree = [len(ds) for ds in rotation]
+        position = dict(zip(self.ht_nodes, range(len(self.ht_nodes))))
+        self.at = [position[x] for x in self.ht_end]   # each edge's position
 
     def _search(self, f_key, live) -> frozenset[str] | None:
         """A spanning tree inside ``live`` with degree f+1 at each node of
@@ -271,8 +276,16 @@ class _Feasibility:
         its admissible transfers: the closure of one spanning tree's
         degree vector under the transfers that reachability admits."""
         g = self.g
-        uf = UnionFind(g.nodes)
-        start = bytearray(uf.union(*g.edges[e]) for e in g.edge_ids)
+        node = self.darts.node
+        root = list(range(len(g.nodes)))    # Kruskal in edge-index order
+        start = bytearray(len(g.edge_ids))
+        for k in range(len(start)):
+            a, b = node[2 * k], node[2 * k + 1]
+            while root[a] != a:
+                a = root[a]
+            while root[b] != b:
+                b = root[b]
+            root[a], start[k] = b, a != b
         live = bytearray([1]) * len(start)
         width = len(self.side_nodes)
         trees = {self._realized(start): start}
@@ -471,9 +484,8 @@ def exterior_polynomial(g: RibbonBipartiteGraph, side: str, order=None) -> Poly:
 
 
 def _polynomial(g: RibbonBipartiteGraph, side: str, order, outgoing: bool) -> Poly:
-    if order is None:
-        order = g.side_nodes(side)
-    positions = _order_positions(g, side, order)
+    positions = (range(len(g.side_nodes(side))) if order is None
+                 else _order_positions(g, side, order))
     return Poly.counting(len(_inactive(member, positions, outgoing))
                          for member in _family(g, side).values())
 

@@ -46,7 +46,7 @@ def _tour_cuts(darts, cols, span) -> tuple[int, int]:
     tree ruled out of both leaves the tour.  A spanning tree's tour
     passes every dart once, so after 2|E| steps every tree still on it
     is back at the base dart."""
-    succ, twin, edge_of = darts.succ, darts.twin, darts.edge
+    succ = darts.succ
     skipped = [0] * len(cols)   # per edge, the trees that have skipped it
     vcut = ecut = span
     at = {darts.base: span}     # dart -> the trees at it
@@ -54,10 +54,10 @@ def _tour_cuts(darts, cols, span) -> tuple[int, int]:
         nxt: dict[int, int] = {}
         ruled_out = False
         for d, bits in at.items():
-            i = edge_of[d]
+            i = d >> 1
             held = bits & cols[i]
             if held:
-                e = succ[twin[d]]
+                e = succ[d ^ 1]
                 nxt[e] = nxt.get(e, 0) | held
             passed = bits ^ held
             if passed:
@@ -120,7 +120,7 @@ def enumerate_jaeger_trees(g: RibbonBipartiteGraph, cut: str) -> list[frozenset[
     """
     _require_cut(cut)
     darts, ids = g._darts, g.edge_ids
-    succ, twin, edge_of, node_of = darts.succ, darts.twin, darts.edge, darts.node
+    succ, node_of = darts.succ, darts.node
     at_cut = int(cut == VCUT)   # parity of the darts at cut-colored ends
     limit = 2 * len(ids) + 1
     max_cuts = len(ids) - len(g.nodes) + 1
@@ -138,7 +138,7 @@ def enumerate_jaeger_trees(g: RibbonBipartiteGraph, cut: str) -> list[frozenset[
                 break
             if steps > limit:
                 raise AssertionError("branching tour failed to close")
-            i = edge_of[d]
+            i = d >> 1
             s = status.get(i)
             if s is None:
                 if d & 1 == at_cut and cuts < max_cuts:
@@ -146,14 +146,14 @@ def enumerate_jaeger_trees(g: RibbonBipartiteGraph, cut: str) -> list[frozenset[
                     status[i] = False
                     walk(succ[d], steps + 1, cuts + 1)
                     del status[i]
-                far = node_of[twin[d]]
+                far = node_of[d ^ 1]
                 if reached[far]:
                     break
                 status[i] = s = True
                 reached[far] = 1
                 kept.append((i, far))
             if s:
-                d = twin[d]
+                d ^= 1
             d = succ[d]
             steps += 1
         for i, x in kept:
@@ -198,9 +198,6 @@ class TOrder:
     flavor: str
     edge_order: tuple[str, ...]
     class_order: tuple[str, ...]
-
-    def edge_rank(self) -> dict[str, int]:
-        return {e: i for i, e in enumerate(self.edge_order)}
 
 
 def _flavor_order(g: RibbonBipartiteGraph, tour: list[int], flavor: str) -> TOrder:

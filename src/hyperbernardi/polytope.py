@@ -116,20 +116,6 @@ def _certified(positive: dict[str, int], eps: str, earlier: int) -> bool:
     return own is not None and not own & earlier
 
 
-def certify_disjoint_interiors(g: RibbonBipartiteGraph,
-                               earlier: frozenset[str], later: frozenset[str],
-                               eps: str) -> bool:
-    """Check the separating-functional certificate for an ordered pair of
-    trees whose tours diverge at ``eps`` (an edge of the later tree): the
-    functional of eps's cut in the later tree (``jaeger._base_cuts``)
-    must be 2 on eps, 0 on the other later-tree edges and at most 0 on
-    the earlier tree's edges."""
-    _require_simple(g)
-    if eps not in later:
-        raise ValueError("tree cut needs a tree edge")
-    return _certified(_positive(g, _base_cuts(g, later)), eps, g._edge_mask(earlier))
-
-
 def _pair_certificates(g: RibbonBipartiteGraph, steps) -> list[tuple[bytearray, list[int]]]:
     """The pair certificates of a shelling record, for each step over
     its earlier trees: ``ahead[i]`` when the divergence edge with tree i

@@ -50,32 +50,77 @@ on small instances only.  Each reference, and what it checks:
   certificates of ``verify_dissection``);
 * ``bernardi_run``: the Bernardi process walked on edge names, deciding
   every step by a full search (against the dart-table ``run_bernardi``,
-  fast and paranoid);
+  fast and paranoid), stepping around rotations with ``next_edge``
+  (against the dart table's successors);
+* ``certify_disjoint_interiors``: one pair's separating-functional
+  certificate from the later tree's cut table, the certificate that
+  ``verify_dissection`` batches (against ``separates``);
 * ``arborescence_duality_brute_force``: every C(arcs, faces - 1) arc
   set of the face-dual digraph tested for an arborescence rooted at r0
   (against the matrix-tree count and the per-tree check of
   ``campaign.arborescence_duality``).
+
+Helpers that only the tests call live here too: ``other_end``,
+``prev_edge``, ``edge_rank`` of a T-order, and
+``random_setup_variation``, a graph with reshuffled rotations and base.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
 from itertools import combinations
 
 from hyperbernardi.bernardi import BernardiStep, ProcessVariant, TheoremViolation
-from hyperbernardi.graph import EMERALD, VIOLET, UnionFind
+from hyperbernardi.generators import _random_rotations
+from hyperbernardi.graph import EMERALD, VIOLET, RibbonBipartiteGraph, UnionFind
 from hyperbernardi.hypertree import (_oracle, _side_key, enumerate_hypertrees,
                                      is_hypertree)
-from hyperbernardi.jaeger import ECUT, VCUT, enumerate_jaeger_trees
-from hyperbernardi.polytope import (TreeSimplex, _require_simple, compositions,
-                                    node_index, scaled_marker)
+from hyperbernardi.jaeger import ECUT, VCUT, _base_cuts, enumerate_jaeger_trees
+from hyperbernardi.polytope import (TreeSimplex, _certified, _positive, _require_simple,
+                                    compositions, node_index, scaled_marker)
 
 Point = tuple[Fraction, ...]
 
 # pieces facet_cover_status may examine before it gives up
 FACET_COVER_BUDGET = 20000
+
+
+def other_end(g, edge: str, node: str) -> str:
+    """The end of ``edge`` that is not ``node``, by the graph's names."""
+    a, b = g.edges[edge]
+    if node == a:
+        return b
+    if node == b:
+        return a
+    raise ValueError(f"edge {edge!r} not incident to {node!r}")
+
+
+def next_edge(g, node: str, edge: str, live=None, step: int = 1) -> str:
+    """The edge after ``edge`` around ``node`` (before it for ``step``
+    -1), by name, in the rotation restricted to the ``live`` edges."""
+    rot = g.rotations[node]
+    if edge not in rot:
+        raise ValueError(f"edge {edge!r} not incident to {node!r}")
+    if live is not None and edge not in live:
+        raise ValueError(f"edge {edge!r} not live")
+    i = rot.index(edge)
+    for k in range(1, len(rot) + 1):
+        cand = rot[(i + step * k) % len(rot)]
+        if live is None or cand in live:
+            return cand
+    raise AssertionError("unreachable: edge itself is live")
+
+
+def prev_edge(g, node: str, edge: str, live=None) -> str:
+    return next_edge(g, node, edge, live, step=-1)
+
+
+def edge_rank(order) -> dict[str, int]:
+    """Each edge's position in a T-order's edge order."""
+    return {e: i for i, e in enumerate(order.edge_order)}
 
 
 def vertex_point(g, edge: str) -> Point:
@@ -492,7 +537,7 @@ def tour_pairs(g, tree) -> list[tuple[str, str]]:
     for _ in range(2 * len(g.edges)):
         pairs.append((node, edge))
         if edge in tree:
-            node = g.other_end(edge, node)
+            node = other_end(g, edge, node)
         edge = succ[(node, edge)]
         if (node, edge) == start:
             return pairs
@@ -533,7 +578,7 @@ def base_side(g, tree, edge) -> frozenset[str]:
         x = stack.pop()
         for e in g.rotations[x]:
             if e in tree and e != edge:
-                y = g.other_end(e, x)
+                y = other_end(g, e, x)
                 if y not in side:
                     side.add(y)
                     stack.append(y)
@@ -560,6 +605,30 @@ def separates(value, earlier, later, eps) -> bool:
     at most 0 on the earlier tree's edges."""
     return (value[eps] == 2 and all(value[e] == 0 for e in later if e != eps)
             and all(value[e] <= 0 for e in earlier))
+
+
+def certify_disjoint_interiors(g, earlier: frozenset[str], later: frozenset[str],
+                               eps: str) -> bool:
+    """The separating-functional certificate for one ordered pair of
+    trees whose tours diverge at ``eps`` (an edge of the later tree): the
+    functional of eps's cut in the later tree (``jaeger._base_cuts``)
+    must be 2 on eps, 0 on the other later-tree edges and at most 0 on
+    the earlier tree's edges."""
+    _require_simple(g)
+    if eps not in later:
+        raise ValueError("tree cut needs a tree edge")
+    return _certified(_positive(g, _base_cuts(g, later)), eps, g._edge_mask(earlier))
+
+
+def random_setup_variation(g, seed: int):
+    """Same underlying graph with freshly shuffled rotations and base."""
+    rng = random.Random(seed)
+    rotations = _random_rotations(rng, g.edges)
+    base_node = rng.choice(list(g.nodes))
+    incident = [e for e in g.edge_ids if base_node in g.edges[e]]
+    base_edge = rng.choice(incident)
+    return RibbonBipartiteGraph(g.emeralds, g.violets, dict(g.edges),
+                                rotations, base_node, base_edge)
 
 
 def marker_placement(g, trees) -> list[tuple[str, dict, list[int]]]:
@@ -635,15 +704,15 @@ def bernardi_run(g, f, variant) -> ReferenceRun:
             if not tree_uf.union(a, b):
                 raise TheoremViolation(
                     f"traversed subgraph acquired a cycle at {edge!r}")
-        reach(g.other_end(edge, g.edges[edge][from_color == VIOLET]))
+        reach(other_end(g, edge, g.edges[edge][from_color == VIOLET]))
 
     reach(g.base_node)
     if g.color(g.base_node) == cut:
         cur = g.base_edge
     else:
         record_traversal(g.base_edge, far)
-        b1 = g.other_end(g.base_edge, g.base_node)
-        cur = g.next_edge(b1, g.base_edge, live)
+        b1 = other_end(g, g.base_edge, g.base_node)
+        cur = next_edge(g, b1, g.base_edge, live)
 
     limit = 4 * len(g.edge_ids) + 4
     while True:
@@ -659,7 +728,7 @@ def bernardi_run(g, f, variant) -> ReferenceRun:
         if oracle._search(f_key, frozenset(live - {cur})) is not None:
             if cur in traversed_edges:
                 raise TheoremViolation(f"kept/traversed edge {cur!r} removed")
-            nxt = g.next_edge(near, cur, live)
+            nxt = next_edge(g, near, cur, live)
             live.discard(cur)
             steps.append(BernardiStep(cur, "removed", live_before, ()))
             if nxt == cur:
@@ -668,7 +737,7 @@ def bernardi_run(g, f, variant) -> ReferenceRun:
         else:
             record_traversal(cur, cut)
             far_node = g.edges[cur][far == VIOLET]
-            follow = g.next_edge(far_node, cur, live)
+            follow = next_edge(g, far_node, cur, live)
             if (follow, far) in traversed:
                 steps.append(BernardiStep(cur, "kept", live_before,
                                           ((cur, cut),)))
@@ -677,7 +746,7 @@ def bernardi_run(g, f, variant) -> ReferenceRun:
             steps.append(BernardiStep(cur, "kept", live_before,
                                       ((cur, cut), (follow, far))))
             w = g.edges[follow][cut == VIOLET]
-            cur = g.next_edge(w, follow, live)
+            cur = next_edge(g, w, follow, live)
         if len(order) > limit:
             raise AssertionError("process failed to terminate")
 

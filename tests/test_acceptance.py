@@ -25,8 +25,7 @@ from hyperbernardi.campaign import (arborescence_duality, fuzz_conjectures,
                                     verify_noncrossing)
 from hyperbernardi.fixtures import (k5_setup, running_graph,
                                     running_graph_knot_setup, tour_example)
-from hyperbernardi.generators import (random_bipartite, random_ordinary,
-                                      random_setup_variation)
+from hyperbernardi.generators import random_bipartite, random_ordinary
 from hyperbernardi.graph import EMERALD, VIOLET, bip
 from hyperbernardi.hypertree import (enumerate_hypertrees,
                                      interior_polynomial, tutte_check)
@@ -34,11 +33,11 @@ from hyperbernardi.jaeger import (ECUT, VCUT, characterize_tree,
                                   enumerate_jaeger_trees,
                                   graph_activity_matching, is_jaeger_tree,
                                   shelling)
-from hyperbernardi.polytope import (TreeSimplex, certify_disjoint_interiors,
-                                    ehrhart_values, fit_binomial_coefficients,
+from hyperbernardi.polytope import (TreeSimplex, ehrhart_values, fit_binomial_coefficients,
                                     geometric_shelling_check,
                                     kato_series_check, shelling_h_vector)
-from oracles import contains, marker, trees_compatible
+from oracles import (certify_disjoint_interiors, contains, marker, random_setup_variation,
+                     trees_compatible)
 
 N_SETUPS = 100
 N_BIPARTITE = 50

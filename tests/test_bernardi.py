@@ -20,9 +20,11 @@ from hyperbernardi.fixtures import c4
 from hyperbernardi.generators import random_bipartite, random_ordinary
 from hyperbernardi.graph import EMERALD, VIOLET, RibbonBipartiteGraph, bip
 from hyperbernardi.hypertree import (Poly, _Feasibility, _family,
-                                     enumerate_hypertrees, interior_polynomial)
+                                     enumerate_hypertrees, external_inactivity,
+                                     interior_polynomial, internal_inactivity)
 from hyperbernardi.jaeger import VCUT, enumerate_jaeger_trees, is_jaeger_tree
 from oracles import bernardi_run as reference_run
+from oracles import random_setup_variation
 
 
 def test_variant_parsing():
@@ -105,22 +107,31 @@ def test_embedding_inactivities_tree_graph():
 def test_embedding_inactivities_reject_foreign_runs(running_fixture, c4_fixture):
     """A run whose hypertree is indexed by other nodes, is no hypertree,
     whose current edges are not edges of the graph, or whose current
-    edges miss a class node is refused."""
+    edges miss a class node is refused, whether the run is on this graph
+    (read by its positions) or on an equal copy (read by its names)."""
     g = running_fixture.graph
     run = bernardi_runs(g, HT_E_CUT_E)[0]
+    copy = g.with_base(g.base_node, g.base_edge)
+    twin = bernardi_runs(copy, HT_E_CUT_E)[0]
+    assert twin.current_edge_order == run.current_edge_order
+    assert embedding_inactivities(g, twin) == embedding_inactivities(g, run)
     with pytest.raises(ValueError, match="indexed by the emerald nodes"):
         embedding_inactivities(g, bernardi_runs(c4_fixture.graph, HT_E_CUT_E)[0])
-    zero = replace(run, hypertree=tuple((x, 0) for x, _ in run.hypertree))
-    with pytest.raises(ValueError, match="not a hypertree"):
-        embedding_inactivities(g, zero)
+    for record in (run, twin):
+        zero = replace(record, key=(0,) * len(record.key))
+        assert zero.hypertree == tuple((x, 0) for x, _ in run.hypertree)
+        with pytest.raises(ValueError, match="not a hypertree"):
+            embedding_inactivities(g, zero)
     other_ids, _, _ = renamed(g, g.nodes, [f"r_{e}" for e in g.edge_ids])
     foreign = bernardi_runs(other_ids, HT_E_CUT_E)[0]
     with pytest.raises(ValueError, match=f"current edge 'r_{run.current_edge_order[0]}' "
                                          "is not an edge here"):
         embedding_inactivities(g, foreign)
-    partial = replace(run, current_edge_order=run.current_edge_order[:1])
-    with pytest.raises(ValueError, match="a class order must list each emerald node"):
-        embedding_inactivities(g, partial)
+    for partial in (replace(run, class_order=run.class_order[:1]),
+                    replace(twin, _trace=twin._trace._replace(order=twin._trace.order[:1]))):
+        with pytest.raises(ValueError, match="a class order must list each emerald node"):
+            embedding_inactivities(g, partial)
+    assert partial.current_edge_order == run.current_edge_order[:1]
 
 
 def test_bernardi_interior_equals_interior(running_fixture, c4_fixture,
@@ -157,7 +168,6 @@ def test_bernardi_interior_random_setups(running_fixture, seed, variation):
     is: classically, from the Bernardi processes cut at the hypertree
     side on either side, and as the h-vector of the V-cut Jaeger
     shelling; on the running example and on a drawn random graph."""
-    from hyperbernardi.generators import random_setup_variation
     from hyperbernardi.jaeger import shelling
     from hyperbernardi.polytope import shelling_h_vector
     for g in (running_fixture.graph, random_bipartite(seed, 4, 4, 10)):
@@ -204,7 +214,10 @@ def test_composition_detects_a_tampered_outcome(running_fixture):
     for table, variant in ((runs, HT_V_CUT_V), (rev_runs, HT_E_CUT_E),
                            (rev_runs, HT_V_CUT_E), (runs, HT_E_CUT_V)):
         honest = table[variant]
-        wrong = replace(honest[0], result_tree=honest[1].result_tree)
+        wrong = replace(honest[0], _trace=honest[0]._trace._replace(
+            live=honest[1]._trace.live))
+        assert (wrong.hypertree, wrong.result_tree) == \
+            (honest[0].hypertree, honest[1].result_tree)
         for tampered in ([wrong] + honest[1:], honest[1:]):
             table[variant] = tampered
             failed = {k for k, ok in check_composition(g, runs, rev_runs).items()
@@ -304,6 +317,40 @@ def assert_runs_equal_reference(g):
                             list(want.first_reached.items()), case
             pairs = [embedding_inactivities(setup, run) for run in wants]
             assert bernardi_polynomials(setup, variant) == (
+                Poly.counting(i for i, _ in pairs), Poly.counting(e for _, e in pairs))
+
+
+def test_run_records_read_their_trace():
+    """On seeded instances of the three generators, each field that a run
+    builds when read, and its steps, equal the reference walk's record,
+    whichever is read first; the class order lists the ht-side positions
+    by first current edge; each run's embedding inactivities equal the
+    name-keyed inactivities under the class order its current edges
+    induce, and the embedding polynomials count them."""
+    graphs = [random_bipartite(seed, 4, 4, 10) for seed in range(8)]
+    graphs += [bip(random_ordinary(seed, 5, 7)) for seed in range(6)]
+    graphs += [random_setup_variation(random_bipartite(seed, 4, 4, 10), seed + 50)
+               for seed in range(6)]
+    lazy = ("hypertree", "result_tree", "current_edge_order", "steps", "first_reached")
+    for g in graphs:
+        for variant in VARIANTS:
+            side = variant.ht_side
+            position = {x: i for i, x in enumerate(g.side_nodes(side))}
+            runs = bernardi_runs(g, variant)
+            family = enumerate_hypertrees(g, side)
+            assert len(runs) == len(family)
+            for k, (f, run) in enumerate(zip(family, runs)):
+                want = reference_run(g, f, variant)
+                for name in lazy[k % len(lazy):] + lazy[:k % len(lazy)]:
+                    assert getattr(run, name) == getattr(want, name), (name, variant, f)
+                assert run.key == tuple(f[x] for x in g.side_nodes(side))
+                induced = g.induced_order(side, run.current_edge_order)
+                assert run.class_order == tuple(position[x] for x in induced)
+                assert embedding_inactivities(g, run) == (
+                    len(internal_inactivity(g, side, f, induced)),
+                    len(external_inactivity(g, side, f, induced)))
+            pairs = [embedding_inactivities(g, run) for run in runs]
+            assert bernardi_polynomials(g, variant) == (
                 Poly.counting(i for i, _ in pairs), Poly.counting(e for _, e in pairs))
 
 

@@ -14,7 +14,7 @@ from hyperbernardi.fixtures import noncrossing_setup, torus_k4
 from hyperbernardi.generators import random_bipartite, random_ordinary
 from hyperbernardi.graph import RibbonBipartiteGraph, ValidationError, bip
 from hyperbernardi.jaeger import _base_cuts
-from oracles import tree_cut
+from oracles import next_edge, other_end, prev_edge, tree_cut
 
 C4_DOC = """
 hyperbernardi-graph v1
@@ -112,23 +112,23 @@ def test_document_errors(mutation, message):
 
 def test_next_prev_edge(c4_fixture):
     g = c4_fixture.graph
-    assert g.next_edge("v1", "c1") == "c2"
-    assert g.next_edge("v1", "c2") == "c1"
-    assert g.prev_edge("v1", "c1") == "c2"
+    assert next_edge(g, "v1", "c1") == "c2"
+    assert next_edge(g, "v1", "c2") == "c1"
+    assert prev_edge(g, "v1", "c1") == "c2"
     live = frozenset(g.edge_ids) - {"c2"}
-    assert g.next_edge("v1", "c1", live) == "c1"  # degree one: self-successor
+    assert next_edge(g, "v1", "c1", live) == "c1"  # degree one: self-successor
     with pytest.raises(ValueError):
-        g.next_edge("v1", "c3")
+        next_edge(g, "v1", "c3")
     with pytest.raises(ValueError):
-        g.next_edge("v1", "c2", live)
+        next_edge(g, "v1", "c2", live)
 
 
 def test_next_edge_running_rotation(running_fixture):
     g = running_fixture.graph
     # counterclockwise at v0 in the drawing: e0v0 -> e3v0 -> e2v0
-    assert g.next_edge("v0", "e0v0") == "e3v0"
-    assert g.next_edge("v0", "e3v0") == "e2v0"
-    assert g.next_edge("v0", "e2v0") == "e0v0"
+    assert next_edge(g, "v0", "e0v0") == "e3v0"
+    assert next_edge(g, "v0", "e3v0") == "e2v0"
+    assert next_edge(g, "v0", "e2v0") == "e0v0"
 
 
 @settings(max_examples=40, deadline=None)
@@ -140,18 +140,22 @@ def test_view_next_edge_consistency(seed, drop):
     for x in g.nodes:
         inc = [e for e in g.rotations[x] if e in live]
         for e in inc:
-            nxt = g.next_edge(x, e, live)
+            nxt = next_edge(g, x, e, live)
             # walking the parent rotation and skipping dead edges agrees
-            cand = g.next_edge(x, e)
+            cand = next_edge(g, x, e)
             while cand not in live:
-                cand = g.next_edge(x, cand)
+                cand = next_edge(g, x, cand)
             assert nxt == cand
-            assert g.prev_edge(x, nxt, live) == e
-    # the all-live view agrees with the full rotation
+            assert prev_edge(g, x, nxt, live) == e
+    # the all-live view agrees with the full rotation, and with the
+    # successor of each dart in the graph's dart table
     everything = frozenset(g.edge_ids)
     for x in g.nodes:
         for e in g.rotations[x]:
-            assert g.next_edge(x, e) == g.next_edge(x, e, everything)
+            assert next_edge(g, x, e) == next_edge(g, x, e, everything)
+    darts = g._darts
+    for d, x in enumerate(darts.node):
+        assert g.edge_ids[darts.succ[d] >> 1] == next_edge(g, g.nodes[x], g.edge_ids[d >> 1])
 
 
 def test_tour_paper_example(tour_fixture):
@@ -306,7 +310,7 @@ def bfs_split(g, tree, edge):
     while queue:
         x = queue.popleft()
         for e in g.incident(x):
-            y = g.other_end(e, x)
+            y = other_end(g, e, x)
             if e in tree and e != edge and y not in side:
                 side.add(y)
                 queue.append(y)
@@ -322,9 +326,9 @@ def bfs_order(g, tree):
     order, parent = [g.base_node], {g.base_node: None}
     for x in order:
         for e in g.incident(x):
-            y = g.other_end(e, x)
+            y = other_end(g, e, x)
             if e in tree and y not in parent:
-                parent[y] = (g.other_end(e, y), e)
+                parent[y] = (other_end(g, e, y), e)
                 order.append(y)
     return order, parent
 
@@ -433,7 +437,7 @@ def test_transpose_and_reversal_are_involutions(seed):
     assert (t.emeralds, t.violets) == (g.violets, g.emeralds)
     assert all(t.color(x) != g.color(x) for x in g.nodes)
     assert rev.rotations == {x: tuple(reversed(r)) for x, r in g.rotations.items()}
-    assert rev.base_edge == g.prev_edge(g.base_node, g.base_edge)
+    assert rev.base_edge == prev_edge(g, g.base_node, g.base_edge)
     for back in (t.transpose(), rev.reversed_setup()):
         assert back.edges == g.edges
         assert (back.emeralds, back.violets) == (g.emeralds, g.violets)
@@ -482,3 +486,87 @@ def test_validation_errors():
         RibbonBipartiteGraph(["e0", "e1"], ["v0", "v1"],
                              {"a": ("e0", "v0"), "b": ("e1", "v1")}, None,
                              "e0", "a")
+
+
+# a path v0 - e0 - v1 - e1, and each malformed variant of it with the
+# message the constructor refuses it with
+PATH_EDGES = {"a": ("e0", "v0"), "b": ("e0", "v1"), "c": ("e1", "v1")}
+NOT_A_PERMUTATION = "rotation at {!r} is not a permutation of its incident edges"
+MALFORMED = [
+    ("loop", dict(ordinary={"p": ("u", "w"), "x": ("u", "u")}, base=("u", "p")),
+     "loop edge 'x' at 'u'"),
+    ("foreign edge", dict(rotations={"e0": ("a", "zz")}), NOT_A_PERMUTATION.format("e0")),
+    ("repeated edge", dict(rotations={"e0": ("a", "b", "a")}), NOT_A_PERMUTATION.format("e0")),
+    ("repeated for missing", dict(rotations={"e0": ("a", "a")}), NOT_A_PERMUTATION.format("e0")),
+    ("missing edge", dict(rotations={"e0": ("a",)}), NOT_A_PERMUTATION.format("e0")),
+    ("empty rotation", dict(rotations={"e1": ()}), NOT_A_PERMUTATION.format("e1")),
+    ("edge not at node", dict(rotations={"v0": ("c",)}), NOT_A_PERMUTATION.format("v0")),
+    # each lists the other's far dart: every dart is listed once, at the
+    # wrong node
+    ("edges swapped", dict(rotations={"v0": ("b",), "v1": ("a", "c")}),
+     NOT_A_PERMUTATION.format("v0")),
+    ("edge not at node, ordinary",
+     dict(ordinary={"p": ("u", "w"), "q": ("w", "y")}, rotations={"u": ("q",)},
+          base=("u", "p")), NOT_A_PERMUTATION.format("u")),
+    ("disconnected", dict(violets=["v0", "v1", "v2"]), "graph is not connected"),
+    ("base node", dict(base=("zz", "a")), "base node 'zz' not in graph"),
+    ("base edge elsewhere", dict(base=("v0", "c")),
+     "base edge must be incident to the base node"),
+    ("base edge unknown", dict(base=("v0", "zz")),
+     "base edge must be incident to the base node"),
+    ("both colors", dict(violets=["v0", "v1", "e1"]),
+     "a node cannot be both emerald and violet"),
+    ("two emeralds", dict(edges={**PATH_EDGES, "x": ("e0", "e1")}),
+     "edge 'x' joins two emerald nodes"),
+    ("two violets", dict(edges={**PATH_EDGES, "x": ("v0", "v1")}),
+     "edge 'x' joins two violet nodes"),
+    ("undeclared node", dict(edges={**PATH_EDGES, "x": ("e0", "zz")}),
+     "edge 'x' uses an undeclared node"),
+    ("no edges", dict(edges={}), "graph must have at least one edge"),
+]
+
+
+def build_path(edges=PATH_EDGES, violets=("v0", "v1"), rotations=None,
+               base=("v0", "a"), ordinary=None):
+    if ordinary is not None:
+        return graph.RibbonGraph(ordinary, rotations, *base)
+    return RibbonBipartiteGraph(["e0", "e1"], violets, edges, rotations, *base)
+
+
+@pytest.mark.parametrize("case, change, message", MALFORMED,
+                         ids=[case for case, _, _ in MALFORMED])
+def test_constructor_refuses_malformed_input(case, change, message):
+    """The valid path builds; each malformed variant raises
+    ``ValidationError`` with its message."""
+    assert build_path().rotations["v1"] == ("b", "c")
+    with pytest.raises(ValidationError) as refused:
+        build_path(**change)
+    assert str(refused.value) == message
+
+
+def test_constructor_refuses_rotation_of_no_node():
+    """A rotation keyed by a name that is no node of the graph is refused,
+    as ``parse_graph`` refuses it in a document."""
+    with pytest.raises(ValidationError) as refused:
+        RibbonBipartiteGraph(["e0"], ["v0", "v1"], {"a": ("e0", "v0"), "b": ("e0", "v1")},
+                             {"zz": ("a",)}, "v0", "a")
+    assert str(refused.value) == "rotation for undeclared node 'zz'"
+    with pytest.raises(ValidationError, match="undeclared node 'zz'"):
+        build_path(rotations={"e0": ("a", "b"), "zz": ()})
+
+
+def test_dart_table_is_built_with_the_graph():
+    """The dart table is an attribute set by the constructor: each node's
+    darts follow its rotation, the base dart is the base edge at the base
+    node, and each dart's successor is the next dart around its node."""
+    for g in (build_path(), build_path(rotations={"v1": ("c", "b")}),
+              random_bipartite(3, 4, 4, 10), bip(random_ordinary(3, 6, 9))):
+        darts = vars(g)["_darts"]
+        for x, name in enumerate(g.nodes):
+            ds = darts.rotation[x]
+            assert [g.edge_ids[d >> 1] for d in ds] == list(g.rotations[name])
+            assert all(g.edges[g.edge_ids[d >> 1]][d & 1] == name for d in ds)
+            assert [darts.succ[d] for d in ds] == list(ds[1:] + ds[:1])
+            assert {darts.node[d] for d in ds} <= {x}
+        assert g.edges[g.base_edge][darts.base & 1] == g.base_node
+        assert darts.base >> 1 == g.edge_ids.index(g.base_edge)

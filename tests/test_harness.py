@@ -432,6 +432,23 @@ def test_cli_polytope(graph_file):
     run_cli("polytope", "--graph", graph_file, "--verify", "kato", "--kmax", "8")
 
 
+def test_cli_shelling_says_why_geometry_is_skipped(graph_file, tmp_path):
+    """Above GEOMETRY_EDGE_LIMIT the geometric shelling check is skipped
+    with a reason; at or below it, it runs."""
+    from hyperbernardi.campaign import GEOMETRY_EDGE_LIMIT
+    proc = run_cli("polytope", "--graph", graph_file, "--verify", "shelling", "--json")
+    payload = json.loads(proc.stdout)
+    assert len(running_graph().graph.edge_ids) > GEOMETRY_EDGE_LIMIT
+    assert payload["ok"] is True
+    assert payload["geometric"] == {
+        "status": "skipped", "reason": f"more than {GEOMETRY_EDGE_LIMIT} edges"}
+    path = tmp_path / "small.graph"
+    path.write_text(serialize_graph(noncrossing_setup(1, 2)))
+    payload = json.loads(run_cli("polytope", "--graph", str(path), "--verify",
+                                 "shelling", "--json").stdout)
+    assert payload["geometric"]["ok"] is True and "status" not in payload["geometric"]
+
+
 def test_cli_polytope_triangulation_fails_on_knot(tmp_path):
     """The knot setup's Jaeger trees dissect the root polytope without
     triangulating it: the triangulation verdict exits 1 and names the

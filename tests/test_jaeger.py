@@ -9,8 +9,7 @@ from hyperbernardi import graph, jaeger
 from hyperbernardi.bernardi import HT_E_CUT_V, TheoremViolation, run_bernardi
 from hyperbernardi.campaign import _jaeger_sweep
 from hyperbernardi.fixtures import noncrossing_setup
-from hyperbernardi.generators import (random_bipartite, random_ordinary,
-                                      random_setup_variation)
+from hyperbernardi.generators import random_bipartite, random_ordinary
 from hyperbernardi.graph import EMERALD, VIOLET, RibbonBipartiteGraph, RibbonGraph, bip
 from hyperbernardi.hypertree import enumerate_hypertrees, internal_inactivity
 from hyperbernardi.jaeger import (ECUT, VCUT, characterize_tree, divergence_edge,
@@ -18,7 +17,8 @@ from hyperbernardi.jaeger import (ECUT, VCUT, characterize_tree, divergence_edge
                                   graph_activity_matching, is_jaeger_tree,
                                   jaeger_cuts, semi_passive_edges, shelling,
                                   t_order)
-from oracles import divergence_by_full_tours, first_skip_cuts, tree_cut
+from oracles import (divergence_by_full_tours, edge_rank, first_skip_cuts,
+                     random_setup_variation, tree_cut)
 from oracles import tour_pairs as reference_tour_pairs
 
 
@@ -279,7 +279,7 @@ def characterize_edge_reference(g, trees, index, eps):
     violet_in_base = g.violet_end(eps) in base_side
     inactive = internal_inactivity(g, EMERALD, g.degree_vector(tree, EMERALD),
                                    em_order.class_order)
-    vrank = t_order(g, tree, VIOLET).edge_rank()
+    vrank = edge_rank(t_order(g, tree, VIOLET))
     return {
         "first_difference": first_difference,
         "semi_passive_emerald_order": semi_passive,
@@ -489,7 +489,7 @@ def test_base_cut_order_lemma():
     for seed in range(10):
         g = random_bipartite(seed, 4, 4, 10)
         for tree in enumerate_jaeger_trees(g, VCUT):
-            rank = t_order(g, tree, VIOLET).edge_rank()
+            rank = edge_rank(t_order(g, tree, VIOLET))
             for eps in tree:
                 base_side, cut_edges = tree_cut(g, tree, eps)
                 violet_side = [e for e in cut_edges - {eps}
@@ -554,7 +554,7 @@ def test_matching_random_graphs():
             assert report["matched"], (seed, sorted(tree))
             # coarse count equality: internal embedding inactivity on both sides
             vo = t_order(bg, tree, VIOLET)
-            rank = vo.edge_rank()
+            rank = edge_rank(vo)
             order_e = tuple(sorted(
                 bg.emeralds, key=lambda x: min(rank[e] for e in bg.incident(x))))
             ie_e = internal_inactivity(bg, EMERALD,

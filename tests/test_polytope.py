@@ -21,17 +21,17 @@ from hyperbernardi.graph import EMERALD, VIOLET, RibbonBipartiteGraph, bip
 from hyperbernardi.hypertree import (Poly, enumerate_hypertrees,
                                      interior_polynomial)
 from hyperbernardi.jaeger import VCUT, enumerate_jaeger_trees, shelling
-from hyperbernardi.polytope import (TreeSimplex, _cover_rule, certify_disjoint_interiors,
-                                    compositions, ehrhart_fit, ehrhart_values,
+from hyperbernardi.polytope import (TreeSimplex, _cover_rule, compositions,
+                                    ehrhart_fit, ehrhart_values,
                                     ehrhart_values_scan, facet_neighbours,
                                     fit_binomial_coefficients,
                                     geometric_shelling_check, is_simple,
                                     kato_series_check,
                                     normalized_simplex_volume, scaled_marker,
                                     shelling_h_vector, verify_dissection)
-from oracles import (barycentric, contains, cut_values, ehrhart_by_hall,
-                     ehrhart_by_sets, ehrhart_by_tuples, facet_cover_status,
-                     intersection_is_common_face, marker, marker_placement,
+from oracles import (barycentric, certify_disjoint_interiors, contains,
+                     cut_values, ehrhart_by_hall, ehrhart_by_sets,
+                     ehrhart_by_tuples, facet_cover_status, intersection_is_common_face, marker, marker_placement,
                      separates, solve_exact, trees_compatible, vertex_point)
 
 

@@ -328,3 +328,19 @@ def test_ehrhart_dilates_hold_no_point_set():
     set of its points: the per-point set is ``tests/oracles.ehrhart_by_sets``."""
     source = (PACKAGE / "polytope.py").read_text(encoding="utf-8")
     assert set_builders(source, "ehrhart_values") == []
+
+
+def test_graph_constructor_builds_no_union_find():
+    """A graph is indexed, validated and given its dart table in one
+    integer pass: neither ``RibbonGraph.__init__`` nor anything else in the
+    class builds a ``UnionFind``, and the dart table is set there, not
+    built on first use."""
+    tree = ast.parse((PACKAGE / "graph.py").read_text(encoding="utf-8"))
+    ribbon = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "RibbonGraph")
+    init = next(node for node in ribbon.body
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    assert calls_to(ast.unparse(init), "_build") == [("__init__", False)]
+    assert calls_to(ast.unparse(ribbon), "UnionFind") == []
+    assert "_darts" not in {node.name for node in ribbon.body
+                            if isinstance(node, ast.FunctionDef)}
