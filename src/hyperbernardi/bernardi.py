@@ -16,7 +16,8 @@ them when first read.
 
 Each run performs online checks of the structural guarantees (each edge
 current once, traversed subgraph acyclic: a new traversed edge never
-ends at a node already reached, kept/traversed edges never removed);
+ends at a node already reached, kept/traversed edges never removed, the
+current edges at each cut-side node consecutive around it);
 a violation raises TheoremViolation and means either a bug or
 a genuine counterexample, which the campaign machinery re-verifies.
 """
@@ -29,7 +30,8 @@ from itertools import compress
 from typing import NamedTuple
 
 from .graph import EMERALD, VIOLET, RibbonBipartiteGraph, bip
-from .hypertree import Poly, _family, _inactive, _opposite, _oracle, _side_key
+from .hypertree import (Poly, _family, _inactivities, _inactivity_polynomials, _Member,
+                        _opposite, _oracle, _side_key)
 
 
 class TheoremViolation(AssertionError):
@@ -134,15 +136,9 @@ def run_bernardi(g: RibbonBipartiteGraph, f: dict[str, int],
     edge outside the witness is removed; one whose removal leaves an
     endpoint below its degree cap is kept; otherwise the oracle's
     exchange primitive (``_Feasibility.avoid``) decides it on the
-    witness.  A live edge that reconnects the witness without the edge
-    (preferably one at its hypertree-side node x, a single exchange)
-    gives a tree that moves one unit from x to the new edge's node j;
-    the edge is removed exactly when j is reachable from x by exchange
-    arcs (Kalman 2013: no tight set holds x and misses j), and the
-    shortest-path exchange back to x becomes the witness.  With no
-    reconnecting edge the edge is a bridge of the live graph and kept.
-    A kept edge's refutation, x with all it reaches (the whole class
-    for a bridge), is checked online to violate Kalman's inequality
+    witness, which it rewrites into a tree that avoids the edge, or
+    refutes with a set S of the ht side (Kalman 2013).  A kept edge's
+    refutation is checked online to violate Kalman's inequality
     f(S) <= |N(S)| - c(S) on the live graph without the edge.
 
     ``paranoid`` instead starts from a fresh full search and searches on
@@ -176,12 +172,13 @@ def _walk(g: RibbonBipartiteGraph, variant: ProcessVariant,
     after its twin (the base edge when the base node is not cut-side, a
     kept current edge, and the edge after it at the far end).  The walk
     stands on a reached node, so a new edge of the traversed subgraph
-    closes a cycle exactly when its far end is already reached.  The run
-    stops at the first dart already traversed.  It records only integers:
-    the hypertree's values, the class order, the current-edge order, the
-    live flags, each kept edge's far-side edge and the reached nodes, from
-    which the record builds its names, steps and first-reach times when
-    they are read."""
+    closes a cycle exactly when its far end is already reached, and a
+    current edge breaks the arc rule exactly when it does not follow the
+    latest current dart at its node.  The run stops at the first dart
+    already traversed.  It records only integers: the hypertree's values,
+    the class order, the current-edge order, the live flags, each kept
+    edge's far-side edge and the reached nodes, from which the record
+    builds its names, steps and first-reach times when they are read."""
     side, cut = variant.ht_side, variant.cut_side
     cut_pos = 0 if cut == EMERALD else 1   # parity of a dart at a cut-side end
     oracle = _oracle(g, side)
@@ -192,6 +189,7 @@ def _walk(g: RibbonBipartiteGraph, variant: ProcessVariant,
     ht_nodes, degree = oracle.ht_nodes, oracle.degree
     base = node_of[darts.base]
     m, n = len(ids), len(degree)
+    new_run, new_trace = object.__new__, tuple.__new__   # past the generated inits
     runs = []
     for f_key in keys:
         if paranoid:
@@ -207,6 +205,8 @@ def _walk(g: RibbonBipartiteGraph, variant: ProcessVariant,
         traversed = bytearray(2 * m)    # by the dart a traversal leaves from
         seen_current = bytearray(m)
         order: list[int] = []
+        classes: dict[int, int] = {}    # ht-side positions by first current edge
+        last = [-1] * n                 # the latest current dart at each node
         after = [-1] * m                # each kept edge's far-side edge
         reach_time = [-1] * n
         reach_time[base] = 0
@@ -222,7 +222,13 @@ def _walk(g: RibbonBipartiteGraph, variant: ProcessVariant,
                     raise TheoremViolation(f"edge {ids[e]!r} became current twice")
                 seen_current[e] = 1
                 order.append(e)
-                now = len(order)
+                now += 1
+                classes[at[e]] = 0      # a stored key keeps its place
+                x = node_of[c]          # the arc rule: right after the latest here
+                if last[x] >= 0 and succ[last[x]] != c:
+                    raise TheoremViolation(
+                        f"current edges at {g.nodes[x]!r} broke the cyclic-order discipline")
+                last[x] = c
 
                 # does a realization avoid e?  Updates the witness
                 if paranoid:
@@ -246,9 +252,9 @@ def _walk(g: RibbonBipartiteGraph, variant: ProcessVariant,
                     if traversed[c ^ 1]:
                         raise TheoremViolation(f"kept/traversed edge {ids[e]!r} removed")
                     live[e] = 0
-                    live_degree[node_of[c]] -= 1
+                    live_degree[x] -= 1
                     live_degree[node_of[c ^ 1]] -= 1
-                    if not live_degree[node_of[c]]:
+                    if not live_degree[x]:
                         raise AssertionError("removal isolated the current node")
                     c = succ[c]         # the next live dart around the node
                     while not live[c >> 1]:
@@ -269,42 +275,22 @@ def _walk(g: RibbonBipartiteGraph, variant: ProcessVariant,
             while not live[c >> 1]:
                 c = succ[c]
 
-        if len(order) != m:
+        if now != m:
             raise TheoremViolation("some edge never became current")
         # the traversed edges stay live and acyclic (checked online): they
         # reach every node, and the live edges are just these
         if len(reached) != n or live.count(1) != n - 1:
             raise TheoremViolation("final current graph is not a spanning tree")
-        if tuple(live_degree[x] - 1 for x in ht_nodes) != f_key:
+        if tuple([live_degree[x] - 1 for x in ht_nodes]) != f_key:
             raise TheoremViolation("result tree does not realize the hypertree")
-        _check_arc_rule(g, order, cut_pos)
-        runs.append(BernardiRun(
-            variant, f_key, tuple(dict.fromkeys(map(at.__getitem__, order))),
-            _Trace(g, order, live, after, reached, reach_time)))
+        trace = new_trace(_Trace, (g, order, live, after, reached, reach_time))
+        runs.append(new_run(BernardiRun))
+        vars(runs[-1]).update(variant=variant, key=f_key, class_order=tuple(classes), _trace=trace)
     return runs
 
 
-def _check_arc_rule(g: RibbonBipartiteGraph, order: list[int], cut_pos: int) -> None:
-    """The current edges at each cut-side node follow its rotation from
-    the earliest (consecutive arc discipline): each one after the first
-    comes right after the one before it around the node.  ``order`` lists
-    every edge index once, by current time; ``cut_pos`` is the dart
-    parity at cut-side ends."""
-    succ, node = g._darts.succ, g._darts.node
-    last = [-1] * len(g.nodes)   # the latest current dart at each node
-    for e in order:
-        d = 2 * e + cut_pos
-        x = node[d]
-        if last[x] >= 0 and succ[last[x]] != d:
-            raise TheoremViolation(
-                f"current edges at {g.nodes[x]!r} broke the cyclic-order discipline")
-        last[x] = d
-
-
-def embedding_inactivities(g: RibbonBipartiteGraph, run: BernardiRun) -> tuple[int, int]:
-    """(internal, external) inactivity of the run's hypertree against the
-    class order that the run's current edges induce; a record other than
-    a run on this graph is read by its names."""
+def _reading(g: RibbonBipartiteGraph, run: BernardiRun) -> tuple[_Member, tuple[int, ...]]:
+    """The family member and class positions that ``embedding_inactivities`` reads."""
     side = run.variant.ht_side
     oracle = _oracle(g, side)
     if isinstance(run, BernardiRun) and run._trace.graph is g:
@@ -323,21 +309,27 @@ def embedding_inactivities(g: RibbonBipartiteGraph, run: BernardiRun) -> tuple[i
         raise ValueError(f"not a hypertree on the {side} side: {dict(run.hypertree)}")
     if len(order) != len(oracle.side_nodes):
         raise ValueError(f"a class order must list each {side} node once")
-    return (len(_inactive(member, order, outgoing=True)),
-            len(_inactive(member, order, outgoing=False)))
+    return member, order
+
+
+def embedding_inactivities(g: RibbonBipartiteGraph, run: BernardiRun) -> tuple[int, int]:
+    """(internal, external) inactivity of the run's hypertree against the
+    class order that the run's current edges induce; a record other than
+    a run on this graph is read by its names."""
+    return _inactivities(*_reading(g, run))
 
 
 def bernardi_polynomials(g: RibbonBipartiteGraph, variant: ProcessVariant,
                          runs=None) -> tuple[Poly, Poly]:
     """The (interior, exterior) embedding polynomials of ``variant``: one
-    run per hypertree, or the given ``runs`` of ``variant``, in any order."""
+    run per hypertree, or the given ``runs`` of ``variant``, in any order,
+    each read in one pass over its class order."""
     if runs is None:
         runs = bernardi_runs(g, variant)
     if any(run.variant != variant for run in runs):
         raise ValueError(f"runs must be runs of {variant}")
-    pairs = [embedding_inactivities(g, run) for run in runs]
-    return (Poly.counting(i for i, _ in pairs),
-            Poly.counting(e for _, e in pairs))
+    return _inactivity_polynomials([_reading(g, run) for run in runs],
+                                   len(g.side_nodes(variant.ht_side)))
 
 
 def check_composition(g: RibbonBipartiteGraph, runs, rev_runs) -> dict[str, bool]:

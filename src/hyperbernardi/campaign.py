@@ -26,8 +26,7 @@ from .bernardi import (HT_E_CUT_E, HT_E_CUT_V, HT_V_CUT_E, HT_V_CUT_V,
 from .docio import serialize_graph
 from .exactla import det_bareiss
 from .graph import EMERALD, VIOLET, RibbonBipartiteGraph
-from .hypertree import (enumerate_hypertrees, exterior_polynomial,
-                        interior_polynomial)
+from .hypertree import classical_polynomials, enumerate_hypertrees, interior_polynomial
 from .jaeger import (ECUT, VCUT, _tour_cuts, characterize_tree,
                      enumerate_jaeger_trees, realized_hypertrees, shelling,
                      t_order)
@@ -103,23 +102,19 @@ def check_conjectures(g: RibbonBipartiteGraph) -> CampaignReport:
 
 
 def _add_conjecture_checks(report: CampaignReport, g: RibbonBipartiteGraph,
-                           runs=None, interior=None, exterior=None,
-                           embedding=None) -> None:
+                           runs=None, classical=None, embedding=None) -> None:
     """Add the cut-at-violet interior conjecture and both exterior
     variants to ``report``.
 
     Each ht:E variant runs once per hypertree, unless ``runs`` maps it
-    to its runs; the emerald interior and exterior polynomials, and the
-    ht:E embedding polynomials, are computed here unless given (a
-    variant's in ``embedding``).  Mismatches are flagged, never failed,
-    and only after re-verifying both sides: the classical polynomial
-    under a different order, and the embedding polynomial from paranoid
-    runs.
+    to its runs; the emerald (interior, exterior) polynomials
+    (``classical``), and the ht:E embedding polynomials, are computed
+    here unless given (a variant's in ``embedding``).  Mismatches are
+    flagged, never failed, and only after re-verifying both sides: the
+    classical polynomial under a different order, and the embedding
+    polynomial from paranoid runs.
     """
-    if interior is None:
-        interior = interior_polynomial(g, EMERALD)
-    if exterior is None:
-        exterior = exterior_polynomial(g, EMERALD)
+    interior, exterior = classical or classical_polynomials(g, EMERALD)
 
     runs, known = runs or {}, embedding or {}
     embedding = {v: known.get(v) or bernardi_polynomials(g, v, runs.get(v))
@@ -137,8 +132,7 @@ def _add_conjecture_checks(report: CampaignReport, g: RibbonBipartiteGraph,
             report.add(name, PASS, polynomial=list(got.coeffs))
             continue
         alt_order = sorted(g.emeralds, reverse=True)
-        recheck_classical = (interior_polynomial if kind == "interior"
-                             else exterior_polynomial)(g, EMERALD, order=alt_order)
+        recheck_classical = classical_polynomials(g, EMERALD, order=alt_order)[pick]
         paranoid = bernardi_runs(g, variant, paranoid=True)
         reverified = bernardi_polynomials(g, variant, paranoid)[pick]
         report.add(name, FLAG,
@@ -179,9 +173,8 @@ def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
     report.add("hypertree-counts-equal", PASS if len(b_e) == len(b_v) else FAIL,
                emerald=len(b_e), violet=len(b_v))
 
-    interior = interior_polynomial(g, EMERALD)
+    interior, exterior = classical = classical_polynomials(g, EMERALD)
     interior_v = interior_polynomial(g, VIOLET)
-    exterior = exterior_polynomial(g, EMERALD)
     report.add("interior-transpose-invariant",
                PASS if interior == interior_v else FAIL,
                emerald=list(interior.coeffs), violet=list(interior_v.coeffs))
@@ -196,10 +189,7 @@ def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
     for _ in range(RANDOM_ORDERS):
         order = list(g.emeralds)
         rng.shuffle(order)
-        if interior_polynomial(g, EMERALD, order=order) != interior:
-            orders_ok = False
-        if exterior_polynomial(g, EMERALD, order=order) != exterior:
-            orders_ok = False
+        orders_ok &= classical_polynomials(g, EMERALD, order=order) == classical
     report.add("order-independence", PASS if orders_ok else FAIL,
                orders=RANDOM_ORDERS)
 
@@ -323,8 +313,7 @@ def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
                        PASS if kato_series_check(interior.coeffs, g, kmax, values)
                        else FAIL, order=kmax)
 
-    _add_conjecture_checks(report, g, runs, interior, exterior,
-                           {HT_E_CUT_E: bernardi_e})
+    _add_conjecture_checks(report, g, runs, classical, {HT_E_CUT_E: bernardi_e})
     report.elapsed_s = time.perf_counter() - t0
     return report
 

@@ -30,41 +30,36 @@ class GraphFormatError(ValueError):
     """Raised on malformed graph documents."""
 
 
-def _logical_lines(text: str):
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield line
-
-
 def parse_graph(text: str) -> RibbonBipartiteGraph:
-    lines = list(_logical_lines(text))
+    raws = text.splitlines()
+    if "#" in text:                     # drop the comments
+        raws = [raw.split("#", 1)[0] for raw in raws]
+    lines = [line for line in map(str.strip, raws) if line]
     if not lines or lines[0] != HEADER:
         raise GraphFormatError(f"missing header {HEADER!r}")
 
+    # each section's lines; a header line's text after the head is one
     sections: dict[str, list[str]] = {s: [] for s in _SECTIONS}
-    current: str | None = None
+    current: list[str] | None = None
     for line in lines[1:]:
-        head = line.split(None, 1)[0]
-        if head in _SECTIONS:
-            current = head
-            rest = line[len(head):].strip()
-            if rest:
-                sections[current].append(rest)
+        parts = line.split(None, 1)
+        if parts[0] in sections:
+            current = sections[parts[0]]
+            current += parts[1:]
+        elif current is None:
+            raise GraphFormatError(f"content before any section: {line!r}")
         else:
-            if current is None:
-                raise GraphFormatError(f"content before any section: {line!r}")
-            sections[current].append(line)
+            current.append(line)
 
-    emeralds = " ".join(sections["emerald:"]).split()
-    violets = " ".join(sections["violet:"]).split()
+    emeralds, violets, base = ([x for line in sections[s] for x in line.split()]
+                               for s in ("emerald:", "violet:", "base:"))
     if not emeralds or not violets:
         raise GraphFormatError("both emerald: and violet: sections are required")
     if len(set(emeralds)) != len(emeralds) or len(set(violets)) != len(violets):
         raise GraphFormatError("duplicate node name")
+    declared = {*emeralds, *violets}
 
     edges: dict[str, tuple[str, str]] = {}
-    appearance: dict[str, list[str]] = {x: [] for x in emeralds + violets}
     for line in sections["edges:"]:
         parts = line.split()
         if len(parts) != 3:
@@ -72,29 +67,30 @@ def parse_graph(text: str) -> RibbonBipartiteGraph:
         eid, em, vi = parts
         if eid in edges:
             raise GraphFormatError(f"duplicate edge id {eid!r}")
-        if em not in appearance or vi not in appearance:
+        if em not in declared or vi not in declared:
             raise GraphFormatError(f"edge {eid!r} uses an undeclared node")
         edges[eid] = (em, vi)
-        appearance[em].append(eid)
-        appearance[vi].append(eid)
     if not edges:
         raise GraphFormatError("edges: section is empty")
 
-    rotations: dict[str, tuple[str, ...]] = {x: tuple(v) for x, v in appearance.items()}
-    rotated: set[str] = set()
+    rotations: dict[str, tuple[str, ...]] = {}
     for line in sections["rotations:"]:
         if ":" not in line:
             raise GraphFormatError(f"rotation line needs 'node: id id ...': {line!r}")
         node, rest = line.split(":", 1)
         node = node.strip()
-        if node not in appearance:
+        if node not in declared:
             raise GraphFormatError(f"rotation for undeclared node {node!r}")
-        if node in rotated:
+        if node in rotations:
             raise GraphFormatError(f"duplicate rotation for node {node!r}")
-        rotated.add(node)
         rotations[node] = tuple(rest.split())
+    appearance = {x: [] for x in declared - rotations.keys()}   # the default order
+    for eid, ends in edges.items():
+        for x in ends:
+            if x in appearance:
+                appearance[x].append(eid)
+    rotations.update((x, tuple(eids)) for x, eids in appearance.items())
 
-    base = " ".join(sections["base:"]).split()
     if len(base) != 2:
         raise GraphFormatError("base: section needs 'nodeName edgeId'")
 

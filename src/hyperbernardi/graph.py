@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Set
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from math import comb
 from typing import NamedTuple
 
@@ -31,6 +31,8 @@ VIOLET = "violet"
 # block's columns is an int of this many bits; also the most bits in one
 # block of an Ehrhart dilate (polytope.ehrhart_values)
 SWEEP_BLOCK = 1 << 16
+
+_BITS = bytes.maketrans(b"01", b"\0\1")   # a binary numeral's digits as bytes
 
 
 class ValidationError(ValueError):
@@ -283,10 +285,17 @@ class RibbonGraph:
     def _block_subsets(self, cols, bits):
         """The subsets of a ``_tree_blocks`` block at the set bits of
         ``bits``, in order, as frozensets of edge ids; the columns are
-        turned into bytes once, so each subset costs one byte per edge."""
+        turned into bytes once, so each subset costs one byte per edge.  For
+        one subset in ten or more, ``zip`` reads the whole block's subsets
+        off the columns as one byte per subset, the wanted ones kept."""
         ids = self.edge_ids
-        size = (max(c.bit_length() for c in cols) + 7) // 8
-        rows = [c.to_bytes(size, "little") for c in cols]
+        n = max(c.bit_length() for c in cols)
+        if bits.bit_count() * 10 >= n:
+            rows = [format(c, f"0{n}b")[::-1].encode().translate(_BITS) for c in cols]
+            marks = format(bits, f"0{n}b")[::-1].encode().translate(_BITS)
+            yield from map(frozenset, map(compress, repeat(ids), compress(zip(*rows), marks)))
+            return
+        rows = [c.to_bytes((n + 7) // 8, "little") for c in cols]
         marks = format(bits, "b")[::-1]
         t = marks.find("1")
         while t >= 0:

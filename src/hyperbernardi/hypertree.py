@@ -31,8 +31,9 @@ runs and the tests use it.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
-from itertools import combinations, compress
+from itertools import combinations, compress, repeat
 from typing import NamedTuple
 
 from .graph import EMERALD, VIOLET, RibbonBipartiteGraph, RibbonGraph, UnionFind, bip
@@ -44,7 +45,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        c = list(int(x) for x in coeffs)
+        c = list(map(int, coeffs))
         while c and c[-1] == 0:
             c.pop()
         self.coeffs = tuple(c)
@@ -77,12 +78,8 @@ class Poly:
     @classmethod
     def counting(cls, exponents) -> "Poly":
         """The polynomial whose x^k coefficient counts k in ``exponents``."""
-        counts: list[int] = []
-        for k in exponents:
-            if k >= len(counts):
-                counts += [0] * (k + 1 - len(counts))
-            counts[k] += 1
-        return cls(counts)
+        counts = Counter(exponents)
+        return cls(counts[k] for k in range(max(counts, default=-1) + 1))
 
 
 def _side_key(g: RibbonBipartiteGraph, side: str, f: dict[str, int]):
@@ -147,16 +144,10 @@ class _Feasibility:
     primitive that decides transfers and Bernardi steps on a realizing
     tree, and the backtracking search kept as an independent oracle.
 
-    The rule (Kalman 2013): let a tree T among the live edges realize f,
-    and draw an arc j -> i when a live non-tree edge at j has a tree edge
-    at i on its fundamental path.  Since f(S) = |N(S)| - c_T(S), a set S
-    of the side is tight (f(S) = mu(S)) exactly when T's edges at S
-    connect what the live edges at S connect, that is, when S is closed
-    under the arcs.  So f - 1_i + 1_j is a hypertree of the live graph
-    exactly when i is reachable from j, and exchanging along a shortest
-    path j -> ... -> i (add the non-tree edge at each node, drop the tree
-    edge at the next) gives its tree: with no shortcut arc the exchange
-    matrix is triangular.
+    The exchange rule is the module's, among the live edges: with T
+    realizing f, f(S) = |N(S)| - c_T(S), so S is tight exactly when T's
+    edges at S connect what the live edges at S connect, that is, when S
+    is closed under the arcs.
 
     Trees and live edge sets are bytearrays over edge indices; a side
     node is its position in ``side_nodes``, a set of them a bitmask.
@@ -232,12 +223,10 @@ class _Feasibility:
 
         return frozenset(chosen) if rec(0) else None
 
-    def _arcs(self, tree: bytearray, live: bytearray) -> tuple[list[int], dict]:
-        """The exchange arcs of a spanning tree of the live edges: bit b of
-        ``adj[a]`` when a live non-tree edge at a has a tree edge at b on
-        its fundamental path, and for each arc one such (non-tree edge,
-        tree edge) pair."""
-        node, at = self.darts.node, self.at
+    def _rooted(self, tree: bytearray) -> tuple[list[int], list[int]]:
+        """A spanning tree rooted at the base node (``RibbonGraph._root``):
+        at each node the dart up to its parent, and its depth."""
+        node = self.darts.node
         try:
             order, upward = self.g._root(tree)
         except ValueError:
@@ -245,6 +234,15 @@ class _Feasibility:
         depth = [0] * len(order)
         for y in order[1:]:
             depth[y] = depth[node[upward[y] ^ 1]] + 1
+        return upward, depth
+
+    def _arcs(self, tree: bytearray, live: bytearray) -> tuple[list[int], dict]:
+        """The exchange arcs of a spanning tree of the live edges: bit b of
+        ``adj[a]`` when a live non-tree edge at a has a tree edge at b on
+        its fundamental path, and for each arc one such (non-tree edge,
+        tree edge) pair."""
+        node, at = self.darts.node, self.at
+        upward, depth = self._rooted(tree)
         adj = [0] * len(self.side_nodes)
         witness = {}
         for k, alive in enumerate(live):
@@ -332,10 +330,23 @@ class _Feasibility:
         is not, x and the nodes it reaches form a tight set of that tree,
         which f exceeds by the unit.  With no reconnecting edge the live
         edges are disconnected and f exceeds mu on the whole side.
+
+        A lone tree edge e at x leaves x alone on its side, so any other
+        live edge at x reconnects it with no move.  Otherwise the search
+        from x draws the arcs as it reaches them, up the fundamental paths
+        of the live non-tree edges at the nodes it visits, to j's level.
         """
         node, rotation, at = self.darts.node, self.darts.rotation, self.at
         x = node[2 * e + self.parity]
         tree[e] = 0
+        for d in rotation[x]:
+            if tree[d >> 1]:
+                break
+        else:       # lone: the first live edge at x, if any (none: a bridge)
+            for d in rotation[x]:
+                if live[d >> 1]:
+                    tree[d >> 1] = 1
+                    return 0
         near = bytearray(len(rotation))   # x's component of tree - e
         near[x] = 1
         stack = [x]
@@ -357,13 +368,31 @@ class _Feasibility:
         source, target = at[e], at[link]
         if source == target:
             return 0
-        adj, witness = self._arcs(tree, live)
-        pred = _bfs(adj, source)
+        upward, depth = self._rooted(tree)
+        pred, witness, seen, frontier = {source: source}, {}, 1 << source, [source]
+        while frontier and target not in pred:
+            reached = []
+            for a in frontier:
+                for d in rotation[self.ht_nodes[a]]:
+                    if tree[d >> 1] or not live[d >> 1]:
+                        continue
+                    u, v = node[d], node[d ^ 1]
+                    while u != v:       # up the fundamental path of d's edge
+                        if depth[u] < depth[v]:
+                            u, v = v, u
+                        t = upward[u]
+                        b = at[t >> 1]
+                        if not seen >> b & 1:
+                            seen |= 1 << b
+                            pred[b], witness[a, b] = a, (d >> 1, t >> 1)
+                            reached.append(b)
+                        u = node[t ^ 1]
+            frontier = reached
         if target in pred:
             _exchange(tree, pred, witness, target)
             return 0
         tree[link], tree[e] = 0, 1
-        return sum(1 << p for p in pred)
+        return seen
 
     def excess(self, f_key, members: int, live: bytearray) -> int:
         """f(S) - mu(S) among the ``live`` edges, S the side positions in
@@ -434,24 +463,18 @@ def _order_positions(g: RibbonBipartiteGraph, side: str, order) -> list[int]:
     return [pos[x] for x in order]
 
 
-def _inactive(member: _Member, order: list[int], outgoing: bool) -> list[int]:
-    """The positions x of ``order`` such that, for some y before x, the
-    transfer x -> y (``outgoing``) or y -> x is admissible."""
-    reach = member.out if outgoing else member.inn
-    before, inactive = 0, []
-    for x in order:
-        if reach[x] & before:
-            inactive.append(x)
-        before |= 1 << x
-    return inactive
-
-
 def _inactivity(g: RibbonBipartiteGraph, side: str, f: dict[str, int],
                 order, outgoing: bool) -> frozenset[str]:
-    nodes = g.side_nodes(side)
-    inactive = _inactive(_member(g, side, f), _order_positions(g, side, order),
-                         outgoing)
-    return frozenset(nodes[i] for i in inactive)
+    """The nodes x of ``order`` such that, for some y before x, the
+    transfer x -> y (``outgoing``) or y -> x is admissible."""
+    member, nodes = _member(g, side, f), g.side_nodes(side)
+    reach = member.out if outgoing else member.inn
+    before, inactive = 0, []
+    for x in _order_positions(g, side, order):
+        if reach[x] & before:
+            inactive.append(nodes[x])
+        before |= 1 << x
+    return frozenset(inactive)
 
 
 def internal_inactivity(g: RibbonBipartiteGraph, side: str, f: dict[str, int],
@@ -470,24 +493,50 @@ def external_inactivity(g: RibbonBipartiteGraph, side: str, f: dict[str, int],
     return _inactivity(g, side, f, order, outgoing=False)
 
 
+def _inactivities(member: _Member, order) -> tuple[int, int]:
+    """(internal, external) inactivity of a member against a class order of
+    positions, in one loop: how many x have a y before them with x -> y
+    (internal) or y -> x (external) admissible."""
+    out, inn = member.out, member.inn
+    before = internal = external = 0
+    for x in order:
+        if out[x] & before:
+            internal += 1
+        if inn[x] & before:
+            external += 1
+        before |= 1 << x
+    return internal, external
+
+
+def _inactivity_polynomials(readings, width: int) -> tuple[Poly, Poly]:
+    """The (interior, exterior) polynomials of (member, class order) pairs."""
+    internal, external = [0] * (width + 1), [0] * (width + 1)
+    for member, order in readings:
+        i, e = _inactivities(member, order)
+        internal[i] += 1
+        external[e] += 1
+    return Poly(internal), Poly(external)
+
+
+def classical_polynomials(g: RibbonBipartiteGraph, side: str, order=None) -> tuple[Poly, Poly]:
+    """The interior and exterior polynomials of ``side``, in one pass over
+    its hypertrees (see ``interior_polynomial``)."""
+    width = len(g.side_nodes(side))
+    positions = range(width) if order is None else _order_positions(g, side, order)
+    return _inactivity_polynomials(zip(_family(g, side).values(), repeat(positions)), width)
+
+
 def interior_polynomial(g: RibbonBipartiteGraph, side: str, order=None) -> Poly:
     """Generating function of internal inactivity over all hypertrees.
 
     Independent of ``order`` (default: sorted node names); callers who
     want the order-independence asserted can recompute with shuffles.
     """
-    return _polynomial(g, side, order, outgoing=True)
+    return classical_polynomials(g, side, order)[0]
 
 
 def exterior_polynomial(g: RibbonBipartiteGraph, side: str, order=None) -> Poly:
-    return _polynomial(g, side, order, outgoing=False)
-
-
-def _polynomial(g: RibbonBipartiteGraph, side: str, order, outgoing: bool) -> Poly:
-    positions = (range(len(g.side_nodes(side))) if order is None
-                 else _order_positions(g, side, order))
-    return Poly.counting(len(_inactive(member, positions, outgoing))
-                         for member in _family(g, side).values())
+    return classical_polynomials(g, side, order)[1]
 
 
 # -- ordinary graphs ------------------------------------------------------

@@ -48,6 +48,13 @@ on small instances only.  Each reference, and what it checks:
   edge, from ``base_side``, and the pair certificate read off it
   (against the cut tables of ``jaeger._base_cuts`` and the bitmask
   certificates of ``verify_dissection``);
+* ``check_arc_rule``: a run's current-edge order checked after the run,
+  rotation by rotation, against the consecutive-arc rule (against the
+  check that the Bernardi walk makes online at each current edge);
+* ``avoid_by_full_arcs``: a Bernardi step decided on the whole exchange
+  digraph of the reconnected tree, every arc drawn before the search
+  (against ``_Feasibility.avoid``, which settles a lone tree edge with no
+  search and draws the arcs as its search reaches them);
 * ``bernardi_run``: the Bernardi process walked on edge names, deciding
   every step by a full search (against the dart-table ``run_bernardi``,
   fast and paranoid), stepping around rotations with ``next_edge``
@@ -76,8 +83,8 @@ from itertools import combinations
 from hyperbernardi.bernardi import BernardiStep, ProcessVariant, TheoremViolation
 from hyperbernardi.generators import _random_rotations
 from hyperbernardi.graph import EMERALD, VIOLET, RibbonBipartiteGraph, UnionFind
-from hyperbernardi.hypertree import (_oracle, _side_key, enumerate_hypertrees,
-                                     is_hypertree)
+from hyperbernardi.hypertree import (_bfs, _exchange, _oracle, _side_key,
+                                     enumerate_hypertrees, is_hypertree)
 from hyperbernardi.jaeger import ECUT, VCUT, _base_cuts, enumerate_jaeger_trees
 from hyperbernardi.polytope import (TreeSimplex, _certified, _positive, _require_simple,
                                     compositions, node_index, scaled_marker)
@@ -769,3 +776,58 @@ def bernardi_run(g, f, variant) -> ReferenceRun:
                         steps=tuple(steps), result_tree=result,
                         current_edge_order=tuple(order),
                         first_reached=first_reached)
+
+
+def check_arc_rule(g, order: list[int], cut_pos: int) -> None:
+    """The current edges at each cut-side node follow its rotation from
+    the earliest (consecutive arc discipline): each one after the first
+    comes right after the one before it around the node.  ``order`` lists
+    every edge index once, by current time; ``cut_pos`` is the dart
+    parity at cut-side ends."""
+    succ, node = g._darts.succ, g._darts.node
+    last = [-1] * len(g.nodes)   # the latest current dart at each node
+    for e in order:
+        d = 2 * e + cut_pos
+        x = node[d]
+        if last[x] >= 0 and succ[last[x]] != d:
+            raise TheoremViolation(
+                f"current edges at {g.nodes[x]!r} broke the cyclic-order discipline")
+        last[x] = d
+
+
+def avoid_by_full_arcs(oracle, tree: bytearray, live: bytearray, e: int) -> int:
+    """``_Feasibility.avoid`` with every exchange arc drawn: the near side
+    of tree - e by a search from e's node x, a reconnecting live edge (one
+    at x if there is one), then the full exchange digraph of the new tree
+    (``_arcs``) and a breadth-first search on it from x."""
+    node, rotation, at = oracle.darts.node, oracle.darts.rotation, oracle.at
+    x = node[2 * e + oracle.parity]
+    tree[e] = 0
+    near = bytearray(len(rotation))   # x's component of tree - e
+    near[x] = 1
+    stack = [x]
+    while stack:
+        for d in rotation[stack.pop()]:
+            z = node[d ^ 1]
+            if tree[d >> 1] and not near[z]:
+                near[z] = 1
+                stack.append(z)
+    link = next((d >> 1 for d in rotation[x]
+                 if live[d >> 1] and not near[node[d ^ 1]]), None)
+    if link is None:
+        link = next((k for k, alive in enumerate(live)
+                     if alive and near[node[2 * k]] != near[node[2 * k + 1]]), None)
+    if link is None:
+        tree[e] = 1
+        return (1 << len(oracle.side_nodes)) - 1
+    tree[link] = 1
+    source, target = at[e], at[link]
+    if source == target:
+        return 0
+    adj, witness = oracle._arcs(tree, live)
+    pred = _bfs(adj, source)
+    if target in pred:
+        _exchange(tree, pred, witness, target)
+        return 0
+    tree[link], tree[e] = 0, 1
+    return sum(1 << p for p in pred)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hyperbernardi.bernardi import (HT_E_CUT_E, HT_E_CUT_V, HT_V_CUT_E,
                                     HT_V_CUT_V, VARIANTS, BernardiStep,
                                     ProcessVariant, TheoremViolation,
-                                    _check_arc_rule, bernardi_polynomials,
+                                    bernardi_polynomials,
                                     bernardi_runs, check_composition,
                                     embedding_inactivities,
                                     graph_specialization_check, run_bernardi)
@@ -24,6 +24,7 @@ from hyperbernardi.hypertree import (Poly, _Feasibility, _family,
                                      interior_polynomial, internal_inactivity)
 from hyperbernardi.jaeger import VCUT, enumerate_jaeger_trees, is_jaeger_tree
 from oracles import bernardi_run as reference_run
+from oracles import check_arc_rule
 from oracles import random_setup_variation
 
 
@@ -370,23 +371,57 @@ def test_paranoid_mode_agrees_drawn_seed(seed, graphs_only):
     assert_runs_equal_reference(g)
 
 
-def test_runs_check_the_arc_rule(monkeypatch, running_fixture):
-    """Every run, over a family or alone, fast or paranoid, checks its
-    own current-edge order against the arc rule, once."""
-    from hyperbernardi import bernardi
-    checked = []
-    monkeypatch.setattr(bernardi, "_check_arc_rule",
-                        lambda g, order, cut_pos: checked.append((list(order), cut_pos)))
+def test_runs_check_the_arc_rule(running_fixture, knot_fixture):
+    """Every run order, over a family or alone, fast or paranoid, passes
+    the reference arc rule, on the fixtures and seeded instances."""
+    graphs = [running_fixture.graph, knot_fixture.graph, c4().graph]
+    graphs += [random_bipartite(seed, 4, 4, 10) for seed in range(4)]
+    graphs += [bip(random_ordinary(seed, 5, 7)) for seed in range(2)]
+    for g in graphs:
+        for variant in VARIANTS:
+            cut_pos = 0 if variant.cut_side == EMERALD else 1
+            for paranoid in (False, True):
+                runs = bernardi_runs(g, variant, paranoid)
+                runs += [run_bernardi(g, dict(run.hypertree), variant, paranoid)
+                         for run in runs]
+                for run in runs:
+                    check_arc_rule(g, [g.edge_ids.index(e) for e in run.current_edge_order],
+                                   cut_pos)
+
+
+def test_walk_checks_the_arc_rule_online(monkeypatch, running_fixture):
+    """A fault that drops the next edge around a cut-side node from the live
+    graph makes the walk skip it; the walk's own arc check then stops the
+    run, naming that node, on some hypertree of each variant that cuts at
+    its ht side; a run that completes met no fault."""
     g = running_fixture.graph
-    for variant in VARIANTS:
-        cut_pos = 0 if variant.cut_side == EMERALD else 1
-        for paranoid in (False, True):
-            checked.clear()
-            runs = bernardi_runs(g, variant, paranoid)
-            runs += [run_bernardi(g, dict(run.hypertree), variant, paranoid)
-                     for run in runs]
-            assert checked == [([g.edge_ids.index(e) for e in run.current_edge_order],
-                                cut_pos) for run in runs]
+    succ, node = g._darts.succ, g._darts.node
+    avoid = _Feasibility.avoid
+    faults = []
+
+    def faulty(self, tree, live, e):
+        d = 2 * e + self.parity       # e's dart at x, its cut-side end here
+        if not faults and live[succ[d] >> 1]:
+            live[succ[d] >> 1] = 0
+            faults.append(g.nodes[node[d]])
+        return avoid(self, tree, live, e)
+    monkeypatch.setattr(_Feasibility, "avoid", faulty)
+    for variant in (HT_E_CUT_E, HT_V_CUT_V):
+        named = []
+        for f in enumerate_hypertrees(g, variant.ht_side):
+            faults.clear()
+            try:
+                run = run_bernardi(g, f, variant)
+            except TheoremViolation as exc:
+                if "cyclic-order discipline" in str(exc):
+                    assert str(exc) == (f"current edges at {faults[0]!r} broke "
+                                        "the cyclic-order discipline")
+                    named.append(faults[0])
+            else:
+                assert not faults
+                check_arc_rule(g, [g.edge_ids.index(e) for e in run.current_edge_order],
+                               0 if variant.cut_side == EMERALD else 1)
+        assert named, variant
 
 
 def test_bernardi_step_is_an_immutable_named_tuple():
@@ -411,7 +446,7 @@ def test_arc_rule_names_the_node(running_fixture):
             for f in enumerate_hypertrees(g, variant.ht_side):
                 run = run_bernardi(g, f, variant)
                 order = [g.edge_ids.index(e) for e in run.current_edge_order]
-                _check_arc_rule(g, order, 0 if variant.cut_side == EMERALD else 1)
+                check_arc_rule(g, order, 0 if variant.cut_side == EMERALD else 1)
     # swap the current times of the last two of e3's edges: around its
     # rotation (e3v0, e3v1, e3v2) the times then descend twice
     g = running_fixture.graph
@@ -420,7 +455,7 @@ def test_arc_rule_names_the_node(running_fixture):
     i, j = sorted(run.current_edge_order.index(e) for e in g.rotations["e3"])[1:]
     order[i], order[j] = order[j], order[i]
     with pytest.raises(TheoremViolation, match="current edges at 'e3' broke"):
-        _check_arc_rule(g, order, 0)
+        check_arc_rule(g, order, 0)
 
 
 def test_arc_rule_is_one_descent_per_rotation(running_fixture, knot_fixture):
@@ -451,7 +486,7 @@ def test_arc_rule_is_one_descent_per_rotation(running_fixture, knot_fixture):
                 once = all(sum(rank[succ[d] >> 1] <= rank[d >> 1] for d in ds) == 1
                            for ds in rotation if ds[0] & 1 == cut_pos)
                 try:
-                    _check_arc_rule(g, order, cut_pos)
+                    check_arc_rule(g, order, cut_pos)
                 except TheoremViolation:
                     assert not once, (variant, order)
                 else:

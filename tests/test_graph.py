@@ -110,6 +110,37 @@ def test_document_errors(mutation, message):
         parse_graph(doc)
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("hyperbernardi-graph v1", "", "missing header 'hyperbernardi-graph v1'"),
+    ("emerald:", "stray\nemerald:", "content before any section: 'stray'"),
+    ("violet: v1 v2", "violet:", "both emerald: and violet: sections are required"),
+    ("emerald: e1 e2", "emerald: e1 e2 e1", "duplicate node name"),
+    ("  c4 e1 v2", "  c4 e1", "edge line needs 'id emerald violet': 'c4 e1'"),
+    ("  c4 e1 v2", "  c3 e1 v2", "duplicate edge id 'c3'"),
+    ("  c4 e1 v2", "  c4 e1 v9", "edge 'c4' uses an undeclared node"),
+    ("edges:\n  c1 e1 v1\n  c2 e2 v1\n  c3 e2 v2\n  c4 e1 v2", "edges:",
+     "edges: section is empty"),
+    ("base:", "rotations:\n  v1 c1 c2\nbase:",
+     "rotation line needs 'node: id id ...': 'v1 c1 c2'"),
+    ("base:", "rotations:\n  v9: c1\nbase:", "rotation for undeclared node 'v9'"),
+    ("base:", "rotations: v1: c1 c2\n  v1: c2 c1\nbase:",
+     "duplicate rotation for node 'v1'"),
+    ("base: v1 c1", "base: v1", "base: section needs 'nodeName edgeId'"),
+    ("base: v1 c1", "base: v1 c1 c2", "base: section needs 'nodeName edgeId'"),
+    ("base:", "rotations:\n  v1: c1 c3\nbase:",
+     "rotation at 'v1' is not a permutation of its incident edges"),
+    ("violet: v1 v2", "violet: v1 v2 e1", "a node cannot be both emerald and violet"),
+    ("emerald: e1 e2", "emerald: e1 e2 e9", "graph is not connected"),
+])
+def test_document_error_messages(old, new, message):
+    """Each ``GraphFormatError`` of ``parse_graph``, with its message in
+    full; a graph the constructor refuses keeps the constructor's."""
+    assert old in C4_DOC
+    with pytest.raises(GraphFormatError) as caught:
+        parse_graph(C4_DOC.replace(old, new, 1))
+    assert str(caught.value) == message
+
+
 def test_next_prev_edge(c4_fixture):
     g = c4_fixture.graph
     assert next_edge(g, "v1", "c1") == "c2"
@@ -285,6 +316,25 @@ def test_tree_blocks_decode_to_lexicographic_subsets(running_fixture, monkeypatc
         assert trees == [t for t in want if g.is_spanning_tree(t)] == list(g.spanning_trees())
         assert max(sizes) <= block
     assert len(sizes) > 10  # the small block size made prefixes
+
+
+def test_block_subsets_decode_sparse_and_dense_marks():
+    """A block's subsets at any set of marks, sparse (one subset at a time)
+    or dense (the block transposed whole), are the subsets that the
+    columns' bits name, in order."""
+    rng = random.Random(5)
+    paths = set()
+    for g in (noncrossing_setup(3, 3), random_bipartite(2, 5, 5, 14)):
+        ids = g.edge_ids
+        for cols, span in g._tree_blocks():
+            n = max(c.bit_length() for c in cols)
+            for density in (0.01, 0.05, 0.2, 1.0):
+                bits = sum(1 << t for t in range(n) if rng.random() < density)
+                want = [frozenset(e for e, c in zip(ids, cols) if c >> t & 1)
+                        for t in range(n) if bits >> t & 1]
+                assert list(g._block_subsets(cols, bits)) == want
+                paths.add(bits.bit_count() * 10 >= n)
+    assert paths == {True, False}
 
 
 def test_spanning_tree_sweeps_are_independent():

@@ -282,12 +282,13 @@ def test_campaign_reads_polynomials_and_orders_once(monkeypatch):
 
 def test_conjecture_flag_is_reverified(monkeypatch):
     """A mismatch is flagged with the paranoid runs' polynomial, which
-    equals the fast one, and with the classical recheck."""
+    equals the fast one, and with the classical recheck: a fault in the
+    one-pass classical readout flags all three conjectures."""
     from hyperbernardi import campaign
     from hyperbernardi.campaign import FLAG
     from hyperbernardi.hypertree import Poly
-    monkeypatch.setattr(campaign, "interior_polynomial", lambda *a, **k: Poly([7]))
-    monkeypatch.setattr(campaign, "exterior_polynomial", lambda *a, **k: Poly([7]))
+    monkeypatch.setattr(campaign, "classical_polynomials",
+                        lambda *a, **k: (Poly([7]), Poly([7])))
     g = random_bipartite(5, 4, 4, 10)
     checks = check_conjectures(g).checks
     assert [c["status"] for c in checks] == [FLAG] * 3

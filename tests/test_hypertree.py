@@ -15,12 +15,12 @@ from hyperbernardi.fixtures import (c4, k5_setup, noncrossing_setup, process_exa
 from hyperbernardi.generators import random_bipartite, random_ordinary
 from hyperbernardi.graph import (EMERALD, VIOLET, RibbonBipartiteGraph, RibbonGraph,
                                   UnionFind, bip)
-from hyperbernardi.hypertree import (Poly, _bfs, _oracle, break_divisors,
+from hyperbernardi.hypertree import (Poly, _bfs, _Feasibility, _oracle, break_divisors,
                                      enumerate_hypertrees, exterior_polynomial,
                                      external_inactivity, interior_polynomial,
                                      internal_inactivity, is_hypertree,
                                      tutte_check, tutte_x_polynomial)
-from oracles import can_transfer, in_convex_hull, rank_feasible
+from oracles import avoid_by_full_arcs, can_transfer, in_convex_hull, rank_feasible
 
 
 def doubled_edge():
@@ -214,6 +214,47 @@ def test_exchange_reachability_equals_rank_oracle():
     assert set(outcomes) == {("transfer", True), ("transfer", False),
                              ("step", True, False), ("step", False, False),
                              ("step", False, True)}
+
+
+def test_avoid_equals_full_arc_search(monkeypatch):
+    """On every (witness, live, e) that the Bernardi walks of seeded
+    instances meet, ``avoid`` (lone-edge case, lazy arc search) and the
+    full-arc reference agree: the same verdict, the same refuting set,
+    and a rewritten witness that spans the live edges with the same
+    degree at each node of the side."""
+    from hyperbernardi.bernardi import VARIANTS, bernardi_runs
+    graphs = [random_bipartite(seed, 4, 4, 10) for seed in range(20)]
+    graphs += [bip(random_ordinary(seed, 5, 8)) for seed in range(10)]
+    graphs += [random_bipartite(seed, 5, 5, 16) for seed in range(3)]
+    avoid, outcomes = _Feasibility.avoid, Counter()
+
+    def checked(self, tree, live, e):
+        x = self.darts.node[2 * e + self.parity]
+        lone = sum(tree[d >> 1] for d in self.darts.rotation[x]) == 1
+        want_tree = bytearray(tree)
+        want = avoid_by_full_arcs(self, want_tree, live, e)
+        given = bytearray(tree)
+        refuted = avoid(self, tree, live, e)
+        assert refuted == want
+        if refuted:
+            assert tree == given
+        else:
+            avoiding = [k for k, held in enumerate(tree) if held]
+            assert all(live[k] for k in avoiding)
+            assert self.g._root(tree)       # spans, with |V| - 1 edges
+            assert self._realized(tree) == self._realized(want_tree)
+        exchanged = sum(a != b for a, b in zip(tree, given)) > 2
+        outcomes[lone, exchanged, bool(refuted),
+                 refuted == (1 << len(self.side_nodes)) - 1] += 1
+        return refuted
+    monkeypatch.setattr(_Feasibility, "avoid", checked)
+    for g in graphs:
+        for variant in VARIANTS:
+            bernardi_runs(g, variant)
+    # lone edges, a link at x, an exchange path, refuted, and bridges
+    assert set(outcomes) == {(True, False, False, False), (False, False, False, False),
+                             (False, True, False, False), (False, False, True, False),
+                             (False, False, True, True)}
 
 
 def test_activities_reject_bad_orders(c4_fixture):

@@ -50,3 +50,14 @@ def test_verify_ladder_verdicts_match_the_recording(monkeypatch):
 @pytest.mark.parametrize("name", ["fuzz-bipartite", "fuzz-graphs"])
 def test_fuzz_verdicts_match_the_recording(monkeypatch, name):
     assert_verdicts_match_the_recording(monkeypatch, name)
+
+
+def test_workload_documents_round_trip(monkeypatch):
+    """Every document of the three workloads is what ``serialize_graph``
+    writes for the graph that ``parse_graph`` reads from it."""
+    workloads = load_workloads(monkeypatch)
+    hb = SimpleNamespace(docio=docio, fixtures=fixtures, generators=generators,
+                         graph=graph)
+    for workload in workloads.WORKLOADS.values():
+        for inst in workload.build(hb):
+            assert docio.serialize_graph(docio.parse_graph(inst.doc)) == inst.doc, inst.name

@@ -194,7 +194,9 @@ def test_one_tour_and_one_rooting_primitive():
     both defined in ``graph.py`` only; no module defines the retired
     ``_base_sides`` or the pairwise walk ``_tour_divergence``, and the
     tree simplex's peel, the cut table and the exchange arcs are built
-    on ``_root``."""
+    on ``_root``, the arcs through the oracle's one rooting helper
+    ``_rooted``, which the family's full arcs and the Bernardi step's
+    lazy search share."""
     found = {p.name: imports_and_definitions(p.read_text(encoding="utf-8"))[1]
              for p in PACKAGE.glob("*.py")}
     for name, definers in (("_tour", {"graph.py"}), ("_root", {"graph.py"}),
@@ -208,7 +210,8 @@ def test_one_tour_and_one_rooting_primitive():
     source = (PACKAGE / "jaeger.py").read_text(encoding="utf-8")
     assert calls_to(source, "_root") == [("_base_cuts", False)]
     source = (PACKAGE / "hypertree.py").read_text(encoding="utf-8")
-    assert calls_to(source, "_root") == [("_arcs", False)]
+    assert calls_to(source, "_root") == [("_rooted", False)]
+    assert sorted(calls_to(source, "_rooted")) == [("_arcs", False), ("avoid", False)]
 
 
 def test_walk_checks_its_cycles_in_one_place():
@@ -344,3 +347,31 @@ def test_graph_constructor_builds_no_union_find():
     assert calls_to(ast.unparse(ribbon), "UnionFind") == []
     assert "_darts" not in {node.name for node in ribbon.body
                             if isinstance(node, ast.FunctionDef)}
+
+
+def test_bernardi_step_draws_arcs_lazily():
+    """A Bernardi step draws exchange arcs as its search reaches them:
+    ``_Feasibility.avoid`` calls neither ``_arcs`` nor ``_bfs``, which
+    only the family closure calls."""
+    source = (PACKAGE / "hypertree.py").read_text(encoding="utf-8")
+    for name in ("_arcs", "_bfs"):
+        assert calls_to(source, name) == [("family", False)], name
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "hypertree.py":
+            source = path.read_text(encoding="utf-8")
+            assert calls_to(source, "_arcs") == calls_to(source, "_bfs") == [], path.name
+
+
+def test_walk_checks_its_order_online():
+    """The walk checks the arc rule and collects the class order inside its
+    loop: ``_walk`` calls neither ``_check_arc_rule`` nor
+    ``dict.fromkeys``, and the after-the-run check is defined only in
+    ``tests/oracles.py``, as ``check_arc_rule``."""
+    source = (PACKAGE / "bernardi.py").read_text(encoding="utf-8")
+    walk = [function for name in ("_check_arc_rule", "check_arc_rule", "fromkeys")
+            for function, _ in calls_to(source, name)]
+    assert "_walk" not in walk
+    found = {p: imports_and_definitions(p.read_text(encoding="utf-8"))[1]
+             for p in [*PACKAGE.glob("*.py"), *TESTS.glob("*.py")]}
+    assert {p.name for p, defined in found.items()
+            if {"_check_arc_rule", "check_arc_rule"} & defined} == {"oracles.py"}
