@@ -14,8 +14,8 @@ from .docio import (GraphFormatError, format_polynomial, parse_graph,
                     parse_hypertree, serialize_graph)
 from .graph import (EMERALD, VIOLET, RibbonBipartiteGraph, RibbonGraph,
                     ValidationError, bip)
-from .hypertree import (Poly, break_divisors, classical_polynomials,
-                        enumerate_hypertrees, exterior_polynomial, external_inactivity,
+from .hypertree import (Poly, break_divisors, enumerate_hypertrees,
+                        exterior_polynomial, external_inactivity,
                         interior_polynomial, internal_inactivity,
                         is_hypertree, tutte_check, tutte_x_polynomial)
 from .jaeger import (ECUT, VCUT, TOrder, characterize_tree,

@@ -79,7 +79,7 @@ class _Trace(NamedTuple):
     reach_time: list[int]   # by node index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BernardiRun:
     """One run's record: the hypertree's values by ht-side position
     (``key``), those positions by first current edge (``class_order``),
@@ -89,6 +89,10 @@ class BernardiRun:
     key: tuple[int, ...]
     class_order: tuple[int, ...]
     _trace: _Trace = field(repr=False)
+
+    def __init__(self, variant, key, class_order, _trace):
+        # frozen: one update of the record's dict, not a write per field
+        vars(self).update(variant=variant, key=key, class_order=class_order, _trace=_trace)
 
     @cached_property
     def hypertree(self) -> tuple[tuple[str, int], ...]:
@@ -189,7 +193,6 @@ def _walk(g: RibbonBipartiteGraph, variant: ProcessVariant,
     ht_nodes, degree = oracle.ht_nodes, oracle.degree
     base = node_of[darts.base]
     m, n = len(ids), len(degree)
-    new_run, new_trace = object.__new__, tuple.__new__   # past the generated inits
     runs = []
     for f_key in keys:
         if paranoid:
@@ -283,9 +286,8 @@ def _walk(g: RibbonBipartiteGraph, variant: ProcessVariant,
             raise TheoremViolation("final current graph is not a spanning tree")
         if tuple([live_degree[x] - 1 for x in ht_nodes]) != f_key:
             raise TheoremViolation("result tree does not realize the hypertree")
-        trace = new_trace(_Trace, (g, order, live, after, reached, reach_time))
-        runs.append(new_run(BernardiRun))
-        vars(runs[-1]).update(variant=variant, key=f_key, class_order=tuple(classes), _trace=trace)
+        runs.append(BernardiRun(variant, f_key, tuple(classes),
+                                _Trace(g, order, live, after, reached, reach_time)))
     return runs
 
 

@@ -26,7 +26,7 @@ from .bernardi import (HT_E_CUT_E, HT_E_CUT_V, HT_V_CUT_E, HT_V_CUT_V,
 from .docio import serialize_graph
 from .exactla import det_bareiss
 from .graph import EMERALD, VIOLET, RibbonBipartiteGraph
-from .hypertree import classical_polynomials, enumerate_hypertrees, interior_polynomial
+from .hypertree import _classical_polynomials, enumerate_hypertrees, interior_polynomial
 from .jaeger import (ECUT, VCUT, _tour_cuts, characterize_tree,
                      enumerate_jaeger_trees, realized_hypertrees, shelling,
                      t_order)
@@ -114,7 +114,7 @@ def _add_conjecture_checks(report: CampaignReport, g: RibbonBipartiteGraph,
     classical polynomial under a different order, and the embedding
     polynomial from paranoid runs.
     """
-    interior, exterior = classical or classical_polynomials(g, EMERALD)
+    interior, exterior = classical or _classical_polynomials(g, EMERALD)
 
     runs, known = runs or {}, embedding or {}
     embedding = {v: known.get(v) or bernardi_polynomials(g, v, runs.get(v))
@@ -132,7 +132,7 @@ def _add_conjecture_checks(report: CampaignReport, g: RibbonBipartiteGraph,
             report.add(name, PASS, polynomial=list(got.coeffs))
             continue
         alt_order = sorted(g.emeralds, reverse=True)
-        recheck_classical = classical_polynomials(g, EMERALD, order=alt_order)[pick]
+        recheck_classical = _classical_polynomials(g, EMERALD, order=alt_order)[pick]
         paranoid = bernardi_runs(g, variant, paranoid=True)
         reverified = bernardi_polynomials(g, variant, paranoid)[pick]
         report.add(name, FLAG,
@@ -173,7 +173,7 @@ def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
     report.add("hypertree-counts-equal", PASS if len(b_e) == len(b_v) else FAIL,
                emerald=len(b_e), violet=len(b_v))
 
-    interior, exterior = classical = classical_polynomials(g, EMERALD)
+    interior, exterior = classical = _classical_polynomials(g, EMERALD)
     interior_v = interior_polynomial(g, VIOLET)
     report.add("interior-transpose-invariant",
                PASS if interior == interior_v else FAIL,
@@ -189,7 +189,7 @@ def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
     for _ in range(RANDOM_ORDERS):
         order = list(g.emeralds)
         rng.shuffle(order)
-        orders_ok &= classical_polynomials(g, EMERALD, order=order) == classical
+        orders_ok &= _classical_polynomials(g, EMERALD, order=order) == classical
     report.add("order-independence", PASS if orders_ok else FAIL,
                orders=RANDOM_ORDERS)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Set
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 from math import comb
 from typing import NamedTuple
 
@@ -32,7 +32,7 @@ VIOLET = "violet"
 # block of an Ehrhart dilate (polytope.ehrhart_values)
 SWEEP_BLOCK = 1 << 16
 
-_BITS = bytes.maketrans(b"01", b"\0\1")   # a binary numeral's digits as bytes
+_BIT = [bytes(b >> k & 1 for b in range(256)) for k in range(8)]   # bit k of each byte
 
 
 class ValidationError(ValueError):
@@ -284,23 +284,19 @@ class RibbonGraph:
 
     def _block_subsets(self, cols, bits):
         """The subsets of a ``_tree_blocks`` block at the set bits of
-        ``bits``, in order, as frozensets of edge ids; the columns are
-        turned into bytes once, so each subset costs one byte per edge.  For
-        one subset in ten or more, ``zip`` reads the whole block's subsets
-        off the columns as one byte per subset, the wanted ones kept."""
+        ``bits``, in order, as frozensets of edge ids.  The columns are turned
+        into bytes once, each byte position with a wanted subset is gathered
+        across them once, and each subset read off that by one translation."""
         ids = self.edge_ids
-        n = max(c.bit_length() for c in cols)
-        if bits.bit_count() * 10 >= n:
-            rows = [format(c, f"0{n}b")[::-1].encode().translate(_BITS) for c in cols]
-            marks = format(bits, f"0{n}b")[::-1].encode().translate(_BITS)
-            yield from map(frozenset, map(compress, repeat(ids), compress(zip(*rows), marks)))
-            return
-        rows = [c.to_bytes((n + 7) // 8, "little") for c in cols]
+        size = (max(c.bit_length() for c in cols) + 7) // 8
+        rows = [c.to_bytes(size, "little") for c in cols]
         marks = format(bits, "b")[::-1]
-        t = marks.find("1")
+        t, byte = marks.find("1"), -1
         while t >= 0:
-            byte, bit = t >> 3, 1 << (t & 7)
-            yield frozenset(compress(ids, [row[byte] & bit for row in rows]))
+            if t >> 3 != byte:
+                byte = t >> 3
+                column = bytes([row[byte] for row in rows])
+            yield frozenset(compress(ids, column.translate(_BIT[t & 7])))
             t = marks.find("1", t + 1)
 
     def count_spanning_trees(self) -> int:

@@ -31,7 +31,6 @@ runs and the tests use it.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cached_property
 from itertools import combinations, compress, repeat
 from typing import NamedTuple
@@ -78,8 +77,12 @@ class Poly:
     @classmethod
     def counting(cls, exponents) -> "Poly":
         """The polynomial whose x^k coefficient counts k in ``exponents``."""
-        counts = Counter(exponents)
-        return cls(counts[k] for k in range(max(counts, default=-1) + 1))
+        counts: list[int] = []
+        for k in exponents:
+            if k >= len(counts):
+                counts += [0] * (k + 1 - len(counts))
+            counts[k] += 1
+        return cls(counts)
 
 
 def _side_key(g: RibbonBipartiteGraph, side: str, f: dict[str, int]):
@@ -168,6 +171,7 @@ class _Feasibility:
         self.degree = [len(ds) for ds in rotation]
         position = dict(zip(self.ht_nodes, range(len(self.ht_nodes))))
         self.at = [position[x] for x in self.ht_end]   # each edge's position
+        self.ht_darts = [sorted(rotation[x]) for x in self.ht_nodes]   # arcs' draw order
 
     def _search(self, f_key, live) -> frozenset[str] | None:
         """A spanning tree inside ``live`` with degree f+1 at each node of
@@ -236,29 +240,36 @@ class _Feasibility:
             depth[y] = depth[node[upward[y] ^ 1]] + 1
         return upward, depth
 
+    def _arcs_at(self, a: int, tree: bytearray, live: bytearray,
+                 upward: list[int], depth: list[int]):
+        """The exchange arcs out of side position ``a`` on a tree rooted by
+        ``_rooted``: (b, k, t) for each live non-tree edge k at a, in index
+        order, and each tree edge t, at b, on its fundamental path."""
+        node, at = self.darts.node, self.at
+        for d in self.ht_darts[a]:
+            if tree[d >> 1] or not live[d >> 1]:
+                continue
+            u, v = node[d], node[d ^ 1]
+            while u != v:
+                if depth[u] < depth[v]:
+                    u, v = v, u
+                t = upward[u]
+                yield at[t >> 1], d >> 1, t >> 1
+                u = node[t ^ 1]
+
     def _arcs(self, tree: bytearray, live: bytearray) -> tuple[list[int], dict]:
         """The exchange arcs of a spanning tree of the live edges: bit b of
         ``adj[a]`` when a live non-tree edge at a has a tree edge at b on
         its fundamental path, and for each arc one such (non-tree edge,
         tree edge) pair."""
-        node, at = self.darts.node, self.at
         upward, depth = self._rooted(tree)
         adj = [0] * len(self.side_nodes)
         witness = {}
-        for k, alive in enumerate(live):
-            if not alive or tree[k]:
-                continue
-            a = at[k]
-            u, v = node[2 * k], node[2 * k + 1]
-            while u != v:
-                if depth[u] < depth[v]:
-                    u, v = v, u
-                d = upward[u]
-                b = at[d >> 1]
+        for a in range(len(adj)):
+            for b, k, t in self._arcs_at(a, tree, live, upward, depth):
                 if b != a and not adj[a] >> b & 1:
                     adj[a] |= 1 << b
-                    witness[a, b] = (k, d >> 1)
-                u = node[d ^ 1]
+                    witness[a, b] = (k, t)
         return adj, witness
 
     def _realized(self, tree: bytearray) -> tuple[int, ...]:
@@ -373,20 +384,11 @@ class _Feasibility:
         while frontier and target not in pred:
             reached = []
             for a in frontier:
-                for d in rotation[self.ht_nodes[a]]:
-                    if tree[d >> 1] or not live[d >> 1]:
-                        continue
-                    u, v = node[d], node[d ^ 1]
-                    while u != v:       # up the fundamental path of d's edge
-                        if depth[u] < depth[v]:
-                            u, v = v, u
-                        t = upward[u]
-                        b = at[t >> 1]
-                        if not seen >> b & 1:
-                            seen |= 1 << b
-                            pred[b], witness[a, b] = a, (d >> 1, t >> 1)
-                            reached.append(b)
-                        u = node[t ^ 1]
+                for b, k, t in self._arcs_at(a, tree, live, upward, depth):
+                    if not seen >> b & 1:
+                        seen |= 1 << b
+                        pred[b], witness[a, b] = a, (k, t)
+                        reached.append(b)
             frontier = reached
         if target in pred:
             _exchange(tree, pred, witness, target)
@@ -518,7 +520,7 @@ def _inactivity_polynomials(readings, width: int) -> tuple[Poly, Poly]:
     return Poly(internal), Poly(external)
 
 
-def classical_polynomials(g: RibbonBipartiteGraph, side: str, order=None) -> tuple[Poly, Poly]:
+def _classical_polynomials(g: RibbonBipartiteGraph, side: str, order=None) -> tuple[Poly, Poly]:
     """The interior and exterior polynomials of ``side``, in one pass over
     its hypertrees (see ``interior_polynomial``)."""
     width = len(g.side_nodes(side))
@@ -532,11 +534,11 @@ def interior_polynomial(g: RibbonBipartiteGraph, side: str, order=None) -> Poly:
     Independent of ``order`` (default: sorted node names); callers who
     want the order-independence asserted can recompute with shuffles.
     """
-    return classical_polynomials(g, side, order)[0]
+    return _classical_polynomials(g, side, order)[0]
 
 
 def exterior_polynomial(g: RibbonBipartiteGraph, side: str, order=None) -> Poly:
-    return classical_polynomials(g, side, order)[1]
+    return _classical_polynomials(g, side, order)[1]
 
 
 # -- ordinary graphs ------------------------------------------------------

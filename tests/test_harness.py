@@ -287,7 +287,7 @@ def test_conjecture_flag_is_reverified(monkeypatch):
     from hyperbernardi import campaign
     from hyperbernardi.campaign import FLAG
     from hyperbernardi.hypertree import Poly
-    monkeypatch.setattr(campaign, "classical_polynomials",
+    monkeypatch.setattr(campaign, "_classical_polynomials",
                         lambda *a, **k: (Poly([7]), Poly([7])))
     g = random_bipartite(5, 4, 4, 10)
     checks = check_conjectures(g).checks
