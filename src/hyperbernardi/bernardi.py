@@ -79,7 +79,7 @@ class _Trace(NamedTuple):
     reach_time: list[int]   # by node index
 
 
-@dataclass(frozen=True, init=False)
+@dataclass
 class BernardiRun:
     """One run's record: the hypertree's values by ht-side position
     (``key``), those positions by first current edge (``class_order``),
@@ -89,10 +89,6 @@ class BernardiRun:
     key: tuple[int, ...]
     class_order: tuple[int, ...]
     _trace: _Trace = field(repr=False)
-
-    def __init__(self, variant, key, class_order, _trace):
-        # frozen: one update of the record's dict, not a write per field
-        vars(self).update(variant=variant, key=key, class_order=class_order, _trace=_trace)
 
     @cached_property
     def hypertree(self) -> tuple[tuple[str, int], ...]:

@@ -240,22 +240,30 @@ class _Feasibility:
             depth[y] = depth[node[upward[y] ^ 1]] + 1
         return upward, depth
 
-    def _arcs_at(self, a: int, tree: bytearray, live: bytearray,
-                 upward: list[int], depth: list[int]):
-        """The exchange arcs out of side position ``a`` on a tree rooted by
-        ``_rooted``: (b, k, t) for each live non-tree edge k at a, in index
-        order, and each tree edge t, at b, on its fundamental path."""
-        node, at = self.darts.node, self.at
-        for d in self.ht_darts[a]:
-            if tree[d >> 1] or not live[d >> 1]:
-                continue
-            u, v = node[d], node[d ^ 1]
-            while u != v:
-                if depth[u] < depth[v]:
-                    u, v = v, u
-                t = upward[u]
-                yield at[t >> 1], d >> 1, t >> 1
-                u = node[t ^ 1]
+    def _arcs_from(self, sources, tree: bytearray, live: bytearray,
+                   upward: list[int], depth: list[int]) -> dict:
+        """Each exchange arc (a, b) out of the side positions ``sources``, in
+        the order drawn on a tree rooted by ``_rooted``, with its first (live
+        non-tree edge k at a in index order, tree edge t at b on k's path)."""
+        node, at, ht_darts = self.darts.node, self.at, self.ht_darts
+        found = {}
+        for a in sources:
+            drawn = 1 << a
+            for d in ht_darts[a]:
+                k = d >> 1
+                if tree[k] or not live[k]:
+                    continue
+                u, v = node[d], node[d ^ 1]
+                while u != v:
+                    if depth[u] < depth[v]:
+                        u, v = v, u
+                    t = upward[u]
+                    b = at[t >> 1]
+                    if not drawn >> b & 1:
+                        drawn |= 1 << b
+                        found[a, b] = (k, t >> 1)
+                    u = node[t ^ 1]
+        return found
 
     def _arcs(self, tree: bytearray, live: bytearray) -> tuple[list[int], dict]:
         """The exchange arcs of a spanning tree of the live edges: bit b of
@@ -264,12 +272,9 @@ class _Feasibility:
         tree edge) pair."""
         upward, depth = self._rooted(tree)
         adj = [0] * len(self.side_nodes)
-        witness = {}
-        for a in range(len(adj)):
-            for b, k, t in self._arcs_at(a, tree, live, upward, depth):
-                if b != a and not adj[a] >> b & 1:
-                    adj[a] |= 1 << b
-                    witness[a, b] = (k, t)
+        witness = self._arcs_from(range(len(adj)), tree, live, upward, depth)
+        for a, b in witness:
+            adj[a] |= 1 << b
         return adj, witness
 
     def _realized(self, tree: bytearray) -> tuple[int, ...]:
@@ -383,12 +388,11 @@ class _Feasibility:
         pred, witness, seen, frontier = {source: source}, {}, 1 << source, [source]
         while frontier and target not in pred:
             reached = []
-            for a in frontier:
-                for b, k, t in self._arcs_at(a, tree, live, upward, depth):
-                    if not seen >> b & 1:
-                        seen |= 1 << b
-                        pred[b], witness[a, b] = a, (k, t)
-                        reached.append(b)
+            for (a, b), pair in self._arcs_from(frontier, tree, live, upward, depth).items():
+                if not seen >> b & 1:
+                    seen |= 1 << b
+                    pred[b], witness[a, b] = a, pair
+                    reached.append(b)
             frontier = reached
         if target in pred:
             _exchange(tree, pred, witness, target)

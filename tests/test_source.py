@@ -195,7 +195,7 @@ def test_one_tour_and_one_rooting_primitive():
     ``_base_sides`` or the pairwise walk ``_tour_divergence``, and the
     tree simplex's peel, the cut table and the exchange arcs are built
     on ``_root``, the arcs through the oracle's one rooting helper
-    ``_rooted`` and its one fundamental-path climb ``_arcs_at``, which
+    ``_rooted`` and its one fundamental-path climb ``_arcs_from``, which
     the family's full arcs and the Bernardi step's lazy search share."""
     found = {p.name: imports_and_definitions(p.read_text(encoding="utf-8"))[1]
              for p in PACKAGE.glob("*.py")}
@@ -211,7 +211,7 @@ def test_one_tour_and_one_rooting_primitive():
     assert calls_to(source, "_root") == [("_base_cuts", False)]
     source = (PACKAGE / "hypertree.py").read_text(encoding="utf-8")
     assert calls_to(source, "_root") == [("_rooted", False)]
-    for helper in ("_rooted", "_arcs_at"):
+    for helper in ("_rooted", "_arcs_from"):
         assert sorted(calls_to(source, helper)) == [("_arcs", False), ("avoid", False)]
     assert sum(line.strip() == "u, v = v, u" for line in source.splitlines()) == 1
 
