@@ -22,6 +22,5 @@ from .jaeger import (ECUT, VCUT, TOrder, characterize_tree,
                      enumerate_jaeger_trees, graph_activity_matching,
                      is_jaeger_tree, semi_passive_edges, shelling, t_order)
 from .polytope import (TreeSimplex, ehrhart_values, ehrhart_values_scan,
-                       facet_neighbours, fit_binomial_coefficients,
-                       geometric_shelling_check, kato_series_check,
-                       shelling_h_vector, verify_dissection)
+                       fit_binomial_coefficients, geometric_shelling_check,
+                       kato_series_check, shelling_h_vector, verify_dissection)

@@ -128,6 +128,22 @@ def _bfs(adj: list[int], source: int) -> dict[int, int]:
     return pred
 
 
+def _kruskal(node: list[int], n: int, edges) -> list[bool]:
+    """For each edge index in ``edges``, in order, whether it joins two
+    components of the edges before it, on nodes 0..n-1 with ``node`` the
+    dart table's ends: Kruskal on an int-list union-find."""
+    root, joins = list(range(n)), []
+    for k in edges:
+        a, b = node[2 * k], node[2 * k + 1]
+        while root[a] != a:
+            a = root[a]
+        while root[b] != b:
+            b = root[b]
+        root[a] = b
+        joins.append(a != b)
+    return joins
+
+
 def _exchange(tree: bytearray, pred: dict[int, int], witness: dict,
               target: int) -> None:
     """Exchange along the shortest path that ``pred`` gives to ``target``:
@@ -290,16 +306,7 @@ class _Feasibility:
         its admissible transfers: the closure of one spanning tree's
         degree vector under the transfers that reachability admits."""
         g = self.g
-        node = self.darts.node
-        root = list(range(len(g.nodes)))    # Kruskal in edge-index order
-        start = bytearray(len(g.edge_ids))
-        for k in range(len(start)):
-            a, b = node[2 * k], node[2 * k + 1]
-            while root[a] != a:
-                a = root[a]
-            while root[b] != b:
-                b = root[b]
-            root[a], start[k] = b, a != b
+        start = bytearray(_kruskal(self.darts.node, len(g.nodes), range(len(g.edge_ids))))
         live = bytearray([1]) * len(start)
         width = len(self.side_nodes)
         trees = {self._realized(start): start}
@@ -404,17 +411,14 @@ class _Feasibility:
         """f(S) - mu(S) among the ``live`` edges, S the side positions in
         the bitmask ``members``: mu(S) = |N(S)| - c(S), with N(S) the
         neighbours of S and c(S) the components of S, N(S) and the live
-        edges at S (Kalman 2013).  Positive exactly when S refutes f."""
-        node = self.darts.node
-        uf = UnionFind(range(len(self.darts.rotation)))
-        around, joined = set(), 0
-        for k, alive in enumerate(live):
-            if alive and members >> self.at[k] & 1:
-                around.add(node[2 * k + 1 - self.parity])
-                joined += uf.union(node[2 * k], node[2 * k + 1])
-        components = members.bit_count() + len(around) - joined
+        edges at S (Kalman 2013).  Positive exactly when S refutes f.
+        The r(S) edges that Kruskal keeps among the live edges at S
+        join |S| + |N(S)| nodes into c(S) components, so mu(S) = r(S) - |S|."""
+        at = self.at
+        edges = [k for k, alive in enumerate(live) if alive and members >> at[k] & 1]
+        rank = sum(_kruskal(self.darts.node, len(self.darts.rotation), edges))
         value = sum(v for p, v in enumerate(f_key) if members >> p & 1)
-        return value - (len(around) - components)
+        return value + members.bit_count() - rank
 
 
 def _oracle(g: RibbonBipartiteGraph, side: str) -> _Feasibility:

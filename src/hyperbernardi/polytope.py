@@ -12,11 +12,12 @@ peels the points of k*Q_G; the binomial-basis fit is unit triangular.
 
 A tree's cut table (``jaeger._base_cuts``) gives the +/-1 functional of
 each tree edge's cut as edge bitmasks.  It certifies the pairwise
-interior-disjointness of a dissection, one AND per pair; it sorts the
-trees sharing a facet onto its two sides, which decides a triangulation
-locally; and it keys the facets of the shelling's coverage check by
-hyperplane, where two facets overlap exactly when their oppositely
-oriented forests carry a positive circulation.
+interior-disjointness of a dissection, one AND per pair, and keys one
+facet table by hyperplane and forest: the trees of a forest share its
+facet and sort onto its two sides, which decides a triangulation
+locally, and the forests of a hyperplane decide the shelling's
+coverage, two of them overlapping exactly when, oppositely oriented,
+they carry a positive circulation.
 
 Parallel edges collapse to one polytope vertex, so the geometric
 operations require a simple bipartite graph.
@@ -25,14 +26,13 @@ operations require a simple bipartite graph.
 from __future__ import annotations
 
 from math import comb
-from typing import NamedTuple
 
 from . import graph
 from .bernardi import TheoremViolation
 from .exactla import det_bareiss
 from .graph import EMERALD, VIOLET, RibbonBipartiteGraph
 from .hypertree import Poly, _family, enumerate_hypertrees
-from .jaeger import _base_cuts, _bits, _halves, realized_hypertrees
+from .jaeger import _bits, _halves, realized_hypertrees
 
 
 def is_simple(g: RibbonBipartiteGraph) -> bool:
@@ -135,54 +135,20 @@ def _pair_certificates(g: RibbonBipartiteGraph, steps) -> list[tuple[bytearray, 
     return rows
 
 
-class Facet(NamedTuple):
-    """The facet conv(T - e) of the simplex of tree ``tree`` (an index
-    into the set) opposite its edge ``edge``, and the trees of the set
-    that share it: ``across`` on the other side of its hyperplane,
-    ``beside`` on the tree's own side.  ``interior`` when some spanning
-    tree of the graph lies across, that is when the facet is not on the
-    boundary of Q_G."""
-    tree: int
-    edge: str
-    across: tuple[int, ...]
-    beside: tuple[int, ...]
-    interior: bool
-
-
-def facet_neighbours(g: RibbonBipartiteGraph, trees) -> list[Facet]:
-    """Every facet of every tree simplex in ``trees``, with the trees of
-    the set that share it.
-
-    The trees sharing the facet conv(T - e) are T - e + e' for the other
-    edges e' across the cut of e in T.  The functional of that cut
-    (``jaeger._base_cuts``) is 0 on T - e, 2 on e and on the cut edges
-    oriented like e, and -2 on the opposite ones: T - e + e' lies across
-    the facet exactly when e' is opposite, on T's own side otherwise.
-    With no opposite edge the facet is on the boundary of Q_G.
-    """
-    _require_simple(g)
-    trees = [frozenset(t) for t in trees]
-    tables = [_base_cuts(g, t) for t in trees]   # refuses a non-tree
-    return _facets(g, [g._edge_mask(t) for t in trees], tables)
-
-
-def _facets(g: RibbonBipartiteGraph, masks, tables) -> list[Facet]:
-    """facet_neighbours for trees given as edge bitmasks with their cut
-    tables; trees are looked up by bitmask."""
+def _facet_table(g: RibbonBipartiteGraph, steps) -> dict[int, dict[int, list]]:
+    """The facets conv(T - e) of a record's tree simplices (each step's
+    ``mask`` and ``cuts``) by hyperplane: each cut's edge mask maps each
+    forest T - e in it, an edge bitmask, to its entries (index of e,
+    tree, side), side 1 when e is in the cut's ``violet_in`` half.  A
+    forest fixes its two components, so it fixes its cut."""
     index = g._edge_index
-    position = {mask: k for k, mask in enumerate(masks)}
-    out = []
-    for k, (mask, cuts) in enumerate(zip(masks, tables)):
-        for e, cut in cuts.items():
-            bit = 1 << index[e]
-            own, other = _halves(cut, bit)
-            rest = mask ^ bit
-            across, beside = (
-                tuple(p for f in _bits(half)
-                      if (p := position.get(rest | 1 << f)) is not None)
-                for half in (other, own ^ bit))
-            out.append(Facet(k, e, across, beside, bool(other)))
-    return out
+    table: dict[int, dict[int, list]] = {}
+    for k, step in enumerate(steps):
+        for e, (violet_in, emerald_in) in step.cuts.items():
+            j = index[e]
+            table.setdefault(violet_in | emerald_in, {}).setdefault(
+                step.mask ^ 1 << j, []).append((j, k, violet_in >> j & 1))
+    return table
 
 
 def verify_dissection(g: RibbonBipartiteGraph, steps) -> dict:
@@ -208,17 +174,24 @@ def verify_dissection(g: RibbonBipartiteGraph, steps) -> dict:
     totals.
 
     ``is_triangulation`` replaces the pair certificates by a local check
-    on facet neighbours (``facet_neighbours``): every interior facet of
-    every simplex has exactly one neighbour across it in the set, and no
-    facet has one on its own side.  Then the covering number, the number
-    of simplices of the set that hold a point, does not change where a
-    generic path crosses a facet, so it is constant on the generic
-    points of Q_G.  Every tree simplex is unimodular, and the normalized
-    volume of Q_G is its hypertree count (Postnikov 2009, section 12),
-    so matching counts make that constant one, as does a marker held
-    by one simplex.  A set of full-dimensional simplices with this
-    pseudo-manifold property and covering number one is a triangulation
-    (De Loera, Rambau and Santos 2010, ch. 4).
+    on the facet table (``_facet_table``).  The trees sharing the facet
+    conv(T - e) are the entries of the forest T - e, the trees T - e + e'
+    for e' across the cut of e in T.  The functional of that cut
+    (``jaeger._base_cuts``) is 0 on T - e, 2 on e and on the cut edges
+    oriented like e, and -2 on the opposite ones: T - e + e' lies across
+    the facet exactly when e' lies in the other half of the cut, on T's
+    own side otherwise.  The facet is interior when both halves are
+    non-empty, on the boundary of Q_G otherwise.  The check: every
+    interior facet of every simplex has exactly one entry across it, and
+    no facet has one but T on its own side.  Then the covering number,
+    the number of simplices of the set that hold a point, does not
+    change where a generic path crosses a facet, so it is constant on
+    the generic points of Q_G.  Every tree simplex is unimodular, and
+    the normalized volume of Q_G is its hypertree count (Postnikov 2009,
+    section 12), so matching counts make that constant one, as does a
+    marker held by one simplex.  A set of full-dimensional simplices
+    with this pseudo-manifold property and covering number one is a
+    triangulation (De Loera, Rambau and Santos 2010, ch. 4).
     """
     _require_simple(g)
     trees = [s.tree for s in steps]
@@ -258,14 +231,19 @@ def verify_dissection(g: RibbonBipartiteGraph, steps) -> dict:
     report["witnesses"] += pairs
     report["interiors_disjoint_certified"] = certified
 
-    matched = True
-    for f in _facets(g, [s.mask for s in steps], [s.cuts for s in steps]):
-        if f.beside or len(f.across) != (1 if f.interior else 0):
-            matched = False
-            report["witnesses"].append(
-                {"kind": "facet", "tree": f.tree, "edge": f.edge,
-                 "across": list(f.across), "beside": list(f.beside)})
-    report["is_triangulation"] = report["counts_match"] and placement_ok and matched
+    table, index, facets = _facet_table(g, steps), g._edge_index, []
+    for k, step in enumerate(steps):
+        for e, (violet_in, emerald_in) in step.cuts.items():
+            j = index[e]
+            side = violet_in >> j & 1
+            group = sorted(table[violet_in | emerald_in][step.mask ^ 1 << j])
+            across = [p for _, p, s in group if s != side]
+            beside = [p for _, p, s in group if s == side and p != k]
+            if beside or len(across) != (1 if violet_in and emerald_in else 0):
+                facets.append({"kind": "facet", "tree": k, "edge": e,
+                               "across": across, "beside": beside})
+    report["witnesses"] += facets
+    report["is_triangulation"] = report["counts_match"] and placement_ok and not facets
     report["is_dissection"] = report["counts_match"] and placement_ok and certified
     return report
 
@@ -302,25 +280,24 @@ def _cover_rule(g: RibbonBipartiteGraph, steps):
     the earlier simplices cover F = conv(T - eps), T the i-th tree:
     "covered", "disjoint" (its interior misses them) or "mixed".
 
-    A facet's key is its cut's edge mask, which fixes the forest's two
-    components and so the hyperplane; its side is the cut half holding
-    the removed edge.  A generic point of F lies in one simplex across
+    F's hyperplane holds the forests of the facet table
+    (``_facet_table``) under its cut's edge mask; F's side is the cut
+    half holding eps.  A generic point of F lies in one simplex across
     F, which meets F in a facet in that hyperplane, so the trees across
-    whose facet overlaps F (``_overlap``) take up F between them."""
+    whose forest overlaps F (``_overlap``, decided once per forest) take
+    up F between them."""
     index, node = g._edge_index, g._darts.node
-    facets: dict[int, list[tuple[int, int, int]]] = {}
-    for k, step in enumerate(steps):
-        for e, (violet_in, emerald_in) in step.cuts.items():
-            facets.setdefault(violet_in | emerald_in, []).append(
-                (k, violet_in >> index[e] & 1, step.mask ^ 1 << index[e]))
+    table = _facet_table(g, steps)
 
     def status(i: int, eps: str) -> str:
         step, j = steps[i], index[eps]
         violet_in, emerald_in = step.cuts[eps]
-        ends = 1 << node[2 * j] | 1 << node[2 * j + 1]
-        overlapping = [k for k, side, forest in facets[violet_in | emerald_in]
-                       if side != violet_in >> j & 1
-                       and _overlap(g, step.mask ^ 1 << j, forest, ends)]
+        side, ends = violet_in >> j & 1, 1 << node[2 * j] | 1 << node[2 * j + 1]
+        overlapping = []
+        for forest, group in table[violet_in | emerald_in].items():
+            across = [k for _, k, s in group if s != side]
+            if across and _overlap(g, step.mask ^ 1 << j, forest, ends):
+                overlapping += across
         earlier = sum(k < i for k in overlapping)
         if overlapping and earlier == len(overlapping):
             return "covered"
@@ -481,25 +458,14 @@ def compositions(total: int, parts: int):
 def ehrhart_values_scan(g: RibbonBipartiteGraph, kmax: int) -> list[int]:
     """Independent oracle: scan integer points p of the bounding slab and
     test membership of p/k in Q_G via some spanning-tree simplex, by the
-    integer peel of p (``contains_scaled``)."""
+    integer peel of p (``contains_scaled``).  At k = 0 the one point, 0,
+    peels to 0 on every simplex."""
     _require_simple(g)
     simplices = [TreeSimplex(g, t) for t in g.spanning_trees()]
-    n_e = len(g.emeralds)
-    n_v = len(g.violets)
-
-    values = []
-    for k in range(kmax + 1):
-        if k == 0:
-            values.append(1)
-            continue
-        count = 0
-        for epart in compositions(k, n_e):
-            for vpart in compositions(k, n_v):
-                p = epart + vpart
-                if any(s.contains_scaled(p, k, strict=False) for s in simplices):
-                    count += 1
-        values.append(count)
-    return values
+    return [sum(any(s.contains_scaled(epart + vpart, k, strict=False) for s in simplices)
+                for epart in compositions(k, len(g.emeralds))
+                for vpart in compositions(k, len(g.violets)))
+            for k in range(kmax + 1)]
 
 
 def fit_binomial_coefficients(values, d: int) -> tuple[int, ...]:

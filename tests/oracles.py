@@ -15,7 +15,7 @@ on small instances only.  Each reference, and what it checks:
   ``trees_compatible``);
 * ``trees_compatible``: Postnikov's acyclicity test for two tree
   simplices meeting in a common face, run on every pair of a set
-  (against the facet-neighbour check behind ``is_triangulation``);
+  (against the facet-table check behind ``is_triangulation``);
 * ``can_transfer``: one feasibility question per unit transfer (against
   the activities read off the hypertree family);
 * ``rank_feasible``: Kalman's rank inequalities over every subset of

@@ -232,15 +232,13 @@ def test_unknown_edge_is_not_a_spanning_tree(c4_fixture, running_fixture):
     from hyperbernardi.graph import VIOLET
     from hyperbernardi.jaeger import (VCUT, divergence_edge, is_jaeger_tree,
                                       jaeger_cuts, t_order)
-    from hyperbernardi.polytope import (TreeSimplex, facet_neighbours,
-                                        normalized_simplex_volume)
+    from hyperbernardi.polytope import TreeSimplex, normalized_simplex_volume
     g = c4_fixture.graph
     bad, good = frozenset({"c1", "c2", "zz"}), frozenset({"c1", "c2", "c3"})
     assert not g.is_spanning_tree(bad)
     for query in (lambda: g.tour_order(bad), lambda: jaeger_cuts(g, bad),
                   lambda: is_jaeger_tree(g, bad, VCUT), lambda: t_order(g, bad, VIOLET),
-                  lambda: divergence_edge(g, good, bad), lambda: TreeSimplex(g, bad),
-                  lambda: facet_neighbours(g, [good, bad])):
+                  lambda: divergence_edge(g, good, bad), lambda: TreeSimplex(g, bad)):
         with pytest.raises(ValueError, match="not a spanning tree"):
             query()
     # the volume takes any |V| - 1 edges of the graph, and is 0 off the trees

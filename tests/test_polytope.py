@@ -6,6 +6,7 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -20,10 +21,10 @@ from hyperbernardi.generators import random_bipartite, random_ordinary
 from hyperbernardi.graph import EMERALD, VIOLET, RibbonBipartiteGraph, bip
 from hyperbernardi.hypertree import (Poly, enumerate_hypertrees,
                                      interior_polynomial)
-from hyperbernardi.jaeger import VCUT, enumerate_jaeger_trees, shelling
-from hyperbernardi.polytope import (TreeSimplex, _cover_rule, compositions,
-                                    ehrhart_fit, ehrhart_values,
-                                    ehrhart_values_scan, facet_neighbours,
+from hyperbernardi.jaeger import VCUT, _base_cuts, enumerate_jaeger_trees, shelling
+from hyperbernardi.polytope import (TreeSimplex, _cover_rule, _facet_table,
+                                    compositions, ehrhart_fit, ehrhart_values,
+                                    ehrhart_values_scan,
                                     fit_binomial_coefficients,
                                     geometric_shelling_check, is_simple,
                                     kato_series_check,
@@ -139,52 +140,67 @@ def test_dissection_verdicts(knot_fixture, c4_fixture):
 
 
 def test_facet_sides_match_barycentric_signs(c4_fixture, running_fixture):
-    """Over all spanning trees, T - e + e' lies across the facet
-    conv(T - e) exactly when the vertex of e' has a negative e-coordinate
-    in the barycentric coordinates of T's simplex, and on T's side when
-    it has a positive one; the facet is interior exactly when some
-    vertex of Q_G has a negative e-coordinate."""
+    """Over all spanning trees, the facet table, built from the cut tables
+    alone, holds each tree once in the group of each forest T - e, and
+    puts T - e + e' across the facet conv(T - e) exactly when the vertex
+    of e' has a negative e-coordinate in the barycentric coordinates of
+    T's simplex, on T's side when it has a positive one; the facet is
+    interior (both halves of its cut non-empty) exactly when some vertex
+    of Q_G has a negative e-coordinate."""
     graphs = [c4_fixture.graph, running_fixture.graph]
     graphs += [random_bipartite(seed, 4, 4, 8) for seed in range(20)]
     facets_seen = 0
     for g in graphs:
         trees = list(g.spanning_trees())
         position = {t: k for k, t in enumerate(trees)}
-        facets = facet_neighbours(g, trees)
-        assert [(f.tree, f.edge) for f in facets] == [
+        records = [SimpleNamespace(mask=g._edge_mask(t), cuts=_base_cuts(g, t))
+                   for t in trees]
+        table = _facet_table(g, records)
+        assert sorted((k, g.edge_ids[j]) for forests in table.values()
+                      for group in forests.values() for j, k, _ in group) == [
             (k, e) for k, t in enumerate(trees) for e in sorted(t)]
-        for f in facets:
-            tree = trees[f.tree]
+        for k, (tree, record) in enumerate(zip(trees, records)):
             simplex = TreeSimplex(g, tree)
-            j = simplex.tree_edges.index(f.edge)
-            coordinate = {e: barycentric(simplex, vertex_point(g, e))[j]
-                          for e in g.edge_ids}
-            across, beside = set(), set()
-            for e in g.edge_ids:
-                if e in tree:
-                    continue
-                other = tree - {f.edge} | {e}
-                if coordinate[e] == 0:
-                    assert other not in position
-                    continue
-                (across if coordinate[e] < 0 else beside).add(position[other])
-            assert (set(f.across), set(f.beside)) == (across, beside)
-            assert len(f.across) + len(f.beside) == len(across) + len(beside)
-            assert f.interior == any(c < 0 for c in coordinate.values())
-            facets_seen += 1
+            for eps, (violet_in, emerald_in) in record.cuts.items():
+                group = table[violet_in | emerald_in][record.mask ^ g._edge_mask({eps})]
+                (side,) = [s for _, p, s in group if p == k]
+                assert side == bool(violet_in & g._edge_mask({eps}))
+                j = simplex.tree_edges.index(eps)
+                coordinate = {e: barycentric(simplex, vertex_point(g, e))[j]
+                              for e in g.edge_ids}
+                across, beside = set(), set()
+                for e in g.edge_ids:
+                    if e in tree:
+                        continue
+                    other = tree - {eps} | {e}
+                    if coordinate[e] == 0:
+                        assert other not in position
+                        continue
+                    (across if coordinate[e] < 0 else beside).add(position[other])
+                assert ({p for _, p, s in group if s != side},
+                        {p for _, p, s in group if s == side and p != k}) == (across, beside)
+                assert len(group) == 1 + len(across) + len(beside)
+                assert bool(violet_in and emerald_in) == any(c < 0 for c in coordinate.values())
+                facets_seen += 1
     assert facets_seen > 800
 
 
+def facet_witnesses(g, trees) -> list[dict]:
+    """The facet witnesses of ``verify_dissection`` on the shelling
+    record of ``trees``, in order."""
+    rep = verify_dissection(g, shelling(g, trees))
+    return [w for w in rep["witnesses"] if w["kind"] == "facet"]
+
+
 def locally_matched(g, trees) -> bool:
-    """The facet-neighbour rule: one neighbour across every interior
-    facet, none across a boundary facet, none beside any."""
-    return all(not f.beside and len(f.across) == (1 if f.interior else 0)
-               for f in facet_neighbours(g, trees))
+    """The facet rule: one tree across every interior facet, none across
+    a boundary facet, none beside any; so no facet witness."""
+    return not facet_witnesses(g, trees)
 
 
 def test_triangulation_equals_pairwise_oracle(knot_fixture, c4_fixture,
                                               running_fixture):
-    """The facet-neighbour verdict equals counts, markers and Postnikov's
+    """The facet-table verdict equals counts, markers and Postnikov's
     pairwise compatibility on every instance; among them are dissections
     that do not triangulate (the knot setup, rb4x4-10/12, subdivisions)."""
     graphs = [knot_fixture.graph, c4_fixture.graph, running_fixture.graph,
@@ -452,12 +468,13 @@ def test_geometric_shelling_of_a_dissection_that_is_no_triangulation():
         assert shelled["ok"], (seed, shelled["failures"])
         assert shelling_h_vector(steps) == interior_polynomial(g, EMERALD).coeffs
         if seed == 7:
-            lonely = [f for f in facet_neighbours(g, trees)
-                      if f.edge == "t2|w1" and f.tree in (3, 4)]
+            # a witness with nothing across is an interior facet
+            lonely = [w for w in rep["witnesses"] if w["kind"] == "facet"
+                      and w["edge"] == "t2|w1" and w["tree"] in (3, 4)]
             assert len(lonely) == 2
-            for f in lonely:
-                assert f.edge in steps[f.tree].semi_passive
-                assert f.interior and f.across == () and f.beside == ()
+            for w in lonely:
+                assert w["edge"] in steps[w["tree"]].semi_passive
+                assert w["across"] == [] and w["beside"] == []
 
 
 def test_cover_rule_equals_fraction_oracle():
@@ -519,7 +536,6 @@ def test_geometry_rejects_graphs_that_are_not_bipartite(name):
     tree = next(g.spanning_trees())
     entries = [lambda: verify_dissection(g, []),
                lambda: geometric_shelling_check(g, []),
-               lambda: facet_neighbours(g, [tree]),
                lambda: certify_disjoint_interiors(g, tree, tree, min(tree)),
                lambda: normalized_simplex_volume(g, tree),
                lambda: ehrhart_values(g, 2),

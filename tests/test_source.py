@@ -134,7 +134,7 @@ def test_imports_and_definitions_detected():
 
 
 def test_pairwise_compatibility_stays_in_the_oracles():
-    """The triangulation verdict is local on facet neighbours; the
+    """The triangulation verdict is local on the facet table; the
     pairwise compatibility test and its topological sort live in
     ``tests/oracles.py`` only."""
     found = {p.name: imports_and_definitions(p.read_text(encoding="utf-8"))
@@ -156,6 +156,28 @@ def test_fraction_recursion_stays_in_the_oracles():
                  "vertex_point", "barycentric", "Point"):
         assert {p.name for p, (_, defined) in found.items() if name in defined} \
             == {"oracles.py"}, name
+
+
+def test_facets_are_indexed_in_one_table():
+    """The facets of the tree simplices are indexed once: no module under
+    ``src/`` defines ``Facet``, ``facet_neighbours`` or ``_facets``; the
+    one facet function of ``polytope.py`` is the table builder
+    ``_facet_table``, the only dict it builds by ``setdefault`` beside
+    the Ehrhart step table, and ``verify_dissection`` and
+    ``_cover_rule`` each call it once."""
+    for path in PACKAGE.glob("*.py"):
+        source = path.read_text(encoding="utf-8")
+        defined = imports_and_definitions(source)[1] | {
+            node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef)}
+        assert defined & {"Facet", "facet_neighbours", "_facets"} == set(), path.name
+    source = (PACKAGE / "polytope.py").read_text(encoding="utf-8")
+    assert {name for name in imports_and_definitions(source)[1]
+            if "facet" in name.lower()} == {"_facet_table"}
+    assert {function for function, _ in calls_to(source, "setdefault")} == {
+        "_facet_table", "ehrhart_values"}
+    assert sorted(calls_to(source, "_facet_table")) == [
+        ("_cover_rule", False), ("verify_dissection", False)]
 
 
 def test_sweep_is_the_block_primitive():
@@ -307,6 +329,16 @@ def test_rollback_union_find_stays_in_the_oracle():
     searches = [node for node in ast.walk(hypertree)
                 if isinstance(node, ast.FunctionDef) and node.name == "_search"]
     assert len(searches) == 1 and searches[0] in feasibility.body
+
+
+def test_union_find_objects_stay_off_the_walk():
+    """The online check of a refuted Bernardi step counts components on an
+    int list, as the family's Kruskal start does: only the backtracking
+    oracle and the Tutte polynomial build a ``UnionFind``."""
+    calls = {(path.name, function)
+             for path in PACKAGE.glob("*.py")
+             for function, _ in calls_to(path.read_text(encoding="utf-8"), "UnionFind")}
+    assert calls == {("hypertree.py", "_search"), ("hypertree.py", "tutte_x_polynomial")}
 
 
 def set_builders(source: str, function: str) -> list[str]:
