@@ -38,8 +38,9 @@ class TheoremViolation(AssertionError):
     """An invariant that is a theorem failed during execution."""
 
 
-@dataclass(frozen=True)
-class ProcessVariant:
+class ProcessVariant(NamedTuple):
+    """A process's hypertree side and cut side; a tuple, so that the
+    runs and polynomials keyed by it hash and compare at C speed."""
     ht_side: str
     cut_side: str
 

@@ -42,7 +42,7 @@ SKIP = "skipped"
 
 # largest instance (edges) that gets the facet-by-facet shelling check
 GEOMETRY_EDGE_LIMIT = 8
-# largest instance (edges) whose Ehrhart values the lattice scan recounts
+# largest instance (edges) whose Ehrhart values the Gale count recounts
 LATTICE_SCAN_EDGE_LIMIT = 6
 # largest instance (edges, nodes) that gets the Ehrhart chain
 EHRHART_EDGE_LIMIT = 10
@@ -55,8 +55,13 @@ KATO_EXTRA = 5  # the Kato series is compared up to dilate d + KATO_EXTRA
 class CampaignReport:
     checks: list[dict] = field(default_factory=list)
     seed: int | None = None
-    input_hash: str | None = None
+    # the checked graph, hashed only when the report is read
+    graph: RibbonBipartiteGraph | None = field(default=None, repr=False, compare=False)
     elapsed_s: float = 0.0
+
+    @property
+    def input_hash(self) -> str | None:
+        return None if self.graph is None else graph_hash(self.graph)
 
     def add(self, name: str, status: str, **details):
         entry = {"name": name, "status": status}
@@ -96,7 +101,7 @@ def graph_hash(g: RibbonBipartiteGraph) -> str:
 def check_conjectures(g: RibbonBipartiteGraph) -> CampaignReport:
     """The cut-at-violet interior conjecture and both exterior variants,
     in a report of their own (see ``_add_conjecture_checks``)."""
-    report = CampaignReport(input_hash=graph_hash(g))
+    report = CampaignReport(graph=g)
     _add_conjecture_checks(report, g)
     return report
 
@@ -161,7 +166,7 @@ def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
                         rng_seed: int = 0) -> CampaignReport:
     """Run every module's checks on one desk-scale instance."""
     t0 = time.perf_counter()
-    report = CampaignReport(seed=rng_seed, input_hash=graph_hash(g))
+    report = CampaignReport(seed=rng_seed, graph=g)
     if len(g.edge_ids) > max_edges:
         raise ValueError(
             f"instance has {len(g.edge_ids)} edges > limit {max_edges}; "

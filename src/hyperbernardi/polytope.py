@@ -7,8 +7,10 @@ up the tree that realizes them (rooted at the base node by
 ``RibbonGraph._root``); simplex volumes are ``det_bareiss`` of incidence
 rows (in a search's discovery order every spanning tree's rows are unit
 triangular, so every tree simplex is unimodular); each Ehrhart dilate
-is a dict of bitmap blocks, one bit per point; the lattice-scan oracle
-peels the points of k*Q_G; the binomial-basis fit is unit triangular.
+is a dict of bitmap blocks, one bit per point; the lattice-point oracle
+counts k*Q_G by Gale's supply-demand condition, one bitset AND per
+subset of the smaller color class; the binomial-basis fit is unit
+triangular.
 
 A tree's cut table (``jaeger._base_cuts``) gives the +/-1 functional of
 each tree edge's cut as edge bitmasks.  It certifies the pairwise
@@ -25,7 +27,10 @@ operations require a simple bipartite graph.
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import chain
 from math import comb
+from operator import and_, getitem
 
 from . import graph
 from .bernardi import TheoremViolation
@@ -87,16 +92,12 @@ class TreeSimplex:
             rest[y] -= rest[x]
         return lam, rest[self._root]
 
-    def contains_scaled(self, p: tuple[int, ...], scale: int, strict: bool) -> bool:
-        """Whether p/scale lies in the simplex (in its relative interior
-        when ``strict``), for an integer point p: nothing is left at the
-        last node, the coordinates sum to scale and every one of them is
-        nonnegative (positive when ``strict``)."""
+    def contains_scaled(self, p: tuple[int, ...], scale: int) -> bool:
+        """Whether p/scale lies in the relative interior of the simplex,
+        for an integer point p: nothing is left at the last node, the
+        coordinates sum to scale and every one of them is positive."""
         lam, left = self._peel_point(p)
-        if left != 0 or sum(lam) != scale:
-            return False
-        low = min(lam)
-        return low > 0 if strict else low >= 0
+        return left == 0 and sum(lam) == scale and min(lam) > 0
 
 
 def _positive(g: RibbonBipartiteGraph, cuts) -> dict[str, int]:
@@ -222,7 +223,7 @@ def verify_dissection(g: RibbonBipartiteGraph, steps) -> dict:
         for f in family:
             p = scaled_marker(g, f, side)
             inside = [k for k in realized[side].get(tuple(f[x] for x in nodes), [])
-                      if simplices[k].contains_scaled(p, scale, strict=True)]
+                      if simplices[k].contains_scaled(p, scale)]
             if len(inside) != 1:
                 report["witnesses"].append(
                     {"kind": "marker", "side": side, "hypertree": dict(f),
@@ -398,8 +399,9 @@ def ehrhart_values(g: RibbonBipartiteGraph, kmax: int) -> list[int]:
     ints; this relies on the maximal simplices being unimodular.  Every
     spanning tree's simplex is (see normalized_simplex_volume, whose
     determinant ``verify`` computes on the dissection's trees), and the
-    lattice-scan oracle (integer points peeled on every tree simplex)
-    cross-checks the counts on small instances.
+    lattice-point oracle (``ehrhart_values_scan``, Gale's supply-demand
+    condition, with no trees and no edge multisets) cross-checks the
+    counts on small instances.
 
     A dilate is a dict of bitmap blocks.  Each side of a point of k*Q_G
     sums to k, so the last emerald and the last violet coordinate follow
@@ -444,28 +446,63 @@ def ehrhart_values(g: RibbonBipartiteGraph, kmax: int) -> list[int]:
     return values
 
 
-def compositions(total: int, parts: int):
-    """Every tuple of ``parts`` nonnegative ints summing to ``total``,
-    in lexicographic order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _sums(kmax: int, parts: int, subset: int) -> list[list[int]]:
+    """For each total s = 0..kmax, the sum over ``subset`` (a bitmask of
+    part indices) of every composition of s into ``parts`` nonnegative
+    parts, in lexicographic order: the compositions of s are those of
+    s - f over the later parts with f put first, for f = 0..s."""
+    sums = [[s * (subset >> parts - 1 & 1)] for s in range(kmax + 1)]
+    for j in range(parts - 2, -1, -1):
+        inside = subset >> j & 1
+        sums = [list(chain.from_iterable(map((f * inside).__add__, sums[s - f])
+                                         for f in range(s + 1)))
+                for s in range(kmax + 1)]
+    return sums
 
 
 def ehrhart_values_scan(g: RibbonBipartiteGraph, kmax: int) -> list[int]:
-    """Independent oracle: scan integer points p of the bounding slab and
-    test membership of p/k in Q_G via some spanning-tree simplex, by the
-    integer peel of p (``contains_scaled``).  At k = 0 the one point, 0,
-    peels to 0 on every simplex."""
+    """Independent oracle: the lattice points of k*Q_G for k = 0..kmax,
+    counted by Gale's supply-demand theorem (Gale 1957), with no trees
+    and no edge multisets.  A point of k*Q_G is a pair (a, b) of
+    k-compositions over the two color classes that a nonnegative flow
+    on the edges carries (the transportation view of Postnikov 2009,
+    section 12), and such a flow exists exactly when a(S) <= b(N(S))
+    for every nonempty set S of the smaller class, N(S) its neighbours.
+
+    For each k the compositions b over the larger class are listed once,
+    in lexicographic order, one bit each (``_sums`` gives their values
+    b(N(S)) in that order): for every S and threshold t the ones with
+    b(N(S)) >= t form a bitset.  A composition a over the smaller class
+    then pairs with the popcount of the AND of one bitset per S, the
+    one at threshold a(S)."""
     _require_simple(g)
-    simplices = [TreeSimplex(g, t) for t in g.spanning_trees()]
-    return [sum(any(s.contains_scaled(epart + vpart, k, strict=False) for s in simplices)
-                for epart in compositions(k, len(g.emeralds))
-                for vpart in compositions(k, len(g.violets)))
-            for k in range(kmax + 1)]
+    small, large = sorted((g.emeralds, g.violets), key=len)
+    row = {x: i for i, x in enumerate(small)}
+    col = {y: j for j, y in enumerate(large)}
+    near = [0] * len(small)
+    for ends in g.edges.values():
+        x, y = ends if ends[0] in row else ends[::-1]
+        near[row[x]] |= 1 << col[y]
+    # hoods[S]: N(S) as a bitmask over the larger class, S a bitmask
+    hoods = [0]
+    for mask in near:
+        hoods += [h | mask for h in hoods]
+    conditions = range(1, len(hoods))
+    supplies = [_sums(kmax, len(small), s) for s in conditions]
+    demands = [_sums(kmax, len(large), hoods[s]) for s in conditions]
+    values = []
+    for k in range(kmax + 1):
+        at_least = []
+        for demand in demands:
+            ge = [0] * (k + 1)
+            for i, t in enumerate(demand[k]):
+                ge[t] |= 1 << i
+            for t in range(k - 1, -1, -1):
+                ge[t] |= ge[t + 1]
+            at_least.append(ge)
+        values.append(sum(reduce(and_, map(getitem, at_least, picks)).bit_count()
+                          for picks in zip(*(supply[k] for supply in supplies))))
+    return values
 
 
 def fit_binomial_coefficients(values, d: int) -> tuple[int, ...]:

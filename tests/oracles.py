@@ -22,12 +22,18 @@ on small instances only.  Each reference, and what it checks:
   the class, on a live subgraph (against the backtracking search and
   the exchange reachability that decides transfers and Bernardi steps);
 * ``marker`` and ``contains``: the Fraction marker point and simplex
-  containment (against ``scaled_marker`` and ``contains_scaled``);
+  containment (against ``scaled_marker``, ``contains_scaled`` and
+  ``holds_scaled``, the closed containment by the integer peel);
 * ``ehrhart_by_sets`` and ``ehrhart_by_tuples``: each dilate of the
   root polytope as a set of its points, packed into one int or kept as
-  a degree-vector tuple, and ``ehrhart_by_hall``: the points of k*Q_G
-  counted by Gale's supply-demand condition, with no edge multisets
-  and no trees (against the bitmap blocks of ``ehrhart_values``);
+  a degree-vector tuple; ``ehrhart_by_tree_scan`` and
+  ``fraction_scan``: every point of the slab of k*Q_G (``slab_points``)
+  tested on every spanning-tree simplex, by the integer peel and over
+  Fractions; and
+  ``ehrhart_by_hall``: Gale's supply-demand condition tested subset by
+  subset on every pair of compositions, with no edge multisets and no
+  trees (against the bitmap blocks of ``ehrhart_values``, and against
+  ``ehrhart_values_scan``, which ANDs one bitset per subset);
 * ``marker_placement``: every marker peeled on every tree simplex
   (against the peel on the realizing tree's simplex alone in
   ``verify_dissection``);
@@ -87,7 +93,7 @@ from hyperbernardi.hypertree import (_bfs, _exchange, _oracle, _side_key,
                                      enumerate_hypertrees, is_hypertree)
 from hyperbernardi.jaeger import ECUT, VCUT, _base_cuts, enumerate_jaeger_trees
 from hyperbernardi.polytope import (TreeSimplex, _certified, _positive, _require_simple,
-                                    compositions, node_index, scaled_marker)
+                                    node_index, scaled_marker)
 
 Point = tuple[Fraction, ...]
 
@@ -473,6 +479,64 @@ def ehrhart_by_tuples(g, kmax) -> list[int]:
     return values
 
 
+def compositions(total: int, parts: int):
+    """Every tuple of ``parts`` nonnegative ints summing to ``total``,
+    in lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def holds_scaled(simplex: TreeSimplex, p: tuple[int, ...], scale: int) -> bool:
+    """Whether p/scale lies in the closed simplex, for an integer point
+    p, by its integer peel: nothing is left at the last node, the
+    coordinates sum to scale and every one of them is nonnegative."""
+    lam, left = simplex._peel_point(p)
+    return left == 0 and sum(lam) == scale and min(lam) >= 0
+
+
+def slab_points(g, k: int):
+    """Every integer point of the bounding slab of k*Q_G, in node order:
+    the coordinates of each color class sum to k."""
+    idx = node_index(g)
+    where = [idx[x] for x in g.emeralds + g.violets]
+    for epart in compositions(k, len(g.emeralds)):
+        for vpart in compositions(k, len(g.violets)):
+            p = [0] * len(where)
+            for i, c in zip(where, epart + vpart):
+                p[i] = c
+            yield tuple(p)
+
+
+def ehrhart_by_tree_scan(g, kmax) -> list[int]:
+    """Lattice points of k*Q_G for k = 0..kmax: every point p of the slab
+    (``slab_points``) tested as p/k against every spanning-tree simplex
+    (``holds_scaled``).  At k = 0 the one point, 0, peels to 0 on every
+    simplex."""
+    _require_simple(g)
+    simplices = [TreeSimplex(g, t) for t in g.spanning_trees()]
+    return [sum(any(holds_scaled(s, p, k) for s in simplices) for p in slab_points(g, k))
+            for k in range(kmax + 1)]
+
+
+def fraction_scan(g, kmax):
+    """Lattice points of k*Q_G for k = 0..kmax over Fractions: every
+    point p of the slab with both sides summing to k, tested as p/k
+    against every spanning-tree simplex by ``contains``."""
+    simplices = [TreeSimplex(g, t) for t in g.spanning_trees()]
+    values = [1]
+    for k in range(1, kmax + 1):
+        count = 0
+        for p in slab_points(g, k):
+            q = tuple(Fraction(x, k) for x in p)
+            count += any(contains(s, q, strict=False) for s in simplices)
+        values.append(count)
+    return values
+
+
 def ehrhart_by_hall(g, kmax) -> list[int]:
     """Lattice points of k*Q_G for k = 0..kmax by Gale's supply-demand
     theorem (Gale 1957): a pair (a, b) of k-compositions over the
@@ -649,7 +713,7 @@ def marker_placement(g, trees) -> list[tuple[str, dict, list[int]]]:
         for f in enumerate_hypertrees(g, side):
             p = scaled_marker(g, f, side)
             out.append((side, f, [k for k, s in enumerate(simplices)
-                                  if s.contains_scaled(p, scale, strict=True)]))
+                                  if s.contains_scaled(p, scale)]))
     return out
 
 

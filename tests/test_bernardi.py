@@ -30,9 +30,20 @@ from oracles import random_setup_variation
 
 def test_variant_parsing():
     assert ProcessVariant.parse("htE-cutV") == HT_E_CUT_V
-    assert str(HT_V_CUT_E) == "htV-cutE"
+    assert str(HT_V_CUT_E) == "htV-cutE" == f"{HT_V_CUT_E}"
     with pytest.raises(ValueError):
         ProcessVariant.parse("htE-cutX")
+
+
+def test_variants_hash_and_compare_as_tuples():
+    """A variant built by value is equal to the constant and finds its
+    runs in a dict; hashing and comparison are the tuple's own, with no
+    generated Python method on the fuzz path."""
+    built = ProcessVariant(EMERALD, VIOLET)
+    assert built == HT_E_CUT_V and built is not HT_E_CUT_V
+    assert {HT_E_CUT_V: 1}[built] == 1 and built != HT_E_CUT_E
+    assert ProcessVariant.__hash__ is tuple.__hash__
+    assert ProcessVariant.__eq__ is tuple.__eq__
 
 
 def test_process_walkthrough_cut_at_hypertree_side(process_fixture):

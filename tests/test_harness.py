@@ -134,6 +134,26 @@ def test_campaign_all_pass(knot_fixture):
     assert payload["input_hash"] and "tool_version" in payload
 
 
+def test_reports_hash_their_input_only_when_read(monkeypatch, knot_fixture):
+    """A report serializes its graph for ``input_hash`` only in
+    ``to_json``: the checks of ``check_conjectures`` and
+    ``campaign_verify_all`` serialize nothing, and the JSON carries the
+    graph's hash."""
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return serialize_graph(g)
+    monkeypatch.setattr(campaign, "serialize_graph", counting)
+    g = knot_fixture.graph
+    for report in (campaign.check_conjectures(g), campaign_verify_all(g)):
+        assert report.checks and calls == []
+        assert report.to_json()["input_hash"] == campaign.graph_hash(g)
+        assert calls == [g, g]
+        calls.clear()
+    assert campaign.CampaignReport().to_json()["input_hash"] is None
+
+
 def test_campaign_caches_only_the_oracles():
     """After a campaign the graph's cache holds one oracle per side, and
     the reversed setup shares it."""

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperbernardi import graph
-from hyperbernardi.campaign import EHRHART_EDGE_LIMIT, EHRHART_NODE_LIMIT
+from hyperbernardi.campaign import (EHRHART_EDGE_LIMIT, EHRHART_NODE_LIMIT,
+                                   LATTICE_SCAN_EDGE_LIMIT, campaign_verify_all)
 from hyperbernardi.docio import serialize_graph
 from hyperbernardi.exactla import det_bareiss
 from hyperbernardi.fixtures import REGISTRY, c4, noncrossing_setup
@@ -23,7 +24,7 @@ from hyperbernardi.hypertree import (Poly, enumerate_hypertrees,
                                      interior_polynomial)
 from hyperbernardi.jaeger import VCUT, _base_cuts, enumerate_jaeger_trees, shelling
 from hyperbernardi.polytope import (TreeSimplex, _cover_rule, _facet_table,
-                                    compositions, ehrhart_fit, ehrhart_values,
+                                    ehrhart_fit, ehrhart_values,
                                     ehrhart_values_scan,
                                     fit_binomial_coefficients,
                                     geometric_shelling_check, is_simple,
@@ -32,8 +33,10 @@ from hyperbernardi.polytope import (TreeSimplex, _cover_rule, _facet_table,
                                     shelling_h_vector, verify_dissection)
 from oracles import (barycentric, certify_disjoint_interiors, contains,
                      cut_values, ehrhart_by_hall, ehrhart_by_sets,
-                     ehrhart_by_tuples, facet_cover_status, intersection_is_common_face, marker, marker_placement,
-                     separates, solve_exact, trees_compatible, vertex_point)
+                     ehrhart_by_tree_scan, ehrhart_by_tuples, facet_cover_status,
+                     fraction_scan, holds_scaled, intersection_is_common_face, marker,
+                     marker_placement, separates, solve_exact, trees_compatible,
+                     vertex_point)
 
 
 def test_marker_values_c4(c4_fixture):
@@ -360,9 +363,9 @@ def test_certified_markers_peel_one_simplex_each(monkeypatch, knot_fixture,
     peels = []
     contains_scaled = TreeSimplex.contains_scaled
 
-    def counting(simplex, p, scale, strict):
+    def counting(simplex, p, scale):
         peels.append((simplex.tree_edges, p))
-        return contains_scaled(simplex, p, scale, strict)
+        return contains_scaled(simplex, p, scale)
     monkeypatch.setattr(TreeSimplex, "contains_scaled", counting)
     certified, counts = set(), set()
     for g in (knot_fixture.graph, running_fixture.graph):
@@ -597,9 +600,10 @@ def fraction_det(rows):
 def test_scaled_marker_hits_equal_fraction_containment(c4_fixture, running_fixture,
                                                        knot_fixture):
     """Integer peeling of points scaled by |E||V| answers containment,
-    strict and not, as the Fraction peeling does, on every spanning
-    tree: markers (interior points), vertices (boundary points), and
-    markers doubled or nudged at one node (off the affine hull)."""
+    strict (``contains_scaled``) and not (the oracles' ``holds_scaled``),
+    as the Fraction peeling does, on every spanning tree: markers
+    (interior points), vertices (boundary points), and markers doubled
+    or nudged at one node (off the affine hull)."""
     answers = {kind: set() for kind in ("marker", "vertex", "off-hull")}
     for g in geometry_graphs(c4_fixture, running_fixture, knot_fixture):
         scale = len(g.emeralds) * len(g.violets)
@@ -619,9 +623,8 @@ def test_scaled_marker_hits_equal_fraction_containment(c4_fixture, running_fixtu
         simplices = [TreeSimplex(g, t) for t in g.spanning_trees()]
         for kind, p, q in points:
             hits = {}
-            for strict in (True, False):
-                hits[strict] = [i for i, s in enumerate(simplices)
-                                if s.contains_scaled(p, scale, strict)]
+            for strict, peel in ((True, TreeSimplex.contains_scaled), (False, holds_scaled)):
+                hits[strict] = [i for i, s in enumerate(simplices) if peel(s, p, scale)]
                 assert hits[strict] == [i for i, s in enumerate(simplices)
                                         if contains(s, q, strict)], (kind, p, strict)
             answers[kind].add((len(hits[True]), len(hits[False]) > 0))
@@ -783,34 +786,26 @@ def test_ehrhart_running(running_fixture):
     assert fit_binomial_coefficients(values, 5) == (1, 3, 3, 0, 0, 0)
 
 
-def fraction_scan(g, kmax):
-    """Reference lattice scan over Fractions: every point p of the slab
-    with both sides summing to k, tested as p/k against every tree
-    simplex by ``contains``."""
-    simplices = [TreeSimplex(g, t) for t in g.spanning_trees()]
-    values = [1]
-    for k in range(1, kmax + 1):
-        count = 0
-        for epart in compositions(k, len(g.emeralds)):
-            for vpart in compositions(k, len(g.violets)):
-                p = tuple(Fraction(x, k) for x in epart + vpart)
-                count += any(contains(s, p, strict=False) for s in simplices)
-        values.append(count)
-    return values
+def lattice_ladder():
+    """The ladder instances inside the campaign's lattice-oracle gate:
+    c4 and five of the ten ``random_bipartite(s, 5, 5, 16)``."""
+    small = [random_bipartite(s, 5, 5, 16) for s in range(10)]
+    small = [g for g in small if len(g.edge_ids) <= LATTICE_SCAN_EDGE_LIMIT]
+    assert len(small) == 5
+    return [c4().graph] + small
 
 
 def test_integer_scan_equals_fraction_scan(c4_fixture, running_fixture):
-    """The integer lattice scan, the Fraction scan and the packed dilate
-    count agree on c4, the running example, the two-line K3,3 and the
-    ladder's random instances small enough for the campaign's scan."""
+    """The integer tree scan, the Fraction scan and the packed dilate
+    count agree on c4, the running example, the process example (whose
+    node names interleave the two color classes), the two-line K3,3 and
+    the ladder's random instances small enough for the campaign's
+    lattice oracle."""
     cases = [(c4_fixture.graph, 4), (running_fixture.graph, 3),
-             (noncrossing_setup(2, 2), 6)]
-    small = [random_bipartite(s, 5, 5, 16) for s in range(10)]
-    small = [g for g in small if len(g.edge_ids) <= 6]
-    assert len(small) == 5
-    cases += [(g, len(g.nodes)) for g in small]  # kmax = d + 2
+             (REGISTRY["process-example"]().graph, 3), (noncrossing_setup(2, 2), 6)]
+    cases += [(g, len(g.nodes)) for g in lattice_ladder()[1:]]  # kmax = d + 2
     for g, kmax in cases:
-        scan = ehrhart_values_scan(g, kmax)
+        scan = ehrhart_by_tree_scan(g, kmax)
         assert scan == fraction_scan(g, kmax) == ehrhart_values(g, kmax), sorted(g.edges)
 
 
@@ -820,6 +815,109 @@ def test_ehrhart_scan_oracle_random():
         d = len(g.nodes) - 2
         values = ehrhart_values(g, d + 2)
         assert ehrhart_values_scan(g, d + 2) == values, seed
+
+
+def test_lattice_oracle_equals_every_count():
+    """Gale's bitset count (``ehrhart_values_scan``) equals the tree
+    scan, the packed dilates and the subset-by-subset Hall count at
+    d + 2 and d + 5 on the ladder's six gated instances and every
+    bipartite fixture, and the Fraction scan at d + 2 on those with at
+    most 6 nodes (the 7-node fixtures take seconds each there; the
+    Fraction test above scans them to dilate 3)."""
+    fixtures = [f().graph for f in REGISTRY.values()]
+    graphs = lattice_ladder() + [g for g in fixtures if g.bipartite]
+    assert len(graphs) == 12
+    for g in graphs:
+        d = len(g.nodes) - 2
+        gale = ehrhart_values_scan(g, d + 5)
+        assert gale == ehrhart_values(g, d + 5) == ehrhart_by_hall(g, d + 5), sorted(g.edges)
+        assert gale[:d + 3] == ehrhart_by_tree_scan(g, d + 2), sorted(g.edges)
+        if len(g.nodes) <= 6:
+            assert gale[:d + 3] == fraction_scan(g, d + 2), sorted(g.edges)
+
+
+# seeded random_bipartite shapes with at most 6 edges: (max emeralds,
+# max violets, max edges)
+LATTICE_SHAPES = [(3, 4, 6), (4, 3, 6), (2, 5, 6), (3, 3, 6), (1, 6, 6), (5, 2, 6)]
+
+
+def test_lattice_oracle_seeded_both_condition_sides():
+    """On 300 seeded instances with at most 6 edges, and on each one
+    transposed, so that each color class serves as the smaller one or,
+    at equal sizes, as the condition side: Gale's bitset count equals
+    the tree scan at d + 2 and the packed dilates at d + 5, and on the
+    untransposed ones the Hall count at d + 2 (which tests every subset
+    of the emeralds, whatever their number)."""
+    seeded = [random_bipartite(s, *shape) for shape in LATTICE_SHAPES for s in range(50)]
+    assert len(seeded) == 300 and max(len(g.edge_ids) for g in seeded) == 6
+    sides = set()
+    for g in seeded:
+        d = len(g.nodes) - 2
+        assert ehrhart_values_scan(g, d + 2) == ehrhart_by_hall(g, d + 2), \
+            sorted(g.edges.values())
+        for h in (g, g.transpose()):
+            gale = ehrhart_values_scan(h, d + 5)
+            assert gale == ehrhart_values(h, d + 5), sorted(h.edges.values())
+            assert gale[:d + 3] == ehrhart_by_tree_scan(h, d + 2), sorted(h.edges.values())
+            sides.add(len(h.emeralds) <= len(h.violets))
+    assert sides == {True, False}
+
+
+def test_lattice_oracle_one_node_class():
+    """With one node in a class the only condition is the whole class:
+    on K1,1 and the stars K1,n and Kn,1, n <= 6, the dilates up to d + 5
+    hold C(k + n - 1, n - 1) points, as the tree scan and the packed
+    dilates count."""
+    for n in range(1, 7):
+        leaves = [f"x{i}" for i in range(n)]
+        edges = {f"c{x}": ("c", x) for x in leaves}
+        for emeralds, violets in ((["c"], leaves), (leaves, ["c"])):
+            g = RibbonBipartiteGraph(emeralds, violets, edges, None,
+                                     base_node="c", base_edge="cx0")
+            kmax = n + 4  # d + 5
+            want = [comb(k + n - 1, n - 1) for k in range(kmax + 1)]
+            assert ehrhart_values_scan(g, kmax) == want == ehrhart_values(g, kmax)
+            assert ehrhart_by_tree_scan(g, kmax) == want, (n, emeralds)
+
+
+def test_lattice_oracle_builds_no_trees(monkeypatch):
+    """Gale's count builds no tree simplex and calls neither the
+    spanning-tree generator nor the sweep's blocks; the tree scan, run
+    under the same counters, does."""
+    calls = Counter()
+
+    def counted(cls, name):
+        original = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(cls, name, wrapper)
+    counted(TreeSimplex, "__init__")
+    for name in ("spanning_trees", "_tree_blocks"):
+        counted(graph.RibbonGraph, name)
+    for g in lattice_ladder():
+        ehrhart_values_scan(g, len(g.nodes))
+    assert calls == Counter()
+    ehrhart_by_tree_scan(c4().graph, 2)
+    assert calls["__init__"] == 4 and calls["spanning_trees"] == 1
+
+
+def test_campaign_lattice_oracle_reads_node_order():
+    """The campaign's lattice oracle counts the same points whatever the
+    node names: on a ladder instance whose violet names sort before its
+    emerald names the entry passes with the packed count."""
+    g = lattice_ladder()[2]  # rb5x5-16/s4: 2 emeralds, 3 violets, 6 edges
+    nm = {x: ("a" if x in g.violets else "z") + x for x in g.nodes}
+    h = RibbonBipartiteGraph(
+        [nm[x] for x in g.emeralds], [nm[x] for x in g.violets],
+        {e: (nm[a], nm[b]) for e, (a, b) in g.edges.items()},
+        {nm[x]: rot for x, rot in g.rotations.items()},
+        base_node=nm[g.base_node], base_edge=g.base_edge)
+    assert h.nodes == h.violets + h.emeralds
+    [entry] = [c for c in campaign_verify_all(h).checks
+               if c["name"] == "ehrhart-lattice-scan-oracle"]
+    assert entry["status"] == "pass" and entry["scan"] == entry["dp"]
 
 
 def test_fit_rejects_bad_values():

@@ -255,17 +255,18 @@ def test_walk_builds_no_steps():
     assert {function for function, _ in calls_to(source, "BernardiStep")} == {"steps"}
 
 
-def peels_in(source: str, function: str) -> list[tuple[bool, bool, list[str]]]:
-    """Each peel (a call of ``contains_scaled``) in a module's top-level
-    ``function``: whether it lies in a loop or comprehension over
+def peels_in(source: str, function: str | None = None) -> list[tuple[bool, bool, list[str]]]:
+    """Each peel (a call of ``contains_scaled`` or ``_peel_point``) in a
+    module's ``function`` (in every function, methods included, when
+    None): whether it lies in a loop or comprehension over
     ``simplices``, whether it lies in a branch of an ``if``, and what
     the loops and comprehensions around it iterate over, outermost
     first."""
     found = []
 
     def visit(node, over, guarded):
-        if isinstance(node, ast.Call) and "contains_scaled" in (
-                getattr(node.func, "attr", None), getattr(node.func, "id", None)):
+        if isinstance(node, ast.Call) and {"contains_scaled", "_peel_point"} & {
+                getattr(node.func, "attr", None), getattr(node.func, "id", None)}:
             found.append((any("simplices" in it for it in over), guarded, over))
         loops = [node] if isinstance(node, ast.For) else getattr(node, "generators", [])
         over = over + [ast.unparse(loop.iter) for loop in loops]
@@ -277,8 +278,8 @@ def peels_in(source: str, function: str) -> list[tuple[bool, bool, list[str]]]:
         for child in ast.iter_child_nodes(node):
             visit(child, over, guarded)
 
-    for node in ast.parse(source).body:
-        if isinstance(node, ast.FunctionDef) and node.name == function:
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and function in (None, node.name):
             visit(node, [], False)
     return found
 
@@ -293,17 +294,25 @@ def test_peels_detected():
               "    if b:\n"
               "        s.contains_scaled(p)\n"
               "def g(simplices, p):\n"
-              "    return [s.contains_scaled(p) for s in simplices]\n")
+              "    return [s.contains_scaled(p) for s in simplices]\n"
+              "class C:\n"
+              "    def h(self, simplices, p):\n"
+              "        return any(s._peel_point(p) for s in simplices)\n")
     assert peels_in(source, "f") == [
         (True, False, ["simplices"]), (False, False, ["own"]),
         (True, True, ["simplices"]), (False, True, [])]
+    assert peels_in(source, "h") == [(True, False, ["simplices"])]
+    assert [every for every, _, _ in peels_in(source)] == [True, False, True, False, True, True]
 
 
 def test_markers_peel_on_their_own_simplex():
     """``verify_dissection`` peels each marker only on the listed trees
     that realize its hypertree, with no branch to a peel on every
     simplex, and no module keeps such a peel (``_strictly_inside``):
-    the all-simplices loop is ``tests/oracles.marker_placement``."""
+    the all-simplices loop is ``tests/oracles.marker_placement``.  No
+    function of the package peels on every simplex: the lattice-point
+    oracle counts by Gale's condition, and the tree scan is
+    ``tests/oracles.ehrhart_by_tree_scan``."""
     source = (PACKAGE / "polytope.py").read_text(encoding="utf-8")
     [(every, guarded, over)] = peels_in(source, "verify_dissection")
     assert not every and not guarded
@@ -312,6 +321,7 @@ def test_markers_peel_on_their_own_simplex():
         source = path.read_text(encoding="utf-8")
         assert "_strictly_inside" not in imports_and_definitions(source)[1], path.name
         assert calls_to(source, "_strictly_inside") == [], path.name
+        assert not any(every for every, _, _ in peels_in(source)), path.name
 
 
 def test_rollback_union_find_stays_in_the_oracle():
