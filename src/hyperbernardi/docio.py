@@ -55,9 +55,6 @@ def parse_graph(text: str) -> RibbonBipartiteGraph:
                                for s in ("emerald:", "violet:", "base:"))
     if not emeralds or not violets:
         raise GraphFormatError("both emerald: and violet: sections are required")
-    if len(set(emeralds)) != len(emeralds) or len(set(violets)) != len(violets):
-        raise GraphFormatError("duplicate node name")
-    declared = {*emeralds, *violets}
 
     edges: dict[str, tuple[str, str]] = {}
     for line in sections["edges:"]:
@@ -67,8 +64,6 @@ def parse_graph(text: str) -> RibbonBipartiteGraph:
         eid, em, vi = parts
         if eid in edges:
             raise GraphFormatError(f"duplicate edge id {eid!r}")
-        if em not in declared or vi not in declared:
-            raise GraphFormatError(f"edge {eid!r} uses an undeclared node")
         edges[eid] = (em, vi)
     if not edges:
         raise GraphFormatError("edges: section is empty")
@@ -79,12 +74,10 @@ def parse_graph(text: str) -> RibbonBipartiteGraph:
             raise GraphFormatError(f"rotation line needs 'node: id id ...': {line!r}")
         node, rest = line.split(":", 1)
         node = node.strip()
-        if node not in declared:
-            raise GraphFormatError(f"rotation for undeclared node {node!r}")
         if node in rotations:
             raise GraphFormatError(f"duplicate rotation for node {node!r}")
         rotations[node] = tuple(rest.split())
-    appearance = {x: [] for x in declared - rotations.keys()}   # the default order
+    appearance = {x: [] for x in {*emeralds, *violets} - rotations.keys()}   # the default order
     for eid, ends in edges.items():
         for x in ends:
             if x in appearance:

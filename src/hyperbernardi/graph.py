@@ -428,6 +428,8 @@ class RibbonBipartiteGraph(RibbonGraph):
         emeralds = tuple(sorted(map(str, emeralds)))
         violets = tuple(sorted(map(str, violets)))
         color = dict.fromkeys(emeralds, EMERALD)
+        if len(color) != len(emeralds) or len(set(violets)) != len(violets):
+            raise ValidationError("duplicate node name")
         if not color.keys().isdisjoint(violets):
             raise ValidationError("a node cannot be both emerald and violet")
         color.update(dict.fromkeys(violets, VIOLET))

@@ -19,6 +19,9 @@ reachable from j: no tight set holds j and misses i.  Exchanging along
 a shortest path j = v_0 -> ... -> v_k = i (add each v_t's non-tree
 edge, drop the tree edge at v_{t+1}) realizes the transfer, because a
 shortest path has no shortcut arc, so its exchange matrix is triangular.
+One breadth-first search, ``_bfs``, finds those paths, over the arcs
+that a drawer fills in: the family draws every node's arcs first, a
+Bernardi step only the arcs of the nodes its search reaches.
 
 The family is enumerated by closing one spanning tree's degree vector
 under the admitted transfers (the exchange axiom of M-convex sets joins
@@ -31,7 +34,7 @@ runs and the tests use it.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations, compress, repeat
 from typing import NamedTuple
 
@@ -106,16 +109,21 @@ class _Member(NamedTuple):
     inn: tuple[int, ...]
 
 
-def _bfs(adj: list[int], source: int) -> dict[int, int]:
+def _bfs(adj: list[int], source: int, draw=None, target: int | None = None) -> dict[int, int]:
     """The positions reachable from ``source`` along the arcs ``adj`` (bit
-    b of ``adj[a]`` for a -> b), each mapped to its predecessor on a
-    shortest path from ``source``, which maps to itself."""
+    b of ``adj[a]`` for a -> b, heads visited lowest first), each mapped
+    to its predecessor on a shortest path from ``source``, which maps to
+    itself.  An entry still unset (negative) is drawn by ``draw(a)`` just
+    before the search follows a's arcs, and the search stops after the
+    level that reaches ``target``."""
     pred = {source: source}
     seen = 1 << source
     frontier = [source]
-    while frontier:
+    while frontier and target not in pred:
         reached = []
         for a in frontier:
+            if adj[a] < 0:
+                draw(a)
             new = adj[a] & ~seen
             seen |= new
             while new:
@@ -166,7 +174,7 @@ class _Feasibility:
     The exchange rule is the module's, among the live edges: with T
     realizing f, f(S) = |N(S)| - c_T(S), so S is tight exactly when T's
     edges at S connect what the live edges at S connect, that is, when S
-    is closed under the arcs.
+    is closed under the arcs, which ``_arcs_from`` draws for ``_bfs``.
 
     Trees and live edge sets are bytearrays over edge indices; a side
     node is its position in ``side_nodes``, a set of them a bitmask.
@@ -256,13 +264,13 @@ class _Feasibility:
             depth[y] = depth[node[upward[y] ^ 1]] + 1
         return upward, depth
 
-    def _arcs_from(self, sources, tree: bytearray, live: bytearray,
-                   upward: list[int], depth: list[int]) -> dict:
-        """Each exchange arc (a, b) out of the side positions ``sources``, in
-        the order drawn on a tree rooted by ``_rooted``, with its first (live
-        non-tree edge k at a in index order, tree edge t at b on k's path)."""
+    def _arcs_from(self, tree: bytearray, live: bytearray, upward: list[int],
+                   depth: list[int], adj: list[int], witness: dict, *sources) -> None:
+        """Draw the exchange arcs out of each side position a in ``sources``
+        on a tree rooted by ``_rooted``: bit b of ``adj[a]`` for an arc
+        a -> b, and in ``witness[a, b]`` its first (live non-tree edge k at
+        a in index order, tree edge t at b on k's fundamental path)."""
         node, at, ht_darts = self.darts.node, self.at, self.ht_darts
-        found = {}
         for a in sources:
             drawn = 1 << a
             for d in ht_darts[a]:
@@ -277,21 +285,9 @@ class _Feasibility:
                     b = at[t >> 1]
                     if not drawn >> b & 1:
                         drawn |= 1 << b
-                        found[a, b] = (k, t >> 1)
+                        witness[a, b] = (k, t >> 1)
                     u = node[t ^ 1]
-        return found
-
-    def _arcs(self, tree: bytearray, live: bytearray) -> tuple[list[int], dict]:
-        """The exchange arcs of a spanning tree of the live edges: bit b of
-        ``adj[a]`` when a live non-tree edge at a has a tree edge at b on
-        its fundamental path, and for each arc one such (non-tree edge,
-        tree edge) pair."""
-        upward, depth = self._rooted(tree)
-        adj = [0] * len(self.side_nodes)
-        witness = self._arcs_from(range(len(adj)), tree, live, upward, depth)
-        for a, b in witness:
-            adj[a] |= 1 << b
-        return adj, witness
+            adj[a] = drawn ^ 1 << a
 
     def _realized(self, tree: bytearray) -> tuple[int, ...]:
         """The value tuple that a spanning tree realizes on the side."""
@@ -315,7 +311,8 @@ class _Feasibility:
         while frontier:
             f = frontier.pop()
             tree = trees[f]
-            adj, witness = self._arcs(tree, live)
+            adj, witness = [-1] * width, {}
+            self._arcs_from(tree, live, *self._rooted(tree), adj, witness, *range(width))
             out, inn = [0] * width, [0] * width
             for j in range(width):
                 pred = _bfs(adj, j)
@@ -355,9 +352,9 @@ class _Feasibility:
         edges are disconnected and f exceeds mu on the whole side.
 
         A lone tree edge e at x leaves x alone on its side, so any other
-        live edge at x reconnects it with no move.  Otherwise the search
-        from x draws the arcs as it reaches them, up the fundamental paths
-        of the live non-tree edges at the nodes it visits, to j's level.
+        live edge at x reconnects it with no move.  Otherwise ``_bfs``
+        searches the new tree's arcs from x, drawing each node's arcs only
+        when it reaches the node, and stops at j's level.
         """
         node, rotation, at = self.darts.node, self.darts.rotation, self.at
         x = node[2 * e + self.parity]
@@ -391,21 +388,14 @@ class _Feasibility:
         source, target = at[e], at[link]
         if source == target:
             return 0
-        upward, depth = self._rooted(tree)
-        pred, witness, seen, frontier = {source: source}, {}, 1 << source, [source]
-        while frontier and target not in pred:
-            reached = []
-            for (a, b), pair in self._arcs_from(frontier, tree, live, upward, depth).items():
-                if not seen >> b & 1:
-                    seen |= 1 << b
-                    pred[b], witness[a, b] = a, pair
-                    reached.append(b)
-            frontier = reached
+        adj, witness = [-1] * len(self.side_nodes), {}
+        draw = partial(self._arcs_from, tree, live, *self._rooted(tree), adj, witness)
+        pred = _bfs(adj, source, draw, target)
         if target in pred:
             _exchange(tree, pred, witness, target)
             return 0
         tree[link], tree[e] = 0, 1
-        return seen
+        return sum(1 << p for p in pred)
 
     def excess(self, f_key, members: int, live: bytearray) -> int:
         """f(S) - mu(S) among the ``live`` edges, S the side positions in

@@ -468,13 +468,16 @@ def ehrhart_values_scan(g: RibbonBipartiteGraph, kmax: int) -> list[int]:
     on the edges carries (the transportation view of Postnikov 2009,
     section 12), and such a flow exists exactly when a(S) <= b(N(S))
     for every nonempty set S of the smaller class, N(S) its neighbours.
+    Only the binding sets S are tested: N(S) misses a node of the larger
+    class (else a(S) <= k = b(N(S))), and S holds every node whose
+    neighbours lie in N(S) (else adding it keeps b(N(S)) and raises a(S)).
 
     For each k the compositions b over the larger class are listed once,
     in lexicographic order, one bit each (``_sums`` gives their values
     b(N(S)) in that order): for every S and threshold t the ones with
     b(N(S)) >= t form a bitset.  A composition a over the smaller class
     then pairs with the popcount of the AND of one bitset per S, the
-    one at threshold a(S)."""
+    one at threshold a(S).  With no binding S every pair is a point."""
     _require_simple(g)
     small, large = sorted((g.emeralds, g.violets), key=len)
     row = {x: i for i, x in enumerate(small)}
@@ -487,7 +490,12 @@ def ehrhart_values_scan(g: RibbonBipartiteGraph, kmax: int) -> list[int]:
     hoods = [0]
     for mask in near:
         hoods += [h | mask for h in hoods]
-    conditions = range(1, len(hoods))
+    full = (1 << len(large)) - 1
+    conditions = [s for s, hood in enumerate(hoods) if s and hood != full
+                  and s == sum(1 << i for i, mask in enumerate(near) if mask | hood == hood)]
+    if not conditions:
+        return [comb(k + len(small) - 1, k) * comb(k + len(large) - 1, k)
+                for k in range(kmax + 1)]
     supplies = [_sums(kmax, len(small), s) for s in conditions]
     demands = [_sums(kmax, len(large), hoods[s]) for s in conditions]
     values = []

@@ -33,7 +33,7 @@ on small instances only.  Each reference, and what it checks:
   ``ehrhart_by_hall``: Gale's supply-demand condition tested subset by
   subset on every pair of compositions, with no edge multisets and no
   trees (against the bitmap blocks of ``ehrhart_values``, and against
-  ``ehrhart_values_scan``, which ANDs one bitset per subset);
+  ``ehrhart_values_scan``, which ANDs one bitset per binding subset);
 * ``marker_placement``: every marker peeled on every tree simplex
   (against the peel on the realizing tree's simplex alone in
   ``verify_dissection``);
@@ -58,9 +58,12 @@ on small instances only.  Each reference, and what it checks:
   rotation by rotation, against the consecutive-arc rule (against the
   check that the Bernardi walk makes online at each current edge);
 * ``avoid_by_full_arcs``: a Bernardi step decided on the whole exchange
-  digraph of the reconnected tree, every arc drawn before the search
+  digraph of the reconnected tree, every position drawn before the
+  module's one search ``_bfs`` runs, as the family closure draws them
   (against ``_Feasibility.avoid``, which settles a lone tree edge with no
-  search and draws the arcs as its search reaches them);
+  search and passes ``_bfs`` a drawer, so it draws a position only when
+  the search reaches it, and a target, so it stops at the target's
+  level);
 * ``bernardi_run``: the Bernardi process walked on edge names, deciding
   every step by a full search (against the dart-table ``run_bernardi``,
   fast and paranoid), stepping around rotations with ``next_edge``
@@ -862,8 +865,9 @@ def check_arc_rule(g, order: list[int], cut_pos: int) -> None:
 def avoid_by_full_arcs(oracle, tree: bytearray, live: bytearray, e: int) -> int:
     """``_Feasibility.avoid`` with every exchange arc drawn: the near side
     of tree - e by a search from e's node x, a reconnecting live edge (one
-    at x if there is one), then the full exchange digraph of the new tree
-    (``_arcs``) and a breadth-first search on it from x."""
+    at x if there is one), then the full exchange digraph of the new tree,
+    every position drawn, and a breadth-first search on it from x to the
+    end of x's reach."""
     node, rotation, at = oracle.darts.node, oracle.darts.rotation, oracle.at
     x = node[2 * e + oracle.parity]
     tree[e] = 0
@@ -888,7 +892,8 @@ def avoid_by_full_arcs(oracle, tree: bytearray, live: bytearray, e: int) -> int:
     source, target = at[e], at[link]
     if source == target:
         return 0
-    adj, witness = oracle._arcs(tree, live)
+    adj, witness = [-1] * len(oracle.side_nodes), {}
+    oracle._arcs_from(tree, live, *oracle._rooted(tree), adj, witness, *range(len(adj)))
     pred = _bfs(adj, source)
     if target in pred:
         _exchange(tree, pred, witness, target)

@@ -606,6 +606,17 @@ def test_constructor_refuses_rotation_of_no_node():
         build_path(rotations={"e0": ("a", "b"), "zz": ()})
 
 
+def test_constructor_refuses_a_node_named_twice():
+    """A node named twice in one class is refused with the message that
+    ``parse_graph`` gives for a document that names it twice, so no
+    hypertree is ever asked of a class that lists a node twice."""
+    edges = {"a": ("e0", "v0"), "b": ("e1", "v0")}
+    for emeralds, violets in ((["e0", "e0", "e1"], ["v0"]), (["e0", "e1"], ["v0", "v0"])):
+        with pytest.raises(ValidationError) as refused:
+            RibbonBipartiteGraph(emeralds, violets, edges, None, "v0", "a")
+        assert str(refused.value) == "duplicate node name"
+
+
 def test_dart_table_is_built_with_the_graph():
     """The dart table is an attribute set by the constructor: each node's
     darts follow its rotation, the base dart is the base edge at the base

@@ -8,6 +8,7 @@ from math import comb
 
 import pytest
 
+from hyperbernardi.bernardi import VARIANTS, bernardi_runs
 from hyperbernardi.docio import format_polynomial, serialize_graph
 from hyperbernardi.fixtures import (c4, k5_setup, noncrossing_setup, process_example,
                                     running_graph, running_graph_knot_setup,
@@ -182,7 +183,9 @@ def test_exchange_reachability_equals_rank_oracle():
                 f_key = tuple(f[x] for x in nodes)
                 live_bits = bytearray(e in live for e in ids)
                 tree_bits = bytearray(e in tree for e in ids)
-                adj, _ = oracle._arcs(tree_bits, live_bits)
+                adj = [-1] * len(nodes)
+                oracle._arcs_from(tree_bits, live_bits, *oracle._rooted(tree_bits), adj, {},
+                                  *range(len(nodes)))
                 for j, y in enumerate(nodes):
                     reach = _bfs(adj, j)
                     for i, x in enumerate(nodes):
@@ -216,16 +219,19 @@ def test_exchange_reachability_equals_rank_oracle():
                              ("step", False, True)}
 
 
+def walked_graphs():
+    """Seeded instances whose Bernardi walks meet every kind of step."""
+    graphs = [random_bipartite(seed, 4, 4, 10) for seed in range(20)]
+    graphs += [bip(random_ordinary(seed, 5, 8)) for seed in range(10)]
+    return graphs + [random_bipartite(seed, 5, 5, 16) for seed in range(3)]
+
+
 def test_avoid_equals_full_arc_search(monkeypatch):
     """On every (witness, live, e) that the Bernardi walks of seeded
     instances meet, ``avoid`` (lone-edge case, lazy arc search) and the
     full-arc reference agree: the same verdict, the same refuting set,
     and a rewritten witness that spans the live edges with the same
     degree at each node of the side."""
-    from hyperbernardi.bernardi import VARIANTS, bernardi_runs
-    graphs = [random_bipartite(seed, 4, 4, 10) for seed in range(20)]
-    graphs += [bip(random_ordinary(seed, 5, 8)) for seed in range(10)]
-    graphs += [random_bipartite(seed, 5, 5, 16) for seed in range(3)]
     avoid, outcomes = _Feasibility.avoid, Counter()
 
     def checked(self, tree, live, e):
@@ -248,13 +254,67 @@ def test_avoid_equals_full_arc_search(monkeypatch):
                  refuted == (1 << len(self.side_nodes)) - 1] += 1
         return refuted
     monkeypatch.setattr(_Feasibility, "avoid", checked)
-    for g in graphs:
+    for g in walked_graphs():
         for variant in VARIANTS:
             bernardi_runs(g, variant)
     # lone edges, a link at x, an exchange path, refuted, and bridges
     assert set(outcomes) == {(True, False, False, False), (False, False, False, False),
                              (False, True, False, False), (False, False, True, False),
                              (False, False, True, True)}
+
+
+def test_searches_draw_only_what_they_reach(monkeypatch):
+    """On the instances of the test above, the family closure draws each
+    position once per member, on the member's tree, and each ``avoid``
+    that searches draws, on its reconnected tree, each position nearer to
+    its source than its target once and no other (every position it
+    reaches when the target is out of reach), by distances on the full
+    exchange digraph of that tree."""
+    arcs_from, avoid, drawn, outcomes = _Feasibility._arcs_from, _Feasibility.avoid, [], Counter()
+
+    def recorded(self, tree, live, upward, depth, adj, witness, *sources):
+        drawn.extend((bytes(tree), a) for a in sources)
+        return arcs_from(self, tree, live, upward, depth, adj, witness, *sources)
+
+    def checked(self, tree, live, e):
+        given, width = bytes(tree), len(self.side_nodes)
+        drawn.clear()
+        refuted = avoid(self, tree, live, e)
+        if not drawn:
+            outcomes["no search"] += 1
+            return refuted
+        (reconnected,) = {t for t, _ in drawn}
+        (link,) = [k for k, held in enumerate(reconnected) if held and not given[k]]
+        assert [k for k, held in enumerate(given) if held and not reconnected[k]] == [e]
+        adj = [-1] * width
+        arcs_from(self, reconnected, live, *self._rooted(reconnected), adj, {}, *range(width))
+        source, target = self.at[e], self.at[link]
+        distance, frontier = {source: 0}, [source]
+        while frontier:
+            reached = []
+            for a in frontier:
+                for b in range(width):
+                    if adj[a] >> b & 1 and b not in distance:
+                        distance[b] = distance[a] + 1
+                        reached.append(b)
+            frontier = reached
+        stop = distance.get(target, width)
+        assert sorted(a for _, a in drawn) == sorted(p for p, k in distance.items() if k < stop)
+        assert (target not in distance) == bool(refuted)
+        outcomes["searched", bool(refuted)] += 1
+        return refuted
+    monkeypatch.setattr(_Feasibility, "_arcs_from", recorded)
+    monkeypatch.setattr(_Feasibility, "avoid", checked)
+    for g in walked_graphs():
+        for side in (EMERALD, VIOLET):
+            drawn.clear()
+            family = _oracle(g, side).family
+            assert Counter(a for _, a in drawn) == \
+                dict.fromkeys(range(len(g.side_nodes(side))), len(family))
+            assert {t for t, _ in drawn} == {member.tree for member in family.values()}
+        for variant in VARIANTS:
+            bernardi_runs(g, variant)
+    assert set(outcomes) == {"no search", ("searched", False), ("searched", True)}
 
 
 def test_activities_reject_bad_orders(c4_fixture):
@@ -401,15 +461,16 @@ def test_poly_formatting():
 
 
 def test_arcs_of_a_non_tree_are_an_internal_error(c4_fixture):
-    """Exchange arcs are drawn only on trees the library built, so an edge
-    set that does not span is an internal error there, not a bad input:
-    AssertionError, never the ValueError of ``RibbonGraph._root``."""
+    """Exchange arcs are drawn only on trees the library built and rooted
+    by ``_rooted``, so an edge set that does not span is an internal error
+    there, not a bad input: AssertionError, never the ValueError of
+    ``RibbonGraph._root``."""
     g = c4_fixture.graph
     live = bytearray([1]) * len(g.edge_ids)
     for tree in (bytearray(len(g.edge_ids)), bytearray([1, 1, 0, 0]), live):
         for side in (EMERALD, VIOLET):
             with pytest.raises(AssertionError) as caught:
-                _oracle(g, side)._arcs(tree, live)
+                _oracle(g, side)._rooted(tree)
             assert type(caught.value) is AssertionError
             assert str(caught.value) == "exchange arcs of an edge set that does not span"
 

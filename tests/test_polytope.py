@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperbernardi import graph
+from hyperbernardi import graph, polytope
 from hyperbernardi.campaign import (EHRHART_EDGE_LIMIT, EHRHART_NODE_LIMIT,
                                    LATTICE_SCAN_EDGE_LIMIT, campaign_verify_all)
 from hyperbernardi.docio import serialize_graph
@@ -878,6 +878,31 @@ def test_lattice_oracle_one_node_class():
             want = [comb(k + n - 1, n - 1) for k in range(kmax + 1)]
             assert ehrhart_values_scan(g, kmax) == want == ehrhart_values(g, kmax)
             assert ehrhart_by_tree_scan(g, kmax) == want, (n, emeralds)
+
+
+def test_lattice_oracle_keeps_binding_conditions_only(monkeypatch):
+    """Gale's count tests only the binding conditions, listing the supplies
+    and the demands of each once: none on the two-line complete bipartite
+    setups, whose dilates are the slab, and on the path e0 - v0, e0 - v1,
+    e1 - v1, e1 - v2 the two single emeralds (the pair's neighbours are
+    every violet), with the count of the packed dilates and the Hall
+    count there."""
+    listed = []
+
+    def counted(kmax, parts, subset):
+        listed.append((parts, subset))
+        return sums(kmax, parts, subset)
+    sums = polytope._sums
+    monkeypatch.setattr(polytope, "_sums", counted)
+    for m, n in ((1, 1), (1, 4), (2, 3), (3, 3)):
+        assert ehrhart_values_scan(noncrossing_setup(m, n), 4) == \
+            [comb(k + m, m) * comb(k + n, n) for k in range(5)]
+    assert listed == []
+    path = RibbonBipartiteGraph(["e0", "e1"], ["v0", "v1", "v2"],
+                                {"a": ("e0", "v0"), "b": ("e0", "v1"), "c": ("e1", "v1"),
+                                 "d": ("e1", "v2")}, None, "v0", "a")
+    assert ehrhart_values_scan(path, 8) == ehrhart_values(path, 8) == ehrhart_by_hall(path, 8)
+    assert listed == [(2, 0b01), (2, 0b10), (3, 0b011), (3, 0b110)]
 
 
 def test_lattice_oracle_builds_no_trees(monkeypatch):

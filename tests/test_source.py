@@ -107,6 +107,13 @@ def test_families_run_through_bernardi_runs():
                        ("cli.py", "cmd_bernardi")}
 
 
+def functions_with(source: str, match) -> set[str]:
+    """The functions of a module, methods included, with some node in
+    their body for which ``match`` holds."""
+    return {function.name for function in ast.walk(ast.parse(source))
+            if isinstance(function, ast.FunctionDef) and any(map(match, ast.walk(function)))}
+
+
 def imports_and_definitions(source: str) -> tuple[set[str], set[str]]:
     """The top-level modules a module imports, and the functions and
     module-level names it defines."""
@@ -218,7 +225,8 @@ def test_one_tour_and_one_rooting_primitive():
     tree simplex's peel, the cut table and the exchange arcs are built
     on ``_root``, the arcs through the oracle's one rooting helper
     ``_rooted`` and its one fundamental-path climb ``_arcs_from``, which
-    the family's full arcs and the Bernardi step's lazy search share."""
+    the family draws every position with and the Bernardi step's search
+    draws through, position by position."""
     found = {p.name: imports_and_definitions(p.read_text(encoding="utf-8"))[1]
              for p in PACKAGE.glob("*.py")}
     for name, definers in (("_tour", {"graph.py"}), ("_root", {"graph.py"}),
@@ -234,7 +242,8 @@ def test_one_tour_and_one_rooting_primitive():
     source = (PACKAGE / "hypertree.py").read_text(encoding="utf-8")
     assert calls_to(source, "_root") == [("_rooted", False)]
     for helper in ("_rooted", "_arcs_from"):
-        assert sorted(calls_to(source, helper)) == [("_arcs", False), ("avoid", False)]
+        assert functions_with(source, lambda node: getattr(node, "attr", None) == helper) \
+            == {"family", "avoid"}, helper
     assert sum(line.strip() == "u, v = v, u" for line in source.splitlines()) == 1
 
 
@@ -394,16 +403,28 @@ def test_graph_constructor_builds_no_union_find():
 
 
 def test_bernardi_step_draws_arcs_lazily():
-    """A Bernardi step draws exchange arcs as its search reaches them:
-    ``_Feasibility.avoid`` calls neither ``_arcs`` nor ``_bfs``, which
-    only the family closure calls."""
+    """One breadth-first search, ``_bfs``, serves the family closure and a
+    Bernardi step: ``_Feasibility.avoid`` passes it a drawer and a target,
+    so the step draws exchange arcs as the search reaches them, and the
+    family draws every position first and passes neither.  No function
+    in ``src/`` but ``_bfs`` writes a predecessor map, and the retired
+    full arc table ``_arcs`` is defined nowhere."""
+    def searches(arguments):
+        return lambda node: isinstance(node, ast.Call) \
+            and getattr(node.func, "id", None) == "_bfs" and len(node.args) == arguments
+
+    def writes_pred(node):
+        return isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store) \
+            and getattr(node.value, "id", None) == "pred"
     source = (PACKAGE / "hypertree.py").read_text(encoding="utf-8")
-    for name in ("_arcs", "_bfs"):
-        assert calls_to(source, name) == [("family", False)], name
-    for path in PACKAGE.glob("*.py"):
-        if path.name != "hypertree.py":
-            source = path.read_text(encoding="utf-8")
-            assert calls_to(source, "_arcs") == calls_to(source, "_bfs") == [], path.name
+    assert functions_with(source, searches(2)) == {"family"}
+    assert functions_with(source, searches(4)) == {"avoid"}
+    for path in [*PACKAGE.glob("*.py"), *TESTS.glob("*.py")]:
+        source = path.read_text(encoding="utf-8")
+        assert "_arcs" not in imports_and_definitions(source)[1], path.name
+        if path.parent == PACKAGE:
+            assert functions_with(source, writes_pred) == \
+                ({"_bfs"} if path.name == "hypertree.py" else set()), path.name
 
 
 def test_walk_checks_its_order_online():
