@@ -30,7 +30,7 @@ from itertools import compress
 from typing import NamedTuple
 
 from .graph import EMERALD, VIOLET, RibbonBipartiteGraph, bip
-from .hypertree import (Poly, _family, _inactivities, _inactivity_polynomials, _Member,
+from .hypertree import (Poly, _family, _inactive, _inactivity_polynomials, _Member,
                         _opposite, _oracle, _side_key)
 
 
@@ -315,7 +315,8 @@ def embedding_inactivities(g: RibbonBipartiteGraph, run: BernardiRun) -> tuple[i
     """(internal, external) inactivity of the run's hypertree against the
     class order that the run's current edges induce; a record other than
     a run on this graph is read by its names."""
-    return _inactivities(*_reading(g, run))
+    internal, external = _inactive(*_reading(g, run))
+    return internal.bit_count(), external.bit_count()
 
 
 def bernardi_polynomials(g: RibbonBipartiteGraph, variant: ProcessVariant,
@@ -338,9 +339,10 @@ def check_composition(g: RibbonBipartiteGraph, runs, rev_runs) -> dict[str, bool
     degree vector: (a) ht:V cut:V sends f_v to t; (b) ht:E cut:E and (c)
     ht:V cut:E on the reversed setup send f and f_v to t."""
     def outcomes(variant_runs):
-        return {(run.hypertree, run.result_tree) for run in variant_runs}
+        return {(run.key, run.result_tree) for run in variant_runs}
     base = outcomes(runs[HT_E_CUT_V])
-    on_f_v = {(tuple(sorted(g.degree_vector(t, VIOLET).items())), t) for _, t in base}
+    violet = _oracle(g, VIOLET)._realized
+    on_f_v = {(violet(g._flags(t)), t) for _, t in base}
     return {
         "htV-cutV-on-fV": outcomes(runs[HT_V_CUT_V]) == on_f_v,
         "htE-cutE-reversed": outcomes(rev_runs[HT_E_CUT_E]) == base,

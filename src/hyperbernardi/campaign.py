@@ -26,7 +26,7 @@ from .bernardi import (HT_E_CUT_E, HT_E_CUT_V, HT_V_CUT_E, HT_V_CUT_V,
 from .docio import serialize_graph
 from .exactla import det_bareiss
 from .graph import EMERALD, VIOLET, RibbonBipartiteGraph
-from .hypertree import _classical_polynomials, enumerate_hypertrees, interior_polynomial
+from .hypertree import _classical_polynomials, _family, interior_polynomial
 from .jaeger import (ECUT, VCUT, _tour_cuts, characterize_tree,
                      enumerate_jaeger_trees, realized_hypertrees, shelling,
                      t_order)
@@ -173,8 +173,7 @@ def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
             "raise --max-edges to override")
     rng = random.Random(rng_seed)
 
-    b_e = enumerate_hypertrees(g, EMERALD)
-    b_v = enumerate_hypertrees(g, VIOLET)
+    b_e, b_v = _family(g, EMERALD), _family(g, VIOLET)
     report.add("hypertree-counts-equal", PASS if len(b_e) == len(b_v) else FAIL,
                emerald=len(b_e), violet=len(b_v))
 
@@ -236,11 +235,8 @@ def campaign_verify_all(g: RibbonBipartiteGraph, max_edges: int = 14,
     # sets; Jaeger enumeration does not use the hypertree module, so this
     # also cross-checks the hypertree enumeration on both sides.
     realized = realized_hypertrees(g, vcut)
-    ok = True
-    for side, family in ((EMERALD, b_e), (VIOLET, b_v)):
-        nodes = g.side_nodes(side)
-        ok = ok and len(realized[side]) == len(vcut) and realized[side].keys() == {
-            tuple(f[x] for x in nodes) for f in family}
+    ok = all(len(realized[side]) == len(vcut) and realized[side].keys() == family.keys()
+             for side, family in ((EMERALD, b_e), (VIOLET, b_v)))
     report.add("unique-realization-bijection", PASS if ok else FAIL)
 
     # base-cut order lemma and five-way characterization on every V-cut

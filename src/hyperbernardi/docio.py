@@ -13,8 +13,10 @@ Format sketch (``#`` starts a comment, encoding is UTF-8)::
       v0: e0v0 e3v0 e2v0
     base: v0 e0v0
 
-``rotations:`` is optional; omitted nodes default to the order in which
-their edges appear in the ``edges:`` section (deterministic).
+An edge line is ``id emerald violet``; one with its ends the other way
+round is refused.  ``rotations:`` is optional; omitted nodes default to
+the order in which their edges appear in the ``edges:`` section
+(deterministic).
 """
 
 from __future__ import annotations
@@ -57,9 +59,11 @@ def parse_graph(text: str) -> RibbonBipartiteGraph:
         raise GraphFormatError("both emerald: and violet: sections are required")
 
     edges: dict[str, tuple[str, str]] = {}
+    declared_emeralds, declared_violets = set(emeralds), set(violets)
     for line in sections["edges:"]:
         parts = line.split()
-        if len(parts) != 3:
+        # the constructor takes either orientation: a swapped line stops here
+        if len(parts) != 3 or parts[1] in declared_violets and parts[2] in declared_emeralds:
             raise GraphFormatError(f"edge line needs 'id emerald violet': {line!r}")
         eid, em, vi = parts
         if eid in edges:

@@ -25,8 +25,10 @@ Bernardi step only the arcs of the nodes its search reaches.
 
 The family is enumerated by closing one spanning tree's degree vector
 under the admitted transfers (the exchange axiom of M-convex sets joins
-any two hypertrees by a path of them), and activities are read from the
-transfer masks that the closure records for each member.  Exact
+any two hypertrees by a path of them), keyed by value tuples.  One loop,
+``_inactive``, reads a member's activities under a class order off the
+transfer masks that the closure records: two bitmasks, which name the
+inactive nodes and, counted, give the polynomials.  Exact
 backtracking over per-node edge choices (``_Feasibility._search``)
 remains as an independent oracle: ``is_hypertree``, paranoid Bernardi
 runs and the tests use it.
@@ -463,18 +465,21 @@ def _order_positions(g: RibbonBipartiteGraph, side: str, order) -> list[int]:
     return [pos[x] for x in order]
 
 
-def _inactivity(g: RibbonBipartiteGraph, side: str, f: dict[str, int],
-                order, outgoing: bool) -> frozenset[str]:
-    """The nodes x of ``order`` such that, for some y before x, the
-    transfer x -> y (``outgoing``) or y -> x is admissible."""
-    member, nodes = _member(g, side, f), g.side_nodes(side)
-    reach = member.out if outgoing else member.inn
-    before, inactive = 0, []
-    for x in _order_positions(g, side, order):
-        if reach[x] & before:
-            inactive.append(nodes[x])
-        before |= 1 << x
-    return frozenset(inactive)
+def _inactive(member: _Member, positions) -> tuple[int, int]:
+    """The internally and the externally inactive positions of a member
+    against a class order of positions, as two bitmasks, in one loop: x
+    is internally (externally) inactive when x -> y (y -> x) is
+    admissible for some y before it."""
+    out, inn = member.out, member.inn
+    before = internal = external = 0
+    for x in positions:
+        bit = 1 << x
+        if out[x] & before:
+            internal |= bit
+        if inn[x] & before:
+            external |= bit
+        before |= bit
+    return internal, external
 
 
 def internal_inactivity(g: RibbonBipartiteGraph, side: str, f: dict[str, int],
@@ -484,37 +489,24 @@ def internal_inactivity(g: RibbonBipartiteGraph, side: str, f: dict[str, int],
     ``order`` lists the whole class, each node once, from smallest to
     largest.
     """
-    return _inactivity(g, side, f, order, outgoing=True)
+    internal, _ = _inactive(_member(g, side, f), _order_positions(g, side, order))
+    return frozenset(x for p, x in enumerate(g.side_nodes(side)) if internal >> p & 1)
 
 
 def external_inactivity(g: RibbonBipartiteGraph, side: str, f: dict[str, int],
                         order) -> frozenset[str]:
     """The nodes that may receive a transfer from some smaller node."""
-    return _inactivity(g, side, f, order, outgoing=False)
-
-
-def _inactivities(member: _Member, order) -> tuple[int, int]:
-    """(internal, external) inactivity of a member against a class order of
-    positions, in one loop: how many x have a y before them with x -> y
-    (internal) or y -> x (external) admissible."""
-    out, inn = member.out, member.inn
-    before = internal = external = 0
-    for x in order:
-        if out[x] & before:
-            internal += 1
-        if inn[x] & before:
-            external += 1
-        before |= 1 << x
-    return internal, external
+    _, external = _inactive(_member(g, side, f), _order_positions(g, side, order))
+    return frozenset(x for p, x in enumerate(g.side_nodes(side)) if external >> p & 1)
 
 
 def _inactivity_polynomials(readings, width: int) -> tuple[Poly, Poly]:
     """The (interior, exterior) polynomials of (member, class order) pairs."""
     internal, external = [0] * (width + 1), [0] * (width + 1)
     for member, order in readings:
-        i, e = _inactivities(member, order)
-        internal[i] += 1
-        external[e] += 1
+        i, e = _inactive(member, order)
+        internal[i.bit_count()] += 1
+        external[e.bit_count()] += 1
     return Poly(internal), Poly(external)
 
 
@@ -590,10 +582,7 @@ def tutte_check(g: RibbonGraph) -> bool:
 
 
 def break_divisors(g: RibbonGraph) -> set[tuple[int, ...]]:
-    """Integer vectors z on V with d - 1 - z a hypertree on V in bip(g)."""
-    bg = bip(g)
-    deg = {x: g.degree(x) for x in g.nodes}
-    out = set()
-    for f in enumerate_hypertrees(bg, VIOLET):
-        out.add(tuple(deg[x] - 1 - f[x] for x in g.nodes))
-    return out
+    """Integer vectors z on V with d - 1 - z a hypertree on V in bip(g),
+    over ``g.nodes``, which are the violet nodes of bip(g) in order."""
+    cap = [g.degree(x) - 1 for x in g.nodes]
+    return {tuple(c - v for c, v in zip(cap, key)) for key in _family(bip(g), VIOLET)}

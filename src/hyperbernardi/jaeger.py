@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .bernardi import TheoremViolation
 from .graph import EMERALD, VIOLET, RibbonBipartiteGraph, bip
-from .hypertree import internal_inactivity
+from .hypertree import _oracle, internal_inactivity
 
 VCUT = VIOLET
 ECUT = EMERALD
@@ -164,35 +164,6 @@ def enumerate_jaeger_trees(g: RibbonBipartiteGraph, cut: str) -> list[frozenset[
     return out
 
 
-def _flavor_setup(g: RibbonBipartiteGraph, flavor: str) -> RibbonBipartiteGraph:
-    """The setup whose tours are the ``flavor`` tours: ``g`` for violet,
-    the reversed setup (base edge b0b1-) for emerald."""
-    if flavor == VIOLET:
-        return g
-    if flavor == EMERALD:
-        return g.reversed_setup()
-    raise ValueError(f"unknown flavor {flavor!r}")
-
-
-def divergence_edge(g: RibbonBipartiteGraph, t1: frozenset[str], t2: frozenset[str],
-                    flavor: str = VIOLET) -> str:
-    """The edge at which the flavor tours of two distinct trees diverge.
-
-    It is the edge of the first dart on t1's tour that one tree holds
-    and the other does not; up to there the tours agree.  The violet
-    tours are those of ``g``, the emerald tours those of the reversed
-    setup (base edge b0b1-).
-    """
-    setup = _flavor_setup(g, flavor)
-    if not (g.is_spanning_tree(t1) and g.is_spanning_tree(t2)):
-        raise ValueError("not a spanning tree")
-    mask, differ = g._edge_mask(t1), g._edge_mask(t1 ^ t2)
-    for d in setup._tour(mask):
-        if differ >> (d >> 1) & 1:
-            return g.edge_ids[d >> 1]
-    raise ValueError("identical trees have no divergence")
-
-
 @dataclass(frozen=True)
 class TOrder:
     flavor: str
@@ -210,13 +181,17 @@ def _flavor_order(g: RibbonBipartiteGraph, tour: list[int], flavor: str) -> TOrd
 
 
 def t_order(g: RibbonBipartiteGraph, tree: frozenset[str], flavor: str) -> TOrder:
-    """Edges by first occurrence with a flavor-colored current node, plus
-    the class order induced by smallest incident edges, for a V-cut
-    Jaeger tree (an E-cut tree's orders are read on ``g.reversed_setup()``).
+    """Edges by first occurrence with a flavor-colored current node on the
+    flavor tour (violet: of ``g``; emerald: of the reversed setup, base
+    edge b0b1-), plus the class order induced by smallest incident edges,
+    for a V-cut Jaeger tree (an E-cut tree's orders are read on
+    ``g.reversed_setup()``).
     """
-    setup = _flavor_setup(g, flavor)
+    if flavor not in (VIOLET, EMERALD):
+        raise ValueError(f"unknown flavor {flavor!r}")
     if not g.is_spanning_tree(tree):
         raise ValueError("not a spanning tree")
+    setup = g if flavor == VIOLET else g.reversed_setup()
     return _flavor_order(g, setup._tour(g._edge_mask(tree)), flavor)
 
 
@@ -357,14 +332,12 @@ def realized_hypertrees(g: RibbonBipartiteGraph, trees) -> dict[str, dict]:
     vectors over ``g.side_nodes(side)``, each with the positions of the
     trees that realize it.  The unique-realization check and the
     dissection's markers read it."""
+    flags = [g._flags(tree) for tree in trees]
     out = {}
     for side in (EMERALD, VIOLET):
-        nodes = g.side_nodes(side)
-        realized: dict[tuple[int, ...], list[int]] = {}
-        for k, tree in enumerate(trees):
-            f = g.degree_vector(tree, side)
-            realized.setdefault(tuple(f[x] for x in nodes), []).append(k)
-        out[side] = realized
+        realized = out[side] = {}
+        for k, key in enumerate(map(_oracle(g, side)._realized, flags)):
+            realized.setdefault(key, []).append(k)
     return out
 
 

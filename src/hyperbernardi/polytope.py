@@ -36,7 +36,7 @@ from . import graph
 from .bernardi import TheoremViolation
 from .exactla import det_bareiss
 from .graph import EMERALD, VIOLET, RibbonBipartiteGraph
-from .hypertree import Poly, _family, enumerate_hypertrees
+from .hypertree import Poly, _family
 from .jaeger import _bits, _halves, realized_hypertrees
 
 
@@ -197,8 +197,7 @@ def verify_dissection(g: RibbonBipartiteGraph, steps) -> dict:
     _require_simple(g)
     trees = [s.tree for s in steps]
     simplices = [TreeSimplex(g, t) for t in trees]
-    b_e = enumerate_hypertrees(g, EMERALD)
-    b_v = enumerate_hypertrees(g, VIOLET)
+    b_e, b_v = _family(g, EMERALD), _family(g, VIOLET)
     report: dict = {
         "tree_count": len(trees),
         "hypertree_count_emerald": len(b_e),
@@ -220,13 +219,14 @@ def verify_dissection(g: RibbonBipartiteGraph, steps) -> dict:
     scale = len(g.emeralds) * len(g.violets)
     for side, family in ((EMERALD, b_e), (VIOLET, b_v)):
         nodes = g.side_nodes(side)
-        for f in family:
+        for key in sorted(family):
+            f = dict(zip(nodes, key))
             p = scaled_marker(g, f, side)
-            inside = [k for k in realized[side].get(tuple(f[x] for x in nodes), [])
+            inside = [k for k in realized[side].get(key, [])
                       if simplices[k].contains_scaled(p, scale)]
             if len(inside) != 1:
                 report["witnesses"].append(
-                    {"kind": "marker", "side": side, "hypertree": dict(f),
+                    {"kind": "marker", "side": side, "hypertree": f,
                      "strictly_inside": inside})
     placement_ok = report["markers_in_unique_simplex"] = not report["witnesses"]
     report["witnesses"] += pairs

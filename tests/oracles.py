@@ -40,8 +40,7 @@ on small instances only.  Each reference, and what it checks:
 * ``tour_pairs``: the tour walked through a (node, edge) -> next edge
   table (against the dart-table ``tour_pairs`` and ``tour_order``);
 * ``divergence_by_full_tours``: two reference tours built whole and
-  compared (against ``divergence_edge``, which reads one dart-table
-  tour, and the trie of tours in the shelling record);
+  compared (against the trie of tours in the shelling record);
 * ``first_skip_cuts``: the cuts at whose colored end that tour first
   skips every non-tree edge (against ``jaeger_cuts`` and the
   bit-parallel tour of the campaign's sweep);
@@ -77,8 +76,9 @@ on small instances only.  Each reference, and what it checks:
   ``campaign.arborescence_duality``).
 
 Helpers that only the tests call live here too: ``other_end``,
-``prev_edge``, ``edge_rank`` of a T-order, and
-``random_setup_variation``, a graph with reshuffled rotations and base.
+``prev_edge``, ``edge_rank`` of a T-order, ``random_setup_variation``,
+a graph with reshuffled rotations and base, and ``renamed``, a graph
+with its nodes and edges renamed.
 """
 
 from __future__ import annotations
@@ -703,6 +703,18 @@ def random_setup_variation(g, seed: int):
     base_edge = rng.choice(incident)
     return RibbonBipartiteGraph(g.emeralds, g.violets, dict(g.edges),
                                 rotations, base_node, base_edge)
+
+
+def renamed(g, node_names, edge_names):
+    """``g`` with its nodes and edges renamed, and the two maps."""
+    nm = dict(zip(g.nodes, node_names))
+    em = dict(zip(g.edge_ids, edge_names))
+    h = RibbonBipartiteGraph(
+        [nm[x] for x in g.emeralds], [nm[x] for x in g.violets],
+        {em[e]: (nm[a], nm[b]) for e, (a, b) in g.edges.items()},
+        {nm[x]: tuple(em[e] for e in rot) for x, rot in g.rotations.items()},
+        base_node=nm[g.base_node], base_edge=em[g.base_edge])
+    return h, nm, em
 
 
 def marker_placement(g, trees) -> list[tuple[str, dict, list[int]]]:

@@ -36,8 +36,8 @@ from hyperbernardi.jaeger import (ECUT, VCUT, characterize_tree,
 from hyperbernardi.polytope import (TreeSimplex, ehrhart_values, fit_binomial_coefficients,
                                     geometric_shelling_check,
                                     kato_series_check, shelling_h_vector)
-from oracles import (certify_disjoint_interiors, contains, marker, random_setup_variation,
-                     trees_compatible)
+from oracles import (certify_disjoint_interiors, contains, divergence_by_full_tours, marker,
+                     random_setup_variation, trees_compatible)
 
 N_SETUPS = 100
 N_BIPARTITE = 50
@@ -163,7 +163,6 @@ def test_criterion_05_unique_realization_bijection(bundles):
 
 
 def test_criterion_06_dissection(bundles):
-    from hyperbernardi.jaeger import divergence_edge
     certified_pairs = 0
     markers_checked = 0
     for b in bundles:
@@ -177,7 +176,7 @@ def test_criterion_06_dissection(bundles):
                 markers_checked += 1
         if len(b.g.edge_ids) <= 8:
             for t1, t2 in combinations(b.vcut, 2):
-                eps = divergence_edge(b.g, t1, t2)
+                eps = divergence_by_full_tours(b.g, t1, t2, VCUT, VIOLET)
                 earlier, later = (t1, t2) if eps in t2 else (t2, t1)
                 assert certify_disjoint_interiors(b.g, earlier, later, eps)
                 certified_pairs += 1

@@ -25,7 +25,7 @@ from hyperbernardi.hypertree import (Poly, _Feasibility, _family,
 from hyperbernardi.jaeger import VCUT, enumerate_jaeger_trees, is_jaeger_tree
 from oracles import bernardi_run as reference_run
 from oracles import check_arc_rule
-from oracles import random_setup_variation
+from oracles import random_setup_variation, renamed
 
 
 def test_variant_parsing():
@@ -670,18 +670,6 @@ def test_steps_are_built_when_read(monkeypatch, running_fixture):
     assert len(built) == len(g.edge_ids) == len(steps)
     assert run.steps is steps
     assert steps == reference_run(g, f, HT_E_CUT_V).steps
-
-
-def renamed(g, node_names, edge_names):
-    """``g`` with its nodes and edges renamed, and the two maps."""
-    nm = dict(zip(g.nodes, node_names))
-    em = dict(zip(g.edge_ids, edge_names))
-    h = RibbonBipartiteGraph(
-        [nm[x] for x in g.emeralds], [nm[x] for x in g.violets],
-        {em[e]: (nm[a], nm[b]) for e, (a, b) in g.edges.items()},
-        {nm[x]: tuple(em[e] for e in rot) for x, rot in g.rotations.items()},
-        base_node=nm[g.base_node], base_edge=em[g.base_edge])
-    return h, nm, em
 
 
 @settings(max_examples=15, deadline=None)

@@ -23,6 +23,7 @@ from hyperbernardi.jaeger import (VCUT, enumerate_jaeger_trees, semi_passive_edg
                                   t_order)
 from hyperbernardi.polytope import normalized_simplex_volume
 from oracles import arborescence_duality_brute_force, bernardi_run as reference_run
+from oracles import random_setup_variation, renamed
 
 
 def test_random_bipartite_deterministic():
@@ -316,6 +317,43 @@ def test_conjecture_flag_is_reverified(monkeypatch):
     for c in checks:
         assert c["expected"] == c["classical_recheck"] == [7]
         assert c["reverified"] == c["got"] and sum(c["got"]) > 1
+
+
+def test_campaign_reports_ignore_names_base_and_direction():
+    """A campaign report does not depend on names, on the base edge or on
+    the direction of the ribbon: on random ribbons of the two-line
+    setups K2,3..K4,4, whose campaigns run the geometric shelling, the
+    lattice-scan oracle and the Ehrhart chain, every entry keeps its
+    name, status and values when every node and edge is renamed so that
+    both sorted orders change, when the base moves to each other edge at
+    the base node, and on the reversed setup.  The one exception: the
+    dissection's ``triangulation`` flag may change with the base edge or
+    under reversal (it does on the K3,3 ribbons, whose dissections still
+    pass), but not under a renaming."""
+    def entries(g, keep_triangulation=True):
+        report = campaign_verify_all(g, max_edges=16).to_json()
+        del report["elapsed_s"], report["input_hash"]
+        for check in report["checks"]:
+            if check["name"] == "dissection" and not keep_triangulation:
+                del check["triangulation"]
+        return report
+
+    ran = set()
+    for m, n in ((1, 2), (1, 3), (2, 2), (3, 3)):
+        for seed in range(3):
+            g = random_setup_variation(noncrossing_setup(m, n), seed)
+            want = entries(g)
+            ran |= {c["name"] for c in want["checks"] if c["status"] == "pass"}
+            h, _, _ = renamed(g, [f"n{i:02d}" for i in reversed(range(len(g.nodes)))],
+                              [f"k{i:02d}" for i in reversed(range(len(g.edge_ids)))])
+            assert entries(h) == want, (m, n, seed, "renamed")
+            want = entries(g, keep_triangulation=False)
+            others = [g.with_base(g.base_node, e) for e in g.rotations[g.base_node]
+                      if e != g.base_edge]
+            for k, h in enumerate([g.reversed_setup(), *others]):
+                assert entries(h, keep_triangulation=False) == want, (m, n, seed, k)
+    assert ran >= {"geometric-shelling", "ehrhart-lattice-scan-oracle",
+                   "ehrhart-binomial-fit", "dissection"}
 
 
 def test_campaign_all_pass_c4(c4_fixture):

@@ -12,8 +12,7 @@ from hyperbernardi.fixtures import noncrossing_setup
 from hyperbernardi.generators import random_bipartite, random_ordinary
 from hyperbernardi.graph import EMERALD, VIOLET, RibbonBipartiteGraph, RibbonGraph, bip
 from hyperbernardi.hypertree import enumerate_hypertrees, internal_inactivity
-from hyperbernardi.jaeger import (ECUT, VCUT, characterize_tree, divergence_edge,
-                                  enumerate_jaeger_trees,
+from hyperbernardi.jaeger import (ECUT, VCUT, characterize_tree, enumerate_jaeger_trees,
                                   graph_activity_matching, is_jaeger_tree,
                                   jaeger_cuts, semi_passive_edges, shelling,
                                   t_order)
@@ -113,7 +112,7 @@ def test_enumeration_equals_recognition(running_fixture, knot_fixture,
             for j, later in enumerate(trees):
                 for earlier in trees[:j]:
                     pairs += 1
-                    assert divergence_edge(h, earlier, later) in later
+                    assert divergence_by_full_tours(h, earlier, later, VCUT, VIOLET) in later
     assert pairs > 10000  # the order check is not vacuous
 
 
@@ -200,13 +199,13 @@ def test_compare_trees(c4_fixture, knot_fixture):
     t4 = frozenset({"c2", "c3", "c4"})
     t2 = frozenset({"c1", "c2", "c4"})
     # the tree holding the divergence edge is the larger one
-    assert divergence_edge(g, t2, t4, VIOLET) in t2
-    assert divergence_edge(g, t4, t2, VIOLET) not in t4
+    assert divergence_by_full_tours(g, t2, t4, VCUT, VIOLET) in t2
+    assert divergence_by_full_tours(g, t4, t2, VCUT, VIOLET) not in t4
     kg = knot_fixture.graph
     trees = knot_fixture.value("vcut_jaeger_violet_order")
     for i in range(len(trees)):
         for j in range(i + 1, len(trees)):
-            assert divergence_edge(kg, trees[i], trees[j], VIOLET) in trees[j]
+            assert divergence_by_full_tours(kg, trees[i], trees[j], VCUT, VIOLET) in trees[j]
 
 
 def test_t_order_paper_example(running_fixture):
@@ -271,7 +270,7 @@ def characterize_edge_reference(g, trees, index, eps):
     """Reference: the five descriptions for one edge, each computed from
     scratch for that edge alone."""
     tree = trees[index]
-    first_difference = any(divergence_edge(g, earlier, tree) == eps
+    first_difference = any(divergence_by_full_tours(g, earlier, tree, VCUT, VIOLET) == eps
                            for earlier in trees[:index])
     em_order = t_order(g, tree, EMERALD)
     semi_passive = eps in semi_passive_edges(g, tree, em_order.edge_order)
@@ -309,7 +308,8 @@ def test_characterize_edges(c4_fixture, running_fixture, knot_fixture):
             assert steps[i].emerald == emerald
             assert steps[i].semi_passive == semi_passive_edges(g, tree, emerald.edge_order)
             assert steps[i].divergences == tuple(
-                divergence_edge(g, earlier, tree) for earlier in trees[:i])
+                divergence_by_full_tours(g, earlier, tree, VCUT, VIOLET)
+                for earlier in trees[:i])
             want = {eps: characterize_edge_reference(g, trees, i, eps)
                     for eps in sorted(tree)}
             assert characterize_tree(g, steps[i]) == want
@@ -329,15 +329,6 @@ def test_characterize_tree_reports_disagreement(monkeypatch, running_fixture):
     with pytest.raises(TheoremViolation, match="five-way characterization disagrees"):
         for step in shelling(g, trees):
             characterize_tree(g, step)
-
-
-def test_divergence_edge(c4_fixture):
-    g = c4_fixture.graph
-    t4 = frozenset({"c2", "c3", "c4"})
-    t2 = frozenset({"c1", "c2", "c4"})
-    assert divergence_edge(g, t4, t2) == "c1"
-    with pytest.raises(ValueError):
-        divergence_edge(g, t4, t4)
 
 
 def test_shelling_checks_each_tree_once(monkeypatch, running_fixture):
@@ -360,10 +351,10 @@ def test_shelling_checks_each_tree_once(monkeypatch, running_fixture):
 def test_trie_divergences_equal_pairwise_walks(c4_fixture, running_fixture,
                                                knot_fixture):
     """The trie of violet tours gives each pair the edge at which their
-    tours diverge, by ``divergence_edge`` and by the reference that
-    builds both tours whole, and each tree its violet T-order: for V-cut
-    and E-cut trees, in enumeration order and shuffled, on the setup and
-    its reversal.  A repeated tree still has no divergence."""
+    tours diverge, by the reference that builds both tours whole, and
+    each tree its violet T-order: for V-cut and E-cut trees, in
+    enumeration order and shuffled, on the setup and its reversal.  A
+    repeated tree still has no divergence."""
     rng = random.Random(21)
     graphs = [c4_fixture.graph, running_fixture.graph, knot_fixture.graph]
     graphs += [random_bipartite(seed, 4, 4, 10) for seed in range(40)]
@@ -378,9 +369,6 @@ def test_trie_divergences_equal_pairwise_walks(c4_fixture, running_fixture,
                     steps = shelling(setup, listed)
                     for j, step in enumerate(steps):
                         assert step.violet == t_order(setup, step.tree, VIOLET)
-                        assert step.divergences == tuple(
-                            divergence_edge(setup, earlier, step.tree)
-                            for earlier in listed[:j])
                         # with the cut equal to the flavor, the reference tours ``setup``
                         assert step.divergences == tuple(
                             divergence_by_full_tours(setup, earlier, step.tree,
@@ -397,12 +385,8 @@ def test_trie_divergences_equal_pairwise_walks(c4_fixture, running_fixture,
 def test_unknown_flavor_is_rejected(c4_fixture):
     g = c4_fixture.graph
     t4 = frozenset({"c2", "c3", "c4"})
-    t2 = frozenset({"c1", "c2", "c4"})
     with pytest.raises(ValueError, match="unknown flavor 'bogus'"):
         t_order(g, t4, "bogus")
-    with pytest.raises(ValueError, match="unknown flavor 'bogus'"):
-        divergence_edge(g, t4, t2, flavor="bogus")
-    assert divergence_edge(g, t4, t2, flavor=EMERALD) in t4 ^ t2
 
 
 def test_unknown_cut_is_rejected(running_fixture):
@@ -435,30 +419,6 @@ def test_cut_tables_equal_reference_cuts(c4_fixture, running_fixture, knot_fixtu
                     e for e in cut if g.emerald_end(e) in side}
                 cuts += 1
     assert cuts > 500
-
-
-def test_divergence_edge_equals_full_tours(c4_fixture, running_fixture,
-                                           knot_fixture):
-    graphs = [c4_fixture.graph, running_fixture.graph, knot_fixture.graph]
-    graphs += [random_bipartite(seed, 3, 4, 8) for seed in range(8)]
-    graphs += [bip(random_ordinary(seed, 4, 6)) for seed in range(4)]
-    pairs = 0
-    for g in graphs:
-        for cut in (VCUT, ECUT):
-            trees = enumerate_jaeger_trees(g, cut)
-            # E-cut trees are the V-cut trees of the reversed setup
-            setup = g if cut == VCUT else g.reversed_setup()
-            for flavor in (VIOLET, EMERALD):
-                for t1 in trees:
-                    for t2 in trees:
-                        if t1 != t2:
-                            pairs += 1
-                            assert divergence_edge(setup, t1, t2, flavor) \
-                                == divergence_by_full_tours(g, t1, t2, cut, flavor)
-    assert pairs > 100  # the sweep is not vacuous
-    with pytest.raises(ValueError, match="spanning tree"):
-        divergence_edge(c4_fixture.graph, frozenset({"c1", "c2"}),
-                        frozenset({"c2", "c3", "c4"}))
 
 
 def test_unique_realization_invariant():

@@ -208,14 +208,68 @@ def test_sweep_is_the_block_primitive():
 def test_record_checks_walk_no_pairs():
     """The shelling record's divergences come from the trie of tours, and
     the dissection reads them: no module under ``src/`` walks two tours
-    side by side, and every single-tree tour is one ``_tour``, which
-    ``divergence_edge`` walks once."""
+    side by side or defines a pairwise ``divergence_edge``, and every
+    single-tree tour is one ``_tour``, which ``shelling`` walks once per
+    tree for its trie (the emerald tour is ``t_order``'s)."""
     callers = {(p.name, function) for p in PACKAGE.glob("*.py")
                for function, _ in calls_to(p.read_text(encoding="utf-8"), "_tour")}
     assert callers == {("graph.py", "tour_pairs"), ("jaeger.py", "t_order"),
-                       ("jaeger.py", "shelling"), ("jaeger.py", "divergence_edge")}
+                       ("jaeger.py", "shelling")}
     source = (PACKAGE / "jaeger.py").read_text(encoding="utf-8")
-    assert calls_to(source, "_tour").count(("divergence_edge", False)) == 1
+    assert calls_to(source, "_tour").count(("shelling", False)) == 1
+    for path in PACKAGE.glob("*.py"):
+        defined = imports_and_definitions(path.read_text(encoding="utf-8"))[1]
+        assert defined & {"divergence_edge", "_flavor_setup"} == set(), path.name
+
+
+def is_name_dict_tuple(node) -> bool:
+    """Whether a node is a call ``tuple(f[x] for x in ...)``: a dict read
+    back into a tuple, key by key."""
+    if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "tuple"
+            and node.args and isinstance(node.args[0], ast.GeneratorExp)):
+        return False
+    generator = node.args[0]
+    return isinstance(generator.elt, ast.Subscript) and \
+        ast.unparse(generator.elt.slice) == ast.unparse(generator.generators[0].target)
+
+
+def test_name_dict_tuples_detected():
+    source = ("a = tuple(f[x] for x in nodes)\n"
+              "b = tuple(f[x] + 1 for x in nodes)\n"
+              "c = tuple(f[0] for x in nodes)\n"
+              "d = tuple(vals[f'a{i}'] for i in range(3))\n")
+    assert [ast.unparse(node) for node in ast.walk(ast.parse(source))
+            if is_name_dict_tuple(node)] == ["tuple((f[x] for x in nodes))"]
+
+
+def test_one_reader_of_hypertrees_and_activities():
+    """Below the public API a hypertree is a key of the family: only
+    ``_Feasibility._realized`` reads one off a tree, which the family,
+    ``realized_hypertrees`` and ``check_composition`` call; a caller's
+    name dict becomes a key in ``_side_key`` alone, and the campaign,
+    the dissection and ``break_divisors`` never list the name dicts of
+    ``enumerate_hypertrees``.  One loop, ``_inactive``, reads a member's
+    transfer masks, for the inactive sets and for their counts."""
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+
+    def reads(attribute):
+        return lambda node: getattr(node, "attr", None) == attribute
+    assert {(name, function) for name, source in sources.items()
+            for function in functions_with(source, reads("_realized"))} == {
+        ("hypertree.py", "family"), ("jaeger.py", "realized_hypertrees"),
+        ("bernardi.py", "check_composition")}
+    assert {(name, function) for name, source in sources.items()
+            for function in functions_with(source, is_name_dict_tuple)} == {
+        ("hypertree.py", "_side_key")}
+    assert {(name, function) for name, source in sources.items()
+            for function, _ in calls_to(source, "enumerate_hypertrees")} == {
+        ("cli.py", "cmd_hypertrees")}
+    assert {(name, function) for name, source in sources.items() for attribute in ("out", "inn")
+            for function in functions_with(source, reads(attribute))} == {
+        ("hypertree.py", "_inactive")}
+    for path in [*PACKAGE.glob("*.py"), *TESTS.glob("*.py")]:
+        defined = imports_and_definitions(path.read_text(encoding="utf-8"))[1]
+        assert defined & {"_inactivity", "_inactivities"} == set(), path.name
 
 
 def test_one_tour_and_one_rooting_primitive():
